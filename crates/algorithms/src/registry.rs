@@ -2,8 +2,8 @@
 //!
 //! The engine is generic over the [`Program`] type, which is ideal for
 //! statically-typed experiments but awkward when the algorithm is chosen at
-//! run time (command-line tools, benchmark sweeps, the `gdp-core` experiment
-//! builder).  [`AlgorithmKind`] names the available algorithms and
+//! run time (command-line tools, scenario sweeps, the report tables).
+//! [`AlgorithmKind`] names the available algorithms and
 //! [`AnyProgram`] / [`AnyState`] provide a single concrete [`Program`]
 //! implementation that dispatches to the selected one.
 

@@ -12,18 +12,22 @@
 //! Monte-Carlo trials/sec serial vs parallel) is the baseline future PRs
 //! must not regress — see `docs/PERFORMANCE.md`.
 
-use gdp_adversary::{BlockingAdversary, BlockingPolicy, StubbornnessSchedule, TargetStarver};
+use gdp_adversary::{
+    AdversaryKind, BlockingAdversary, BlockingPolicy, StubbornnessSchedule, TargetStarver,
+};
 use gdp_algorithms::AlgorithmKind;
+use gdp_analysis::montecarlo::estimate_liveness;
 use gdp_analysis::symmetry::{distinct_probability_lower_bound, empirical_distinct_probability};
+use gdp_analysis::TrialConfig;
 use gdp_bench::{print_header, run_and_print, wave_summary, MAX_STEPS, TRIALS};
-use gdp_core::{SchedulerSpec, TopologySpec};
 use gdp_picalc::{ChannelId, ChoiceRound, Guard};
 use gdp_runtime::run_for_meals;
-use gdp_sim::{Engine, SimConfig, StopCondition};
+use gdp_sim::{Adversary, Engine, RunOutcome, SimConfig, StopCondition, UniformRandomAdversary};
 use gdp_topology::builders::{
-    classic_ring, figure1_gallery, figure3_theta, ring_with_chord, ChordTarget,
+    classic_ring, complete_conflict, figure1_gallery, figure2_hexagon_with_pendant, figure3_theta,
+    random_connected,
 };
-use gdp_topology::PhilosopherId;
+use gdp_topology::{PhilosopherId, Topology};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -53,6 +57,61 @@ fn run_perf() {
         .expect("writing BENCH_results.json");
 }
 
+/// The Figure 1 gallery, labelled for the summary rows.
+fn gallery() -> Vec<(String, Topology)> {
+    figure1_gallery()
+        .into_iter()
+        .map(|(name, topology)| (format!("figure1-{name}"), topology))
+        .collect()
+}
+
+/// The gallery plus the Theorem 1 (Figure 2) and Theorem 2 (Figure 3)
+/// witness systems.
+fn gallery_and_witnesses() -> Vec<(String, Topology)> {
+    let mut systems = gallery();
+    systems.push((
+        "figure2-hexagon+pendant".to_string(),
+        figure2_hexagon_with_pendant(),
+    ));
+    systems.push(("figure3-theta-8/7".to_string(), figure3_theta()));
+    systems
+}
+
+/// Runs [`TRIALS`] windows of `steps` steps of `algorithm` on `topology`
+/// (trial `i` on seed `i`, a fresh adversary each) and returns the outcomes.
+fn windows<A: Adversary>(
+    topology: &Topology,
+    algorithm: AlgorithmKind,
+    steps: u64,
+    adversary: impl Fn() -> A,
+) -> Vec<RunOutcome> {
+    (0..TRIALS)
+        .map(|seed| {
+            let mut engine = Engine::new(
+                topology.clone(),
+                algorithm.program(),
+                SimConfig::default().with_seed(seed),
+            );
+            engine.run(&mut adversary(), StopCondition::MaxSteps(steps))
+        })
+        .collect()
+}
+
+/// `count / TRIALS`.
+fn share(count: u64) -> f64 {
+    count as f64 / TRIALS as f64
+}
+
+/// The stubbornness column of the E3/E4 blocking rows: a patient adversary
+/// has a constant bound longer than the 40k-step window.
+fn patience(patient: bool) -> &'static str {
+    if patient {
+        "patient (bound>window)"
+    } else {
+        "growing (default)"
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let perf_only = args.iter().any(|a| a == "--perf-only");
@@ -68,14 +127,9 @@ fn main() {
 
     // ---------------------------------------------------------------- E1
     print_header("E1 | Figure 1 gallery: GDP1/GDP2 on the paper's four generalized systems");
-    for spec in [
-        TopologySpec::Figure1Triangle,
-        TopologySpec::Figure1Hexagon,
-        TopologySpec::Figure1Ring12Chords,
-        TopologySpec::Figure1Ring9Chord,
-    ] {
+    for (name, topology) in gallery() {
         for algorithm in [AlgorithmKind::Gdp1, AlgorithmKind::Gdp2] {
-            run_and_print(spec.clone(), algorithm, SchedulerSpec::UniformRandom);
+            run_and_print(&name, &topology, algorithm, AdversaryKind::UniformRandom);
         }
     }
 
@@ -102,46 +156,46 @@ fn main() {
     print_header(
         "E3 | Theorem 1 (Figure 2): ring + pendant, targeted blocking adversary (40k-step windows)",
     );
-    let figure2 = ring_with_chord(6, ChordTarget::ExternalFork).unwrap();
+    let figure2 = figure2_hexagon_with_pendant();
     let ring: Vec<PhilosopherId> = (0..6).map(PhilosopherId::new).collect();
     println!(
-        "{:<10} {:>24} {:>18} {:>20}",
-        "algorithm", "P(ring fully starved)", "mean ring meals", "mean pendant meals"
+        "{:<10} {:<22} {:>22} {:>18} {:>20}",
+        "algorithm",
+        "adversary patience",
+        "P(ring fully starved)",
+        "mean ring meals",
+        "mean pendant meals"
     );
-    for algorithm in [AlgorithmKind::Lr1, AlgorithmKind::Gdp1, AlgorithmKind::Gdp2] {
-        let mut starved = 0u64;
-        let mut ring_meals = 0u64;
-        let mut pendant_meals = 0u64;
-        for seed in 0..TRIALS {
-            let mut engine = Engine::new(
-                figure2.clone(),
-                algorithm.program(),
-                SimConfig::default().with_seed(seed),
-            );
-            let schedule = if algorithm == AlgorithmKind::Lr1 {
-                StubbornnessSchedule::constant(50_000)
-            } else {
-                StubbornnessSchedule::default()
-            };
-            let mut adversary =
-                BlockingAdversary::with_schedule(BlockingPolicy::starving(ring.clone()), schedule);
-            let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(40_000));
-            let r: u64 = ring
-                .iter()
-                .map(|p| outcome.meals_per_philosopher[p.index()])
-                .sum();
-            if r == 0 {
-                starved += 1;
-            }
-            ring_meals += r;
-            pendant_meals += outcome.meals_per_philosopher[6];
-        }
+    for (algorithm, patient) in [
+        (AlgorithmKind::Lr1, true),
+        (AlgorithmKind::Lr1, false),
+        (AlgorithmKind::Gdp1, false),
+        (AlgorithmKind::Gdp2, false),
+    ] {
+        let schedule = if patient {
+            StubbornnessSchedule::constant(50_000)
+        } else {
+            StubbornnessSchedule::default()
+        };
+        let outcomes = windows(&figure2, algorithm, 40_000, || {
+            BlockingAdversary::with_schedule(BlockingPolicy::starving(ring.clone()), schedule)
+        });
+        let ring_meals: Vec<u64> = outcomes
+            .iter()
+            .map(|o| {
+                ring.iter()
+                    .map(|p| o.meals_per_philosopher[p.index()])
+                    .sum()
+            })
+            .collect();
+        let pendant_meals: u64 = outcomes.iter().map(|o| o.meals_per_philosopher[6]).sum();
         println!(
-            "{:<10} {:>24.2} {:>18.1} {:>20.1}",
+            "{:<10} {:<22} {:>22.2} {:>18.1} {:>20.1}",
             algorithm.name(),
-            starved as f64 / TRIALS as f64,
-            ring_meals as f64 / TRIALS as f64,
-            pendant_meals as f64 / TRIALS as f64
+            patience(patient),
+            share(ring_meals.iter().filter(|&&m| m == 0).count() as u64),
+            share(ring_meals.iter().sum()),
+            share(pendant_meals)
         );
     }
 
@@ -156,66 +210,83 @@ fn main() {
             summary.mean_meals
         );
     }
-    for algorithm in [AlgorithmKind::Lr2, AlgorithmKind::Gdp2] {
-        let theta = figure3_theta();
-        let mut blocked = 0u64;
-        for seed in 0..TRIALS {
-            let mut engine = Engine::new(
-                theta.clone(),
-                algorithm.program(),
-                SimConfig::default().with_seed(seed),
-            );
-            let schedule = if algorithm == AlgorithmKind::Lr2 {
-                StubbornnessSchedule::constant(50_000)
-            } else {
-                StubbornnessSchedule::default()
-            };
-            let mut adversary =
-                BlockingAdversary::with_schedule(BlockingPolicy::global(), schedule);
-            let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(40_000));
-            if !outcome.made_progress() {
-                blocked += 1;
-            }
-        }
+    let theta = figure3_theta();
+    for (algorithm, adversary) in [
+        (
+            AlgorithmKind::Lr2,
+            AdversaryKind::BlockingPatient {
+                stubbornness: 50_000,
+            },
+        ),
+        (AlgorithmKind::Lr2, AdversaryKind::Blocking),
+        (AlgorithmKind::Gdp2, AdversaryKind::Blocking),
+    ] {
+        let estimate = estimate_liveness(
+            &theta,
+            &algorithm.program(),
+            |trial| adversary.build(0, trial),
+            &TrialConfig::new(TRIALS, 40_000),
+        );
         println!(
-            "theta + blocking adversary     {:<6} P(no progress in window) = {:.2}",
+            "theta + blocking adversary     {:<6} ({:<22}) P(no progress in window) = {:.2}",
             algorithm.name(),
-            blocked as f64 / TRIALS as f64
+            patience(adversary != AdversaryKind::Blocking),
+            share(TRIALS - estimate.progress.progressed)
         );
     }
 
     // ---------------------------------------------------------------- E5
     print_header("E5 | Theorem 3: GDP1 progress probability across topologies and schedulers");
-    for spec in [
-        TopologySpec::Figure1Triangle,
-        TopologySpec::Figure2RingWithPendant,
-        TopologySpec::Figure3Theta,
-        TopologySpec::CompleteConflict(5),
-    ] {
-        for scheduler in [
-            SchedulerSpec::RoundRobin,
-            SchedulerSpec::UniformRandom,
-            SchedulerSpec::BlockingGlobal,
+    let mut systems = gallery_and_witnesses();
+    systems.push(("complete-5".to_string(), complete_conflict(5).unwrap()));
+    for (name, topology) in &systems {
+        for adversary in [
+            AdversaryKind::RoundRobin,
+            AdversaryKind::UniformRandom,
+            AdversaryKind::Blocking,
         ] {
-            run_and_print(spec.clone(), AlgorithmKind::Gdp1, scheduler);
+            run_and_print(name, topology, AlgorithmKind::Gdp1, adversary);
         }
+    }
+    println!("random connected multigraphs (8 forks, 12 philosophers), uniform random scheduler:");
+    let mut rng = ChaCha8Rng::seed_from_u64(77);
+    for i in 0..4 {
+        let topology = random_connected(8, 4, &mut rng).expect("random topology");
+        let progress = estimate_liveness(
+            &topology,
+            &AlgorithmKind::Gdp1.program(),
+            |trial| UniformRandomAdversary::new(trial + 500),
+            &TrialConfig::new(TRIALS, MAX_STEPS),
+        )
+        .progress;
+        println!(
+            "  random#{i} {:<28} progress={:.2} first_meal_p50={:.0} p95={:.0}",
+            topology.summary(),
+            progress.progress_fraction,
+            progress.first_meal_p50,
+            progress.first_meal_p95
+        );
     }
 
     // ---------------------------------------------------------------- E6
-    print_header("E6 | Theorem 4: GDP2 lockout-freedom across the gallery");
-    for spec in [
-        TopologySpec::Figure1Triangle,
-        TopologySpec::Figure1Hexagon,
-        TopologySpec::Figure1Ring12Chords,
-        TopologySpec::Figure1Ring9Chord,
-        TopologySpec::Figure2RingWithPendant,
-        TopologySpec::Figure3Theta,
-    ] {
-        let report = run_and_print(spec, AlgorithmKind::Gdp2, SchedulerSpec::UniformRandom);
-        let starved: u64 = report.lockout.starvation_per_philosopher.iter().sum();
+    print_header("E6 | Theorem 4: GDP2 lockout-freedom across the gallery (GDP1 for contrast)");
+    for (name, topology) in gallery_and_witnesses() {
+        let estimate = run_and_print(
+            &name,
+            &topology,
+            AlgorithmKind::Gdp2,
+            AdversaryKind::UniformRandom,
+        );
+        let starved: u64 = estimate.lockout.starvation_per_philosopher.iter().sum();
         println!(
             "    -> starvation events: {starved}, mean min meals: {:.1}, mean Jain: {:.3}",
-            report.lockout.min_meals_mean, report.lockout.fairness_mean
+            estimate.lockout.min_meals_mean, estimate.lockout.fairness_mean
+        );
+        run_and_print(
+            &name,
+            &topology,
+            AlgorithmKind::Gdp1,
+            AdversaryKind::UniformRandom,
         );
     }
 
@@ -223,11 +294,13 @@ fn main() {
     print_header("E7 | Tables 1-4 on the classic ring: all algorithms");
     for n in [6usize, 12, 24] {
         println!("--- ring size {n} ---");
+        let ring = classic_ring(n).unwrap();
         for algorithm in AlgorithmKind::all() {
             run_and_print(
-                TopologySpec::ClassicRing(n),
+                &format!("classic-ring-{n}"),
+                &ring,
                 algorithm,
-                SchedulerSpec::UniformRandom,
+                AdversaryKind::UniformRandom,
             );
         }
     }
@@ -241,9 +314,10 @@ fn main() {
     );
     let mut topologies = figure1_gallery();
     topologies.push(("classic-ring-8", classic_ring(8).unwrap()));
+    topologies.push(("complete-5", complete_conflict(5).unwrap()));
     for (name, topology) in &topologies {
         let k = topology.num_forks() as u32;
-        for m in [k, 2 * k] {
+        for m in [k, 2 * k, 4 * k] {
             let bound = distinct_probability_lower_bound(k, m);
             let measured = empirical_distinct_probability(topology, m, 50_000, &mut rng);
             println!("{name:<30} {k:>4} {m:>6} {bound:>18.6} {measured:>18.6}");
@@ -256,32 +330,20 @@ fn main() {
         "{:<10} {:>20} {:>20} {:>20}",
         "algorithm", "P(victim starved)", "mean victim meals", "mean system meals"
     );
+    let victim = PhilosopherId::new(0);
+    let triangle = gdp_topology::builders::figure1_triangle();
     for algorithm in [AlgorithmKind::Gdp1, AlgorithmKind::Gdp2] {
-        let victim = PhilosopherId::new(0);
-        let mut starved = 0u64;
-        let mut victim_meals = 0u64;
-        let mut system_meals = 0u64;
-        for seed in 0..TRIALS {
-            let mut engine = Engine::new(
-                gdp_topology::builders::figure1_triangle(),
-                algorithm.program(),
-                SimConfig::default().with_seed(seed),
-            );
-            let mut adversary = TargetStarver::new(victim);
-            let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(60_000));
-            let v = outcome.meals_per_philosopher[victim.index()];
-            if v == 0 {
-                starved += 1;
-            }
-            victim_meals += v;
-            system_meals += outcome.total_meals;
-        }
+        let outcomes = windows(&triangle, algorithm, 60_000, || TargetStarver::new(victim));
+        let victim_meals: Vec<u64> = outcomes
+            .iter()
+            .map(|o| o.meals_per_philosopher[victim.index()])
+            .collect();
         println!(
             "{:<10} {:>20.2} {:>20.1} {:>20.1}",
             algorithm.name(),
-            starved as f64 / TRIALS as f64,
-            victim_meals as f64 / TRIALS as f64,
-            system_meals as f64 / TRIALS as f64
+            share(victim_meals.iter().filter(|&&m| m == 0).count() as u64),
+            share(victim_meals.iter().sum()),
+            share(outcomes.iter().map(|o| o.total_meals).sum())
         );
     }
 
@@ -290,10 +352,7 @@ fn main() {
     for (name, topology) in [
         ("classic-ring-8", classic_ring(8).unwrap()),
         ("classic-ring-32", classic_ring(32).unwrap()),
-        (
-            "figure1-triangle",
-            gdp_topology::builders::figure1_triangle(),
-        ),
+        ("figure1-triangle", triangle),
         ("figure3-theta", figure3_theta()),
     ] {
         let report = run_for_meals(topology, 200, std::hint::spin_loop);

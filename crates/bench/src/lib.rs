@@ -1,23 +1,18 @@
-//! Shared helpers for the benchmark harness.
-//!
-//! Every table- or figure-level claim of the paper has a Criterion bench
-//! under `benches/` that (a) prints the paper-style summary rows and
-//! (b) measures the timing of the underlying workload.
-//! The `report` binary (`cargo run -p gdp-bench --bin report --release`)
-//! regenerates all summary tables in one go.
+//! Shared helpers for the `report` binary
+//! (`cargo run -p gdp-bench --bin report --release`), which regenerates
+//! every summary table of the paper in one go and runs the perf suite.
 
-use gdp_adversary::TriangleWaveAdversary;
+use gdp_adversary::{AdversaryKind, TriangleWaveAdversary};
 use gdp_algorithms::AlgorithmKind;
-use gdp_core::{Experiment, ExperimentReport, SchedulerSpec, TopologySpec};
+use gdp_analysis::montecarlo::{estimate_liveness, LivenessEstimate};
+use gdp_analysis::TrialConfig;
 use gdp_sim::{Engine, SimConfig, StopCondition};
 use gdp_topology::Topology;
 
 pub mod alloc_counter;
 pub mod perf;
 
-/// Number of Monte-Carlo trials used by the printed summaries.  Kept modest
-/// so `cargo bench` stays interactive; the `report` binary uses the same
-/// value so bench output and report tables agree.
+/// Number of Monte-Carlo trials used by the printed summaries.
 pub const TRIALS: u64 = 20;
 
 /// Step budget per trial used by the printed summaries.
@@ -31,20 +26,34 @@ pub fn print_header(title: &str) {
     println!("{}", "=".repeat(100));
 }
 
-/// Runs one experiment with the harness-wide trial budget and prints its
-/// summary row.
+/// Estimates progress and lockout-freedom of `algorithm` on `topology`
+/// under `adversary` — one [`estimate_liveness`] batch of [`TRIALS`] ×
+/// [`MAX_STEPS`] with cell seed 0, the estimator `gdp sweep` cells use —
+/// and prints one paper-style summary row:
+/// `topology | algorithm | adversary | progress | lockout-free | first-meal p50 | meals/kstep`.
 pub fn run_and_print(
-    topology: TopologySpec,
+    name: &str,
+    topology: &Topology,
     algorithm: AlgorithmKind,
-    scheduler: SchedulerSpec,
-) -> ExperimentReport {
-    let report = Experiment::new(topology, algorithm)
-        .with_scheduler(scheduler)
-        .with_trials(TRIALS)
-        .with_max_steps(MAX_STEPS)
-        .run();
-    println!("{}", report.summary_row());
-    report
+    adversary: AdversaryKind,
+) -> LivenessEstimate {
+    let estimate = estimate_liveness(
+        topology,
+        &algorithm.program(),
+        |trial| adversary.build(0, trial),
+        &TrialConfig::new(TRIALS, MAX_STEPS),
+    );
+    println!(
+        "{:<26} {:<14} {:<22} progress={:>5.2} lockout_free={:>5.2} first_meal_p50={:>8.0} meals/kstep={:>7.2}",
+        name,
+        algorithm.name(),
+        adversary.name(),
+        estimate.progress.progress_fraction,
+        estimate.lockout.lockout_free_fraction,
+        estimate.progress.first_meal_p50,
+        estimate.progress.meals_mean * 1000.0 / MAX_STEPS as f64,
+    );
+    estimate
 }
 
 /// Outcome of a batch of runs under the Section 3 wave scheduler.
@@ -90,31 +99,9 @@ pub fn wave_summary(algorithm: AlgorithmKind, trials: u64, steps: u64) -> WaveSu
     }
 }
 
-/// Simulates `steps` steps of `algorithm` on `topology` under a uniform
-/// random fair scheduler and returns the total number of completed meals
-/// (used as the timed kernel of several benches).
-#[must_use]
-pub fn simulate_meals(topology: &Topology, algorithm: AlgorithmKind, steps: u64, seed: u64) -> u64 {
-    let mut engine = Engine::new(
-        topology.clone(),
-        algorithm.program(),
-        SimConfig::default().with_seed(seed),
-    );
-    let mut adversary = gdp_sim::UniformRandomAdversary::new(seed ^ 0xABCD);
-    engine
-        .run(&mut adversary, StopCondition::MaxSteps(steps))
-        .total_meals
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn simulate_meals_counts_something_on_the_ring() {
-        let ring = gdp_topology::builders::classic_ring(5).unwrap();
-        assert!(simulate_meals(&ring, AlgorithmKind::Gdp1, 20_000, 1) > 0);
-    }
 
     #[test]
     fn wave_summary_blocks_lr1_more_than_gdp1() {

@@ -2,9 +2,8 @@
 //! `BENCH_results.json` emitter.
 //!
 //! Every figure here is wall-clock based and meant as a *trajectory marker*:
-//! future PRs re-run `report --perf-only` (or the `engine_hot_loop` bench)
-//! and compare against the committed `BENCH_results.json`.  Three families
-//! are measured:
+//! future PRs re-run `report --perf-only` and compare against the committed
+//! `BENCH_results.json`.  These families are measured:
 //!
 //! * **steps/sec** of the adversary-driven hot loop (`step_with`) for GDP1
 //!   on classic rings of increasing size;
@@ -36,11 +35,11 @@
 //!   detached figure must stay within the `engine_hot_loop` budget — the
 //!   sink-off path is a single untaken branch per step.
 //!
-//! Wall-clock caveat: the committed `BENCH_results.json` comes from a
-//! **single-core build container**, so its serial and parallel throughput
-//! coincide (`speedup` ≈ 1); on a multi-core host the parallel figures scale
-//! with cores.  Treat ratios, not absolutes, as the trajectory — see
-//! `docs/PERFORMANCE.md`.
+//! Wall-clock caveat: every figure is one shot with no spread, and the
+//! parallel figures scale only with the cores the host gives the run.
+//! Treat ratios, not absolutes, as the trajectory, and measure claimed
+//! speed-ups with the benchmark of record (`python3 perfbench/run.py`) —
+//! see `docs/PERFORMANCE.md`.
 
 use crate::alloc_counter;
 use gdp_algorithms::AlgorithmKind;
@@ -210,8 +209,8 @@ pub struct RuntimeStressSample {
     /// Counter bumps per second with adjacent unpadded `AtomicU64`s (the
     /// false-sharing layout the fix replaced).
     pub packed_bumps_per_sec: f64,
-    /// `padded / packed` throughput ratio.  ≈1 on the single-core build
-    /// container; grows with cores as false sharing starts to bite.
+    /// `padded / packed` throughput ratio.  ≈1 on one core; grows with the
+    /// cores that contend, as false sharing starts to bite.
     pub padding_speedup: f64,
 }
 
@@ -1052,9 +1051,9 @@ mod tests {
     /// The acceptance contract of the stress sample: every philosopher fed,
     /// fairness exactly 1 on a completed meal-budget run, and both counter
     /// layouts measured with finite throughput.  (The padded-vs-packed
-    /// *ratio* is recorded in BENCH_results.json, not asserted: on the
-    /// 1-core build container the layouts tie; the structural guard is the
-    /// alignment test in gdp-runtime.)
+    /// *ratio* is recorded in BENCH_results.json, not asserted: on one core
+    /// the layouts tie; the structural guard is the alignment test in
+    /// gdp-runtime.)
     #[test]
     fn runtime_stress_sample_feeds_everyone_and_measures_both_layouts() {
         let sample = measure_runtime_stress(4, 30);
@@ -1097,8 +1096,8 @@ mod tests {
     /// add protocol events) and both throughput figures are real.  (The
     /// *ratio* is recorded in BENCH_results.json, not asserted here —
     /// timing inside a parallel test suite is load-sensitive; the ≤2%
-    /// budget for the detached path is enforced by the `engine_hot_loop`
-    /// criterion bench against the committed baseline.)
+    /// budget for the detached path is read off that file, against the
+    /// `engine_hot_loop` figure.)
     #[test]
     fn trace_overhead_sample_counts_events_and_measures_both_modes() {
         let sample = measure_trace_overhead(5, 10_000);

@@ -79,7 +79,7 @@ pub use runner::{
     compute_cell, compute_cell_durable, run_sweep, run_sweep_durable, run_sweep_with, CellResult,
     SweepError, SweepOptions,
 };
-pub use spec::{AdversaryKind, AdversarySpec, ScenarioCell, ScenarioSpec, SeedPolicy};
+pub use spec::{AdversaryKind, GridError, GridFields, ScenarioCell, ScenarioSpec, SeedPolicy};
 pub use store::{
     compact_store, gc_store, merge_stores, stable_digest64, CellStore, CertLookup, CompactReport,
     GcReport, MergeError, ParseShardError, ShardSpec, StoreLookup, StoreStats, STORE_FORMAT,

@@ -536,7 +536,7 @@ pub fn run_sweep(spec: &ScenarioSpec, options: &SweepOptions) -> Result<SweepRep
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AdversarySpec, SeedPolicy};
+    use crate::spec::{AdversaryKind, SeedPolicy};
 
     fn tiny_spec() -> ScenarioSpec {
         ScenarioSpec::new("tiny")
@@ -617,7 +617,7 @@ mod tests {
 
     #[test]
     fn sweeps_are_bitwise_identical_across_thread_counts() {
-        let base = tiny_spec().with_adversary(AdversarySpec::UniformRandom);
+        let base = tiny_spec().with_adversary(AdversaryKind::UniformRandom);
         let serial = run_sweep(&base.clone().with_threads(1), &SweepOptions::quiet()).unwrap();
         for threads in [2usize, 4, 16] {
             let parallel =

@@ -6,15 +6,11 @@ use gdp_algorithms::AlgorithmKind;
 /// The scheduler every cell of a sweep runs under: any family from the
 /// `gdp-adversary` catalog.
 ///
-/// Re-exported here (with `AdversarySpec` kept as an alias) because cell
-/// specs embed it; the catalog itself — families, fairness classes, spec
-/// strings, the deterministic per-trial
+/// Re-exported here because cell specs embed it; the catalog itself —
+/// families, fairness classes, spec strings, the deterministic per-trial
 /// [`build`](gdp_adversary::AdversaryKind::build) — lives in
 /// [`gdp_adversary`] and is documented in `docs/ADVERSARIES.md`.
 pub use gdp_adversary::AdversaryKind;
-
-/// Historical name for [`AdversaryKind`], kept for the sweep-facing API.
-pub use gdp_adversary::AdversaryKind as AdversarySpec;
 
 /// How cell seeds are derived from the spec's base seed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -99,7 +95,7 @@ pub struct ScenarioSpec {
     /// Algorithms every philosopher may run.
     pub algorithms: Vec<AlgorithmKind>,
     /// The scheduler all cells run under.
-    pub adversary: AdversarySpec,
+    pub adversary: AdversaryKind,
     /// Independent trials per cell.
     pub trials: u64,
     /// Step budget per trial.
@@ -131,7 +127,7 @@ impl ScenarioSpec {
             ],
             sizes: vec![6, 12],
             algorithms: vec![AlgorithmKind::Lr1, AlgorithmKind::Gdp1],
-            adversary: AdversarySpec::UniformRandom,
+            adversary: AdversaryKind::UniformRandom,
             trials: 20,
             max_steps: 40_000,
             seed_policy: SeedPolicy::PerCell(0),
@@ -152,9 +148,7 @@ impl ScenarioSpec {
     ///
     /// Returns the parse error of the first invalid fragment.
     pub fn with_families_str(mut self, families: &str) -> Result<Self, crate::FamilyParseError> {
-        self.families = families
-            .split(',')
-            .filter(|s| !s.is_empty())
+        self.families = list_items(families)
             .map(str::parse)
             .collect::<Result<_, _>>()?;
         Ok(self)
@@ -184,9 +178,7 @@ impl ScenarioSpec {
         mut self,
         algorithms: &str,
     ) -> Result<Self, gdp_algorithms::ParseAlgorithmError> {
-        self.algorithms = algorithms
-            .split(',')
-            .filter(|s| !s.is_empty())
+        self.algorithms = list_items(algorithms)
             .map(str::parse)
             .collect::<Result<_, _>>()?;
         Ok(self)
@@ -194,7 +186,7 @@ impl ScenarioSpec {
 
     /// Selects the adversary.
     #[must_use]
-    pub fn with_adversary(mut self, adversary: AdversarySpec) -> Self {
+    pub fn with_adversary(mut self, adversary: AdversaryKind) -> Self {
         self.adversary = adversary;
         self
     }
@@ -315,6 +307,145 @@ pub struct ScenarioCell {
     pub seed: u64,
 }
 
+/// The sweep-grid fields as a front-end received them — `gdp sweep` /
+/// `gdp merge` flags or a `gdp serve` sweep request — before
+/// [`parse`](GridFields::parse) turns them into a [`ScenarioSpec`].
+/// `None` keeps the default.
+///
+/// This is the one grid parser: it owns the comma-separated list syntax,
+/// the seed policy, the `threads >= 1` rule and the exact-check budget.
+/// A front-end only spells the keys, type-checks its raw values, and
+/// words the [`GridError`]s.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct GridFields {
+    /// Sweep name.
+    pub name: Option<String>,
+    /// Comma-separated topology family specs.
+    pub families: Option<String>,
+    /// Comma-separated scale parameters.
+    pub sizes: Option<String>,
+    /// Comma-separated algorithm names.
+    pub algorithms: Option<String>,
+    /// Adversary spec string.
+    pub adversary: Option<String>,
+    /// Trials per cell.
+    pub trials: Option<u64>,
+    /// Steps per trial.
+    pub steps: Option<u64>,
+    /// Base seed (default 0).
+    pub seed: Option<u64>,
+    /// `per-cell` (the default) or `shared`.
+    pub seed_policy: Option<String>,
+    /// Monte-Carlo worker threads per cell; must be at least 1.
+    pub threads: Option<u64>,
+    /// State budget of the exact verdicts; `None` runs no exact check.
+    pub exact_check: Option<u64>,
+}
+
+/// Why [`GridFields::parse`] rejected a field.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GridError {
+    /// The rejected field, as a `gdp serve` request spells it: `families`,
+    /// `sizes`, `algorithms`, `adversary`, `seed_policy`, `threads` or
+    /// `exact_check`.
+    pub key: &'static str,
+    /// What is wrong with it, without the field's name.
+    pub message: String,
+}
+
+impl GridError {
+    fn new(key: &'static str, message: impl Into<String>) -> Self {
+        GridError {
+            key,
+            message: message.into(),
+        }
+    }
+}
+
+impl GridFields {
+    /// Builds the spec and the exact-check budget.  `default_name` and
+    /// `default_threads` stand in for absent `name` and `threads` fields.
+    ///
+    /// # Errors
+    ///
+    /// The first rejected field: an empty list or an item that does not
+    /// parse, an unknown adversary or seed policy, zero threads, or a
+    /// budget that does not fit a `usize`.
+    pub fn parse(
+        &self,
+        default_name: &str,
+        default_threads: usize,
+    ) -> Result<(ScenarioSpec, Option<usize>), GridError> {
+        let mut spec = ScenarioSpec::new(self.name.as_deref().unwrap_or(default_name));
+        if let Some(list) = &self.families {
+            spec = spec
+                .with_families_str(list)
+                .map_err(|e| GridError::new("families", e.to_string()))?;
+        }
+        if let Some(list) = &self.sizes {
+            spec.sizes = list_items(list)
+                .map(|s| {
+                    s.parse()
+                        .map_err(|e| GridError::new("sizes", format!("invalid size {s:?}: {e}")))
+                })
+                .collect::<Result<_, _>>()?;
+        }
+        if let Some(list) = &self.algorithms {
+            spec = spec
+                .with_algorithms_str(list)
+                .map_err(|e| GridError::new("algorithms", e.to_string()))?;
+        }
+        for (key, empty) in [
+            ("families", spec.families.is_empty()),
+            ("sizes", spec.sizes.is_empty()),
+            ("algorithms", spec.algorithms.is_empty()),
+        ] {
+            if empty {
+                return Err(GridError::new(key, "the list is empty"));
+            }
+        }
+        if let Some(adversary) = &self.adversary {
+            spec.adversary = adversary
+                .parse::<AdversaryKind>()
+                .map_err(|e| GridError::new("adversary", e.to_string()))?;
+        }
+        spec.trials = self.trials.unwrap_or(spec.trials);
+        spec.max_steps = self.steps.unwrap_or(spec.max_steps);
+        let seed = self.seed.unwrap_or(0);
+        spec.seed_policy = match self.seed_policy.as_deref().unwrap_or("per-cell") {
+            "per-cell" => SeedPolicy::PerCell(seed),
+            "shared" => SeedPolicy::Shared(seed),
+            other => {
+                return Err(GridError::new(
+                    "seed_policy",
+                    format!("invalid policy {other:?}: expected per-cell or shared"),
+                ))
+            }
+        };
+        spec.threads = match self.threads {
+            None => default_threads,
+            Some(threads) => usize::try_from(threads)
+                .ok()
+                .filter(|&t| t >= 1)
+                .ok_or_else(|| GridError::new("threads", "must be >= 1"))?,
+        };
+        let exact_check = self
+            .exact_check
+            .map(|budget| {
+                usize::try_from(budget)
+                    .map_err(|_| GridError::new("exact_check", "budget too large"))
+            })
+            .transpose()?;
+        Ok((spec, exact_check))
+    }
+}
+
+/// The items of a comma-separated list, the one list syntax of every
+/// list-valued grid field: empty items are skipped.
+fn list_items(list: &str) -> impl Iterator<Item = &str> {
+    list.split(',').filter(|s| !s.is_empty())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,7 +513,7 @@ mod tests {
         assert_ne!(
             base.store_context(None),
             base.clone()
-                .with_adversary(AdversarySpec::RoundRobin)
+                .with_adversary(AdversaryKind::RoundRobin)
                 .store_context(None)
         );
         assert_ne!(
@@ -397,22 +528,22 @@ mod tests {
     #[test]
     fn adversary_specs_parse_build_and_round_trip() {
         for (input, expected) in [
-            ("round-robin", AdversarySpec::RoundRobin),
-            ("uniform", AdversarySpec::UniformRandom),
-            ("blocking", AdversarySpec::Blocking),
+            ("round-robin", AdversaryKind::RoundRobin),
+            ("uniform", AdversaryKind::UniformRandom),
+            ("blocking", AdversaryKind::Blocking),
             (
                 "blocking:50000",
-                AdversarySpec::BlockingPatient {
+                AdversaryKind::BlockingPatient {
                     stubbornness: 50_000,
                 },
             ),
         ] {
-            let parsed: AdversarySpec = input.parse().unwrap();
+            let parsed: AdversaryKind = input.parse().unwrap();
             assert_eq!(parsed, expected);
-            assert_eq!(parsed.name().parse::<AdversarySpec>().unwrap(), parsed);
+            assert_eq!(parsed.name().parse::<AdversaryKind>().unwrap(), parsed);
             assert!(!parsed.build(1, 0).name().is_empty());
         }
-        assert!("nope".parse::<AdversarySpec>().is_err());
-        assert!("blocking:x".parse::<AdversarySpec>().is_err());
+        assert!("nope".parse::<AdversaryKind>().is_err());
+        assert!("blocking:x".parse::<AdversaryKind>().is_err());
     }
 }

@@ -226,10 +226,9 @@ impl CellStore {
     /// Opening also **sweeps stale temp files**: a SIGKILLed writer leaves
     /// its `*.tmp.*` scratch file behind (invisible to lookups, but
     /// accumulating forever), so every open deletes them.  A *live* writer
-    /// in another process whose temp file is swept out from under it is
-    /// still safe: [`save`](Self::save) falls back to the already-renamed
-    /// record when its rename loses the race (see the concurrent-writer
-    /// semantics on `save`).
+    /// whose temp file is swept out from under it is still safe: its
+    /// rename fails with `NotFound`, and the write starts over with a fresh
+    /// temp file.
     ///
     /// # Errors
     ///
@@ -358,12 +357,12 @@ impl CellStore {
     /// the address, so two writers racing on the same cell must *converge*,
     /// never error.  Temp names embed the pid **and** a process-wide
     /// sequence number, so concurrent saves never collide on scratch files;
-    /// both renames land the same bytes (last one wins, harmlessly).  If
-    /// this writer's rename fails — e.g. a concurrent [`open`](Self::open)
-    /// swept its temp file — the save still succeeds when the final name
-    /// already holds the byte-identical record the race partner renamed
-    /// into place.  A valid record with *different* bytes is a determinism
-    /// violation and fails loudly instead.
+    /// both renames land the same bytes (last one wins, harmlessly).  A
+    /// temp file swept by a concurrent [`open`](Self::open) is rewritten
+    /// and renamed again.  If the rename still fails, the save succeeds
+    /// when the final name already holds the byte-identical record a race
+    /// partner renamed into place.  A valid record with *different* bytes
+    /// is a determinism violation and fails loudly instead.
     ///
     /// The wall-clock `steps_per_sec` field is not persisted (stored cells
     /// are always the byte-reproducible shape).
@@ -570,27 +569,41 @@ fn sweep_stale_tmp_files(dir: &Path) -> u64 {
 /// process (serve workers, test threads): the pid alone cannot.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// How many times [`write_atomically`] rewrites a scratch file that a
+/// concurrent [`CellStore::open`] swept away before the rename.
+const SWEPT_SCRATCH_RETRIES: u32 = 16;
+
 /// Writes `bytes` to `path` atomically: temp file in the target directory,
 /// flush, then rename over the final name.  The temp name embeds pid and a
 /// process-wide sequence number so concurrent writers never share scratch
 /// files (two threads interleaving writes into one temp file would tear
-/// it).
+/// it).  Every open sweeps `*.tmp.*` files, live ones included, so a
+/// rename that fails with `NotFound` writes a fresh scratch file and tries
+/// again, up to [`SWEPT_SCRATCH_RETRIES`] times.
 fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension(format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.flush()?;
-    }
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
+    let mut retries = 0;
+    loop {
+        let tmp = path.with_extension(format!(
+            "tmp.{}.{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        {
+            let mut file = std::fs::File::create(&tmp)?;
+            file.write_all(bytes)?;
+            file.flush()?;
+        }
+        match std::fs::rename(&tmp, path) {
+            Ok(()) => return Ok(()),
             Err(e)
+                if e.kind() == std::io::ErrorKind::NotFound && retries < SWEPT_SCRATCH_RETRIES =>
+            {
+                retries += 1;
+            }
+            Err(e) => {
+                let _ = std::fs::remove_file(&tmp);
+                return Err(e);
+            }
         }
     }
 }
@@ -1610,6 +1623,33 @@ mod tests {
             StoreLookup::Hit(stored) => assert_eq!(*stored, result),
             other => panic!("canonical record must win: {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn saves_and_opens_survive_concurrent_tmp_sweeps() {
+        // Every open sweeps all `*.tmp.*` files, including the scratch file
+        // of a save or context note another thread has in flight.  Each
+        // round uses a fresh spec, so the context note and the record are
+        // new: no record already in place can mask a lost rename.
+        let (spec, store, dir) = completed_store("sweeprace");
+        let StoreLookup::Hit(result) = store.lookup("ring/n4/GDP1") else {
+            panic!("expected a hit");
+        };
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for thread in 0..4u64 {
+                let (spec, dir, result, start) = (&spec, &dir, &result, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..150 {
+                        let spec = spec.clone().with_trials(1_000 * (thread + 1) + round);
+                        let store = CellStore::open(dir, &spec, None).expect("open");
+                        store.save(result).expect("save");
+                    }
+                });
+            }
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,7 +11,7 @@
 //! not parsed, so they may nest (the per-cell `result` object, the metrics
 //! export).  See `docs/SERVE.md` for the full schema.
 
-use gdp_scenarios::{cell_json, CellResult, ScenarioSpec, SeedPolicy, StoreStats};
+use gdp_scenarios::{cell_json, CellResult, GridFields, ScenarioSpec, StoreStats};
 use std::collections::BTreeMap;
 
 /// One parsed flat-JSON value.
@@ -283,71 +283,25 @@ fn parse_sweep(fields: &BTreeMap<String, JsonValue>) -> Result<SweepRequest, Str
             SWEEP_FIELDS.join(", ")
         ));
     }
-    let mut spec = ScenarioSpec::new(field_str(fields, "name")?.unwrap_or_else(|| "serve".into()));
-    if let Some(families) = field_str(fields, "families")? {
-        spec = spec
-            .with_families_str(&families)
-            .map_err(|e| format!("field \"families\": {e}"))?;
-    }
-    if let Some(sizes) = field_str(fields, "sizes")? {
-        let sizes: Vec<usize> = sizes
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.parse()
-                    .map_err(|_| format!("field \"sizes\": invalid size {s:?}"))
-            })
-            .collect::<Result<_, _>>()?;
-        spec = spec.with_sizes(sizes);
-    }
-    if let Some(algorithms) = field_str(fields, "algorithms")? {
-        spec = spec
-            .with_algorithms_str(&algorithms)
-            .map_err(|e| format!("field \"algorithms\": {e}"))?;
-    }
-    if let Some(adversary) = field_str(fields, "adversary")? {
-        spec = spec.with_adversary(
-            adversary
-                .parse()
-                .map_err(|e| format!("field \"adversary\": {e}"))?,
-        );
-    }
-    if let Some(trials) = field_u64(fields, "trials")? {
-        spec = spec.with_trials(trials);
-    }
-    if let Some(steps) = field_u64(fields, "steps")? {
-        spec = spec.with_max_steps(steps);
-    }
-    let base_seed = field_u64(fields, "seed")?.unwrap_or(0);
-    spec = spec.with_seed_policy(
-        match field_str(fields, "seed_policy")?
-            .as_deref()
-            .unwrap_or("per-cell")
-        {
-            "per-cell" => SeedPolicy::PerCell(base_seed),
-            "shared" => SeedPolicy::Shared(base_seed),
-            other => {
-                return Err(format!(
-                    "field \"seed_policy\": invalid policy {other:?} (per-cell | shared)"
-                ))
-            }
-        },
-    );
+    let grid = GridFields {
+        name: field_str(fields, "name")?,
+        families: field_str(fields, "families")?,
+        sizes: field_str(fields, "sizes")?,
+        algorithms: field_str(fields, "algorithms")?,
+        adversary: field_str(fields, "adversary")?,
+        trials: field_u64(fields, "trials")?,
+        steps: field_u64(fields, "steps")?,
+        seed: field_u64(fields, "seed")?,
+        seed_policy: field_str(fields, "seed_policy")?,
+        threads: field_u64(fields, "threads")?,
+        exact_check: field_u64(fields, "exact_check")?,
+    };
     // Per-cell Monte-Carlo threads default to 1 under serve: the worker
     // pool is the parallelism axis, and results are bitwise identical for
     // every value anyway (the store context deliberately excludes it).
-    spec = spec.with_threads(match field_u64(fields, "threads")? {
-        Some(threads) => usize::try_from(threads)
-            .ok()
-            .filter(|&t| t >= 1)
-            .ok_or("field \"threads\": must be >= 1 under serve")?,
-        None => 1,
-    });
-    let exact_check = field_u64(fields, "exact_check")?
-        .map(|budget| {
-            usize::try_from(budget).map_err(|_| "field \"exact_check\": budget too large")
-        })
-        .transpose()?;
+    let (spec, exact_check) = grid
+        .parse("serve", 1)
+        .map_err(|e| format!("field {:?}: {}", e.key, e.message))?;
     Ok(SweepRequest { spec, exact_check })
 }
 
@@ -435,6 +389,7 @@ pub fn summary_line(cells: usize, stats: &StoreStats, digest: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gdp_scenarios::SeedPolicy;
 
     #[test]
     fn flat_objects_parse_with_every_value_kind() {
@@ -525,6 +480,7 @@ mod tests {
             ("{\"type\": \"sweep\", \"trials\": 1.5}", "non-negative"),
             ("{\"type\": \"sweep\", \"trials\": \"three\"}", "number"),
             ("{\"type\": \"sweep\", \"sizes\": \"4,x\"}", "invalid size"),
+            ("{\"type\": \"sweep\", \"families\": \"\"}", "list is empty"),
             ("{\"type\": \"sweep\", \"threads\": 0}", ">= 1"),
             (
                 "{\"type\": \"sweep\", \"seed_policy\": \"psychic\"}",

@@ -268,14 +268,6 @@ fn handle_sweep(
         }
     };
     let cells = spec.expand();
-    if cells.is_empty() {
-        writeln!(
-            writer,
-            "{}",
-            protocol::error_line("the scenario grid is empty", false)
-        )?;
-        return Ok(());
-    }
     let sink: SharedSink = state.metrics.clone();
 
     // Phase 1: consult the cache for every cell, in grid order.

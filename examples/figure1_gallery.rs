@@ -46,17 +46,19 @@ fn main() {
 
         // Progress (Theorem 3) and lockout-freedom (Theorem 4) on this system.
         for kind in [AlgorithmKind::Gdp1, AlgorithmKind::Gdp2] {
-            let report = Experiment::new(TopologySpec::Custom(topology.clone()), kind)
-                .with_trials(5)
-                .with_max_steps(300_000)
-                .run();
+            let estimate = montecarlo::estimate_liveness(
+                &topology,
+                &kind.program(),
+                |trial| AdversaryKind::UniformRandom.build(0, trial),
+                &TrialConfig::new(5, 300_000),
+            );
             println!(
                 "  {:<5} progress={:.2} lockout_free={:.2} first_meal_p50={:.0} meals/kstep={:.2}",
                 kind.name(),
-                report.progress.progress_fraction,
-                report.lockout.lockout_free_fraction,
-                report.progress.first_meal_p50,
-                report.representative.throughput_per_kstep
+                estimate.progress.progress_fraction,
+                estimate.lockout.lockout_free_fraction,
+                estimate.progress.first_meal_p50,
+                estimate.progress.meals_mean / 300.0
             );
         }
     }

@@ -4,16 +4,15 @@
 //! philosophers problem* (PODC 2001): randomized, symmetric, fully
 //! distributed resource allocation on arbitrary conflict topologies.
 //!
-//! This umbrella crate re-exports the whole workspace through
-//! [`gdp_core`]'s prelude and ships the `gdp` CLI binary (`gdp list`,
-//! `gdp run`, `gdp sweep`, `gdp merge`, `gdp check`, `gdp stress`,
-//! `gdp serve`).  See `README.md` for a tour, `docs/ARCHITECTURE.md` for
-//! the crate-by-crate data flow, `docs/SCENARIOS.md` for the
-//! scenario-sweep reference, `docs/VERIFICATION.md` for the exact model
-//! checker behind `gdp check`, `docs/RUNTIME.md` for the real-thread
-//! runtime behind `gdp stress`, and `docs/SERVE.md` for the
-//! cache-answering service behind `gdp serve`; the reproduced experiment
-//! tables are regenerated by
+//! This umbrella crate re-exports the whole workspace through its
+//! [`prelude`] and ships the `gdp` CLI binary (`gdp list`, `gdp run`,
+//! `gdp sweep`, `gdp merge`, `gdp check`, `gdp stress`, `gdp serve`).  See
+//! `README.md` for a tour, `docs/ARCHITECTURE.md` for the crate-by-crate
+//! data flow, `docs/SCENARIOS.md` for the scenario-sweep reference,
+//! `docs/VERIFICATION.md` for the exact model checker behind `gdp check`,
+//! `docs/RUNTIME.md` for the real-thread runtime behind `gdp stress`, and
+//! `docs/SERVE.md` for the cache-answering service behind `gdp serve`; the
+//! reproduced experiment tables are regenerated by
 //! `cargo run -p gdp-bench --bin report --release`.
 //!
 //! ```
@@ -30,8 +29,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use gdp_core::*;
-
 /// The scenario-sweep subsystem (see [`gdp_scenarios`] and
 /// `docs/SCENARIOS.md`): declarative *family × size × algorithm* grids over
 /// the Monte-Carlo machinery, as driven by `gdp sweep`.
@@ -42,7 +39,37 @@ pub use gdp_scenarios as scenarios;
 /// driven by `gdp serve`.
 pub use gdp_serve as serve;
 
-/// Re-export of the full prelude (see [`gdp_core::prelude`]).
+/// Convenience re-exports of the commonly used items of every crate in the
+/// family (`gdp-topology`, `gdp-sim`, `gdp-algorithms`, `gdp-adversary`,
+/// `gdp-analysis`, `gdp-runtime`, `gdp-picalc`).
 pub mod prelude {
-    pub use gdp_core::prelude::*;
+    pub use gdp_topology::{
+        analysis as topology_analysis, builders, dot, ForkEnds, ForkId, PhilosopherId, Side,
+        Topology, TopologyBuilder, TopologyError,
+    };
+
+    pub use gdp_sim::{
+        Action, Adversary, DrawTape, Engine, EngineState, ForkCell, HungerModel, Phase,
+        PhilosopherView, Program, ProgramObservation, RoundRobinAdversary, RunOutcome, SimConfig,
+        StepCtx, StepRecord, StopCondition, StopReason, SystemView, Trace, UniformRandomAdversary,
+    };
+
+    pub use gdp_algorithms::{
+        baselines, AlgorithmKind, AnyProgram, AnyState, Gdp1, Gdp2, Lr1, Lr2,
+    };
+
+    pub use gdp_adversary::{
+        AdversaryKind, BlockingAdversary, BlockingPolicy, FairDriver, FairnessGuard,
+        ReplayAdversary, SchedulingPolicy, StubbornnessSchedule, TargetStarver,
+        TriangleWaveAdversary,
+    };
+
+    pub use gdp_analysis::{
+        metrics, montecarlo, state_is_safe, stats, symmetry, LockoutEstimate, ProgressEstimate,
+        RunMetrics, TrialConfig,
+    };
+
+    pub use gdp_runtime::{run_for_meals, DiningTable, RunReport, Seat, SharedFork, TableStats};
+
+    pub use gdp_picalc::{ChannelId, ChoiceRound, Guard, ProcessId, RoundOutcome, Synchronization};
 }

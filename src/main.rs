@@ -44,7 +44,7 @@ use gdp_observe::{jsonl, Event, EventSink, MemorySink, MetricsRegistry, SharedSi
 use gdp_scenarios::{
     compact_store, gc_store, merge_stores, run_check, run_check_cached, run_stress_observed,
     run_sweep_durable, run_sweep_with, AdversaryKind, CellStore, CheckAdversarySpec, CheckSpec,
-    CheckTargetSpec, CheckVerdict, MergeError, ScenarioSpec, SeedPolicy, ShardSpec, StressLoad,
+    CheckTargetSpec, CheckVerdict, GridFields, MergeError, ScenarioSpec, ShardSpec, StressLoad,
     StressSpec, SweepOptions, TopologyFamily, ADVERSARY_CATALOG, FAMILY_CATALOG,
 };
 use std::path::Path;
@@ -264,6 +264,18 @@ impl Args {
         }
     }
 
+    /// Consumes `--flag value` and parses the value as a `what`.
+    fn parsed_of<T: std::str::FromStr>(
+        &mut self,
+        flag: &str,
+        what: &str,
+    ) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value_of(flag)?.map(|v| parse(what, &v)).transpose()
+    }
+
     /// Consumes every occurrence of `--flag value`, in order.
     fn values_of(&mut self, flag: &str) -> Result<Vec<String>, String> {
         let mut values = Vec::new();
@@ -300,21 +312,6 @@ where
     value
         .parse()
         .map_err(|e| format!("invalid {what} {value:?}: {e}"))
-}
-
-fn parse_list<T: std::str::FromStr>(what: &str, value: &str) -> Result<Vec<T>, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let items: Vec<T> = value
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| parse(what, s))
-        .collect::<Result<_, _>>()?;
-    if items.is_empty() {
-        return Err(format!("the {what} list is empty"));
-    }
-    Ok(items)
 }
 
 fn cmd_list() -> Result<(), String> {
@@ -787,76 +784,36 @@ fn cmd_stress(mut args: Args) -> Result<CommandOutcome, String> {
     Ok(CommandOutcome::Ok)
 }
 
-/// Parses the scenario-grid flags shared by `gdp sweep` and `gdp merge`
-/// (`gdp merge` must rebuild the *same* spec to address the shard stores
-/// and reproduce the report header byte for byte).
-fn scenario_spec_from_args(args: &mut Args) -> Result<ScenarioSpec, String> {
-    let mut spec = ScenarioSpec::new(
-        args.value_of("--name")?
-            .unwrap_or_else(|| "sweep".to_string()),
-    );
-    if let Some(families) = args.value_of("--families")? {
-        spec.families = parse_list("topology family", &families)?;
-    }
-    if let Some(sizes) = args.value_of("--sizes")? {
-        spec.sizes = parse_list("size", &sizes)?;
-    }
-    if let Some(algorithms) = args.value_of("--algorithms")? {
-        spec.algorithms = parse_list("algorithm", &algorithms)?;
-    }
-    if let Some(adversary) = args.value_of("--adversary")? {
-        spec.adversary = parse("adversary", &adversary)?;
-    }
-    if let Some(trials) = args.value_of("--trials")? {
-        spec.trials = parse("trial count", &trials)?;
-    }
-    if let Some(steps) = args.value_of("--steps")? {
-        spec.max_steps = parse("step budget", &steps)?;
-    }
-    if let Some(threads) = args.value_of("--threads")? {
-        let threads: usize = parse("thread count", &threads)?;
-        if threads == 0 {
-            return Err(
-                "--threads 0 is not a thread count; pass --threads <n> with n >= 1, \
-                 or omit the flag to use all cores"
-                    .to_string(),
-            );
-        }
-        spec.threads = threads;
-    }
-    let base_seed: u64 = parse(
-        "seed",
-        &args.value_of("--seed")?.unwrap_or_else(|| "0".into()),
-    )?;
-    spec.seed_policy = match args
-        .value_of("--seed-policy")?
-        .unwrap_or_else(|| "per-cell".into())
-        .as_str()
-    {
-        "per-cell" => SeedPolicy::PerCell(base_seed),
-        "shared" => SeedPolicy::Shared(base_seed),
-        other => {
-            return Err(format!(
-                "invalid seed policy {other:?}: expected per-cell or shared"
-            ))
-        }
+/// Reads the scenario-grid flags shared by `gdp sweep` and `gdp merge`
+/// into the shared grid parser (`gdp merge` must rebuild the *same* spec
+/// to address the shard stores and reproduce the report header byte for
+/// byte).  Returns the spec and the exact-check budget (`--check`, with
+/// `--check-states` defaulting to 400 000).
+fn grid_from_args(args: &mut Args) -> Result<(ScenarioSpec, Option<usize>), String> {
+    let mut grid = GridFields {
+        name: args.value_of("--name")?,
+        families: args.value_of("--families")?,
+        sizes: args.value_of("--sizes")?,
+        algorithms: args.value_of("--algorithms")?,
+        adversary: args.value_of("--adversary")?,
+        trials: args.parsed_of("--trials", "trial count")?,
+        steps: args.parsed_of("--steps", "step budget")?,
+        seed: args.parsed_of("--seed", "seed")?,
+        seed_policy: args.value_of("--seed-policy")?,
+        threads: args.parsed_of("--threads", "thread count")?,
+        exact_check: None,
     };
-    Ok(spec)
-}
-
-/// Parses `--check` / `--check-states` into the exact-check budget shared
-/// by `gdp sweep` and `gdp merge`.
-fn exact_check_from_args(args: &mut Args) -> Result<Option<usize>, String> {
     if args.has("--check") {
-        Ok(Some(parse(
-            "exact-check state budget",
-            &args
-                .value_of("--check-states")?
-                .unwrap_or_else(|| "400000".into()),
-        )?))
-    } else {
-        Ok(None)
+        let budget = args.parsed_of("--check-states", "exact-check state budget")?;
+        grid.exact_check = Some(budget.unwrap_or(400_000));
     }
+    grid.parse("sweep", 0).map_err(|e| match e.key {
+        "threads" => "--threads 0 is not a thread count; pass --threads <n> with n >= 1, \
+                      or omit the flag to use all cores"
+            .to_string(),
+        "exact_check" => format!("--check-states: {}", e.message),
+        key => format!("--{}: {}", key.replace('_', "-"), e.message),
+    })
 }
 
 /// Maps a sweep/merge report onto the process outcome: exit 1 when any
@@ -900,14 +857,13 @@ impl EventSink for CertCounter {
 }
 
 fn cmd_sweep(mut args: Args) -> Result<CommandOutcome, String> {
-    let spec = scenario_spec_from_args(&mut args)?;
+    let (spec, exact_check) = grid_from_args(&mut args)?;
     let json_path = args
         .value_of("--json")?
         .unwrap_or_else(|| "gdp_sweep.json".into());
     let csv_path = args
         .value_of("--csv")?
         .unwrap_or_else(|| "gdp_sweep.csv".into());
-    let exact_check = exact_check_from_args(&mut args)?;
     let store_dir = args.value_of("--store")?;
     let resume = args.has("--resume");
     let shard_arg = args.value_of("--shard")?;
@@ -974,14 +930,13 @@ fn cmd_sweep(mut args: Args) -> Result<CommandOutcome, String> {
 }
 
 fn cmd_merge(mut args: Args) -> Result<CommandOutcome, String> {
-    let spec = scenario_spec_from_args(&mut args)?;
+    let (spec, exact_check) = grid_from_args(&mut args)?;
     let json_path = args
         .value_of("--json")?
         .unwrap_or_else(|| "gdp_sweep.json".into());
     let csv_path = args
         .value_of("--csv")?
         .unwrap_or_else(|| "gdp_sweep.csv".into());
-    let exact_check = exact_check_from_args(&mut args)?;
     let store_dirs = args.values_of("--store")?;
     // Accepted so a sweep argv can be replayed verbatim as a merge argv;
     // suppresses the console summary.

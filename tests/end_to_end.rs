@@ -35,25 +35,27 @@ fn simulation_and_runtime_agree_on_lockout_freedom() {
     assert_eq!(report.total_meals(), 25 * 10);
 }
 
-/// The experiment facade, the analysis estimators and the algorithms crate
+/// The analysis estimators, the adversary catalog and the algorithms crate
 /// compose: a full sweep over algorithms on the classic ring where all four
 /// are correct (experiment E7's sanity backbone).
 #[test]
 fn all_algorithms_work_on_the_classic_ring() {
     // The deliberately broken naive baseline is excluded: deadlocking on
     // rings is its documented behaviour (gdp-mcheck proves it exactly).
+    let ring = builders::classic_ring(6).unwrap();
     for kind in AlgorithmKind::deadlock_free() {
-        let report = Experiment::new(TopologySpec::ClassicRing(6), kind)
-            .with_trials(4)
-            .with_max_steps(150_000)
-            .with_base_seed(17)
-            .run();
+        let estimate = montecarlo::estimate_liveness(
+            &ring,
+            &kind.program(),
+            |trial| AdversaryKind::UniformRandom.build(0, trial),
+            &TrialConfig::new(4, 150_000).with_base_seed(17),
+        );
         assert_eq!(
-            report.progress.progress_fraction, 1.0,
+            estimate.progress.progress_fraction, 1.0,
             "{kind} must make progress on the classic ring"
         );
         assert!(
-            report.representative.total_meals > 0,
+            estimate.progress.meals_mean > 0.0,
             "{kind} must complete meals on the classic ring"
         );
     }
@@ -80,22 +82,20 @@ fn guarded_choice_commits_are_exclusive_and_productive() {
     assert_eq!(executed.load(Ordering::Relaxed), 5);
 }
 
-/// Deterministic replay through the whole stack: the same experiment run
-/// twice yields identical reports (a requirement for reproducible
+/// Deterministic replay through the whole stack: the same estimate run
+/// twice yields identical results (a requirement for reproducible
 /// experiment tables).
 #[test]
 fn experiments_replay_deterministically() {
     let build = || {
-        Experiment::new(TopologySpec::Figure3Theta, AlgorithmKind::Gdp1)
-            .with_scheduler(SchedulerSpec::BlockingGlobal)
-            .with_trials(3)
-            .with_max_steps(30_000)
-            .with_base_seed(23)
-            .run()
+        montecarlo::estimate_liveness(
+            &builders::figure3_theta(),
+            &Gdp1::new(),
+            |trial| AdversaryKind::Blocking.build(0, trial),
+            &TrialConfig::new(3, 30_000).with_base_seed(23),
+        )
     };
-    let a = build();
-    let b = build();
-    assert_eq!(a, b);
+    assert_eq!(build(), build());
 }
 
 /// Traces recorded through the facade satisfy the safety invariants the

@@ -22,7 +22,7 @@
 //!   starves a philosopher in *every* trial, while GDP2's courtesy
 //!   machinery keeps every philosopher fed under the very same scheduler.
 
-use gdp_scenarios::{run_sweep, AdversarySpec, CellResult, ScenarioSpec, SeedPolicy, SweepOptions};
+use gdp_scenarios::{run_sweep, AdversaryKind, CellResult, ScenarioSpec, SeedPolicy, SweepOptions};
 
 /// The qualitative-split grid: 3 families x 1 size x 2 algorithms.
 fn split_spec() -> ScenarioSpec {
@@ -32,7 +32,7 @@ fn split_spec() -> ScenarioSpec {
         .with_sizes([9])
         .with_algorithms_str("lr1,gdp1")
         .expect("algorithm specs parse")
-        .with_adversary(AdversarySpec::BlockingPatient {
+        .with_adversary(AdversaryKind::BlockingPatient {
             stubbornness: 1_800,
         })
         .with_trials(8)
@@ -86,7 +86,7 @@ fn blocking_sweep_reproduces_the_lr1_off_ring_failure() {
 #[test]
 fn fair_sweep_keeps_gdp1_lockout_free_on_every_family() {
     let spec = split_spec()
-        .with_adversary(AdversarySpec::UniformRandom)
+        .with_adversary(AdversaryKind::UniformRandom)
         .with_trials(10)
         .with_max_steps(40_000);
     let report = run_sweep(&spec, &SweepOptions::quiet()).expect("sweep runs");
@@ -121,7 +121,7 @@ fn greedy_conflict_separates_gdp1_from_gdp2_off_the_ring() {
         .with_sizes([9])
         .with_algorithms_str("gdp1,gdp2")
         .expect("algorithm specs parse")
-        .with_adversary(AdversarySpec::GreedyConflictPatient {
+        .with_adversary(AdversaryKind::GreedyConflictPatient {
             stubbornness: 1_800,
         })
         .with_trials(8)
@@ -162,7 +162,7 @@ fn sweeps_are_bitwise_identical_for_any_thread_count() {
     // per-cell results, JSON and CSV artifacts must match byte for byte
     // (the PR-1 determinism contract extended to the scenario layer).
     let spec = split_spec()
-        .with_adversary(AdversarySpec::UniformRandom)
+        .with_adversary(AdversaryKind::UniformRandom)
         .with_trials(6)
         .with_max_steps(20_000);
     let serial = run_sweep(&spec.clone().with_threads(1), &SweepOptions::quiet()).unwrap();

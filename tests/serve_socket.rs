@@ -10,7 +10,9 @@
 //! * the **kill -9 / restart cycle** — a server SIGKILLed mid-sweep loses
 //!   at most the cells in flight; a fresh server on the same store resumes
 //!   (cells already streamed come back as hits) with **zero quarantines**
-//!   from the dead server's own scratch files, which the restart sweeps.
+//!   from the dead server's own scratch files, which the restart sweeps;
+//! * **CLI/serve parity** — a request setting every sweep field serves the
+//!   cell objects `gdp sweep` writes for the matching flags, byte for byte.
 
 use gdp_scenarios::stable_digest64;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -261,5 +263,56 @@ fn a_sigkilled_server_resumes_from_its_store_without_quarantines() {
     );
 
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+/// A sweep request setting every field, and the `gdp sweep` flags that mean
+/// the same grid.
+const EVERY_FIELD: &str = concat!(
+    r#"{"type": "sweep", "name": "parity", "families": "ring,star", "sizes": "4,5", "#,
+    r#""algorithms": "gdp1,lr1", "adversary": "blocking:2000", "trials": 3, "steps": 5000, "#,
+    r#""seed": 7, "seed_policy": "shared", "threads": 2, "exact_check": 200000}"#,
+);
+const EVERY_FLAG: &str = "sweep --name parity --families ring,star --sizes 4,5 \
+    --algorithms gdp1,lr1 --adversary blocking:2000 --trials 3 --steps 5000 --seed 7 \
+    --seed-policy shared --threads 2 --check --check-states 200000 --quiet";
+
+#[test]
+fn a_request_setting_every_field_serves_the_cells_gdp_sweep_writes() {
+    let work = temp_dir("parity");
+    let mut server = Server::start(&work.join("store"));
+    server.send(EVERY_FIELD);
+    let (cells, _) = server.read_sweep();
+    server.shutdown();
+    let served: Vec<&str> = cells
+        .iter()
+        .map(|line| {
+            let result = line.split_once("\"result\":").expect("result object").1;
+            result.strip_suffix('}').expect("closing brace")
+        })
+        .collect();
+
+    let json = work.join("parity.json");
+    let output = Command::new(env!("CARGO_BIN_EXE_gdp"))
+        .args(EVERY_FLAG.split_whitespace())
+        .arg("--json")
+        .arg(&json)
+        .arg("--csv")
+        .arg(work.join("parity.csv"))
+        .output()
+        .expect("gdp sweep runs");
+    let written = std::fs::read_to_string(&json).unwrap_or_else(|e| {
+        panic!("{e}: {}", String::from_utf8_lossy(&output.stderr));
+    });
+    let written: Vec<&str> = written
+        .lines()
+        .filter(|line| line.starts_with("    {"))
+        .map(|line| line.trim_start().trim_end_matches(','))
+        .collect();
+    assert_eq!(served.len(), 8);
+    assert_eq!(
+        served, written,
+        "served cells must equal the written artifact"
+    );
     let _ = std::fs::remove_dir_all(&work);
 }

@@ -1,5 +1,6 @@
 //! Cross-crate integration tests: the paper's four theorem-level claims,
-//! exercised end-to-end through the public `gdp` facade.
+//! exercised end-to-end through the public `gdp` prelude and the
+//! Monte-Carlo estimator `gdp sweep` cells use.
 
 use gdp::prelude::*;
 
@@ -46,46 +47,46 @@ fn section3_contrast_on_the_triangle() {
     assert_eq!(blocked[3], 0, "GDP2 must never be blocked");
 }
 
-/// Theorem 3 via the experiment facade: GDP1 progress probability 1 across
-/// the Figure 1 gallery and both built-in fair schedulers.
+/// Theorem 3: GDP1 progress probability 1 across the Figure 1 gallery and
+/// both built-in fair schedulers.
 #[test]
 fn theorem3_progress_across_the_gallery() {
-    for spec in [
-        TopologySpec::Figure1Triangle,
-        TopologySpec::Figure1Hexagon,
-        TopologySpec::Figure1Ring12Chords,
-        TopologySpec::Figure1Ring9Chord,
-    ] {
-        for scheduler in [SchedulerSpec::UniformRandom, SchedulerSpec::RoundRobin] {
-            let report = Experiment::new(spec.clone(), AlgorithmKind::Gdp1)
-                .with_scheduler(scheduler.clone())
-                .with_trials(5)
-                .with_max_steps(300_000)
-                .run();
+    for (name, topology) in builders::figure1_gallery() {
+        for adversary in [AdversaryKind::UniformRandom, AdversaryKind::RoundRobin] {
+            let estimate = montecarlo::estimate_liveness(
+                &topology,
+                &Gdp1::new(),
+                |trial| adversary.build(0, trial),
+                &TrialConfig::new(5, 300_000),
+            );
             assert_eq!(
-                report.progress.progress_fraction, 1.0,
-                "GDP1 failed to progress on {spec} under {scheduler}"
+                estimate.progress.progress_fraction, 1.0,
+                "GDP1 failed to progress on {name} under {adversary}"
             );
         }
     }
 }
 
-/// Theorem 4 via the experiment facade: GDP2 lockout-freedom on the
-/// Theorem-2 witness topology (theta graph) and on the Figure 2 system.
+/// Theorem 4: GDP2 lockout-freedom on the Theorem-2 witness topology
+/// (theta graph) and on the Figure 2 system.
 #[test]
 fn theorem4_lockout_freedom_on_witness_topologies() {
-    for spec in [
-        TopologySpec::Figure3Theta,
-        TopologySpec::Figure2RingWithPendant,
+    for topology in [
+        builders::figure3_theta(),
+        builders::figure2_hexagon_with_pendant(),
     ] {
-        let report = Experiment::new(spec.clone(), AlgorithmKind::Gdp2)
-            .with_trials(5)
-            .with_max_steps(400_000)
-            .run();
+        let estimate = montecarlo::estimate_liveness(
+            &topology,
+            &Gdp2::new(),
+            |trial| AdversaryKind::UniformRandom.build(0, trial),
+            &TrialConfig::new(5, 400_000),
+        );
         assert_eq!(
-            report.lockout.lockout_free_fraction, 1.0,
-            "GDP2 allowed starvation on {spec}: {:?}",
-            report.lockout.starvation_per_philosopher
+            estimate.lockout.lockout_free_fraction,
+            1.0,
+            "GDP2 allowed starvation on {}: {:?}",
+            topology.summary(),
+            estimate.lockout.starvation_per_philosopher
         );
     }
 }
@@ -94,25 +95,16 @@ fn theorem4_lockout_freedom_on_witness_topologies() {
 /// victim), while GDP2 protects the same victim.
 #[test]
 fn section5_gdp1_starvation_vs_gdp2() {
-    let trials = 10;
-    let steps = 60_000;
-    let mut starved = [0u64; 2];
-    for (i, kind) in [AlgorithmKind::Gdp1, AlgorithmKind::Gdp2]
-        .iter()
-        .enumerate()
-    {
-        for seed in 0..trials {
-            let report = Experiment::new(TopologySpec::Figure1Triangle, *kind)
-                .with_scheduler(SchedulerSpec::Starver(0))
-                .with_trials(1)
-                .with_max_steps(steps)
-                .with_base_seed(seed)
-                .run();
-            if report.lockout.starvation_per_philosopher[0] > 0 {
-                starved[i] += 1;
-            }
-        }
-    }
+    let starved = [AlgorithmKind::Gdp1, AlgorithmKind::Gdp2].map(|kind| {
+        montecarlo::estimate_liveness(
+            &builders::figure1_triangle(),
+            &kind.program(),
+            |_| TargetStarver::new(PhilosopherId::new(0)),
+            &TrialConfig::new(10, 60_000),
+        )
+        .lockout
+        .starvation_per_philosopher[0]
+    });
     assert!(
         starved[0] > starved[1],
         "GDP1 victim should starve more often than GDP2 victim (GDP1: {}, GDP2: {})",
