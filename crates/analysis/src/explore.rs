@@ -16,9 +16,8 @@
 //! snapshot and executes **one** step per expansion.  The original
 //! implementation re-simulated the entire decision prefix for every
 //! expansion (`O(depth)` steps each); it is kept here as
-//! [`explore_via_replay`], both as the regression oracle — the snapshot
-//! walk must reproduce its reports exactly — and as the baseline of the
-//! `mcheck_state_space` perf sample in `gdp-bench` (≥10× on the 4-ring).
+//! [`explore_via_replay`], the regression oracle: the snapshot walk must
+//! reproduce its reports exactly.
 
 use gdp_sim::{Engine, Program, SimConfig};
 use gdp_topology::{PhilosopherId, Topology};
@@ -121,10 +120,8 @@ fn legacy_fingerprint<P: Program>(engine: &Engine<P>) -> u64 {
 ///
 /// Kept as the **reference implementation** — same traversal order, same
 /// dedup semantics, same report — so that the snapshot-based walk can be
-/// regression-tested against it, and as the baseline of the
-/// snapshot-vs-replay throughput sample in the `gdp-bench` perf suite.  Do
-/// not use it for real exploration: each expansion costs `O(depth)` engine
-/// steps instead of one restore.
+/// regression-tested against it.  Do not use it for real exploration: each
+/// expansion costs `O(depth)` engine steps instead of one restore.
 #[must_use]
 pub fn explore_via_replay<P: Program + Clone>(
     topology: &Topology,
@@ -267,12 +264,23 @@ mod tests {
     }
 
     /// The regression pin of the snapshot/restore migration: on the ring
-    /// n = 3 and the Figure 1 triangle witness, the snapshot-based explorer
+    /// n = 3 and the Figure 1 triangle witness, and on GDP1's whole
+    /// per-seed state space of the 4-ring, the snapshot-based explorer
     /// must produce **identical** reports to the replay-based reference
     /// implementation — state counts, dead states, truncation, safety and
     /// eating-state counts, across seeds, budgets and programs.
     #[test]
     fn snapshot_explorer_matches_replay_reference_reports() {
+        let ring4 = classic_ring(4).unwrap();
+        let gdp1 = explore(&ring4, &Gdp1::new(), 0, 200_000, 400);
+        assert!(!gdp1.truncated, "{gdp1:?}");
+        assert!(gdp1.states_visited > 10_000, "{gdp1:?}");
+        assert_eq!(
+            gdp1,
+            explore_via_replay(&ring4, &Gdp1::new(), 0, 200_000, 400),
+            "GDP1 seed 0 budget 200000/400 on the 4-ring"
+        );
+
         let ring3 = classic_ring(3).unwrap();
         let triangle = figure1_triangle();
         for seed in [0u64, 1, 7] {

@@ -17,7 +17,8 @@
 //!   flips): reachable-state counts, safety verification and dead-end
 //!   (deadlock) detection.  Snapshot-based since PR 3 (delegating to
 //!   `gdp-mcheck`'s seeded walker), with the replay-era implementation
-//!   preserved as [`explore_via_replay`] for regression and benchmarking;
+//!   preserved as [`explore_via_replay`], the reference the snapshot walk
+//!   is regression-tested against;
 //!   the *exact* checker (every adversary, every draw, with
 //!   probabilities) is the `gdp-mcheck` crate;
 //! * [`symmetry`] — the symmetry-breaking probability from the proof of

@@ -250,28 +250,6 @@ where
     }
 }
 
-/// Estimates the lockout-freedom probability of `program` on `topology`
-/// under the adversaries produced by `make_adversary`.
-///
-/// This is the lockout half of [`estimate_liveness`] (same seeds, same
-/// trials, same fold — one source of truth for the trial body).
-///
-/// Trials run in parallel per [`TrialConfig::threads`]; the estimate is
-/// bitwise-identical for every thread count.
-pub fn estimate_lockout_freedom<P, A, F>(
-    topology: &Topology,
-    program: &P,
-    make_adversary: F,
-    config: &TrialConfig,
-) -> LockoutEstimate
-where
-    P: Program + Clone + Sync,
-    A: Adversary,
-    F: Fn(u64) -> A + Sync,
-{
-    estimate_liveness(topology, program, make_adversary, config).lockout
-}
-
 /// Both liveness estimates, derived from **one** batch of trials.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LivenessEstimate {
@@ -467,12 +445,13 @@ mod tests {
     #[test]
     fn gdp2_is_lockout_free_on_the_classic_ring() {
         let config = TrialConfig::new(10, 100_000).with_base_seed(3);
-        let estimate = estimate_lockout_freedom(
+        let estimate = estimate_liveness(
             &classic_ring(5).unwrap(),
             &Gdp2::new(),
             |t| UniformRandomAdversary::new(100 + t),
             &config,
-        );
+        )
+        .lockout;
         assert_eq!(estimate.all_ate, estimate.trials);
         assert_eq!(estimate.lockout_free_fraction, 1.0);
         assert!(estimate.starvation_per_philosopher.iter().all(|&s| s == 0));
@@ -552,13 +531,13 @@ mod tests {
             );
             assert_eq!(lr1_serial, lr1_parallel, "LR1 progress, {threads} threads");
 
-            let gdp1_serial = estimate_lockout_freedom(
+            let gdp1_serial = estimate_liveness(
                 &topology,
                 &Gdp1::new(),
                 UniformRandomAdversary::new,
                 &serial,
             );
-            let gdp1_parallel = estimate_lockout_freedom(
+            let gdp1_parallel = estimate_liveness(
                 &topology,
                 &Gdp1::new(),
                 UniformRandomAdversary::new,
@@ -571,9 +550,9 @@ mod tests {
         }
     }
 
-    /// `estimate_liveness` must agree with the two separate estimators on
-    /// the same configuration — bitwise, except for the documented
-    /// `meals_mean` semantic change.
+    /// `estimate_liveness`'s progress half must agree with the separate
+    /// progress estimator on the same configuration — bitwise, except for
+    /// the documented `meals_mean` semantic change.
     #[test]
     fn combined_liveness_estimate_matches_the_separate_estimators() {
         let topology = classic_ring(5).unwrap();
@@ -590,16 +569,9 @@ mod tests {
             UniformRandomAdversary::new,
             &config,
         );
-        let lockout = estimate_lockout_freedom(
-            &topology,
-            &Gdp1::new(),
-            UniformRandomAdversary::new,
-            &config,
-        );
         let mut expected_progress = progress.clone();
         expected_progress.meals_mean = combined.progress.meals_mean;
         assert_eq!(combined.progress, expected_progress);
-        assert_eq!(combined.lockout, lockout);
         // Full-window meal counts dominate stop-at-first-meal counts.
         assert!(combined.progress.meals_mean >= progress.meals_mean);
     }

@@ -1,16 +1,14 @@
-//! Regenerates every experiment summary table (E1–E10) in one run, then
-//! records the performance trajectory into `BENCH_results.json`:
+//! Regenerates every experiment summary table (E1–E10) in one run:
 //!
 //! ```bash
-//! cargo run -p gdp-bench --bin report --release                  # everything
-//! cargo run -p gdp-bench --bin report --release -- --perf-only   # just BENCH_results.json
-//! cargo run -p gdp-bench --bin report --release -- --skip-perf   # just the tables
+//! cargo run -p gdp-bench --bin report --release
 //! ```
 //!
-//! The table output is the canonical source of the reproduced experiment
-//! numbers; the perf output (steps/sec, allocations/step,
-//! Monte-Carlo trials/sec serial vs parallel) is the baseline future PRs
-//! must not regress — see `docs/PERFORMANCE.md`.
+//! The output is the canonical source of the reproduced experiment
+//! numbers and ends with the line `done.`.  The binary takes no arguments;
+//! any argument is a usage error (exit 2) reported before a table runs.
+//! Performance is measured by `python3 perfbench/run.py`, see
+//! `docs/PERFORMANCE.md`.
 
 use gdp_adversary::{
     AdversaryKind, BlockingAdversary, BlockingPolicy, StubbornnessSchedule, TargetStarver,
@@ -30,32 +28,6 @@ use gdp_topology::builders::{
 use gdp_topology::{PhilosopherId, Topology};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-#[global_allocator]
-static ALLOC: gdp_bench::alloc_counter::CountingAllocator =
-    gdp_bench::alloc_counter::CountingAllocator;
-
-/// Runs the perf suite and writes `BENCH_results.json` into the working
-/// directory.
-fn run_perf() {
-    print_header("PERF | engine hot loop and Monte-Carlo throughput -> BENCH_results.json");
-    let report = gdp_bench::perf::run_perf_suite();
-    assert!(
-        report.montecarlo.identical,
-        "parallel Monte-Carlo must match serial bitwise"
-    );
-    assert!(
-        report.scenario_sweep.identical,
-        "parallel scenario sweep must match serial bitwise"
-    );
-    assert!(
-        report.runtime_stress.everyone_ate,
-        "the GDP2 stress run must feed every philosopher"
-    );
-    report
-        .write_json("BENCH_results.json")
-        .expect("writing BENCH_results.json");
-}
 
 /// The Figure 1 gallery, labelled for the summary rows.
 fn gallery() -> Vec<(String, Topology)> {
@@ -113,12 +85,9 @@ fn patience(patient: bool) -> &'static str {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let perf_only = args.iter().any(|a| a == "--perf-only");
-    let skip_perf = args.iter().any(|a| a == "--skip-perf");
-    if perf_only {
-        run_perf();
-        return;
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unexpected argument {arg:?}; usage: report (takes no arguments)");
+        std::process::exit(2);
     }
 
     println!(
@@ -380,9 +349,6 @@ fn main() {
     }
     println!("guarded choice: 20 rounds with a mixed-choice server and 12 clients -> {committed} synchronizations committed");
 
-    if !skip_perf {
-        run_perf();
-    }
     println!();
     println!("done.");
 }

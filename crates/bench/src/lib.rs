@@ -1,6 +1,6 @@
 //! Shared helpers for the `report` binary
 //! (`cargo run -p gdp-bench --bin report --release`), which regenerates
-//! every summary table of the paper in one go and runs the perf suite.
+//! every summary table of the paper in one go.
 
 use gdp_adversary::{AdversaryKind, TriangleWaveAdversary};
 use gdp_algorithms::AlgorithmKind;
@@ -8,9 +8,6 @@ use gdp_analysis::montecarlo::{estimate_liveness, LivenessEstimate};
 use gdp_analysis::TrialConfig;
 use gdp_sim::{Engine, SimConfig, StopCondition};
 use gdp_topology::Topology;
-
-pub mod alloc_counter;
-pub mod perf;
 
 /// Number of Monte-Carlo trials used by the printed summaries.
 pub const TRIALS: u64 = 20;

@@ -51,9 +51,6 @@ pub mod strategy;
 pub use certificate::Certificate;
 pub use model::{build_mdp, state_is_safe, BuildOptions, CheckTarget, Mdp, UNEXPLORED};
 pub use restricted::{build_restricted_mdp, ScheduleRestriction};
-pub use seeded::{
-    explore_realization, explore_realization_with_work, merge_reports, ExplorationReport,
-    ExplorationWork,
-};
+pub use seeded::{explore_realization, merge_reports, ExplorationReport};
 pub use solve::{solve, Solution, SolveOptions};
 pub use strategy::{extract_counterexample, CounterexampleSchedule};

@@ -10,10 +10,9 @@
 //! state carries its [`EngineState`](gdp_sim::EngineState), and expanding a
 //! state is one `restore` plus one step — `O(n + k)` — instead of the
 //! replay of the whole decision prefix the pre-snapshot implementation
-//! performed (`O(depth)` engine steps per expansion; the `gdp-bench` perf
-//! suite records the ratio).  Visit order, fingerprints and therefore
-//! reports are identical to the replay implementation, which is pinned by a
-//! regression test in `gdp-analysis`.
+//! performed (`O(depth)` engine steps per expansion).  Visit order,
+//! fingerprints and therefore reports are identical to the replay
+//! implementation, which is pinned by a regression test in `gdp-analysis`.
 
 use crate::model::{state_is_safe, KeyMap, KeySet};
 use gdp_sim::{Engine, Program, SimConfig};
@@ -45,34 +44,6 @@ impl ExplorationReport {
     }
 }
 
-/// Exact engine-step accounting of one exploration, for both expansion
-/// schemes.
-///
-/// The replay figure is not a measurement but a *derivation*: the
-/// replay-based explorer deterministically executes, for a parent at BFS
-/// depth `d`, one `d`-step replay (to recompute the parent fingerprint)
-/// plus one `(d + 1)`-step replay per scheduling choice — so its total
-/// step count follows exactly from the depth of every expanded state,
-/// which the snapshot walk knows for free.  The ratio is the
-/// machine-independent core of the snapshot/restore payoff: wall-clock
-/// gains are smaller (both explorers share the per-state fingerprinting
-/// and safety analysis) and grow with the depth of the explored fragment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExplorationWork {
-    /// Engine steps the snapshot walk executes (one per expansion).
-    pub snapshot_engine_steps: u64,
-    /// Engine steps the replay-based reference executes on the same walk.
-    pub replay_engine_steps: u64,
-}
-
-impl ExplorationWork {
-    /// `replay / snapshot` engine-step ratio (≈ mean BFS depth + 1).
-    #[must_use]
-    pub fn step_ratio(&self) -> f64 {
-        self.replay_engine_steps as f64 / self.snapshot_engine_steps.max(1) as f64
-    }
-}
-
 /// Exhaustively explores the states `program` reaches on `topology` under
 /// every scheduling, for the single realization of the random draws fixed
 /// by `seed`, up to `max_states` distinct states and `max_depth` steps from
@@ -85,18 +56,6 @@ pub fn explore_realization<P: Program + Clone>(
     max_states: usize,
     max_depth: usize,
 ) -> ExplorationReport {
-    explore_realization_with_work(topology, program, seed, max_states, max_depth).0
-}
-
-/// [`explore_realization`] plus the exact [`ExplorationWork`] accounting.
-#[must_use]
-pub fn explore_realization_with_work<P: Program + Clone>(
-    topology: &Topology,
-    program: &P,
-    seed: u64,
-    max_states: usize,
-    max_depth: usize,
-) -> (ExplorationReport, ExplorationWork) {
     let n = topology.num_philosophers() as u32;
     let mut engine = Engine::new(
         topology.clone(),
@@ -112,10 +71,6 @@ pub fn explore_realization_with_work<P: Program + Clone>(
     let mut truncated = false;
     let mut safety_holds = true;
     let mut eating_states = 0usize;
-    let mut work = ExplorationWork {
-        snapshot_engine_steps: 0,
-        replay_engine_steps: 0,
-    };
 
     let initial_fp = engine.state_fingerprint();
     seen.insert(initial_fp);
@@ -126,11 +81,7 @@ pub fn explore_realization_with_work<P: Program + Clone>(
             truncated = true;
             continue;
         }
-        // The replay reference re-simulates the parent prefix once for the
-        // parent fingerprint and once per child (see `ExplorationWork`).
-        work.replay_engine_steps += depth as u64 + u64::from(n) * (depth as u64 + 1);
         for p in 0..n {
-            work.snapshot_engine_steps += 1;
             engine.restore(&snapshot);
             engine.step_philosopher(PhilosopherId::new(p));
             let fp = engine.state_fingerprint();
@@ -170,16 +121,13 @@ pub fn explore_realization_with_work<P: Program + Clone>(
     }
     let dead_states = seen.iter().filter(|fp| !can_eat.contains(fp)).count();
 
-    (
-        ExplorationReport {
-            states_visited: seen.len(),
-            truncated,
-            dead_states,
-            safety_holds,
-            eating_states,
-        },
-        work,
-    )
+    ExplorationReport {
+        states_visited: seen.len(),
+        truncated,
+        dead_states,
+        safety_holds,
+        eating_states,
+    }
 }
 
 /// Merges per-seed reports: state and dead-state counts add up, safety must

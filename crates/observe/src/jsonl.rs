@@ -11,9 +11,13 @@
 
 use crate::event::Event;
 
-/// Escapes a string for embedding in a JSON string literal (same dialect as
-/// the workspace's other hand-written JSON writers).
-fn escape_json(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal, without the
+/// surrounding quotes: `"`, `\` and the control characters, the latter
+/// JSON-style (`\n`, `\u0001`) rather than Rust-style (`\u{1}`).  Every
+/// hand-written JSON writer in the workspace escapes through this one
+/// function.
+#[must_use]
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

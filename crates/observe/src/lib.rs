@@ -50,4 +50,4 @@ pub use histogram::{
     LOG2_BUCKETS,
 };
 pub use metrics::MetricsRegistry;
-pub use sink::{CountingSink, EventSink, MemorySink, NoopSink, SharedSink};
+pub use sink::{EventSink, MemorySink, NoopSink, SharedSink};

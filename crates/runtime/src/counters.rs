@@ -6,9 +6,7 @@
 //! invalidates the line in every neighbouring core — classic false sharing
 //! on a path that is otherwise uncoordinated by design.  [`SeatCounters`]
 //! therefore packs each philosopher's counters into its own 64-byte-aligned
-//! struct; the alignment is asserted by a unit test, and the measured effect
-//! is recorded as the `runtime_stress` padding figures in
-//! `BENCH_results.json` (see `gdp-bench::perf`).
+//! struct; the alignment is asserted by a unit test.
 //!
 //! The wait histogram is the shared [`gdp_observe::AtomicLog2Histogram`] —
 //! the same bucketing that powers the simulator's step-denominated meal
@@ -151,8 +149,7 @@ mod tests {
     /// The false-sharing guard: each philosopher's counters must own a full
     /// cache line.  If someone "simplifies" the struct back to unpadded
     /// fields this fails immediately, without needing a timing-sensitive
-    /// benchmark in the test suite (the measured effect lives in
-    /// `BENCH_results.json`).
+    /// benchmark in the test suite.
     #[test]
     fn seat_counters_own_a_full_cache_line() {
         assert_eq!(std::mem::align_of::<SeatCounters>(), 64);

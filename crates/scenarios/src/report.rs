@@ -1,9 +1,11 @@
 //! Report serialization: hand-written JSON and CSV (this workspace is fully
-//! offline and carries no serialization dependency; see `gdp-bench::perf`
-//! for the same approach applied to `BENCH_results.json`).
+//! offline and carries no serialization dependency; strings are escaped by
+//! `gdp_observe::jsonl::escape_json`, the one escaper every JSON writer in
+//! the workspace shares).
 
 use crate::runner::CellResult;
 use crate::spec::ScenarioSpec;
+use gdp_observe::jsonl::escape_json;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -49,26 +51,10 @@ fn num(value: f64) -> String {
 
 /// Serializes a string as a JSON string literal.  Rust's `{:?}` is *almost*
 /// JSON but escapes control characters Rust-style (`\u{1}`) instead of
-/// JSON-style (`\u0001`), so user-supplied text (e.g. the sweep name) is
-/// escaped by hand.
+/// JSON-style (`\u0001`), so user-supplied text (e.g. the sweep name) goes
+/// through the workspace's JSON escaper.
 fn json_str(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", escape_json(value))
 }
 
 /// The CSV header row written by [`SweepReport::to_csv`].

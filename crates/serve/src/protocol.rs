@@ -11,6 +11,7 @@
 //! not parsed, so they may nest (the per-cell `result` object, the metrics
 //! export).  See `docs/SERVE.md` for the full schema.
 
+use gdp_observe::jsonl::escape_json;
 use gdp_scenarios::{cell_json, CellResult, GridFields, ScenarioSpec, StoreStats};
 use std::collections::BTreeMap;
 
@@ -309,24 +310,6 @@ fn parse_sweep(fields: &BTreeMap<String, JsonValue>) -> Result<SweepRequest, Str
 // Response lines
 // ---------------------------------------------------------------------------
 
-/// JSON-escapes a string body (the same escape set `gdp-observe`'s JSONL
-/// codec uses).
-fn json_escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The `{"type":"pong"}` liveness answer.
 #[must_use]
 pub fn pong_line() -> String {
@@ -346,7 +329,7 @@ pub fn bye_line() -> String {
 pub fn error_line(message: &str, retryable: bool) -> String {
     format!(
         "{{\"type\":\"error\",\"retryable\":{retryable},\"message\":\"{}\"}}",
-        json_escape(message)
+        escape_json(message)
     )
 }
 
@@ -356,7 +339,7 @@ pub fn sweep_start_line(spec: &ScenarioSpec, cells: usize, fingerprint: u64) -> 
     format!(
         "{{\"type\":\"sweep_start\",\"name\":\"{}\",\"cells\":{cells},\
          \"fingerprint\":\"{fingerprint:016x}\"}}",
-        json_escape(&spec.name)
+        escape_json(&spec.name)
     )
 }
 

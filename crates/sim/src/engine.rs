@@ -189,8 +189,8 @@ impl<P: Program> Engine<P> {
     /// philosopher plus `Acquire`/`Release`/`MealStart`/`MealFinish` derived
     /// from the step's [`Action`] (fork releases folded into `FinishEating`
     /// by an algorithm's action vocabulary are not synthesized).  Detached —
-    /// the default — the cost is a single branch per step (bench-enforced by
-    /// the `trace_overhead` sample).
+    /// the default — the cost is a single branch per step (perfbench's
+    /// `sim.steps_per_s` times this path).
     ///
     /// The sink is engine configuration, not semantic state: it survives
     /// [`reset`](Self::reset) and [`restore`](Self::restore), and snapshots

@@ -264,6 +264,17 @@ impl Args {
         }
     }
 
+    /// Consumes a flag that has two spellings; passing both is an error,
+    /// since one of the two values would be silently dropped.
+    fn value_of_either(&mut self, flag: &str, alias: &str) -> Result<Option<String>, String> {
+        match (self.value_of(flag)?, self.value_of(alias)?) {
+            (Some(_), Some(_)) => Err(format!(
+                "{flag} and {alias} are two spellings of one flag; pass only one"
+            )),
+            (value, alias_value) => Ok(value.or(alias_value)),
+        }
+    }
+
     /// Consumes `--flag value` and parses the value as a `what`.
     fn parsed_of<T: std::str::FromStr>(
         &mut self,
@@ -485,8 +496,7 @@ fn cmd_check(mut args: Args) -> Result<CommandOutcome, String> {
     let family: TopologyFamily = parse(
         "topology family",
         &args
-            .value_of("--family")?
-            .or(args.value_of("--topology")?)
+            .value_of_either("--family", "--topology")?
             .unwrap_or_else(|| "ring".into()),
     )?;
     let size: usize = parse(
@@ -618,8 +628,7 @@ fn cmd_stress(mut args: Args) -> Result<CommandOutcome, String> {
     let size: usize = parse(
         "size",
         &args
-            .value_of("--n")?
-            .or(args.value_of("--size")?)
+            .value_of_either("--n", "--size")?
             .unwrap_or_else(|| "5".into()),
     )?;
     let algorithm: AlgorithmKind = parse(

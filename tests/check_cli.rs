@@ -261,4 +261,14 @@ fn usage_errors_exit_2() {
     assert_eq!(output.status.code(), Some(2));
     let output = gdp(&["frobnicate"]);
     assert_eq!(output.status.code(), Some(2));
+    // Both spellings of the family flag: neither may silently win.
+    let output = gdp(&["check", "--family", "ring", "--topology", "star"]);
+    assert_eq!(output.status.code(), Some(2));
+    let err = stderr(&output);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(
+        err.contains("--family") && err.contains("--topology"),
+        "{err}"
+    );
+    assert!(stdout(&output).is_empty());
 }

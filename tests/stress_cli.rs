@@ -284,4 +284,10 @@ fn stress_usage_errors_exit_2() {
     assert_eq!(output.status.code(), Some(2));
     let output = gdp(&["stress", "--meals"]);
     assert_eq!(output.status.code(), Some(2));
+    // Both spellings of the size flag: neither may silently win.
+    let output = gdp(&["stress", "--n", "5", "--size", "6"]);
+    assert_eq!(output.status.code(), Some(2));
+    let err = String::from_utf8(output.stderr).expect("utf-8 stderr");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("--n") && err.contains("--size"), "{err}");
 }
