@@ -27,7 +27,6 @@
 //! fixed, the resulting estimates are bitwise-identical to a serial run
 //! regardless of the thread count (test-enforced below).
 
-use crate::explore::state_is_safe;
 use crate::stats;
 use gdp_sim::{Adversary, Engine, Program, SimConfig, StopCondition};
 use gdp_topology::Topology;
@@ -336,7 +335,7 @@ where
             .iter()
             .map(|&m| m as f64)
             .collect();
-        let safe = state_is_safe(&engine);
+        let safe = engine.state_is_safe();
         let stuck = engine.is_stuck();
         LivenessTrial {
             first_meal: outcome.first_meal_step,

@@ -50,8 +50,8 @@ pub struct Certificate {
     pub algorithm: String,
     /// Target description.
     pub target: String,
-    /// The adversary class quantified over; `None` means the paper's
-    /// default — all fair schedulers ([`crate::restricted`] checks set it).
+    /// The adversary class quantified over ([`Mdp::class`]); `None` means
+    /// the paper's default — all fair schedulers.
     pub adversary_class: Option<String>,
     /// Hunger model, rendered.
     pub hunger: String,
@@ -103,7 +103,7 @@ impl Certificate {
             system: topology.summary(),
             algorithm: algorithm.to_string(),
             target: target.describe(),
-            adversary_class: None,
+            adversary_class: mdp.class.describe(),
             hunger: match sim.hunger {
                 HungerModel::Always => "always".to_string(),
                 HungerModel::Never => "never".to_string(),
@@ -125,14 +125,6 @@ impl Certificate {
             expected_steps: solution.expected_steps,
             counterexample: counterexample.map(CounterexampleSchedule::summary),
         }
-    }
-
-    /// Records the restricted adversary class the model quantified over
-    /// (rendered as an extra `adversaries:` certificate line).
-    #[must_use]
-    pub fn with_adversary_class(mut self, description: impl Into<String>) -> Self {
-        self.adversary_class = Some(description.into());
-        self
     }
 
     /// The overall verdict.

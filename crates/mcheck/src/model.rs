@@ -24,12 +24,18 @@
 //! out of a progress check: no meal ever completes inside the explored
 //! fragment.
 //!
+//! [`BuildOptions::class`] picks the adversary class.  The default, all fair
+//! schedulers, builds the plain automaton above; a restricted class builds
+//! its product with per-state scheduler bookkeeping ([`crate::restricted`])
+//! through the same expansion.
+//!
 //! Frontier expansion fans out over `std::thread::scope` workers, each with
 //! its own engine; results are merged on one thread **in frontier order**,
 //! so state numbering, transition order and every probability are
 //! bitwise-identical for every thread count — the same determinism contract
 //! the Monte-Carlo trial runner enforces (test-enforced here too).
 
+use crate::restricted::{AdversaryClass, Bookkeeping, Crashed, Waits};
 use gdp_sim::{Engine, EngineState, Phase, Program, RelabelScratch, SimConfig};
 use gdp_topology::{symmetry, Automorphism, PhilosopherId, Topology};
 use std::collections::hash_map::Entry;
@@ -60,9 +66,6 @@ impl Hasher for KeyIdentityHasher {
 
 /// A hash map keyed by state fingerprints.
 pub type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyIdentityHasher>>;
-
-/// A hash set of state fingerprints.
-pub type KeySet = std::collections::HashSet<u64, BuildHasherDefault<KeyIdentityHasher>>;
 
 /// The reachability objective of a check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,7 +104,8 @@ pub struct BuildOptions {
     /// philosopher identifiers.  All four paper algorithms (and the naive
     /// left-right baseline) qualify; the asymmetric ordered-forks baseline
     /// does **not** (it branches on global fork identifiers) — disable
-    /// symmetry for such programs.
+    /// symmetry for such programs.  Product builds (restricted
+    /// [`class`](Self::class)es) ignore it: they are quotient-free.
     pub symmetry: bool,
     /// Cap on the number of automorphisms used by the quotient.
     pub automorphism_limit: usize,
@@ -112,6 +116,9 @@ pub struct BuildOptions {
     /// determine the automaton (the seed is irrelevant — every draw is
     /// enumerated, not sampled).
     pub sim: SimConfig,
+    /// The adversary class to quantify over (default: all fair
+    /// schedulers).
+    pub class: AdversaryClass,
 }
 
 impl Default for BuildOptions {
@@ -122,6 +129,7 @@ impl Default for BuildOptions {
             automorphism_limit: 64,
             threads: 0,
             sim: SimConfig::default(),
+            class: AdversaryClass::Fair,
         }
     }
 }
@@ -155,6 +163,13 @@ impl BuildOptions {
         self
     }
 
+    /// Sets the adversary class.
+    #[must_use]
+    pub fn with_class(mut self, class: AdversaryClass) -> Self {
+        self.class = class;
+        self
+    }
+
     fn effective_threads(&self, work_items: usize) -> usize {
         let requested = if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -178,7 +193,8 @@ pub const UNEXPLORED: u32 = u32::MAX;
 pub struct Mdp {
     /// Number of discovered (canonical) states.
     pub num_states: usize,
-    /// Choices per state (= number of philosophers).
+    /// Choices per state: one per philosopher, plus one crash choice per
+    /// philosopher in crash-stop products.
     pub num_choices: usize,
     /// Index of the initial state (always 0).
     pub initial: u32,
@@ -195,6 +211,8 @@ pub struct Mdp {
     pub safety_violations: usize,
     /// The target objective the model was built for.
     pub target_kind: CheckTarget,
+    /// The adversary class the model quantifies over.
+    pub class: AdversaryClass,
     /// The automorphisms the symmetry quotient used (always at least the
     /// identity).
     pub automorphisms: Vec<Automorphism>,
@@ -204,8 +222,8 @@ pub struct Mdp {
     /// Per-state bitmask of the choices a fair adversary must keep taking
     /// infinitely often while confined to an end component containing the
     /// state.  `None` means "every choice" — the paper's unrestricted fair
-    /// adversary, where every choice schedules one philosopher.  Restricted
-    /// models ([`crate::restricted`]) narrow it: under k-bounded fairness
+    /// adversary, where every choice schedules one philosopher.  Product
+    /// builds ([`crate::restricted`]) narrow it: under k-bounded fairness
     /// the product structure already enforces fairness (`mask = 0`), and
     /// under crash-stop faults only the *surviving* philosophers'
     /// schedule-choices are required.
@@ -240,7 +258,7 @@ impl Mdp {
     /// Number of expanded, non-target states from which *every* available
     /// choice and *every* random outcome loops back to the state itself —
     /// true deadlocks (e.g. the classic all-hold-left state of the naive
-    /// algorithm).  Choices a restricted model disallows (empty rows) are
+    /// algorithm).  Choices a product model disallows (empty rows) are
     /// vacuous; at least one available choice is required.
     #[must_use]
     pub fn deadlock_states(&self) -> usize {
@@ -318,33 +336,6 @@ pub(crate) fn is_target<P: Program>(engine: &Engine<P>, target: CheckTarget) -> 
     })
 }
 
-/// Returns `true` if the engine's current state satisfies the safety
-/// invariants: every held fork is held by an adjacent philosopher, and
-/// eating implies holding both forks.
-///
-/// The single source of truth for the predicate the checker counts as
-/// `safety_violations`, the bounded explorers report as `safety_holds`,
-/// and the Monte-Carlo estimators surface as `unsafe_trials`
-/// (`gdp_analysis::state_is_safe` delegates here).
-#[must_use]
-pub fn state_is_safe<P: Program>(engine: &Engine<P>) -> bool {
-    engine.with_view(|view| {
-        for fork in view.topology().fork_ids() {
-            if let Some(holder) = view.holder_of(fork) {
-                if !view.topology().forks_of(holder).contains(fork) {
-                    return false;
-                }
-            }
-        }
-        for p in view.philosophers() {
-            if p.phase == Phase::Eating && p.holding.len() != 2 {
-                return false;
-            }
-        }
-        true
-    })
-}
-
 /// A successor reference produced by a worker before global merge.
 #[derive(Clone, Copy)]
 enum SuccRef {
@@ -354,9 +345,10 @@ enum SuccRef {
     New(u32),
 }
 
-struct NewState<P: Program> {
+struct NewState<P: Program, B> {
     key: u64,
     state: EngineState<P>,
+    bookkeeping: B,
     target: bool,
     safe: bool,
 }
@@ -364,27 +356,68 @@ struct NewState<P: Program> {
 /// Expansion of one contiguous frontier slice: edges in parent-major,
 /// choice-minor, draw-lexicographic order, plus the locally new states in
 /// discovery order.
-struct SliceExpansion<P: Program> {
+struct SliceExpansion<P: Program, B> {
     edges: Vec<(f64, SuccRef)>,
     /// One length per (parent, choice), parent-major.
     group_lens: Vec<u32>,
-    new_states: Vec<NewState<P>>,
+    new_states: Vec<NewState<P, B>>,
 }
 
-fn expand_slice<P>(
-    topology: &Topology,
-    program: &P,
-    sim: &SimConfig,
+impl<P: Program, B> SliceExpansion<P, B> {
+    /// Appends the edge to the state keyed `key`: known in the global map
+    /// `frozen` at layer start, already in this slice's `local` map of
+    /// `new_states`, or new here (built by `discover`).
+    #[inline]
+    fn push_edge(
+        &mut self,
+        frozen: &KeyMap<u32>,
+        local: &mut KeyMap<u32>,
+        prob: f64,
+        key: u64,
+        discover: impl FnOnce() -> NewState<P, B>,
+    ) {
+        let succ = if let Some(&idx) = frozen.get(&key) {
+            SuccRef::Known(idx)
+        } else {
+            match local.entry(key) {
+                Entry::Occupied(e) => SuccRef::New(*e.get()),
+                Entry::Vacant(e) => {
+                    let local_idx = self.new_states.len() as u32;
+                    e.insert(local_idx);
+                    self.new_states.push(discover());
+                    SuccRef::New(local_idx)
+                }
+            }
+        };
+        self.edges.push((prob, succ));
+    }
+}
+
+/// What every worker of one build shares.
+struct Shared<'a, P: Program, B: Bookkeeping> {
+    topology: &'a Topology,
+    program: &'a P,
+    sim: &'a SimConfig,
     target: CheckTarget,
-    automorphisms: &[Automorphism],
+    bound: B::Bound,
+    automorphisms: &'a [Automorphism],
+}
+
+fn expand_slice<P, B>(
+    shared: &Shared<'_, P, B>,
     frozen: &KeyMap<u32>,
-    slice: &[EngineState<P>],
-) -> SliceExpansion<P>
+    slice: &[(EngineState<P>, B)],
+) -> SliceExpansion<P, B>
 where
     P: Program + Clone,
+    B: Bookkeeping,
 {
-    let n = topology.num_philosophers();
-    let mut engine = Engine::new(topology.clone(), program.clone(), sim.clone());
+    let n = shared.topology.num_philosophers();
+    let mut engine = Engine::new(
+        shared.topology.clone(),
+        shared.program.clone(),
+        shared.sim.clone(),
+    );
     let mut scratch = RelabelScratch::new();
     let mut succ_buf = engine.snapshot();
     let mut local: KeyMap<u32> = KeyMap::default();
@@ -393,49 +426,75 @@ where
         group_lens: Vec::with_capacity(slice.len() * n),
         new_states: Vec::new(),
     };
-    for parent in slice {
+    for (parent, bookkeeping) in slice {
+        let allowed = bookkeeping.allowed(shared.bound, n);
         for choice in 0..n {
             let before = out.edges.len();
-            engine.for_each_step_outcome_from(
-                parent,
-                PhilosopherId::new(choice as u32),
-                |prob, post, _| {
-                    post.snapshot_into(&mut succ_buf);
-                    let key = canonical_key(&succ_buf, automorphisms, &mut scratch);
-                    let succ = if let Some(&idx) = frozen.get(&key) {
-                        SuccRef::Known(idx)
-                    } else {
-                        match local.entry(key) {
-                            Entry::Occupied(e) => SuccRef::New(*e.get()),
-                            Entry::Vacant(e) => {
-                                let local_idx = out.new_states.len() as u32;
-                                e.insert(local_idx);
-                                out.new_states.push(NewState {
-                                    key,
-                                    state: succ_buf.clone(),
-                                    target: is_target(post, target),
-                                    safe: state_is_safe(post),
-                                });
-                                SuccRef::New(local_idx)
-                            }
-                        }
-                    };
-                    out.edges.push((prob, succ));
-                },
-            );
+            if !B::PRODUCT || allowed & (1 << choice) != 0 {
+                let next = bookkeeping.scheduled(choice);
+                engine.for_each_step_outcome_from(
+                    parent,
+                    PhilosopherId::new(choice as u32),
+                    |prob, post, _| {
+                        post.snapshot_into(&mut succ_buf);
+                        let key =
+                            next.key(canonical_key(&succ_buf, shared.automorphisms, &mut scratch));
+                        out.push_edge(frozen, &mut local, prob, key, || NewState {
+                            key,
+                            state: succ_buf.clone(),
+                            bookkeeping: next.clone(),
+                            target: is_target(post, shared.target),
+                            safe: post.state_is_safe(),
+                        });
+                    },
+                );
+            }
             out.group_lens.push((out.edges.len() - before) as u32);
+        }
+        if B::CRASH_ROWS {
+            for victim in 0..n {
+                let before = out.edges.len();
+                if let Some(next) = bookkeeping.crashed(shared.bound, victim, n) {
+                    let key = next.key(canonical_key(parent, shared.automorphisms, &mut scratch));
+                    // A crash leaves the engine state as it is, so the
+                    // successor shares the (non-target) parent's flags.
+                    out.push_edge(frozen, &mut local, 1.0, key, || {
+                        engine.restore(parent);
+                        NewState {
+                            key,
+                            state: parent.clone(),
+                            bookkeeping: next,
+                            target: false,
+                            safe: engine.state_is_safe(),
+                        }
+                    });
+                }
+                out.group_lens.push((out.edges.len() - before) as u32);
+            }
         }
     }
     out
 }
 
-/// Builds the exact MDP of `program` on `topology` for `target`.
+/// Builds the exact MDP of `program` on `topology` for `target`, over the
+/// adversary class of [`BuildOptions::class`].
 ///
 /// See the [module docs](self) for the construction and its determinism
 /// guarantee.  The symmetry quotient is applied per
 /// [`BuildOptions::symmetry`]; for [`CheckTarget::PhilosopherEats`] only
 /// automorphisms *stabilising* the watched philosopher are used (the target
 /// set must be invariant under every relabelling the quotient identifies).
+///
+/// The state budget truncates the two kinds of build differently: an
+/// all-fair build stops after the layer that exhausts
+/// [`BuildOptions::max_states`], leaving that layer's discoveries
+/// unexpanded; a product build still expands every state it discovered.
+///
+/// # Panics
+///
+/// Panics when a product build has more philosophers than its choice
+/// bitmasks support (63 for k-bounded, 32 for crash-stop) or when a
+/// k-bounded class has `k = 0`.
 #[must_use]
 pub fn build_mdp<P>(
     topology: &Topology,
@@ -448,7 +507,36 @@ where
     P::State: Send + Sync,
 {
     let n = topology.num_philosophers();
-    let automorphisms: Vec<Automorphism> = if options.symmetry {
+    match options.class {
+        AdversaryClass::Fair => build::<P, ()>(topology, program, target, options, ()),
+        AdversaryClass::KBounded { k } => {
+            assert!(k >= 1, "k-bounded fairness needs k >= 1");
+            // `(1u64 << n) - 1` full-schedule masks need n < 64.
+            assert!(n <= 63, "k-bounded product supports up to 63 philosophers");
+            build::<P, Waits>(topology, program, target, options, k)
+        }
+        AdversaryClass::CrashStop { max_crashes } => {
+            assert!(n <= 32, "crash-stop product supports up to 32 philosophers");
+            build::<P, Crashed>(topology, program, target, options, max_crashes)
+        }
+    }
+}
+
+fn build<P, B>(
+    topology: &Topology,
+    program: &P,
+    target: CheckTarget,
+    options: &BuildOptions,
+    bound: B::Bound,
+) -> Mdp
+where
+    P: Program + Clone + Send + Sync,
+    P::State: Send + Sync,
+    B: Bookkeeping,
+{
+    let n = topology.num_philosophers();
+    let num_choices = if B::CRASH_ROWS { 2 * n } else { n };
+    let automorphisms: Vec<Automorphism> = if options.symmetry && !B::PRODUCT {
         symmetry::automorphisms(topology, options.automorphism_limit)
             .into_iter()
             .filter(|a| match target {
@@ -462,17 +550,40 @@ where
             topology.num_philosophers(),
         )]
     };
+    let shared = Shared {
+        topology,
+        program,
+        sim: &options.sim,
+        target,
+        bound,
+        automorphisms: &automorphisms,
+    };
+    // The fairness requirement of a product state: every schedule at a
+    // target, the bookkeeping's rule elsewhere.
+    let requirement = |bookkeeping: &B, is_target: bool| {
+        if is_target {
+            (1u64 << n) - 1
+        } else {
+            bookkeeping.requirement(bookkeeping.allowed(bound, n))
+        }
+    };
 
     let engine = Engine::new(topology.clone(), program.clone(), options.sim.clone());
     let mut scratch = RelabelScratch::new();
     let initial_state = engine.snapshot();
-    let initial_key = canonical_key(&initial_state, &automorphisms, &mut scratch);
+    let initial_bookkeeping = B::initial(n);
+    let initial_key =
+        initial_bookkeeping.key(canonical_key(&initial_state, &automorphisms, &mut scratch));
 
     let mut index_of_key: KeyMap<u32> = KeyMap::default();
     index_of_key.insert(initial_key, 0);
     let mut target_flags = vec![is_target(&engine, target)];
     let mut expanded = vec![false];
-    let mut safety_violations = usize::from(!state_is_safe(&engine));
+    let mut safety_violations = usize::from(!engine.state_is_safe());
+    let mut requirements: Vec<u64> = Vec::new();
+    if B::PRODUCT {
+        requirements.push(requirement(&initial_bookkeeping, target_flags[0]));
+    }
     let mut truncated = false;
 
     let mut row_offsets: Vec<u32> = vec![0];
@@ -481,44 +592,25 @@ where
     let mut rows_emitted: usize = 0; // states whose row groups are in the CSR
 
     let mut frontier_indices: Vec<u32> = Vec::new();
-    let mut frontier_states: Vec<EngineState<P>> = Vec::new();
+    let mut frontier: Vec<(EngineState<P>, B)> = Vec::new();
     if !target_flags[0] {
         frontier_indices.push(0);
-        frontier_states.push(initial_state);
+        frontier.push((initial_state, initial_bookkeeping));
     }
 
-    while !frontier_states.is_empty() && !truncated {
-        let threads = options.effective_threads(frontier_states.len());
-        let chunk_len = frontier_states.len().div_ceil(threads);
-        let chunks: Vec<&[EngineState<P>]> = frontier_states.chunks(chunk_len).collect();
-        let mut results: Vec<Option<SliceExpansion<P>>> = Vec::new();
+    while !frontier.is_empty() && (B::PRODUCT || !truncated) {
+        let threads = options.effective_threads(frontier.len());
+        let chunk_len = frontier.len().div_ceil(threads);
+        let chunks: Vec<&[(EngineState<P>, B)]> = frontier.chunks(chunk_len).collect();
+        let mut results: Vec<Option<SliceExpansion<P, B>>> = Vec::new();
         results.resize_with(chunks.len(), || None);
         if threads <= 1 {
-            results[0] = Some(expand_slice(
-                topology,
-                program,
-                &options.sim,
-                target,
-                &automorphisms,
-                &index_of_key,
-                chunks[0],
-            ));
+            results[0] = Some(expand_slice(&shared, &index_of_key, chunks[0]));
         } else {
-            let frozen = &index_of_key;
-            let automorphisms = &automorphisms;
+            let (shared, frozen) = (&shared, &index_of_key);
             std::thread::scope(|scope| {
                 for (chunk, slot) in chunks.iter().zip(results.iter_mut()) {
-                    scope.spawn(move || {
-                        *slot = Some(expand_slice(
-                            topology,
-                            program,
-                            &options.sim,
-                            target,
-                            automorphisms,
-                            frozen,
-                            chunk,
-                        ));
-                    });
+                    scope.spawn(move || *slot = Some(expand_slice(shared, frozen, chunk)));
                 }
             });
         }
@@ -526,7 +618,7 @@ where
         // Deterministic merge: workers in frontier order, new states in
         // discovery order — identical numbering for every thread count.
         let mut next_indices: Vec<u32> = Vec::new();
-        let mut next_states: Vec<EngineState<P>> = Vec::new();
+        let mut next_frontier: Vec<(EngineState<P>, B)> = Vec::new();
         let mut parent_cursor = 0usize;
         for result in results.into_iter().map(Option::unwrap) {
             let mut local_to_global: Vec<u32> = Vec::with_capacity(result.new_states.len());
@@ -543,9 +635,13 @@ where
                             target_flags.push(new_state.target);
                             expanded.push(false);
                             safety_violations += usize::from(!new_state.safe);
+                            if B::PRODUCT {
+                                requirements
+                                    .push(requirement(&new_state.bookkeeping, new_state.target));
+                            }
                             if !new_state.target {
                                 next_indices.push(idx);
-                                next_states.push(new_state.state);
+                                next_frontier.push((new_state.state, new_state.bookkeeping));
                             }
                             idx
                         }
@@ -556,18 +652,18 @@ where
             // Append this slice's rows, padding empty row groups for the
             // interleaved states that are not being expanded (targets,
             // budget-capped discoveries).
-            let parents_in_slice = result.group_lens.len() / n;
+            let parents_in_slice = result.group_lens.len() / num_choices;
             let mut edge_cursor = 0usize;
             for local_parent in 0..parents_in_slice {
                 let parent_index = frontier_indices[parent_cursor + local_parent] as usize;
                 while rows_emitted < parent_index {
-                    for _ in 0..n {
+                    for _ in 0..num_choices {
                         row_offsets.push(succs.len() as u32);
                     }
                     rows_emitted += 1;
                 }
-                for choice in 0..n {
-                    let len = result.group_lens[local_parent * n + choice] as usize;
+                for choice in 0..num_choices {
+                    let len = result.group_lens[local_parent * num_choices + choice] as usize;
                     for &(prob, succ) in &result.edges[edge_cursor..edge_cursor + len] {
                         let global = match succ {
                             SuccRef::Known(idx) => idx,
@@ -585,12 +681,12 @@ where
             parent_cursor += parents_in_slice;
         }
         frontier_indices = next_indices;
-        frontier_states = next_states;
+        frontier = next_frontier;
     }
 
     // Empty row groups for every remaining (target or unexpanded) state.
     while rows_emitted < target_flags.len() {
-        for _ in 0..n {
+        for _ in 0..num_choices {
             row_offsets.push(succs.len() as u32);
         }
         rows_emitted += 1;
@@ -602,54 +698,17 @@ where
 
     Mdp {
         num_states: target_flags.len(),
-        num_choices: n,
+        num_choices,
         initial: 0,
         target: target_flags,
         expanded,
         truncated,
         safety_violations,
         target_kind: target,
+        class: options.class,
         automorphisms,
         index_of_key,
-        fairness_requirement: None,
-        row_offsets,
-        succs,
-        probs,
-    }
-}
-
-/// Assembles an [`Mdp`] from raw compressed-sparse-row parts — the
-/// constructor used by the restricted-adversary product builder
-/// ([`crate::restricted`]), which lays out its rows with the same
-/// state-major, choice-minor, draw-lexicographic discipline.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mdp_from_parts(
-    num_choices: usize,
-    target: Vec<bool>,
-    expanded: Vec<bool>,
-    truncated: bool,
-    safety_violations: usize,
-    target_kind: CheckTarget,
-    automorphisms: Vec<Automorphism>,
-    index_of_key: KeyMap<u32>,
-    fairness_requirement: Option<Vec<u64>>,
-    row_offsets: Vec<u32>,
-    succs: Vec<u32>,
-    probs: Vec<f64>,
-) -> Mdp {
-    assert_eq!(row_offsets.len(), target.len() * num_choices + 1);
-    Mdp {
-        num_states: target.len(),
-        num_choices,
-        initial: 0,
-        target,
-        expanded,
-        truncated,
-        safety_violations,
-        target_kind,
-        automorphisms,
-        index_of_key,
-        fairness_requirement,
+        fairness_requirement: B::PRODUCT.then_some(requirements),
         row_offsets,
         succs,
         probs,
@@ -714,20 +773,26 @@ mod tests {
     #[test]
     fn models_are_bitwise_identical_across_thread_counts() {
         let ring = classic_ring(3).unwrap();
-        let serial = build_mdp(&ring, &Lr1::new(), CheckTarget::Progress, &options(true));
-        for threads in [2usize, 4, 7] {
-            let parallel = build_mdp(
-                &ring,
-                &Lr1::new(),
-                CheckTarget::Progress,
-                &options(true).with_threads(threads),
-            );
-            assert_eq!(serial.num_states, parallel.num_states);
-            assert_eq!(serial.target, parallel.target);
-            assert_eq!(serial.expanded, parallel.expanded);
-            assert_eq!(serial.row_offsets, parallel.row_offsets);
-            assert_eq!(serial.succs, parallel.succs);
-            assert_eq!(serial.probs, parallel.probs, "{threads} threads");
+        for class in [
+            AdversaryClass::Fair,
+            AdversaryClass::KBounded { k: 2 },
+            AdversaryClass::CrashStop { max_crashes: 1 },
+        ] {
+            let build = |threads: usize| {
+                let options = options(true).with_class(class).with_threads(threads);
+                build_mdp(&ring, &Lr1::new(), CheckTarget::Progress, &options)
+            };
+            let serial = build(1);
+            for threads in [2usize, 4, 7] {
+                let parallel = build(threads);
+                assert_eq!(serial.num_states, parallel.num_states);
+                assert_eq!(serial.target, parallel.target);
+                assert_eq!(serial.expanded, parallel.expanded);
+                assert_eq!(serial.fairness_requirement, parallel.fairness_requirement);
+                assert_eq!(serial.row_offsets, parallel.row_offsets);
+                assert_eq!(serial.succs, parallel.succs);
+                assert_eq!(serial.probs, parallel.probs, "{class:?}, {threads} threads");
+            }
         }
     }
 
@@ -750,6 +815,28 @@ mod tests {
         assert_eq!(a.num_states, b.num_states);
         assert_eq!(a.succs, b.succs);
         assert!(a.expanded.iter().any(|&e| !e), "some states unexpanded");
+
+        // Each kind of build truncates by its own rule, pinned to the
+        // counts `gdp check --max-states` prints: an all-fair build stops
+        // after the layer that exhausts the budget, a product build still
+        // expands every state it discovered.
+        let ring5 = classic_ring(5).unwrap();
+        let crash = AdversaryClass::CrashStop { max_crashes: 1 };
+        for (topology, class, max_states, transitions) in [
+            (&ring5, AdversaryClass::Fair, 500, 1819),
+            (&ring, crash, 5000, 20167),
+        ] {
+            for threads in [1, 2] {
+                let options = BuildOptions::default()
+                    .with_max_states(max_states)
+                    .with_threads(threads)
+                    .with_class(class);
+                let mdp = build_mdp(topology, &Gdp1::new(), CheckTarget::Progress, &options);
+                assert!(mdp.truncated, "{class:?}");
+                assert_eq!(mdp.num_states, max_states, "{class:?}");
+                assert_eq!(mdp.num_transitions(), transitions, "{class:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Exact checking under **restricted adversary classes**: k-bounded
-//! fairness and crash-stop faults.
+//! Adversary classes: the paper's all-fair default and the **restricted**
+//! k-bounded and crash-stop classes, plus the scheduler bookkeeping
+//! [`build_mdp`](crate::build_mdp) carries per state for the restricted
+//! ones.
 //!
-//! The standard model ([`build_mdp`](crate::build_mdp)) quantifies over
-//! *all* fair adversaries — the paper's notion.  Two families of the
-//! adversary catalog (`gdp-adversary`) carve out strictly different
-//! classes, and where those classes stay finite they can be checked
-//! exactly by building the **product** of the system automaton with the
-//! scheduler's bookkeeping:
+//! The default class quantifies over *all* fair adversaries — the paper's
+//! notion.  Two families of the adversary catalog (`gdp-adversary`) carve
+//! out strictly different classes, and where those classes stay finite they
+//! can be checked exactly on the **product** of the system automaton with
+//! the scheduler's bookkeeping:
 //!
-//! * [`ScheduleRestriction::KBounded`] — only schedules in which no
+//! * [`AdversaryClass::KBounded`] — only schedules in which no
 //!   philosopher's scheduling gap ever grows past a bound are allowed.
 //!   The product state carries one wait counter per philosopher; while
 //!   every counter is below `k` the adversary chooses freely, and once a
@@ -16,13 +17,13 @@
 //!   (so the realized gap is below `k + n`).  Every infinite play of the
 //!   product is bounded-fair **by construction**, so the end-component
 //!   analysis needs no fairness side condition at all
-//!   ([`Mdp::fairness_requirement`] is the zero mask).  Restricting the
-//!   adversary can only help the algorithm: worst-case probabilities under
-//!   k-bounded fairness are ≥ the unrestricted ones (test-enforced), and
-//!   strict gaps — e.g. LR1's sure starvation on the 3-ring evaporating
-//!   under small `k` — measure exactly how much scheduling freedom a
-//!   negative result needs.
-//! * [`ScheduleRestriction::CrashStop`] — the adversary gains, beyond
+//!   ([`Mdp::fairness_requirement`](crate::Mdp::fairness_requirement) is
+//!   the zero mask).  Restricting the adversary can only help the
+//!   algorithm: worst-case probabilities under k-bounded fairness are ≥
+//!   the unrestricted ones (test-enforced), and strict gaps — e.g. LR1's
+//!   sure starvation on the 3-ring evaporating under small `k` — measure
+//!   exactly how much scheduling freedom a negative result needs.
+//! * [`AdversaryClass::CrashStop`] — the adversary gains, beyond
 //!   scheduling, up to `max_crashes` **crash actions**: choice `n + p`
 //!   permanently removes philosopher `p` (mid-protocol, wherever it
 //!   stands, forks in hand).  The product state carries the crashed set;
@@ -35,36 +36,33 @@
 //!   starves both survivors fairly), proving Theorem 3's guarantee relies
 //!   on fairness to every philosopher, crashed ones included.
 //!
-//! The product construction is **serial** and deterministic: states are
-//! discovered in BFS order and expanded in discovery order, so state
-//! numbering, transition layout and every probability are identical
-//! across runs (restricted models are small — the product multiplies the
-//! state count by the scheduler-bookkeeping range, which is why this
-//! module insists on *finite* classes).  Symmetry reduction is off: the
-//! scheduler bookkeeping (wait counters, crashed sets) is not invariant
-//! under topology relabellings, and soundness beats the constant factor.
+//! A product build runs the same layered, parallel expansion as an
+//! all-fair build: the bookkeeping rides along with each frontier state,
+//! decides which of its rows are allowed, adds the crash rows, and is
+//! folded into the state's dedup key.  Product builds are quotient-free —
+//! the bookkeeping is not invariant under topology relabellings — and the
+//! product multiplies the state count by the bookkeeping range, which is
+//! why only *finite* classes are offered.
 
-use crate::model::{
-    is_target, mdp_from_parts, state_is_safe, BuildOptions, CheckTarget, KeyMap, Mdp, UNEXPLORED,
-};
-use gdp_sim::{fingerprint64, Engine, EngineState, Program};
-use gdp_topology::{Automorphism, PhilosopherId, Topology};
-use std::collections::hash_map::Entry;
+use gdp_sim::fingerprint64;
+use std::hash::Hash;
 
-/// The adversary class a restricted check quantifies over.
+/// The adversary class a check quantifies over (`gdp check --adversary`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ScheduleRestriction {
-    /// Only k-bounded-fair schedules: free scheduling while every
-    /// philosopher's wait is below `k`; once a wait reaches `k`, the
-    /// longest-waiting philosophers are forced.  Realized gaps stay below
-    /// `k + n`.
+pub enum AdversaryClass {
+    /// All fair schedulers, the paper's class (`fair`, the default).
+    Fair,
+    /// Only k-bounded-fair schedules (`kbounded:<k>`): free scheduling
+    /// while every philosopher's wait is below `k`; once a wait reaches
+    /// `k`, the longest-waiting philosophers are forced.  Realized gaps
+    /// stay below `k + n`.
     KBounded {
         /// The wait bound that triggers forcing (≥ 1).
         k: u32,
     },
     /// Fair scheduling of the survivors plus up to `max_crashes`
-    /// crash-stop actions: a crashed philosopher is never scheduled again
-    /// and keeps whatever forks it holds forever.
+    /// crash-stop actions (`crash:<f>`): a crashed philosopher is never
+    /// scheduled again and keeps whatever forks it holds forever.
     CrashStop {
         /// Maximum number of crash actions (capped at `n − 1`: somebody
         /// always survives).
@@ -72,298 +70,244 @@ pub enum ScheduleRestriction {
     },
 }
 
-impl ScheduleRestriction {
-    /// Stable human-readable description used in certificates.
+impl AdversaryClass {
+    /// Every class as `gdp list` prints it: spelling, then description.
+    pub const CATALOG: [(&'static str, &'static str); 3] = [
+        ("fair", "all fair schedulers (the paper's default)"),
+        (
+            "kbounded:<k>",
+            "only k-bounded-fair schedulers (product MDP)",
+        ),
+        ("crash:<f>", "fair scheduling + up to f crash-stop faults"),
+    ];
+
+    /// The canonical spelling (`fair`, `kbounded:<k>`, `crash:<f>`) —
+    /// stable, because it participates in check-store fingerprints.
     #[must_use]
-    pub fn describe(self) -> String {
+    pub fn name(self) -> String {
         match self {
-            ScheduleRestriction::KBounded { k } => {
-                format!("k-bounded-fair schedulers (k={k})")
-            }
-            ScheduleRestriction::CrashStop { max_crashes } => {
-                format!("fair schedulers with up to {max_crashes} crash-stop fault(s)")
-            }
+            AdversaryClass::Fair => "fair".to_string(),
+            AdversaryClass::KBounded { k } => format!("kbounded:{k}"),
+            AdversaryClass::CrashStop { max_crashes } => format!("crash:{max_crashes}"),
+        }
+    }
+
+    /// The certificate's `adversaries:` line, or `None` for the paper's
+    /// default class, which certificates leave implicit.
+    #[must_use]
+    pub fn describe(self) -> Option<String> {
+        match self {
+            AdversaryClass::Fair => None,
+            AdversaryClass::KBounded { k } => Some(format!("k-bounded-fair schedulers (k={k})")),
+            AdversaryClass::CrashStop { max_crashes } => Some(format!(
+                "fair schedulers with up to {max_crashes} crash-stop fault(s)"
+            )),
         }
     }
 }
 
-/// Scheduler bookkeeping carried in the product state.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum SchedTag {
-    /// Per-philosopher steps since last scheduled.
-    Waits(Vec<u32>),
-    /// Crashed-set bitmask plus the number of crash actions spent.
-    Crashed { mask: u32, used: u32 },
-}
+impl std::str::FromStr for AdversaryClass {
+    type Err = String;
 
-impl SchedTag {
-    fn key<P: Program>(&self, state: &EngineState<P>) -> u64 {
-        fingerprint64(&(state.fingerprint(), self))
-    }
-}
-
-/// One discovered-but-not-yet-expanded product state.
-struct Pending<P: Program> {
-    state: EngineState<P>,
-    tag: SchedTag,
-}
-
-/// The schedule-choices allowed by `tag` (bits `0..n`), per the
-/// restriction's forcing rule.
-fn allowed_schedules(restriction: ScheduleRestriction, tag: &SchedTag, n: usize) -> u64 {
-    match (restriction, tag) {
-        (ScheduleRestriction::KBounded { k }, SchedTag::Waits(waits)) => {
-            let max = *waits.iter().max().expect("at least one philosopher");
-            if max < k {
-                (1u64 << n) - 1
-            } else {
-                waits
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &w)| w == max)
-                    .fold(0u64, |mask, (p, _)| mask | (1 << p))
-            }
+    /// Parses a spelling of [`AdversaryClass::name`], case-insensitively,
+    /// plus the aliases `all-fair`/`all`, `kbounded-rr:<k>` and
+    /// `crash-stop:<f>`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let lower = s.to_ascii_lowercase();
+        if matches!(lower.as_str(), "fair" | "all-fair" | "all") {
+            return Ok(AdversaryClass::Fair);
         }
-        (ScheduleRestriction::CrashStop { .. }, SchedTag::Crashed { mask, .. }) => {
-            ((1u64 << n) - 1) & !u64::from(*mask)
-        }
-        _ => unreachable!("tag kind always matches the restriction"),
-    }
-}
-
-/// Builds the exact product MDP of `program` on `topology` for `target`
-/// under `restriction`.  See the [module docs](self) for the construction;
-/// [`BuildOptions::max_states`] bounds the product (`symmetry` and
-/// `threads` are ignored — the build is serial and quotient-free by
-/// design).
-///
-/// # Panics
-///
-/// Panics when the philosopher count exceeds what the choice bitmasks
-/// support (63 for k-bounded, 32 for crash-stop) or when a k-bounded
-/// restriction is built with `k = 0`.
-#[must_use]
-pub fn build_restricted_mdp<P>(
-    topology: &Topology,
-    program: &P,
-    target: CheckTarget,
-    restriction: ScheduleRestriction,
-    options: &BuildOptions,
-) -> Mdp
-where
-    P: Program + Clone,
-{
-    let n = topology.num_philosophers();
-    let (num_choices, initial_tag) = match restriction {
-        ScheduleRestriction::KBounded { k } => {
-            assert!(k >= 1, "k-bounded fairness needs k >= 1");
-            // `(1u64 << n) - 1` full-schedule masks need n < 64.
-            assert!(n <= 63, "k-bounded product supports up to 63 philosophers");
-            (n, SchedTag::Waits(vec![0; n]))
-        }
-        ScheduleRestriction::CrashStop { .. } => {
-            assert!(n <= 32, "crash-stop product supports up to 32 philosophers");
-            (2 * n, SchedTag::Crashed { mask: 0, used: 0 })
-        }
-    };
-
-    let mut engine = Engine::new(topology.clone(), program.clone(), options.sim.clone());
-    let mut succ_buf = engine.snapshot();
-    let initial_state = engine.snapshot();
-    let initial_target = is_target(&engine, target);
-
-    let mut index_of_key: KeyMap<u32> = KeyMap::default();
-    index_of_key.insert(initial_tag.key(&initial_state), 0);
-    let mut targets = vec![initial_target];
-    // Per product state (a crash successor inherits its parent's flag —
-    // the engine state is unchanged), folded into `safety_violations` at
-    // the end so the tally is path-independent.
-    let mut safe = vec![state_is_safe(&engine)];
-    let mut requirements: Vec<u64> = Vec::new();
-    let mut pending: Vec<Pending<P>> = vec![Pending {
-        state: initial_state,
-        tag: initial_tag,
-    }];
-    let mut truncated = false;
-
-    let mut row_offsets: Vec<u32> = vec![0];
-    let mut succs: Vec<u32> = Vec::new();
-    let mut probs: Vec<f64> = Vec::new();
-
-    // BFS discovery doubles as expansion order: state `cursor`'s row group
-    // is appended before state `cursor + 1` is looked at, so the CSR comes
-    // out state-major with no reordering pass.
-    let mut cursor = 0usize;
-    while cursor < pending.len() {
-        let full_schedules = (1u64 << n) - 1;
-        let (allowed, requirement) = if targets[cursor] {
-            (0u64, full_schedules)
-        } else {
-            let allowed = allowed_schedules(restriction, &pending[cursor].tag, n);
-            let requirement = match restriction {
-                // The wait counters force fairness structurally: every
-                // infinite play of the product is bounded-fair, so no
-                // choice needs to recur by fiat.
-                ScheduleRestriction::KBounded { .. } => 0u64,
-                // Only survivors must keep being scheduled.
-                ScheduleRestriction::CrashStop { .. } => allowed,
+        if let Some(k) = lower
+            .strip_prefix("kbounded:")
+            .or_else(|| lower.strip_prefix("kbounded-rr:"))
+        {
+            return match k.parse() {
+                Ok(k) if k >= 1 => Ok(AdversaryClass::KBounded { k }),
+                _ => Err(format!("invalid k in adversary class {s:?}")),
             };
-            (allowed, requirement)
-        };
-        requirements.push(requirement);
-        if targets[cursor] {
-            // Targets are absorbing: empty row groups.
-            for _ in 0..num_choices {
-                row_offsets.push(succs.len() as u32);
-            }
-            cursor += 1;
-            continue;
         }
+        if let Some(f) = lower
+            .strip_prefix("crash:")
+            .or_else(|| lower.strip_prefix("crash-stop:"))
+        {
+            return f
+                .parse()
+                .map(|max_crashes| AdversaryClass::CrashStop { max_crashes })
+                .map_err(|_| format!("invalid crash count in adversary class {s:?}"));
+        }
+        Err(format!(
+            "invalid adversary class {s:?}: expected fair, kbounded:<k> or crash:<f>"
+        ))
+    }
+}
 
-        for choice in 0..num_choices {
-            if choice < n {
-                // Schedule philosopher `choice`.
-                if allowed & (1 << choice) == 0 {
-                    row_offsets.push(succs.len() as u32);
-                    continue;
-                }
-                let succ_tag = match &pending[cursor].tag {
-                    SchedTag::Waits(waits) => {
-                        // The forcing rule keeps every counter below
-                        // `k + n`, so the product stays finite.
-                        let mut next = waits.clone();
-                        for (p, w) in next.iter_mut().enumerate() {
-                            *w = if p == choice { 0 } else { *w + 1 };
-                        }
-                        SchedTag::Waits(next)
-                    }
-                    crashed @ SchedTag::Crashed { .. } => crashed.clone(),
-                };
-                // Split borrows: the parent snapshot must outlive the
-                // enumeration while we mutate the shared maps.
-                let parent = pending[cursor].state.clone();
-                engine.for_each_step_outcome_from(
-                    &parent,
-                    PhilosopherId::new(choice as u32),
-                    |prob, post, _| {
-                        post.snapshot_into(&mut succ_buf);
-                        let key = succ_tag.key(&succ_buf);
-                        let succ = match index_of_key.entry(key) {
-                            Entry::Occupied(e) => *e.get(),
-                            Entry::Vacant(e) => {
-                                if targets.len() >= options.max_states {
-                                    truncated = true;
-                                    UNEXPLORED
-                                } else {
-                                    let idx = targets.len() as u32;
-                                    e.insert(idx);
-                                    targets.push(is_target(post, target));
-                                    safe.push(state_is_safe(post));
-                                    pending.push(Pending {
-                                        state: succ_buf.clone(),
-                                        tag: succ_tag.clone(),
-                                    });
-                                    idx
-                                }
-                            }
-                        };
-                        succs.push(succ);
-                        probs.push(prob);
-                    },
-                );
-                row_offsets.push(succs.len() as u32);
-            } else {
-                // Crash philosopher `choice - n` (crash-stop only).
-                let victim = choice - n;
-                let (mask, used, max_crashes) = match (&pending[cursor].tag, restriction) {
-                    (
-                        SchedTag::Crashed { mask, used },
-                        ScheduleRestriction::CrashStop { max_crashes },
-                    ) => (*mask, *used, max_crashes),
-                    _ => unreachable!("crash choices exist only in crash-stop products"),
-                };
-                let already_crashed = mask & (1 << victim) != 0;
-                let survivors_after = n as u32 - used - 1;
-                if already_crashed || used >= max_crashes || survivors_after == 0 {
-                    row_offsets.push(succs.len() as u32);
-                    continue;
-                }
-                let succ_tag = SchedTag::Crashed {
-                    mask: mask | (1 << victim),
-                    used: used + 1,
-                };
-                let key = succ_tag.key(&pending[cursor].state);
-                let succ = match index_of_key.entry(key) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        if targets.len() >= options.max_states {
-                            truncated = true;
-                            UNEXPLORED
-                        } else {
-                            let idx = targets.len() as u32;
-                            e.insert(idx);
-                            // The engine state is unchanged by a crash:
-                            // target/safety flags carry over from the parent.
-                            targets.push(targets[cursor]);
-                            safe.push(safe[cursor]);
-                            pending.push(Pending {
-                                state: pending[cursor].state.clone(),
-                                tag: succ_tag,
-                            });
-                            idx
-                        }
-                    }
-                };
-                succs.push(succ);
-                probs.push(1.0);
-                row_offsets.push(succs.len() as u32);
-            }
-        }
-        cursor += 1;
+/// The scheduler bookkeeping a build carries per state.
+///
+/// The all-fair class carries none (`()`): its keys, rows and frontier are
+/// exactly those of the plain system automaton.  A restricted class's
+/// bookkeeping decides which choices a state offers and joins the state's
+/// dedup key; `Bound` is the class parameter it is checked against.
+pub(crate) trait Bookkeeping: Clone + Hash + Send + Sync {
+    /// Whether states carry real bookkeeping (a product build).
+    const PRODUCT: bool = true;
+    /// Whether the adversary also has one crash choice per philosopher.
+    const CRASH_ROWS: bool = false;
+    /// The class parameter (`k`, the crash budget).
+    type Bound: Copy + Send + Sync;
+
+    /// The bookkeeping of the initial state of `n` philosophers.
+    fn initial(n: usize) -> Self;
+    /// The schedule choices allowed here, bit `p` for philosopher `p`.
+    fn allowed(&self, bound: Self::Bound, n: usize) -> u64;
+    /// The bookkeeping after philosopher `p` is scheduled.
+    fn scheduled(&self, p: usize) -> Self;
+    /// The bookkeeping after `victim` crashes, if that crash is allowed.
+    fn crashed(&self, _bound: Self::Bound, _victim: usize, _n: usize) -> Option<Self> {
+        None
+    }
+    /// The choices a fair adversary must keep taking while confined to an
+    /// end component through this non-target state, given its `allowed`
+    /// schedules.
+    fn requirement(&self, allowed: u64) -> u64;
+    /// The dedup key of a state with engine key `state_key`.
+    fn key(&self, state_key: u64) -> u64 {
+        fingerprint64(&(state_key, self))
+    }
+}
+
+impl Bookkeeping for () {
+    const PRODUCT: bool = false;
+    type Bound = ();
+
+    fn initial(_: usize) {}
+
+    fn allowed(&self, (): (), _: usize) -> u64 {
+        u64::MAX
     }
 
-    let expanded: Vec<bool> = targets.iter().map(|&t| !t).collect();
-    let safety_violations = safe.iter().filter(|&&s| !s).count();
-    mdp_from_parts(
-        num_choices,
-        targets,
-        expanded,
-        truncated,
-        safety_violations,
-        target,
-        vec![Automorphism::identity(
-            topology.num_forks(),
-            topology.num_philosophers(),
-        )],
-        index_of_key,
-        Some(requirements),
-        row_offsets,
-        succs,
-        probs,
-    )
+    fn scheduled(&self, _: usize) {}
+
+    fn requirement(&self, allowed: u64) -> u64 {
+        allowed
+    }
+
+    fn key(&self, state_key: u64) -> u64 {
+        state_key
+    }
+}
+
+/// k-bounded fairness: the steps since each philosopher was last
+/// scheduled.
+#[derive(Clone, Hash)]
+pub(crate) struct Waits(Box<[u32]>);
+
+impl Bookkeeping for Waits {
+    type Bound = u32;
+
+    fn initial(n: usize) -> Self {
+        Waits(vec![0; n].into_boxed_slice())
+    }
+
+    fn allowed(&self, k: u32, n: usize) -> u64 {
+        let max = *self.0.iter().max().expect("at least one philosopher");
+        if max < k {
+            (1u64 << n) - 1
+        } else {
+            self.0
+                .iter()
+                .enumerate()
+                .filter(|&(_, &w)| w == max)
+                .fold(0u64, |mask, (p, _)| mask | (1 << p))
+        }
+    }
+
+    fn scheduled(&self, p: usize) -> Self {
+        // The forcing rule keeps every counter below `k + n`, so the
+        // product stays finite.
+        Waits(
+            self.0
+                .iter()
+                .enumerate()
+                .map(|(q, &w)| if q == p { 0 } else { w + 1 })
+                .collect(),
+        )
+    }
+
+    fn requirement(&self, _: u64) -> u64 {
+        // The wait counters force fairness structurally: every infinite
+        // play of the product is bounded-fair, so no choice needs to recur
+        // by fiat.
+        0
+    }
+}
+
+/// Crash-stop faults: the crashed set, bit `p` for philosopher `p`.
+#[derive(Clone, Copy, Hash)]
+pub(crate) struct Crashed(u64);
+
+impl Bookkeeping for Crashed {
+    const CRASH_ROWS: bool = true;
+    type Bound = u32;
+
+    fn initial(_: usize) -> Self {
+        Crashed(0)
+    }
+
+    fn allowed(&self, _: u32, n: usize) -> u64 {
+        ((1u64 << n) - 1) & !self.0
+    }
+
+    fn scheduled(&self, _: usize) -> Self {
+        *self
+    }
+
+    fn crashed(&self, max_crashes: u32, victim: usize, n: usize) -> Option<Self> {
+        let used = self.0.count_ones();
+        let alive = self.0 & (1 << victim) == 0;
+        // Somebody always survives.
+        (alive && used < max_crashes && (used as usize) + 1 < n)
+            .then_some(Crashed(self.0 | (1 << victim)))
+    }
+
+    fn requirement(&self, allowed: u64) -> u64 {
+        // Only survivors must keep being scheduled.
+        allowed
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{build_mdp, BuildOptions, CheckTarget, Mdp};
     use crate::solve::{solve, SolveOptions};
     use gdp_algorithms::baselines::NaiveLeftRight;
     use gdp_algorithms::{Gdp1, Lr1};
+    use gdp_sim::Program;
     use gdp_topology::builders::classic_ring;
+    use gdp_topology::PhilosopherId;
 
-    fn options(max_states: usize) -> BuildOptions {
-        BuildOptions::default().with_max_states(max_states)
+    fn ring3<P: Program + Clone + Send + Sync>(
+        program: &P,
+        target: CheckTarget,
+        class: AdversaryClass,
+        max_states: usize,
+    ) -> Mdp
+    where
+        P::State: Send + Sync,
+    {
+        let options = BuildOptions::default()
+            .with_max_states(max_states)
+            .with_class(class);
+        build_mdp(&classic_ring(3).unwrap(), program, target, &options)
     }
 
     #[test]
     fn kbounded_product_is_finite_and_rows_are_stochastic() {
-        let ring = classic_ring(3).unwrap();
-        let mdp = build_restricted_mdp(
-            &ring,
+        let mdp = ring3(
             &Lr1::new(),
             CheckTarget::Progress,
-            ScheduleRestriction::KBounded { k: 2 },
-            &options(400_000),
+            AdversaryClass::KBounded { k: 2 },
+            400_000,
         );
         assert!(!mdp.truncated);
         assert!(mdp.num_states > 10);
@@ -389,14 +333,12 @@ mod tests {
     fn restricting_the_adversary_never_hurts_a_certified_property() {
         // GDP1 progress on the 3-ring is certified 1 over *all* fair
         // adversaries; over the k-bounded subclass it must stay 1.
-        let ring = classic_ring(3).unwrap();
         for k in [1u32, 3] {
-            let mdp = build_restricted_mdp(
-                &ring,
+            let mdp = ring3(
                 &Gdp1::new(),
                 CheckTarget::Progress,
-                ScheduleRestriction::KBounded { k },
-                &options(2_000_000),
+                AdversaryClass::KBounded { k },
+                2_000_000,
             );
             assert!(!mdp.truncated, "k={k}");
             let solution = solve(&mdp, &SolveOptions::default());
@@ -410,14 +352,12 @@ mod tests {
         // (probability 0 of eating).  Under 1-bounded fairness the
         // adversary degenerates to round-robin-like forced rotations and
         // loses: the worst-case probability climbs strictly above 0.
-        let ring = classic_ring(3).unwrap();
         let target = CheckTarget::PhilosopherEats(PhilosopherId::new(0));
-        let tight = build_restricted_mdp(
-            &ring,
+        let tight = ring3(
             &Lr1::new(),
             target,
-            ScheduleRestriction::KBounded { k: 1 },
-            &options(2_000_000),
+            AdversaryClass::KBounded { k: 1 },
+            2_000_000,
         );
         assert!(!tight.truncated);
         let tight_solution = solve(&tight, &SolveOptions::default());
@@ -428,12 +368,11 @@ mod tests {
 
         // With generous k the starvation strategy fits inside the class
         // again: the probability drops back to exactly 0.
-        let loose = build_restricted_mdp(
-            &ring,
+        let loose = ring3(
             &Lr1::new(),
             target,
-            ScheduleRestriction::KBounded { k: 6 },
-            &options(4_000_000),
+            AdversaryClass::KBounded { k: 6 },
+            4_000_000,
         );
         assert!(!loose.truncated);
         let loose_solution = solve(&loose, &SolveOptions::default());
@@ -450,13 +389,11 @@ mod tests {
         // With a zero crash budget the product degenerates to the
         // unrestricted model: GDP1 progress on the 3-ring stays certified 1
         // (Theorem 3 on a witness topology).
-        let ring = classic_ring(3).unwrap();
-        let zero = build_restricted_mdp(
-            &ring,
+        let zero = ring3(
             &Gdp1::new(),
             CheckTarget::Progress,
-            ScheduleRestriction::CrashStop { max_crashes: 0 },
-            &options(2_000_000),
+            AdversaryClass::CrashStop { max_crashes: 0 },
+            2_000_000,
         );
         assert!(!zero.truncated);
         let no_crash = solve(&zero, &SolveOptions::default());
@@ -473,12 +410,11 @@ mod tests {
         // Every survivor is scheduled infinitely often, nobody ever eats:
         // Theorem 3's progress guarantee genuinely relies on fairness *to
         // the crashed philosopher*.
-        let one = build_restricted_mdp(
-            &ring,
+        let one = ring3(
             &Gdp1::new(),
             CheckTarget::Progress,
-            ScheduleRestriction::CrashStop { max_crashes: 1 },
-            &options(2_000_000),
+            AdversaryClass::CrashStop { max_crashes: 1 },
+            2_000_000,
         );
         assert!(!one.truncated);
         let one_crash = solve(&one, &SolveOptions::default());
@@ -494,13 +430,11 @@ mod tests {
     fn crash_stop_refutes_individual_liveness_trivially() {
         // Against `philosopher 0 eats`, the adversary just crashes P0
         // before it ever eats: worst-case probability exactly 0.
-        let ring = classic_ring(3).unwrap();
-        let mdp = build_restricted_mdp(
-            &ring,
+        let mdp = ring3(
             &Gdp1::new(),
             CheckTarget::PhilosopherEats(PhilosopherId::new(0)),
-            ScheduleRestriction::CrashStop { max_crashes: 1 },
-            &options(2_000_000),
+            AdversaryClass::CrashStop { max_crashes: 1 },
+            2_000_000,
         );
         assert!(!mdp.truncated);
         let solution = solve(&mdp, &SolveOptions::default());
@@ -512,13 +446,11 @@ mod tests {
     fn naive_deadlock_survives_the_kbounded_restriction() {
         // The all-hold-left deadlock needs no adversarial patience at all:
         // it is reachable under 1-bounded fairness too.
-        let ring = classic_ring(3).unwrap();
-        let mdp = build_restricted_mdp(
-            &ring,
+        let mdp = ring3(
             &NaiveLeftRight::new(),
             CheckTarget::Progress,
-            ScheduleRestriction::KBounded { k: 1 },
-            &options(1_000_000),
+            AdversaryClass::KBounded { k: 1 },
+            1_000_000,
         );
         assert!(!mdp.truncated);
         let solution = solve(&mdp, &SolveOptions::default());
@@ -532,14 +464,12 @@ mod tests {
 
     #[test]
     fn restricted_builds_are_deterministic() {
-        let ring = classic_ring(3).unwrap();
         let build = || {
-            build_restricted_mdp(
-                &ring,
+            ring3(
                 &Lr1::new(),
                 CheckTarget::Progress,
-                ScheduleRestriction::CrashStop { max_crashes: 1 },
-                &options(500_000),
+                AdversaryClass::CrashStop { max_crashes: 1 },
+                500_000,
             )
         };
         let a = build();
@@ -557,16 +487,21 @@ mod tests {
 
     #[test]
     fn truncation_is_reported() {
-        let ring = classic_ring(3).unwrap();
-        let mdp = build_restricted_mdp(
-            &ring,
+        let mdp = ring3(
             &Lr1::new(),
             CheckTarget::Progress,
-            ScheduleRestriction::KBounded { k: 3 },
-            &options(50),
+            AdversaryClass::KBounded { k: 3 },
+            50,
         );
         assert!(mdp.truncated);
         assert_eq!(mdp.num_states, 50);
+        // Unlike all-fair builds, a product build still expands every
+        // state it discovered.
+        assert!(mdp
+            .expanded
+            .iter()
+            .zip(&mdp.target)
+            .all(|(&expanded, &target)| expanded != target));
         let solution = solve(&mdp, &SolveOptions::default());
         assert!(!solution.holds_with_probability_one());
         assert!(!solution.certified);

@@ -5,9 +5,9 @@
 //! through `gdp-mcheck`: build the exact MDP, solve it, extract a
 //! counterexample schedule when the property fails, and return
 //! byte-reproducible [`Certificate`]s.  This is the engine behind
-//! `gdp check`, and [`exact_cell_verdict`] is the trimmed-down variant the
-//! sweep runner calls to put exact verdicts *next to* the Monte-Carlo
-//! estimates in sweep reports.
+//! `gdp check`, and the sweep runner reads [`ExactCellVerdict`]s off its
+//! reports to put exact verdicts *next to* the Monte-Carlo estimates in
+//! sweep reports.
 //!
 //! This module is deliberately non-generic: `gdp-mcheck`'s builders are
 //! monomorphised here (over `gdp_algorithms::AnyProgram`) so every caller —
@@ -21,20 +21,19 @@ use gdp_algorithms::AlgorithmKind;
 pub use gdp_mcheck::certificate::Verdict as CheckVerdict;
 use gdp_mcheck::certificate::Verdict;
 use gdp_mcheck::strategy::{counterexample_dot, extract_counterexample, CounterexampleSchedule};
-use gdp_mcheck::{
-    build_mdp, build_restricted_mdp, solve, BuildOptions, Certificate, CheckTarget,
-    ScheduleRestriction, SolveOptions,
-};
+pub use gdp_mcheck::AdversaryClass;
+use gdp_mcheck::{build_mdp, solve, BuildOptions, Certificate, CheckTarget, SolveOptions};
 use gdp_topology::{symmetry, PhilosopherId, Topology};
 use std::fmt::Write as _;
 
-/// The adversary class a check quantifies over, as named on the command
-/// line (`gdp check --adversary`).
+/// The exact class matching a sweep's concrete scheduler: `crash:<f>` maps
+/// to the crash-stop class with the same budget (the sweep's faulty
+/// scheduler is a member, so the verdict speaks about the row); every
+/// *fair* family — dwell round-robin included — is a member of the all-fair
+/// default.
 ///
-/// The default is the paper's: **all** fair schedulers, which contains
-/// every *fair* catalog family.  The restricted classes relate to the
-/// `gdp-adversary` catalog as follows (tabulated in
-/// `docs/ADVERSARIES.md`):
+/// The classes relate to the `gdp-adversary` catalog as follows
+/// (tabulated in `docs/ADVERSARIES.md`):
 ///
 /// * `crash:<f>` contains the catalog's `crash:<f>` scheduler exactly
 ///   (same victim budget, every crash timing/placement), so a
@@ -44,94 +43,12 @@ use std::fmt::Write as _;
 ///   `kbounded:<k>` produces gaps of `k·(n−1)` steps, so it lies in the
 ///   exact class `kbounded:<k·(n−1)>` — **not** in `kbounded:<k>` for
 ///   `k ≥ 2`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckAdversarySpec {
-    /// All fair schedulers (`--adversary fair`, the default).
-    AllFair,
-    /// Only k-bounded-fair schedulers (`--adversary kbounded:<k>`).
-    KBounded {
-        /// The wait bound that triggers forcing.
-        k: u32,
-    },
-    /// Fair schedulers plus up to `crashes` crash-stop faults
-    /// (`--adversary crash:<f>`).
-    CrashStop {
-        /// Maximum number of crash actions.
-        crashes: u32,
-    },
-}
-
-impl CheckAdversarySpec {
-    /// The exact class matching a sweep's concrete scheduler: `crash:<f>`
-    /// maps to the crash-stop class with the same budget (the sweep's
-    /// faulty scheduler is a member, so the verdict speaks about the
-    /// row); every *fair* family — dwell round-robin included — is a
-    /// member of the all-fair default.
-    #[must_use]
-    pub fn for_sweep_adversary(adversary: gdp_adversary::AdversaryKind) -> Self {
-        match adversary {
-            gdp_adversary::AdversaryKind::CrashStop { crashes } => {
-                CheckAdversarySpec::CrashStop { crashes }
-            }
-            _ => CheckAdversarySpec::AllFair,
-        }
-    }
-
-    /// The canonical command-line spelling (`fair`, `kbounded:<k>`,
-    /// `crash:<f>`) — stable, because it participates in check-store
-    /// fingerprints ([`CheckSpec::store_context`]).
-    #[must_use]
-    pub fn name(self) -> String {
-        match self {
-            CheckAdversarySpec::AllFair => "fair".to_string(),
-            CheckAdversarySpec::KBounded { k } => format!("kbounded:{k}"),
-            CheckAdversarySpec::CrashStop { crashes } => format!("crash:{crashes}"),
-        }
-    }
-
-    /// The product-MDP restriction, or `None` for the unrestricted model.
-    #[must_use]
-    pub fn restriction(self) -> Option<ScheduleRestriction> {
-        match self {
-            CheckAdversarySpec::AllFair => None,
-            CheckAdversarySpec::KBounded { k } => Some(ScheduleRestriction::KBounded { k }),
-            CheckAdversarySpec::CrashStop { crashes } => Some(ScheduleRestriction::CrashStop {
-                max_crashes: crashes,
-            }),
-        }
-    }
-}
-
-impl std::str::FromStr for CheckAdversarySpec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lower = s.to_ascii_lowercase();
-        match lower.as_str() {
-            "fair" | "all-fair" | "all" => return Ok(CheckAdversarySpec::AllFair),
-            _ => {}
-        }
-        if let Some(k) = lower
-            .strip_prefix("kbounded:")
-            .or_else(|| lower.strip_prefix("kbounded-rr:"))
-        {
-            return match k.parse() {
-                Ok(k) if k >= 1 => Ok(CheckAdversarySpec::KBounded { k }),
-                _ => Err(format!("invalid k in adversary class {s:?}")),
-            };
-        }
-        if let Some(f) = lower
-            .strip_prefix("crash:")
-            .or_else(|| lower.strip_prefix("crash-stop:"))
-        {
-            return f
-                .parse()
-                .map(|crashes| CheckAdversarySpec::CrashStop { crashes })
-                .map_err(|_| format!("invalid crash count in adversary class {s:?}"));
-        }
-        Err(format!(
-            "invalid adversary class {s:?}: expected fair, kbounded:<k> or crash:<f>"
-        ))
+pub(crate) fn sweep_check_class(adversary: gdp_adversary::AdversaryKind) -> AdversaryClass {
+    match adversary {
+        gdp_adversary::AdversaryKind::CrashStop { crashes } => AdversaryClass::CrashStop {
+            max_crashes: crashes,
+        },
+        _ => AdversaryClass::Fair,
     }
 }
 
@@ -199,7 +116,9 @@ pub struct CheckSpec {
     /// certificate is byte-identical for every value.
     pub threads: usize,
     /// Symmetry quotient: `None` resolves automatically from
-    /// [`AlgorithmKind::is_relabelling_invariant`].
+    /// [`AlgorithmKind::is_relabelling_invariant`].  Restricted classes
+    /// build quotient-free; for them it only decides whether a `lockout`
+    /// check covers one philosopher per orbit or every philosopher.
     pub symmetry: Option<bool>,
     /// Also compute the exact expected steps-to-first-meal under the
     /// uniform random scheduler.
@@ -207,11 +126,11 @@ pub struct CheckSpec {
     /// Seed used to *build* random topology families (never for the check
     /// itself — every draw is enumerated, not sampled).
     pub topology_seed: u64,
-    /// The adversary class to quantify over.  Restricted classes build the
-    /// product MDP of `gdp-mcheck::restricted` (serial, quotient-free) and
-    /// skip counterexample extraction — the replayer speaks engine states,
-    /// not product states.
-    pub adversary: CheckAdversarySpec,
+    /// The adversary class to quantify over.  Restricted classes build a
+    /// quotient-free product MDP (see `gdp_mcheck::restricted`) and skip
+    /// counterexample extraction — the replayer speaks engine states, not
+    /// product states.
+    pub adversary: AdversaryClass,
 }
 
 impl CheckSpec {
@@ -229,7 +148,7 @@ impl CheckSpec {
             symmetry: None,
             expected_steps: false,
             topology_seed: 0,
-            adversary: CheckAdversarySpec::AllFair,
+            adversary: AdversaryClass::Fair,
         }
     }
 
@@ -368,48 +287,42 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, String> {
     let build_options = BuildOptions::default()
         .with_max_states(spec.max_states)
         .with_symmetry(spec.effective_symmetry())
-        .with_threads(spec.threads);
+        .with_threads(spec.threads)
+        .with_class(spec.adversary);
+    let unrestricted = spec.adversary == AdversaryClass::Fair;
     let solve_options = SolveOptions {
         // Expected-steps iteration averages over schedule choices, which
         // only makes sense in the unrestricted model (restricted products
         // add crash choices / forced rows).
-        expected_steps: spec.expected_steps && spec.adversary == CheckAdversarySpec::AllFair,
+        expected_steps: spec.expected_steps && unrestricted,
         ..SolveOptions::default()
     };
 
     let program = spec.algorithm.program();
-    let restriction = spec.adversary.restriction();
     let mut certificates = Vec::with_capacity(targets.len());
     let mut counterexample = None;
     let mut counterexample_dot_out = None;
     for target in targets {
-        let mdp = match restriction {
-            None => build_mdp(&topology, &program, target, &build_options),
-            Some(restriction) => {
-                build_restricted_mdp(&topology, &program, target, restriction, &build_options)
-            }
-        };
+        let mdp = build_mdp(&topology, &program, target, &build_options);
         let solution = solve(&mdp, &solve_options);
         // Counterexample replay speaks plain engine states; restricted
         // product states carry scheduler bookkeeping the replayer cannot
         // reconstruct, so extraction is limited to the unrestricted model.
-        let schedule = if restriction.is_none()
-            && counterexample.is_none()
-            && !solution.holds_with_probability_one()
-        {
-            extract_counterexample(
-                &topology,
-                &program,
-                &build_options.sim,
-                &mdp,
-                &solution,
-                &[0, 1, 2, 3, 4, 5, 6, 7],
-                counterexample_length(&topology),
-            )
-        } else {
-            None
-        };
-        let mut certificate = Certificate::new(
+        let schedule =
+            if unrestricted && counterexample.is_none() && !solution.holds_with_probability_one() {
+                extract_counterexample(
+                    &topology,
+                    &program,
+                    &build_options.sim,
+                    &mdp,
+                    &solution,
+                    &[0, 1, 2, 3, 4, 5, 6, 7],
+                    counterexample_length(&topology),
+                )
+            } else {
+                None
+            };
+        certificates.push(Certificate::new(
             &topology,
             spec.algorithm.name(),
             target,
@@ -417,11 +330,7 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, String> {
             &mdp,
             &solution,
             schedule.as_ref(),
-        );
-        if let Some(restriction) = restriction {
-            certificate = certificate.with_adversary_class(restriction.describe());
-        }
-        certificates.push(certificate);
+        ));
         if let Some(schedule) = schedule {
             counterexample_dot_out = Some(counterexample_dot(
                 &topology,
@@ -735,38 +644,18 @@ pub struct ExactCellVerdict {
     pub states: usize,
 }
 
-/// Runs the trimmed-down exact progress check a sweep attaches to a cell,
-/// quantifying over `adversary` — the sweep runner passes the class
-/// matching the sweep's scheduler ([`CheckAdversarySpec::for_sweep_adversary`]),
-/// so the exact columns and the Monte-Carlo columns of a row never
-/// contradict each other.
-///
-/// # Errors
-///
-/// Returns a message when the topology cannot be built.
-pub fn exact_cell_verdict(
-    family: TopologyFamily,
-    size: usize,
-    algorithm: AlgorithmKind,
-    topology_seed: u64,
-    max_states: usize,
-    threads: usize,
-    adversary: CheckAdversarySpec,
-) -> Result<ExactCellVerdict, String> {
-    let spec = CheckSpec {
-        max_states,
-        threads,
-        topology_seed,
-        adversary,
-        ..CheckSpec::new(family, size, algorithm)
-    };
-    let report = run_check(&spec)?;
-    let certificate = &report.certificates[0];
-    Ok(ExactCellVerdict {
-        verdict: report.verdict().name().to_string(),
-        progress_probability: certificate.probability,
-        states: certificate.states,
-    })
+impl ExactCellVerdict {
+    /// The sweep columns of a progress check's report: its overall verdict,
+    /// and the probability and state count of its first certificate.
+    #[must_use]
+    pub fn from_report(report: &CheckReport) -> Self {
+        let certificate = &report.certificates[0];
+        ExactCellVerdict {
+            verdict: report.verdict().name().to_string(),
+            progress_probability: certificate.probability,
+            states: certificate.states,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -781,6 +670,25 @@ mod tests {
         assert_eq!(report.certificates[0].probability, 1.0);
         assert!(report.counterexample.is_none());
         assert!(report.render().contains("overall verdict:   certified"));
+
+        // The small deadlock-free systems certify too, with safety holding
+        // in every reachable state under every draw: GDP1 and LR1 on the
+        // 2-ring, and the asymmetric ordered-forks baseline on the 3-ring.
+        for (size, algorithm, states, transitions) in [
+            (2, AlgorithmKind::Gdp1, 50, 81),
+            (2, AlgorithmKind::Lr1, 28, 47),
+            (3, AlgorithmKind::OrderedForks, 42, 72),
+        ] {
+            let report = run_check(&CheckSpec::new(TopologyFamily::Ring, size, algorithm)).unwrap();
+            assert_eq!(report.verdict(), Verdict::Certified, "{algorithm}");
+            let certificate = &report.certificates[0];
+            assert_eq!(certificate.safety_violations, 0, "{algorithm}");
+            assert_eq!(
+                (certificate.states, certificate.transitions),
+                (states, transitions),
+                "{algorithm} on the {size}-ring"
+            );
+        }
     }
 
     #[test]
@@ -828,28 +736,18 @@ mod tests {
 
     #[test]
     fn exact_cell_verdicts_report_budget_exhaustion_as_inconclusive() {
-        let tiny = exact_cell_verdict(
-            TopologyFamily::Ring,
-            5,
-            AlgorithmKind::Gdp1,
-            0,
-            100,
-            1,
-            CheckAdversarySpec::AllFair,
-        )
-        .unwrap();
+        let exact_cell = |size, algorithm, max_states| {
+            let spec = CheckSpec {
+                max_states,
+                threads: 1,
+                ..CheckSpec::new(TopologyFamily::Ring, size, algorithm)
+            };
+            ExactCellVerdict::from_report(&run_check(&spec).unwrap())
+        };
+        let tiny = exact_cell(5, AlgorithmKind::Gdp1, 100);
         assert_eq!(tiny.verdict, "inconclusive");
         assert_eq!(tiny.states, 100);
-        let real = exact_cell_verdict(
-            TopologyFamily::Ring,
-            3,
-            AlgorithmKind::Lr1,
-            0,
-            100_000,
-            1,
-            CheckAdversarySpec::AllFair,
-        )
-        .unwrap();
+        let real = exact_cell(3, AlgorithmKind::Lr1, 100_000);
         assert_eq!(real.verdict, "certified");
         assert_eq!(real.progress_probability, 1.0);
     }
@@ -860,30 +758,25 @@ mod tests {
         // Fair families map to the all-fair default; the crash family maps
         // to the crash class with the same budget...
         assert_eq!(
-            CheckAdversarySpec::for_sweep_adversary(AdversaryKind::UniformRandom),
-            CheckAdversarySpec::AllFair
+            sweep_check_class(AdversaryKind::UniformRandom),
+            AdversaryClass::Fair
         );
         assert_eq!(
-            CheckAdversarySpec::for_sweep_adversary(AdversaryKind::KBoundedRoundRobin { k: 4 }),
-            CheckAdversarySpec::AllFair
+            sweep_check_class(AdversaryKind::KBoundedRoundRobin { k: 4 }),
+            AdversaryClass::Fair
         );
-        assert_eq!(
-            CheckAdversarySpec::for_sweep_adversary(AdversaryKind::CrashStop { crashes: 1 }),
-            CheckAdversarySpec::CrashStop { crashes: 1 }
-        );
+        let crash = sweep_check_class(AdversaryKind::CrashStop { crashes: 1 });
+        assert_eq!(crash, AdversaryClass::CrashStop { max_crashes: 1 });
         // ...so a crash:1 GDP1 ring-3 cell reports the crash-class verdict
         // (violated, probability 0) instead of a contradictory all-fair
         // "certified" next to faulty Monte-Carlo columns.
-        let exact = exact_cell_verdict(
-            TopologyFamily::Ring,
-            3,
-            AlgorithmKind::Gdp1,
-            0,
-            2_000_000,
-            1,
-            CheckAdversarySpec::for_sweep_adversary(AdversaryKind::CrashStop { crashes: 1 }),
-        )
-        .unwrap();
+        let spec = CheckSpec {
+            max_states: 2_000_000,
+            threads: 1,
+            adversary: crash,
+            ..CheckSpec::new(TopologyFamily::Ring, 3, AlgorithmKind::Gdp1)
+        };
+        let exact = ExactCellVerdict::from_report(&run_check(&spec).unwrap());
         assert_eq!(exact.verdict, "violated");
         assert_eq!(exact.progress_probability, 0.0);
     }
@@ -894,7 +787,7 @@ mod tests {
         // (see gdp-mcheck::restricted): violated, with the class named in
         // the certificate.
         let spec = CheckSpec {
-            adversary: CheckAdversarySpec::CrashStop { crashes: 1 },
+            adversary: AdversaryClass::CrashStop { max_crashes: 1 },
             ..CheckSpec::new(TopologyFamily::Ring, 3, AlgorithmKind::Gdp1)
         };
         let report = run_check(&spec).unwrap();
@@ -909,7 +802,7 @@ mod tests {
         // The k-bounded class is a *subset* of all fair schedulers: GDP1
         // progress stays certified.
         let spec = CheckSpec {
-            adversary: CheckAdversarySpec::KBounded { k: 2 },
+            adversary: AdversaryClass::KBounded { k: 2 },
             ..CheckSpec::new(TopologyFamily::Ring, 3, AlgorithmKind::Gdp1)
         };
         let report = run_check(&spec).unwrap();
@@ -921,21 +814,20 @@ mod tests {
 
     #[test]
     fn check_adversary_specs_parse() {
-        assert_eq!(
-            "fair".parse::<CheckAdversarySpec>().unwrap(),
-            CheckAdversarySpec::AllFair
-        );
-        assert_eq!(
-            "kbounded:3".parse::<CheckAdversarySpec>().unwrap(),
-            CheckAdversarySpec::KBounded { k: 3 }
-        );
-        assert_eq!(
-            "crash:2".parse::<CheckAdversarySpec>().unwrap(),
-            CheckAdversarySpec::CrashStop { crashes: 2 }
-        );
-        assert!("kbounded:0".parse::<CheckAdversarySpec>().is_err());
-        assert!("uniform-random".parse::<CheckAdversarySpec>().is_err());
-        assert_eq!(CheckAdversarySpec::AllFair.restriction(), None);
+        for (spelling, class) in [
+            ("fair", AdversaryClass::Fair),
+            ("All-Fair", AdversaryClass::Fair),
+            ("kbounded:3", AdversaryClass::KBounded { k: 3 }),
+            ("kbounded-rr:3", AdversaryClass::KBounded { k: 3 }),
+            ("crash:2", AdversaryClass::CrashStop { max_crashes: 2 }),
+            ("crash-stop:2", AdversaryClass::CrashStop { max_crashes: 2 }),
+        ] {
+            assert_eq!(spelling.parse::<AdversaryClass>(), Ok(class), "{spelling}");
+            assert_eq!(class.name().parse::<AdversaryClass>(), Ok(class));
+        }
+        assert!("kbounded:0".parse::<AdversaryClass>().is_err());
+        assert!("uniform-random".parse::<AdversaryClass>().is_err());
+        assert_eq!(AdversaryClass::Fair.describe(), None);
     }
 
     #[test]
@@ -1012,7 +904,7 @@ mod tests {
         run_check_cached(&spec, &store, true).unwrap();
         // A different adversary class is a different check: no false hit.
         let restricted = CheckSpec {
-            adversary: CheckAdversarySpec::KBounded { k: 1 },
+            adversary: AdversaryClass::KBounded { k: 1 },
             ..spec.clone()
         };
         let (_, stats) = run_check_cached(&restricted, &store, true).unwrap();

@@ -67,8 +67,8 @@ mod store;
 mod stress;
 
 pub use check::{
-    exact_cell_verdict, run_check, run_check_cached, CheckAdversarySpec, CheckReport, CheckSpec,
-    CheckStoreError, CheckTargetSpec, CheckVerdict, ExactCellVerdict, StoredCheck,
+    run_check, run_check_cached, AdversaryClass, CheckReport, CheckSpec, CheckStoreError,
+    CheckTargetSpec, CheckVerdict, ExactCellVerdict, StoredCheck,
 };
 pub use family::{FamilyParseError, TopologyFamily, FAMILY_CATALOG};
 pub use gdp_adversary::{

@@ -1,7 +1,7 @@
 //! The batch runner: drives every cell of an expanded grid through the
 //! Monte-Carlo estimators and reduces it to a [`CellResult`].
 
-use crate::check::{run_check, run_check_cached, CheckAdversarySpec, CheckSpec, ExactCellVerdict};
+use crate::check::{run_check, run_check_cached, sweep_check_class, CheckSpec, ExactCellVerdict};
 use crate::report::SweepReport;
 use crate::spec::{ScenarioCell, ScenarioSpec};
 use crate::store::{CellStore, ShardSpec, StoreLookup, StoreStats};
@@ -305,7 +305,7 @@ pub fn compute_cell_durable(
                 // Quantify over the class the sweep's scheduler belongs
                 // to, so a crash:<f> row never pairs faulty MC columns
                 // with an all-fair "certified".
-                adversary: CheckAdversarySpec::for_sweep_adversary(spec.adversary),
+                adversary: sweep_check_class(spec.adversary),
                 ..CheckSpec::new(cell.family, cell.size, cell.algorithm)
             };
             let report = match store {
@@ -335,12 +335,7 @@ pub fn compute_cell_durable(
                     source: gdp_topology::TopologyError::InvalidParameter { message },
                 })?,
             };
-            let certificate = &report.certificates[0];
-            Some(ExactCellVerdict {
-                verdict: report.verdict().name().to_string(),
-                progress_probability: certificate.probability,
-                states: certificate.states,
-            })
+            Some(ExactCellVerdict::from_report(&report))
         }
         None => None,
     };

@@ -226,10 +226,13 @@ impl<P: Program> Engine<P> {
     /// A 64-bit fingerprint of the *shared-and-private* state (fork cells and
     /// program states), ignoring counters and statistics.
     ///
-    /// Two system states with the same fingerprint are, with overwhelming
-    /// probability, identical up to statistics; the analysis crate uses
-    /// fingerprints to detect the no-progress cycles induced by the paper's
-    /// adversaries (State 6 being "isomorphic" to State 1 in Section 3).
+    /// Two system states with the same fingerprint are identical up to
+    /// statistics with overwhelming probability, not with certainty.  The
+    /// fingerprint stamps the summary line of a `gdp run --trace`, and
+    /// `gdp-mcheck` keys its states by the same digest
+    /// ([`EngineState::fingerprint`]).  Exact questions about the current
+    /// state, such as [`is_stuck`](Self::is_stuck), compare the state
+    /// itself instead.
     #[must_use]
     pub fn state_fingerprint(&self) -> u64 {
         fingerprint64(&(&self.forks, &self.states))
@@ -715,6 +718,32 @@ impl<P: Program> Engine<P> {
         }
     }
 
+    /// Returns `true` if the current state satisfies the safety invariants:
+    /// every held fork is held by an adjacent philosopher, and eating
+    /// implies holding both forks.
+    ///
+    /// The single source of truth for the predicate the exact checker
+    /// counts as `safety_violations` and the Monte-Carlo estimators surface
+    /// as `unsafe_trials`.
+    #[must_use]
+    pub fn state_is_safe(&self) -> bool {
+        self.with_view(|view| {
+            for fork in view.topology().fork_ids() {
+                if let Some(holder) = view.holder_of(fork) {
+                    if !view.topology().forks_of(holder).contains(fork) {
+                        return false;
+                    }
+                }
+            }
+            for p in view.philosophers() {
+                if p.phase == Phase::Eating && p.holding.len() != 2 {
+                    return false;
+                }
+            }
+            true
+        })
+    }
+
     /// Returns `true` if the current state is **stuck**: no scheduling
     /// choice and no random outcome of any single step changes the semantic
     /// state, so no meal can ever happen from here.
@@ -723,16 +752,16 @@ impl<P: Program> Engine<P> {
     /// every-philosopher-holds-its-left-fork state): busy-wait loops that
     /// leave forks and program states untouched cannot escape, whereas any
     /// state with a productive step — including a merely improbable one — is
-    /// not stuck.  The engine is restored before returning.
+    /// not stuck.  Post-step states are compared with the current one field
+    /// by field, not by fingerprint, so the answer is exact.  The engine is
+    /// restored before returning.
     pub fn is_stuck(&mut self) -> bool {
-        let base = self.state_fingerprint();
+        let base = self.snapshot();
         let n = self.states.len() as u32;
         for p in 0..n {
             let mut moved = false;
-            self.for_each_step_outcome(PhilosopherId::new(p), |_, engine, _| {
-                if engine.state_fingerprint() != base {
-                    moved = true;
-                }
+            self.for_each_step_outcome_from(&base, PhilosopherId::new(p), |_, engine, _| {
+                moved |= engine.forks != base.forks || engine.states != base.states;
             });
             if moved {
                 return false;

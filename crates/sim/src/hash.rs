@@ -1,10 +1,9 @@
 //! One shared fingerprinting helper.
 //!
 //! Everything in this workspace that needs a 64-bit state digest (the
-//! engine's [`state_fingerprint`](crate::Engine::state_fingerprint), the
-//! analysis crate's state-space exploration, `gdp-mcheck`'s canonical state
-//! encoding) goes through [`fingerprint64`] instead of setting up an ad-hoc
-//! hasher at each call site.
+//! engine's [`state_fingerprint`](crate::Engine::state_fingerprint) and
+//! `gdp-mcheck`'s canonical state keys) goes through [`fingerprint64`]
+//! instead of setting up an ad-hoc hasher at each call site.
 //!
 //! The hasher is a fixed-key multiply-rotate design (the `FxHash` family):
 //! exact model checking fingerprints tens of millions of states and sits on
@@ -12,14 +11,16 @@
 //! `DefaultHasher` used before PR 3 was replaced with something ~5× faster.
 //! Fingerprints are deterministic within a build and never persisted.
 //!
-//! **Collision caveat**: everything that dedups states by fingerprint —
-//! the bounded explorers and `gdp-mcheck`'s canonical state keys — silently
-//! merges two states on a 64-bit collision.  At the largest space this
-//! workspace checks (~4 × 10⁶ canonical states) the birthday bound for an
-//! ideal 64-bit hash is ≈ 4 × 10⁻⁷ per run; `gdp-mcheck` documents this as
-//! a standing caveat of its certificates (`docs/VERIFICATION.md`), and the
-//! final avalanche round below exists to keep the bound meaningful for
-//! structured state data.
+//! **Collision caveat**: `gdp-mcheck`'s `build_mdp` dedups states by
+//! canonical fingerprint, so its dedup map (and the counterexample replay
+//! that looks states up in it) silently merges two states on a 64-bit
+//! collision.  No verdict or exit code elsewhere rests on fingerprint
+//! equality: [`Engine::is_stuck`](crate::Engine::is_stuck) compares states
+//! exactly.  At the largest space this workspace checks (~4 × 10⁶
+//! canonical states) the birthday bound for an ideal 64-bit hash is
+//! ≈ 4 × 10⁻⁷ per run; `gdp-mcheck` documents this as a standing caveat of
+//! its certificates (`docs/VERIFICATION.md`), and the final avalanche round
+//! below exists to keep the bound meaningful for structured state data.
 
 use std::hash::{Hash, Hasher};
 

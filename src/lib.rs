@@ -65,8 +65,8 @@ pub mod prelude {
     };
 
     pub use gdp_analysis::{
-        metrics, montecarlo, state_is_safe, stats, symmetry, LockoutEstimate, ProgressEstimate,
-        RunMetrics, TrialConfig,
+        metrics, montecarlo, stats, symmetry, LockoutEstimate, ProgressEstimate, RunMetrics,
+        TrialConfig,
     };
 
     pub use gdp_runtime::{run_for_meals, DiningTable, RunReport, Seat, SharedFork, TableStats};

@@ -43,7 +43,7 @@ use gdp::prelude::*;
 use gdp_observe::{jsonl, Event, EventSink, MemorySink, MetricsRegistry, SharedSink};
 use gdp_scenarios::{
     compact_store, gc_store, merge_stores, run_check, run_check_cached, run_stress_observed,
-    run_sweep_durable, run_sweep_with, AdversaryKind, CellStore, CheckAdversarySpec, CheckSpec,
+    run_sweep_durable, run_sweep_with, AdversaryClass, AdversaryKind, CellStore, CheckSpec,
     CheckTargetSpec, CheckVerdict, GridFields, MergeError, ScenarioSpec, ShardSpec, StressLoad,
     StressSpec, SweepOptions, TopologyFamily, ADVERSARY_CATALOG, FAMILY_CATALOG,
 };
@@ -112,6 +112,7 @@ USAGE:
           --max-states <n>       canonical-state budget      [default: 6000000]
           --threads <n>          0 = all cores               [default: 0]
           --symmetry <on|off>    quotient symmetric states   [default: auto]
+                                 (on needs --adversary fair)
           --expected-steps       also compute exact E[steps to first meal]
           --counterexample <p>   write the starvation lasso as Graphviz DOT
           --store <dir>          persist the certificates to the store's
@@ -350,9 +351,9 @@ fn cmd_list() -> Result<(), String> {
     }
     println!();
     println!("EXACT ADVERSARY CLASSES (gdp check --adversary):");
-    println!("  fair                       all fair schedulers (the paper's default)");
-    println!("  kbounded:<k>               only k-bounded-fair schedulers (product MDP)");
-    println!("  crash:<f>                  fair scheduling + up to f crash-stop faults");
+    for (spec, description) in AdversaryClass::CATALOG {
+        println!("  {spec:<26} {description}");
+    }
     Ok(())
 }
 
@@ -475,7 +476,7 @@ fn cmd_run(mut args: Args) -> Result<CommandOutcome, String> {
         println!("wrote {} trace events to {path}", events.len());
     }
 
-    let safe = state_is_safe(&engine);
+    let safe = engine.state_is_safe();
     let stuck = engine.is_stuck();
     if !safe {
         return Ok(CommandOutcome::Violation(
@@ -537,7 +538,7 @@ fn cmd_check(mut args: Args) -> Result<CommandOutcome, String> {
     };
     let expected_steps = args.has("--expected-steps");
     let counterexample_path = args.value_of("--counterexample")?;
-    let adversary: CheckAdversarySpec = parse(
+    let adversary: AdversaryClass = parse(
         "adversary class",
         &args
             .value_of("--adversary")?
@@ -553,6 +554,13 @@ fn cmd_check(mut args: Args) -> Result<CommandOutcome, String> {
 
     if resume && store_dir.is_none() {
         return Err("--resume needs a store; usage: gdp check --store <dir> --resume".to_string());
+    }
+    if symmetry == Some(true) && adversary != AdversaryClass::Fair {
+        return Err(format!(
+            "--symmetry on needs --adversary fair: {} checks build a quotient-free product \
+             (use --symmetry auto or off)",
+            adversary.name()
+        ));
     }
     if resume && counterexample_path.is_some() {
         return Err(
@@ -574,7 +582,7 @@ fn cmd_check(mut args: Args) -> Result<CommandOutcome, String> {
         topology_seed: seed,
         adversary,
     };
-    if expected_steps && adversary != CheckAdversarySpec::AllFair {
+    if expected_steps && adversary != AdversaryClass::Fair {
         println!(
             "note     --expected-steps applies only to the unrestricted class \
              (--adversary fair); skipping it for this restricted check"

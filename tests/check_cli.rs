@@ -271,4 +271,25 @@ fn usage_errors_exit_2() {
         "{err}"
     );
     assert!(stdout(&output).is_empty());
+    // Product builds are quotient-free: an explicit `--symmetry on` with a
+    // restricted class is refused, not silently ignored.
+    for class in ["kbounded:2", "crash:1"] {
+        let output = gdp(&[
+            "check",
+            "--size",
+            "3",
+            "--adversary",
+            class,
+            "--symmetry",
+            "on",
+        ]);
+        assert_eq!(output.status.code(), Some(2), "{class}");
+        let err = stderr(&output);
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(
+            err.contains("--symmetry on") && err.contains(class),
+            "{err}"
+        );
+        assert!(stdout(&output).is_empty());
+    }
 }

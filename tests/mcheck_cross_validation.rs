@@ -18,8 +18,7 @@
 use gdp::prelude::montecarlo::estimate_liveness;
 use gdp::prelude::*;
 use gdp::scenarios::{
-    exact_cell_verdict, run_check, CheckAdversarySpec, CheckSpec, CheckTargetSpec, CheckVerdict,
-    TopologyFamily,
+    run_check, CheckSpec, CheckTargetSpec, CheckVerdict, ExactCellVerdict, TopologyFamily,
 };
 use gdp_mcheck::{build_mdp, solve, BuildOptions, CheckTarget, SolveOptions};
 use gdp_topology::builders::classic_ring;
@@ -29,16 +28,8 @@ use gdp_topology::builders::classic_ring;
 #[test]
 fn gdp1_exact_progress_is_one_and_brackets_monte_carlo_on_rings() {
     for n in [3usize, 4, 5] {
-        let exact = exact_cell_verdict(
-            TopologyFamily::Ring,
-            n,
-            AlgorithmKind::Gdp1,
-            0,
-            6_000_000,
-            0,
-            CheckAdversarySpec::AllFair,
-        )
-        .unwrap();
+        let spec = CheckSpec::new(TopologyFamily::Ring, n, AlgorithmKind::Gdp1);
+        let exact = ExactCellVerdict::from_report(&run_check(&spec).unwrap());
         assert_eq!(exact.verdict, "certified", "ring n={n}");
         assert_eq!(exact.progress_probability, 1.0, "ring n={n}");
 
