@@ -192,13 +192,6 @@ fn has_standby(view: &SystemView<'_>, fork: ForkId) -> bool {
 }
 
 impl SchedulingPolicy for BlockingPolicy {
-    fn name(&self) -> &str {
-        match self.targets {
-            None => "blocking(global)",
-            Some(_) => "blocking(targeted)",
-        }
-    }
-
     fn propose(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         self.ensure_tracking(view.num_philosophers());
         let philosophers = view.philosophers();
@@ -519,20 +512,12 @@ impl BlockingAdversary {
 }
 
 impl Adversary for BlockingAdversary {
-    fn name(&self) -> &str {
-        self.driver.name()
-    }
-
     fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         self.driver.select(view)
     }
 
     fn reset(&mut self) {
         self.driver.reset();
-    }
-
-    fn is_fair_by_construction(&self) -> bool {
-        true
     }
 }
 
@@ -773,7 +758,7 @@ mod tests {
         let mut engine = Engine::new(
             figure1_triangle(),
             Lr1::new(),
-            SimConfig::default().with_seed(0).with_trace(true),
+            SimConfig::default().with_seed(0),
         );
         let mut adversary = BlockingAdversary::global();
         let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(20_000));
@@ -783,8 +768,6 @@ mod tests {
         // The realized bound must stay below the (capped) stubbornness limit
         // plus slack for the number of philosophers.
         assert!(bound <= StubbornnessSchedule::default().max + 6);
-        assert_eq!(adversary.name(), "fair(blocking(global))");
-        assert!(adversary.is_fair_by_construction());
     }
 
     #[test]

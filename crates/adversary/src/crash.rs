@@ -109,19 +109,25 @@ struct CrashPlan {
 ///
 /// ```
 /// use gdp_adversary::CrashStopAdversary;
-/// use gdp_sim::Adversary;
+/// use gdp_algorithms::Gdp1;
+/// use gdp_sim::{Engine, SimConfig, StopCondition};
+/// use gdp_topology::builders::classic_ring;
 ///
-/// let adversary = CrashStopAdversary::new(2, 7);
-/// assert_eq!(adversary.name(), "crash:2");
+/// let mut engine = Engine::new(classic_ring(5).unwrap(), Gdp1::new(), SimConfig::default());
+/// let mut adversary = CrashStopAdversary::new(2, 7);
+/// let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(10_000));
 /// // Crashed philosophers are scheduled only finitely often: not fair.
-/// assert!(!adversary.is_fair_by_construction());
+/// let plan = adversary.crash_plan();
+/// assert_eq!(plan.len(), 2);
+/// for (victim, crash_step) in plan {
+///     assert!(outcome.scheduled_per_philosopher[victim.index()] <= crash_step);
+/// }
 /// ```
 #[derive(Clone, Debug)]
 pub struct CrashStopAdversary {
     seed: u64,
     crashes: u32,
     window: Range<u64>,
-    name: String,
     plan: Option<CrashPlan>,
 }
 
@@ -145,7 +151,6 @@ impl CrashStopAdversary {
             seed,
             crashes,
             window,
-            name: format!("crash:{crashes}"),
             plan: None,
         }
     }
@@ -187,10 +192,6 @@ impl CrashStopAdversary {
 }
 
 impl Adversary for CrashStopAdversary {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         let n = view.num_philosophers();
         if self.plan.is_none() {
@@ -214,11 +215,6 @@ impl Adversary for CrashStopAdversary {
 
     fn reset(&mut self) {
         self.plan = None;
-    }
-
-    fn is_fair_by_construction(&self) -> bool {
-        // With zero victims this is exactly the uniform random scheduler.
-        self.crashes == 0
     }
 }
 
@@ -266,10 +262,11 @@ mod tests {
             let mut engine = Engine::new(
                 classic_ring(4).unwrap(),
                 Lr1::new(),
-                SimConfig::default().with_seed(9).with_trace(true),
+                SimConfig::default().with_seed(9),
             );
-            engine.run(adv, StopCondition::MaxSteps(6_000));
-            engine.trace().unwrap().clone()
+            (0..6_000)
+                .map(|_| engine.step_with(adv))
+                .collect::<Vec<_>>()
         };
         let mut a = CrashStopAdversary::new(1, 7);
         let mut b = CrashStopAdversary::new(1, 7);
@@ -298,8 +295,15 @@ mod tests {
 
     #[test]
     fn zero_crashes_degenerates_to_a_fair_scheduler() {
-        let adversary = CrashStopAdversary::new(0, 5);
-        assert!(adversary.is_fair_by_construction());
+        let mut engine = Engine::new(
+            classic_ring(4).unwrap(),
+            Gdp1::new(),
+            SimConfig::default().with_seed(0),
+        );
+        let mut adversary = CrashStopAdversary::new(0, 5);
+        let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(5_000));
         assert!(adversary.crash_plan().is_empty());
+        assert!(outcome.fairness_bound.is_some());
+        assert!(outcome.scheduled_per_philosopher.iter().all(|&s| s > 1_000));
     }
 }

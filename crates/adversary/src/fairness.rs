@@ -159,8 +159,6 @@ impl FairnessGuard {
 /// [`Adversary`](gdp_sim::Adversary), a policy does not need to be fair —
 /// [`FairDriver`] wraps it with a [`FairnessGuard`].
 pub trait SchedulingPolicy {
-    /// Human-readable name.
-    fn name(&self) -> &str;
     /// Proposes a philosopher to schedule next.
     fn propose(&mut self, view: &SystemView<'_>) -> PhilosopherId;
     /// Resets internal state for a fresh run.
@@ -174,19 +172,16 @@ pub struct FairDriver<P> {
     policy: P,
     schedule: StubbornnessSchedule,
     guard: Option<FairnessGuard>,
-    name: String,
 }
 
 impl<P: SchedulingPolicy> FairDriver<P> {
     /// Wraps `policy` with the given stubbornness schedule.
     #[must_use]
     pub fn new(policy: P, schedule: StubbornnessSchedule) -> Self {
-        let name = format!("fair({})", policy.name());
         FairDriver {
             policy,
             schedule,
             guard: None,
-            name,
         }
     }
 
@@ -204,10 +199,6 @@ impl<P: SchedulingPolicy> FairDriver<P> {
 }
 
 impl<P: SchedulingPolicy> gdp_sim::Adversary for FairDriver<P> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         let guard = self
             .guard
@@ -221,10 +212,6 @@ impl<P: SchedulingPolicy> gdp_sim::Adversary for FairDriver<P> {
         if let Some(guard) = &mut self.guard {
             guard.reset();
         }
-    }
-
-    fn is_fair_by_construction(&self) -> bool {
-        true
     }
 }
 
@@ -279,9 +266,6 @@ mod tests {
     /// A deliberately unfair policy: always propose philosopher 0.
     struct AlwaysZero;
     impl SchedulingPolicy for AlwaysZero {
-        fn name(&self) -> &str {
-            "always-zero"
-        }
         fn propose(&mut self, _view: &SystemView<'_>) -> PhilosopherId {
             PhilosopherId::new(0)
         }
@@ -292,7 +276,7 @@ mod tests {
         let mut engine = Engine::new(
             classic_ring(5).unwrap(),
             Lr1::new(),
-            SimConfig::default().with_seed(3).with_trace(true),
+            SimConfig::default().with_seed(3),
         );
         let mut adversary = FairDriver::new(AlwaysZero, StubbornnessSchedule::constant(10));
         let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(5_000));
@@ -301,8 +285,6 @@ mod tests {
         let bound = outcome.fairness_bound.expect("everyone must be scheduled");
         assert!(bound <= 10 + 5, "realized fairness bound {bound} too large");
         assert!(adversary.overrides() > 0);
-        assert!(adversary.is_fair_by_construction());
-        assert_eq!(adversary.name(), "fair(always-zero)");
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub struct KBoundedRoundRobin {
     k: u64,
     current: usize,
     dwelt: u64,
-    name: String,
 }
 
 impl KBoundedRoundRobin {
@@ -57,7 +56,6 @@ impl KBoundedRoundRobin {
             k,
             current: 0,
             dwelt: 0,
-            name: format!("kbounded:{k}"),
         }
     }
 
@@ -69,10 +67,6 @@ impl KBoundedRoundRobin {
 }
 
 impl Adversary for KBoundedRoundRobin {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         let n = view.num_philosophers();
         if self.current >= n {
@@ -114,8 +108,6 @@ mod tests {
         assert_eq!(picks, vec![0, 0, 1, 1, 2, 2, 0, 0]);
         adv.reset();
         assert_eq!(engine.with_view(|v| adv.select(v)).raw(), 0);
-        assert_eq!(adv.name(), "kbounded:2");
-        assert!(adv.is_fair_by_construction());
         assert_eq!(adv.k(), 2);
     }
 

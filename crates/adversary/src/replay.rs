@@ -18,6 +18,11 @@ use gdp_sim::{Adversary, SystemView};
 use gdp_topology::PhilosopherId;
 
 /// An adversary that plays back a recorded schedule, then round-robins.
+///
+/// Only the fallback is fair by construction; a recorded prefix is whatever
+/// the checker's worst case required (the extracted schedules rotate all
+/// philosophers, but that is a property of the extraction, not of this
+/// player).
 #[derive(Clone, Debug)]
 pub struct ReplayAdversary {
     schedule: Vec<PhilosopherId>,
@@ -58,10 +63,6 @@ impl ReplayAdversary {
 }
 
 impl Adversary for ReplayAdversary {
-    fn name(&self) -> &str {
-        "replay"
-    }
-
     fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         if let Some(&chosen) = self.schedule.get(self.position) {
             self.position += 1;
@@ -76,14 +77,6 @@ impl Adversary for ReplayAdversary {
     fn reset(&mut self) {
         self.position = 0;
         self.fallback_next = 0;
-    }
-
-    /// Only the fallback is fair by construction; a recorded prefix is
-    /// whatever the checker's worst case required (the extracted schedules
-    /// rotate all philosophers, but that is a property of the extraction,
-    /// not of this player).
-    fn is_fair_by_construction(&self) -> bool {
-        false
     }
 }
 
@@ -103,16 +96,11 @@ mod tests {
         let mut engine = Engine::new(
             classic_ring(3).unwrap(),
             NaiveLeftRight::new(),
-            SimConfig::default().with_seed(0).with_trace(true),
+            SimConfig::default().with_seed(0),
         );
         let mut adversary = ReplayAdversary::new(vec![p(2), p(2), p(0), p(1)]);
-        engine.run(&mut adversary, StopCondition::MaxSteps(7));
-        let scheduled: Vec<PhilosopherId> = engine
-            .trace()
-            .unwrap()
-            .records()
-            .iter()
-            .map(|r| r.philosopher)
+        let scheduled: Vec<PhilosopherId> = (0..7)
+            .map(|_| engine.step_with(&mut adversary).philosopher)
             .collect();
         assert_eq!(
             scheduled,
@@ -145,8 +133,6 @@ mod tests {
     #[test]
     fn metadata_is_reported() {
         let adversary = ReplayAdversary::new(vec![p(0)]);
-        assert_eq!(adversary.name(), "replay");
-        assert!(!adversary.is_fair_by_construction());
         assert_eq!(adversary.schedule(), &[p(0)]);
     }
 }

@@ -50,10 +50,6 @@ impl StarverPolicy {
 }
 
 impl SchedulingPolicy for StarverPolicy {
-    fn name(&self) -> &str {
-        "starver"
-    }
-
     fn propose(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         let n = view.num_philosophers();
         let dangerous = self.victim_is_dangerous(view);
@@ -114,20 +110,12 @@ impl TargetStarver {
 }
 
 impl Adversary for TargetStarver {
-    fn name(&self) -> &str {
-        self.driver.name()
-    }
-
     fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         self.driver.select(view)
     }
 
     fn reset(&mut self) {
         self.driver.reset();
-    }
-
-    fn is_fair_by_construction(&self) -> bool {
-        true
     }
 }
 
@@ -201,8 +189,6 @@ mod tests {
         let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(20_000));
         assert!(outcome.fairness_bound.is_some());
         assert_eq!(adversary.victim(), victim);
-        assert!(adversary.is_fair_by_construction());
-        assert_eq!(adversary.name(), "fair(starver)");
     }
 
     #[test]

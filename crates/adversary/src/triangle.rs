@@ -400,10 +400,6 @@ impl TriangleWaveAdversary {
 }
 
 impl Adversary for TriangleWaveAdversary {
-    fn name(&self) -> &str {
-        "section3-wave"
-    }
-
     fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         match self.mode {
             Mode::Bootstrap => self.bootstrap_step(view),
@@ -421,13 +417,6 @@ impl Adversary for TriangleWaveAdversary {
         self.rounds = 0;
         self.cursor = 0;
         self.conceded = false;
-    }
-
-    fn is_fair_by_construction(&self) -> bool {
-        // Every philosopher is scheduled several times per round while the
-        // wave runs, and the concession mode is a plain round-robin; rounds
-        // are finite with probability 1.
-        true
     }
 }
 
@@ -528,7 +517,7 @@ mod tests {
         let mut engine = Engine::new(
             topology.clone(),
             Lr1::new(),
-            SimConfig::default().with_seed(3).with_trace(true),
+            SimConfig::default().with_seed(3),
         );
         let mut adversary = TriangleWaveAdversary::new(&topology).unwrap();
         let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(WINDOW));
@@ -540,7 +529,7 @@ mod tests {
                 bound < 2_000,
                 "realized fairness bound {bound} unexpectedly large for the wave"
             );
-            let counts = engine.trace().unwrap().scheduling_counts();
+            let counts = &outcome.scheduled_per_philosopher;
             assert!(counts.iter().all(|&c| c > 100), "{counts:?}");
         }
     }

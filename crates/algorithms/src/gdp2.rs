@@ -352,24 +352,17 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let mut a = Engine::new(
-            figure3_theta(),
-            Gdp2::new(),
-            SimConfig::default().with_seed(77).with_trace(true),
-        );
-        let mut b = Engine::new(
-            figure3_theta(),
-            Gdp2::new(),
-            SimConfig::default().with_seed(77).with_trace(true),
-        );
-        a.run(
-            &mut UniformRandomAdversary::new(1),
-            StopCondition::MaxSteps(5_000),
-        );
-        b.run(
-            &mut UniformRandomAdversary::new(1),
-            StopCondition::MaxSteps(5_000),
-        );
-        assert_eq!(a.trace(), b.trace());
+        let run = || {
+            let mut e = Engine::new(
+                figure3_theta(),
+                Gdp2::new(),
+                SimConfig::default().with_seed(77),
+            );
+            let mut adv = UniformRandomAdversary::new(1);
+            (0..5_000)
+                .map(|_| e.step_with(&mut adv))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(), run());
     }
 }

@@ -191,7 +191,7 @@ mod tests {
         Engine::new(
             classic_ring(n).unwrap(),
             Lr2::new(),
-            SimConfig::default().with_seed(seed).with_trace(true),
+            SimConfig::default().with_seed(seed),
         )
     }
 
@@ -345,16 +345,13 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let mut a = engine(5, 123);
-        let mut b = engine(5, 123);
-        a.run(
-            &mut UniformRandomAdversary::new(9),
-            StopCondition::MaxSteps(5_000),
-        );
-        b.run(
-            &mut UniformRandomAdversary::new(9),
-            StopCondition::MaxSteps(5_000),
-        );
-        assert_eq!(a.trace(), b.trace());
+        let run = || {
+            let mut e = engine(5, 123);
+            let mut adv = UniformRandomAdversary::new(9);
+            (0..5_000)
+                .map(|_| e.step_with(&mut adv))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(), run());
     }
 }

@@ -313,21 +313,22 @@ mod tests {
 
     #[test]
     fn any_program_matches_direct_program_behaviour() {
-        // AnyProgram(GDP1) and Gdp1 produce identical traces from the same
-        // seed and adversary.
+        // AnyProgram(GDP1) and Gdp1 take identical steps from the same seed
+        // and adversary.
         let t = classic_ring(5).unwrap();
-        let config = SimConfig::default().with_seed(9).with_trace(true);
+        let config = SimConfig::default().with_seed(9);
         let mut direct = Engine::new(t.clone(), crate::Gdp1::new(), config.clone());
         let mut dispatched = Engine::new(t, AlgorithmKind::Gdp1.program(), config);
-        direct.run(
-            &mut UniformRandomAdversary::new(2),
-            StopCondition::MaxSteps(3_000),
+        let (mut adv_direct, mut adv_dispatched) = (
+            UniformRandomAdversary::new(2),
+            UniformRandomAdversary::new(2),
         );
-        dispatched.run(
-            &mut UniformRandomAdversary::new(2),
-            StopCondition::MaxSteps(3_000),
-        );
-        assert_eq!(direct.trace(), dispatched.trace());
+        for _ in 0..3_000 {
+            assert_eq!(
+                direct.step_with(&mut adv_direct),
+                dispatched.step_with(&mut adv_dispatched)
+            );
+        }
         assert_eq!(direct.total_meals(), dispatched.total_meals());
     }
 

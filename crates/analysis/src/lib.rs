@@ -5,8 +5,8 @@
 //!
 //! * [`stats`] — small numerical helpers (means, percentiles, Wilson
 //!   confidence intervals, Jain's fairness index);
-//! * [`metrics`] — per-run summaries: throughput, waiting times, fairness of
-//!   the meal distribution;
+//! * [`metrics`] — per-run summaries: throughput, first-meal step, fairness
+//!   of the meal distribution;
 //! * [`montecarlo`] — repeated-trial estimators for the paper's two
 //!   liveness properties: **progress** (Theorem 3: some philosopher
 //!   eventually eats) and **lockout-freedom** (Theorem 4: every philosopher

@@ -89,6 +89,9 @@ impl CheckTarget {
     }
 }
 
+/// Cap on the number of topology automorphisms the symmetry quotient uses.
+const AUTOMORPHISM_LIMIT: usize = 64;
+
 /// Options controlling MDP construction.
 #[derive(Clone, Debug)]
 pub struct BuildOptions {
@@ -107,8 +110,6 @@ pub struct BuildOptions {
     /// symmetry for such programs.  Product builds (restricted
     /// [`class`](Self::class)es) ignore it: they are quotient-free.
     pub symmetry: bool,
-    /// Cap on the number of automorphisms used by the quotient.
-    pub automorphism_limit: usize,
     /// Worker threads for frontier expansion (`0` = all cores, `1` =
     /// serial).  The model is bitwise-identical for every value.
     pub threads: usize,
@@ -126,7 +127,6 @@ impl Default for BuildOptions {
         BuildOptions {
             max_states: 2_000_000,
             symmetry: true,
-            automorphism_limit: 64,
             threads: 0,
             sim: SimConfig::default(),
             class: AdversaryClass::Fair,
@@ -537,7 +537,7 @@ where
     let n = topology.num_philosophers();
     let num_choices = if B::CRASH_ROWS { 2 * n } else { n };
     let automorphisms: Vec<Automorphism> = if options.symmetry && !B::PRODUCT {
-        symmetry::automorphisms(topology, options.automorphism_limit)
+        symmetry::automorphisms(topology, AUTOMORPHISM_LIMIT)
             .into_iter()
             .filter(|a| match target {
                 CheckTarget::Progress => true,

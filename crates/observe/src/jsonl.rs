@@ -3,11 +3,8 @@
 //! The workspace ships no serde; like every other artifact writer in the
 //! repo the encoder is written by hand with a **fixed key order**
 //! (`clock`, `type`, then `actor`/`fork`/`cell`), so encoded traces are
-//! byte-reproducible.  [`encode_events_chunked`] fans encoding out over
-//! scoped worker threads that own disjoint contiguous chunks and
-//! concatenates the results in order — the output is byte-identical for
-//! every thread count (test-enforced here and end-to-end by the
-//! `gdp run --trace` CLI tests).
+//! byte-reproducible (test-enforced end-to-end by the `gdp run --trace`
+//! CLI tests).
 
 use crate::event::Event;
 
@@ -65,7 +62,7 @@ pub fn encode_event(event: &Event) -> String {
 }
 
 /// Encodes a slice of events as JSONL (one line per event, each terminated
-/// by `\n`), serially.
+/// by `\n`).
 #[must_use]
 pub fn encode_events(events: &[Event]) -> String {
     let mut out = String::new();
@@ -74,37 +71,6 @@ pub fn encode_events(events: &[Event]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Encodes a slice of events as JSONL over `threads` scoped worker threads
-/// (`0` means "use every available core", `1` forces the serial path).
-///
-/// Workers encode disjoint contiguous chunks and the chunks are
-/// concatenated in order, so the output is **byte-identical** to
-/// [`encode_events`] for every thread count.
-#[must_use]
-pub fn encode_events_chunked(events: &[Event], threads: usize) -> String {
-    let requested = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    let workers = requested.max(1).min(events.len().max(1));
-    if workers <= 1 {
-        return encode_events(events);
-    }
-    let chunk_len = events.len().div_ceil(workers);
-    let mut encoded: Vec<String> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = events
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move || encode_events(chunk)))
-            .collect();
-        for handle in handles {
-            encoded.push(handle.join().expect("encoder worker panicked"));
-        }
-    });
-    encoded.concat()
 }
 
 #[cfg(test)]
@@ -168,25 +134,15 @@ mod tests {
             line,
             "{\"clock\":2,\"type\":\"cert_hit\",\"cell\":\"ring/n4/gdp1\"}"
         );
-    }
-
-    #[test]
-    fn chunked_encoding_is_byte_identical_for_every_thread_count() {
+        // A stream is the same lines, each newline-terminated, in order.
         let events = sample_events();
-        let serial = encode_events(&events);
-        assert_eq!(serial.lines().count(), events.len());
-        for threads in [0usize, 1, 2, 3, 7, 64] {
-            assert_eq!(
-                encode_events_chunked(&events, threads),
-                serial,
-                "threads={threads}"
-            );
-        }
+        let body = encode_events(&events);
+        assert!(body.ends_with('\n'));
+        assert!(body.lines().eq(events.iter().map(encode_event)));
     }
 
     #[test]
     fn empty_input_encodes_to_empty_output() {
         assert_eq!(encode_events(&[]), "");
-        assert_eq!(encode_events_chunked(&[], 8), "");
     }
 }

@@ -44,7 +44,7 @@ impl MetricsRegistry {
 
     /// Installs a pre-populated histogram under `name` (replacing any
     /// existing one) — used to import histograms recorded elsewhere, e.g.
-    /// by the simulator engine.
+    /// the serve layer's request latencies.
     pub fn install_histogram(&mut self, name: &str, histogram: Log2Histogram) {
         self.histograms.insert(name.to_string(), histogram);
     }

@@ -1,4 +1,4 @@
-//! Cache-line-padded hot-path statistics.
+//! Cache-line-padded hot-path statistics and the meal-fairness index.
 //!
 //! Every completed meal bumps the eating philosopher's counters.  With a
 //! plain `Vec<AtomicU64>` the counters of up to eight philosophers share one
@@ -8,12 +8,11 @@
 //! therefore packs each philosopher's counters into its own 64-byte-aligned
 //! struct; the alignment is asserted by a unit test.
 //!
-//! The wait histogram is the shared [`gdp_observe::AtomicLog2Histogram`] —
-//! the same bucketing that powers the simulator's step-denominated meal
-//! histograms and the p50/p90/p99 estimates in stress reports; this module
-//! only fixes its unit (nanoseconds) and keeps the historical API.
+//! Per-meal wait times are recorded table-wide, in one shared
+//! [`gdp_observe::AtomicLog2Histogram`] of nanoseconds on the
+//! [`DiningTable`](crate::DiningTable): the same bucketing as the
+//! simulator's step-denominated first-meal histogram.
 
-use gdp_observe::AtomicLog2Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One philosopher's meal and wait counters, padded to a full cache line so
@@ -77,53 +76,6 @@ impl SeatCounters {
     }
 }
 
-/// Number of buckets in a [`WaitHistogram`]: one per power of two of
-/// nanoseconds, which comfortably spans sub-microsecond spins to
-/// multi-second stalls.  Equal to [`gdp_observe::LOG2_BUCKETS`] — the
-/// histogram *is* the shared observe type.
-pub const WAIT_HISTOGRAM_BUCKETS: usize = gdp_observe::LOG2_BUCKETS;
-
-/// A log2 histogram of per-meal wait times in nanoseconds.
-///
-/// Bucket `i` counts meals whose hungry-to-eating latency fell in
-/// `[2^i, 2^(i+1))` nanoseconds (bucket 0 also absorbs 0 ns, the last bucket
-/// absorbs everything longer).  One shared array for the whole table: meals
-/// are orders of magnitude rarer than protocol steps, so the occasional
-/// shared-line bump is noise, unlike the per-step counters above.
-///
-/// This is a nanosecond-unit wrapper over the workspace-shared
-/// [`AtomicLog2Histogram`]; bucket layout and quantile estimation live in
-/// `gdp-observe` so the simulator and the runtime can never drift.
-#[derive(Debug, Default)]
-pub struct WaitHistogram {
-    inner: AtomicLog2Histogram,
-}
-
-impl WaitHistogram {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        WaitHistogram::default()
-    }
-
-    /// The bucket index for a wait of `nanos` nanoseconds.
-    #[must_use]
-    pub fn bucket_of(nanos: u64) -> usize {
-        gdp_observe::bucket_of(nanos)
-    }
-
-    /// Records one wait.
-    pub fn record(&self, nanos: u64) {
-        self.inner.record(nanos);
-    }
-
-    /// A snapshot of all bucket counts.
-    #[must_use]
-    pub fn snapshot(&self) -> [u64; WAIT_HISTOGRAM_BUCKETS] {
-        self.inner.snapshot()
-    }
-}
-
 /// Jain's fairness index of a meal distribution:
 /// `(Σx)² / (n · Σx²)`, ranging from `1/n` (one philosopher took
 /// everything) to `1.0` (perfectly even).  The degenerate all-zero
@@ -179,27 +131,6 @@ mod tests {
         let c = SeatCounters::new();
         c.record_wait_nanos(0);
         assert_eq!(c.first_wait_nanos(), Some(0));
-    }
-
-    #[test]
-    fn histogram_buckets_are_log2_of_nanos() {
-        assert_eq!(WaitHistogram::bucket_of(0), 0);
-        assert_eq!(WaitHistogram::bucket_of(1), 0);
-        assert_eq!(WaitHistogram::bucket_of(2), 1);
-        assert_eq!(WaitHistogram::bucket_of(3), 1);
-        assert_eq!(WaitHistogram::bucket_of(1024), 10);
-        assert_eq!(
-            WaitHistogram::bucket_of(u64::MAX),
-            WAIT_HISTOGRAM_BUCKETS - 1
-        );
-        let h = WaitHistogram::new();
-        h.record(0);
-        h.record(5);
-        h.record(5);
-        let snap = h.snapshot();
-        assert_eq!(snap[0], 1);
-        assert_eq!(snap[2], 2);
-        assert_eq!(snap.iter().sum::<u64>(), 3);
     }
 
     #[test]

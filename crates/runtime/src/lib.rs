@@ -77,7 +77,7 @@ mod run;
 mod seat;
 mod table;
 
-pub use counters::{jain_fairness_index, SeatCounters, WaitHistogram, WAIT_HISTOGRAM_BUCKETS};
+pub use counters::{jain_fairness_index, SeatCounters};
 pub use fork::SharedFork;
 pub use run::{run_for_duration, run_for_meals, run_with, RunOptions, RunReport, RunTiming};
 pub use seat::Seat;

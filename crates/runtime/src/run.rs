@@ -14,11 +14,11 @@
 //! derive from [`RunOptions::seed`] alone, so meal-budget crash runs stay
 //! byte-reproducible like every other timing-free artifact.
 
-use crate::counters::{jain_fairness_index, WAIT_HISTOGRAM_BUCKETS};
+use crate::counters::jain_fairness_index;
 use crate::seat::Seat;
 use crate::table::DiningTable;
 use gdp_algorithms::AlgorithmKind;
-use gdp_observe::SharedSink;
+use gdp_observe::{SharedSink, LOG2_BUCKETS};
 use gdp_topology::{PhilosopherId, Topology};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -110,7 +110,7 @@ pub struct RunTiming {
     pub first_wait_nanos: Vec<Option<u64>>,
     /// Table-wide log2 histogram of per-meal wait times in nanoseconds
     /// (bucket `i` counts waits in `[2^i, 2^(i+1))` ns).
-    pub wait_histogram: [u64; WAIT_HISTOGRAM_BUCKETS],
+    pub wait_histogram: [u64; LOG2_BUCKETS],
 }
 
 /// Result of [`run_with`] / [`run_for_meals`] / [`run_for_duration`].

@@ -1,10 +1,11 @@
 //! The dining table: a conflict topology instantiated with real shared forks
 //! and per-philosopher seats, parameterized by the algorithm the seats run.
 
-use crate::counters::{jain_fairness_index, SeatCounters, WaitHistogram, WAIT_HISTOGRAM_BUCKETS};
+use crate::counters::{jain_fairness_index, SeatCounters};
 use crate::fork::SharedFork;
 use crate::seat::Seat;
 use gdp_algorithms::AlgorithmKind;
+use gdp_observe::{AtomicLog2Histogram, LOG2_BUCKETS};
 use gdp_topology::{ForkId, PhilosopherId, Topology};
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,7 +16,7 @@ pub struct TableStats {
     meals: Vec<u64>,
     wait_nanos: Vec<u64>,
     first_wait_nanos: Vec<Option<u64>>,
-    wait_histogram: [u64; WAIT_HISTOGRAM_BUCKETS],
+    wait_histogram: [u64; LOG2_BUCKETS],
 }
 
 impl TableStats {
@@ -53,7 +54,7 @@ impl TableStats {
     /// counts meals whose hungry-to-eating latency fell in
     /// `[2^i, 2^(i+1))` nanoseconds.
     #[must_use]
-    pub fn wait_histogram(&self) -> &[u64; WAIT_HISTOGRAM_BUCKETS] {
+    pub fn wait_histogram(&self) -> &[u64; LOG2_BUCKETS] {
         &self.wait_histogram
     }
 
@@ -91,7 +92,12 @@ pub struct DiningTable {
     nr_range: u32,
     seed: u64,
     counters: Vec<SeatCounters>,
-    wait_histogram: WaitHistogram,
+    /// Per-meal wait times in nanoseconds: bucket `i` counts meals whose
+    /// hungry-to-eating latency fell in `[2^i, 2^(i+1))` ns.  One shared
+    /// histogram for the whole table: meals are orders of magnitude rarer
+    /// than protocol steps, so the occasional shared-line bump is noise,
+    /// unlike the per-seat counters.
+    wait_histogram: AtomicLog2Histogram,
 }
 
 impl DiningTable {
@@ -139,7 +145,7 @@ impl DiningTable {
             nr_range: nr_range.map_or(default_m, |m| m.max(default_m)),
             seed,
             counters: (0..n).map(|_| SeatCounters::new()).collect(),
-            wait_histogram: WaitHistogram::new(),
+            wait_histogram: AtomicLog2Histogram::new(),
             topology,
         })
     }
@@ -185,7 +191,7 @@ impl DiningTable {
     }
 
     /// The table-wide wait-time histogram.
-    pub(crate) fn histogram(&self) -> &WaitHistogram {
+    pub(crate) fn histogram(&self) -> &AtomicLog2Histogram {
         &self.wait_histogram
     }
 

@@ -24,7 +24,8 @@
 
 use crate::family::TopologyFamily;
 use gdp_algorithms::AlgorithmKind;
-use gdp_runtime::{run_for_duration, run_with, RunOptions, RunReport, WAIT_HISTOGRAM_BUCKETS};
+use gdp_observe::LOG2_BUCKETS;
+use gdp_runtime::{run_for_duration, run_with, RunOptions, RunReport};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Duration;
@@ -136,7 +137,7 @@ pub struct StressTiming {
     pub first_meal_p99: f64,
     /// Table-wide log2 histogram of per-meal wait times: bucket `i` counts
     /// meals whose wait fell in `[2^i, 2^(i+1))` nanoseconds.
-    pub wait_histogram: [u64; WAIT_HISTOGRAM_BUCKETS],
+    pub wait_histogram: [u64; LOG2_BUCKETS],
 }
 
 /// The result of one stress run (see `docs/RUNTIME.md` for the serialized

@@ -17,10 +17,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// A scheduler choosing the next philosopher to execute an atomic step.
+///
+/// Schedulers are named and classified by fairness in one place, the
+/// `gdp-adversary` catalog (`AdversaryKind`); the fairness of a concrete
+/// finite run is measured by [`RunOutcome::fairness_bound`](crate::RunOutcome::fairness_bound).
 pub trait Adversary {
-    /// A short human-readable name for reports.
-    fn name(&self) -> &str;
-
     /// Chooses the philosopher to schedule next, given full information about
     /// the computation so far.
     ///
@@ -32,30 +33,14 @@ pub trait Adversary {
     /// Resets any internal state so the adversary can drive a fresh run.
     /// The default does nothing.
     fn reset(&mut self) {}
-
-    /// Whether this adversary is fair by construction (every philosopher is
-    /// scheduled infinitely often in any infinite run it produces).
-    ///
-    /// This is *metadata for reporting*: experiment harnesses print it, and
-    /// the fairness of concrete finite runs is additionally verified from the
-    /// trace via [`Trace::bounded_fairness`](crate::Trace::bounded_fairness).
-    fn is_fair_by_construction(&self) -> bool {
-        true
-    }
 }
 
 impl<T: Adversary + ?Sized> Adversary for Box<T> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
     fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         (**self).select(view)
     }
     fn reset(&mut self) {
         (**self).reset();
-    }
-    fn is_fair_by_construction(&self) -> bool {
-        (**self).is_fair_by_construction()
     }
 }
 
@@ -75,10 +60,6 @@ impl RoundRobinAdversary {
 }
 
 impl Adversary for RoundRobinAdversary {
-    fn name(&self) -> &str {
-        "round-robin"
-    }
-
     fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         let n = view.num_philosophers();
         let chosen = PhilosopherId::new((self.next % n) as u32);
@@ -116,10 +97,6 @@ impl UniformRandomAdversary {
 }
 
 impl Adversary for UniformRandomAdversary {
-    fn name(&self) -> &str {
-        "uniform-random"
-    }
-
     fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         let n = view.num_philosophers();
         PhilosopherId::new(self.rng.gen_range(0..n) as u32)
@@ -171,8 +148,6 @@ mod tests {
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
         adv.reset();
         assert_eq!(with_view(&topology, |v| adv.select(v)).raw(), 0);
-        assert!(adv.is_fair_by_construction());
-        assert_eq!(adv.name(), "round-robin");
     }
 
     #[test]
@@ -211,10 +186,10 @@ mod tests {
     fn boxed_adversary_delegates() {
         let topology = classic_ring(3).unwrap();
         let mut adv: Box<dyn Adversary> = Box::new(RoundRobinAdversary::new());
-        assert_eq!(adv.name(), "round-robin");
         let p = with_view(&topology, |v| adv.select(v));
         assert_eq!(p, PhilosopherId::new(0));
+        assert_eq!(with_view(&topology, |v| adv.select(v)).raw(), 1);
         adv.reset();
-        assert!(adv.is_fair_by_construction());
+        assert_eq!(with_view(&topology, |v| adv.select(v)).raw(), 0);
     }
 }

@@ -10,8 +10,7 @@ use crate::hunger::HungerModel;
 /// use gdp_sim::{SimConfig, HungerModel};
 /// let config = SimConfig::default()
 ///     .with_seed(7)
-///     .with_hunger(HungerModel::Bernoulli(0.5))
-///     .with_trace(true);
+///     .with_hunger(HungerModel::Bernoulli(0.5));
 /// assert_eq!(config.seed, 7);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
@@ -29,10 +28,6 @@ pub struct SimConfig {
     /// by GDP1/GDP2.  `None` means "use the number of forks `k`", the
     /// smallest value permitted by the paper's requirement `m >= k`.
     pub nr_range: Option<u32>,
-    /// Whether to record a full [`Trace`](crate::Trace) of the execution.
-    /// Tracing costs memory proportional to the number of steps; metrics are
-    /// collected either way.
-    pub record_trace: bool,
 }
 
 impl Default for SimConfig {
@@ -42,14 +37,13 @@ impl Default for SimConfig {
             hunger: HungerModel::Always,
             left_bias: 0.5,
             nr_range: None,
-            record_trace: false,
         }
     }
 }
 
 impl SimConfig {
     /// Creates the default configuration (seed 0, always hungry, fair coin,
-    /// `m = k`, no trace).
+    /// `m = k`).
     #[must_use]
     pub fn new() -> Self {
         SimConfig::default()
@@ -92,13 +86,6 @@ impl SimConfig {
         self
     }
 
-    /// Enables or disables trace recording.
-    #[must_use]
-    pub fn with_trace(mut self, record: bool) -> Self {
-        self.record_trace = record;
-        self
-    }
-
     /// Resolves the effective `m` for a system with `num_forks` forks:
     /// the configured value if present (clamped up to `num_forks` to honour
     /// the paper's `m >= k` requirement), otherwise exactly `num_forks`.
@@ -122,13 +109,11 @@ mod tests {
             .with_seed(9)
             .with_left_bias(0.25)
             .with_nr_range(100)
-            .with_hunger(HungerModel::Never)
-            .with_trace(true);
+            .with_hunger(HungerModel::Never);
         assert_eq!(c.seed, 9);
         assert_eq!(c.left_bias, 0.25);
         assert_eq!(c.nr_range, Some(100));
         assert_eq!(c.hunger, HungerModel::Never);
-        assert!(c.record_trace);
     }
 
     #[test]
@@ -154,7 +139,6 @@ mod tests {
         let c = SimConfig::default();
         assert_eq!(c.left_bias, 0.5);
         assert_eq!(c.hunger, HungerModel::Always);
-        assert!(!c.record_trace);
         assert_eq!(c.nr_range, None);
     }
 }

@@ -26,8 +26,10 @@
 //!   [`SystemView`] access, plus the built-in fair schedulers
 //!   ([`RoundRobinAdversary`], [`UniformRandomAdversary`]).
 //! * [`Engine`] — drives the interleaving: repeatedly asks the adversary for
-//!   a philosopher, executes that philosopher's next atomic step, records
-//!   the [`Trace`], and evaluates [`StopCondition`]s.
+//!   a philosopher, executes that philosopher's next atomic step (returning
+//!   its [`StepRecord`]), keeps the counters behind [`RunOutcome`], and
+//!   evaluates [`StopCondition`]s.  An attached `gdp-observe` event sink
+//!   receives the step-by-step record of the run.
 //! * [`EngineState`] — first-class snapshots of the semantic state
 //!   (forks, private program states, RNG, step counter) with `O(n + k)`
 //!   [`Engine::restore`], plus the relabelled-fingerprint canonical
@@ -112,18 +114,16 @@ mod hunger;
 mod outcome;
 mod program;
 pub mod snapshot;
-mod trace;
 mod view;
 
 pub use adversary::{Adversary, RoundRobinAdversary, UniformRandomAdversary};
 pub use config::SimConfig;
 pub use draws::{DrawOutcome, DrawRequest, DrawTape};
-pub use engine::Engine;
+pub use engine::{Engine, StepRecord};
 pub use fork::{ForkCell, UsageStamp};
 pub use hash::fingerprint64;
 pub use hunger::HungerModel;
 pub use outcome::{RunOutcome, StopCondition, StopReason};
 pub use program::{Action, Phase, Program, ProgramObservation, StepCtx};
 pub use snapshot::{EngineState, RelabelScratch};
-pub use trace::{StepRecord, Trace};
 pub use view::{Holding, PhilosopherView, SystemView};

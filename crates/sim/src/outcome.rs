@@ -93,9 +93,12 @@ pub struct RunOutcome {
     pub first_meal_per_philosopher: Vec<Option<u64>>,
     /// How many times each philosopher was scheduled.
     pub scheduled_per_philosopher: Vec<u64>,
-    /// The bounded-fairness bound observed in this run, if every philosopher
-    /// was scheduled at least once (see
-    /// [`Trace::bounded_fairness`](crate::Trace::bounded_fairness)).
+    /// The bounded-fairness bound observed in this run: the smallest `B`
+    /// such that every philosopher was scheduled at least once in every
+    /// window of `B` consecutive steps (the gap before a philosopher's first
+    /// scheduling counts from step 0; the truncated final window does not
+    /// count).  `None` if some philosopher was never scheduled: such a
+    /// finite prefix cannot be certified fair.
     pub fairness_bound: Option<u64>,
 }
 

@@ -85,9 +85,13 @@ impl fmt::Display for Phase {
     }
 }
 
-/// What a philosopher did in one atomic step.  Recorded in the
-/// [`Trace`](crate::Trace) and visible to adversaries through the
-/// [`SystemView`](crate::SystemView).
+/// What a philosopher did in one atomic step.  Returned in the step's
+/// [`StepRecord`](crate::StepRecord).
+///
+/// A meal has no action of its own: it starts at the step whose phase
+/// transition enters [`Phase::Eating`], which is how
+/// [`RunOutcome::first_meal_step`](crate::RunOutcome::first_meal_step) and
+/// the engine's `MealStart` events define it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Action {
@@ -134,8 +138,6 @@ pub enum Action {
         /// The fork tested.
         fork: ForkId,
     },
-    /// The philosopher started eating.
-    StartEating,
     /// The philosopher finished eating (and released its forks / signed guest
     /// books, depending on the algorithm).
     FinishEating,

@@ -10,8 +10,8 @@
 //! * the philosophers' randomness (the RNG stream position), and
 //! * the global step counter.
 //!
-//! Run *statistics* (meal counts, waiting times, traces, fairness
-//! accounting) are deliberately **not** captured: two executions that reach
+//! Run *statistics* (meal counts, fairness accounting, the first-meal
+//! histogram) are deliberately **not** captured: two executions that reach
 //! the same `EngineState` are indistinguishable to every philosopher and to
 //! the shared forks, regardless of how they got there.  Restoring a
 //! snapshot therefore resets the statistics, as documented on

@@ -51,7 +51,7 @@ pub mod prelude {
     pub use gdp_sim::{
         Action, Adversary, DrawTape, Engine, EngineState, ForkCell, HungerModel, Phase,
         PhilosopherView, Program, ProgramObservation, RoundRobinAdversary, RunOutcome, SimConfig,
-        StepCtx, StepRecord, StopCondition, StopReason, SystemView, Trace, UniformRandomAdversary,
+        StepCtx, StepRecord, StopCondition, StopReason, SystemView, UniformRandomAdversary,
     };
 
     pub use gdp_algorithms::{

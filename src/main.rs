@@ -40,7 +40,7 @@
 //! spec format and `README.md` for a quickstart.
 
 use gdp::prelude::*;
-use gdp_observe::{jsonl, Event, EventSink, MemorySink, MetricsRegistry, SharedSink};
+use gdp_observe::{jsonl, Event, EventSink, MemorySink, SharedSink};
 use gdp_scenarios::{
     compact_store, gc_store, merge_stores, run_check, run_check_cached, run_stress_observed,
     run_sweep_durable, run_sweep_with, AdversaryClass, AdversaryKind, CellStore, CheckSpec,
@@ -96,8 +96,6 @@ USAGE:
           --seed <n>             random seed                 [default: 0]
           --trace <path>         write the JSONL event trace; bytes are a pure
                                  function of the spec (see docs/OBSERVABILITY.md)
-          --threads <n>          trace-encoding workers, 0 = all cores; the
-                                 trace bytes are identical for every value [default: 0]
 
     gdp check [OPTIONS]
         Exactly model-check one cell: build the MDP of the probabilistic
@@ -389,10 +387,6 @@ fn cmd_run(mut args: Args) -> Result<CommandOutcome, String> {
         &args.value_of("--seed")?.unwrap_or_else(|| "0".into()),
     )?;
     let trace_path = args.value_of("--trace")?;
-    let trace_threads: usize = parse(
-        "thread count",
-        &args.value_of("--threads")?.unwrap_or_else(|| "0".into()),
-    )?;
     args.finish()?;
 
     let topology = family
@@ -426,25 +420,11 @@ fn cmd_run(mut args: Args) -> Result<CommandOutcome, String> {
         println!("         P{i}: {meals} meals");
     }
 
-    // Observability: registry + trace export happen *before* the safety and
-    // deadlock probes below — `is_stuck` explores by stepping scratch
-    // copies of the engine, and those probe steps must not leak into the
-    // trace.  The sink is detached for the same reason.
-    let total_meals: u64 = outcome.meals_per_philosopher.iter().sum();
-    let mut registry = MetricsRegistry::new();
-    registry.counter_add("sim.steps", engine.step_count());
-    registry.counter_add("sim.meals", total_meals);
-    registry.install_histogram(
-        "sim.first_meal_steps",
-        engine.first_meal_histogram().clone(),
-    );
-    registry.install_histogram(
-        "sim.inter_meal_steps",
-        engine.inter_meal_histogram().clone(),
-    );
-    let first_meal = registry
-        .histogram("sim.first_meal_steps")
-        .expect("installed above");
+    // Observability: the histogram and trace export happen *before* the
+    // safety and deadlock probes below — `is_stuck` explores by stepping
+    // the engine, and those probe steps must not leak into the trace.  The
+    // sink is detached for the same reason.
+    let first_meal = engine.first_meal_histogram();
     if !first_meal.is_empty() {
         println!(
             "observe  first-meal steps p50={:.0} p90={:.0} p99={:.0} over {} eater(s) \
@@ -458,7 +438,7 @@ fn cmd_run(mut args: Args) -> Result<CommandOutcome, String> {
     engine.set_event_sink(None);
     if let (Some(path), Some(sink)) = (&trace_path, &sink) {
         let events = sink.take();
-        let mut body = jsonl::encode_events_chunked(&events, trace_threads);
+        let mut body = jsonl::encode_events(&events);
         // A self-describing footer: the final state fingerprint lets a
         // replay (ReplayAdversary over the schedule events) verify it
         // reached the same state.
@@ -469,7 +449,7 @@ fn cmd_run(mut args: Args) -> Result<CommandOutcome, String> {
             algorithm.name(),
             seed,
             engine.step_count(),
-            total_meals,
+            outcome.total_meals,
             engine.state_fingerprint(),
         ));
         std::fs::write(path, &body).map_err(|e| format!("writing {path}: {e}"))?;

@@ -208,6 +208,37 @@ fn run_exits_nonzero_on_a_true_deadlock_and_zero_otherwise() {
         "500",
     ]);
     assert!(healthy.status.success(), "{}", stderr(&healthy));
+
+    // The whole report of a healthy run, first-meal histogram included.
+    let healthy = gdp(&[
+        "run",
+        "--topology",
+        "ring",
+        "--size",
+        "5",
+        "--algorithm",
+        "gdp1",
+        "--steps",
+        "2000",
+        "--seed",
+        "0",
+    ]);
+    assert!(healthy.status.success(), "{}", stderr(&healthy));
+    assert_eq!(
+        stdout(&healthy),
+        "\
+topology ring (n=5): topology(n=5, k=5, max_sharing=2)
+run      GDP1 under uniform-random for 2000 steps (seed 0)
+metrics  steps=2000 meals=216 thru/kstep=108.00 progress=true everyone=true starved=0 jain=0.968
+         P0: 45 meals
+         P1: 48 meals
+         P2: 42 meals
+         P3: 52 meals
+         P4: 29 meals
+observe  first-meal steps p50=32 p90=32 p99=32 over 5 eater(s) \
+(log2-bucket floor estimate, e <= t < max(2e, 2))
+"
+    );
 }
 
 #[test]
@@ -261,6 +292,10 @@ fn usage_errors_exit_2() {
     assert_eq!(output.status.code(), Some(2));
     let output = gdp(&["frobnicate"]);
     assert_eq!(output.status.code(), Some(2));
+    // `gdp run` takes no worker count: its trace is encoded on one thread.
+    let output = gdp(&["run", "--threads", "2"]);
+    assert_eq!(output.status.code(), Some(2));
+    assert!(stdout(&output).is_empty());
     // Both spellings of the family flag: neither may silently win.
     let output = gdp(&["check", "--family", "ring", "--topology", "star"]);
     assert_eq!(output.status.code(), Some(2));

@@ -2,8 +2,8 @@
 //! `gdp stress --trace`).
 //!
 //! The sim-side contract is the strong one: the trace bytes are a pure
-//! function of the run spec — identical for every `--threads` value — and
-//! the schedule events they record replay (via
+//! function of the run spec — identical across runs — and the schedule
+//! events they record replay (via
 //! [`gdp_adversary::ReplayAdversary`]) to the exact final state the
 //! footer's fingerprint names.  The runtime-side trace is a measurement,
 //! not a fixture, so there the contract is structural: sorted by
@@ -47,9 +47,9 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(&rest[..rest.find('"')?])
 }
 
-fn run_trace(path: &std::path::Path, threads: Option<&str>) {
+fn run_trace(path: &std::path::Path) {
     let path = path.to_str().unwrap();
-    let mut args = vec![
+    let output = gdp(&[
         "run",
         "--topology",
         "ring",
@@ -63,11 +63,7 @@ fn run_trace(path: &std::path::Path, threads: Option<&str>) {
         "0",
         "--trace",
         path,
-    ];
-    if let Some(threads) = threads {
-        args.extend_from_slice(&["--threads", threads]);
-    }
-    let output = gdp(&args);
+    ]);
     assert!(
         output.status.success(),
         "{}",
@@ -75,25 +71,20 @@ fn run_trace(path: &std::path::Path, threads: Option<&str>) {
     );
 }
 
-/// The ISSUE acceptance line: the sim trace is byte-identical for any
-/// `--threads` value (the encoder parallelism must be unobservable).
+/// Two runs of one spec write byte-identical traces: the bytes are a pure
+/// function of the spec.
 #[test]
-fn run_trace_is_byte_identical_across_thread_counts() {
-    let reference = tmp("threads_ref.jsonl");
-    run_trace(&reference, None);
-    let reference_bytes = std::fs::read(&reference).unwrap();
-    assert!(!reference_bytes.is_empty());
-    for threads in ["1", "2", "4"] {
-        let path = tmp(&format!("threads_{threads}.jsonl"));
-        run_trace(&path, Some(threads));
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            reference_bytes,
-            "trace bytes must not depend on --threads {threads}"
-        );
+fn run_trace_is_byte_identical_across_runs() {
+    let first = tmp("first.jsonl");
+    let second = tmp("second.jsonl");
+    run_trace(&first);
+    run_trace(&second);
+    let first_bytes = std::fs::read(&first).unwrap();
+    assert!(!first_bytes.is_empty());
+    assert_eq!(std::fs::read(&second).unwrap(), first_bytes);
+    for path in [first, second] {
         let _ = std::fs::remove_file(path);
     }
-    let _ = std::fs::remove_file(reference);
 }
 
 /// The trace is self-verifying: replaying its schedule events through a
@@ -102,7 +93,7 @@ fn run_trace_is_byte_identical_across_thread_counts() {
 #[test]
 fn run_trace_replays_to_the_footer_fingerprint() {
     let path = tmp("replay.jsonl");
-    run_trace(&path, None);
+    run_trace(&path);
     let text = std::fs::read_to_string(&path).unwrap();
     let _ = std::fs::remove_file(&path);
 
@@ -150,7 +141,7 @@ fn run_trace_replays_to_the_footer_fingerprint() {
 #[test]
 fn run_trace_lines_are_schema_complete() {
     let path = tmp("schema.jsonl");
-    run_trace(&path, None);
+    run_trace(&path);
     let text = std::fs::read_to_string(&path).unwrap();
     let _ = std::fs::remove_file(&path);
 
