@@ -1,36 +1,31 @@
-//! Baseline algorithms from the paper's introduction.
+//! Baseline algorithms: the strawmen the paper's four algorithms are
+//! measured against.
 //!
-//! Section 1 of the paper lists classic solutions that work only because
-//! they give up either **symmetry** or **full distribution**:
+//! * [`OrderedForks`] — from Section 1 of the paper: *"The forks are ordered
+//!   and each philosopher tries to get first the adjacent fork which is
+//!   higher in the ordering."*  (We take the *lower*-numbered fork first;
+//!   any fixed global orientation works.)  This is Dijkstra's hierarchical
+//!   resource allocation: deterministic and deadlock-free on **every**
+//!   topology, but not symmetric, because the philosophers exploit a global
+//!   total order on the forks.
+//! * [`NaiveLeftRight`] — the textbook broken algorithm: symmetric, fully
+//!   distributed and deadlocking.
 //!
-//! * *"The forks are ordered and each philosopher tries to get first the
-//!   adjacent fork which is higher in the ordering."* — implemented here as
-//!   [`OrderedForks`] (we take the *lower*-numbered fork first; any fixed
-//!   global orientation works).  This is Dijkstra's hierarchical resource
-//!   allocation: deterministic and deadlock-free on **every** topology, but
-//!   not symmetric, because the philosophers exploit a global total order on
-//!   the forks.
-//! * *"The philosophers are colored yellow and blue alternately.  The yellow
-//!   philosophers try to get first the fork to their left.  The blue ones
-//!   try to get first the fork to their right."* — implemented as
-//!   [`AlternatingColor`].  Not symmetric (behaviour depends on the
-//!   philosopher's colour, i.e. the parity of its identifier) and only
-//!   deadlock-free when the colouring is proper (e.g. even-length classic
-//!   rings).
+//! The introduction's other solutions either break symmetry by the
+//! philosopher's identity (the yellow/blue colouring) or give up full
+//! distribution (central monitor, ticket box: they need a process or shared
+//! memory other than the forks), so the latter cannot be expressed as
+//! [`Program`]s at all.
 //!
-//! The remaining two solutions of the introduction (central monitor, ticket
-//! box) give up full distribution — they need a process or shared memory
-//! other than the forks — so they cannot be expressed as [`Program`]s at
-//! all; the `gdp-runtime` crate provides a semaphore-style ticket limiter
-//! for throughput comparisons instead.
-//!
-//! These baselines serve as *oracles* in tests (they are deterministic) and
-//! as reference points in the E7 benchmark.
+//! Both baselines are deterministic, which makes them *oracles* in tests;
+//! as `ordered-forks` and `naive-left-right` in the
+//! [`AlgorithmKind`](crate::AlgorithmKind) catalog they run in every command
+//! beside the paper's algorithms.
 
 use gdp_sim::{Action, Phase, Program, ProgramObservation, StepCtx};
 use gdp_topology::{ForkEnds, ForkId};
 
-/// Control state shared by the two deterministic baselines.
+/// Control state shared by the two baselines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BaselineState {
     /// Thinking.
@@ -102,12 +97,8 @@ impl Program for OrderedForks {
         let second = ends.other(first);
         match *state {
             BaselineState::Thinking => {
-                if ctx.becomes_hungry() {
-                    *state = BaselineState::TakeFirst;
-                    Action::BecomeHungry
-                } else {
-                    Action::KeepThinking
-                }
+                *state = BaselineState::TakeFirst;
+                Action::BecomeHungry
             }
             BaselineState::TakeFirst => {
                 let success = ctx.take_if_free(first);
@@ -193,12 +184,8 @@ impl Program for NaiveLeftRight {
     fn step(&self, state: &mut BaselineState, ctx: &mut StepCtx<'_>) -> Action {
         match *state {
             BaselineState::Thinking => {
-                if ctx.becomes_hungry() {
-                    *state = BaselineState::TakeFirst;
-                    Action::BecomeHungry
-                } else {
-                    Action::KeepThinking
-                }
+                *state = BaselineState::TakeFirst;
+                Action::BecomeHungry
             }
             BaselineState::TakeFirst => {
                 let left = ctx.left();
@@ -218,97 +205,6 @@ impl Program for NaiveLeftRight {
             BaselineState::Eating => {
                 ctx.release(ctx.left());
                 ctx.release(ctx.right());
-                *state = BaselineState::Thinking;
-                Action::FinishEating
-            }
-        }
-    }
-}
-
-/// The two-colouring baseline: even-numbered ("yellow") philosophers take
-/// their left fork first, odd-numbered ("blue") philosophers take their
-/// right fork first, with hold-and-wait.
-///
-/// Deterministic and **not symmetric** (behaviour depends on the
-/// philosopher's identifier).  Deadlock-free only when the induced
-/// orientation is acyclic — e.g. on classic rings of even length; the tests
-/// demonstrate both the working and the failing case.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AlternatingColor {
-    _private: (),
-}
-
-impl AlternatingColor {
-    /// Creates the alternating-colour baseline.
-    #[must_use]
-    pub fn new() -> Self {
-        AlternatingColor::default()
-    }
-}
-
-impl Program for AlternatingColor {
-    type State = BaselineState;
-
-    fn name(&self) -> &'static str {
-        "alternating-color"
-    }
-
-    fn initial_state(&self) -> BaselineState {
-        BaselineState::Thinking
-    }
-
-    fn observation(&self, state: &BaselineState, _ends: ForkEnds) -> ProgramObservation {
-        let (phase, label) = match *state {
-            BaselineState::Thinking => (Phase::Thinking, "color.think"),
-            BaselineState::TakeFirst => (Phase::Hungry, "color.first"),
-            BaselineState::TakeSecond => (Phase::Hungry, "color.second"),
-            BaselineState::Eating => (Phase::Eating, "color.eat"),
-        };
-        ProgramObservation {
-            phase,
-            committed: None,
-            label,
-        }
-    }
-
-    fn step(&self, state: &mut BaselineState, ctx: &mut StepCtx<'_>) -> Action {
-        // "Yellow" philosophers (even id) go left first, "blue" (odd id) go
-        // right first.  This is where symmetry is deliberately broken.
-        let yellow = ctx.me().index() % 2 == 0;
-        let first = if yellow { ctx.left() } else { ctx.right() };
-        let second = ctx.other(first);
-        match *state {
-            BaselineState::Thinking => {
-                if ctx.becomes_hungry() {
-                    *state = BaselineState::TakeFirst;
-                    Action::BecomeHungry
-                } else {
-                    Action::KeepThinking
-                }
-            }
-            BaselineState::TakeFirst => {
-                let success = ctx.take_if_free(first);
-                if success {
-                    *state = BaselineState::TakeSecond;
-                }
-                Action::TakeFirst {
-                    fork: first,
-                    success,
-                }
-            }
-            BaselineState::TakeSecond => {
-                let success = ctx.take_if_free(second);
-                if success {
-                    *state = BaselineState::Eating;
-                }
-                Action::TakeSecond {
-                    fork: second,
-                    success,
-                }
-            }
-            BaselineState::Eating => {
-                ctx.release(first);
-                ctx.release(second);
                 *state = BaselineState::Thinking;
                 Action::FinishEating
             }
@@ -373,102 +269,25 @@ mod tests {
     }
 
     #[test]
-    fn alternating_color_works_on_even_rings() {
-        let mut e = Engine::new(
-            classic_ring(6).unwrap(),
-            AlternatingColor::new(),
-            SimConfig::default(),
-        );
-        let outcome = e.run(
-            &mut UniformRandomAdversary::new(3),
-            StopCondition::EveryoneEats {
-                times: 2,
-                max_steps: 1_000_000,
-            },
-        );
-        assert!(outcome.reason.target_reached());
-    }
-
-    #[test]
-    fn alternating_color_can_deadlock_on_odd_rings() {
-        // On an odd ring the colouring is not proper: philosophers n-1 and 0
-        // are both "yellow", the orientation has a cycle, and a round-robin
-        // scheduler drives the system into the state where everyone holds
-        // their first fork and waits forever — the system stops eating.
-        let mut e = Engine::new(
-            classic_ring(3).unwrap(),
-            AlternatingColor::new(),
-            SimConfig::default(),
-        );
-        // Step each philosopher twice: become hungry, then take first fork.
-        // P0 (yellow) takes f0, P1 (blue) takes f2, P2 (yellow) takes f2?
-        // f2 is already taken by P1, so the deadlock needs the right
-        // interleaving; drive it explicitly: everyone becomes hungry, then
-        // yellow P0 takes left f0, yellow P2 takes left f2, blue P1 takes
-        // right f2 — blocked; P1 can never proceed, but P0/P2's second forks
-        // are f1 (free) and f0 (held).  To produce a *full* deadlock use a
-        // 5-ring and round-robin long enough that no meal ever completes;
-        // here we simply document partial progress on the 3-ring and full
-        // deadlock on the 5-ring below.
-        let outcome = e.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(10_000),
-        );
-        // The 3-ring with this colouring still squeezes meals through; the
-        // real failure is exhibited on the 5-ring:
-        let _ = outcome;
-        let mut e5 = Engine::new(
-            classic_ring(5).unwrap(),
-            AlternatingColor::new(),
-            SimConfig::default(),
-        );
-        // Drive all philosophers to hold their first fork simultaneously:
-        // schedule each one twice in order (hungry, then first take).  With
-        // colours Y B Y B Y on a 5-ring, the first forks are
-        // f0, f2, f2, f4, f4 — collisions mean not everyone holds a fork, so
-        // a hand-crafted full deadlock does not exist for every odd ring; we
-        // assert the weaker (and still telling) property that some
-        // philosopher starves under round-robin within the budget.
-        let outcome = e5.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::EveryoneEats {
-                times: 1,
-                max_steps: 50_000,
-            },
-        );
-        // Either the target was missed (someone starved) or it was reached;
-        // on the 5-ring with round-robin the yellow-yellow adjacency at the
-        // wrap-around point delays but does not always prevent progress.
-        // The assertion we rely on for the paper's point is simply that this
-        // baseline is *not symmetric*, which is tested separately below.
-        let _ = outcome;
-    }
-
-    #[test]
     fn baselines_are_asymmetric_by_construction() {
-        // The alternating-colour program behaves differently for P0 and P1 in
-        // the same local situation: P0 (yellow) first grabs its left fork,
-        // P1 (blue) its right.  This is exactly the symmetry violation the
-        // paper's Section 1 points out.
+        // The ordered-forks program behaves differently for P0 and P1 in the
+        // same local situation: on the 2-ring both aim at the lower fork f0
+        // first, which is P0's left fork and P1's right one.  This is
+        // exactly the symmetry violation the paper's Section 1 points out.
         let t = classic_ring(2).unwrap();
-        let mut e = Engine::new(t, AlternatingColor::new(), SimConfig::default());
+        let mut e = Engine::new(t, OrderedForks::new(), SimConfig::default());
         let p0 = gdp_topology::PhilosopherId::new(0);
         let p1 = gdp_topology::PhilosopherId::new(1);
         e.step_philosopher(p0); // hungry
         e.step_philosopher(p1); // hungry
-        let r0 = e.step_philosopher(p0);
-        let r1 = e.step_philosopher(p1);
-        let f0 = match r0.action {
+        let first_fork = |action| match action {
             Action::TakeFirst { fork, .. } => fork,
             other => panic!("unexpected action {other:?}"),
         };
-        let f1 = match r1.action {
-            Action::TakeFirst { fork, .. } => fork,
-            other => panic!("unexpected action {other:?}"),
-        };
-        // P0's left fork is f0; P1's right fork is f0 as well on the 2-ring
-        // (arcs (0,1) and (1,0)), so both aim at... compute from topology:
+        let f0 = first_fork(e.step_philosopher(p0).action);
+        let f1 = first_fork(e.step_philosopher(p1).action);
         let t = e.topology();
+        assert_eq!(f0, f1);
         assert_eq!(f0, t.forks_of(p0).left);
         assert_eq!(f1, t.forks_of(p1).right);
     }
@@ -486,6 +305,5 @@ mod tests {
             Phase::Eating
         );
         assert_eq!(program.name(), "ordered-forks");
-        assert_eq!(AlternatingColor::new().name(), "alternating-color");
     }
 }

@@ -75,10 +75,9 @@ impl Gdp1 {
     /// Creates the GDP1 program.
     ///
     /// The priority-number range `m` is not a property of the program but of
-    /// the run: it is configured through
-    /// [`SimConfig::with_nr_range`](gdp_sim::SimConfig::with_nr_range) and
-    /// defaults to the number of forks `k` (the smallest value satisfying the
-    /// paper's requirement `m ≥ k`).
+    /// the system: [`StepCtx::random_nr`] draws from `[1, k]`, `k` the
+    /// number of forks (the smallest value satisfying the paper's
+    /// requirement `m ≥ k`).
     #[must_use]
     pub fn new() -> Self {
         Gdp1::default()
@@ -129,12 +128,8 @@ impl Program for Gdp1 {
     fn step(&self, state: &mut Gdp1State, ctx: &mut StepCtx<'_>) -> Action {
         match *state {
             Gdp1State::Thinking => {
-                if ctx.becomes_hungry() {
-                    *state = Gdp1State::Choose;
-                    Action::BecomeHungry
-                } else {
-                    Action::KeepThinking
-                }
+                *state = Gdp1State::Choose;
+                Action::BecomeHungry
             }
             Gdp1State::Choose => {
                 // Line 2: pick the adjacent fork with the larger nr (ties go
@@ -202,12 +197,15 @@ impl Program for Gdp1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdp_sim::{Engine, RoundRobinAdversary, SimConfig, StopCondition, UniformRandomAdversary};
+    use gdp_sim::{
+        DrawRequest, DrawTape, Engine, RoundRobinAdversary, SimConfig, StopCondition,
+        UniformRandomAdversary,
+    };
     use gdp_topology::builders::{
         classic_ring, complete_conflict, figure1_gallery, figure3_theta, ring_with_chord,
         ChordTarget,
     };
-    use gdp_topology::Topology;
+    use gdp_topology::{PhilosopherId, Topology};
 
     fn engine_on(t: Topology, seed: u64) -> Engine<Gdp1> {
         Engine::new(t, Gdp1::new(), SimConfig::default().with_seed(seed))
@@ -284,19 +282,30 @@ mod tests {
 
     #[test]
     fn nr_values_stay_in_range() {
-        let mut e = Engine::new(
-            figure3_theta(),
-            Gdp1::new(),
-            SimConfig::default().with_seed(3).with_nr_range(9),
-        );
+        let mut e = engine_on(figure3_theta(), 3);
+        let k = e.topology().num_forks() as u32;
         let mut adv = UniformRandomAdversary::new(1);
         for _ in 0..50_000 {
             e.step_with(&mut adv);
         }
         for f in e.topology().fork_ids() {
             let nr = e.fork(f).nr();
-            assert!(nr <= 9, "fork {f} has nr {nr} outside [0, 9]");
+            assert!(nr <= k, "fork {f} has nr {nr} outside [0, {k}]");
         }
+    }
+
+    #[test]
+    fn relabel_draws_from_one_to_the_fork_count() {
+        // P0 alone on a 6-ring: hungry, commit (nr tie: right), take; the
+        // relabel of the tie then asks for a uniform draw from [1, 6].
+        let mut e = engine_on(classic_ring(6).unwrap(), 0);
+        let p0 = PhilosopherId::new(0);
+        for _ in 0..3 {
+            e.step_philosopher(p0);
+        }
+        let mut tape = DrawTape::new();
+        e.step_philosopher_with_tape(p0, &mut tape);
+        assert_eq!(tape.pending(), Some(DrawRequest::Uniform { m: 6 }));
     }
 
     #[test]
@@ -307,8 +316,8 @@ mod tests {
             SimConfig::default().with_seed(5),
         );
         let mut adv = UniformRandomAdversary::new(2);
-        // Every RelabelFork action must assign a value in [1, m].
-        let m = e.nr_range();
+        // Every RelabelFork action must assign a value in [1, k].
+        let m = e.topology().num_forks() as u32;
         for _ in 0..30_000 {
             if let Action::RelabelFork { nr, .. } = e.step_with(&mut adv).action {
                 assert!((1..=m).contains(&nr));

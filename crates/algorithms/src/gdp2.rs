@@ -74,8 +74,8 @@ pub struct Gdp2 {
 }
 
 impl Gdp2 {
-    /// Creates the GDP2 program.  See [`Gdp1::new`](crate::Gdp1::new) for how
-    /// the priority-number range `m` is configured.
+    /// Creates the GDP2 program.  See [`Gdp1::new`](crate::Gdp1::new) for
+    /// the priority-number range `m`.
     #[must_use]
     pub fn new() -> Self {
         Gdp2::default()
@@ -126,12 +126,8 @@ impl Program for Gdp2 {
     fn step(&self, state: &mut Gdp2State, ctx: &mut StepCtx<'_>) -> Action {
         match *state {
             Gdp2State::Thinking => {
-                if ctx.becomes_hungry() {
-                    *state = Gdp2State::Register;
-                    Action::BecomeHungry
-                } else {
-                    Action::KeepThinking
-                }
+                *state = Gdp2State::Register;
+                Action::BecomeHungry
             }
             Gdp2State::Register => {
                 ctx.insert_request(ctx.left());

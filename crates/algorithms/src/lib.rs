@@ -18,15 +18,16 @@
 //!   (Theorem 3).
 //! * [`Gdp2`] — Table 4: GDP1 plus the request lists / guest books of LR2.
 //!   Guarantees **lockout-freedom** with probability 1 (Theorem 4).
-//! * [`baselines`] — the non-symmetric / non-distributed strawmen sketched
-//!   in the paper's introduction (globally ordered forks, alternating
-//!   colouring), used as oracles in tests and benchmarks.
+//! * [`baselines`] — the strawmen: the globally ordered forks of the
+//!   paper's introduction (deadlock-free but not symmetric) and the naive
+//!   left-then-right program (symmetric but deadlocking), used as oracles
+//!   in tests and as catalog entries beside the paper's algorithms.
 //!
 //! All four paper algorithms are *symmetric*: every philosopher runs the same
 //! code and starts in the same state (enforced by the
 //! [`Program`](gdp_sim::Program) interface), and none of them branches on the
-//! philosopher identifier — unlike the deliberately asymmetric baselines,
-//! which are documented as such.
+//! philosopher identifier — unlike the deliberately asymmetric ordered-forks
+//! baseline, which is documented as such.
 //!
 //! ## Quick example
 //!

@@ -109,12 +109,8 @@ impl Program for Lr1 {
     fn step(&self, state: &mut Lr1State, ctx: &mut StepCtx<'_>) -> Action {
         match *state {
             Lr1State::Thinking => {
-                if ctx.becomes_hungry() {
-                    *state = Lr1State::Draw;
-                    Action::BecomeHungry
-                } else {
-                    Action::KeepThinking
-                }
+                *state = Lr1State::Draw;
+                Action::BecomeHungry
             }
             Lr1State::Draw => {
                 let first = ctx.random_side();
@@ -179,7 +175,10 @@ pub fn committed_fork(state: &Lr1State, ends: ForkEnds) -> Option<ForkId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdp_sim::{Engine, RoundRobinAdversary, SimConfig, StopCondition, UniformRandomAdversary};
+    use gdp_sim::{
+        DrawOutcome, DrawTape, Engine, RoundRobinAdversary, SimConfig, StepRecord, StopCondition,
+        UniformRandomAdversary,
+    };
     use gdp_topology::builders::classic_ring;
     use gdp_topology::{ForkEnds, ForkId, PhilosopherId};
 
@@ -189,6 +188,13 @@ mod tests {
             Lr1::new(),
             SimConfig::default().with_seed(seed),
         )
+    }
+
+    /// Steps `p` through its line-2 draw with the coin scripted to `left`.
+    fn draw_left(e: &mut Engine<Lr1>, p: PhilosopherId) -> StepRecord {
+        let mut tape = DrawTape::new();
+        tape.push(DrawOutcome::Coin(true));
+        e.step_philosopher_with_tape(p, &mut tape)
     }
 
     #[test]
@@ -294,23 +300,21 @@ mod tests {
         // Drive two parallel philosophers sharing the same two forks by hand:
         // P0 takes fork0 then fork1 and eats; P1 commits to fork0 first, is
         // blocked, and after committing to whichever fork, a failed second
-        // take must release the first.
+        // take must release the first.  Every draw is scripted to come up
+        // left (fork 0 for both philosophers).
         let t = gdp_topology::Topology::from_arcs(2, [(0, 1), (0, 1)]).unwrap();
-        // Left bias 1.0 is not allowed; use 0.999999 so draws are effectively
-        // deterministic "left" (fork 0 for both philosophers).
-        let config = SimConfig::default().with_seed(0).with_left_bias(0.999_999);
-        let mut e = Engine::new(t, Lr1::new(), config);
+        let mut e = Engine::new(t, Lr1::new(), SimConfig::default());
         let p0 = PhilosopherId::new(0);
         let p1 = PhilosopherId::new(1);
         // P0: think->hungry, draw, take fork0, take fork1 => eating.
         e.step_philosopher(p0);
-        e.step_philosopher(p0);
+        draw_left(&mut e, p0);
         e.step_philosopher(p0);
         e.step_philosopher(p0);
         assert_eq!(e.phase_of(p0), Phase::Eating);
         // P1: think->hungry, draw (fork0), try take fork0 (fails, busy-waits).
         e.step_philosopher(p1);
-        e.step_philosopher(p1);
+        draw_left(&mut e, p1);
         let record = e.step_philosopher(p1);
         assert_eq!(
             record.action,
@@ -325,12 +329,10 @@ mod tests {
         // P1 now takes fork 0 ...
         let record = e.step_philosopher(p1);
         assert!(record.action.acquired_fork());
-        // ... P0 becomes hungry again, draws fork 0 (biased), busy-waits; make
-        // P0 instead grab fork 1 by hand is unnecessary — directly test that
-        // when fork 1 is taken by P0, P1's second take fails and releases.
+        // ... P0 becomes hungry again, draws fork 0 and busy-waits: P0
+        // cannot take fork 0 (held by P1), so it holds nothing.
         e.step_philosopher(p0); // become hungry
-        e.step_philosopher(p0); // draw (fork0, biased) -> commits
-                                // P0 cannot take fork 0 (held by P1): busy-wait, nothing held.
+        draw_left(&mut e, p0);
         let r = e.step_philosopher(p0);
         assert_eq!(
             r.action,

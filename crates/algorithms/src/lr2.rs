@@ -118,12 +118,8 @@ impl Program for Lr2 {
     fn step(&self, state: &mut Lr2State, ctx: &mut StepCtx<'_>) -> Action {
         match *state {
             Lr2State::Thinking => {
-                if ctx.becomes_hungry() {
-                    *state = Lr2State::Register;
-                    Action::BecomeHungry
-                } else {
-                    Action::KeepThinking
-                }
+                *state = Lr2State::Register;
+                Action::BecomeHungry
             }
             Lr2State::Register => {
                 ctx.insert_request(ctx.left());
@@ -183,9 +179,18 @@ impl Program for Lr2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdp_sim::{Engine, SimConfig, StopCondition, UniformRandomAdversary};
+    use gdp_sim::{
+        DrawOutcome, DrawTape, Engine, SimConfig, StepRecord, StopCondition, UniformRandomAdversary,
+    };
     use gdp_topology::builders::classic_ring;
     use gdp_topology::PhilosopherId;
+
+    /// Steps `p` through its line-3 draw with the coin scripted to `left`.
+    fn draw_left(e: &mut Engine<Lr2>, p: PhilosopherId) -> StepRecord {
+        let mut tape = DrawTape::new();
+        tape.push(DrawOutcome::Coin(true));
+        e.step_philosopher_with_tape(p, &mut tape)
+    }
 
     fn engine(n: usize, seed: u64) -> Engine<Lr2> {
         Engine::new(
@@ -275,9 +280,9 @@ mod tests {
         // Two philosophers sharing both forks (2-ring multigraph).  After P0
         // eats, P0 cannot take a fork again until P1 (who is registered and
         // has not eaten) has eaten: the courtesy condition fails for P0.
+        // P0's draws are scripted to come up left.
         let t = gdp_topology::Topology::from_arcs(2, [(0, 1), (1, 0)]).unwrap();
-        let config = SimConfig::default().with_seed(1).with_left_bias(0.999_999);
-        let mut e = Engine::new(t, Lr2::new(), config);
+        let mut e = Engine::new(t, Lr2::new(), SimConfig::default());
         let p0 = PhilosopherId::new(0);
         let p1 = PhilosopherId::new(1);
         // P1 becomes hungry and registers (so it is in the request lists).
@@ -286,7 +291,7 @@ mod tests {
                                 // P0 eats once.
         e.step_philosopher(p0); // hungry
         e.step_philosopher(p0); // register
-        e.step_philosopher(p0); // draw
+        draw_left(&mut e, p0);
         e.step_philosopher(p0); // take first
         e.step_philosopher(p0); // take second -> eating
         assert_eq!(e.phase_of(p0), Phase::Eating);
@@ -295,7 +300,7 @@ mod tests {
                                 // because P1 is requesting and has not eaten since.
         e.step_philosopher(p0); // hungry
         e.step_philosopher(p0); // register
-        e.step_philosopher(p0); // draw
+        draw_left(&mut e, p0);
         let record = e.step_philosopher(p0); // attempt first take
         assert!(
             matches!(record.action, Action::TakeFirst { success: false, .. }),

@@ -79,13 +79,6 @@ impl TrialConfig {
         self
     }
 
-    /// Sets the simulation configuration template.
-    #[must_use]
-    pub fn with_sim(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
-        self
-    }
-
     /// The number of worker threads a batch of `trials` will actually use.
     #[must_use]
     pub fn effective_threads(&self) -> usize {

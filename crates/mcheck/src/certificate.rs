@@ -11,9 +11,17 @@
 use crate::model::{CheckTarget, Mdp};
 use crate::solve::Solution;
 use crate::strategy::CounterexampleSchedule;
-use gdp_sim::{HungerModel, SimConfig};
+use gdp_sim::SimConfig;
 use gdp_topology::Topology;
 use std::fmt::Write as _;
+
+/// The `hunger` value of every certificate: a scheduled thinking philosopher
+/// becomes hungry.
+const HUNGER: &str = "always";
+
+/// The `left_bias` value of every certificate: the bits of the fair coin's
+/// 0.5.
+const LEFT_BIAS_BITS: &str = "3fe0000000000000";
 
 /// The overall verdict of a check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,11 +61,7 @@ pub struct Certificate {
     /// The adversary class quantified over ([`Mdp::class`]); `None` means
     /// the paper's default — all fair schedulers.
     pub adversary_class: Option<String>,
-    /// Hunger model, rendered.
-    pub hunger: String,
-    /// The left-bias of the philosophers' coins.
-    pub left_bias: f64,
-    /// The effective priority-number range `m`.
+    /// The priority-number range `m`: the number of forks `k`.
     pub nr_range: u32,
     /// Number of automorphisms used by the symmetry quotient (1 = off).
     pub symmetry_group: usize,
@@ -89,12 +93,16 @@ pub struct Certificate {
 
 impl Certificate {
     /// Assembles the certificate for a solved model.
+    ///
+    /// `sim` is the configuration the model was built with.  It holds only
+    /// a seed, which no exact verdict depends on: the model itself (always
+    /// hungry, fair coins, priority numbers from `[1, k]`) is fixed.
     #[must_use]
     pub fn new(
         topology: &Topology,
         algorithm: &str,
         target: CheckTarget,
-        sim: &SimConfig,
+        _sim: &SimConfig,
         mdp: &Mdp,
         solution: &Solution,
         counterexample: Option<&CounterexampleSchedule>,
@@ -104,14 +112,7 @@ impl Certificate {
             algorithm: algorithm.to_string(),
             target: target.describe(),
             adversary_class: mdp.class.describe(),
-            hunger: match sim.hunger {
-                HungerModel::Always => "always".to_string(),
-                HungerModel::Never => "never".to_string(),
-                HungerModel::Bernoulli(p) => format!("bernoulli({p})"),
-                _ => "other".to_string(),
-            },
-            left_bias: sim.left_bias,
-            nr_range: sim.effective_nr_range(topology.num_forks()),
+            nr_range: topology.num_forks() as u32,
             symmetry_group: mdp.automorphisms.len(),
             states: mdp.num_states,
             transitions: mdp.num_transitions(),
@@ -172,6 +173,10 @@ impl Certificate {
     /// [`render`](Self::render) it is byte-reproducible, but unlike the
     /// human rendering it is lossless and strictly machine-parseable.
     ///
+    /// The `hunger` and `left_bias` lines are constants (`always` and the
+    /// bits of 0.5): the model is fixed, and the lines keep the record
+    /// format of stores written while it was configurable.
+    ///
     /// [`decode`](Self::decode) is the exact inverse:
     /// `decode(&encode(c)) == Ok(c)` for every certificate, and
     /// re-encoding a decoded certificate is a fixed point.
@@ -192,8 +197,8 @@ impl Certificate {
             "adversary_class {}",
             opt(self.adversary_class.as_deref())
         );
-        let _ = writeln!(out, "hunger {}", self.hunger);
-        let _ = writeln!(out, "left_bias {:016x}", self.left_bias.to_bits());
+        let _ = writeln!(out, "hunger {HUNGER}");
+        let _ = writeln!(out, "left_bias {LEFT_BIAS_BITS}");
         let _ = writeln!(out, "nr_range {}", self.nr_range);
         let _ = writeln!(out, "symmetry_group {}", self.symmetry_group);
         let _ = writeln!(out, "states {}", self.states);
@@ -233,7 +238,8 @@ impl Certificate {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first offending field.
+    /// Returns a message naming the first offending field, including a
+    /// `hunger` or `left_bias` line other than the fixed model's.
     pub fn decode(encoded: &str) -> Result<Certificate, String> {
         let mut lines = encoded.lines();
         let mut field = |name: &str| -> Result<String, String> {
@@ -282,8 +288,14 @@ impl Certificate {
         let algorithm = field("algorithm")?;
         let target = field("target")?;
         let adversary_class = opt("adversary_class", &field("adversary_class")?)?;
-        let hunger = field("hunger")?;
-        let left_bias = bits("left_bias", &field("left_bias")?)?;
+        for (name, fixed) in [("hunger", HUNGER), ("left_bias", LEFT_BIAS_BITS)] {
+            let value = field(name)?;
+            if value != fixed {
+                return Err(format!(
+                    "certificate field {name:?} has {value:?}, not the model's {fixed:?}"
+                ));
+            }
+        }
         let nr_range = int("nr_range", &field("nr_range")?)?;
         let symmetry_group = int("symmetry_group", &field("symmetry_group")?)?;
         let states = int("states", &field("states")?)?;
@@ -308,8 +320,6 @@ impl Certificate {
             algorithm,
             target,
             adversary_class,
-            hunger,
-            left_bias,
             nr_range,
             symmetry_group,
             states,
@@ -339,8 +349,8 @@ impl Certificate {
         }
         let _ = writeln!(
             out,
-            "model:             hunger={} left-bias={} nr-range={}",
-            self.hunger, self.left_bias, self.nr_range
+            "model:             hunger={HUNGER} left-bias=0.5 nr-range={}",
+            self.nr_range
         );
         let _ = writeln!(
             out,
@@ -474,5 +484,12 @@ mod tests {
         // A corrupted f64 bit pattern is rejected, not guessed at.
         let tampered = encoded.replace("probability ", "probability zz");
         assert!(Certificate::decode(&tampered).is_err());
+        // The model lines hold the one model: any other hunger or coin is
+        // rejected.
+        assert!(encoded.contains("\nhunger always\nleft_bias 3fe0000000000000\n"));
+        let hungry = encoded.replace("hunger always", "hunger bernoulli(0.5)");
+        assert!(Certificate::decode(&hungry).is_err());
+        let biased = encoded.replace("left_bias 3fe0000000000000", "left_bias 3fd0000000000000");
+        assert!(Certificate::decode(&biased).is_err());
     }
 }

@@ -46,7 +46,7 @@ pub mod solve;
 pub mod strategy;
 
 pub use certificate::Certificate;
-pub use model::{build_mdp, BuildOptions, CheckTarget, Mdp, UNEXPLORED};
+pub use model::{build_mdp, BuildOptions, CheckTarget, Mdp, AUTOMORPHISM_LIMIT, UNEXPLORED};
 pub use restricted::AdversaryClass;
 pub use solve::{solve, Solution, SolveOptions};
 pub use strategy::{extract_counterexample, CounterexampleSchedule};

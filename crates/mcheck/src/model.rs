@@ -89,8 +89,9 @@ impl CheckTarget {
     }
 }
 
-/// Cap on the number of topology automorphisms the symmetry quotient uses.
-const AUTOMORPHISM_LIMIT: usize = 64;
+/// Cap on the number of topology automorphisms the symmetry quotient uses
+/// (and on the orbit computation of `gdp check --target lockout`).
+pub const AUTOMORPHISM_LIMIT: usize = 64;
 
 /// Options controlling MDP construction.
 #[derive(Clone, Debug)]
@@ -113,9 +114,9 @@ pub struct BuildOptions {
     /// Worker threads for frontier expansion (`0` = all cores, `1` =
     /// serial).  The model is bitwise-identical for every value.
     pub threads: usize,
-    /// Simulation configuration: the hunger model, left bias and `nr` range
-    /// determine the automaton (the seed is irrelevant — every draw is
-    /// enumerated, not sampled).
+    /// Simulation configuration of the builder's engines.  It holds only a
+    /// seed, and the seed is irrelevant: every draw is enumerated, not
+    /// sampled.
     pub sim: SimConfig,
     /// The adversary class to quantify over (default: all fair
     /// schedulers).
@@ -153,13 +154,6 @@ impl BuildOptions {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the simulation configuration.
-    #[must_use]
-    pub fn with_sim(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
         self
     }
 

@@ -55,27 +55,24 @@
 
 use crate::model::{Mdp, UNEXPLORED};
 
+/// Convergence threshold of the probability iteration.
+const EPSILON: f64 = 1e-13;
+
+/// Convergence threshold of the expected-steps iteration: steps are
+/// order-1 integers, so a coarser threshold keeps the iteration count
+/// modest while leaving the formatted value stable.
+const STEPS_EPSILON: f64 = 1e-10;
+
+/// Iteration cap of both iterations (a backstop; convergence is geometric).
+const MAX_ITERATIONS: u64 = 1_000_000;
+
 /// Options controlling the solver.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SolveOptions {
     /// Also compute the exact expected steps-to-target under the uniform
     /// random scheduler when the probability is certified to be 1 (an
     /// extra value iteration).
     pub expected_steps: bool,
-    /// Convergence threshold for the probability iteration.
-    pub epsilon: f64,
-    /// Iteration cap (a backstop; convergence is geometric).
-    pub max_iterations: u64,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions {
-            expected_steps: false,
-            epsilon: 1e-13,
-            max_iterations: 1_000_000,
-        }
-    }
 }
 
 /// The solved check.
@@ -83,8 +80,8 @@ impl Default for SolveOptions {
 pub struct Solution {
     /// Worst-case probability (over fair adversaries) of reaching the
     /// target from the initial state.  Exact when
-    /// [`certified`](Self::certified); otherwise iterated to
-    /// [`SolveOptions::epsilon`] (a lower bound if the model was
+    /// [`certified`](Self::certified); otherwise iterated to a fixed
+    /// convergence threshold of 1e-13 (a lower bound if the model was
     /// truncated).
     pub probability: f64,
     /// `true` when the probability is qualitatively exact (1 via absence
@@ -433,7 +430,7 @@ pub fn solve(mdp: &Mdp, options: &SolveOptions) -> Solution {
 
     if cores.genuine_states == 0 && !mdp.truncated {
         let (expected_steps, expected_steps_iterations) = if options.expected_steps {
-            let (value, iters) = uniform_expected_steps(mdp, options);
+            let (value, iters) = uniform_expected_steps(mdp);
             (Some(value), iters)
         } else {
             (None, 0)
@@ -516,7 +513,7 @@ pub fn solve(mdp: &Mdp, options: &SolveOptions) -> Solution {
         }
         std::mem::swap(&mut avoid, &mut next);
         iterations += 1;
-        if delta <= options.epsilon || iterations >= options.max_iterations {
+        if delta <= EPSILON || iterations >= MAX_ITERATIONS {
             break;
         }
     }
@@ -547,16 +544,13 @@ pub fn solve(mdp: &Mdp, options: &SolveOptions) -> Solution {
 /// scheduler (each philosopher scheduled with probability `1/n` each
 /// step), iterated on the induced Markov chain.  Only called on certified
 /// models, where the expectation is finite.
-fn uniform_expected_steps(mdp: &Mdp, options: &SolveOptions) -> (f64, u64) {
+fn uniform_expected_steps(mdp: &Mdp) -> (f64, u64) {
     let n_states = mdp.num_states;
     let n_choices = mdp.num_choices;
     let uniform = 1.0 / n_choices as f64;
     let mut values = vec![0.0f64; n_states];
     let mut next = values.clone();
     let mut iterations = 0u64;
-    // Steps are order-1 integers; a coarser epsilon keeps the iteration
-    // count modest while leaving the formatted value stable.
-    let epsilon = options.epsilon.max(1e-10);
     loop {
         let mut delta: f64 = 0.0;
         for s in 0..n_states {
@@ -576,7 +570,7 @@ fn uniform_expected_steps(mdp: &Mdp, options: &SolveOptions) -> (f64, u64) {
         }
         std::mem::swap(&mut values, &mut next);
         iterations += 1;
-        if delta <= epsilon || iterations >= options.max_iterations {
+        if delta <= STEPS_EPSILON || iterations >= MAX_ITERATIONS {
             break;
         }
     }
@@ -656,7 +650,6 @@ mod tests {
             &mdp,
             &SolveOptions {
                 expected_steps: true,
-                ..SolveOptions::default()
             },
         );
         let steps = solution.expected_steps.unwrap();

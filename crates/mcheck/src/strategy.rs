@@ -74,7 +74,6 @@ impl CounterexampleSchedule {
 pub fn extract_counterexample<P: Program + Clone>(
     topology: &Topology,
     program: &P,
-    sim: &SimConfig,
     mdp: &Mdp,
     solution: &Solution,
     seeds: &[u64],
@@ -89,7 +88,7 @@ pub fn extract_counterexample<P: Program + Clone>(
         let mut engine = Engine::new(
             topology.clone(),
             program.clone(),
-            sim.clone().with_seed(seed),
+            SimConfig::default().with_seed(seed),
         );
         let mut succ_buf = engine.snapshot();
         let mut steps = Vec::with_capacity(max_steps);
@@ -168,13 +167,12 @@ const DOT_STATE_CAP: usize = 48;
 pub fn counterexample_dot<P: Program + Clone>(
     topology: &Topology,
     program: &P,
-    sim: &SimConfig,
     schedule: &CounterexampleSchedule,
 ) -> String {
     let mut engine = Engine::new(
         topology.clone(),
         program.clone(),
-        sim.clone().with_seed(schedule.seed),
+        SimConfig::default().with_seed(schedule.seed),
     );
     let mut out = String::from("digraph counterexample {\n");
     let _ = writeln!(out, "  // {}", schedule.summary());
@@ -244,7 +242,7 @@ mod tests {
     use gdp_algorithms::Lr1;
     use gdp_topology::builders::classic_ring;
 
-    fn lr1_lockout_setup() -> (Topology, Lr1, SimConfig, Mdp, Solution) {
+    fn lr1_lockout_setup() -> (Topology, Lr1, Mdp, Solution) {
         let ring = classic_ring(3).unwrap();
         let program = Lr1::new();
         let options = BuildOptions::default()
@@ -257,24 +255,27 @@ mod tests {
             &options,
         );
         let solution = solve(&mdp, &SolveOptions::default());
-        (ring, program, options.sim, mdp, solution)
+        (ring, program, mdp, solution)
     }
 
     #[test]
     fn lr1_starvation_schedule_is_extracted_and_replayable() {
-        let (ring, program, sim, mdp, solution) = lr1_lockout_setup();
+        let (ring, program, mdp, solution) = lr1_lockout_setup();
         assert!(
             !solution.holds_with_probability_one(),
             "LR1 is not lockout-free: {solution:?}"
         );
-        let schedule =
-            extract_counterexample(&ring, &program, &sim, &mdp, &solution, &[0, 1, 2], 400)
-                .expect("a starvation schedule exists");
+        let schedule = extract_counterexample(&ring, &program, &mdp, &solution, &[0, 1, 2], 400)
+            .expect("a starvation schedule exists");
         assert_eq!(schedule.steps.len(), 400);
 
         // Replay the literal schedule on a fresh engine with the recorded
         // seed: the victim must never eat.
-        let mut engine = Engine::new(ring.clone(), program, sim.clone().with_seed(schedule.seed));
+        let mut engine = Engine::new(
+            ring.clone(),
+            program,
+            SimConfig::default().with_seed(schedule.seed),
+        );
         for &p in &schedule.steps {
             engine.step_philosopher(p);
         }
@@ -283,11 +284,10 @@ mod tests {
 
     #[test]
     fn counterexample_dot_renders_states_and_schedule() {
-        let (ring, program, sim, mdp, solution) = lr1_lockout_setup();
-        let schedule =
-            extract_counterexample(&ring, &program, &sim, &mdp, &solution, &[0, 1, 2], 120)
-                .expect("a starvation schedule exists");
-        let dot = counterexample_dot(&ring, &program, &sim, &schedule);
+        let (ring, program, mdp, solution) = lr1_lockout_setup();
+        let schedule = extract_counterexample(&ring, &program, &mdp, &solution, &[0, 1, 2], 120)
+            .expect("a starvation schedule exists");
+        let dot = counterexample_dot(&ring, &program, &schedule);
         assert!(dot.starts_with("digraph counterexample {"));
         assert!(dot.contains("f0:"));
         assert!(dot.contains("->"));

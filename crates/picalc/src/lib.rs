@@ -52,9 +52,8 @@
 use gdp_algorithms::AlgorithmKind;
 use gdp_runtime::DiningTable;
 use gdp_topology::{ForkId, PhilosopherId, Topology};
-use parking_lot::Mutex;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Identifier of a process (one mixed-choice state).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -314,12 +313,19 @@ impl ChoiceRound {
                     // optimization; the authoritative check happens while both
                     // forks (process states) are held.
                     seat.dine(|| {
-                        let mut sender_state = committed_flags[candidate.sender.index()].lock();
-                        let mut receiver_state = committed_flags[candidate.receiver.index()].lock();
+                        let mut sender_state = committed_flags[candidate.sender.index()]
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner);
+                        let mut receiver_state = committed_flags[candidate.receiver.index()]
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner);
                         if !*sender_state && !*receiver_state {
                             *sender_state = true;
                             *receiver_state = true;
-                            results.lock().push(candidate);
+                            results
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .push(candidate);
                         }
                     });
                 });
@@ -328,7 +334,8 @@ impl ChoiceRound {
 
         let committed = Arc::try_unwrap(results)
             .expect("all threads joined")
-            .into_inner();
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         RoundOutcome {
             committed,
             num_processes: self.processes.len(),

@@ -1,7 +1,7 @@
 //! The shared state of one fork (resource) in the threaded runtime.
 //!
 //! A [`SharedFork`] is the simulator's [`ForkCell`] — holder, priority
-//! number `nr`, request list, guest book — behind a [`parking_lot::Mutex`],
+//! number `nr`, request list, guest book — behind a [`std::sync::Mutex`],
 //! plus a condition variable that blocked seats wait on.  Using the *same*
 //! cell type as `gdp-sim` is the point: the runtime's seats execute the same
 //! [`Program`](gdp_sim::Program) step code against the same shared-state
@@ -10,7 +10,7 @@
 
 use gdp_sim::ForkCell;
 use gdp_topology::PhilosopherId;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// One fork (resource) shared between threads.
@@ -36,8 +36,11 @@ impl SharedFork {
     }
 
     /// Locks the underlying cell.  Only the seat interpreter does this.
+    ///
+    /// A poisoned lock (a seat panicked mid-step) is recovered as is: the
+    /// cell stays readable, and the panic surfaces on the panicking thread.
     pub(crate) fn lock(&self) -> MutexGuard<'_, ForkCell> {
-        self.cell.lock()
+        self.cell.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Wakes every thread waiting for this fork to be released.
@@ -49,42 +52,43 @@ impl SharedFork {
     /// immediately if the fork is currently free (e.g. when the caller is
     /// blocked on the courtesy condition rather than on availability).
     pub(crate) fn wait_for_release(&self, timeout: Duration) {
-        let mut cell = self.cell.lock();
+        let cell = self.lock();
         if cell.is_free() {
             return;
         }
-        let _ = self.released.wait_for(&mut cell, timeout);
+        // Woken or timed out, the guard is dropped: the caller re-checks.
+        let _ = self.released.wait_timeout(cell, timeout);
     }
 
     /// The current priority number `nr` (diagnostics / tests).
     #[must_use]
     pub fn nr(&self) -> u32 {
-        self.cell.lock().nr()
+        self.lock().nr()
     }
 
     /// Returns `true` if no thread currently holds the fork.
     #[must_use]
     pub fn is_free(&self) -> bool {
-        self.cell.lock().is_free()
+        self.lock().is_free()
     }
 
     /// The holder, if any (diagnostics / tests).
     #[must_use]
     pub fn holder(&self) -> Option<PhilosopherId> {
-        self.cell.lock().holder()
+        self.lock().holder()
     }
 
     /// A snapshot of the request list (diagnostics / tests).
     #[must_use]
     pub fn requests(&self) -> Vec<PhilosopherId> {
-        self.cell.lock().requests().to_vec()
+        self.lock().requests().to_vec()
     }
 
     /// Number of distinct philosophers that have signed the guest book
     /// (diagnostics / tests).
     #[must_use]
     pub fn guest_book_len(&self) -> usize {
-        self.cell.lock().guest_book_len()
+        self.lock().guest_book_len()
     }
 }
 

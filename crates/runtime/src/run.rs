@@ -44,9 +44,6 @@ pub struct RunOptions {
     pub watchdog: Option<Duration>,
     /// Seed for the seats' private randomness.
     pub seed: u64,
-    /// Override of the GDP priority-number bound `m` (`None` = number of
-    /// forks).
-    pub nr_range: Option<u32>,
     /// Crash-stop faults: this many seeded active seats stop mid-protocol
     /// before finishing their budget, recovering their forks through
     /// [`Seat::reset_trying`](crate::Seat::reset_trying).  Capped at
@@ -70,7 +67,6 @@ impl fmt::Debug for RunOptions {
             .field("active_seats", &self.active_seats)
             .field("watchdog", &self.watchdog)
             .field("seed", &self.seed)
-            .field("nr_range", &self.nr_range)
             .field("crash_seats", &self.crash_seats)
             .field("sink", &self.sink.as_ref().map(|_| "<EventSink>"))
             .finish()
@@ -85,7 +81,6 @@ impl Default for RunOptions {
             active_seats: None,
             watchdog: None,
             seed: 0,
-            nr_range: None,
             crash_seats: 0,
             sink: None,
         }
@@ -238,7 +233,7 @@ pub fn run_with<F>(topology: Topology, options: &RunOptions, critical: F) -> Run
 where
     F: Fn() + Sync,
 {
-    let table = DiningTable::new(topology, options.algorithm, options.seed, options.nr_range);
+    let table = DiningTable::new(topology, options.algorithm, options.seed);
     let n = table.topology().num_philosophers();
     let active = match options.active_seats {
         Some(a) if a >= 1 => a.min(n),
@@ -311,7 +306,7 @@ pub fn run_for_duration<F>(
 where
     F: Fn() + Sync,
 {
-    let table = DiningTable::new(topology, options.algorithm, options.seed, options.nr_range);
+    let table = DiningTable::new(topology, options.algorithm, options.seed);
     let n = table.topology().num_philosophers();
     let active = match options.active_seats {
         Some(a) if a >= 1 => a.min(n),

@@ -16,19 +16,12 @@
 use crate::table::DiningTable;
 use gdp_algorithms::{AlgorithmKind, AnyProgram, AnyState};
 use gdp_observe::{Event, SharedSink};
-use gdp_sim::{Action, HungerModel, Phase, Program, ProgramObservation, StepCtx};
+use gdp_sim::{Action, Phase, Program, ProgramObservation, StepCtx};
 use gdp_topology::{ForkEnds, ForkId, PhilosopherId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Runtime philosophers are hungry whenever their thread asks to dine, the
-/// paper's maximally contended regime.
-const HUNGER: HungerModel = HungerModel::Always;
-
-/// The fair-coin bias of `random_choice(left, right)` (LR1/LR2 line 2).
-const LEFT_BIAS: f64 = 0.5;
 
 /// Longest single backoff nap while waiting for a fork; bounds how stale a
 /// missed courtesy-condition change can get.
@@ -219,9 +212,7 @@ impl Seat {
                 left_cell,
                 right_cell,
                 &mut self.rng,
-                &HUNGER,
-                LEFT_BIAS,
-                table.nr_range(),
+                table.topology().num_forks(),
             );
             self.program.step(&mut self.state, &mut ctx)
         };
@@ -411,7 +402,7 @@ impl Seat {
             // Generic test-and-set (the baselines): productive iff it got
             // the fork.
             Action::TestAndSet { fork } => self.holds(fork),
-            Action::Wait | Action::KeepThinking => false,
+            Action::Wait => false,
             _ => true,
         }
     }
@@ -526,8 +517,8 @@ mod tests {
 
     #[test]
     fn same_seed_gives_seats_identical_random_streams() {
-        let t1 = DiningTable::new(classic_ring(4).unwrap(), AlgorithmKind::Lr1, 7, None);
-        let t2 = DiningTable::new(classic_ring(4).unwrap(), AlgorithmKind::Lr1, 7, None);
+        let t1 = DiningTable::new(classic_ring(4).unwrap(), AlgorithmKind::Lr1, 7);
+        let t2 = DiningTable::new(classic_ring(4).unwrap(), AlgorithmKind::Lr1, 7);
         // LR1's first commit is a coin flip; stepping the same philosopher
         // alone on both tables must draw the same side.
         for p in 0..4u32 {

@@ -89,7 +89,6 @@ pub struct DiningTable {
     topology: Topology,
     algorithm: AlgorithmKind,
     forks: Vec<SharedFork>,
-    nr_range: u32,
     seed: u64,
     counters: Vec<SeatCounters>,
     /// Per-meal wait times in nanoseconds: bucket `i` counts meals whose
@@ -102,47 +101,30 @@ pub struct DiningTable {
 
 impl DiningTable {
     /// Creates a table for `topology` running **GDP2** — the paper's
-    /// lockout-free default — with the default priority-number range `m = k`.
+    /// lockout-free default — with seed 0.
     #[must_use]
     pub fn for_topology(topology: Topology) -> Arc<Self> {
         Self::for_algorithm(topology, AlgorithmKind::Gdp2)
     }
 
     /// Creates a table whose seats interpret `algorithm` (any
-    /// [`AlgorithmKind`], including the baselines), with default seed 0 and
-    /// `m = k`.
+    /// [`AlgorithmKind`], including the baselines), with seed 0.
     #[must_use]
     pub fn for_algorithm(topology: Topology, algorithm: AlgorithmKind) -> Arc<Self> {
-        Self::new(topology, algorithm, 0, None)
-    }
-
-    /// Creates a GDP2 table with an explicit priority-number range `m`
-    /// (clamped up to the number of forks, honouring the paper's `m >= k`).
-    #[must_use]
-    pub fn with_nr_range(topology: Topology, m: u32) -> Arc<Self> {
-        Self::new(topology, AlgorithmKind::Gdp2, 0, Some(m))
+        Self::new(topology, algorithm, 0)
     }
 
     /// The fully explicit constructor: `algorithm` is interpreted by every
-    /// seat, `seed` derives each seat's private randomness (two tables with
-    /// the same seed hand identical random streams to their seats — the
-    /// *interleaving* of real threads of course remains OS-scheduled), and
-    /// `nr_range` overrides the GDP priority-number bound `m` (`None` means
-    /// `m = k`, always clamped up to `k`).
+    /// seat, and `seed` derives each seat's private randomness (two tables
+    /// with the same seed hand identical random streams to their seats — the
+    /// *interleaving* of real threads of course remains OS-scheduled).
     #[must_use]
-    pub fn new(
-        topology: Topology,
-        algorithm: AlgorithmKind,
-        seed: u64,
-        nr_range: Option<u32>,
-    ) -> Arc<Self> {
+    pub fn new(topology: Topology, algorithm: AlgorithmKind, seed: u64) -> Arc<Self> {
         let k = topology.num_forks();
         let n = topology.num_philosophers();
-        let default_m = (k as u32).max(1);
         Arc::new(DiningTable {
             forks: (0..k).map(|_| SharedFork::new()).collect(),
             algorithm,
-            nr_range: nr_range.map_or(default_m, |m| m.max(default_m)),
             seed,
             counters: (0..n).map(|_| SeatCounters::new()).collect(),
             wait_histogram: AtomicLog2Histogram::new(),
@@ -160,12 +142,6 @@ impl DiningTable {
     #[must_use]
     pub fn algorithm(&self) -> AlgorithmKind {
         self.algorithm
-    }
-
-    /// The effective GDP priority-number bound `m`.
-    #[must_use]
-    pub fn nr_range(&self) -> u32 {
-        self.nr_range
     }
 
     /// The seed this table derives seat randomness from.
@@ -333,21 +309,9 @@ mod tests {
     }
 
     #[test]
-    fn nr_range_is_clamped_to_fork_count() {
-        let table = DiningTable::with_nr_range(classic_ring(5).unwrap(), 2);
-        assert_eq!(table.topology().num_forks(), 5);
-        assert_eq!(table.nr_range(), 5, "m must be clamped up to k");
-        assert_eq!(table.algorithm(), AlgorithmKind::Gdp2);
-        let mut seat = table.seat(PhilosopherId::new(2));
-        seat.dine(|| {});
-        assert_eq!(seat.meals(), 1);
-    }
-
-    #[test]
     fn table_records_its_algorithm_and_seed() {
-        let table = DiningTable::new(classic_ring(4).unwrap(), AlgorithmKind::Lr1, 9, None);
+        let table = DiningTable::new(classic_ring(4).unwrap(), AlgorithmKind::Lr1, 9);
         assert_eq!(table.algorithm(), AlgorithmKind::Lr1);
         assert_eq!(table.seed(), 9);
-        assert_eq!(table.nr_range(), 4);
     }
 }

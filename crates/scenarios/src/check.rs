@@ -22,7 +22,9 @@ pub use gdp_mcheck::certificate::Verdict as CheckVerdict;
 use gdp_mcheck::certificate::Verdict;
 use gdp_mcheck::strategy::{counterexample_dot, extract_counterexample, CounterexampleSchedule};
 pub use gdp_mcheck::AdversaryClass;
-use gdp_mcheck::{build_mdp, solve, BuildOptions, Certificate, CheckTarget, SolveOptions};
+use gdp_mcheck::{
+    build_mdp, solve, BuildOptions, Certificate, CheckTarget, SolveOptions, AUTOMORPHISM_LIMIT,
+};
 use gdp_topology::{symmetry, PhilosopherId, Topology};
 use std::fmt::Write as _;
 
@@ -295,7 +297,6 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, String> {
         // only makes sense in the unrestricted model (restricted products
         // add crash choices / forced rows).
         expected_steps: spec.expected_steps && unrestricted,
-        ..SolveOptions::default()
     };
 
     let program = spec.algorithm.program();
@@ -313,7 +314,6 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, String> {
                 extract_counterexample(
                     &topology,
                     &program,
-                    &build_options.sim,
                     &mdp,
                     &solution,
                     &[0, 1, 2, 3, 4, 5, 6, 7],
@@ -332,12 +332,7 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, String> {
             schedule.as_ref(),
         ));
         if let Some(schedule) = schedule {
-            counterexample_dot_out = Some(counterexample_dot(
-                &topology,
-                &program,
-                &build_options.sim,
-                &schedule,
-            ));
+            counterexample_dot_out = Some(counterexample_dot(&topology, &program, &schedule));
             counterexample = Some(schedule);
         }
     }
@@ -612,7 +607,7 @@ fn lockout_representatives(topology: &Topology, use_symmetry: bool) -> Vec<Philo
     if !use_symmetry {
         return topology.philosopher_ids().collect();
     }
-    let autos = symmetry::automorphisms(topology, 64);
+    let autos = symmetry::automorphisms(topology, AUTOMORPHISM_LIMIT);
     let mut orbit = vec![u32::MAX; n];
     for p in 0..n {
         if orbit[p] != u32::MAX {

@@ -302,7 +302,6 @@ pub fn run_stress_observed(
         active_seats: (spec.threads > 0).then_some(spec.threads),
         watchdog: (spec.watchdog_ms > 0).then(|| Duration::from_millis(spec.watchdog_ms)),
         seed: spec.seed,
-        nr_range: None,
         crash_seats: spec.crash_seats,
         sink,
     };

@@ -24,15 +24,12 @@
 //! primitive; everything in `gdp-mcheck` is built on it.
 
 /// The kind (and outcome domain) of one random draw a program requested.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DrawRequest {
-    /// A biased coin: `true` with probability `p_true`.  Issued by
+    /// A fair coin, issued by
     /// [`StepCtx::random_side`](crate::StepCtx::random_side) (where `true`
-    /// means *left*) and by Bernoulli hunger models.
-    Coin {
-        /// Probability of drawing `true`.
-        p_true: f64,
-    },
+    /// means *left*).
+    Coin,
     /// A uniform draw from `[1, m]`, issued by
     /// [`StepCtx::random_nr`](crate::StepCtx::random_nr).
     Uniform {
@@ -42,24 +39,16 @@ pub enum DrawRequest {
 }
 
 impl DrawRequest {
-    /// The outcomes of this draw with *positive probability*, as
-    /// `(outcome, probability)` pairs in a fixed deterministic order.
-    ///
-    /// Degenerate coins (`p_true` of 0 or 1) have a single outcome, so
-    /// enumeration never explores probability-0 branches.
+    /// The outcomes of this draw, as `(outcome, probability)` pairs in a
+    /// fixed deterministic order: `true` before `false` for a coin, `1`
+    /// upwards for a uniform draw.
     #[must_use]
     pub fn outcomes(self) -> Vec<(DrawOutcome, f64)> {
         match self {
-            DrawRequest::Coin { p_true } => {
-                let mut out = Vec::with_capacity(2);
-                if p_true > 0.0 {
-                    out.push((DrawOutcome::Coin(true), p_true));
-                }
-                if p_true < 1.0 {
-                    out.push((DrawOutcome::Coin(false), 1.0 - p_true));
-                }
-                out
-            }
+            DrawRequest::Coin => vec![
+                (DrawOutcome::Coin(true), 0.5),
+                (DrawOutcome::Coin(false), 0.5),
+            ],
             DrawRequest::Uniform { m } => {
                 let p = 1.0 / f64::from(m.max(1));
                 (1..=m.max(1))
@@ -144,8 +133,8 @@ impl DrawTape {
     /// deterministic in the *sequence of draw kinds* they issue from a given
     /// state, so a kind mismatch indicates a caller bug (replaying a tape
     /// recorded for a different state).
-    pub(crate) fn draw_coin(&mut self, p_true: f64) -> bool {
-        match self.next_outcome(DrawRequest::Coin { p_true }) {
+    pub(crate) fn draw_coin(&mut self) -> bool {
+        match self.next_outcome(DrawRequest::Coin) {
             Some(DrawOutcome::Coin(value)) => value,
             Some(other) => panic!("scripted step expected a coin draw, tape has {other:?}"),
             None => false,
@@ -190,12 +179,12 @@ mod tests {
         let mut tape = DrawTape::new();
         tape.push(DrawOutcome::Coin(true));
         tape.push(DrawOutcome::Uniform(4));
-        assert!(tape.draw_coin(0.5));
+        assert!(tape.draw_coin());
         assert_eq!(tape.draw_uniform(9), 4);
         assert_eq!(tape.pending(), None);
         // Past the end: default value, pending recorded once.
         assert_eq!(tape.draw_uniform(9), 1);
-        assert!(!tape.draw_coin(0.25));
+        assert!(!tape.draw_coin());
         assert_eq!(tape.pending(), Some(DrawRequest::Uniform { m: 9 }));
     }
 
@@ -203,13 +192,13 @@ mod tests {
     fn rewind_replays_and_clear_empties() {
         let mut tape = DrawTape::new();
         tape.push(DrawOutcome::Coin(false));
-        assert!(!tape.draw_coin(0.5));
+        assert!(!tape.draw_coin());
         tape.rewind();
-        assert!(!tape.draw_coin(0.5));
+        assert!(!tape.draw_coin());
         tape.clear();
         assert_eq!(tape.outcomes(), &[]);
-        let _ = tape.draw_coin(0.5);
-        assert_eq!(tape.pending(), Some(DrawRequest::Coin { p_true: 0.5 }));
+        let _ = tape.draw_coin();
+        assert_eq!(tape.pending(), Some(DrawRequest::Coin));
     }
 
     #[test]
@@ -217,22 +206,18 @@ mod tests {
     fn kind_mismatch_panics() {
         let mut tape = DrawTape::new();
         tape.push(DrawOutcome::Uniform(2));
-        let _ = tape.draw_coin(0.5);
+        let _ = tape.draw_coin();
     }
 
     #[test]
-    fn coin_outcomes_skip_probability_zero_branches() {
+    fn coin_outcomes_are_true_then_false_at_one_half() {
         assert_eq!(
-            DrawRequest::Coin { p_true: 1.0 }.outcomes(),
-            vec![(DrawOutcome::Coin(true), 1.0)]
+            DrawRequest::Coin.outcomes(),
+            vec![
+                (DrawOutcome::Coin(true), 0.5),
+                (DrawOutcome::Coin(false), 0.5)
+            ]
         );
-        assert_eq!(
-            DrawRequest::Coin { p_true: 0.0 }.outcomes(),
-            vec![(DrawOutcome::Coin(false), 1.0)]
-        );
-        let fair = DrawRequest::Coin { p_true: 0.5 }.outcomes();
-        assert_eq!(fair.len(), 2);
-        assert_eq!(fair[0].0, DrawOutcome::Coin(true));
     }
 
     #[test]

@@ -52,8 +52,7 @@ pub struct StepRecord {
 pub struct Engine<P: Program> {
     topology: Topology,
     program: P,
-    config: SimConfig,
-    nr_range: u32,
+    seed: u64,
     forks: Vec<ForkCell>,
     states: Vec<P::State>,
     rng: ChaCha8Rng,
@@ -83,9 +82,8 @@ impl<P: Program> Engine<P> {
     pub fn new(topology: Topology, program: P, config: SimConfig) -> Self {
         let n = topology.num_philosophers();
         let k = topology.num_forks();
-        let nr_range = config.effective_nr_range(k);
         let mut engine = Engine {
-            nr_range,
+            seed: config.seed,
             forks: (0..k).map(|_| ForkCell::new()).collect(),
             states: (0..n).map(|_| program.initial_state()).collect(),
             rng: ChaCha8Rng::seed_from_u64(config.seed),
@@ -102,7 +100,6 @@ impl<P: Program> Engine<P> {
             views: Vec::with_capacity(n),
             topology,
             program,
-            config,
         };
         for p in 0..n {
             let view = engine.compute_view(PhilosopherId::new(p as u32));
@@ -121,12 +118,6 @@ impl<P: Program> Engine<P> {
     #[must_use]
     pub fn program(&self) -> &P {
         &self.program
-    }
-
-    /// The configuration of this engine.
-    #[must_use]
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// Number of atomic steps executed so far.
@@ -197,12 +188,6 @@ impl<P: Program> Engine<P> {
     #[must_use]
     pub fn first_meal_histogram(&self) -> &Log2Histogram {
         &self.first_meal_hist
-    }
-
-    /// The effective priority-number range `m` used by GDP1/GDP2 in this run.
-    #[must_use]
-    pub fn nr_range(&self) -> u32 {
-        self.nr_range
     }
 
     /// A 64-bit fingerprint of the *shared-and-private* state (fork cells and
@@ -354,15 +339,7 @@ impl<P: Program> Engine<P> {
                 Some(tape) => StepRandomness::Scripted(tape),
                 None => StepRandomness::Sampled(&mut self.rng),
             };
-            let mut ctx = StepCtx::new(
-                philosopher,
-                ends,
-                &mut self.forks,
-                randomness,
-                &self.config.hunger,
-                self.config.left_bias,
-                self.nr_range,
-            );
+            let mut ctx = StepCtx::new(philosopher, ends, &mut self.forks, randomness);
             self.program.step(&mut self.states[idx], &mut ctx)
         };
         let phase_after = self.program.observation(&self.states[idx], ends).phase;
@@ -517,14 +494,13 @@ impl<P: Program> Engine<P> {
     /// program and configuration (including the seed: the next run replays
     /// the same philosopher randomness).
     pub fn reset(&mut self) {
-        let seed = self.config.seed;
-        self.reset_with_seed(seed);
+        self.reset_with_seed(self.seed);
     }
 
     /// Resets the engine and installs a new random seed — the standard way to
     /// perform independent Monte-Carlo trials without reallocating.
     pub fn reset_with_seed(&mut self, seed: u64) {
-        self.config.seed = seed;
+        self.seed = seed;
         self.rng = ChaCha8Rng::seed_from_u64(seed);
         for fork in &mut self.forks {
             fork.reset();
@@ -548,17 +524,16 @@ impl<P: Program> Engine<P> {
     }
 
     /// Captures the engine's semantic state — fork cells, private program
-    /// states, RNG position and step count — as an [`EngineState`].
+    /// states and step count — as an [`EngineState`].
     ///
     /// Statistics (meal counts, scheduling accounting, the first-meal
-    /// histogram) are *not* captured; see the [`crate::snapshot`] module
-    /// docs for why.
+    /// histogram) and the RNG are *not* captured; see the
+    /// [`crate::snapshot`] module docs for why.
     #[must_use]
     pub fn snapshot(&self) -> EngineState<P> {
         EngineState {
             forks: self.forks.clone(),
             states: self.states.clone(),
-            rng: self.rng.clone(),
             step_count: self.step_count,
         }
     }
@@ -568,19 +543,21 @@ impl<P: Program> Engine<P> {
     pub fn snapshot_into(&self, out: &mut EngineState<P>) {
         out.forks.clone_from(&self.forks);
         out.states.clone_from(&self.states);
-        out.rng = self.rng.clone();
         out.step_count = self.step_count;
     }
 
     /// Restores the engine to a previously captured [`EngineState`].
     ///
-    /// The fork cells, program states, RNG and step counter return exactly
-    /// to their snapshot values, so a subsequent
-    /// [`step_philosopher`](Self::step_philosopher) sequence replays
-    /// bit-for-bit what it would have produced from the snapshot point.
-    /// Run statistics — meal counts, scheduling/fairness accounting and the
-    /// first-meal histogram — restart from zero, because a snapshot
-    /// deliberately does not capture them.
+    /// The fork cells, program states and step counter return exactly to
+    /// their snapshot values.  The RNG stays where it is: a scripted step
+    /// ([`step_philosopher_with_tape`](Self::step_philosopher_with_tape))
+    /// never draws from it, so a probe-and-restore loop leaves the sampled
+    /// stream untouched, and the next
+    /// [`step_philosopher`](Self::step_philosopher) samples exactly what it
+    /// would have without the probes.  Run statistics — meal counts,
+    /// scheduling/fairness accounting and the first-meal histogram —
+    /// restart from zero, because a snapshot deliberately does not capture
+    /// them.
     ///
     /// # Panics
     ///
@@ -599,7 +576,6 @@ impl<P: Program> Engine<P> {
         );
         self.forks.clone_from(&snapshot.forks);
         self.states.clone_from(&snapshot.states);
-        self.rng = snapshot.rng.clone();
         self.step_count = snapshot.step_count;
         let n = self.states.len();
         self.meals_completed.iter_mut().for_each(|m| *m = 0);
@@ -742,6 +718,7 @@ mod tests {
     use crate::adversary::{RoundRobinAdversary, UniformRandomAdversary};
     use crate::program::ProgramObservation;
     use gdp_topology::builders::classic_ring;
+    use gdp_topology::Side;
 
     /// A two-phase toy program: a philosopher becomes hungry, grabs both of
     /// its forks in one atomic step if both are free (so it cannot deadlock),
@@ -754,7 +731,15 @@ mod tests {
         Eating,
     }
 
-    struct ToyProgram;
+    /// With `flips_coin`, a scheduled thinking philosopher first flips a
+    /// fair coin ([`StepCtx::random_side`]) and stays thinking on `Right`:
+    /// the tests' source of sampled and enumerated randomness.
+    struct ToyProgram {
+        flips_coin: bool,
+    }
+
+    const TOY: ToyProgram = ToyProgram { flips_coin: false };
+    const COIN_TOY: ToyProgram = ToyProgram { flips_coin: true };
 
     impl Program for ToyProgram {
         type State = Toy;
@@ -783,11 +768,11 @@ mod tests {
         fn step(&self, state: &mut Toy, ctx: &mut StepCtx<'_>) -> Action {
             match state {
                 Toy::Thinking => {
-                    if ctx.becomes_hungry() {
+                    if self.flips_coin && ctx.random_side() == Side::Right {
+                        Action::Wait
+                    } else {
                         *state = Toy::Hungry;
                         Action::BecomeHungry
-                    } else {
-                        Action::KeepThinking
                     }
                 }
                 Toy::Hungry => {
@@ -814,7 +799,15 @@ mod tests {
     fn engine(n: usize, seed: u64) -> Engine<ToyProgram> {
         Engine::new(
             classic_ring(n).unwrap(),
-            ToyProgram,
+            TOY,
+            SimConfig::default().with_seed(seed),
+        )
+    }
+
+    fn coin_engine(n: usize, seed: u64) -> Engine<ToyProgram> {
+        Engine::new(
+            classic_ring(n).unwrap(),
+            COIN_TOY,
             SimConfig::default().with_seed(seed),
         )
     }
@@ -920,14 +913,10 @@ mod tests {
 
     #[test]
     fn different_seeds_usually_differ() {
-        // The toy program only uses randomness through the hunger model
-        // (Always → no randomness), so use a Bernoulli model to make sure
-        // seeds reach the philosophers.
-        let config = SimConfig::default()
-            .with_seed(1)
-            .with_hunger(crate::HungerModel::Bernoulli(0.5));
-        let mut c = Engine::new(classic_ring(5).unwrap(), ToyProgram, config.clone());
-        let mut d = Engine::new(classic_ring(5).unwrap(), ToyProgram, config.with_seed(99));
+        // The plain toy draws nothing, so flip coins to make sure seeds
+        // reach the philosophers.
+        let mut c = coin_engine(5, 1);
+        let mut d = coin_engine(5, 99);
         let rc = record_steps(&mut c, &mut RoundRobinAdversary::new(), 500);
         let rd = record_steps(&mut d, &mut RoundRobinAdversary::new(), 500);
         assert_ne!(rc, rd);
@@ -946,8 +935,7 @@ mod tests {
 
     #[test]
     fn reset_with_new_seed_changes_randomized_behaviour() {
-        let config = SimConfig::default().with_hunger(crate::HungerModel::Bernoulli(0.3));
-        let mut e = Engine::new(classic_ring(4).unwrap(), ToyProgram, config);
+        let mut e = coin_engine(4, 0);
         let first = record_steps(&mut e, &mut RoundRobinAdversary::new(), 400);
         e.reset_with_seed(1234);
         let second = record_steps(&mut e, &mut RoundRobinAdversary::new(), 400);
@@ -956,17 +944,14 @@ mod tests {
     }
 
     /// Property-style check for the incremental view buffer: after arbitrary
-    /// step sequences (random adversary, random seeds, several topologies and
-    /// hunger models) the persistent views must equal views rebuilt from
-    /// scratch, after every single step.
+    /// step sequences (random adversary, random seeds, several topologies,
+    /// coin-flipping philosophers) the persistent views must equal views
+    /// rebuilt from scratch, after every single step.
     #[test]
     fn incremental_views_match_rebuilt_views_under_random_stepping() {
         for n in [2usize, 3, 5, 8] {
             for seed in 0..4u64 {
-                let config = SimConfig::default()
-                    .with_seed(seed)
-                    .with_hunger(crate::HungerModel::Bernoulli(0.7));
-                let mut engine = Engine::new(classic_ring(n).unwrap(), ToyProgram, config);
+                let mut engine = coin_engine(n, seed);
                 let mut adversary = UniformRandomAdversary::new(seed ^ 0xFEED);
                 for step in 0..400 {
                     engine.step_with(&mut adversary);
@@ -1017,26 +1002,12 @@ mod tests {
     }
 
     #[test]
-    fn never_hungry_means_no_meals() {
-        let config = SimConfig::default().with_hunger(crate::HungerModel::Never);
-        let mut e = Engine::new(classic_ring(4).unwrap(), ToyProgram, config);
-        let outcome = e.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(1_000),
-        );
-        assert_eq!(outcome.total_meals, 0);
-        assert!(!outcome.made_progress());
-    }
-
-    #[test]
     fn snapshot_restore_replays_bit_for_bit() {
         // Run a prefix, snapshot, run a suffix; restoring the snapshot and
-        // re-running the suffix must reproduce the exact same state —
-        // including the RNG stream.
-        let config = SimConfig::default()
-            .with_seed(3)
-            .with_hunger(crate::HungerModel::Bernoulli(0.6));
-        let mut engine = Engine::new(classic_ring(5).unwrap(), ToyProgram, config);
+        // re-running the suffix must reproduce the exact same state.  The
+        // plain toy draws nothing, so the RNG (which a snapshot does not
+        // hold) cannot make the replay diverge.
+        let mut engine = engine(5, 3);
         let mut adversary = UniformRandomAdversary::new(17);
         for _ in 0..137 {
             engine.step_with(&mut adversary);
@@ -1060,6 +1031,26 @@ mod tests {
     }
 
     #[test]
+    fn probes_and_restores_leave_the_sampled_stream_alone() {
+        // Enumerating outcomes (scripted draws) and restoring between
+        // sampled steps must not shift the RNG: both engines sample the
+        // same coins.
+        let mut probed = coin_engine(4, 21);
+        let mut plain = coin_engine(4, 21);
+        let mut adversary = UniformRandomAdversary::new(5);
+        for _ in 0..300 {
+            let chosen = probed.with_view(|view| adversary.select(view));
+            assert!(!probed.is_stuck());
+            let snapshot = probed.snapshot();
+            probed.for_each_step_outcome_from(&snapshot, chosen, |_, _, _| {});
+            assert_eq!(
+                probed.step_philosopher(chosen),
+                plain.step_philosopher(chosen)
+            );
+        }
+    }
+
+    #[test]
     fn snapshot_into_reuses_buffers_and_matches_snapshot() {
         let mut engine = engine(4, 9);
         let mut buffer = engine.snapshot();
@@ -1074,32 +1065,32 @@ mod tests {
     #[test]
     fn scripted_step_with_empty_tape_reports_pending_for_random_draws() {
         use crate::draws::{DrawRequest, DrawTape};
-        // Bernoulli hunger: the very first scheduled step needs a coin.
-        let config = SimConfig::default().with_hunger(crate::HungerModel::Bernoulli(0.3));
-        let mut engine = Engine::new(classic_ring(3).unwrap(), ToyProgram, config);
+        // The coin toy's very first scheduled step needs a coin.
+        let mut engine = coin_engine(3, 0);
         let snapshot = engine.snapshot();
         let mut tape = DrawTape::new();
         engine.step_philosopher_with_tape(PhilosopherId::new(0), &mut tape);
-        assert_eq!(tape.pending(), Some(DrawRequest::Coin { p_true: 0.3 }));
+        assert_eq!(tape.pending(), Some(DrawRequest::Coin));
         engine.restore(&snapshot);
         assert_eq!(engine.state_fingerprint(), snapshot.fingerprint());
     }
 
     #[test]
     fn for_each_step_outcome_enumerates_a_coin_with_probabilities_summing_to_one() {
-        let config = SimConfig::default().with_hunger(crate::HungerModel::Bernoulli(0.25));
-        let mut engine = Engine::new(classic_ring(3).unwrap(), ToyProgram, config);
+        let mut engine = coin_engine(3, 0);
         let before = engine.state_fingerprint();
         let mut outcomes = Vec::new();
         engine.for_each_step_outcome(PhilosopherId::new(0), |p, e, record| {
             outcomes.push((p, e.state_fingerprint(), record.action));
         });
-        // One coin: hungry (p = 0.25) or still thinking (p = 0.75).
+        // One fair coin: hungry on `true` (left), still thinking on `false`.
         assert_eq!(outcomes.len(), 2);
-        assert!((outcomes.iter().map(|o| o.0).sum::<f64>() - 1.0).abs() < 1e-12);
+        assert_eq!(outcomes[0].0, 0.5);
+        assert_eq!(outcomes[1].0, 0.5);
         assert_eq!(outcomes[0].2, Action::BecomeHungry);
         assert_ne!(outcomes[0].1, before, "becoming hungry changes the state");
-        assert_eq!(outcomes[1].1, before, "keep-thinking leaves the state");
+        assert_eq!(outcomes[1].2, Action::Wait);
+        assert_eq!(outcomes[1].1, before, "staying thinking leaves the state");
         // The engine itself is restored.
         assert_eq!(engine.state_fingerprint(), before);
         assert_eq!(engine.views(), engine.rebuilt_views().as_slice());
@@ -1237,17 +1228,5 @@ mod tests {
 
         e.reset();
         assert!(e.first_meal_histogram().is_empty());
-    }
-
-    #[test]
-    fn nr_range_defaults_to_fork_count() {
-        let e = engine(6, 0);
-        assert_eq!(e.nr_range(), 6);
-        let e2 = Engine::new(
-            classic_ring(6).unwrap(),
-            ToyProgram,
-            SimConfig::default().with_nr_range(50),
-        );
-        assert_eq!(e2.nr_range(), 50);
     }
 }

@@ -21,7 +21,10 @@
 //!   executing a step: its own two forks, the atomic operations on them, and
 //!   its private randomness.  A philosopher cannot observe or touch any
 //!   other part of the system, which enforces the paper's *full
-//!   distribution* requirement by construction.
+//!   distribution* requirement by construction.  It is also the one place
+//!   that fixes the paper's model: a fair coin for `random_choice(left,
+//!   right)` and priority numbers drawn from `[1, k]`, `k` the number of
+//!   forks.
 //! * [`Adversary`] — the scheduler interface, with full-information
 //!   [`SystemView`] access, plus the built-in fair schedulers
 //!   ([`RoundRobinAdversary`], [`UniformRandomAdversary`]).
@@ -31,7 +34,7 @@
 //!   evaluates [`StopCondition`]s.  An attached `gdp-observe` event sink
 //!   receives the step-by-step record of the run.
 //! * [`EngineState`] — first-class snapshots of the semantic state
-//!   (forks, private program states, RNG, step counter) with `O(n + k)`
+//!   (forks, private program states, step counter) with `O(n + k)`
 //!   [`Engine::restore`], plus the relabelled-fingerprint canonical
 //!   encoding behind `gdp-mcheck`'s symmetry quotient.
 //! * [`DrawTape`] — scripted randomness: replay or exhaustively enumerate
@@ -72,8 +75,8 @@
 //!     fn step(&self, state: &mut Naive, ctx: &mut StepCtx<'_>) -> Action {
 //!         match state {
 //!             Naive::Thinking => {
-//!                 if ctx.becomes_hungry() { *state = Naive::WantLeft; Action::BecomeHungry }
-//!                 else { Action::KeepThinking }
+//!                 *state = Naive::WantLeft;
+//!                 Action::BecomeHungry
 //!             }
 //!             Naive::WantLeft => {
 //!                 let left = ctx.left();
@@ -110,7 +113,6 @@ pub mod draws;
 mod engine;
 mod fork;
 mod hash;
-mod hunger;
 mod outcome;
 mod program;
 pub mod snapshot;
@@ -122,7 +124,6 @@ pub use draws::{DrawOutcome, DrawRequest, DrawTape};
 pub use engine::{Engine, StepRecord};
 pub use fork::{ForkCell, UsageStamp};
 pub use hash::fingerprint64;
-pub use hunger::HungerModel;
 pub use outcome::{RunOutcome, StopCondition, StopReason};
 pub use program::{Action, Phase, Program, ProgramObservation, StepCtx};
 pub use snapshot::{EngineState, RelabelScratch};

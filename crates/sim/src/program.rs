@@ -11,7 +11,6 @@
 
 use crate::draws::DrawTape;
 use crate::fork::ForkCell;
-use crate::hunger::HungerModel;
 use gdp_topology::{ForkEnds, ForkId, PhilosopherId, Side};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -53,7 +52,8 @@ enum ForkAccess<'a> {
 /// progress statements, plus the thinking phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// The philosopher is thinking (may or may not ever become hungry).
+    /// The philosopher is thinking.  In the paper's algorithms it becomes
+    /// hungry the next time it is scheduled.
     Thinking,
     /// The philosopher is hungry and executing its trying section.
     Hungry,
@@ -95,8 +95,6 @@ impl fmt::Display for Phase {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Action {
-    /// The philosopher was scheduled while thinking and kept thinking.
-    KeepThinking,
     /// The philosopher became hungry and entered its trying section.
     BecomeHungry,
     /// LR2/GDP2 line 2: the philosopher inserted its id into both request lists.
@@ -221,36 +219,37 @@ pub trait Program {
 /// randomness.  Any attempt to operate on a fork that is not adjacent to the
 /// philosopher panics: that would violate the problem's full-distribution
 /// requirement and indicates a bug in an algorithm implementation.
+///
+/// The context is also the one place that fixes the paper's model:
+/// [`random_side`](Self::random_side) flips a fair coin and
+/// [`random_nr`](Self::random_nr) draws from `[1, k]`, `k` the number of
+/// forks — the smallest range meeting GDP1/GDP2's requirement `m ≥ k`.
+/// Hunger is not drawn at all: programs move a scheduled thinking
+/// philosopher straight into its trying section, the maximally contended
+/// regime every argument of the paper runs in.
 pub struct StepCtx<'a> {
     me: PhilosopherId,
     ends: ForkEnds,
     forks: ForkAccess<'a>,
     randomness: StepRandomness<'a>,
-    hunger: &'a HungerModel,
-    left_bias: f64,
-    nr_range: u32,
+    num_forks: u32,
 }
 
 impl<'a> StepCtx<'a> {
-    /// Creates a step context.  Only the engine does this.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates a step context over every fork cell of the system.  Only the
+    /// engine does this.
     pub(crate) fn new(
         me: PhilosopherId,
         ends: ForkEnds,
         forks: &'a mut [ForkCell],
         randomness: StepRandomness<'a>,
-        hunger: &'a HungerModel,
-        left_bias: f64,
-        nr_range: u32,
     ) -> Self {
         StepCtx {
             me,
             ends,
+            num_forks: forks.len() as u32,
             forks: ForkAccess::Slice(forks),
             randomness,
-            hunger,
-            left_bias,
-            nr_range,
         }
     }
 
@@ -267,24 +266,22 @@ impl<'a> StepCtx<'a> {
     /// threads, so the two layers cannot drift semantically.
     ///
     /// Random draws are sampled from `rng` (each seat owns a private seeded
-    /// RNG); `left_bias` and `nr_range` have the same meaning as in
-    /// [`SimConfig`](crate::SimConfig).
+    /// RNG).  `num_forks` is the number of forks `k` of the whole table: the
+    /// two cells alone cannot tell it, and priority numbers are drawn from
+    /// `[1, k]` exactly as in the engine.
     ///
     /// # Panics
     ///
     /// Panics if `ends.left == ends.right`: a philosopher contends for two
     /// *distinct* forks by definition of the problem, and two aliasing
     /// `&mut` cells could not be constructed anyway.
-    #[allow(clippy::too_many_arguments)]
     pub fn for_fork_pair(
         me: PhilosopherId,
         ends: ForkEnds,
         left: &'a mut ForkCell,
         right: &'a mut ForkCell,
         rng: &'a mut ChaCha8Rng,
-        hunger: &'a HungerModel,
-        left_bias: f64,
-        nr_range: u32,
+        num_forks: usize,
     ) -> Self {
         assert!(
             ends.left != ends.right,
@@ -296,17 +293,7 @@ impl<'a> StepCtx<'a> {
             ends,
             forks: ForkAccess::Pair { left, right },
             randomness: StepRandomness::Sampled(rng),
-            hunger,
-            left_bias,
-            nr_range,
-        }
-    }
-
-    /// Draws a biased coin from whichever randomness source backs this step.
-    fn draw_coin(&mut self, p_true: f64) -> bool {
-        match &mut self.randomness {
-            StepRandomness::Sampled(rng) => rng.gen_bool(p_true),
-            StepRandomness::Scripted(tape) => tape.draw_coin(p_true),
+            num_forks: num_forks as u32,
         }
     }
 
@@ -452,26 +439,24 @@ impl<'a> StepCtx<'a> {
         self.cell_ref(fork).courtesy_holds(self.me)
     }
 
-    /// The inclusive upper bound `m` of the priority-number range `[1, m]`
-    /// configured for this run (GDP1/GDP2 require `m >= k`).
-    #[must_use]
-    pub fn nr_range(&self) -> u32 {
-        self.nr_range
-    }
-
-    /// Draws a uniformly random priority number in `[1, m]` (Table 3 line 4).
+    /// Draws a uniformly random priority number in `[1, k]`, `k` the number
+    /// of forks (Table 3 line 4).
     pub fn random_nr(&mut self) -> u32 {
-        let m = self.nr_range;
+        let k = self.num_forks;
         match &mut self.randomness {
-            StepRandomness::Sampled(rng) => rng.gen_range(1..=m),
-            StepRandomness::Scripted(tape) => tape.draw_uniform(m),
+            StepRandomness::Sampled(rng) => rng.gen_range(1..=k),
+            StepRandomness::Scripted(tape) => tape.draw_uniform(k),
         }
     }
 
-    /// Draws a random side: `Left` with the configured bias (default 1/2),
-    /// `Right` otherwise (Table 1 line 2).
+    /// Flips a fair coin for a side: `Left` or `Right` with probability 1/2
+    /// each (Table 1 line 2).
     pub fn random_side(&mut self) -> Side {
-        if self.draw_coin(self.left_bias) {
+        let left = match &mut self.randomness {
+            StepRandomness::Sampled(rng) => rng.gen_bool(0.5),
+            StepRandomness::Scripted(tape) => tape.draw_coin(),
+        };
+        if left {
             Side::Left
         } else {
             Side::Right
@@ -484,15 +469,6 @@ impl<'a> StepCtx<'a> {
         let side = self.random_side();
         self.fork_on(side)
     }
-
-    /// Consults the hunger model: returns `true` if a thinking philosopher
-    /// scheduled now stops thinking and becomes hungry.
-    pub fn becomes_hungry(&mut self) -> bool {
-        match self.hunger.resolve() {
-            Ok(deterministic) => deterministic,
-            Err(p) => self.draw_coin(p),
-        }
-    }
 }
 
 impl fmt::Debug for StepCtx<'_> {
@@ -501,7 +477,7 @@ impl fmt::Debug for StepCtx<'_> {
             .field("me", &self.me)
             .field("left", &self.ends.left)
             .field("right", &self.ends.right)
-            .field("nr_range", &self.nr_range)
+            .field("num_forks", &self.num_forks)
             .finish()
     }
 }
@@ -511,34 +487,26 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn ctx_parts() -> (Vec<ForkCell>, ChaCha8Rng, HungerModel) {
+    fn ctx_parts() -> (Vec<ForkCell>, ChaCha8Rng) {
         (
             vec![ForkCell::new(), ForkCell::new(), ForkCell::new()],
             ChaCha8Rng::seed_from_u64(42),
-            HungerModel::Always,
         )
     }
 
-    fn make_ctx<'a>(
-        forks: &'a mut [ForkCell],
-        rng: &'a mut ChaCha8Rng,
-        hunger: &'a HungerModel,
-    ) -> StepCtx<'a> {
+    fn make_ctx<'a>(forks: &'a mut [ForkCell], rng: &'a mut ChaCha8Rng) -> StepCtx<'a> {
         StepCtx::new(
             PhilosopherId::new(0),
             ForkEnds::new(ForkId::new(0), ForkId::new(1)),
             forks,
             StepRandomness::Sampled(rng),
-            hunger,
-            0.5,
-            10,
         )
     }
 
     #[test]
     fn ctx_exposes_only_adjacent_forks() {
-        let (mut forks, mut rng, hunger) = ctx_parts();
-        let mut ctx = make_ctx(&mut forks, &mut rng, &hunger);
+        let (mut forks, mut rng) = ctx_parts();
+        let mut ctx = make_ctx(&mut forks, &mut rng);
         assert_eq!(ctx.left(), ForkId::new(0));
         assert_eq!(ctx.right(), ForkId::new(1));
         assert_eq!(ctx.other(ForkId::new(0)), ForkId::new(1));
@@ -551,45 +519,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "violates full distribution")]
     fn touching_a_non_adjacent_fork_panics() {
-        let (mut forks, mut rng, hunger) = ctx_parts();
-        let mut ctx = make_ctx(&mut forks, &mut rng, &hunger);
+        let (mut forks, mut rng) = ctx_parts();
+        let mut ctx = make_ctx(&mut forks, &mut rng);
         let _ = ctx.take_if_free(ForkId::new(2));
     }
 
     #[test]
     fn random_nr_is_in_range() {
-        let (mut forks, mut rng, hunger) = ctx_parts();
-        let mut ctx = make_ctx(&mut forks, &mut rng, &hunger);
+        // Three forks: every number in [1, 3] and nothing else.
+        let (mut forks, mut rng) = ctx_parts();
+        let mut ctx = make_ctx(&mut forks, &mut rng);
+        let mut seen = [false; 4];
         for _ in 0..1000 {
             let nr = ctx.random_nr();
-            assert!((1..=10).contains(&nr));
+            assert!((1..=3).contains(&nr));
+            seen[nr as usize] = true;
         }
-    }
-
-    #[test]
-    fn random_side_respects_bias() {
-        let (mut forks, mut rng, hunger) = ctx_parts();
-        // Bias 1.0: always left.
-        let mut ctx = StepCtx::new(
-            PhilosopherId::new(0),
-            ForkEnds::new(ForkId::new(0), ForkId::new(1)),
-            &mut forks,
-            StepRandomness::Sampled(&mut rng),
-            &hunger,
-            1.0,
-            10,
-        );
-        for _ in 0..50 {
-            assert_eq!(ctx.random_side(), Side::Left);
-            assert_eq!(ctx.random_first_fork(), ForkId::new(0));
-        }
+        assert_eq!(seen, [false, true, true, true]);
     }
 
     #[test]
     fn request_and_guest_book_operations_are_scoped_to_me() {
-        let (mut forks, mut rng, hunger) = ctx_parts();
+        let (mut forks, mut rng) = ctx_parts();
         {
-            let mut ctx = make_ctx(&mut forks, &mut rng, &hunger);
+            let mut ctx = make_ctx(&mut forks, &mut rng);
             ctx.insert_request(ForkId::new(0));
             assert!(ctx.courtesy_holds(ForkId::new(0)));
             ctx.sign_guest_book(ForkId::new(0));
@@ -604,7 +557,6 @@ mod tests {
         // The runtime-facing two-cell constructor must expose the same
         // operations, routed to the correct cell.
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let hunger = HungerModel::Always;
         let mut left = ForkCell::new();
         let mut right = ForkCell::new();
         right.set_nr(9);
@@ -615,9 +567,7 @@ mod tests {
             &mut left,
             &mut right,
             &mut rng,
-            &hunger,
-            0.5,
-            10,
+            8,
         );
         assert_eq!(ctx.left(), ForkId::new(3));
         assert_eq!(ctx.nr(ForkId::new(7)), 9, "reads route to the right cell");
@@ -626,7 +576,10 @@ mod tests {
         assert!(!ctx.holds(ForkId::new(7)));
         ctx.insert_request(ForkId::new(7));
         ctx.set_nr(ForkId::new(3), 4);
-        assert!(ctx.becomes_hungry());
+        assert!(
+            (1..=8).contains(&ctx.random_nr()),
+            "draws span the table's k"
+        );
         let _ = ctx;
         assert_eq!(left.holder(), Some(PhilosopherId::new(1)));
         assert_eq!(left.nr(), 4);
@@ -638,7 +591,6 @@ mod tests {
     #[should_panic(expected = "two distinct forks")]
     fn fork_pair_backend_rejects_aliased_ends() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let hunger = HungerModel::Always;
         let mut left = ForkCell::new();
         let mut right = ForkCell::new();
         let _ = StepCtx::for_fork_pair(
@@ -647,9 +599,7 @@ mod tests {
             &mut left,
             &mut right,
             &mut rng,
-            &hunger,
-            0.5,
-            10,
+            3,
         );
     }
 

@@ -6,8 +6,7 @@
 //!
 //! * the shared fork cells (holders, `nr` numbers, request lists, guest
 //!   books),
-//! * every philosopher's private program state,
-//! * the philosophers' randomness (the RNG stream position), and
+//! * every philosopher's private program state, and
 //! * the global step counter.
 //!
 //! Run *statistics* (meal counts, fairness accounting, the first-meal
@@ -16,6 +15,12 @@
 //! the shared forks, regardless of how they got there.  Restoring a
 //! snapshot therefore resets the statistics, as documented on
 //! [`Engine::restore`](crate::Engine::restore).
+//!
+//! Nor is the engine's RNG: the automaton branches on a random draw rather
+//! than remembering a sampler, and every caller that restores a snapshot
+//! (`gdp-mcheck`'s builder and counterexample replay,
+//! [`Engine::is_stuck`](crate::Engine::is_stuck)) reads its draws from a
+//! [`DrawTape`](crate::DrawTape) in between, which never touches the RNG.
 //!
 //! Snapshots replace the replay-per-expansion scheme the state-space
 //! explorer used before: instead of re-simulating an entire decision prefix
@@ -35,7 +40,6 @@ use crate::fork::ForkCell;
 use crate::hash::fingerprint64;
 use crate::program::Program;
 use gdp_topology::{ForkId, PhilosopherId};
-use rand_chacha::ChaCha8Rng;
 
 /// A snapshot of the semantic state of an [`Engine`](crate::Engine).
 ///
@@ -45,7 +49,6 @@ use rand_chacha::ChaCha8Rng;
 pub struct EngineState<P: Program> {
     pub(crate) forks: Vec<ForkCell>,
     pub(crate) states: Vec<P::State>,
-    pub(crate) rng: ChaCha8Rng,
     pub(crate) step_count: u64,
 }
 
@@ -56,7 +59,6 @@ impl<P: Program> Clone for EngineState<P> {
         EngineState {
             forks: self.forks.clone(),
             states: self.states.clone(),
-            rng: self.rng.clone(),
             step_count: self.step_count,
         }
     }
@@ -64,7 +66,6 @@ impl<P: Program> Clone for EngineState<P> {
     fn clone_from(&mut self, source: &Self) {
         self.forks.clone_from(&source.forks);
         self.states.clone_from(&source.states);
-        self.rng = source.rng.clone();
         self.step_count = source.step_count;
     }
 }
@@ -75,7 +76,7 @@ impl<P: Program> std::fmt::Debug for EngineState<P> {
             .field("forks", &self.forks)
             .field("states", &self.states)
             .field("step_count", &self.step_count)
-            .finish_non_exhaustive()
+            .finish()
     }
 }
 
@@ -84,7 +85,6 @@ impl<P: Program> PartialEq for EngineState<P> {
         self.step_count == other.step_count
             && self.forks == other.forks
             && self.states == other.states
-            && self.rng == other.rng
     }
 }
 
@@ -111,7 +111,7 @@ impl<P: Program> EngineState<P> {
     }
 
     /// A 64-bit fingerprint of the shared-and-private state (fork cells and
-    /// program states), ignoring the RNG and the step counter.
+    /// program states), ignoring the step counter.
     ///
     /// Equal to [`Engine::state_fingerprint`](crate::Engine::state_fingerprint)
     /// of the engine the snapshot was taken from.

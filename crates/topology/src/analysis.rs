@@ -10,8 +10,8 @@
 //!   contains a *theta* subgraph.
 //!
 //! This module provides decision procedures for both preconditions, plus the
-//! supporting machinery (connectivity, biconnected components, cycle
-//! enumeration, degree statistics) used by the adversaries, the analysis
+//! supporting machinery (connectivity, cycle detection, biconnected
+//! components, degree statistics) used by the adversaries, the analysis
 //! crate and the test-suite.
 
 use crate::{ForkId, PhilosopherId, Topology};
@@ -123,129 +123,6 @@ pub fn has_cycle(topology: &Topology) -> bool {
         let arcs = arcs_per_component.get(&ci).copied().unwrap_or(0);
         arcs >= comp.len()
     })
-}
-
-/// A simple cycle in the topology, given as the sequence of philosophers
-/// (arcs) traversed.  The cycle has no repeated forks and no repeated
-/// philosophers; a pair of parallel philosophers forms a cycle of length 2.
-pub type Cycle = Vec<PhilosopherId>;
-
-/// Enumerates simple cycles of the topology, up to `limit` cycles.
-///
-/// The enumeration is exhaustive when the topology is small (the number of
-/// simple cycles can be exponential, hence the explicit `limit`).  Cycles are
-/// reported once, in a canonical orientation (starting from their smallest
-/// philosopher identifier).
-#[must_use]
-pub fn enumerate_cycles(topology: &Topology, limit: usize) -> Vec<Cycle> {
-    let mut found: Vec<Cycle> = Vec::new();
-    let mut seen: HashSet<Vec<PhilosopherId>> = HashSet::new();
-
-    // DFS from every fork; standard simple-cycle enumeration on small graphs.
-    // A cycle is recorded when we return to the start fork with length >= 2.
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        topology: &Topology,
-        start: ForkId,
-        current: ForkId,
-        arc_path: &mut Vec<PhilosopherId>,
-        fork_path: &mut Vec<ForkId>,
-        found: &mut Vec<Cycle>,
-        seen: &mut HashSet<Vec<PhilosopherId>>,
-        limit: usize,
-    ) {
-        if found.len() >= limit {
-            return;
-        }
-        for &p in topology.philosophers_at(current) {
-            if arc_path.contains(&p) {
-                continue;
-            }
-            let next = topology.other_fork(p, current);
-            if next == start && !arc_path.is_empty() {
-                let mut cycle = arc_path.clone();
-                cycle.push(p);
-                if cycle.len() >= 2 {
-                    let canon = canonical_cycle(&cycle);
-                    if seen.insert(canon.clone()) {
-                        found.push(canon);
-                        if found.len() >= limit {
-                            return;
-                        }
-                    }
-                }
-                continue;
-            }
-            if fork_path.contains(&next) || next == start {
-                continue;
-            }
-            // Only extend with forks larger than start to avoid re-discovering
-            // the same cycle from every one of its forks.
-            if next.index() < start.index() {
-                continue;
-            }
-            arc_path.push(p);
-            fork_path.push(next);
-            dfs(
-                topology, start, next, arc_path, fork_path, found, seen, limit,
-            );
-            arc_path.pop();
-            fork_path.pop();
-        }
-    }
-
-    for start in topology.fork_ids() {
-        if found.len() >= limit {
-            break;
-        }
-        let mut arc_path = Vec::new();
-        let mut fork_path = Vec::new();
-        dfs(
-            topology,
-            start,
-            start,
-            &mut arc_path,
-            &mut fork_path,
-            &mut found,
-            &mut seen,
-            limit,
-        );
-    }
-    found
-}
-
-fn canonical_cycle(cycle: &[PhilosopherId]) -> Vec<PhilosopherId> {
-    // Canonical form: the lexicographically smallest rotation of the smaller
-    // of the two traversal directions.
-    let mut best: Option<Vec<PhilosopherId>> = None;
-    let n = cycle.len();
-    let mut consider = |candidate: Vec<PhilosopherId>| {
-        if best.as_ref().is_none_or(|b| candidate < *b) {
-            best = Some(candidate);
-        }
-    };
-    for dir in 0..2 {
-        let seq: Vec<PhilosopherId> = if dir == 0 {
-            cycle.to_vec()
-        } else {
-            cycle.iter().rev().copied().collect()
-        };
-        for shift in 0..n {
-            let rotated: Vec<PhilosopherId> = (0..n).map(|i| seq[(i + shift) % n]).collect();
-            consider(rotated);
-        }
-    }
-    best.unwrap_or_default()
-}
-
-/// Returns the length of a shortest cycle (the girth), or `None` if the
-/// topology is a forest.  Parallel arcs give girth 2.
-#[must_use]
-pub fn girth(topology: &Topology) -> Option<usize> {
-    enumerate_cycles(topology, 100_000)
-        .iter()
-        .map(Vec::len)
-        .min()
 }
 
 /// Decision procedure for the precondition of **Theorem 1**: the topology
@@ -415,32 +292,6 @@ pub fn biconnected_components(topology: &Topology) -> Vec<Vec<PhilosopherId>> {
     components
 }
 
-/// Breadth-first shortest path (in number of philosophers) between two forks,
-/// or `None` if they are in different components.
-#[must_use]
-pub fn fork_distance(topology: &Topology, from: ForkId, to: ForkId) -> Option<usize> {
-    if from == to {
-        return Some(0);
-    }
-    let mut dist = vec![usize::MAX; topology.num_forks()];
-    dist[from.index()] = 0;
-    let mut queue = VecDeque::new();
-    queue.push_back(from);
-    while let Some(f) = queue.pop_front() {
-        for &p in topology.philosophers_at(f) {
-            let g = topology.other_fork(p, f);
-            if dist[g.index()] == usize::MAX {
-                dist[g.index()] = dist[f.index()] + 1;
-                if g == to {
-                    return Some(dist[g.index()]);
-                }
-                queue.push_back(g);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,37 +332,6 @@ mod tests {
         // Two parallel arcs are a cycle of length 2.
         let parallel = Topology::from_arcs(2, [(0, 1), (1, 0)]).unwrap();
         assert!(has_cycle(&parallel));
-        assert_eq!(girth(&parallel), Some(2));
-    }
-
-    #[test]
-    fn cycle_enumeration_on_classic_ring() {
-        let ring = classic_ring(6).unwrap();
-        let cycles = enumerate_cycles(&ring, 100);
-        assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0].len(), 6);
-    }
-
-    #[test]
-    fn cycle_enumeration_on_triangle6() {
-        // The 6/3 triangle has parallel-arc 2-cycles (3 of them), triangles
-        // mixing one arc per fork pair (2^3 = 8 of them) and no longer simple
-        // cycles, for a total of 11.
-        let t = figure1_triangle();
-        let cycles = enumerate_cycles(&t, 1000);
-        let two_cycles = cycles.iter().filter(|c| c.len() == 2).count();
-        let three_cycles = cycles.iter().filter(|c| c.len() == 3).count();
-        assert_eq!(two_cycles, 3);
-        assert_eq!(three_cycles, 8);
-        assert_eq!(cycles.len(), 11);
-        assert_eq!(girth(&t), Some(2));
-    }
-
-    #[test]
-    fn cycle_limit_is_respected() {
-        let t = complete_conflict(6).unwrap();
-        let cycles = enumerate_cycles(&t, 5);
-        assert_eq!(cycles.len(), 5);
     }
 
     #[test]
@@ -598,28 +418,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fork_distance_on_ring() {
-        let ring = classic_ring(8).unwrap();
-        assert_eq!(
-            fork_distance(&ring, ForkId::new(0), ForkId::new(0)),
-            Some(0)
-        );
-        assert_eq!(
-            fork_distance(&ring, ForkId::new(0), ForkId::new(3)),
-            Some(3)
-        );
-        assert_eq!(
-            fork_distance(&ring, ForkId::new(0), ForkId::new(5)),
-            Some(3)
-        );
-        let disconnected = Topology::from_arcs(4, [(0, 1), (2, 3)]).unwrap();
-        assert_eq!(
-            fork_distance(&disconnected, ForkId::new(0), ForkId::new(3)),
-            None
-        );
-    }
-
     // Property-style sweeps over seeded / exhaustive parameter grids (the
     // offline replacement for the former proptest strategies).
 
@@ -635,17 +433,6 @@ mod tests {
             let comps = connected_components(&t);
             let total: usize = comps.iter().map(Vec::len).sum();
             assert_eq!(total, t.num_forks());
-        }
-    }
-
-    #[test]
-    fn prop_girth_at_least_two() {
-        for seed in 0u64..200 {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let t = crate::builders::random_multigraph(6, 8, &mut rng).unwrap();
-            if let Some(g) = girth(&t) {
-                assert!(g >= 2, "seed {seed}: girth {g}");
-            }
         }
     }
 

@@ -49,9 +49,9 @@ pub mod prelude {
     };
 
     pub use gdp_sim::{
-        Action, Adversary, DrawTape, Engine, EngineState, ForkCell, HungerModel, Phase,
-        PhilosopherView, Program, ProgramObservation, RoundRobinAdversary, RunOutcome, SimConfig,
-        StepCtx, StepRecord, StopCondition, StopReason, SystemView, UniformRandomAdversary,
+        Action, Adversary, DrawTape, Engine, EngineState, ForkCell, Phase, PhilosopherView,
+        Program, ProgramObservation, RoundRobinAdversary, RunOutcome, SimConfig, StepCtx,
+        StepRecord, StopCondition, StopReason, SystemView, UniformRandomAdversary,
     };
 
     pub use gdp_algorithms::{

@@ -66,6 +66,42 @@ fn check_gdp1_ring5_certificate_is_byte_reproducible_across_threads() {
     );
 }
 
+/// The whole certificate of the ring-4 GDP1 check, line for line: the
+/// `model:` line spells out the paper's fixed model (always hungry, fair
+/// coin, priority numbers from `[1, k]`).
+#[test]
+fn check_gdp1_ring4_certificate_is_pinned_line_for_line() {
+    let output = gdp(&[
+        "check",
+        "--family",
+        "ring",
+        "--size",
+        "4",
+        "--algorithm",
+        "gdp1",
+    ]);
+    assert!(output.status.success(), "{}", stderr(&output));
+    assert_eq!(
+        stdout(&output),
+        "\
+cell:              ring/n4/GDP1
+gdp-mcheck certificate
+system:            topology(n=4, k=4, max_sharing=2)
+algorithm:         GDP1
+target:            progress (some philosopher eats)
+model:             hunger=always left-bias=0.5 nr-range=4
+state space:       62914 canonical states, 164442 transitions (symmetry group 4)
+truncated:         false
+safety:            ok (mutual exclusion, eating-implies-both-forks)
+deadlock states:   0
+fair avoid cores:  0 states
+worst-case P[progress]:  1 (exact: no fair adversary avoid-component exists)
+verdict:           certified
+overall verdict:   certified
+"
+    );
+}
+
 #[test]
 fn check_finds_the_naive_deadlock_and_writes_the_counterexample_dot() {
     let dot_path: PathBuf =
