@@ -38,6 +38,16 @@ pub enum BaselineState {
     Eating,
 }
 
+impl BaselineState {
+    /// Every baseline state, in declaration order.
+    const ALL: [BaselineState; 4] = [
+        BaselineState::Thinking,
+        BaselineState::TakeFirst,
+        BaselineState::TakeSecond,
+        BaselineState::Eating,
+    ];
+}
+
 /// Dijkstra's ordered-fork (hierarchical) solution: every philosopher takes
 /// its lower-numbered fork first and never releases a held fork until it has
 /// eaten.
@@ -74,6 +84,10 @@ impl Program for OrderedForks {
 
     fn initial_state(&self) -> BaselineState {
         BaselineState::Thinking
+    }
+
+    fn private_states(&self) -> Vec<BaselineState> {
+        BaselineState::ALL.to_vec()
     }
 
     fn observation(&self, state: &BaselineState, ends: ForkEnds) -> ProgramObservation {
@@ -165,6 +179,10 @@ impl Program for NaiveLeftRight {
 
     fn initial_state(&self) -> BaselineState {
         BaselineState::Thinking
+    }
+
+    fn private_states(&self) -> Vec<BaselineState> {
+        BaselineState::ALL.to_vec()
     }
 
     fn observation(&self, state: &BaselineState, ends: ForkEnds) -> ProgramObservation {

@@ -6,7 +6,7 @@
 //! statistical symmetry that only the paper's four algorithms promise.
 
 use crate::{AlgorithmKind, AnyProgram};
-use gdp_sim::{Engine, Phase, SimConfig, StopCondition, UniformRandomAdversary};
+use gdp_sim::{Engine, Phase, Program, SimConfig, StopCondition, UniformRandomAdversary};
 use gdp_topology::builders::{classic_ring, figure1_triangle, figure3_theta, random_connected};
 use gdp_topology::Topology;
 use rand::SeedableRng;
@@ -20,6 +20,11 @@ fn check_safety_invariants(engine: &Engine<AnyProgram>) {
         engine.rebuilt_views().as_slice(),
         "incremental view buffer diverged from the from-scratch rebuild"
     );
+    // Every reached private state is in the program's code table.
+    let listed = engine.program().private_states();
+    for state in engine.snapshot().states() {
+        assert!(listed.contains(state), "{state:?} is not a listed state");
+    }
     engine.with_view(|view| {
         let topology = view.topology();
         for fork in topology.fork_ids() {

@@ -108,6 +108,21 @@ impl Program for Gdp1 {
         Gdp1State::Thinking
     }
 
+    fn private_states(&self) -> Vec<Gdp1State> {
+        let sided = Side::both().into_iter().flat_map(|first| {
+            [
+                Gdp1State::TakeFirst { first },
+                Gdp1State::Relabel { first },
+                Gdp1State::TakeSecond { first },
+                Gdp1State::Eating { first },
+            ]
+        });
+        [Gdp1State::Thinking, Gdp1State::Choose]
+            .into_iter()
+            .chain(sided)
+            .collect()
+    }
+
     fn observation(&self, state: &Gdp1State, ends: ForkEnds) -> ProgramObservation {
         let committed = committed_fork(state, ends);
         let (phase, label) = match *state {

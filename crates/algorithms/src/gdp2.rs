@@ -105,6 +105,21 @@ impl Program for Gdp2 {
         Gdp2State::Thinking
     }
 
+    fn private_states(&self) -> Vec<Gdp2State> {
+        let sided = Side::both().into_iter().flat_map(|first| {
+            [
+                Gdp2State::TakeFirst { first },
+                Gdp2State::Relabel { first },
+                Gdp2State::TakeSecond { first },
+                Gdp2State::Eating { first },
+            ]
+        });
+        [Gdp2State::Thinking, Gdp2State::Register, Gdp2State::Choose]
+            .into_iter()
+            .chain(sided)
+            .collect()
+    }
+
     fn observation(&self, state: &Gdp2State, ends: ForkEnds) -> ProgramObservation {
         let committed = committed_fork(state, ends);
         let (phase, label) = match *state {

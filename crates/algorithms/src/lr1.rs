@@ -75,6 +75,20 @@ impl Program for Lr1 {
         Lr1State::Thinking
     }
 
+    fn private_states(&self) -> Vec<Lr1State> {
+        let sided = Side::both().into_iter().flat_map(|first| {
+            [
+                Lr1State::TakeFirst { first },
+                Lr1State::TakeSecond { first },
+                Lr1State::Eating { first },
+            ]
+        });
+        [Lr1State::Thinking, Lr1State::Draw]
+            .into_iter()
+            .chain(sided)
+            .collect()
+    }
+
     fn observation(&self, state: &Lr1State, ends: ForkEnds) -> ProgramObservation {
         let committed = committed_fork(state, ends);
         match *state {

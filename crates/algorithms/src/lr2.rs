@@ -98,6 +98,20 @@ impl Program for Lr2 {
         Lr2State::Thinking
     }
 
+    fn private_states(&self) -> Vec<Lr2State> {
+        let sided = Side::both().into_iter().flat_map(|first| {
+            [
+                Lr2State::TakeFirst { first },
+                Lr2State::TakeSecond { first },
+                Lr2State::Eating { first },
+            ]
+        });
+        [Lr2State::Thinking, Lr2State::Register, Lr2State::Draw]
+            .into_iter()
+            .chain(sided)
+            .collect()
+    }
+
     fn observation(&self, state: &Lr2State, ends: ForkEnds) -> ProgramObservation {
         let committed = committed_fork(state, ends);
         let (phase, label) = match *state {

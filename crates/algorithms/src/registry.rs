@@ -245,6 +245,21 @@ impl Program for AnyProgram {
         }
     }
 
+    /// Only the active algorithm's states: a dispatcher never holds
+    /// another algorithm's, so its code table stays that algorithm's size.
+    fn private_states(&self) -> Vec<AnyState> {
+        match self.kind {
+            AlgorithmKind::Lr1 => wrap(self.lr1.private_states(), AnyState::Lr1),
+            AlgorithmKind::Lr2 => wrap(self.lr2.private_states(), AnyState::Lr2),
+            AlgorithmKind::Gdp1 => wrap(self.gdp1.private_states(), AnyState::Gdp1),
+            AlgorithmKind::Gdp2 => wrap(self.gdp2.private_states(), AnyState::Gdp2),
+            AlgorithmKind::OrderedForks => {
+                wrap(self.ordered.private_states(), AnyState::OrderedForks)
+            }
+            AlgorithmKind::Naive => wrap(self.naive.private_states(), AnyState::Naive),
+        }
+    }
+
     fn observation(&self, state: &AnyState, ends: ForkEnds) -> ProgramObservation {
         match state {
             AnyState::Lr1(s) => self.lr1.observation(s, ends),
@@ -266,6 +281,10 @@ impl Program for AnyProgram {
             AnyState::Naive(s) => self.naive.step(s, ctx),
         }
     }
+}
+
+fn wrap<S>(states: Vec<S>, variant: fn(S) -> AnyState) -> Vec<AnyState> {
+    states.into_iter().map(variant).collect()
 }
 
 #[cfg(test)]

@@ -11,10 +11,10 @@
 //! * [`model`] — [`build_mdp`], the one state-space walker: explicit
 //!   construction of the finite MDP of a (topology, algorithm) pair,
 //!   adversary choices as nondeterministic branches, random draws as
-//!   exhaustively enumerated probabilistic branches, states deduplicated up
-//!   to orientation-preserving topology automorphisms
-//!   (`gdp_topology::symmetry`), frontier expansion parallelised with the
-//!   workspace's bitwise-determinism contract;
+//!   exhaustively enumerated probabilistic branches, states deduplicated
+//!   exactly ([`KeyTable`]) up to orientation-preserving topology
+//!   automorphisms (`gdp_topology::symmetry`), frontier expansion
+//!   parallelised with the workspace's bitwise-determinism contract;
 //! * [`mod@solve`] — qualitative certification (avoid-region emptiness ⇒
 //!   worst-case probability exactly 1, membership of the initial state ⇒
 //!   exactly 0) plus value iteration for the quantitative remainder and
@@ -44,9 +44,11 @@ pub mod model;
 pub mod restricted;
 pub mod solve;
 pub mod strategy;
+mod table;
 
 pub use certificate::Certificate;
 pub use model::{build_mdp, BuildOptions, CheckTarget, Mdp, AUTOMORPHISM_LIMIT, UNEXPLORED};
 pub use restricted::AdversaryClass;
 pub use solve::{solve, Solution, SolveOptions};
 pub use strategy::{extract_counterexample, CounterexampleSchedule};
+pub use table::KeyTable;

@@ -8,10 +8,12 @@
 //! this module builds it explicitly:
 //!
 //! * **states** are [`EngineState`]s (fork cells + private program states),
-//!   deduplicated by [`fingerprint64`](gdp_sim::fingerprint64) — and, when
-//!   symmetry reduction is on, by the *minimum* fingerprint over a set of
-//!   orientation-preserving topology automorphisms (states related by a
-//!   relabelling are bisimilar, so one canonical representative suffices);
+//!   deduplicated by their exact bit-packed encoding
+//!   ([`EngineState::encode`]) — and, when symmetry reduction is on, by the
+//!   *least* encoding over a set of orientation-preserving topology
+//!   automorphisms (states related by a relabelling are bisimilar, so one
+//!   canonical representative suffices).  Keys are compared whole, so two
+//!   states merge only when they are equal up to the quotient;
 //! * **choices** are the `n` schedulable philosophers;
 //! * **branches** of a choice are the outcomes of the scheduled step's
 //!   random draws, enumerated exhaustively through the engine's scripted
@@ -34,38 +36,20 @@
 //! so state numbering, transition order and every probability are
 //! bitwise-identical for every thread count — the same determinism contract
 //! the Monte-Carlo trial runner enforces (test-enforced here too).
+//!
+//! The build holds states packed.  The frontier keeps each state's
+//! *as-reached* encoding — the labelling in which it was first discovered —
+//! and a worker decodes it into one reused [`EngineState`] to expand it;
+//! expanding the canonical representative instead would renumber states and
+//! change counterexamples.  The dedup table ([`KeyTable`]) holds the
+//! canonical keys, and each transition's probability is a one-byte index
+//! into the model's few distinct values.
 
 use crate::restricted::{AdversaryClass, Bookkeeping, Crashed, Waits};
-use gdp_sim::{Engine, EngineState, Phase, Program, RelabelScratch, SimConfig};
+use crate::table::{KeyTable, Packed};
+use gdp_sim::{Engine, EngineState, Phase, Program, SimConfig, StateCodec};
 use gdp_topology::{symmetry, Automorphism, PhilosopherId, Topology};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Pass-through hasher for maps keyed by state fingerprints: the keys are
-/// already 64-bit digests, re-hashing them through SipHash would double
-/// the hot-path hashing cost for nothing.
-#[derive(Clone, Default)]
-pub struct KeyIdentityHasher(u64);
-
-impl Hasher for KeyIdentityHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("fingerprint maps only hash u64 keys");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, value: u64) {
-        self.0 = value;
-    }
-}
-
-/// A hash map keyed by state fingerprints.
-pub type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyIdentityHasher>>;
+use std::ops::Range;
 
 /// The reachability objective of a check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -210,9 +194,12 @@ pub struct Mdp {
     /// The automorphisms the symmetry quotient used (always at least the
     /// identity).
     pub automorphisms: Vec<Automorphism>,
-    /// Canonical fingerprint → state index (the dedup map, retained so
-    /// extracted strategies can be replayed against a live engine).
-    pub index_of_key: KeyMap<u32>,
+    /// Canonical key → state index: the exact dedup table, retained so
+    /// extracted strategies can be replayed against a live engine.  A key
+    /// is a state's least encoding over [`automorphisms`](Self::automorphisms)
+    /// ([`canonical_key`](Self::canonical_key)), followed in product builds
+    /// by its scheduler bookkeeping's words.
+    pub index_of_key: KeyTable,
     /// Per-state bitmask of the choices a fair adversary must keep taking
     /// infinitely often while confined to an end component containing the
     /// state.  `None` means "every choice" — the paper's unrestricted fair
@@ -224,7 +211,11 @@ pub struct Mdp {
     pub fairness_requirement: Option<Vec<u64>>,
     row_offsets: Vec<u32>,
     succs: Vec<u32>,
-    probs: Vec<f64>,
+    /// Per transition, its probability's index into `prob_values`.
+    probs: Vec<u8>,
+    /// The distinct transition probabilities, bit for bit, in first-use
+    /// order.
+    prob_values: Vec<f64>,
 }
 
 impl Mdp {
@@ -237,10 +228,11 @@ impl Mdp {
             self.row_offsets[row] as usize,
             self.row_offsets[row + 1] as usize,
         );
-        self.succs[start..end]
-            .iter()
-            .copied()
-            .zip(self.probs[start..end].iter().copied())
+        self.succs[start..end].iter().copied().zip(
+            self.probs[start..end]
+                .iter()
+                .map(|&i| self.prob_values[usize::from(i)]),
+        )
     }
 
     /// Total number of stored transitions.
@@ -280,47 +272,30 @@ impl Mdp {
             .count()
     }
 
-    /// The canonical dedup key of an engine state under this model's
-    /// automorphism set (the minimum relabelled fingerprint).
+    /// The canonical key of an engine state under this model's
+    /// automorphism set — its least encoding, written into `scratch` — as
+    /// [`index_of_key`](Self::index_of_key) numbers the states of an
+    /// all-fair build.  `codec` must be the codec of the model's topology
+    /// and program.
     #[must_use]
-    pub fn canonical_key<P: Program>(
+    pub fn canonical_key<'a, P: Program>(
         &self,
+        codec: &StateCodec<P>,
         state: &EngineState<P>,
-        scratch: &mut RelabelScratch<P>,
-    ) -> u64 {
-        canonical_key(state, &self.automorphisms, scratch)
+        scratch: &'a mut Vec<u64>,
+    ) -> &'a [u64] {
+        scratch.clear();
+        let words = state.encode(codec, &self.automorphisms, scratch);
+        least(scratch, words)
     }
 }
 
-fn canonical_key<P: Program>(
-    state: &EngineState<P>,
-    automorphisms: &[Automorphism],
-    scratch: &mut RelabelScratch<P>,
-) -> u64 {
-    canonical_key_with_witness(state, automorphisms, scratch).0
-}
-
-/// The canonical key plus the index of an automorphism achieving it, so a
-/// strategy stored on the canonical representative can be translated back
-/// to the live labelling (see `crate::strategy`).
-pub(crate) fn canonical_key_with_witness<P: Program>(
-    state: &EngineState<P>,
-    automorphisms: &[Automorphism],
-    scratch: &mut RelabelScratch<P>,
-) -> (u64, usize) {
-    let mut best = state.fingerprint();
-    let mut witness = 0usize;
-    for (i, auto) in automorphisms.iter().enumerate() {
-        if auto.is_identity() {
-            continue;
-        }
-        let fp = state.relabelled_fingerprint(&auto.phil_map, &auto.fork_map, scratch);
-        if fp < best {
-            best = fp;
-            witness = i;
-        }
-    }
-    (best, witness)
+/// The least of `encodings`' `words`-long runs: the canonical key.
+fn least(encodings: &[u64], words: usize) -> &[u64] {
+    encodings
+        .chunks_exact(words)
+        .min()
+        .expect("the automorphism set holds the identity")
 }
 
 pub(crate) fn is_target<P: Program>(engine: &Engine<P>, target: CheckTarget) -> bool {
@@ -333,15 +308,15 @@ pub(crate) fn is_target<P: Program>(engine: &Engine<P>, target: CheckTarget) -> 
 /// A successor reference produced by a worker before global merge.
 #[derive(Clone, Copy)]
 enum SuccRef {
-    /// Already in the global map when the layer started.
+    /// Already in the global table when the layer started.
     Known(u32),
-    /// Index into the worker's `new_states`.
+    /// Index into the worker's new states.
     New(u32),
 }
 
-struct NewState<P: Program, B> {
-    key: u64,
-    state: EngineState<P>,
+/// A state a worker discovered; its key and as-reached encoding sit at the
+/// same index of the worker's `keys` and `reached`.
+struct NewState<B> {
     bookkeeping: B,
     target: bool,
     safe: bool,
@@ -350,40 +325,62 @@ struct NewState<P: Program, B> {
 /// Expansion of one contiguous frontier slice: edges in parent-major,
 /// choice-minor, draw-lexicographic order, plus the locally new states in
 /// discovery order.
-struct SliceExpansion<P: Program, B> {
+struct SliceExpansion<B> {
     edges: Vec<(f64, SuccRef)>,
     /// One length per (parent, choice), parent-major.
     group_lens: Vec<u32>,
-    new_states: Vec<NewState<P, B>>,
+    /// The new states' keys, numbered in discovery order.
+    keys: KeyTable,
+    /// The new states' as-reached encodings.
+    reached: Packed,
+    new_states: Vec<NewState<B>>,
 }
 
-impl<P: Program, B> SliceExpansion<P, B> {
-    /// Appends the edge to the state keyed `key`: known in the global map
-    /// `frozen` at layer start, already in this slice's `local` map of
-    /// `new_states`, or new here (built by `discover`).
+impl<B> SliceExpansion<B> {
+    /// Appends the edge to the state keyed `key` — known in the global
+    /// table `frozen` at layer start, or one of this slice's new states —
+    /// and returns whether the key is new here, in which case the caller
+    /// records the state.
     #[inline]
-    fn push_edge(
-        &mut self,
-        frozen: &KeyMap<u32>,
-        local: &mut KeyMap<u32>,
-        prob: f64,
-        key: u64,
-        discover: impl FnOnce() -> NewState<P, B>,
-    ) {
-        let succ = if let Some(&idx) = frozen.get(&key) {
-            SuccRef::Known(idx)
-        } else {
-            match local.entry(key) {
-                Entry::Occupied(e) => SuccRef::New(*e.get()),
-                Entry::Vacant(e) => {
-                    let local_idx = self.new_states.len() as u32;
-                    e.insert(local_idx);
-                    self.new_states.push(discover());
-                    SuccRef::New(local_idx)
-                }
+    fn push_edge(&mut self, frozen: &KeyTable, prob: f64, key: &[u64]) -> bool {
+        let (succ, new) = match frozen.get(key) {
+            Some(idx) => (SuccRef::Known(idx), false),
+            None => {
+                let (local, new) = self.keys.insert(key);
+                (SuccRef::New(local), new)
             }
         };
         self.edges.push((prob, succ));
+        new
+    }
+
+    fn discover(&mut self, reached: &[u64], new_state: NewState<B>) {
+        self.reached.push(reached);
+        self.new_states.push(new_state);
+    }
+}
+
+/// One BFS layer awaiting expansion: each state's index, as-reached
+/// encoding and bookkeeping.
+struct Frontier<B> {
+    indices: Vec<u32>,
+    reached: Packed,
+    bookkeeping: Vec<B>,
+}
+
+impl<B> Frontier<B> {
+    fn new() -> Self {
+        Frontier {
+            indices: Vec::new(),
+            reached: Packed::new(),
+            bookkeeping: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, index: u32, reached: &[u64], bookkeeping: B) {
+        self.indices.push(index);
+        self.reached.push(reached);
+        self.bookkeeping.push(bookkeeping);
     }
 }
 
@@ -391,17 +388,42 @@ impl<P: Program, B> SliceExpansion<P, B> {
 struct Shared<'a, P: Program, B: Bookkeeping> {
     topology: &'a Topology,
     program: &'a P,
+    codec: &'a StateCodec<P>,
     sim: &'a SimConfig,
     target: CheckTarget,
     bound: B::Bound,
+    /// The identity first, so a state's first encoding is its as-reached
+    /// one.
     automorphisms: &'a [Automorphism],
+}
+
+impl<P: Program, B: Bookkeeping> Shared<'_, P, B> {
+    /// Writes `state`'s encodings under every automorphism into `encodings`
+    /// and its dedup key — the least of them, then the bookkeeping's words —
+    /// into `key`.  Returns the words of one encoding: `encodings[..words]`
+    /// is the as-reached encoding.
+    fn key(
+        &self,
+        state: &EngineState<P>,
+        bookkeeping: &B,
+        encodings: &mut Vec<u64>,
+        key: &mut Vec<u64>,
+    ) -> usize {
+        encodings.clear();
+        let words = state.encode(self.codec, self.automorphisms, encodings);
+        key.clear();
+        key.extend_from_slice(least(encodings, words));
+        bookkeeping.push_words(key);
+        words
+    }
 }
 
 fn expand_slice<P, B>(
     shared: &Shared<'_, P, B>,
-    frozen: &KeyMap<u32>,
-    slice: &[(EngineState<P>, B)],
-) -> SliceExpansion<P, B>
+    frozen: &KeyTable,
+    frontier: &Frontier<B>,
+    slice: Range<usize>,
+) -> SliceExpansion<B>
 where
     P: Program + Clone,
     B: Bookkeeping,
@@ -412,34 +434,38 @@ where
         shared.program.clone(),
         shared.sim.clone(),
     );
-    let mut scratch = RelabelScratch::new();
+    let mut parent = engine.snapshot();
     let mut succ_buf = engine.snapshot();
-    let mut local: KeyMap<u32> = KeyMap::default();
+    let (mut encodings, mut key) = (Vec::new(), Vec::new());
     let mut out = SliceExpansion {
         edges: Vec::new(),
         group_lens: Vec::with_capacity(slice.len() * n),
+        keys: KeyTable::new(),
+        reached: Packed::new(),
         new_states: Vec::new(),
     };
-    for (parent, bookkeeping) in slice {
+    for i in slice {
+        parent.decode_from(shared.codec, frontier.reached.get(i));
+        let bookkeeping = &frontier.bookkeeping[i];
         let allowed = bookkeeping.allowed(shared.bound, n);
         for choice in 0..n {
             let before = out.edges.len();
             if !B::PRODUCT || allowed & (1 << choice) != 0 {
                 let next = bookkeeping.scheduled(choice);
                 engine.for_each_step_outcome_from(
-                    parent,
+                    &parent,
                     PhilosopherId::new(choice as u32),
                     |prob, post, _| {
                         post.snapshot_into(&mut succ_buf);
-                        let key =
-                            next.key(canonical_key(&succ_buf, shared.automorphisms, &mut scratch));
-                        out.push_edge(frozen, &mut local, prob, key, || NewState {
-                            key,
-                            state: succ_buf.clone(),
-                            bookkeeping: next.clone(),
-                            target: is_target(post, shared.target),
-                            safe: post.state_is_safe(),
-                        });
+                        let words = shared.key(&succ_buf, &next, &mut encodings, &mut key);
+                        if out.push_edge(frozen, prob, &key) {
+                            let new_state = NewState {
+                                bookkeeping: next.clone(),
+                                target: is_target(post, shared.target),
+                                safe: post.state_is_safe(),
+                            };
+                            out.discover(&encodings[..words], new_state);
+                        }
                     },
                 );
             }
@@ -449,25 +475,41 @@ where
             for victim in 0..n {
                 let before = out.edges.len();
                 if let Some(next) = bookkeeping.crashed(shared.bound, victim, n) {
-                    let key = next.key(canonical_key(parent, shared.automorphisms, &mut scratch));
-                    // A crash leaves the engine state as it is, so the
-                    // successor shares the (non-target) parent's flags.
-                    out.push_edge(frozen, &mut local, 1.0, key, || {
-                        engine.restore(parent);
-                        NewState {
-                            key,
-                            state: parent.clone(),
+                    let words = shared.key(&parent, &next, &mut encodings, &mut key);
+                    if out.push_edge(frozen, 1.0, &key) {
+                        // A crash leaves the engine state as it is, so the
+                        // successor shares the (non-target) parent's flags.
+                        engine.restore(&parent);
+                        let new_state = NewState {
                             bookkeeping: next,
                             target: false,
                             safe: engine.state_is_safe(),
-                        }
-                    });
+                        };
+                        out.discover(&encodings[..words], new_state);
+                    }
                 }
                 out.group_lens.push((out.edges.len() - before) as u32);
             }
         }
     }
     out
+}
+
+/// The one-byte index of `prob` in `values`, interning it on first use.
+/// Values are compared bit for bit.
+///
+/// # Panics
+///
+/// Panics past 256 distinct values.
+fn intern(values: &mut Vec<f64>, prob: f64) -> u8 {
+    let index = values
+        .iter()
+        .position(|v| v.to_bits() == prob.to_bits())
+        .unwrap_or_else(|| {
+            values.push(prob);
+            values.len() - 1
+        });
+    u8::try_from(index).expect("a model has at most 256 distinct transition probabilities")
 }
 
 /// Builds the exact MDP of `program` on `topology` for `target`, over the
@@ -487,8 +529,10 @@ where
 /// # Panics
 ///
 /// Panics when a product build has more philosophers than its choice
-/// bitmasks support (63 for k-bounded, 32 for crash-stop) or when a
-/// k-bounded class has `k = 0`.
+/// bitmasks support (63 for k-bounded, 32 for crash-stop), when a
+/// k-bounded class has `k = 0`, when a state does not fit the exact
+/// encoding ([`StateCodec`]), or past 256 distinct transition
+/// probabilities.
 #[must_use]
 pub fn build_mdp<P>(
     topology: &Topology,
@@ -544,9 +588,15 @@ where
             topology.num_philosophers(),
         )]
     };
+    assert!(
+        automorphisms[0].is_identity(),
+        "the automorphism set starts with the identity"
+    );
+    let codec = StateCodec::new(topology, program);
     let shared = Shared {
         topology,
         program,
+        codec: &codec,
         sim: &options.sim,
         target,
         bound,
@@ -563,14 +613,17 @@ where
     };
 
     let engine = Engine::new(topology.clone(), program.clone(), options.sim.clone());
-    let mut scratch = RelabelScratch::new();
-    let initial_state = engine.snapshot();
     let initial_bookkeeping = B::initial(n);
-    let initial_key =
-        initial_bookkeeping.key(canonical_key(&initial_state, &automorphisms, &mut scratch));
+    let (mut encodings, mut initial_key) = (Vec::new(), Vec::new());
+    let words = shared.key(
+        &engine.snapshot(),
+        &initial_bookkeeping,
+        &mut encodings,
+        &mut initial_key,
+    );
 
-    let mut index_of_key: KeyMap<u32> = KeyMap::default();
-    index_of_key.insert(initial_key, 0);
+    let mut index_of_key = KeyTable::new();
+    index_of_key.insert(&initial_key);
     let mut target_flags = vec![is_target(&engine, target)];
     let mut expanded = vec![false];
     let mut safety_violations = usize::from(!engine.state_is_safe());
@@ -582,64 +635,75 @@ where
 
     let mut row_offsets: Vec<u32> = vec![0];
     let mut succs: Vec<u32> = Vec::new();
-    let mut probs: Vec<f64> = Vec::new();
+    let mut probs: Vec<u8> = Vec::new();
+    let mut prob_values: Vec<f64> = Vec::new();
     let mut rows_emitted: usize = 0; // states whose row groups are in the CSR
 
-    let mut frontier_indices: Vec<u32> = Vec::new();
-    let mut frontier: Vec<(EngineState<P>, B)> = Vec::new();
+    let mut frontier = Frontier::new();
     if !target_flags[0] {
-        frontier_indices.push(0);
-        frontier.push((initial_state, initial_bookkeeping));
+        frontier.push(0, &encodings[..words], initial_bookkeeping);
     }
 
-    while !frontier.is_empty() && (B::PRODUCT || !truncated) {
-        let threads = options.effective_threads(frontier.len());
-        let chunk_len = frontier.len().div_ceil(threads);
-        let chunks: Vec<&[(EngineState<P>, B)]> = frontier.chunks(chunk_len).collect();
-        let mut results: Vec<Option<SliceExpansion<P, B>>> = Vec::new();
-        results.resize_with(chunks.len(), || None);
+    while !frontier.indices.is_empty() && (B::PRODUCT || !truncated) {
+        let len = frontier.indices.len();
+        let threads = options.effective_threads(len);
+        let chunk_len = len.div_ceil(threads);
+        let slices: Vec<Range<usize>> = (0..len)
+            .step_by(chunk_len)
+            .map(|start| start..(start + chunk_len).min(len))
+            .collect();
+        let mut results: Vec<Option<SliceExpansion<B>>> = Vec::new();
+        results.resize_with(slices.len(), || None);
         if threads <= 1 {
-            results[0] = Some(expand_slice(&shared, &index_of_key, chunks[0]));
+            results[0] = Some(expand_slice(
+                &shared,
+                &index_of_key,
+                &frontier,
+                slices[0].clone(),
+            ));
         } else {
-            let (shared, frozen) = (&shared, &index_of_key);
+            let (shared, frozen, frontier) = (&shared, &index_of_key, &frontier);
             std::thread::scope(|scope| {
-                for (chunk, slot) in chunks.iter().zip(results.iter_mut()) {
-                    scope.spawn(move || *slot = Some(expand_slice(shared, frozen, chunk)));
+                for (slice, slot) in slices.iter().zip(results.iter_mut()) {
+                    scope.spawn(move || {
+                        *slot = Some(expand_slice(shared, frozen, frontier, slice.clone()));
+                    });
                 }
             });
         }
 
         // Deterministic merge: workers in frontier order, new states in
         // discovery order — identical numbering for every thread count.
-        let mut next_indices: Vec<u32> = Vec::new();
-        let mut next_frontier: Vec<(EngineState<P>, B)> = Vec::new();
+        let mut next_frontier = Frontier::new();
         let mut parent_cursor = 0usize;
         for result in results.into_iter().map(Option::unwrap) {
             let mut local_to_global: Vec<u32> = Vec::with_capacity(result.new_states.len());
-            for new_state in result.new_states {
-                let global = match index_of_key.entry(new_state.key) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        if target_flags.len() >= options.max_states {
-                            truncated = true;
-                            UNEXPLORED
-                        } else {
-                            let idx = target_flags.len() as u32;
-                            e.insert(idx);
-                            target_flags.push(new_state.target);
-                            expanded.push(false);
-                            safety_violations += usize::from(!new_state.safe);
-                            if B::PRODUCT {
-                                requirements
-                                    .push(requirement(&new_state.bookkeeping, new_state.target));
-                            }
-                            if !new_state.target {
-                                next_indices.push(idx);
-                                next_frontier.push((new_state.state, new_state.bookkeeping));
-                            }
-                            idx
+            for (local, new_state) in result.new_states.into_iter().enumerate() {
+                let key = result.keys.key(local as u32);
+                let global = if target_flags.len() >= options.max_states {
+                    index_of_key.get(key).unwrap_or_else(|| {
+                        truncated = true;
+                        UNEXPLORED
+                    })
+                } else {
+                    let (idx, inserted) = index_of_key.insert(key);
+                    if inserted {
+                        target_flags.push(new_state.target);
+                        expanded.push(false);
+                        safety_violations += usize::from(!new_state.safe);
+                        if B::PRODUCT {
+                            requirements
+                                .push(requirement(&new_state.bookkeeping, new_state.target));
+                        }
+                        if !new_state.target {
+                            next_frontier.push(
+                                idx,
+                                result.reached.get(local),
+                                new_state.bookkeeping,
+                            );
                         }
                     }
+                    idx
                 };
                 local_to_global.push(global);
             }
@@ -649,7 +713,7 @@ where
             let parents_in_slice = result.group_lens.len() / num_choices;
             let mut edge_cursor = 0usize;
             for local_parent in 0..parents_in_slice {
-                let parent_index = frontier_indices[parent_cursor + local_parent] as usize;
+                let parent_index = frontier.indices[parent_cursor + local_parent] as usize;
                 while rows_emitted < parent_index {
                     for _ in 0..num_choices {
                         row_offsets.push(succs.len() as u32);
@@ -664,7 +728,7 @@ where
                             SuccRef::New(local) => local_to_global[local as usize],
                         };
                         succs.push(global);
-                        probs.push(prob);
+                        probs.push(intern(&mut prob_values, prob));
                     }
                     edge_cursor += len;
                     row_offsets.push(succs.len() as u32);
@@ -674,7 +738,6 @@ where
             }
             parent_cursor += parents_in_slice;
         }
-        frontier_indices = next_indices;
         frontier = next_frontier;
     }
 
@@ -706,15 +769,18 @@ where
         row_offsets,
         succs,
         probs,
+        prob_values,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdp_algorithms::{Gdp1, Lr1};
+    use gdp_algorithms::{AlgorithmKind, AnyProgram, Gdp1, Lr1};
+    use gdp_sim::ForkCell;
     use gdp_topology::builders::classic_ring;
     use gdp_topology::Topology;
+    use std::collections::HashMap;
 
     fn options(symmetry: bool) -> BuildOptions {
         BuildOptions::default()
@@ -786,6 +852,7 @@ mod tests {
                 assert_eq!(serial.row_offsets, parallel.row_offsets);
                 assert_eq!(serial.succs, parallel.succs);
                 assert_eq!(serial.probs, parallel.probs, "{class:?}, {threads} threads");
+                assert_eq!(serial.prob_values, parallel.prob_values);
             }
         }
     }
@@ -845,5 +912,157 @@ mod tests {
         for auto in &mdp.automorphisms {
             assert_eq!(auto.phil_map[1], PhilosopherId::new(1));
         }
+    }
+
+    /// The automorphism applying `first`, then `second`.
+    fn compose(first: &Automorphism, second: &Automorphism) -> Automorphism {
+        Automorphism {
+            fork_map: first
+                .fork_map
+                .iter()
+                .map(|f| second.fork_map[f.index()])
+                .collect(),
+            phil_map: first
+                .phil_map
+                .iter()
+                .map(|p| second.phil_map[p.index()])
+                .collect(),
+        }
+    }
+
+    /// `image` is `state` relabelled by `auto`, field for field.
+    fn assert_relabelled(
+        state: &EngineState<AnyProgram>,
+        auto: &Automorphism,
+        image: &EngineState<AnyProgram>,
+    ) {
+        let mut expected = ForkCell::new();
+        for (f, cell) in state.forks().iter().enumerate() {
+            cell.relabel_philosophers_into(|p| auto.phil_map[p.index()], &mut expected);
+            assert_eq!(image.forks()[auto.fork_map[f].index()], expected);
+        }
+        for (p, private) in state.states().iter().enumerate() {
+            assert_eq!(image.states()[auto.phil_map[p].index()], *private);
+        }
+    }
+
+    /// The exact encoding over every state of small builds: request lists
+    /// and guest-book stamps (GDP2/LR2 lockout), product keys (k-bounded,
+    /// crash-stop) and keys of more than one word (ring-7).
+    #[test]
+    fn state_encoding_is_exact_over_every_state_of_small_builds() {
+        let (ring3, ring7) = (classic_ring(3).unwrap(), classic_ring(7).unwrap());
+        let lockout = CheckTarget::PhilosopherEats(PhilosopherId::new(0));
+        let progress = CheckTarget::Progress;
+        let fair = AdversaryClass::Fair;
+        let kbounded = AdversaryClass::KBounded { k: 2 };
+        let crash = AdversaryClass::CrashStop { max_crashes: 1 };
+        // (topology, algorithm, target, class, budget, bookkeeping words per
+        // key, whether some state encoding spans more than one word)
+        let cases = [
+            (&ring3, AlgorithmKind::Gdp2, lockout, fair, 2_000, 0, true),
+            (&ring3, AlgorithmKind::Lr2, lockout, fair, 2_000, 0, true),
+            (
+                &ring3,
+                AlgorithmKind::Lr1,
+                progress,
+                kbounded,
+                200_000,
+                3,
+                false,
+            ),
+            (
+                &ring3,
+                AlgorithmKind::Gdp1,
+                progress,
+                crash,
+                200_000,
+                1,
+                false,
+            ),
+            (&ring7, AlgorithmKind::Gdp1, progress, fair, 5_000, 0, true),
+        ];
+        for (topology, kind, target, class, budget, bookkeeping, multiword) in cases {
+            let program = kind.program();
+            let options = BuildOptions::default()
+                .with_max_states(budget)
+                .with_threads(1)
+                .with_class(class);
+            let mdp = build_mdp(topology, &program, target, &options);
+            let codec = StateCodec::new(topology, &program);
+            let automorphisms = symmetry::automorphisms(topology, AUTOMORPHISM_LIMIT);
+            let identity = &automorphisms[..1];
+            let mut engine = Engine::new(topology.clone(), program, SimConfig::default());
+            let mut state = engine.snapshot();
+            let (mut reached, mut back, mut image) = (state.clone(), state.clone(), state.clone());
+            let mut by_encoding: HashMap<Vec<u64>, EngineState<AnyProgram>> = HashMap::new();
+            let (mut encoded, mut all, mut twice, mut composed) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            let mut longest_seen = 0;
+            for index in 0..mdp.num_states as u32 {
+                let key = mdp.index_of_key.key(index);
+                let words = &key[..key.len() - bookkeeping];
+                longest_seen = longest_seen.max(words.len());
+                // A key decodes to a state that encodes back to the key.
+                state.decode_from(&codec, words);
+                encoded.clear();
+                assert_eq!(state.encode(&codec, identity, &mut encoded), words.len());
+                assert_eq!(encoded, words, "{kind} state {index}");
+                // Relabelling composes: rotating once, then once more, is
+                // rotating twice.
+                for first in &automorphisms {
+                    encoded.clear();
+                    state.encode(&codec, std::slice::from_ref(first), &mut encoded);
+                    image.decode_from(&codec, &encoded);
+                    for second in &automorphisms {
+                        twice.clear();
+                        image.encode(&codec, std::slice::from_ref(second), &mut twice);
+                        composed.clear();
+                        state.encode(&codec, &[compose(first, second)], &mut composed);
+                        assert_eq!(twice, composed, "{kind} state {index}");
+                    }
+                }
+                // Every successor, as the engine reaches it:
+                for p in 0..topology.num_philosophers() {
+                    let p = PhilosopherId::new(p as u32);
+                    engine.for_each_step_outcome_from(&state, p, |_, post, _| {
+                        post.snapshot_into(&mut reached);
+                        all.clear();
+                        let len = reached.encode(&codec, &automorphisms, &mut all);
+                        // decoding its encoding gives it back,
+                        back.decode_from(&codec, &all[..len]);
+                        assert_eq!(back.forks(), reached.forks(), "{kind}");
+                        assert_eq!(back.states(), reached.states(), "{kind}");
+                        for (auto, encoding) in automorphisms.iter().zip(all.chunks_exact(len)) {
+                            // its encoding under an automorphism is that of
+                            // the relabelled state,
+                            image.decode_from(&codec, encoding);
+                            assert_relabelled(&reached, auto, &image);
+                            encoded.clear();
+                            image.encode(&codec, identity, &mut encoded);
+                            assert_eq!(encoded, encoding, "{kind}");
+                            // and two states share an encoding only if they
+                            // are equal.
+                            let known = by_encoding
+                                .entry(encoding.to_vec())
+                                .or_insert_with(|| image.clone());
+                            assert_eq!(*known, image, "{kind}");
+                        }
+                    });
+                }
+            }
+            assert_eq!(
+                longest_seen > 1,
+                multiword,
+                "{kind} on {}",
+                topology.summary()
+            );
+        }
+
+        // A ring-5 GDP1 key is one word: 5 × (3 + 3) + 5 × 4 = 50 bits.
+        let ring5 = classic_ring(5).unwrap();
+        let options = BuildOptions::default().with_max_states(2_000);
+        let mdp = build_mdp(&ring5, &Gdp1::new(), CheckTarget::Progress, &options);
+        assert!((0..mdp.num_states as u32).all(|i| mdp.index_of_key.key(i).len() == 1));
     }
 }

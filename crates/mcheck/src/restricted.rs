@@ -38,14 +38,11 @@
 //!
 //! A product build runs the same layered, parallel expansion as an
 //! all-fair build: the bookkeeping rides along with each frontier state,
-//! decides which of its rows are allowed, adds the crash rows, and is
-//! folded into the state's dedup key.  Product builds are quotient-free —
+//! decides which of its rows are allowed, adds the crash rows, and its
+//! exact words are appended to the state's dedup key.  Product builds are quotient-free —
 //! the bookkeeping is not invariant under topology relabellings — and the
 //! product multiplies the state count by the bookkeeping range, which is
 //! why only *finite* classes are offered.
-
-use gdp_sim::fingerprint64;
-use std::hash::Hash;
 
 /// The adversary class a check quantifies over (`gdp check --adversary`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -147,7 +144,7 @@ impl std::str::FromStr for AdversaryClass {
 /// exactly those of the plain system automaton.  A restricted class's
 /// bookkeeping decides which choices a state offers and joins the state's
 /// dedup key; `Bound` is the class parameter it is checked against.
-pub(crate) trait Bookkeeping: Clone + Hash + Send + Sync {
+pub(crate) trait Bookkeeping: Clone + Send + Sync {
     /// Whether states carry real bookkeeping (a product build).
     const PRODUCT: bool = true;
     /// Whether the adversary also has one crash choice per philosopher.
@@ -169,10 +166,9 @@ pub(crate) trait Bookkeeping: Clone + Hash + Send + Sync {
     /// end component through this non-target state, given its `allowed`
     /// schedules.
     fn requirement(&self, allowed: u64) -> u64;
-    /// The dedup key of a state with engine key `state_key`.
-    fn key(&self, state_key: u64) -> u64 {
-        fingerprint64(&(state_key, self))
-    }
+    /// Appends the bookkeeping's exact words to a state's dedup key.  Every
+    /// value of one class takes the same number of words.
+    fn push_words(&self, key: &mut Vec<u64>);
 }
 
 impl Bookkeeping for () {
@@ -191,14 +187,12 @@ impl Bookkeeping for () {
         allowed
     }
 
-    fn key(&self, state_key: u64) -> u64 {
-        state_key
-    }
+    fn push_words(&self, _: &mut Vec<u64>) {}
 }
 
 /// k-bounded fairness: the steps since each philosopher was last
 /// scheduled.
-#[derive(Clone, Hash)]
+#[derive(Clone)]
 pub(crate) struct Waits(Box<[u32]>);
 
 impl Bookkeeping for Waits {
@@ -239,10 +233,14 @@ impl Bookkeeping for Waits {
         // by fiat.
         0
     }
+
+    fn push_words(&self, key: &mut Vec<u64>) {
+        key.extend(self.0.iter().map(|&wait| u64::from(wait)));
+    }
 }
 
 /// Crash-stop faults: the crashed set, bit `p` for philosopher `p`.
-#[derive(Clone, Copy, Hash)]
+#[derive(Clone, Copy)]
 pub(crate) struct Crashed(u64);
 
 impl Bookkeeping for Crashed {
@@ -272,6 +270,10 @@ impl Bookkeeping for Crashed {
     fn requirement(&self, allowed: u64) -> u64 {
         // Only survivors must keep being scheduled.
         allowed
+    }
+
+    fn push_words(&self, key: &mut Vec<u64>) {
+        key.push(self.0);
     }
 }
 

@@ -25,8 +25,9 @@
 
 use crate::model::{is_target, CheckTarget, Mdp};
 use crate::solve::Solution;
-use gdp_sim::{Engine, Phase, Program, RelabelScratch, SimConfig};
-use gdp_topology::{PhilosopherId, Topology};
+use gdp_sim::{Engine, Phase, Program, SimConfig, StateCodec};
+use gdp_topology::{Automorphism, PhilosopherId, Topology};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// A replayable worst-case schedule: the seed fixes the philosophers'
@@ -38,7 +39,8 @@ pub struct CounterexampleSchedule {
     /// The philosophers scheduled, in order.
     pub steps: Vec<PhilosopherId>,
     /// The first step index at which the (canonical) state repeated, if the
-    /// replay closed a lasso inside the avoid region.
+    /// replay closed a lasso inside the avoid region.  States are compared
+    /// by their exact canonical keys.
     pub cycle_start: Option<usize>,
     /// The objective this schedule defeats.
     pub target: CheckTarget,
@@ -83,7 +85,8 @@ pub fn extract_counterexample<P: Program + Clone>(
         return None;
     }
     let n = topology.num_philosophers();
-    let mut scratch: RelabelScratch<P> = RelabelScratch::new();
+    let codec = StateCodec::new(topology, program);
+    let mut scratch = Vec::new();
     'seeds: for &seed in seeds {
         let mut engine = Engine::new(
             topology.clone(),
@@ -92,7 +95,7 @@ pub fn extract_counterexample<P: Program + Clone>(
         );
         let mut succ_buf = engine.snapshot();
         let mut steps = Vec::with_capacity(max_steps);
-        let mut visited: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+        let mut visited: HashMap<Vec<u64>, usize> = HashMap::new();
         let mut cycle_start = None;
         let mut last_scheduled = vec![0u64; n];
         for step in 0..max_steps {
@@ -101,12 +104,12 @@ pub fn extract_counterexample<P: Program + Clone>(
                 continue 'seeds;
             }
             let snapshot = engine.snapshot();
-            let key = mdp.canonical_key(&snapshot, &mut scratch);
             if cycle_start.is_none() {
-                if let Some(&at) = visited.get(&key) {
+                let key = mdp.canonical_key(&codec, &snapshot, &mut scratch);
+                if let Some(&at) = visited.get(key) {
                     cycle_start = Some(at);
                 } else {
-                    visited.insert(key, step);
+                    visited.insert(key.to_vec(), step);
                 }
             }
             // Score every choice by its worst random outcome's avoid value
@@ -120,11 +123,11 @@ pub fn extract_counterexample<P: Program + Clone>(
                     PhilosopherId::new(p as u32),
                     |_, post, _| {
                         post.snapshot_into(&mut succ_buf);
-                        let succ_key = mdp.canonical_key(&succ_buf, &mut scratch);
+                        let succ_key = mdp.canonical_key(&codec, &succ_buf, &mut scratch);
                         let value = mdp
                             .index_of_key
-                            .get(&succ_key)
-                            .map_or(0.0, |&i| solution.avoid_value[i as usize]);
+                            .get(succ_key)
+                            .map_or(0.0, |i| solution.avoid_value[i as usize]);
                         worth = worth.min(value);
                     },
                 );
@@ -162,7 +165,8 @@ const DOT_STATE_CAP: usize = 48;
 /// digraph: one node per distinct visited state (labelled with every fork's
 /// holder and every philosopher's phase), one edge per step (labelled with
 /// the scheduled philosopher).  Long schedules collapse onto their lasso
-/// automatically because revisited states reuse their node.
+/// automatically because revisited states reuse their node; states are
+/// told apart by their exact encodings.
 #[must_use]
 pub fn counterexample_dot<P: Program + Clone>(
     topology: &Topology,
@@ -180,12 +184,15 @@ pub fn counterexample_dot<P: Program + Clone>(
     let _ = writeln!(out, "  node [shape=box, fontname=\"monospace\"];");
 
     fn emit_node<P: Program>(
-        node_of: &mut std::collections::HashMap<u64, usize>,
+        codec: &StateCodec<P>,
+        identity: &[Automorphism],
+        node_of: &mut HashMap<Vec<u64>, usize>,
         out: &mut String,
         engine: &Engine<P>,
     ) -> usize {
-        let fp = engine.state_fingerprint();
-        if let Some(&id) = node_of.get(&fp) {
+        let mut key = Vec::new();
+        engine.snapshot().encode(codec, identity, &mut key);
+        if let Some(&id) = node_of.get(&key) {
             return id;
         }
         let id = node_of.len();
@@ -209,12 +216,17 @@ pub fn counterexample_dot<P: Program + Clone>(
             label
         });
         let _ = writeln!(out, "  s{id} [label=\"{}\"];", label.trim_end());
-        node_of.insert(fp, id);
+        node_of.insert(key, id);
         id
     }
 
-    let mut node_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    let mut from = emit_node(&mut node_of, &mut out, &engine);
+    let codec = StateCodec::new(topology, program);
+    let identity = [Automorphism::identity(
+        topology.num_forks(),
+        topology.num_philosophers(),
+    )];
+    let mut node_of: HashMap<Vec<u64>, usize> = HashMap::new();
+    let mut from = emit_node(&codec, &identity, &mut node_of, &mut out, &engine);
     for &philosopher in &schedule.steps {
         if node_of.len() >= DOT_STATE_CAP {
             let _ = writeln!(
@@ -226,7 +238,7 @@ pub fn counterexample_dot<P: Program + Clone>(
             break;
         }
         engine.step_philosopher(philosopher);
-        let to = emit_node(&mut node_of, &mut out, &engine);
+        let to = emit_node(&codec, &identity, &mut node_of, &mut out, &engine);
         let _ = writeln!(out, "  s{from} -> s{to} [label=\"{philosopher}\"];");
         from = to;
     }

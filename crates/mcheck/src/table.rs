@@ -1,0 +1,199 @@
+//! Exact state storage: packed state keys back to back in one arena, and
+//! the dedup table over them.
+//!
+//! A key is a state's exact encoding ([`gdp_sim::EngineState::encode`]),
+//! plus scheduler bookkeeping words in product builds — a run of `u64`
+//! words.  The table stores every key whole and compares keys word for
+//! word; the hash ([`fingerprint64`] of the words) only says where to look,
+//! so no digest decides state identity.
+
+use gdp_sim::fingerprint64;
+
+/// Runs of words stored back to back in one arena: the checker's frontier
+/// and the key store of a [`KeyTable`].
+///
+/// While every run has one length, a run is found by its index alone;
+/// per-run offsets are kept only once lengths differ (a request-list or
+/// guest-book tail), so fixed-length keys cost no more than their words.
+#[derive(Clone, Debug)]
+pub(crate) struct Packed {
+    words: Vec<u64>,
+    len: usize,
+    /// The common run length, while there is one.
+    stride: Option<usize>,
+    /// Once lengths differ: run `i` is `words[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+}
+
+impl Packed {
+    pub(crate) fn new() -> Self {
+        Packed {
+            words: Vec::new(),
+            len: 0,
+            stride: None,
+            starts: Vec::new(),
+        }
+    }
+
+    /// Number of runs.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Run `i`.
+    pub(crate) fn get(&self, i: usize) -> &[u64] {
+        match self.stride {
+            Some(stride) => &self.words[i * stride..(i + 1) * stride],
+            None => &self.words[self.starts[i] as usize..self.starts[i + 1] as usize],
+        }
+    }
+
+    /// Appends a run.
+    pub(crate) fn push(&mut self, run: &[u64]) {
+        match self.stride {
+            Some(stride) if stride != run.len() => {
+                self.starts = (0..=self.len).map(|i| offset(i * stride)).collect();
+                self.stride = None;
+            }
+            None if self.len == 0 => self.stride = Some(run.len()),
+            _ => {}
+        }
+        self.words.extend_from_slice(run);
+        self.len += 1;
+        if self.stride.is_none() {
+            self.starts.push(offset(self.words.len()));
+        }
+    }
+}
+
+fn offset(words: usize) -> u32 {
+    u32::try_from(words).expect("packed runs exceed 2^32 words")
+}
+
+/// Marks an empty slot.
+const EMPTY: u32 = u32::MAX;
+
+/// An exact dedup table of state keys, numbered in insertion order.
+///
+/// Keys live whole in one arena; open-addressing `u32` slots (linear
+/// probing, at most half full) hold key numbers.  Two keys share a number
+/// exactly when their words are equal.
+#[derive(Clone, Debug)]
+pub struct KeyTable {
+    keys: Packed,
+    slots: Vec<u32>,
+}
+
+impl KeyTable {
+    pub(crate) fn new() -> Self {
+        KeyTable {
+            keys: Packed::new(),
+            slots: vec![EMPTY; 16],
+        }
+    }
+
+    /// Number of keys.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether the table holds no key.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The key numbered `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`len`](Self::len).
+    #[must_use]
+    pub fn key(&self, index: u32) -> &[u64] {
+        self.keys.get(index as usize)
+    }
+
+    /// The number of `key`, if the table holds it.
+    #[must_use]
+    pub fn get(&self, key: &[u64]) -> Option<u32> {
+        self.probe(key).ok()
+    }
+
+    /// The number of `key`, inserting it as the next number when absent;
+    /// the flag tells whether it was inserted.
+    pub(crate) fn insert(&mut self, key: &[u64]) -> (u32, bool) {
+        match self.probe(key) {
+            Ok(index) => (index, false),
+            Err(slot) => {
+                let index = u32::try_from(self.len())
+                    .ok()
+                    .filter(|&index| index != EMPTY)
+                    .expect("state numbers exceed the u32 range");
+                self.keys.push(key);
+                self.slots[slot] = index;
+                if 2 * self.len() > self.slots.len() {
+                    self.grow();
+                }
+                (index, true)
+            }
+        }
+    }
+
+    /// `Ok(number)` of `key`, or `Err(slot)`: the empty slot it would take.
+    fn probe(&self, key: &[u64]) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = fingerprint64(key) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(slot),
+                index if self.key(index) == key => return Ok(index),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        let mut slots = vec![EMPTY; 2 * self.slots.len()];
+        let mask = slots.len() - 1;
+        for index in 0..self.len() as u32 {
+            let mut slot = fingerprint64(self.key(index)) as usize & mask;
+            while slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            slots[slot] = index;
+        }
+        self.slots = slots;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn keys_are_numbered_in_insertion_order_and_compared_whole() {
+        let mut table = KeyTable::new();
+        // One-word keys first, then mixed lengths: the arena drops its
+        // common stride mid-way.
+        let keys: Vec<Vec<u64>> = (0..1000u64)
+            .map(|i| {
+                let words = if i < 500 { 1 } else { 1 + i % 3 };
+                (0..words).map(|w| i * 7 + w).collect()
+            })
+            .collect();
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(table.insert(key), (i as u32, true));
+        }
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(table.insert(key), (i as u32, false));
+            assert_eq!(table.get(key), Some(i as u32));
+            assert_eq!(table.key(i as u32), key.as_slice());
+        }
+        assert_eq!(table.len(), 1000);
+        // A prefix or extension of a stored key is another key.
+        assert_eq!(table.get(&keys[998][..1]), None);
+        assert_eq!(table.get(&[keys[0][0], 0]), None);
+        assert_eq!(table.get(&[]), None);
+    }
+}

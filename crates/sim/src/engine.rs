@@ -195,11 +195,10 @@ impl<P: Program> Engine<P> {
     ///
     /// Two system states with the same fingerprint are identical up to
     /// statistics with overwhelming probability, not with certainty.  The
-    /// fingerprint stamps the summary line of a `gdp run --trace`, and
-    /// `gdp-mcheck` keys its states by the same digest
-    /// ([`EngineState::fingerprint`]).  Exact questions about the current
-    /// state, such as [`is_stuck`](Self::is_stuck), compare the state
-    /// itself instead.
+    /// fingerprint stamps the summary line of a `gdp run --trace`.  Exact
+    /// questions about the current state compare the state itself
+    /// ([`is_stuck`](Self::is_stuck)) or its exact encoding
+    /// ([`EngineState::encode`], the state keys of `gdp-mcheck`).
     #[must_use]
     pub fn state_fingerprint(&self) -> u64 {
         fingerprint64(&(&self.forks, &self.states))
@@ -752,6 +751,10 @@ mod tests {
             Toy::Thinking
         }
 
+        fn private_states(&self) -> Vec<Toy> {
+            vec![Toy::Thinking, Toy::Hungry, Toy::Eating]
+        }
+
         fn observation(&self, state: &Toy, _ends: gdp_topology::ForkEnds) -> ProgramObservation {
             let phase = match state {
                 Toy::Thinking => Phase::Thinking,
@@ -1013,7 +1016,7 @@ mod tests {
             engine.step_with(&mut adversary);
         }
         let snapshot = engine.snapshot();
-        assert_eq!(snapshot.fingerprint(), engine.state_fingerprint());
+        assert_eq!(snapshot, engine.snapshot());
         assert_eq!(snapshot.step_count(), 137);
         let mut suffix_adversary = adversary.clone();
         let records: Vec<_> = (0..211)
@@ -1022,7 +1025,7 @@ mod tests {
         let end_fp = engine.state_fingerprint();
 
         engine.restore(&snapshot);
-        assert_eq!(engine.state_fingerprint(), snapshot.fingerprint());
+        assert_eq!(engine.snapshot(), snapshot);
         assert_eq!(engine.step_count(), 137);
         assert_eq!(engine.views(), engine.rebuilt_views().as_slice());
         let replayed: Vec<_> = (0..211).map(|_| engine.step_with(&mut adversary)).collect();
@@ -1072,7 +1075,7 @@ mod tests {
         engine.step_philosopher_with_tape(PhilosopherId::new(0), &mut tape);
         assert_eq!(tape.pending(), Some(DrawRequest::Coin));
         engine.restore(&snapshot);
-        assert_eq!(engine.state_fingerprint(), snapshot.fingerprint());
+        assert_eq!(engine.snapshot(), snapshot);
     }
 
     #[test]
@@ -1118,42 +1121,6 @@ mod tests {
             StopCondition::MaxSteps(500),
         );
         assert!(!engine.is_stuck());
-    }
-
-    #[test]
-    fn relabelled_fingerprint_identity_matches_fingerprint() {
-        use crate::snapshot::RelabelScratch;
-        let mut engine = engine(4, 2);
-        engine.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(123),
-        );
-        let snapshot = engine.snapshot();
-        let phil_id: Vec<PhilosopherId> = (0..4).map(PhilosopherId::new).collect();
-        let fork_id: Vec<ForkId> = (0..4).map(ForkId::new).collect();
-        let mut scratch = RelabelScratch::new();
-        assert_eq!(
-            snapshot.relabelled_fingerprint(&phil_id, &fork_id, &mut scratch),
-            snapshot.fingerprint()
-        );
-        // A ring rotation relabels the state consistently: rotating twice by
-        // one is the same as rotating once by two.
-        let rot = |c: u32| {
-            (
-                (0..4u32)
-                    .map(|p| PhilosopherId::new((p + c) % 4))
-                    .collect::<Vec<_>>(),
-                (0..4u32)
-                    .map(|f| ForkId::new((f + c) % 4))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let (p1, f1) = rot(1);
-        let (p2, f2) = rot(2);
-        let once = snapshot.relabelled_fingerprint(&p1, &f1, &mut scratch);
-        let twice = snapshot.relabelled_fingerprint(&p2, &f2, &mut scratch);
-        assert_ne!(once, snapshot.fingerprint());
-        assert_ne!(once, twice);
     }
 
     #[test]

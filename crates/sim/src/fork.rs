@@ -27,19 +27,21 @@ pub type UsageStamp = u64;
 
 /// The complete shared state of a single fork.
 ///
-/// All fields are private; the atomic-step operations below are the only way
-/// to read or modify them, mirroring the paper's "test-and-set operations on
-/// the forks are performed atomically".
+/// All fields are private to this crate; outside it the atomic-step
+/// operations below are the only way to read or modify them, mirroring the
+/// paper's "test-and-set operations on the forks are performed atomically".
+/// Inside it, the state codec ([`crate::snapshot`]) reads and writes them
+/// field by field.
 #[derive(Debug, Default, PartialEq, Eq, Hash)]
 pub struct ForkCell {
-    holder: Option<PhilosopherId>,
-    nr: u32,
+    pub(crate) holder: Option<PhilosopherId>,
+    pub(crate) nr: u32,
     /// Incoming requests, in insertion order (LR2 / GDP2 line 2).
-    requests: Vec<PhilosopherId>,
+    pub(crate) requests: Vec<PhilosopherId>,
     /// Guest book: who has used this fork and at which usage stamp.
-    guest_book: Vec<(PhilosopherId, UsageStamp)>,
+    pub(crate) guest_book: Vec<(PhilosopherId, UsageStamp)>,
     /// Next usage stamp to hand out when somebody signs the guest book.
-    next_stamp: UsageStamp,
+    pub(crate) next_stamp: UsageStamp,
 }
 
 // Manual impl so `clone_from` reuses the request-list and guest-book
@@ -235,11 +237,12 @@ impl ForkCell {
     /// identifier relabelled through `map`, preserving request-list and
     /// guest-book order (and all stamps).
     ///
-    /// This is the fork half of the canonical state encoding used by the
-    /// symmetry reduction in `gdp-mcheck`: applying a topology automorphism
-    /// to a system state relabels the philosophers referenced by each fork
-    /// cell while leaving everything else untouched.  Reuses `out`'s
-    /// allocations.
+    /// Applying a topology automorphism to a system state relabels the
+    /// philosophers referenced by each fork cell while leaving everything
+    /// else untouched; this is that relabelling for one cell, spelled out
+    /// field by field — the reference the exact state encoding
+    /// ([`EngineState::encode`](crate::EngineState::encode), which relabels
+    /// without copying) is tested against.  Reuses `out`'s allocations.
     pub fn relabel_philosophers_into(
         &self,
         map: impl Fn(PhilosopherId) -> PhilosopherId,

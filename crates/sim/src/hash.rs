@@ -1,26 +1,17 @@
 //! One shared fingerprinting helper.
 //!
-//! Everything in this workspace that needs a 64-bit state digest (the
-//! engine's [`state_fingerprint`](crate::Engine::state_fingerprint) and
-//! `gdp-mcheck`'s canonical state keys) goes through [`fingerprint64`]
-//! instead of setting up an ad-hoc hasher at each call site.
+//! Everything in this workspace that needs a 64-bit digest (the engine's
+//! [`state_fingerprint`](crate::Engine::state_fingerprint) in the
+//! `gdp run --trace` footer, and the hash that places `gdp-mcheck`'s exact
+//! state keys in its dedup table) goes through [`fingerprint64`] instead of
+//! setting up an ad-hoc hasher at each call site.
 //!
 //! The hasher is a fixed-key multiply-rotate design (the `FxHash` family):
-//! exact model checking fingerprints tens of millions of states and sits on
-//! this function for a large share of its wall-clock, so the `SipHash`
-//! `DefaultHasher` used before PR 3 was replaced with something ~5× faster.
-//! Fingerprints are deterministic within a build and never persisted.
-//!
-//! **Collision caveat**: `gdp-mcheck`'s `build_mdp` dedups states by
-//! canonical fingerprint, so its dedup map (and the counterexample replay
-//! that looks states up in it) silently merges two states on a 64-bit
-//! collision.  No verdict or exit code elsewhere rests on fingerprint
-//! equality: [`Engine::is_stuck`](crate::Engine::is_stuck) compares states
-//! exactly.  At the largest space this workspace checks (~4 × 10⁶
-//! canonical states) the birthday bound for an ideal 64-bit hash is
-//! ≈ 4 × 10⁻⁷ per run; `gdp-mcheck` documents this as a standing caveat of
-//! its certificates (`docs/VERIFICATION.md`), and the final avalanche round
-//! below exists to keep the bound meaningful for structured state data.
+//! the checker hashes every successor's key, millions per check, and this
+//! is ~5× faster than `std`'s `SipHash` `DefaultHasher`.  Fingerprints are
+//! deterministic within a build and never persisted.  No verdict rests on
+//! fingerprint equality: the checker compares the keys themselves, and
+//! [`Engine::is_stuck`](crate::Engine::is_stuck) compares states.
 
 use std::hash::{Hash, Hasher};
 

@@ -35,8 +35,9 @@
 //!   receives the step-by-step record of the run.
 //! * [`EngineState`] — first-class snapshots of the semantic state
 //!   (forks, private program states, step counter) with `O(n + k)`
-//!   [`Engine::restore`], plus the relabelled-fingerprint canonical
-//!   encoding behind `gdp-mcheck`'s symmetry quotient.
+//!   [`Engine::restore`], plus their exact bit-packed encoding
+//!   ([`StateCodec`]), written directly under any topology automorphism:
+//!   the state keys, and the frontier, of `gdp-mcheck`.
 //! * [`DrawTape`] — scripted randomness: replay or exhaustively enumerate
 //!   a step's random draws ([`Engine::for_each_step_outcome`]), the
 //!   probabilistic-branching primitive of exact model checking; also
@@ -64,6 +65,9 @@
 //!     type State = Naive;
 //!     fn name(&self) -> &'static str { "naive" }
 //!     fn initial_state(&self) -> Naive { Naive::Thinking }
+//!     fn private_states(&self) -> Vec<Naive> {
+//!         vec![Naive::Thinking, Naive::WantLeft, Naive::WantRight, Naive::Eating]
+//!     }
 //!     fn observation(&self, s: &Naive, _ends: gdp_topology::ForkEnds) -> ProgramObservation {
 //!         let phase = match s {
 //!             Naive::Thinking => Phase::Thinking,
@@ -126,5 +130,5 @@ pub use fork::{ForkCell, UsageStamp};
 pub use hash::fingerprint64;
 pub use outcome::{RunOutcome, StopCondition, StopReason};
 pub use program::{Action, Phase, Program, ProgramObservation, StepCtx};
-pub use snapshot::{EngineState, RelabelScratch};
+pub use snapshot::{EngineState, StateCodec};
 pub use view::{Holding, PhilosopherView, SystemView};

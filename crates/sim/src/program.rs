@@ -197,6 +197,14 @@ pub trait Program {
     /// The state every philosopher starts in (the same for all, by symmetry).
     fn initial_state(&self) -> Self::State;
 
+    /// Every private state a philosopher of this program can be in, each
+    /// once.
+    ///
+    /// The list is the program's code table: the exact state encoding
+    /// ([`StateCodec`](crate::StateCodec)) writes a private state as its
+    /// index here, so encoding a state missing from the list panics.
+    fn private_states(&self) -> Vec<Self::State>;
+
     /// The observable part of a private state.
     ///
     /// `ends` is the philosopher's own fork pair, provided so the program can

@@ -194,6 +194,90 @@ fn check_restricted_adversary_classes_flip_the_gdp1_verdict() {
     assert!(text.contains("verdict:           certified"), "{text}");
 }
 
+/// The courteous algorithms' models, pinned: LR2 and GDP2 are the only users
+/// of the request lists and guest books, so their states carry the
+/// variable-length tail of the exact state encoding.  Each certificate is
+/// byte-identical at one and two threads.
+#[test]
+fn check_pins_the_lr2_and_gdp2_models_on_the_three_ring() {
+    let cases: [(&[&str], &str, &str, i32); 4] = [
+        (
+            &["--algorithm", "gdp2"],
+            "7840 canonical states, 16964 transitions (symmetry group 3)",
+            "certified",
+            0,
+        ),
+        (
+            &["--algorithm", "lr2"],
+            "592 canonical states, 1208 transitions (symmetry group 3)",
+            "certified",
+            0,
+        ),
+        (
+            &[
+                "--algorithm",
+                "gdp2",
+                "--target",
+                "lockout",
+                "--max-states",
+                "20000",
+            ],
+            "20000 canonical states, 47028 transitions (symmetry group 1)",
+            "inconclusive",
+            3,
+        ),
+        (
+            &[
+                "--algorithm",
+                "lr2",
+                "--target",
+                "lockout",
+                "--max-states",
+                "20000",
+            ],
+            "20000 canonical states, 54970 transitions (symmetry group 1)",
+            "inconclusive",
+            3,
+        ),
+    ];
+    for (flags, state_space, verdict, code) in cases {
+        let run = |threads: &str| {
+            let mut args = vec!["check", "--family", "ring", "--size", "3"];
+            args.extend_from_slice(flags);
+            args.extend_from_slice(&["--threads", threads]);
+            gdp(&args)
+        };
+        let serial = run("1");
+        assert_eq!(
+            serial.status.code(),
+            Some(code),
+            "{flags:?}: {}",
+            stderr(&serial)
+        );
+        let text = stdout(&serial);
+        assert!(
+            text.contains(&format!("state space:       {state_space}\n")),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!("overall verdict:   {verdict}\n")),
+            "{text}"
+        );
+        if flags.contains(&"lr2") && flags.contains(&"lockout") {
+            assert!(
+                text.contains(
+                    "counterexample:    360 steps against \"philosopher P0 eats\" \
+                     (seed 0, lasso from step 8)\n"
+                ),
+                "{text}"
+            );
+        }
+        let threaded = run("2");
+        assert_eq!(threaded.status.code(), Some(code));
+        assert_eq!(serial.stdout, threaded.stdout, "{flags:?}");
+    }
+}
+
 #[test]
 fn check_with_exhausted_budget_is_inconclusive_and_exits_3() {
     let output = gdp(&[
