@@ -15,8 +15,8 @@
 //! instantiation.
 
 use crate::family::TopologyFamily;
-use crate::report::f64_bits;
-use crate::store::{stable_digest64, CellStore, CertLookup, StoreStats};
+use crate::report::{f64_bits, parse_bits, parse_int, payload_field};
+use crate::store::{newer_format, stable_digest64, CellStore, Lookup, StoreStats};
 use gdp_algorithms::AlgorithmKind;
 pub use gdp_mcheck::certificate::Verdict as CheckVerdict;
 use gdp_mcheck::certificate::Verdict;
@@ -388,7 +388,7 @@ pub struct StoredCheck {
 /// [`Certificate::ENCODED_LINES`] lines each.  The derived columns are
 /// computed here, from the certificates themselves — the caller cannot
 /// inject a verdict that disagrees with the bytes below it.
-pub(crate) fn encode_check_payload(key: &str, cell: &str, certificates: &[Certificate]) -> String {
+fn encode_check_payload(key: &str, cell: &str, certificates: &[Certificate]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "key {key}");
     let _ = writeln!(out, "cell {cell}");
@@ -415,42 +415,18 @@ pub(crate) fn encode_check_payload(key: &str, cell: &str, certificates: &[Certif
 /// certificate, and derived columns that agree with the decoded
 /// certificates.
 pub(crate) fn decode_check_payload(payload: &str) -> Result<StoredCheck, String> {
-    let lines: Vec<&str> = payload.lines().collect();
-    let mut cursor = 0usize;
-    let mut field = |name: &str| -> Result<String, String> {
-        let line = lines
-            .get(cursor)
-            .ok_or_else(|| format!("payload truncated before field {name:?}"))?;
-        cursor += 1;
-        let (key, value) = line
-            .split_once(' ')
-            .ok_or_else(|| format!("malformed payload line {line:?}"))?;
-        if key != name {
-            return Err(format!("expected field {name:?}, found {key:?}"));
-        }
-        Ok(value.to_string())
-    };
-    let key = field("key")?;
-    let cell = field("cell")?;
-    let verdict = field("verdict")?;
-    let probability_hex = field("progress_probability")?;
-    if probability_hex.len() != 16 {
-        return Err(format!("invalid f64 bits {probability_hex:?}"));
-    }
-    let progress_probability = f64::from_bits(
-        u64::from_str_radix(&probability_hex, 16)
-            .map_err(|_| format!("invalid f64 bits {probability_hex:?}"))?,
-    );
-    let states: usize = field("states")?
-        .parse()
-        .map_err(|_| "invalid states count".to_string())?;
-    let count: usize = field("certificates")?
-        .parse()
-        .map_err(|_| "invalid certificate count".to_string())?;
+    let mut lines = payload.lines();
+    let mut field = |name: &str| payload_field(&mut lines, name);
+    let key = field("key")?.to_string();
+    let cell = field("cell")?.to_string();
+    let verdict = field("verdict")?.to_string();
+    let progress_probability = parse_bits("progress_probability", field("progress_probability")?)?;
+    let states: usize = parse_int("states", field("states")?)?;
+    let count: usize = parse_int("certificates", field("certificates")?)?;
     if count == 0 {
         return Err("certificate record holds no certificates".to_string());
     }
-    let body = &lines[cursor..];
+    let body: Vec<&str> = lines.collect();
     if body.len() != count * Certificate::ENCODED_LINES {
         return Err(format!(
             "expected {} certificate lines, found {}",
@@ -515,12 +491,10 @@ impl std::fmt::Display for CheckStoreError {
             CheckStoreError::Store { key, message } => {
                 write!(f, "certificate record {key}: {message}")
             }
-            CheckStoreError::Unsupported { key, version } => write!(
-                f,
-                "certificate record {key} has store format v{version}, newer than this build \
-                 (v{}) — upgrade gdp or move the record aside",
-                crate::store::STORE_VERSION
-            ),
+            CheckStoreError::Unsupported { key, version } => f.write_str(&newer_format(
+                &format!("certificate record {key}"),
+                *version,
+            )),
         }
     }
 }
@@ -562,8 +536,8 @@ pub fn run_check_cached(
         .map_err(|e| store_err(format!("writing check context note: {e}")))?;
     let mut stats = StoreStats::default();
     if resume {
-        match store.lookup_certificates(fingerprint, &key) {
-            CertLookup::Hit(stored) => {
+        match store.read::<StoredCheck>(fingerprint, &key) {
+            Lookup::Hit(stored) => {
                 stats.reused = 1;
                 let StoredCheck {
                     cell, certificates, ..
@@ -578,16 +552,17 @@ pub fn run_check_cached(
                     stats,
                 ));
             }
-            CertLookup::Quarantined { .. } => stats.quarantined = 1,
-            CertLookup::Absent => {}
-            CertLookup::Unsupported { version } => {
+            Lookup::Quarantined { .. } => stats.quarantined = 1,
+            Lookup::Absent => {}
+            Lookup::Unsupported { version } => {
                 return Err(CheckStoreError::Unsupported { key, version });
             }
         }
     }
     let report = run_check(spec).map_err(CheckStoreError::Check)?;
+    let payload = encode_check_payload(&key, &report.cell, &report.certificates);
     store
-        .save_certificates(fingerprint, &key, &report.cell, &report.certificates)
+        .write::<StoredCheck>(fingerprint, &key, &payload)
         .map_err(|e| store_err(format!("persisting certificates: {e}")))?;
     stats.computed = 1;
     Ok((report, stats))
@@ -929,7 +904,7 @@ mod tests {
         let (store, dir) = temp_cert_store("corrupt");
         let spec = CheckSpec::new(TopologyFamily::Ring, 4, AlgorithmKind::Gdp1);
         let (cold, _) = run_check_cached(&spec, &store, true).unwrap();
-        let path = store.cert_record_path(spec.store_fingerprint(), &spec.cert_key());
+        let path = store.path::<StoredCheck>(spec.store_fingerprint(), &spec.cert_key());
         let mut raw = std::fs::read(&path).unwrap();
         let target = raw.len() - 20;
         raw[target] ^= 0x04;

@@ -76,13 +76,13 @@ pub use gdp_adversary::{
 };
 pub use report::{cell_json, csv_header, SweepReport};
 pub use runner::{
-    compute_cell, compute_cell_durable, run_sweep, run_sweep_durable, run_sweep_with, CellResult,
-    SweepError, SweepOptions,
+    compute_and_save, compute_cell, lookup_cell, run_sweep, run_sweep_durable, run_sweep_with,
+    CellResult, SweepError, SweepOptions,
 };
 pub use spec::{AdversaryKind, GridError, GridFields, ScenarioCell, ScenarioSpec, SeedPolicy};
 pub use store::{
-    compact_store, gc_store, merge_stores, stable_digest64, CellStore, CertLookup, CompactReport,
-    GcReport, MergeError, ParseShardError, ShardSpec, StoreLookup, StoreStats, STORE_FORMAT,
+    compact_store, gc_store, merge_stores, stable_digest64, CellStore, CompactReport, GcReport,
+    Lookup, MergeError, ParseShardError, ShardSpec, StoreLookup, StoreStats, STORE_FORMAT,
     STORE_FORMAT_V2, STORE_VERSION,
 };
 pub use stress::{

@@ -289,58 +289,69 @@ pub(crate) fn encode_cell_payload(c: &CellResult) -> String {
     out
 }
 
+/// Reads the next payload line, which must be the field `name`, and
+/// returns its value: the strict field reader both record payload decoders
+/// (cells here, certificates in `crate::check`) share.
+pub(crate) fn payload_field<'a>(
+    lines: &mut std::str::Lines<'a>,
+    name: &str,
+) -> Result<&'a str, String> {
+    let line = lines
+        .next()
+        .ok_or_else(|| format!("payload truncated before field {name:?}"))?;
+    let (key, value) = line
+        .split_once(' ')
+        .ok_or_else(|| format!("malformed payload line {line:?}"))?;
+    if key != name {
+        return Err(format!("expected field {name:?}, found {key:?}"));
+    }
+    Ok(value)
+}
+
+/// Parses the integer value of payload field `name`.
+pub(crate) fn parse_int<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("field {name:?} has invalid value {value:?}"))
+}
+
+/// Parses the [`f64_bits`] value of payload field `name`.
+pub(crate) fn parse_bits(name: &str, value: &str) -> Result<f64, String> {
+    let raw = u64::from_str_radix(value, 16)
+        .map_err(|_| format!("field {name:?} has invalid f64 bits {value:?}"))?;
+    if value.len() != 16 {
+        return Err(format!("field {name:?} has invalid f64 bits {value:?}"));
+    }
+    Ok(f64::from_bits(raw))
+}
+
 /// Parses a cell-record payload back into a [`CellResult`].
 ///
 /// Parsing is strict — fixed field order, no extra or missing lines — so
 /// any torn or hand-edited payload is rejected rather than guessed at.
 pub(crate) fn decode_cell_payload(payload: &str) -> Result<CellResult, String> {
     let mut lines = payload.lines();
-    let mut field = |name: &str| -> Result<String, String> {
-        let line = lines
-            .next()
-            .ok_or_else(|| format!("payload truncated before field {name:?}"))?;
-        let (key, value) = line
-            .split_once(' ')
-            .ok_or_else(|| format!("malformed payload line {line:?}"))?;
-        if key != name {
-            return Err(format!("expected field {name:?}, found {key:?}"));
-        }
-        Ok(value.to_string())
-    };
-    fn int<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
-        value
-            .parse()
-            .map_err(|_| format!("field {name:?} has invalid value {value:?}"))
-    }
-    fn bits(name: &str, value: &str) -> Result<f64, String> {
-        let raw = u64::from_str_radix(value, 16)
-            .map_err(|_| format!("field {name:?} has invalid f64 bits {value:?}"))?;
-        if value.len() != 16 {
-            return Err(format!("field {name:?} has invalid f64 bits {value:?}"));
-        }
-        Ok(f64::from_bits(raw))
-    }
-
+    let mut field = |name: &str| payload_field(&mut lines, name).map(str::to_string);
     let cell = field("cell")?;
     let family = field("family")?;
-    let size = int("size", &field("size")?)?;
-    let philosophers = int("philosophers", &field("philosophers")?)?;
-    let forks = int("forks", &field("forks")?)?;
+    let size = parse_int("size", &field("size")?)?;
+    let philosophers = parse_int("philosophers", &field("philosophers")?)?;
+    let forks = parse_int("forks", &field("forks")?)?;
     let algorithm = field("algorithm")?;
     let adversary = field("adversary")?;
-    let trials = int("trials", &field("trials")?)?;
-    let max_steps = int("max_steps", &field("max_steps")?)?;
-    let seed = int("seed", &field("seed")?)?;
-    let deadlock_rate = bits("deadlock_rate", &field("deadlock_rate")?)?;
-    let lockout_rate = bits("lockout_rate", &field("lockout_rate")?)?;
-    let mean_hunger = bits("mean_hunger", &field("mean_hunger")?)?;
-    let first_meal_p50 = bits("first_meal_p50", &field("first_meal_p50")?)?;
-    let first_meal_p90 = bits("first_meal_p90", &field("first_meal_p90")?)?;
-    let first_meal_p99 = bits("first_meal_p99", &field("first_meal_p99")?)?;
-    let min_meals_mean = bits("min_meals_mean", &field("min_meals_mean")?)?;
-    let fairness_mean = bits("fairness_mean", &field("fairness_mean")?)?;
-    let stuck_trials = int("stuck_trials", &field("stuck_trials")?)?;
-    let unsafe_trials = int("unsafe_trials", &field("unsafe_trials")?)?;
+    let trials = parse_int("trials", &field("trials")?)?;
+    let max_steps = parse_int("max_steps", &field("max_steps")?)?;
+    let seed = parse_int("seed", &field("seed")?)?;
+    let deadlock_rate = parse_bits("deadlock_rate", &field("deadlock_rate")?)?;
+    let lockout_rate = parse_bits("lockout_rate", &field("lockout_rate")?)?;
+    let mean_hunger = parse_bits("mean_hunger", &field("mean_hunger")?)?;
+    let first_meal_p50 = parse_bits("first_meal_p50", &field("first_meal_p50")?)?;
+    let first_meal_p90 = parse_bits("first_meal_p90", &field("first_meal_p90")?)?;
+    let first_meal_p99 = parse_bits("first_meal_p99", &field("first_meal_p99")?)?;
+    let min_meals_mean = parse_bits("min_meals_mean", &field("min_meals_mean")?)?;
+    let fairness_mean = parse_bits("fairness_mean", &field("fairness_mean")?)?;
+    let stuck_trials = parse_int("stuck_trials", &field("stuck_trials")?)?;
+    let unsafe_trials = parse_int("unsafe_trials", &field("unsafe_trials")?)?;
     let exact_line = field("exact")?;
     let exact = if exact_line == "none" {
         None
@@ -351,11 +362,11 @@ pub(crate) fn decode_cell_payload(payload: &str) -> Result<CellResult, String> {
             .filter(|v| !v.is_empty())
             .ok_or("exact field missing verdict")?
             .to_string();
-        let probability = bits(
+        let probability = parse_bits(
             "exact probability",
             parts.next().ok_or("exact field missing probability")?,
         )?;
-        let states = int(
+        let states = parse_int(
             "exact states",
             parts.next().ok_or("exact field missing states")?,
         )?;

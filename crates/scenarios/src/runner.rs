@@ -1,12 +1,16 @@
 //! The batch runner: drives every cell of an expanded grid through the
 //! Monte-Carlo estimators and reduces it to a [`CellResult`].
 
-use crate::check::{run_check, run_check_cached, sweep_check_class, CheckSpec, ExactCellVerdict};
+use crate::check::{
+    run_check, run_check_cached, sweep_check_class, CheckReport, CheckSpec, CheckStoreError,
+    ExactCellVerdict,
+};
 use crate::report::SweepReport;
 use crate::spec::{ScenarioCell, ScenarioSpec};
-use crate::store::{CellStore, ShardSpec, StoreLookup, StoreStats};
+use crate::store::{newer_format, CellStore, Lookup, ShardSpec, StoreStats};
 use gdp_analysis::montecarlo::estimate_liveness;
 use gdp_analysis::TrialConfig;
+use gdp_observe::Event;
 use gdp_sim::SimConfig;
 use gdp_topology::TopologyError;
 use std::fmt;
@@ -129,11 +133,12 @@ pub struct SweepOptions {
     /// exceeds the budget report `inconclusive`.  The verdicts are a pure
     /// function of the spec, so reproducibility is preserved.
     pub exact_check: Option<usize>,
-    /// Structured-event sink for cell lifecycle and store events
-    /// (`cell_start`/`cell_finish`/`store_hit`/`store_miss`/
-    /// `store_quarantine`).  The sweep's logical clock is the cell's
-    /// position in the deterministic grid expansion, so with a fixed spec
-    /// the emitted stream is the same for every thread count.
+    /// Structured-event sink for cell lifecycle, store and certificate-cache
+    /// events (`cell_start`/`cell_finish`/`store_hit`/`store_miss`/
+    /// `store_quarantine`/`cert_hit`/`cert_miss`).  The sweep's logical
+    /// clock is the cell's position in the deterministic grid expansion, so
+    /// with a fixed spec the emitted stream is the same for every thread
+    /// count.
     pub sink: Option<gdp_observe::SharedSink>,
 }
 
@@ -206,12 +211,10 @@ impl fmt::Display for SweepError {
             SweepError::Store { cell, message } => {
                 write!(f, "cell {cell}: store write failed: {message}")
             }
-            SweepError::UnsupportedStore { cell, version } => write!(
-                f,
-                "cell {cell}: store record has format v{version}, newer than this build \
-                 (v{}) — upgrade gdp or move the record aside",
-                crate::store::STORE_VERSION
-            ),
+            SweepError::UnsupportedStore { cell, version } => f.write_str(&newer_format(
+                &format!("cell {cell}: store record"),
+                *version,
+            )),
         }
     }
 }
@@ -222,11 +225,10 @@ impl std::error::Error for SweepError {}
 /// cell's trial budget (plus the exact verdict when
 /// [`SweepOptions::exact_check`] is set).
 ///
-/// This is the single-cell work unit behind [`run_sweep_durable`] and the
-/// `gdp serve` worker pool: results are a pure function of `(spec store
-/// context, cell key)` — bitwise identical for every thread count and every
-/// scheduling of concurrent callers — which is what makes them cacheable in
-/// a shared [`CellStore`].
+/// Results are a pure function of `(spec store context, cell key)` —
+/// bitwise identical for every thread count and every scheduling of
+/// concurrent callers — which is what makes them cacheable in a shared
+/// [`CellStore`]; [`compute_and_save`] is the store-backed variant.
 ///
 /// # Errors
 ///
@@ -237,34 +239,122 @@ pub fn compute_cell(
     cell: &ScenarioCell,
     options: &SweepOptions,
 ) -> Result<CellResult, SweepError> {
-    compute_cell_durable(spec, cell, options, None, false).map(|(result, _)| result)
+    compute_with(spec, cell, options, |check| {
+        run_check(check).map_err(|message| check_failed(cell, message))
+    })
 }
 
-/// [`compute_cell`] with the exact check routed through a store's
-/// **certificate cache**: with a `store` attached, the cell's exact
-/// verdict is persisted as a certificate record the moment it is computed,
-/// and with `reuse_certs` additionally set, a verified record answers it
-/// from disk — byte-identical, certificates being byte-reproducible — so a
-/// resumed `sweep --check` restores its exact columns without re-solving
-/// the MDP even when the MC cell record was lost.
-///
-/// Returns the result plus the certificate-cache [`StoreStats`] (all zero
-/// when no store is attached or the sweep runs without `--check`); callers
-/// that know the cell's grid position turn these into `cert_hit`/
-/// `cert_miss` events.
+/// The error a failed exact check of `cell` surfaces as.
+fn check_failed(cell: &ScenarioCell, message: String) -> SweepError {
+    SweepError::Topology {
+        cell: cell.key.clone(),
+        source: TopologyError::InvalidParameter { message },
+    }
+}
+
+/// Records `event` into the options' sink, if one is attached.
+fn emit(options: &SweepOptions, event: Event) {
+    if let Some(sink) = &options.sink {
+        sink.record(&event);
+    }
+}
+
+/// Looks `cell` up in `store`: the first half of the per-cell store step
+/// that `gdp sweep --store --resume` and `gdp serve` share.  Emits the
+/// cell's `store_hit`, `store_quarantine` or `store_miss` event at its grid
+/// `position` into [`SweepOptions::sink`], tallies `reused` or
+/// `quarantined` in `stats`, and returns the verified stored result on a
+/// hit.  `None` means the cell must be computed with [`compute_and_save`].
 ///
 /// # Errors
 ///
-/// As [`compute_cell`], plus [`SweepError::Store`] when the certificate
-/// record cannot be persisted and [`SweepError::UnsupportedStore`] when
-/// the record on disk belongs to a newer store format.
-pub fn compute_cell_durable(
+/// [`SweepError::UnsupportedStore`] when the record belongs to a newer
+/// store format; it is left in place and must not be shadowed.
+pub fn lookup_cell(
+    store: &CellStore,
+    cell: &ScenarioCell,
+    position: usize,
+    options: &SweepOptions,
+    stats: &mut StoreStats,
+) -> Result<Option<CellResult>, SweepError> {
+    let (clock, key) = (position as u64, cell.key.clone());
+    let (event, hit) = match store.lookup(&cell.key) {
+        Lookup::Hit(result) => {
+            stats.reused += 1;
+            (Event::StoreHit { clock, cell: key }, Some(*result))
+        }
+        Lookup::Quarantined { .. } => {
+            stats.quarantined += 1;
+            (Event::StoreQuarantine { clock, cell: key }, None)
+        }
+        Lookup::Absent => (Event::StoreMiss { clock, cell: key }, None),
+        Lookup::Unsupported { version } => {
+            return Err(SweepError::UnsupportedStore { cell: key, version });
+        }
+    };
+    emit(options, event);
+    Ok(hit)
+}
+
+/// The second half of the per-cell store step: computes `cell` with its
+/// exact verdict routed through `store`'s **certificate cache**, emitting
+/// `cert_hit` or `cert_miss` at its grid `position` when the sweep checks,
+/// and persists the result.  Every computed certificate is saved, and with
+/// `resume` a verified certificate record answers the check from disk —
+/// byte-identical, certificates being byte-reproducible — so a resumed
+/// `sweep --check` restores its exact columns without re-solving the MDP
+/// even when the MC cell record was lost.
+///
+/// # Errors
+///
+/// As [`compute_cell`], plus [`SweepError::Store`] when a record cannot be
+/// persisted and [`SweepError::UnsupportedStore`] when the certificate
+/// record belongs to a newer store format.
+pub fn compute_and_save(
+    spec: &ScenarioSpec,
+    cell: &ScenarioCell,
+    position: usize,
+    options: &SweepOptions,
+    store: &CellStore,
+    resume: bool,
+) -> Result<CellResult, SweepError> {
+    let store_failed = |message: String| SweepError::Store {
+        cell: cell.key.clone(),
+        message,
+    };
+    let result = compute_with(spec, cell, options, |check| {
+        let (report, stats) = run_check_cached(check, store, resume).map_err(|e| match e {
+            CheckStoreError::Check(message) => check_failed(cell, message),
+            CheckStoreError::Unsupported { version, .. } => SweepError::UnsupportedStore {
+                cell: cell.key.clone(),
+                version,
+            },
+            other => store_failed(other.to_string()),
+        })?;
+        let (clock, key) = (position as u64, cell.key.clone());
+        emit(
+            options,
+            if stats.reused > 0 {
+                Event::CertHit { clock, cell: key }
+            } else {
+                Event::CertMiss { clock, cell: key }
+            },
+        );
+        Ok(report)
+    })?;
+    store
+        .save(&result)
+        .map_err(|e| store_failed(e.to_string()))?;
+    Ok(result)
+}
+
+/// [`compute_cell`] with the exact check answered by `check`.
+fn compute_with(
     spec: &ScenarioSpec,
     cell: &ScenarioCell,
     options: &SweepOptions,
-    store: Option<&CellStore>,
-    reuse_certs: bool,
-) -> Result<(CellResult, StoreStats), SweepError> {
+    check: impl FnOnce(&CheckSpec) -> Result<CheckReport, SweepError>,
+) -> Result<CellResult, SweepError> {
     let topology =
         cell.family
             .build(cell.size, cell.seed)
@@ -295,7 +385,6 @@ pub fn compute_cell_durable(
         .record_timing
         .then(|| (spec.trials * spec.max_steps) as f64 / elapsed_secs);
 
-    let mut cert_stats = StoreStats::default();
     let exact = match options.exact_check {
         Some(max_states) => {
             let check_spec = CheckSpec {
@@ -308,39 +397,12 @@ pub fn compute_cell_durable(
                 adversary: sweep_check_class(spec.adversary),
                 ..CheckSpec::new(cell.family, cell.size, cell.algorithm)
             };
-            let report = match store {
-                Some(store) => {
-                    let (report, stats) = run_check_cached(&check_spec, store, reuse_certs)
-                        .map_err(|e| match e {
-                            crate::check::CheckStoreError::Unsupported { version, .. } => {
-                                SweepError::UnsupportedStore {
-                                    cell: cell.key.clone(),
-                                    version,
-                                }
-                            }
-                            crate::check::CheckStoreError::Check(message) => SweepError::Topology {
-                                cell: cell.key.clone(),
-                                source: gdp_topology::TopologyError::InvalidParameter { message },
-                            },
-                            other => SweepError::Store {
-                                cell: cell.key.clone(),
-                                message: other.to_string(),
-                            },
-                        })?;
-                    cert_stats = stats;
-                    report
-                }
-                None => run_check(&check_spec).map_err(|message| SweepError::Topology {
-                    cell: cell.key.clone(),
-                    source: gdp_topology::TopologyError::InvalidParameter { message },
-                })?,
-            };
-            Some(ExactCellVerdict::from_report(&report))
+            Some(ExactCellVerdict::from_report(&check(&check_spec)?))
         }
         None => None,
     };
 
-    let result = CellResult {
+    Ok(CellResult {
         cell: cell.key.clone(),
         family: cell.family.name(),
         size: cell.size,
@@ -363,8 +425,7 @@ pub fn compute_cell_durable(
         stuck_trials: estimate.violations.stuck_trials,
         unsafe_trials: estimate.violations.unsafe_trials,
         exact,
-    };
-    Ok((result, cert_stats))
+    })
 }
 
 /// Runs the whole sweep, invoking `on_cell` as each cell completes (the
@@ -429,90 +490,42 @@ where
     let shard = shard.unwrap_or_else(ShardSpec::full);
     let mut stats = StoreStats::default();
     let mut results = Vec::with_capacity(cells.len().div_ceil(shard.count));
-    let emit = |event: gdp_observe::Event| {
-        if let Some(sink) = &options.sink {
-            sink.record(&event);
-        }
-    };
     for (position, cell) in cells.iter().enumerate() {
         if !shard.owns(position) {
             continue;
         }
         let clock = position as u64;
-        emit(gdp_observe::Event::CellStart {
-            clock,
-            cell: cell.key.clone(),
-        });
-        let mut cached = None;
-        if resume {
-            if let Some(store) = store {
-                match store.lookup(&cell.key) {
-                    StoreLookup::Hit(result) => {
-                        emit(gdp_observe::Event::StoreHit {
-                            clock,
-                            cell: cell.key.clone(),
-                        });
-                        cached = Some(*result);
-                    }
-                    StoreLookup::Quarantined { .. } => {
-                        emit(gdp_observe::Event::StoreQuarantine {
-                            clock,
-                            cell: cell.key.clone(),
-                        });
-                        stats.quarantined += 1;
-                    }
-                    StoreLookup::Absent => {
-                        emit(gdp_observe::Event::StoreMiss {
-                            clock,
-                            cell: cell.key.clone(),
-                        });
-                    }
-                    StoreLookup::Unsupported { version } => {
-                        return Err(SweepError::UnsupportedStore {
-                            cell: cell.key.clone(),
-                            version,
-                        });
-                    }
-                }
-            }
-        }
+        emit(
+            options,
+            Event::CellStart {
+                clock,
+                cell: cell.key.clone(),
+            },
+        );
+        let cached = match store {
+            Some(store) if resume => lookup_cell(store, cell, position, options, &mut stats)?,
+            _ => None,
+        };
         let result = match cached {
-            Some(result) => {
-                stats.reused += 1;
-                result
-            }
+            Some(result) => result,
             None => {
-                let (result, cert_stats) =
-                    compute_cell_durable(spec, cell, options, store, resume)?;
-                if cert_stats.reused > 0 {
-                    emit(gdp_observe::Event::CertHit {
-                        clock,
-                        cell: cell.key.clone(),
-                    });
-                }
-                if cert_stats.computed > 0 {
-                    emit(gdp_observe::Event::CertMiss {
-                        clock,
-                        cell: cell.key.clone(),
-                    });
-                }
-                if let Some(store) = store {
-                    store.save(&result).map_err(|e| SweepError::Store {
-                        cell: cell.key.clone(),
-                        message: e.to_string(),
-                    })?;
-                }
                 stats.computed += 1;
-                result
+                match store {
+                    Some(store) => compute_and_save(spec, cell, position, options, store, resume)?,
+                    None => compute_cell(spec, cell, options)?,
+                }
             }
         };
         if options.progress {
             println!("{}", result.row());
         }
-        emit(gdp_observe::Event::CellFinish {
-            clock,
-            cell: cell.key.clone(),
-        });
+        emit(
+            options,
+            Event::CellFinish {
+                clock,
+                cell: cell.key.clone(),
+            },
+        );
         on_cell(&result);
         results.push(result);
     }
@@ -598,6 +611,74 @@ mod tests {
             .count();
         assert_eq!(finishes, report.cells.len());
         assert_eq!(events.len(), 2 * report.cells.len());
+
+        // A checked resume over a store holding one valid record, one
+        // bit-flipped record and one missing cell (whose certificate is
+        // gone too): per grid position, cell_start, then the lookup
+        // outcome, then the certificate-cache outcome of a computed cell,
+        // then cell_finish.
+        let spec = tiny_spec()
+            .with_families_str("ring")
+            .unwrap()
+            .with_sizes([3, 4, 5]);
+        let dir = std::env::temp_dir().join(format!(
+            "gdp_runner_events_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let checked = SweepOptions {
+            exact_check: Some(2_000),
+            ..SweepOptions::default()
+        };
+        let store = CellStore::open(&dir, &spec, checked.exact_check).unwrap();
+        run_sweep_durable(&spec, &checked, Some(&store), false, None, |_| {}).unwrap();
+        let flipped = store.record_path("ring/n4/GDP1");
+        let mut raw = std::fs::read(&flipped).unwrap();
+        let target = raw.len() - 20;
+        raw[target] ^= 0x04;
+        std::fs::write(&flipped, raw).unwrap();
+        std::fs::remove_file(store.record_path("ring/n5/GDP1")).unwrap();
+        for entry in std::fs::read_dir(dir.join("certs")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.to_string_lossy().contains("ring_n5_GDP1") {
+                std::fs::remove_file(path).unwrap();
+            }
+        }
+        let sink = Arc::new(MemorySink::new());
+        let options = SweepOptions {
+            sink: Some(sink.clone()),
+            ..checked
+        };
+        let (_, stats) =
+            run_sweep_durable(&spec, &options, Some(&store), true, None, |_| {}).unwrap();
+        let events = sink.take();
+        let seen: Vec<(u64, &str)> = events.iter().map(|e| (e.clock(), e.type_tag())).collect();
+        assert_eq!(
+            seen,
+            [
+                (0, "cell_start"),
+                (0, "store_hit"),
+                (0, "cell_finish"),
+                (1, "cell_start"),
+                (1, "store_quarantine"),
+                (1, "cert_hit"),
+                (1, "cell_finish"),
+                (2, "cell_start"),
+                (2, "store_miss"),
+                (2, "cert_miss"),
+                (2, "cell_finish"),
+            ]
+        );
+        assert_eq!(
+            stats,
+            StoreStats {
+                reused: 1,
+                computed: 2,
+                quarantined: 1
+            }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //!
 //! Exact verdicts share that shape: a `gdp-mcheck` certificate is a pure,
 //! byte-reproducible function of *(check spec, topology cell)*, so the
-//! store holds a second record kind — **certificate records** under
-//! `certs/`, keyed by *(check-spec fingerprint, cell key @ topology seed)*
-//! and carrying the full certificate bytes plus the derived
-//! verdict/progress-probability/state-count columns — under the same
-//! checksum, quarantine and atomic-write discipline as MC cells.
+//! store holds a second record kind — **certificate records**, keyed by
+//! *(check-spec fingerprint, cell key @ topology seed)* and carrying the
+//! full certificate bytes plus the derived
+//! verdict/progress-probability/state-count columns.  Both kinds share one
+//! record format and one codec: one address function, one writer, one
+//! reader and one verifier, parameterised by a [`Record`] type whose
+//! [`RecordKind`] holds the only facts that tell the kinds apart.
 //!
 //! On top of the store sit five protocols (all surfaced by the `gdp` CLI
 //! and documented in `docs/SCENARIOS.md`):
@@ -46,13 +48,14 @@
 //! Records that fail **any** validation step are never trusted and never
 //! fatal: they are moved into the store's `quarantine/` directory (tagged
 //! with the failure reason) and the cell is transparently recomputed.
-//! Validation layers, in order:
+//! Validation layers, in order (all in [`verify`]):
 //!
 //! 1. the format banner (`gdp-cell-store v3`; v2 banners on MC cell
 //!    records are still accepted — the cell layout did not change — while
 //!    a version *newer* than this build is **rejected loudly** as
-//!    [`StoreLookup::Unsupported`], never quarantined: the record is
-//!    presumed valid to a newer build and left untouched);
+//!    [`Lookup::Unsupported`], never quarantined: the record is
+//!    presumed valid to a newer build and left untouched), then the line
+//!    naming the record kind, if the kind has one;
 //! 2. the spec fingerprint — records from a *stale or different spec*
 //!    (other adversary, trial budget, step budget, seed policy or
 //!    exact-check budget) are invisible to this spec's lookups by
@@ -71,11 +74,10 @@
 //! in-memory state-fingerprint hasher evolves into (the same reasoning that
 //! keeps sweep seed derivation on `SipHash`, see `crate::spec`).
 
-use crate::check::{decode_check_payload, encode_check_payload, StoredCheck};
+use crate::check::{decode_check_payload, StoredCheck};
 use crate::report::{decode_cell_payload, encode_cell_payload, SweepReport};
 use crate::runner::CellResult;
 use crate::spec::ScenarioSpec;
-use gdp_mcheck::Certificate;
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -83,12 +85,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The format banner every record starts with; bump the version when the
 /// record layout or payload schema changes and old records become
-/// untrustworthy.  v3 added certificate records (`kind certificate`
-/// headers under `certs/`); the MC cell layout is unchanged, so v2 cell
-/// banners are still accepted.  v2 added the `first_meal_p50/p90/p99`
+/// untrustworthy.  v3 added certificate records, whose header names their
+/// kind; the MC cell layout is unchanged, so v2 cell banners are still
+/// accepted.  v2 added the `first_meal_p50/p90/p99`
 /// payload fields; v1 records quarantine and recompute, by design.
 /// Versions *newer* than [`STORE_VERSION`] are rejected loudly
-/// ([`StoreLookup::Unsupported`]), never quarantined.
+/// ([`Lookup::Unsupported`]), never quarantined.
 pub const STORE_FORMAT: &str = "gdp-cell-store v3";
 
 /// The previous format banner, still accepted on MC cell records (their
@@ -101,6 +103,17 @@ pub const STORE_VERSION: u32 = 3;
 /// Parses a `gdp-cell-store v<N>` banner line into its version number.
 fn banner_version(line: &str) -> Option<u32> {
     line.strip_prefix("gdp-cell-store v")?.parse().ok()
+}
+
+/// The one wording of a refusal to touch `record` because its store format
+/// `version` is newer than this build.  Such a record is presumed valid to
+/// the build that wrote it, so it is never quarantined, reused or
+/// recomputed over.
+pub(crate) fn newer_format(record: &str, version: u32) -> String {
+    format!(
+        "{record} has format v{version}, newer than this build (v{STORE_VERSION}) — \
+         upgrade gdp or move the record aside"
+    )
 }
 
 /// 64-bit FNV-1a over raw bytes: the store's persistent digest for record
@@ -140,13 +153,13 @@ impl fmt::Display for StoreStats {
     }
 }
 
-/// The outcome of one store lookup.
+/// The outcome of one store lookup, for either record kind.
 #[derive(Debug)]
-pub enum StoreLookup {
-    /// No record exists for this cell.
+pub enum Lookup<T> {
+    /// No record exists for this key.
     Absent,
     /// A fully verified record was found.
-    Hit(Box<CellResult>),
+    Hit(Box<T>),
     /// A record existed but failed validation; it has been moved to the
     /// quarantine directory and must be recomputed.
     Quarantined {
@@ -163,32 +176,101 @@ pub enum StoreLookup {
     },
 }
 
-/// The outcome of one certificate-record lookup.
-#[derive(Debug)]
-pub enum CertLookup {
-    /// No certificate record exists for this key.
-    Absent,
-    /// A fully verified certificate record was found.
-    Hit(Box<StoredCheck>),
-    /// A record existed but failed validation; it has been moved to the
-    /// quarantine directory and the check must be recomputed.
-    Quarantined {
-        /// Which validation layer rejected it.
-        reason: &'static str,
-    },
-    /// The record's format version is newer than this build; see
-    /// [`StoreLookup::Unsupported`].
-    Unsupported {
-        /// The record's declared format version.
-        version: u32,
-    },
-}
+/// The outcome of one MC cell-record lookup ([`CellStore::lookup`]).
+pub type StoreLookup = Lookup<CellResult>;
 
 /// Why a record was rejected: either it must be quarantined, or it belongs
 /// to a format version newer than this build and must be left alone.
 enum RecordReject {
     Quarantine(&'static str),
     Unsupported(u32),
+}
+
+/// The facts that tell the store's two record kinds — MC cell records and
+/// certificate records — apart.  Everything else about a record (its
+/// address, bytes, reading, verification and lifecycle) is shared.
+pub(crate) struct RecordKind {
+    /// The store subdirectory holding this kind's records.
+    dir: &'static str,
+    /// The record file extension.
+    ext: &'static str,
+    /// Mixed into the address, so records of two kinds never share one even
+    /// under equal fingerprints and keys.
+    tag: &'static str,
+    /// The header line naming the kind, right after the banner, if any.
+    kind_line: Option<&'static str>,
+    /// The oldest format version whose banner this kind accepts.
+    oldest: u32,
+    /// The kind's name in messages.
+    noun: &'static str,
+    /// [`verify_compactable`] for this kind.
+    compactable: fn(&str, &str) -> Result<(), RecordReject>,
+}
+
+/// A payload type the store persists: its kind, and the strict decoder the
+/// verifier runs last.
+pub(crate) trait Record: Sized {
+    /// The facts of this record kind.
+    const KIND: RecordKind;
+    /// Strictly decodes a checksummed payload.
+    fn decode(payload: &str) -> Result<Self, String>;
+    /// The key the payload embeds, cross-checked against the header's.
+    fn key(&self) -> &str;
+}
+
+/// MC cell records.  v2 banners are still accepted: the cell layout did not
+/// change between v2 and v3.
+impl Record for CellResult {
+    const KIND: RecordKind = RecordKind {
+        dir: "cells",
+        ext: "cell",
+        tag: "",
+        kind_line: None,
+        oldest: 2,
+        noun: "cell",
+        compactable: verify_compactable::<CellResult>,
+    };
+
+    fn decode(payload: &str) -> Result<Self, String> {
+        decode_cell_payload(payload)
+    }
+
+    fn key(&self) -> &str {
+        &self.cell
+    }
+}
+
+/// Certificate records, keyed by check fingerprint and `cell@s<seed>`.  v3
+/// only: certificate records did not exist before v3, so an older banner is
+/// a `format` rejection, not forward compatibility.
+impl Record for StoredCheck {
+    const KIND: RecordKind = RecordKind {
+        dir: "certs",
+        ext: "cert",
+        tag: "cert|",
+        kind_line: Some("kind certificate"),
+        oldest: 3,
+        noun: "certificate",
+        compactable: verify_compactable::<StoredCheck>,
+    };
+
+    fn decode(payload: &str) -> Result<Self, String> {
+        decode_check_payload(payload)
+    }
+
+    fn key(&self) -> &str {
+        &self.key
+    }
+}
+
+/// Every record kind, in the order opening, gc and compaction visit them.
+const KINDS: [RecordKind; 2] = [CellResult::KIND, StoredCheck::KIND];
+
+/// The file name of a record: the sanitized key plus the 16-hex digest of
+/// `(fingerprint, kind tag, key)`, its address.
+fn record_name(kind: &RecordKind, fingerprint: u64, key: &str) -> String {
+    let address = stable_digest64(format!("{fingerprint:016x}|{}{key}", kind.tag).as_bytes());
+    format!("{}-{address:016x}.{}", sanitize_key(key), kind.ext)
 }
 
 /// A durable, content-addressed store of completed sweep cells and check
@@ -211,8 +293,6 @@ enum RecordReject {
 #[derive(Debug)]
 pub struct CellStore {
     root: PathBuf,
-    cells_dir: PathBuf,
-    certs_dir: PathBuf,
     quarantine_dir: PathBuf,
     fingerprint: u64,
     swept_tmp: u64,
@@ -239,47 +319,39 @@ impl CellStore {
         exact_check: Option<usize>,
     ) -> std::io::Result<CellStore> {
         let context = spec.store_context(exact_check);
-        let fingerprint = stable_digest64(context.as_bytes());
-        let store = CellStore::open_with_fingerprint(dir, fingerprint)?;
+        let store = CellStore {
+            fingerprint: stable_digest64(context.as_bytes()),
+            ..CellStore::open_bare(dir)?
+        };
         // A per-fingerprint context note: deterministic bytes, atomically
         // written, so concurrent shards racing on it are harmless.
-        store.note_context("spec", fingerprint, &context)?;
+        store.note_context("spec", store.fingerprint, &context)?;
         Ok(store)
     }
 
     /// Opens (creating if needed) the store at `dir` **without** a sweep
     /// spec.  A bare handle addresses MC cell records under the null
-    /// fingerprint, so it is only meant for certificate records (whose
-    /// methods take an explicit check fingerprint) and for lifecycle
+    /// fingerprint, so it is only meant for certificate records (which are
+    /// addressed by an explicit check fingerprint) and for lifecycle
     /// tooling — `gdp check --store`, `gdp store gc`, `gdp store compact`.
     ///
     /// # Errors
     ///
     /// Propagates directory-creation I/O errors.
     pub fn open_bare(dir: impl AsRef<Path>) -> std::io::Result<CellStore> {
-        CellStore::open_with_fingerprint(dir, 0)
-    }
-
-    fn open_with_fingerprint(
-        dir: impl AsRef<Path>,
-        fingerprint: u64,
-    ) -> std::io::Result<CellStore> {
         let root = dir.as_ref().to_path_buf();
-        let cells_dir = root.join("cells");
-        let certs_dir = root.join("certs");
         let quarantine_dir = root.join("quarantine");
-        std::fs::create_dir_all(&cells_dir)?;
-        std::fs::create_dir_all(&certs_dir)?;
         std::fs::create_dir_all(&quarantine_dir)?;
-        let swept_tmp = sweep_stale_tmp_files(&root)
-            + sweep_stale_tmp_files(&cells_dir)
-            + sweep_stale_tmp_files(&certs_dir);
+        let mut swept_tmp = sweep_stale_tmp_files(&root);
+        for kind in &KINDS {
+            let records = root.join(kind.dir);
+            std::fs::create_dir_all(&records)?;
+            swept_tmp += sweep_stale_tmp_files(&records);
+        }
         Ok(CellStore {
             root,
-            cells_dir,
-            certs_dir,
             quarantine_dir,
-            fingerprint,
+            fingerprint: 0,
             swept_tmp,
         })
     }
@@ -330,27 +402,21 @@ impl CellStore {
     /// The record path for `cell_key` under this store's fingerprint.
     #[must_use]
     pub fn record_path(&self, cell_key: &str) -> PathBuf {
-        let address = stable_digest64(format!("{:016x}|{cell_key}", self.fingerprint).as_bytes());
-        self.cells_dir
-            .join(format!("{}-{address:016x}.cell", sanitize_key(cell_key)))
+        self.path::<CellResult>(self.fingerprint, cell_key)
     }
 
-    /// The certificate-record path for `cert_key` under the given check
-    /// fingerprint.  Certificate addresses mix in a `|cert|` tag so they
-    /// can never collide with an MC cell address even under equal
-    /// fingerprints and keys.
-    #[must_use]
-    pub fn cert_record_path(&self, check_fingerprint: u64, cert_key: &str) -> PathBuf {
-        let address =
-            stable_digest64(format!("{check_fingerprint:016x}|cert|{cert_key}").as_bytes());
-        self.certs_dir
-            .join(format!("{}-{address:016x}.cert", sanitize_key(cert_key)))
+    /// The path of the `T` record addressed by `(fingerprint, key)`.
+    pub(crate) fn path<T: Record>(&self, fingerprint: u64, key: &str) -> PathBuf {
+        self.root
+            .join(T::KIND.dir)
+            .join(record_name(&T::KIND, fingerprint, key))
     }
 
     /// Persists one completed cell **atomically**: the full record is
     /// written to a temp file in the same directory and renamed into place,
     /// so a crash at any instant leaves either the previous state or the
     /// complete new record — never a half-written one under the final name.
+    /// Certificate records are written the same way.
     ///
     /// **Concurrent-writer semantics** (serve workers, shards and resumed
     /// sweeps may share one store directory): records are pure functions of
@@ -374,102 +440,81 @@ impl CellStore {
     /// [`std::io::ErrorKind::InvalidData`] when a concurrent writer
     /// deposited a valid record that disagrees byte-for-byte.
     pub fn save(&self, result: &CellResult) -> std::io::Result<PathBuf> {
-        let payload = encode_cell_payload(result);
-        let record = format!(
-            "{STORE_FORMAT}\nspec {:016x}\ncell {}\npayload {} {:016x}\n---\n{payload}",
-            self.fingerprint,
-            result.cell,
-            payload.len(),
-            stable_digest64(payload.as_bytes()),
-        );
-        let path = self.record_path(&result.cell);
-        save_converging(&path, &record, &result.cell, &|existing| {
-            verify_record(existing, self.fingerprint, &result.cell).is_ok()
-        })?;
-        Ok(path)
+        self.write::<CellResult>(self.fingerprint, &result.cell, &encode_cell_payload(result))
     }
 
-    /// Persists one check's certificates as a certificate record, under the
-    /// same atomic-write and concurrent-writer convergence discipline as
-    /// [`save`](Self::save).  The record's verdict/progress-probability/
-    /// state-count columns are derived from `certificates` by the payload
-    /// codec itself, so they can never disagree with the certificate bytes.
-    ///
-    /// # Errors
-    ///
-    /// As for [`save`](Self::save): I/O errors, plus `InvalidData` when a
-    /// concurrent writer deposited a valid record with different bytes
-    /// (a determinism violation — certificates are byte-reproducible).
-    pub fn save_certificates(
+    /// The one record writer behind [`save`](Self::save) and the
+    /// certificate cache: frames `payload` as a `T` record addressed by
+    /// `(fingerprint, key)` and persists it atomically, converging with
+    /// concurrent writers of the same bytes.
+    pub(crate) fn write<T: Record>(
         &self,
-        check_fingerprint: u64,
-        cert_key: &str,
-        cell: &str,
-        certificates: &[Certificate],
+        fingerprint: u64,
+        key: &str,
+        payload: &str,
     ) -> std::io::Result<PathBuf> {
-        let payload = encode_check_payload(cert_key, cell, certificates);
+        let kind_line = T::KIND.kind_line.map(|line| format!("{line}\n"));
         let record = format!(
-            "{STORE_FORMAT}\nkind certificate\nspec {check_fingerprint:016x}\ncell {cert_key}\n\
-             payload {} {:016x}\n---\n{payload}",
+            "{STORE_FORMAT}\n{}spec {fingerprint:016x}\ncell {key}\npayload {} {:016x}\n---\n{payload}",
+            kind_line.unwrap_or_default(),
             payload.len(),
             stable_digest64(payload.as_bytes()),
         );
-        let path = self.cert_record_path(check_fingerprint, cert_key);
-        save_converging(&path, &record, cert_key, &|existing| {
-            verify_cert_record(existing, check_fingerprint, cert_key).is_ok()
-        })?;
-        Ok(path)
-    }
-
-    /// Looks `cell_key` up, verifying every integrity layer; invalid
-    /// records are quarantined (moved, tagged with the reason) and reported
-    /// as [`StoreLookup::Quarantined`] so the caller recomputes.
-    #[must_use]
-    pub fn lookup(&self, cell_key: &str) -> StoreLookup {
-        let path = self.record_path(cell_key);
-        let raw = match std::fs::read_to_string(&path) {
-            Ok(raw) => raw,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return StoreLookup::Absent,
-            // Unreadable (permissions, non-UTF-8, ...): treat as invalid.
-            Err(_) => {
-                self.quarantine(&path, "unreadable");
-                return StoreLookup::Quarantined {
-                    reason: "unreadable",
-                };
-            }
-        };
-        match verify_record(&raw, self.fingerprint, cell_key) {
-            Ok(result) => StoreLookup::Hit(Box::new(result)),
-            Err(RecordReject::Unsupported(version)) => StoreLookup::Unsupported { version },
-            Err(RecordReject::Quarantine(reason)) => {
-                self.quarantine(&path, reason);
-                StoreLookup::Quarantined { reason }
-            }
+        let path = self.path::<T>(fingerprint, key);
+        match write_atomically(&path, record.as_bytes()) {
+            Ok(()) => Ok(path),
+            Err(e) => match std::fs::read_to_string(&path) {
+                // A concurrent writer finished first.  Identical bytes:
+                // converged, the record is in place, nothing to do.
+                Ok(existing) if existing == record => Ok(path),
+                // A *valid* record that disagrees is a determinism
+                // violation — surface it, never shrug it off.
+                Ok(existing) if verify::<T>(&existing, Some((fingerprint, key))).is_ok() => {
+                    Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!(
+                            "concurrent writer stored different bytes for {} {key} \
+                             (determinism violation)",
+                            T::KIND.noun
+                        ),
+                    ))
+                }
+                _ => Err(e),
+            },
         }
     }
 
-    /// Looks up the certificate record for `(check_fingerprint, cert_key)`
-    /// with the same integrity layers and quarantine discipline as
-    /// [`lookup`](Self::lookup).
+    /// Looks `cell_key` up under this store's fingerprint, verifying every
+    /// integrity layer; invalid records are quarantined (moved, tagged with
+    /// the reason) and reported as [`Lookup::Quarantined`] so the caller
+    /// recomputes.  Certificate records are read the same way.
     #[must_use]
-    pub fn lookup_certificates(&self, check_fingerprint: u64, cert_key: &str) -> CertLookup {
-        let path = self.cert_record_path(check_fingerprint, cert_key);
+    pub fn lookup(&self, cell_key: &str) -> StoreLookup {
+        self.read(self.fingerprint, cell_key)
+    }
+
+    /// The one record reader behind [`lookup`](Self::lookup) and the
+    /// certificate cache: reads and verifies the `T` record addressed by
+    /// `(fingerprint, key)`, quarantining it when it fails.
+    pub(crate) fn read<T: Record>(&self, fingerprint: u64, key: &str) -> Lookup<T> {
+        let path = self.path::<T>(fingerprint, key);
         let raw = match std::fs::read_to_string(&path) {
             Ok(raw) => raw,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CertLookup::Absent,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Lookup::Absent,
+            // Unreadable (permissions, non-UTF-8, ...): treat as invalid.
             Err(_) => {
                 self.quarantine(&path, "unreadable");
-                return CertLookup::Quarantined {
+                return Lookup::Quarantined {
                     reason: "unreadable",
                 };
             }
         };
-        match verify_cert_record(&raw, check_fingerprint, cert_key) {
-            Ok(stored) => CertLookup::Hit(Box::new(stored)),
-            Err(RecordReject::Unsupported(version)) => CertLookup::Unsupported { version },
+        match verify(&raw, Some((fingerprint, key))) {
+            Ok((_, _, record)) => Lookup::Hit(Box::new(record)),
+            Err(RecordReject::Unsupported(version)) => Lookup::Unsupported { version },
             Err(RecordReject::Quarantine(reason)) => {
                 self.quarantine(&path, reason);
-                CertLookup::Quarantined { reason }
+                Lookup::Quarantined { reason }
             }
         }
     }
@@ -512,37 +557,6 @@ fn sanitize_key(key: &str) -> String {
             }
         })
         .collect()
-}
-
-/// The shared atomic-write-plus-convergence protocol behind both record
-/// kinds: write atomically; on failure, an already-present byte-identical
-/// record means a concurrent writer won harmlessly, while a *valid* record
-/// with different bytes is a determinism violation surfaced as
-/// `InvalidData`.
-fn save_converging(
-    path: &Path,
-    record: &str,
-    key: &str,
-    is_valid: &dyn Fn(&str) -> bool,
-) -> std::io::Result<()> {
-    match write_atomically(path, record.as_bytes()) {
-        Ok(()) => Ok(()),
-        Err(e) => match std::fs::read_to_string(path) {
-            // A concurrent writer finished first.  Identical bytes:
-            // converged, the record is in place, nothing to do.
-            Ok(existing) if existing == record => Ok(()),
-            // A *valid* record that disagrees is a determinism
-            // violation — surface it, never shrug it off.
-            Ok(existing) if is_valid(&existing) => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "concurrent writer stored different bytes for cell {key} \
-                     (determinism violation)"
-                ),
-            )),
-            _ => Err(e),
-        },
-    }
 }
 
 /// Deletes every stale `*.tmp.*` scratch file directly under `dir`
@@ -608,23 +622,18 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     }
 }
 
-/// The verified pieces shared by both record kinds: spec fingerprint, cell
-/// key and checksummed payload.
-struct VerifiedHeader<'a> {
-    fingerprint: u64,
-    cell_key: &'a str,
-    payload: &'a str,
-}
-
-/// Runs the header-level validation layers over one raw record of the
-/// given kind: banner version, optional `kind` line, spec fingerprint
-/// line, cell-key line, payload length and FNV-1a checksum.  Payload
-/// decoding and key cross-checks stay with the per-kind verifiers.
-fn verify_header<'a>(
+/// The one record verifier: runs every validation layer over one raw `T`
+/// record — banner version (no older than the kind accepts, no newer than
+/// this build), the kind line, the spec fingerprint and key lines, payload
+/// length and FNV-1a checksum; then, when `expect` names the `(fingerprint,
+/// key)` the record was looked up under, the address match; and last,
+/// strict payload decoding plus a cross-check of the key the payload
+/// embeds.  Returns the header's fingerprint and key with the decoded
+/// payload, or the reason the record must be rejected.
+fn verify<'a, T: Record>(
     raw: &'a str,
-    expect_kind: Option<&str>,
-    oldest_accepted: u32,
-) -> Result<VerifiedHeader<'a>, RecordReject> {
+    expect: Option<(u64, &str)>,
+) -> Result<(u64, &'a str, T), RecordReject> {
     use RecordReject::Quarantine;
     let Some((header, payload)) = raw.split_once("\n---\n") else {
         return Err(Quarantine("truncated-header"));
@@ -632,24 +641,22 @@ fn verify_header<'a>(
     let mut lines = header.lines();
     match lines.next().and_then(banner_version) {
         Some(version) if version > STORE_VERSION => return Err(RecordReject::Unsupported(version)),
-        Some(version) if version >= oldest_accepted => {}
+        Some(version) if version >= T::KIND.oldest => {}
         _ => return Err(Quarantine("format")),
     }
-    if let Some(kind) = expect_kind {
-        let Some(kind_line) = lines.next().and_then(|l| l.strip_prefix("kind ")) else {
-            return Err(Quarantine("format"));
-        };
-        if kind_line != kind {
+    if let Some(kind_line) = T::KIND.kind_line {
+        if lines.next() != Some(kind_line) {
             return Err(Quarantine("format"));
         }
     }
-    let Some(spec_line) = lines.next().and_then(|l| l.strip_prefix("spec ")) else {
+    let Some(fingerprint) = lines
+        .next()
+        .and_then(|l| l.strip_prefix("spec "))
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+    else {
         return Err(Quarantine("format"));
     };
-    let Ok(fingerprint) = u64::from_str_radix(spec_line, 16) else {
-        return Err(Quarantine("format"));
-    };
-    let Some(cell_key) = lines.next().and_then(|l| l.strip_prefix("cell ")) else {
+    let Some(key) = lines.next().and_then(|l| l.strip_prefix("cell ")) else {
         return Err(Quarantine("format"));
     };
     let Some((len, digest)) = lines
@@ -668,53 +675,19 @@ fn verify_header<'a>(
     if u64::from_str_radix(digest, 16) != Ok(stable_digest64(payload.as_bytes())) {
         return Err(Quarantine("checksum"));
     }
-    Ok(VerifiedHeader {
-        fingerprint,
-        cell_key,
-        payload,
-    })
-}
-
-/// Runs every validation layer over one raw MC cell record.  Returns the
-/// decoded result or the reason the record must be rejected.  v2 banners
-/// are accepted — the cell layout is unchanged since v2.
-fn verify_record(raw: &str, fingerprint: u64, cell_key: &str) -> Result<CellResult, RecordReject> {
-    use RecordReject::Quarantine;
-    let header = verify_header(raw, None, 2)?;
-    if header.fingerprint != fingerprint {
-        return Err(Quarantine("stale-spec"));
+    if let Some((expected_fingerprint, expected_key)) = expect {
+        if fingerprint != expected_fingerprint {
+            return Err(Quarantine("stale-spec"));
+        }
+        if key != expected_key {
+            return Err(Quarantine("cell-key"));
+        }
     }
-    if header.cell_key != cell_key {
+    let record = T::decode(payload).map_err(|_| Quarantine("payload"))?;
+    if record.key() != key {
         return Err(Quarantine("cell-key"));
     }
-    let result = decode_cell_payload(header.payload).map_err(|_| Quarantine("payload"))?;
-    if result.cell != cell_key {
-        return Err(Quarantine("cell-key"));
-    }
-    Ok(result)
-}
-
-/// Runs every validation layer over one raw certificate record.  v3 only —
-/// certificate records did not exist before v3, so an older banner here is
-/// a `format` rejection, not forward compatibility.
-fn verify_cert_record(
-    raw: &str,
-    check_fingerprint: u64,
-    cert_key: &str,
-) -> Result<StoredCheck, RecordReject> {
-    use RecordReject::Quarantine;
-    let header = verify_header(raw, Some("certificate"), STORE_VERSION)?;
-    if header.fingerprint != check_fingerprint {
-        return Err(Quarantine("stale-spec"));
-    }
-    if header.cell_key != cert_key {
-        return Err(Quarantine("cell-key"));
-    }
-    let stored = decode_check_payload(header.payload).map_err(|_| Quarantine("payload"))?;
-    if stored.key != cert_key {
-        return Err(Quarantine("cell-key"));
-    }
-    Ok(stored)
+    Ok((fingerprint, key, record))
 }
 
 // ---------------------------------------------------------------------------
@@ -869,13 +842,10 @@ impl fmt::Display for MergeError {
                 cell,
                 store,
                 version,
-            } => write!(
-                f,
-                "store #{} holds a record for cell {cell} with store format v{version}, \
-                 newer than this build (v{STORE_VERSION}) — upgrade gdp or move the \
-                 record aside",
-                store + 1,
-            ),
+            } => f.write_str(&newer_format(
+                &format!("store #{}'s record for cell {cell}", store + 1),
+                *version,
+            )),
         }
     }
 }
@@ -1031,18 +1001,11 @@ pub fn gc_store(dir: &Path, manifest: &[String], dry_run: bool) -> std::io::Resu
         dry_run,
         ..GcReport::default()
     };
-    for sub in ["cells", "certs"] {
-        let Ok(entries) = std::fs::read_dir(dir.join(sub)) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let is_file = entry.file_type().map(|t| t.is_file()).unwrap_or(false);
-            if !is_file || name.contains(".tmp.") {
+    for kind in &KINDS {
+        for (name, path) in regular_files(&dir.join(kind.dir)) {
+            if name.contains(".tmp.") {
                 continue;
             }
-            let path = entry.path();
             let Ok(raw) = std::fs::read_to_string(&path) else {
                 continue;
             };
@@ -1060,20 +1023,15 @@ pub fn gc_store(dir: &Path, manifest: &[String], dry_run: bool) -> std::io::Resu
             }
         }
     }
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let is_file = entry.file_type().map(|t| t.is_file()).unwrap_or(false);
-            let Some(fingerprint) = context_note_fingerprint(&name) else {
-                continue;
-            };
-            if is_file && !retained_fingerprints.contains(&fingerprint) {
-                report.retired_notes += 1;
-                report.retired_bytes += entry.metadata().map(|m| m.len()).unwrap_or(0);
-                if !dry_run {
-                    std::fs::remove_file(entry.path())?;
-                }
+    for (name, path) in regular_files(dir) {
+        let Some(fingerprint) = context_note_fingerprint(&name) else {
+            continue;
+        };
+        if !retained_fingerprints.contains(&fingerprint) {
+            report.retired_notes += 1;
+            report.retired_bytes += std::fs::metadata(&path).map_or(0, |m| m.len());
+            if !dry_run {
+                std::fs::remove_file(&path)?;
             }
         }
     }
@@ -1123,42 +1081,14 @@ fn sibling_dir(dir: &Path, suffix: &str) -> std::io::Result<PathBuf> {
 }
 
 /// Full record validation for compaction, where no expected fingerprint or
-/// key is known a priori: the header layers run as usual, the payload must
-/// decode and cross-check its embedded key, and the filename must be
-/// exactly the address the record's own (fingerprint, key) pair derives —
-/// so mis-addressed records never survive a compaction.
-fn verify_compactable(
-    raw: &str,
-    file_name: &str,
-    kind: Option<&str>,
-    oldest_accepted: u32,
-) -> Result<(), RecordReject> {
-    use RecordReject::Quarantine;
-    let header = verify_header(raw, kind, oldest_accepted)?;
-    let (key, expected_name) = match kind {
-        None => {
-            let result = decode_cell_payload(header.payload).map_err(|_| Quarantine("payload"))?;
-            let address = stable_digest64(
-                format!("{:016x}|{}", header.fingerprint, header.cell_key).as_bytes(),
-            );
-            (
-                result.cell,
-                format!("{}-{address:016x}.cell", sanitize_key(header.cell_key)),
-            )
-        }
-        Some(_) => {
-            let stored = decode_check_payload(header.payload).map_err(|_| Quarantine("payload"))?;
-            let address = stable_digest64(
-                format!("{:016x}|cert|{}", header.fingerprint, header.cell_key).as_bytes(),
-            );
-            (
-                stored.key,
-                format!("{}-{address:016x}.cert", sanitize_key(header.cell_key)),
-            )
-        }
-    };
-    if key != header.cell_key || file_name != expected_name {
-        return Err(Quarantine("cell-key"));
+/// key is known a priori: [`verify`] checks the record against its own
+/// header, and the file name must be exactly the address the record's own
+/// (fingerprint, key) pair derives — so mis-addressed records never survive
+/// a compaction.
+fn verify_compactable<T: Record>(raw: &str, file_name: &str) -> Result<(), RecordReject> {
+    let (fingerprint, key, _) = verify::<T>(raw, None)?;
+    if file_name != record_name(&T::KIND, fingerprint, key) {
+        return Err(RecordReject::Quarantine("cell-key"));
     }
     Ok(())
 }
@@ -1233,26 +1163,11 @@ pub fn compact_store(dir: &Path) -> std::io::Result<CompactReport> {
 /// on failure).
 fn compact_into(dir: &Path, tmp: &Path) -> std::io::Result<CompactReport> {
     let mut report = CompactReport::default();
-    std::fs::create_dir_all(tmp.join("cells"))?;
-    std::fs::create_dir_all(tmp.join("certs"))?;
     std::fs::create_dir_all(tmp.join("quarantine"))?;
-    for (sub, kind, oldest) in [
-        ("cells", None, 2),
-        ("certs", Some("certificate"), STORE_VERSION),
-    ] {
-        let Ok(entries) = std::fs::read_dir(dir.join(sub)) else {
-            continue;
-        };
-        let mut names: Vec<std::ffi::OsString> = entries
-            .flatten()
-            .filter(|e| e.file_type().map(|t| t.is_file()).unwrap_or(false))
-            .map(|e| e.file_name())
-            .collect();
-        names.sort();
-        for name in names {
-            let lossy = name.to_string_lossy().into_owned();
-            let path = dir.join(sub).join(&name);
-            if lossy.contains(".tmp.") {
+    for kind in &KINDS {
+        std::fs::create_dir_all(tmp.join(kind.dir))?;
+        for (name, path) in regular_files(&dir.join(kind.dir)) {
+            if name.contains(".tmp.") {
                 report.dropped_tmp += 1;
                 continue;
             }
@@ -1260,16 +1175,12 @@ fn compact_into(dir: &Path, tmp: &Path) -> std::io::Result<CompactReport> {
                 report.dropped_invalid += 1;
                 continue;
             };
-            match verify_compactable(&raw, &lossy, kind, oldest) {
+            match (kind.compactable)(&raw, &name) {
                 Ok(()) => {}
                 Err(RecordReject::Unsupported(version)) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
-                        format!(
-                            "record {} has store format v{version}, newer than this build \
-                             (v{STORE_VERSION}) — refusing to compact what it cannot verify",
-                            path.display()
-                        ),
+                        newer_format(&format!("record {}", path.display()), version),
                     ));
                 }
                 Err(RecordReject::Quarantine(_)) => {
@@ -1277,49 +1188,59 @@ fn compact_into(dir: &Path, tmp: &Path) -> std::io::Result<CompactReport> {
                     continue;
                 }
             }
-            let out = tmp.join(sub).join(&name);
-            std::fs::write(&out, raw.as_bytes())?;
-            let reread = std::fs::read_to_string(&out)?;
-            if reread != raw {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("round-trip mismatch rewriting {}", out.display()),
-                ));
-            }
+            write_verified(&tmp.join(kind.dir).join(&name), raw.as_bytes())?;
             report.live += 1;
         }
     }
     if let Ok(entries) = std::fs::read_dir(dir.join("quarantine")) {
         report.dropped_quarantine = entries.flatten().count() as u64;
     }
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let lossy = name.to_string_lossy().into_owned();
-            if !entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
-                continue;
-            }
-            if lossy.contains(".tmp.") {
-                report.dropped_tmp += 1;
-                continue;
-            }
-            // Context notes — and any root file a future layout adds — are
-            // carried over verbatim, round-trip-verified like records.
-            let raw = std::fs::read(entry.path())?;
-            let out = tmp.join(&name);
-            std::fs::write(&out, &raw)?;
-            if std::fs::read(&out)? != raw {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("round-trip mismatch rewriting {}", out.display()),
-                ));
-            }
-            if lossy.ends_with(".context") {
-                report.notes += 1;
-            }
+    for (name, path) in regular_files(dir) {
+        if name.contains(".tmp.") {
+            report.dropped_tmp += 1;
+            continue;
+        }
+        // Context notes — and any root file a future layout adds — are
+        // carried over verbatim, round-trip-verified like records.
+        write_verified(&tmp.join(&name), &std::fs::read(&path)?)?;
+        if name.ends_with(".context") {
+            report.notes += 1;
         }
     }
     Ok(report)
+}
+
+/// The regular files directly under `dir` (none when it cannot be read),
+/// as (lossy name, path) pairs sorted by name.
+fn regular_files(dir: &Path) -> Vec<(String, PathBuf)> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut files: Vec<(String, PathBuf)> = entries
+        .flatten()
+        .filter(|entry| entry.file_type().is_ok_and(|t| t.is_file()))
+        .map(|entry| {
+            (
+                entry.file_name().to_string_lossy().into_owned(),
+                entry.path(),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Writes `bytes` to `out` and reads them back, so a compaction never
+/// carries a record or note over without proving the copy is exact.
+fn write_verified(out: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    std::fs::write(out, bytes)?;
+    if std::fs::read(out)? != bytes {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("round-trip mismatch rewriting {}", out.display()),
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1751,6 +1672,68 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir_b);
     }
 
+    /// The on-disk format, pinned byte for byte: one cell record (a ring-4
+    /// GDP1 sweep cell) and one certificate record (a ring-3 GDP1 check).
+    /// Stores outlive builds, so a change to either file's name or bytes
+    /// is a format change, not a refactor.
+    #[test]
+    fn record_names_and_bytes_are_pinned() {
+        let dir = temp_store_dir("pinned");
+        let spec = ScenarioSpec::new("pinned")
+            .with_families_str("ring")
+            .unwrap()
+            .with_sizes([4])
+            .with_algorithms_str("gdp1")
+            .unwrap()
+            .with_trials(3)
+            .with_max_steps(4_000)
+            .with_seed_policy(SeedPolicy::PerCell(9));
+        let store = CellStore::open(&dir, &spec, None).unwrap();
+        run_sweep_durable(
+            &spec,
+            &SweepOptions::quiet(),
+            Some(&store),
+            false,
+            None,
+            |_| {},
+        )
+        .unwrap();
+        let check = crate::check::CheckSpec::new(
+            crate::family::TopologyFamily::Ring,
+            3,
+            gdp_algorithms::AlgorithmKind::Gdp1,
+        );
+        crate::check::run_check_cached(&check, &store, false).unwrap();
+        let files = |sub: &str| -> Vec<(String, u64)> {
+            std::fs::read_dir(dir.join(sub))
+                .unwrap()
+                .map(|entry| {
+                    let entry = entry.unwrap();
+                    let bytes = std::fs::read(entry.path()).unwrap();
+                    (
+                        entry.file_name().into_string().unwrap(),
+                        stable_digest64(&bytes),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(
+            files("cells"),
+            [(
+                "ring_n4_GDP1-47062ad106054f07.cell".to_string(),
+                0xe739_3714_044c_2af8
+            )]
+        );
+        assert_eq!(
+            files("certs"),
+            [(
+                "ring_n3_GDP1_s0-bb82bb2d3b9a0234.cert".to_string(),
+                0x42f0_fc56_f5b4_9928
+            )]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn stable_digest_is_pinned_across_builds() {
         // FNV-1a test vectors: the digest addresses on-disk records, so it
@@ -1762,7 +1745,9 @@ mod tests {
 
     /// A v2 store keeps answering MC cells under a v3 build: the version
     /// bump added certificate records, it did not change the cell record
-    /// layout, so rejecting v2 cells would throw away valid work.
+    /// layout, so rejecting v2 cells would throw away valid work.  Each
+    /// kind's oldest accepted banner is its own: certificate records are
+    /// v3-only.
     #[test]
     fn v2_cell_records_still_answer_under_a_v3_build() {
         let (_, store, dir) = completed_store("v2_compat");
@@ -1779,6 +1764,22 @@ mod tests {
             StoreLookup::Hit(result) => assert_eq!(result.cell, key),
             other => panic!("expected a hit on the v2 record: {other:?}"),
         }
+        // Certificate records did not exist before v3: a v2 banner on one
+        // is a format rejection, not forward compatibility.
+        let check = crate::check::CheckSpec::new(
+            crate::family::TopologyFamily::Ring,
+            3,
+            gdp_algorithms::AlgorithmKind::Gdp1,
+        );
+        crate::check::run_check_cached(&check, &store, false).unwrap();
+        let (fingerprint, cert_key) = (check.store_fingerprint(), check.cert_key());
+        let path = store.path::<StoredCheck>(fingerprint, &cert_key);
+        let raw = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, raw.replacen(STORE_FORMAT, STORE_FORMAT_V2, 1)).unwrap();
+        assert!(matches!(
+            store.read::<StoredCheck>(fingerprint, &cert_key),
+            Lookup::Quarantined { reason: "format" }
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

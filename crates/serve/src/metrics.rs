@@ -1,10 +1,13 @@
 //! Service metrics: lock-free counters plus a request-latency histogram,
 //! exported through the deterministic [`MetricsRegistry`] JSON shape.
 //!
-//! [`ServeMetrics`] doubles as the server's [`EventSink`]: the hit/miss/
-//! quarantine and cell-lifecycle counters are tallied from the *same*
-//! structured events a sweep emits under `gdp sweep`, so the two paths
-//! cannot drift apart.  Counter values are monotone over the process
+//! [`ServeMetrics`] doubles as the server's [`EventSink`]: the store and
+//! certificate-cache counters are tallied from the events of the per-cell
+//! store step (`gdp_scenarios::lookup_cell` and `compute_and_save`) that
+//! `gdp sweep` runs too, so the two paths cannot drift apart.  Serve
+//! brackets only the cells it computes with `cell_start`/`cell_finish`,
+//! where a sweep brackets every cell, so `serve.cells_computed` counts
+//! `cell_finish` events.  Counter values are monotone over the process
 //! lifetime; the latency histogram is wall-clock and therefore the one
 //! non-deterministic part of the export (same stance as `gdp sweep
 //! --timing`).

@@ -7,8 +7,10 @@
 //!    open: the store is content-addressed by spec fingerprint, so
 //!    different specs coexist in one directory).
 //! 2. **Look up** every cell of the deterministic grid expansion, in
-//!    order.  Hits are answered straight from the store; misses (and
-//!    quarantined records) become compute jobs.
+//!    order, with the per-cell store step `gdp sweep --resume` runs
+//!    ([`lookup_cell`], then [`compute_and_save`] in the workers).  Hits
+//!    are answered straight from the store; misses (and quarantined
+//!    records) become compute jobs.
 //! 3. **Admit or reject**: every miss is submitted to the bounded worker
 //!    pool *before anything is streamed*; if the queue fills, the whole
 //!    request is rejected with one retryable `error` line — a client never
@@ -33,8 +35,7 @@ use crate::protocol::{self, Request, SweepRequest};
 use crate::signal;
 use gdp_observe::{Event, SharedSink};
 use gdp_scenarios::{
-    compute_cell_durable, stable_digest64, CellResult, CellStore, StoreLookup, StoreStats,
-    SweepOptions,
+    compute_and_save, lookup_cell, stable_digest64, CellResult, CellStore, StoreStats, SweepOptions,
 };
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -269,44 +270,25 @@ fn handle_sweep(
     };
     let cells = spec.expand();
     let sink: SharedSink = state.metrics.clone();
+    let options = SweepOptions {
+        exact_check: request.exact_check,
+        sink: Some(sink.clone()),
+        ..SweepOptions::default()
+    };
 
-    // Phase 1: consult the cache for every cell, in grid order.
+    // Phase 1: consult the cache for every cell, in grid order — the first
+    // half of the per-cell store step `gdp sweep --resume` runs.
     let mut stats = StoreStats::default();
     let mut hits: BTreeMap<usize, CellResult> = BTreeMap::new();
     let mut misses: Vec<usize> = Vec::new();
     for (position, cell) in cells.iter().enumerate() {
-        let clock = position as u64;
-        match store.lookup(&cell.key) {
-            StoreLookup::Hit(result) => {
-                sink.record(&Event::StoreHit {
-                    clock,
-                    cell: cell.key.clone(),
-                });
-                stats.reused += 1;
-                hits.insert(position, *result);
+        match lookup_cell(&store, cell, position, &options, &mut stats) {
+            Ok(Some(result)) => {
+                hits.insert(position, result);
             }
-            StoreLookup::Quarantined { .. } => {
-                sink.record(&Event::StoreQuarantine {
-                    clock,
-                    cell: cell.key.clone(),
-                });
-                stats.quarantined += 1;
-                misses.push(position);
-            }
-            StoreLookup::Absent => {
-                sink.record(&Event::StoreMiss {
-                    clock,
-                    cell: cell.key.clone(),
-                });
-                misses.push(position);
-            }
-            StoreLookup::Unsupported { version } => {
-                let message = format!(
-                    "cell {}: store record has format v{version}, newer than this \
-                     build — upgrade the server or move the record aside",
-                    cell.key,
-                );
-                writeln!(writer, "{}", protocol::error_line(&message, false))?;
+            Ok(None) => misses.push(position),
+            Err(e) => {
+                writeln!(writer, "{}", protocol::error_line(&e.to_string(), false))?;
                 return Ok(());
             }
         }
@@ -316,13 +298,9 @@ fn handle_sweep(
     // rejects the request with a single retryable line and no partial
     // stream.  Jobs admitted before the rejection still run and still save
     // their cells — the next submission of this spec will find them as
-    // hits, which is the retry contract.
-    let options = SweepOptions {
-        record_timing: false,
-        progress: false,
-        exact_check: request.exact_check,
-        sink: None,
-    };
+    // hits, which is the retry contract.  Each job runs the second half of
+    // the per-cell store step; `cell_start`/`cell_finish` bracket computed
+    // cells only, which is what `serve.cells_computed` counts.
     let (results_tx, results_rx) = mpsc::channel::<CellOutcome>();
     for &position in &misses {
         let cell = cells[position].clone();
@@ -337,26 +315,8 @@ fn handle_sweep(
                 clock,
                 cell: cell.key.clone(),
             });
-            let outcome = compute_cell_durable(&spec, &cell, &options, Some(&store), true)
-                .map_err(|e| e.to_string())
-                .and_then(|(result, cert_stats)| {
-                    if cert_stats.reused > 0 {
-                        sink.record(&Event::CertHit {
-                            clock,
-                            cell: cell.key.clone(),
-                        });
-                    }
-                    if cert_stats.computed > 0 {
-                        sink.record(&Event::CertMiss {
-                            clock,
-                            cell: cell.key.clone(),
-                        });
-                    }
-                    match store.save(&result) {
-                        Ok(_) => Ok(result),
-                        Err(e) => Err(format!("store write failed: {e}")),
-                    }
-                });
+            let outcome = compute_and_save(&spec, &cell, position, &options, &store, true)
+                .map_err(|e| e.to_string());
             if outcome.is_ok() {
                 sink.record(&Event::CellFinish {
                     clock,

@@ -12,7 +12,10 @@
 //!   (cells already streamed come back as hits) with **zero quarantines**
 //!   from the dead server's own scratch files, which the restart sweeps;
 //! * **CLI/serve parity** — a request setting every sweep field serves the
-//!   cell objects `gdp sweep` writes for the matching flags, byte for byte.
+//!   cell objects `gdp sweep` writes for the matching flags, byte for byte;
+//! * **the two failing lookups** — a bit-flipped record is quarantined and
+//!   recomputed into the cold pass's bytes, and a record stamped with a
+//!   newer store format gets one non-retryable error and stays in place.
 
 use gdp_scenarios::stable_digest64;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -314,5 +317,86 @@ fn a_request_setting_every_field_serves_the_cells_gdp_sweep_writes() {
         served, written,
         "served cells must equal the written artifact"
     );
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+/// A two-cell grid small enough to recompute in milliseconds.
+const SMALL_REQUEST: &str = r#"{"type": "sweep", "families": "ring", "sizes": "4,5", "algorithms": "gdp1", "trials": 2, "steps": 4000}"#;
+
+/// The store's cell record files, sorted by name.
+fn cell_records(store: &Path) -> Vec<PathBuf> {
+    let mut records: Vec<PathBuf> = std::fs::read_dir(store.join("cells"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    records.sort();
+    records
+}
+
+#[test]
+fn a_bit_flipped_record_is_quarantined_and_recomputed_byte_identically() {
+    let work = temp_dir("bitflip");
+    let store = work.join("store");
+    let mut server = Server::start(&store);
+    server.send(SMALL_REQUEST);
+    let (cold, _) = server.read_sweep();
+
+    let records = cell_records(&store);
+    assert_eq!(records.len(), 2);
+    let mut raw = std::fs::read(&records[0]).unwrap();
+    let target = raw.len() - 20;
+    raw[target] ^= 0x04;
+    std::fs::write(&records[0], raw).unwrap();
+
+    server.send(SMALL_REQUEST);
+    let (warm, summary) = server.read_sweep();
+    assert_eq!(field_u64(&summary, "quarantined"), 1, "{summary}");
+    assert_eq!(field_u64(&summary, "computed"), 1, "{summary}");
+    assert_eq!(field_u64(&summary, "reused"), 1, "{summary}");
+    let unsourced = |line: &String| line.replace("\"source\":\"store\"", "\"source\":\"computed\"");
+    assert_eq!(
+        warm.iter().map(unsourced).collect::<Vec<_>>(),
+        cold,
+        "the recomputed stream must equal the cold pass"
+    );
+    let name = records[0]
+        .file_name()
+        .unwrap()
+        .to_string_lossy()
+        .into_owned();
+    let quarantined: Vec<String> = std::fs::read_dir(store.join("quarantine"))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(quarantined, [format!("{name}.checksum")]);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn a_newer_format_record_gets_one_nonretryable_error_and_stays_in_place() {
+    let work = temp_dir("newer");
+    let store = work.join("store");
+    let mut server = Server::start(&store);
+    server.send(SMALL_REQUEST);
+    server.read_sweep();
+
+    let record = cell_records(&store).remove(1);
+    let raw = std::fs::read_to_string(&record).unwrap();
+    let restamped = raw.replacen("gdp-cell-store v3", "gdp-cell-store v9", 1);
+    assert_ne!(raw, restamped);
+    std::fs::write(&record, &restamped).unwrap();
+
+    server.send(SMALL_REQUEST);
+    let error = server.read_line();
+    assert!(error.contains("\"type\":\"error\""), "{error}");
+    assert!(error.contains("\"retryable\":false"), "{error}");
+    assert!(error.contains("newer"), "{error}");
+    // Exactly one line answers the sweep: the next line is the ping's.
+    server.send("{\"type\": \"ping\"}");
+    assert_eq!(server.read_line(), "{\"type\":\"pong\"}");
+    assert_eq!(std::fs::read_to_string(&record).unwrap(), restamped);
+    assert_eq!(quarantine_count(&store), 0);
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&work);
 }
