@@ -19,13 +19,13 @@
 //!   else is schedulable (so held forks stay held as long as fairness
 //!   allows).
 //!
-//! Both are deterministic policies run under the
-//! [`FairnessGuard`](crate::FairnessGuard) mechanism, so they are fair by
-//! construction like every other catalog scheduler.
+//! Both are deterministic policies run under a
+//! [`FairDriver`](crate::FairDriver), so they are fair by construction like
+//! every other catalog scheduler.
 
 use crate::blocking::least_scheduled;
 use crate::fairness::{FairDriver, SchedulingPolicy, StubbornnessSchedule};
-use gdp_sim::{Adversary, Phase, PhilosopherView, SystemView};
+use gdp_sim::{Phase, PhilosopherView, SystemView};
 use gdp_topology::PhilosopherId;
 
 /// The constant stubbornness bound backing [`MaxWaitAdversary`]'s fairness
@@ -65,12 +65,12 @@ impl SchedulingPolicy for MaxWaitPolicy {
 }
 
 /// The max-wait scheduler: [`MaxWaitPolicy`] under a constant-bound
-/// [`FairnessGuard`](crate::FairnessGuard), deterministically bounded-fair.
+/// [`FairDriver`], deterministically bounded-fair.
 ///
 /// ```
 /// use gdp_adversary::MaxWaitAdversary;
 /// use gdp_algorithms::Gdp2;
-/// use gdp_sim::{Adversary, Engine, SimConfig, StopCondition};
+/// use gdp_sim::{Engine, SimConfig, StopCondition};
 /// use gdp_topology::builders::classic_ring;
 ///
 /// let mut engine = Engine::new(classic_ring(5).unwrap(), Gdp2::new(), SimConfig::default());
@@ -79,45 +79,22 @@ impl SchedulingPolicy for MaxWaitPolicy {
 /// // FIFO service feeds everyone comfortably within the window.
 /// assert!(outcome.everyone_ate());
 /// ```
-#[derive(Clone, Debug)]
-pub struct MaxWaitAdversary {
-    driver: FairDriver<MaxWaitPolicy>,
-}
+pub type MaxWaitAdversary = FairDriver<MaxWaitPolicy>;
 
 impl MaxWaitAdversary {
     /// Creates the max-wait scheduler.
     #[must_use]
     pub fn new() -> Self {
-        MaxWaitAdversary {
-            driver: FairDriver::new(
-                MaxWaitPolicy,
-                StubbornnessSchedule::constant(MAX_WAIT_GUARD_BOUND),
-            ),
-        }
-    }
-
-    /// Number of times the fairness guard overrode the policy (expected to
-    /// stay 0 in practice — the policy services philosophers in waiting
-    /// order on its own).
-    #[must_use]
-    pub fn overrides(&self) -> u64 {
-        self.driver.overrides()
+        FairDriver::guarding(
+            MaxWaitPolicy,
+            StubbornnessSchedule::Constant(MAX_WAIT_GUARD_BOUND),
+        )
     }
 }
 
 impl Default for MaxWaitAdversary {
     fn default() -> Self {
         MaxWaitAdversary::new()
-    }
-}
-
-impl Adversary for MaxWaitAdversary {
-    fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
-        self.driver.select(view)
-    }
-
-    fn reset(&mut self) {
-        self.driver.reset();
     }
 }
 
@@ -189,7 +166,7 @@ impl SchedulingPolicy for GreedyConflictPolicy {
 }
 
 /// The greedy-conflict scheduler: [`GreedyConflictPolicy`] under the
-/// increasing-stubbornness [`FairnessGuard`](crate::FairnessGuard).
+/// increasing-stubbornness [`FairDriver`].
 ///
 /// ```
 /// use gdp_adversary::GreedyConflictAdversary;
@@ -206,17 +183,14 @@ impl SchedulingPolicy for GreedyConflictPolicy {
 /// // long as the fairness guard keeps biting.
 /// assert!(outcome.made_progress());
 /// ```
-#[derive(Clone, Debug)]
-pub struct GreedyConflictAdversary {
-    driver: FairDriver<GreedyConflictPolicy>,
-}
+pub type GreedyConflictAdversary = FairDriver<GreedyConflictPolicy>;
 
 impl GreedyConflictAdversary {
     /// A greedy-conflict scheduler with the default growing stubbornness
     /// schedule (fairness bites within a 40k-step window).
     #[must_use]
     pub fn new() -> Self {
-        Self::with_schedule(StubbornnessSchedule::default())
+        Self::with_schedule(StubbornnessSchedule::Growing)
     }
 
     /// A greedy-conflict scheduler with an explicit stubbornness schedule;
@@ -224,15 +198,7 @@ impl GreedyConflictAdversary {
     /// paper's patient late-round behaviour.
     #[must_use]
     pub fn with_schedule(schedule: StubbornnessSchedule) -> Self {
-        GreedyConflictAdversary {
-            driver: FairDriver::new(GreedyConflictPolicy, schedule),
-        }
-    }
-
-    /// Number of times fairness forced the scheduler off its preferred move.
-    #[must_use]
-    pub fn overrides(&self) -> u64 {
-        self.driver.overrides()
+        FairDriver::guarding(GreedyConflictPolicy, schedule)
     }
 }
 
@@ -242,21 +208,11 @@ impl Default for GreedyConflictAdversary {
     }
 }
 
-impl Adversary for GreedyConflictAdversary {
-    fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
-        self.driver.select(view)
-    }
-
-    fn reset(&mut self) {
-        self.driver.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gdp_algorithms::{Gdp1, Gdp2, Lr1};
-    use gdp_sim::{Engine, SimConfig, StopCondition};
+    use gdp_sim::{Adversary, Engine, SimConfig, StopCondition};
     use gdp_topology::builders::{classic_ring, figure1_triangle};
 
     #[test]
@@ -331,6 +287,6 @@ mod tests {
         let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(60_000));
         assert!(outcome.made_progress());
         let bound = outcome.fairness_bound.expect("everyone gets scheduled");
-        assert!(bound <= StubbornnessSchedule::default().max + 5);
+        assert!(bound <= crate::fairness::GROWING_CAP + 5);
     }
 }

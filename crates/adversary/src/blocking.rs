@@ -32,7 +32,7 @@
 //! experiments in `gdp-bench` report the measured success frequency.
 
 use crate::fairness::{FairDriver, SchedulingPolicy, StubbornnessSchedule};
-use gdp_sim::{Adversary, Phase, PhilosopherView, SystemView};
+use gdp_sim::{Phase, PhilosopherView, SystemView};
 use gdp_topology::{ForkId, PhilosopherId};
 use std::collections::BTreeSet;
 
@@ -467,17 +467,14 @@ impl SchedulingPolicy for BlockingPolicy {
 
 /// The fair blocking adversary: [`BlockingPolicy`] under a [`FairDriver`]
 /// with the paper's increasing-stubbornness schedule.
-#[derive(Clone, Debug)]
-pub struct BlockingAdversary {
-    driver: FairDriver<BlockingPolicy>,
-}
+pub type BlockingAdversary = FairDriver<BlockingPolicy>;
 
 impl BlockingAdversary {
     /// An adversary attempting global no-progress (Section 3 example,
     /// Theorem 2), with the default stubbornness schedule.
     #[must_use]
     pub fn global() -> Self {
-        Self::with_schedule(BlockingPolicy::global(), StubbornnessSchedule::default())
+        Self::with_schedule(BlockingPolicy::global(), StubbornnessSchedule::Growing)
     }
 
     /// An adversary attempting to starve exactly `targets` (Theorem 1: the
@@ -486,38 +483,14 @@ impl BlockingAdversary {
     pub fn starving<I: IntoIterator<Item = PhilosopherId>>(targets: I) -> Self {
         Self::with_schedule(
             BlockingPolicy::starving(targets),
-            StubbornnessSchedule::default(),
+            StubbornnessSchedule::Growing,
         )
     }
 
     /// Builds an adversary from an explicit policy and stubbornness schedule.
     #[must_use]
     pub fn with_schedule(policy: BlockingPolicy, schedule: StubbornnessSchedule) -> Self {
-        BlockingAdversary {
-            driver: FairDriver::new(policy, schedule),
-        }
-    }
-
-    /// Number of times fairness forced the adversary off its preferred move.
-    #[must_use]
-    pub fn overrides(&self) -> u64 {
-        self.driver.overrides()
-    }
-
-    /// The underlying policy (to inspect the target set).
-    #[must_use]
-    pub fn policy(&self) -> &BlockingPolicy {
-        self.driver.policy()
-    }
-}
-
-impl Adversary for BlockingAdversary {
-    fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
-        self.driver.select(view)
-    }
-
-    fn reset(&mut self) {
-        self.driver.reset();
+        FairDriver::guarding(policy, schedule)
     }
 }
 
@@ -540,7 +513,7 @@ mod tests {
     /// bound is still finite, so the scheduler remains fair over infinite
     /// runs.
     fn patient() -> StubbornnessSchedule {
-        StubbornnessSchedule::constant(WINDOW + 10_000)
+        StubbornnessSchedule::Constant(WINDOW + 10_000)
     }
 
     fn global_patient() -> BlockingAdversary {
@@ -653,7 +626,7 @@ mod tests {
             let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(WINDOW));
             if let Some(first) = outcome.first_meal_step {
                 assert!(
-                    first >= schedule.initial / 2,
+                    first >= schedule.bound_for_round(0) / 2,
                     "seed {seed}: meal at step {first} before the adversary was ever forced"
                 );
             }
@@ -743,7 +716,7 @@ mod tests {
             let mut engine = Engine::new(topology, Lr1::new(), SimConfig::default().with_seed(1));
             let mut adversary = BlockingAdversary::with_schedule(
                 BlockingPolicy::global(),
-                StubbornnessSchedule::constant(64),
+                StubbornnessSchedule::Constant(64),
             );
             let outcome = engine.run(
                 &mut adversary,
@@ -767,7 +740,7 @@ mod tests {
             .expect("every philosopher must be scheduled");
         // The realized bound must stay below the (capped) stubbornness limit
         // plus slack for the number of philosophers.
-        assert!(bound <= StubbornnessSchedule::default().max + 6);
+        assert!(bound <= crate::fairness::GROWING_CAP + 6);
     }
 
     #[test]

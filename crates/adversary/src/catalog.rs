@@ -30,7 +30,7 @@ pub enum FairnessClass {
     /// Fair with probability 1 (but no deterministic bound).
     ProbabilisticallyFair,
     /// Fair by construction through the increasing-stubbornness
-    /// [`FairnessGuard`](crate::FairnessGuard): the policy may defer a
+    /// [`FairDriver`](crate::FairDriver): the policy may defer a
     /// philosopher, but only up to the current (finite, possibly growing)
     /// stubbornness bound.
     GuardedFair,
@@ -161,46 +161,6 @@ impl AdversaryKind {
         }
     }
 
-    /// One-line description of the family.
-    #[must_use]
-    pub const fn description(self) -> &'static str {
-        match self {
-            AdversaryKind::RoundRobin => "fair cyclic scheduling",
-            AdversaryKind::UniformRandom => "fair random scheduling, re-seeded per trial",
-            AdversaryKind::Blocking => "blocking adversary, growing stubbornness (fairness bites)",
-            AdversaryKind::BlockingPatient { .. } => {
-                "blocking adversary, constant stubbornness bound"
-            }
-            AdversaryKind::KBoundedRoundRobin { .. } => {
-                "round-robin dwelling k consecutive steps per philosopher"
-            }
-            AdversaryKind::MaxWait => "adaptive FIFO: longest-waiting enabled philosopher first",
-            AdversaryKind::GreedyConflict => "adaptive contention maximizer, growing stubbornness",
-            AdversaryKind::GreedyConflictPatient { .. } => {
-                "adaptive contention maximizer, constant stubbornness bound"
-            }
-            AdversaryKind::CrashStop { .. } => {
-                "crash-stop faults: f seeded philosophers stop mid-protocol"
-            }
-        }
-    }
-
-    /// The family's relation to the paper's fairness requirement.
-    #[must_use]
-    pub const fn fairness_class(self) -> FairnessClass {
-        match self {
-            AdversaryKind::RoundRobin
-            | AdversaryKind::KBoundedRoundRobin { .. }
-            | AdversaryKind::MaxWait => FairnessClass::BoundedFair,
-            AdversaryKind::UniformRandom => FairnessClass::ProbabilisticallyFair,
-            AdversaryKind::Blocking
-            | AdversaryKind::BlockingPatient { .. }
-            | AdversaryKind::GreedyConflict
-            | AdversaryKind::GreedyConflictPatient { .. } => FairnessClass::GuardedFair,
-            AdversaryKind::CrashStop { .. } => FairnessClass::CrashFaulty,
-        }
-    }
-
     /// Instantiates the adversary for trial `trial` of a cell seeded with
     /// `cell_seed`.  The construction depends only on those two values, so
     /// sweeps stay deterministic for every thread count (test-enforced in
@@ -216,7 +176,7 @@ impl AdversaryKind {
             AdversaryKind::BlockingPatient { stubbornness } => {
                 Box::new(BlockingAdversary::with_schedule(
                     BlockingPolicy::global(),
-                    StubbornnessSchedule::constant(stubbornness),
+                    StubbornnessSchedule::Constant(stubbornness),
                 ))
             }
             AdversaryKind::KBoundedRoundRobin { k } => Box::new(KBoundedRoundRobin::new(k)),
@@ -224,7 +184,7 @@ impl AdversaryKind {
             AdversaryKind::GreedyConflict => Box::new(GreedyConflictAdversary::new()),
             AdversaryKind::GreedyConflictPatient { stubbornness } => {
                 Box::new(GreedyConflictAdversary::with_schedule(
-                    StubbornnessSchedule::constant(stubbornness),
+                    StubbornnessSchedule::Constant(stubbornness),
                 ))
             }
             AdversaryKind::CrashStop { crashes } => Box::new(CrashStopAdversary::new(
@@ -400,12 +360,28 @@ mod tests {
     use gdp_sim::{Engine, SimConfig, StopCondition};
     use gdp_topology::builders::classic_ring;
 
+    /// The catalog row a spec string is printed under by `gdp list`.
+    fn row(spec: &str) -> &'static AdversaryCatalogEntry {
+        ADVERSARY_CATALOG
+            .iter()
+            .find(|row| row.spec == spec)
+            .unwrap_or_else(|| panic!("no catalog row {spec}"))
+    }
+
     #[test]
     fn every_kind_round_trips_builds_and_describes_itself() {
         for kind in AdversaryKind::all() {
             assert_eq!(kind.name().parse::<AdversaryKind>().unwrap(), kind);
             assert_eq!(kind.to_string(), kind.name());
-            assert!(!kind.description().is_empty());
+            // The catalog table is the family's one description.
+            let name = kind.name();
+            let family = name.split(':').next();
+            assert!(
+                ADVERSARY_CATALOG
+                    .iter()
+                    .any(|row| row.spec.split(':').next() == family && !row.description.is_empty()),
+                "{kind} has no catalog row"
+            );
             let mut adversary = kind.build(3, 1);
             // Every built adversary drives a real engine without panicking.
             let mut engine = Engine::new(
@@ -462,18 +438,12 @@ mod tests {
 
     #[test]
     fn fairness_classes_partition_the_catalog() {
+        assert_eq!(row("crash:<f>").fairness, FairnessClass::CrashFaulty);
         assert_eq!(
-            AdversaryKind::CrashStop { crashes: 0 }.fairness_class(),
-            FairnessClass::CrashFaulty
-        );
-        assert_eq!(
-            AdversaryKind::UniformRandom.fairness_class(),
+            row("uniform-random").fairness,
             FairnessClass::ProbabilisticallyFair
         );
-        assert_eq!(
-            AdversaryKind::GreedyConflict.fairness_class().name(),
-            "guarded-fair"
-        );
+        assert_eq!(row("greedy-conflict").fairness.name(), "guarded-fair");
         assert_eq!(FairnessClass::CrashFaulty.to_string(), "crash-faulty");
         // The printed catalog covers every family `all()` names.
         assert_eq!(ADVERSARY_CATALOG.len(), AdversaryKind::all().len());

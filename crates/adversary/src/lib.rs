@@ -38,10 +38,12 @@
 //!   of philosophers stops permanently, mid-protocol.  Deliberately
 //!   *outside* the paper's fairness premise; it measures degradation.
 //!
-//! Fairness infrastructure: [`FairnessGuard`] / [`FairDriver`] implement
-//! the paper's "increasing stubbornness" repair — any scheduling policy
-//! becomes a fair scheduler by bounding deferral with a growing bound —
-//! and [`ReplayAdversary`] plays back recorded schedules (e.g. the optimal
+//! Fairness infrastructure: [`FairDriver`] implements the paper's
+//! "increasing stubbornness" repair — any [`SchedulingPolicy`] becomes a
+//! fair scheduler by bounding deferral with a [`StubbornnessSchedule`] —
+//! and every guarded family above is a `FairDriver` over its policy
+//! (`MaxWaitAdversary = FairDriver<MaxWaitPolicy>`, …).
+//! [`ReplayAdversary`] plays back recorded schedules (e.g. the optimal
 //! starving strategies extracted by `gdp-mcheck`).
 //!
 //! ## Quick example
@@ -86,8 +88,8 @@ pub use catalog::{
     AdversaryCatalogEntry, AdversaryKind, FairnessClass, ParseAdversaryError, ADVERSARY_CATALOG,
 };
 pub use crash::{seeded_crash_plan, CrashStopAdversary, DEFAULT_CRASH_WINDOW};
-pub use fairness::{FairDriver, FairnessGuard, SchedulingPolicy, StubbornnessSchedule};
+pub use fairness::{FairDriver, SchedulingPolicy, StubbornnessSchedule};
 pub use kbounded::KBoundedRoundRobin;
 pub use replay::ReplayAdversary;
-pub use starver::TargetStarver;
+pub use starver::{StarverPolicy, TargetStarver};
 pub use triangle::TriangleWaveAdversary;

@@ -17,7 +17,7 @@
 //! essentially never happen for GDP2.  Experiment E9 measures both.
 
 use crate::fairness::{FairDriver, SchedulingPolicy, StubbornnessSchedule};
-use gdp_sim::{Adversary, Phase, SystemView};
+use gdp_sim::{Phase, SystemView};
 use gdp_topology::PhilosopherId;
 
 /// The raw starvation policy (unfair on its own; use [`TargetStarver`]).
@@ -32,6 +32,12 @@ impl StarverPolicy {
     #[must_use]
     pub fn new(victim: PhilosopherId) -> Self {
         StarverPolicy { victim, cursor: 0 }
+    }
+
+    /// The philosopher this policy tries to starve.
+    #[must_use]
+    pub fn victim(&self) -> PhilosopherId {
+        self.victim
     }
 
     /// Scheduling the victim now would risk letting it eat: it is hungry,
@@ -73,49 +79,20 @@ impl SchedulingPolicy for StarverPolicy {
     }
 }
 
-/// The fair starvation adversary: the starver policy under a [`FairDriver`].
-#[derive(Clone, Debug)]
-pub struct TargetStarver {
-    driver: FairDriver<StarverPolicy>,
-    victim: PhilosopherId,
-}
+/// The fair starvation adversary: [`StarverPolicy`] under a [`FairDriver`].
+pub type TargetStarver = FairDriver<StarverPolicy>;
 
 impl TargetStarver {
     /// Creates a starver for `victim` with the default stubbornness schedule.
     #[must_use]
     pub fn new(victim: PhilosopherId) -> Self {
-        Self::with_schedule(victim, StubbornnessSchedule::default())
+        Self::with_schedule(victim, StubbornnessSchedule::Growing)
     }
 
     /// Creates a starver for `victim` with an explicit stubbornness schedule.
     #[must_use]
     pub fn with_schedule(victim: PhilosopherId, schedule: StubbornnessSchedule) -> Self {
-        TargetStarver {
-            driver: FairDriver::new(StarverPolicy::new(victim), schedule),
-            victim,
-        }
-    }
-
-    /// The philosopher this adversary tries to starve.
-    #[must_use]
-    pub fn victim(&self) -> PhilosopherId {
-        self.victim
-    }
-
-    /// Number of fairness overrides so far.
-    #[must_use]
-    pub fn overrides(&self) -> u64 {
-        self.driver.overrides()
-    }
-}
-
-impl Adversary for TargetStarver {
-    fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
-        self.driver.select(view)
-    }
-
-    fn reset(&mut self) {
-        self.driver.reset();
+        FairDriver::guarding(StarverPolicy::new(victim), schedule)
     }
 }
 
@@ -123,7 +100,7 @@ impl Adversary for TargetStarver {
 mod tests {
     use super::*;
     use gdp_algorithms::{Gdp1, Gdp2};
-    use gdp_sim::{Engine, Program, SimConfig, StopCondition};
+    use gdp_sim::{Adversary, Engine, Program, SimConfig, StopCondition};
     use gdp_topology::builders::figure1_triangle;
 
     const STEPS: u64 = 60_000;
@@ -188,7 +165,7 @@ mod tests {
         let mut adversary = TargetStarver::new(victim);
         let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(20_000));
         assert!(outcome.fairness_bound.is_some());
-        assert_eq!(adversary.victim(), victim);
+        assert_eq!(adversary.policy().victim(), victim);
     }
 
     #[test]

@@ -96,7 +96,6 @@ mod tests {
             total_meals: 30,
             meals_per_philosopher: vec![10, 10, 10, 0],
             first_meal_step: Some(120),
-            first_meal_per_philosopher: vec![Some(130), Some(200), Some(150), None],
             scheduled_per_philosopher: vec![2500, 2500, 2500, 2500],
             fairness_bound: Some(4),
         }

@@ -142,9 +142,9 @@ fn main() {
         (AlgorithmKind::Gdp2, false),
     ] {
         let schedule = if patient {
-            StubbornnessSchedule::constant(50_000)
+            StubbornnessSchedule::Constant(50_000)
         } else {
-            StubbornnessSchedule::default()
+            StubbornnessSchedule::Growing
         };
         let outcomes = windows(&figure2, algorithm, 40_000, || {
             BlockingAdversary::with_schedule(BlockingPolicy::starving(ring.clone()), schedule)

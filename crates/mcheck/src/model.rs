@@ -529,7 +529,7 @@ fn intern(values: &mut Vec<f64>, prob: f64) -> u8 {
 /// # Panics
 ///
 /// Panics when a product build has more philosophers than its choice
-/// bitmasks support (63 for k-bounded, 32 for crash-stop), when a
+/// bitmasks support ([`AdversaryClass::max_philosophers`]), when a
 /// k-bounded class has `k = 0`, when a state does not fit the exact
 /// encoding ([`StateCodec`]), or past 256 distinct transition
 /// probabilities.
@@ -544,17 +544,20 @@ where
     P: Program + Clone + Send + Sync,
     P::State: Send + Sync,
 {
-    let n = topology.num_philosophers();
+    if let Some(limit) = options.class.max_philosophers() {
+        assert!(
+            topology.num_philosophers() <= limit,
+            "{} product supports up to {limit} philosophers",
+            options.class.name()
+        );
+    }
     match options.class {
         AdversaryClass::Fair => build::<P, ()>(topology, program, target, options, ()),
         AdversaryClass::KBounded { k } => {
             assert!(k >= 1, "k-bounded fairness needs k >= 1");
-            // `(1u64 << n) - 1` full-schedule masks need n < 64.
-            assert!(n <= 63, "k-bounded product supports up to 63 philosophers");
             build::<P, Waits>(topology, program, target, options, k)
         }
         AdversaryClass::CrashStop { max_crashes } => {
-            assert!(n <= 32, "crash-stop product supports up to 32 philosophers");
             build::<P, Crashed>(topology, program, target, options, max_crashes)
         }
     }

@@ -89,6 +89,20 @@ impl AdversaryClass {
         }
     }
 
+    /// The most philosophers a product build of this class supports, or
+    /// `None` for the unrestricted class.  A product state's allowed and
+    /// required choices are 64-bit masks: k-bounded's full-schedule mask
+    /// `(1 << n) - 1` needs `n < 64`, and crash-stop's `2n` choices (a
+    /// schedule and a crash row per philosopher) need `n <= 32`.
+    #[must_use]
+    pub const fn max_philosophers(self) -> Option<usize> {
+        match self {
+            AdversaryClass::Fair => None,
+            AdversaryClass::KBounded { .. } => Some(63),
+            AdversaryClass::CrashStop { .. } => Some(32),
+        }
+    }
+
     /// The certificate's `adversaries:` line, or `None` for the paper's
     /// default class, which certificates leave implicit.
     #[must_use]

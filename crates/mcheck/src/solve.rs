@@ -102,13 +102,6 @@ pub struct Solution {
     pub expected_steps: Option<f64>,
     /// Rounds of the expected-steps iteration.
     pub expected_steps_iterations: u64,
-    /// A worst-case adversary: for each state, the philosopher to schedule
-    /// (in the frame of the state's stored representative).  Inside a fair
-    /// core this is a choice whose outcomes all stay inside; en route it
-    /// maximises the probability of reaching a core.
-    pub strategy: Vec<u32>,
-    /// Per-state fair-core membership.
-    pub in_fair_core: Vec<bool>,
     /// Per-state avoid potential guiding counterexample replay
     /// (`crate::strategy`): the exact max-avoid value in the quantitative
     /// case, the indicator of the sure-avoid region (core ∪ attractor)
@@ -234,8 +227,6 @@ struct FairCores {
     /// build: the conservative set that blocks certification and bounds
     /// the quantitative value.
     conservative: Vec<bool>,
-    /// For genuine core states: a choice whose outcomes all stay inside.
-    stay_choice: Vec<u32>,
 }
 
 fn fair_cores(mdp: &Mdp) -> FairCores {
@@ -320,47 +311,51 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
     // models the requirement is "every philosopher"; restricted models
     // ([`Mdp::fairness_requirement`]) narrow it — e.g. under crash-stop
     // faults only the surviving philosophers must keep being scheduled.
+    //
+    // Each component's choice sets are `words` 64-bit words wide, so any
+    // number of philosophers fits; a restricted model's requirement masks
+    // are one word (its product build caps the philosopher count).
     let (component, num_components) = strongly_connected_components(mdp, &live, &enabled);
-    let mut covered = vec![0u64; num_components as usize];
-    let mut required = vec![0u64; num_components as usize];
-    assert!(
-        n_choices <= 64,
-        "fairness bitmask supports up to 64 choices"
-    );
-    let full = if n_choices == 64 {
-        u64::MAX
-    } else {
-        (1u64 << n_choices) - 1
+    let words = n_choices.div_ceil(64);
+    let mut covered = vec![0u64; num_components as usize * words];
+    let mut required = match mdp.fairness_requirement {
+        None => (0..words)
+            .map(|w| u64::MAX >> (64 - (n_choices - 64 * w).min(64)))
+            .collect::<Vec<_>>()
+            .repeat(num_components as usize),
+        Some(_) => vec![0u64; num_components as usize * words],
     };
     for s in 0..n_states {
         if !live[s] {
             continue;
         }
-        required[component[s] as usize] |= mdp
-            .fairness_requirement
-            .as_ref()
-            .map_or(full, |masks| masks[s]);
+        let base = component[s] as usize * words;
+        if let Some(masks) = &mdp.fairness_requirement {
+            required[base] |= masks[s];
+        }
         for c in 0..n_choices {
             if enabled[s * n_choices + c] {
-                covered[component[s] as usize] |= 1 << c;
+                covered[base + c / 64] |= 1 << (c % 64);
             }
         }
     }
 
     let mut genuine = vec![false; n_states];
     let mut conservative = vec![false; n_states];
-    let mut stay_choice = vec![0u32; n_states];
     let mut genuine_states = 0usize;
     for s in 0..n_states {
-        let comp = component.get(s).copied().unwrap_or(u32::MAX) as usize;
-        if live[s] && covered[comp] & required[comp] == required[comp] {
+        let fair = live[s] && {
+            let base = component[s] as usize * words;
+            let span = base..base + words;
+            covered[span.clone()]
+                .iter()
+                .zip(&required[span])
+                .all(|(covered, required)| covered & required == *required)
+        };
+        if fair {
             genuine[s] = true;
             conservative[s] = true;
             genuine_states += 1;
-            stay_choice[s] = (0..n_choices)
-                .find(|&c| enabled[s * n_choices + c])
-                .expect("live core states keep an enabled choice")
-                as u32;
         } else if !mdp.expanded[s] && !mdp.target[s] {
             // Unknown frontier of a truncated build: conservatively
             // adversary-friendly, but never the basis of an "exact" claim.
@@ -371,18 +366,16 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
         genuine,
         genuine_states,
         conservative,
-        stay_choice,
     }
 }
 
 /// All-outcomes attractor of `core`: the states from which the adversary
 /// can *surely* (against every random outcome) drive the system into the
-/// core.  Returns membership plus a witness choice.
-fn sure_attractor(mdp: &Mdp, core: &[bool]) -> (Vec<bool>, Vec<u32>) {
+/// core.
+fn sure_attractor(mdp: &Mdp, core: &[bool]) -> Vec<bool> {
     let n_states = mdp.num_states;
     let n_choices = mdp.num_choices;
     let mut inside: Vec<bool> = core.to_vec();
-    let mut witness = vec![0u32; n_states];
     // Simple round-based saturation: the attractor of these models is
     // shallow (bounded by the BFS diameter).
     loop {
@@ -399,7 +392,6 @@ fn sure_attractor(mdp: &Mdp, core: &[bool]) -> (Vec<bool>, Vec<u32>) {
                 });
                 if any && all_in {
                     inside[s] = true;
-                    witness[s] = c as u32;
                     changed = true;
                     break;
                 }
@@ -409,7 +401,7 @@ fn sure_attractor(mdp: &Mdp, core: &[bool]) -> (Vec<bool>, Vec<u32>) {
             break;
         }
     }
-    (inside, witness)
+    inside
 }
 
 /// Solves `mdp` for the worst-case (fair-adversary) reachability
@@ -420,13 +412,6 @@ pub fn solve(mdp: &Mdp, options: &SolveOptions) -> Solution {
     let n_states = mdp.num_states;
     let n_choices = mdp.num_choices;
     let cores = fair_cores(mdp);
-
-    let mut strategy: Vec<u32> = vec![0; n_states];
-    for (s, slot) in strategy.iter_mut().enumerate() {
-        if cores.genuine[s] {
-            *slot = cores.stay_choice[s];
-        }
-    }
 
     if cores.genuine_states == 0 && !mdp.truncated {
         let (expected_steps, expected_steps_iterations) = if options.expected_steps {
@@ -443,20 +428,13 @@ pub fn solve(mdp: &Mdp, options: &SolveOptions) -> Solution {
             iterations: 0,
             expected_steps,
             expected_steps_iterations,
-            strategy,
             avoid_value: vec![0.0; n_states],
-            in_fair_core: cores.genuine,
         };
     }
 
     // "Exactly 0" may only rest on *genuine* cores: surely reaching the
     // unknown frontier of a truncated build proves nothing.
-    let (sure, witness) = sure_attractor(mdp, &cores.genuine);
-    for s in 0..n_states {
-        if sure[s] && !cores.genuine[s] {
-            strategy[s] = witness[s];
-        }
-    }
+    let sure = sure_attractor(mdp, &cores.genuine);
     if cores.genuine_states > 0 && sure[mdp.initial as usize] {
         let avoid_value = sure.iter().map(|&s| f64::from(u8::from(s))).collect();
         return Solution {
@@ -467,9 +445,7 @@ pub fn solve(mdp: &Mdp, options: &SolveOptions) -> Solution {
             iterations: 0,
             expected_steps: None,
             expected_steps_iterations: 0,
-            strategy,
             avoid_value,
-            in_fair_core: cores.genuine,
         };
     }
 
@@ -490,7 +466,6 @@ pub fn solve(mdp: &Mdp, options: &SolveOptions) -> Solution {
                 continue;
             }
             let mut best = f64::NEG_INFINITY;
-            let mut best_choice = 0u32;
             for c in 0..n_choices {
                 let mut value = 0.0;
                 for (succ, p) in mdp.outcomes(s as u32, c) {
@@ -504,10 +479,8 @@ pub fn solve(mdp: &Mdp, options: &SolveOptions) -> Solution {
                 }
                 if value > best {
                     best = value;
-                    best_choice = c as u32;
                 }
             }
-            strategy[s] = best_choice;
             delta = delta.max(best - avoid[s]);
             next[s] = best;
         }
@@ -534,9 +507,7 @@ pub fn solve(mdp: &Mdp, options: &SolveOptions) -> Solution {
         iterations,
         expected_steps: None,
         expected_steps_iterations: 0,
-        strategy,
         avoid_value: avoid,
-        in_fair_core: cores.genuine,
     }
 }
 

@@ -250,12 +250,16 @@ impl CheckReport {
     }
 }
 
-/// Resolves and runs an exact check.
+/// Resolves and runs an exact check.  A target the symmetry quotient
+/// refutes is rebuilt and reported unreduced: a quotient may certify but
+/// never refute.
 ///
 /// # Errors
 ///
-/// Returns a message when the topology parameters are invalid or a
-/// `philosopher:<i>` target is out of range.
+/// Returns a message when the topology parameters are invalid, a
+/// `philosopher:<i>` target is out of range, or a restricted class's
+/// product cannot hold the topology's philosophers
+/// ([`AdversaryClass::max_philosophers`]).
 pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, String> {
     let topology = spec
         .family
@@ -268,6 +272,15 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, String> {
             )
         })?;
     let cell = spec.cell_key();
+    if let Some(limit) = spec.adversary.max_philosophers() {
+        let n = topology.num_philosophers();
+        if n > limit {
+            return Err(format!(
+                "{} checks support up to {limit} philosophers; {cell} has {n}",
+                spec.adversary.name()
+            ));
+        }
+    }
     let targets: Vec<CheckTarget> = match spec.target {
         CheckTargetSpec::Progress => vec![CheckTarget::Progress],
         CheckTargetSpec::Philosopher(index) => {
@@ -304,37 +317,46 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, String> {
     let mut counterexample = None;
     let mut counterexample_dot_out = None;
     for target in targets {
-        let mdp = build_mdp(&topology, &program, target, &build_options);
-        let solution = solve(&mdp, &solve_options);
+        let check = |options: &BuildOptions| {
+            let mdp = build_mdp(&topology, &program, target, options);
+            let solution = solve(&mdp, &solve_options);
+            let certificate = Certificate::new(
+                &topology,
+                spec.algorithm.name(),
+                target,
+                &options.sim,
+                &mdp,
+                &solution,
+                None,
+            );
+            (mdp, solution, certificate)
+        };
+        let (mut mdp, mut solution, mut certificate) = check(&build_options);
+        // A quotient may certify but never refute: its fairness filter
+        // compares choice indices of states stored in different
+        // relabellings, so a refuted target is rebuilt unreduced
+        // (docs/VERIFICATION.md, "Symmetry quotient").
+        if certificate.symmetry_group > 1 && certificate.verdict() == Verdict::Violated {
+            (mdp, solution, certificate) = check(&build_options.clone().with_symmetry(false));
+        }
         // Counterexample replay speaks plain engine states; restricted
         // product states carry scheduler bookkeeping the replayer cannot
         // reconstruct, so extraction is limited to the unrestricted model.
-        let schedule =
-            if unrestricted && counterexample.is_none() && !solution.holds_with_probability_one() {
-                extract_counterexample(
-                    &topology,
-                    &program,
-                    &mdp,
-                    &solution,
-                    &[0, 1, 2, 3, 4, 5, 6, 7],
-                    counterexample_length(&topology),
-                )
-            } else {
-                None
-            };
-        certificates.push(Certificate::new(
-            &topology,
-            spec.algorithm.name(),
-            target,
-            &build_options.sim,
-            &mdp,
-            &solution,
-            schedule.as_ref(),
-        ));
-        if let Some(schedule) = schedule {
-            counterexample_dot_out = Some(counterexample_dot(&topology, &program, &schedule));
-            counterexample = Some(schedule);
+        if unrestricted && counterexample.is_none() && !solution.holds_with_probability_one() {
+            if let Some(schedule) = extract_counterexample(
+                &topology,
+                &program,
+                &mdp,
+                &solution,
+                &[0, 1, 2, 3, 4, 5, 6, 7],
+                counterexample_length(&topology),
+            ) {
+                certificate.counterexample = Some(schedule.summary());
+                counterexample_dot_out = Some(counterexample_dot(&topology, &program, &schedule));
+                counterexample = Some(schedule);
+            }
         }
+        certificates.push(certificate);
     }
     Ok(CheckReport {
         cell,
@@ -537,6 +559,13 @@ pub fn run_check_cached(
     let mut stats = StoreStats::default();
     if resume {
         match store.read::<StoredCheck>(fingerprint, &key) {
+            // A refutation from a quotient was stored before `run_check`
+            // rebuilt refuted targets unreduced: recompute it.
+            Lookup::Hit(stored)
+                if stored
+                    .certificates
+                    .iter()
+                    .any(|c| c.symmetry_group > 1 && c.verdict() == Verdict::Violated) => {}
             Lookup::Hit(stored) => {
                 stats.reused = 1;
                 let StoredCheck {
@@ -690,6 +719,32 @@ mod tests {
         assert_eq!(report.verdict(), Verdict::Violated);
         assert_eq!(report.certificates[0].probability, 0.0);
         assert!(report.counterexample.is_some());
+    }
+
+    /// The quotient may certify but never refute: on the Figure 1 style
+    /// shared rings its fairness filter refuted GDP1 (probability 0), while
+    /// the unreduced model certifies it, as Theorem 3 says.  `run_check`
+    /// now rebuilds a refuted target unreduced, so both agree.
+    #[test]
+    fn quotient_refutations_are_rebuilt_unreduced() {
+        for sharing in [2, 3] {
+            let spec = CheckSpec {
+                threads: 1,
+                ..CheckSpec::new(
+                    TopologyFamily::SharedRing { sharing },
+                    2,
+                    AlgorithmKind::Gdp1,
+                )
+            };
+            let report = run_check(&spec).unwrap();
+            assert_eq!(report.verdict(), Verdict::Certified, "sharing {sharing}");
+            let unreduced = run_check(&CheckSpec {
+                symmetry: Some(false),
+                ..spec
+            })
+            .unwrap();
+            assert_eq!(report.verdict(), unreduced.verdict(), "sharing {sharing}");
+        }
     }
 
     #[test]
@@ -896,6 +951,48 @@ mod tests {
                 variant.cert_key()
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A stored refutation from a quotient predates the rebuild rule: a
+    /// resumed check recomputes it instead of answering from disk.
+    #[test]
+    fn stored_quotient_refutations_are_recomputed() {
+        let (store, dir) = temp_cert_store("quotient");
+        let family = TopologyFamily::SharedRing { sharing: 2 };
+        let spec = CheckSpec::new(family, 2, AlgorithmKind::Gdp1);
+        let topology = family.build(2, 0).unwrap();
+        let options = BuildOptions::default().with_threads(1);
+        let mdp = build_mdp(
+            &topology,
+            &spec.algorithm.program(),
+            CheckTarget::Progress,
+            &options,
+        );
+        let solution = solve(&mdp, &SolveOptions::default());
+        let stale = Certificate::new(
+            &topology,
+            spec.algorithm.name(),
+            CheckTarget::Progress,
+            &options.sim,
+            &mdp,
+            &solution,
+            None,
+        );
+        assert_eq!(
+            (stale.symmetry_group, stale.verdict()),
+            (2, Verdict::Violated)
+        );
+        let payload = encode_check_payload(&spec.cert_key(), &spec.cell_key(), &[stale]);
+        store
+            .write::<StoredCheck>(spec.store_fingerprint(), &spec.cert_key(), &payload)
+            .unwrap();
+        let (report, stats) = run_check_cached(&spec, &store, true).unwrap();
+        assert_eq!((stats.reused, stats.computed), (0, 1));
+        assert_eq!(report.verdict(), Verdict::Certified);
+        // The recomputed record answers the next warm check.
+        let (_, stats) = run_check_cached(&spec, &store, true).unwrap();
+        assert_eq!((stats.reused, stats.computed), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

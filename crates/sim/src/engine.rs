@@ -58,7 +58,6 @@ pub struct Engine<P: Program> {
     rng: ChaCha8Rng,
     step_count: u64,
     meals_completed: Vec<u64>,
-    first_meal_finished: Vec<Option<u64>>,
     first_meal_started: Option<u64>,
     scheduled: Vec<u64>,
     last_scheduled: Vec<Option<u64>>,
@@ -89,7 +88,6 @@ impl<P: Program> Engine<P> {
             rng: ChaCha8Rng::seed_from_u64(config.seed),
             step_count: 0,
             meals_completed: vec![0; n],
-            first_meal_finished: vec![None; n],
             first_meal_started: None,
             scheduled: vec![0; n],
             last_scheduled: vec![None; n],
@@ -366,9 +364,6 @@ impl<P: Program> Engine<P> {
         }
         if phase_before == Phase::Eating && phase_after != Phase::Eating {
             self.meals_completed[idx] += 1;
-            if self.first_meal_finished[idx].is_none() {
-                self.first_meal_finished[idx] = Some(self.step_count);
-            }
             self.hungry_since[idx] = None;
         }
 
@@ -483,7 +478,6 @@ impl<P: Program> Engine<P> {
             total_meals: self.total_meals(),
             meals_per_philosopher: self.meals_completed.clone(),
             first_meal_step: self.first_meal_started,
-            first_meal_per_philosopher: self.first_meal_finished.clone(),
             scheduled_per_philosopher: self.scheduled.clone(),
             fairness_bound,
         }
@@ -510,7 +504,6 @@ impl<P: Program> Engine<P> {
         let n = self.states.len();
         self.step_count = 0;
         self.meals_completed.iter_mut().for_each(|m| *m = 0);
-        self.first_meal_finished.iter_mut().for_each(|f| *f = None);
         self.first_meal_started = None;
         self.scheduled.iter_mut().for_each(|s| *s = 0);
         self.last_scheduled.iter_mut().for_each(|l| *l = None);
@@ -578,7 +571,6 @@ impl<P: Program> Engine<P> {
         self.step_count = snapshot.step_count;
         let n = self.states.len();
         self.meals_completed.iter_mut().for_each(|m| *m = 0);
-        self.first_meal_finished.iter_mut().for_each(|f| *f = None);
         self.first_meal_started = None;
         self.scheduled.iter_mut().for_each(|s| *s = 0);
         self.last_scheduled.iter_mut().for_each(|l| *l = None);

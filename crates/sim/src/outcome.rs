@@ -89,8 +89,6 @@ pub struct RunOutcome {
     pub meals_per_philosopher: Vec<u64>,
     /// Step at which the first meal *started*, if any (the progress event).
     pub first_meal_step: Option<u64>,
-    /// Step at which each philosopher first *finished* a meal, if it did.
-    pub first_meal_per_philosopher: Vec<Option<u64>>,
     /// How many times each philosopher was scheduled.
     pub scheduled_per_philosopher: Vec<u64>,
     /// The bounded-fairness bound observed in this run: the smallest `B`
@@ -150,7 +148,6 @@ mod tests {
             total_meals: 10,
             meals_per_philosopher: vec![4, 6, 0],
             first_meal_step: Some(17),
-            first_meal_per_philosopher: vec![Some(20), Some(17), None],
             scheduled_per_philosopher: vec![700, 700, 600],
             fairness_bound: Some(5),
         }

@@ -59,9 +59,8 @@ pub mod prelude {
     };
 
     pub use gdp_adversary::{
-        AdversaryKind, BlockingAdversary, BlockingPolicy, FairDriver, FairnessGuard,
-        ReplayAdversary, SchedulingPolicy, StubbornnessSchedule, TargetStarver,
-        TriangleWaveAdversary,
+        AdversaryKind, BlockingAdversary, BlockingPolicy, FairDriver, ReplayAdversary,
+        SchedulingPolicy, StubbornnessSchedule, TargetStarver, TriangleWaveAdversary,
     };
 
     pub use gdp_analysis::{

@@ -110,7 +110,9 @@ USAGE:
           --max-states <n>       canonical-state budget      [default: 6000000]
           --threads <n>          0 = all cores               [default: 0]
           --symmetry <on|off>    quotient symmetric states   [default: auto]
-                                 (on needs --adversary fair)
+                                 (on needs --adversary fair and an algorithm
+                                 other than ordered-forks; a quotient may
+                                 certify but never refute)
           --expected-steps       also compute exact E[steps to first meal]
           --counterexample <p>   write the starvation lasso as Graphviz DOT
           --store <dir>          persist the certificates to the store's
@@ -540,6 +542,13 @@ fn cmd_check(mut args: Args) -> Result<CommandOutcome, String> {
             "--symmetry on needs --adversary fair: {} checks build a quotient-free product \
              (use --symmetry auto or off)",
             adversary.name()
+        ));
+    }
+    if symmetry == Some(true) && !algorithm.is_relabelling_invariant() {
+        return Err(format!(
+            "--symmetry on needs a relabelling-invariant algorithm: the quotient of {} is \
+             unsound (use --symmetry auto or off)",
+            algorithm.name()
         ));
     }
     if resume && counterexample_path.is_some() {

@@ -447,4 +447,152 @@ fn usage_errors_exit_2() {
         );
         assert!(stdout(&output).is_empty());
     }
+    // Nor may an asymmetric program be quotiented: ordered-forks branches
+    // on global fork identifiers.
+    let output = gdp(&[
+        "check",
+        "--family",
+        "ring",
+        "--size",
+        "4",
+        "--algorithm",
+        "ordered",
+        "--symmetry",
+        "on",
+    ]);
+    assert_eq!(output.status.code(), Some(2));
+    let err = stderr(&output);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(
+        err.contains("--symmetry on") && err.contains("ordered-forks"),
+        "{err}"
+    );
+    assert!(stdout(&output).is_empty());
+}
+
+/// No checker input panics.  A 66-philosopher model (`complete` at size 12,
+/// in the default sweep grid) has more choices than one 64-bit word: the
+/// fair-core filter sizes its coverage sets by the choice count, so the
+/// truncated check ends inconclusive, alone and inside `sweep --check`.
+/// The product classes keep their per-state masks in one word, so a
+/// topology past their limit is a usage error naming the limit.
+#[test]
+fn checker_inputs_past_the_bitmask_limits_never_panic() {
+    let output = gdp(&[
+        "check",
+        "--family",
+        "complete",
+        "--size",
+        "12",
+        "--max-states",
+        "2000",
+    ]);
+    assert_eq!(output.status.code(), Some(3), "{}", stderr(&output));
+    assert!(stdout(&output).contains("overall verdict:   inconclusive\n"));
+
+    let json = std::env::temp_dir().join(format!("gdp_check_cli_k12_{}.json", std::process::id()));
+    let csv = json.with_extension("csv");
+    let output = gdp(&[
+        "sweep",
+        "--families",
+        "complete",
+        "--sizes",
+        "12",
+        "--algorithms",
+        "gdp1",
+        "--trials",
+        "1",
+        "--steps",
+        "100",
+        "--check",
+        "--check-states",
+        "1000",
+        "--quiet",
+        "--json",
+        json.to_str().unwrap(),
+        "--csv",
+        csv.to_str().unwrap(),
+    ]);
+    assert_eq!(output.status.code(), Some(0), "{}", stderr(&output));
+    let json_text = std::fs::read_to_string(&json).unwrap();
+    assert!(
+        json_text.contains("\"exact_verdict\": \"inconclusive\""),
+        "{json_text}"
+    );
+    let _ = std::fs::remove_file(&json);
+    let _ = std::fs::remove_file(&csv);
+
+    for (family, size, class, limit) in [
+        ("complete", "12", "kbounded:2", "63"),
+        ("star", "40", "crash:1", "32"),
+    ] {
+        let output = gdp(&[
+            "check",
+            "--family",
+            family,
+            "--size",
+            size,
+            "--adversary",
+            class,
+            "--max-states",
+            "2000",
+        ]);
+        assert_eq!(output.status.code(), Some(2), "{class}");
+        let err = stderr(&output);
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(
+            err.contains(class) && err.contains(&format!("up to {limit} philosophers")),
+            "{err}"
+        );
+        assert!(stdout(&output).is_empty());
+    }
+}
+
+/// `gdp list` is pinned byte for byte: its adversary rows are the only
+/// place the catalog's fairness classes and family descriptions are
+/// printed, so a change to `ADVERSARY_CATALOG` (or to the topology,
+/// algorithm and exact-class tables beside it) shows up here.
+#[test]
+fn list_prints_every_catalog_byte_for_byte() {
+    let output = gdp(&["list"]);
+    assert!(output.status.success(), "{}", stderr(&output));
+    assert_eq!(
+        stdout(&output),
+        "\
+TOPOLOGY FAMILIES (--families / --topology; size n per family):
+  ring                       n philosophers = n forks               classic Dijkstra ring (the LR1/LR2 safe zone)
+  shared-ring[:sharing]      n forks, n*sharing philosophers        ring with parallel philosophers per edge (Figure 1)
+  grid                       smallest square >= n forks             open lattice, philosophers on the edges
+  torus                      smallest square >= n forks, side >= 3  wraparound lattice, every fork shared by 4
+  complete                   n forks, n(n-1)/2 philosophers         complete conflict graph (Theorem 3 worst case)
+  star                       n spoke philosophers                   one hub fork shared by all spokes (acyclic)
+  barbell[:bridge]           two K_(n/2) cliques + bridge           dense communities coupled by a sparse path
+  theta[:paths]              n philosophers over `paths` hub-to-hub paths generalized theta graph (Theorem 2 witness)
+  random-regular[:degree]    n forks, n*degree/2 philosophers       seeded random degree-regular conflict graph
+
+ALGORITHMS (--algorithms / --algorithm):
+  LR1                        Lehmann-Rabin 1: random first fork; progress on classic rings only
+  LR2                        Lehmann-Rabin 2: courteous variant; lockout-free on classic rings only
+  GDP1                       Herescu-Palamidessi GDP1: random fork priorities; progress on every topology
+  GDP2                       Herescu-Palamidessi GDP2: GDP1 + courtesy; lockout-free on every topology
+  ordered-forks              Dijkstra ordered forks: asymmetric deterministic baseline
+  naive-left-right           naive take-left-then-right: symmetric but deadlocks on rings
+
+ADVERSARIES (--adversary; catalog in docs/ADVERSARIES.md):
+  round-robin                bounded-fair             fair cyclic scheduling (bound n)
+  uniform-random             probabilistically-fair   fair random scheduling, re-seeded per trial
+  max-wait                   bounded-fair             adaptive FIFO: longest-waiting enabled philosopher first
+  kbounded:<k>               bounded-fair             round-robin dwelling k steps per philosopher (bound k*n)
+  blocking                   guarded-fair             blocking adversary, growing stubbornness (fairness bites)
+  blocking:<bound>           guarded-fair             blocking adversary, constant stubbornness bound
+  greedy-conflict            guarded-fair             adaptive contention maximizer, growing stubbornness
+  greedy-conflict:<bound>    guarded-fair             adaptive contention maximizer, constant bound
+  crash:<f>                  crash-faulty             f seeded philosophers crash-stop mid-protocol
+
+EXACT ADVERSARY CLASSES (gdp check --adversary):
+  fair                       all fair schedulers (the paper's default)
+  kbounded:<k>               only k-bounded-fair schedulers (product MDP)
+  crash:<f>                  fair scheduling + up to f crash-stop faults
+"
+    );
 }

@@ -77,7 +77,7 @@ fn lr1_exact_lockout_violation_brackets_the_sampled_observations() {
             |t| {
                 BlockingAdversary::with_schedule(
                     BlockingPolicy::global(),
-                    StubbornnessSchedule::constant(1_800 + t),
+                    StubbornnessSchedule::Constant(1_800 + t),
                 )
             },
             &TrialConfig::new(6, 20_000).with_base_seed(9),
