@@ -300,15 +300,8 @@ pub struct CellStore {
 
 impl CellStore {
     /// Opens (creating if needed) the store at `dir` for the given spec and
-    /// exact-check budget, and records the spec's store context alongside
-    /// the records for debuggability.
-    ///
-    /// Opening also **sweeps stale temp files**: a SIGKILLed writer leaves
-    /// its `*.tmp.*` scratch file behind (invisible to lookups, but
-    /// accumulating forever), so every open deletes them.  A *live* writer
-    /// whose temp file is swept out from under it is still safe: its
-    /// rename fails with `NotFound`, and the write starts over with a fresh
-    /// temp file.
+    /// exact-check budget: [`open_bare`](Self::open_bare), then
+    /// [`for_spec`](Self::for_spec).
     ///
     /// # Errors
     ///
@@ -318,22 +311,22 @@ impl CellStore {
         spec: &ScenarioSpec,
         exact_check: Option<usize>,
     ) -> std::io::Result<CellStore> {
-        let context = spec.store_context(exact_check);
-        let store = CellStore {
-            fingerprint: stable_digest64(context.as_bytes()),
-            ..CellStore::open_bare(dir)?
-        };
-        // A per-fingerprint context note: deterministic bytes, atomically
-        // written, so concurrent shards racing on it are harmless.
-        store.note_context("spec", store.fingerprint, &context)?;
-        Ok(store)
+        CellStore::open_bare(dir)?.for_spec(spec, exact_check)
     }
 
     /// Opens (creating if needed) the store at `dir` **without** a sweep
     /// spec.  A bare handle addresses MC cell records under the null
-    /// fingerprint, so it is only meant for certificate records (which are
-    /// addressed by an explicit check fingerprint) and for lifecycle
-    /// tooling — `gdp check --store`, `gdp store gc`, `gdp store compact`.
+    /// fingerprint, so it is meant for certificate records (which are
+    /// addressed by an explicit check fingerprint), for lifecycle tooling —
+    /// `gdp check --store`, `gdp store gc`, `gdp store compact` — and as
+    /// the parent of per-spec handles ([`for_spec`](Self::for_spec)).
+    ///
+    /// Opening **sweeps stale temp files**: a SIGKILLed writer leaves its
+    /// `*.tmp.*` scratch file behind (invisible to lookups, but
+    /// accumulating forever), so every open deletes them.  A *live* writer
+    /// whose temp file is swept out from under it is still safe: its
+    /// rename fails with `NotFound`, and the write starts over with a fresh
+    /// temp file.
     ///
     /// # Errors
     ///
@@ -354,6 +347,34 @@ impl CellStore {
             fingerprint: 0,
             swept_tmp,
         })
+    }
+
+    /// Derives the handle for the given spec and exact-check budget on this
+    /// handle's directory, and records the spec's store context alongside
+    /// the records for debuggability.  It lists no directory and sweeps
+    /// nothing, so it costs the same on any store size: a long-running
+    /// server opens the store once and derives one handle per request.
+    /// The derived handle reports this handle's [`swept_tmp`](Self::swept_tmp).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the context note's I/O errors.
+    pub fn for_spec(
+        &self,
+        spec: &ScenarioSpec,
+        exact_check: Option<usize>,
+    ) -> std::io::Result<CellStore> {
+        let context = spec.store_context(exact_check);
+        let store = CellStore {
+            root: self.root.clone(),
+            quarantine_dir: self.quarantine_dir.clone(),
+            fingerprint: stable_digest64(context.as_bytes()),
+            swept_tmp: self.swept_tmp,
+        };
+        // A per-fingerprint context note: deterministic bytes, atomically
+        // written, so concurrent shards racing on it are harmless.
+        store.note_context("spec", store.fingerprint, &context)?;
+        Ok(store)
     }
 
     /// Writes a `<prefix>-<16-hex fingerprint>.context` note holding the
@@ -381,7 +402,7 @@ impl CellStore {
     }
 
     /// How many stale `*.tmp.*` files this handle's open swept away
-    /// (leftovers of SIGKILLed writers; see [`open`](Self::open)).
+    /// (leftovers of SIGKILLed writers; see [`open_bare`](Self::open_bare)).
     #[must_use]
     pub fn swept_tmp(&self) -> u64 {
         self.swept_tmp
@@ -1491,6 +1512,40 @@ mod tests {
         ));
         // A second open has nothing left to sweep.
         assert_eq!(CellStore::open(&dir, &spec, None).unwrap().swept_tmp(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_handle_derived_for_a_spec_answers_like_open_and_sweeps_nothing() {
+        let (spec, store, dir) = completed_store("forspec");
+        drop(store);
+        let bare = CellStore::open_bare(&dir).unwrap();
+        // Scratch that appears after the open belongs to someone else's
+        // save, as far as this handle knows: deriving must not touch it.
+        let scratch = dir.join("cells").join("ring_n4_GDP1-feed.tmp.12345.0");
+        std::fs::write(&scratch, b"half a record").unwrap();
+        let derived = bare.for_spec(&spec, None).unwrap();
+        assert!(scratch.exists(), "for_spec must not sweep");
+        let opened = CellStore::open(&dir, &spec, None).unwrap();
+        assert!(!scratch.exists(), "open still sweeps");
+        assert_eq!(derived.fingerprint(), opened.fingerprint());
+        assert_eq!(
+            derived.record_path("ring/n4/GDP1"),
+            opened.record_path("ring/n4/GDP1")
+        );
+        assert!(matches!(
+            derived.lookup("ring/n4/GDP1"),
+            StoreLookup::Hit(_)
+        ));
+        // A spec the store has never seen gets its context note on
+        // derivation, exactly as an open writes it.
+        let other = spec.clone().with_trials(99);
+        let derived = bare.for_spec(&other, Some(5_000)).unwrap();
+        let note = dir.join(format!("spec-{:016x}.context", derived.fingerprint()));
+        assert_eq!(
+            std::fs::read_to_string(note).unwrap(),
+            format!("{}\n", other.store_context(Some(5_000)))
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

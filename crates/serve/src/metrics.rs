@@ -32,7 +32,8 @@ pub struct ServeMetrics {
     cert_misses: AtomicU64,
     queue_rejections: AtomicU64,
     queue_peak_depth: AtomicU64,
-    request_ms: AtomicLog2Histogram,
+    line_rejections: AtomicU64,
+    request_us: AtomicLog2Histogram,
 }
 
 impl ServeMetrics {
@@ -74,9 +75,16 @@ impl ServeMetrics {
             .fetch_max(depth as u64, Ordering::Relaxed);
     }
 
-    /// Records one request's wall-clock latency in milliseconds.
-    pub fn note_request_ms(&self, millis: u64) {
-        self.request_ms.record(millis);
+    /// Counts one connection closed for sending a request line over the
+    /// server's line limit.
+    pub fn note_line_rejection(&self) {
+        self.line_rejections.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one request's wall-clock latency in microseconds (a cache
+    /// hit takes well under a millisecond).
+    pub fn note_request_us(&self, micros: u64) {
+        self.request_us.record(micros);
     }
 
     /// A point-in-time [`MetricsRegistry`] snapshot (`serve.*` namespace),
@@ -97,9 +105,10 @@ impl ServeMetrics {
         registry.counter_add("serve.cert_miss", load(&self.cert_misses));
         registry.counter_add("serve.queue_rejections", load(&self.queue_rejections));
         registry.counter_add("serve.queue_peak_depth", load(&self.queue_peak_depth));
+        registry.counter_add("serve.line_rejections", load(&self.line_rejections));
         registry.install_histogram(
-            "serve.request_ms",
-            Log2Histogram::from_counts(self.request_ms.snapshot()),
+            "serve.request_us",
+            Log2Histogram::from_counts(self.request_us.snapshot()),
         );
         registry
     }
@@ -193,13 +202,16 @@ mod tests {
         metrics.note_request();
         metrics.note_queue_depth(3);
         metrics.note_queue_depth(1);
-        metrics.note_request_ms(12);
+        metrics.note_request_us(300);
         let line = metrics.to_json_line();
         assert!(!line.contains('\n'));
         assert!(line.starts_with("{\"type\":\"metrics\""));
         assert_eq!(line.matches('{').count(), line.matches('}').count());
         assert!(line.contains("\"serve.connections\": 1"));
         assert!(line.contains("\"serve.queue_peak_depth\": 3"), "{line}");
-        assert!(line.contains("\"serve.request_ms\""));
+        assert!(line.contains("\"serve.request_us\""));
+        let registry = metrics.registry();
+        let request_us = registry.histogram("serve.request_us").unwrap();
+        assert!(request_us.quantile(50.0) >= 256.0, "{line}");
     }
 }

@@ -3,9 +3,11 @@
 //!
 //! ## Request pipeline (one `sweep` request)
 //!
-//! 1. **Open** the shared [`CellStore`] for the request's spec (per-request
-//!    open: the store is content-addressed by spec fingerprint, so
-//!    different specs coexist in one directory).
+//! 1. **Derive** the request's spec handle ([`CellStore::for_spec`]) from
+//!    the store the server opened once, at start.  The store is
+//!    content-addressed by spec fingerprint, so different specs coexist in
+//!    one directory, and deriving a handle lists no directory: a request
+//!    costs the cells it names, not the records stored.
 //! 2. **Look up** every cell of the deterministic grid expansion, in
 //!    order, with the per-cell store step `gdp sweep --resume` runs
 //!    ([`lookup_cell`], then [`compute_and_save`] in the workers).  Hits
@@ -18,6 +20,9 @@
 //! 4. **Stream** cell lines in grid order (computed results arriving out of
 //!    order are buffered until their position is due), then the summary
 //!    footer whose `digest` lets the client verify the stream it received.
+//!    The stream is flushed after `sweep_start`, right before each wait for
+//!    a computed cell, and after the footer, so a client never waits for a
+//!    line the server has already produced.
 //!
 //! ## Shutdown
 //!
@@ -26,8 +31,8 @@
 //! every admitted job (each saves its cell to the store — nothing admitted
 //! is abandoned), and the process exits 0.  A SIGKILLed server is the
 //! crash-safety case the store already handles: completed cells persist,
-//! the cell in flight is lost, and stale scratch files are swept on the
-//! next open.
+//! the cell in flight is lost, and the next server sweeps the stale
+//! scratch files when it opens the store, at start.
 
 use crate::metrics::ServeMetrics;
 use crate::pool::WorkerPool;
@@ -39,7 +44,7 @@ use gdp_scenarios::{
 };
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -51,6 +56,11 @@ const READ_POLL: Duration = Duration::from_millis(150);
 
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
+
+/// The longest request line the server buffers.  Real requests are a few
+/// hundred bytes; a longer line is answered with one non-retryable error
+/// and the connection closes, since the same line can never fit.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Configuration for [`run_serve`].
 #[derive(Clone, Debug)]
@@ -69,7 +79,9 @@ pub struct ServeConfig {
 
 /// Everything a connection thread shares with the accept loop.
 struct ServerState {
-    store_dir: PathBuf,
+    /// The store, opened bare once at start; each request derives its spec
+    /// handle from it.
+    store: CellStore,
     pool: WorkerPool,
     metrics: Arc<ServeMetrics>,
     /// Set by a `shutdown` protocol request.  Per-server (unlike the
@@ -80,6 +92,23 @@ struct ServerState {
 }
 
 impl ServerState {
+    /// Opens the store (creating its layout and sweeping stale scratch
+    /// files) and starts the worker pool.
+    fn new(config: &ServeConfig, workers: usize) -> io::Result<ServerState> {
+        let store = CellStore::open_bare(&config.store_dir).map_err(|e| {
+            io::Error::new(
+                e.kind(),
+                format!("cannot open store {}: {e}", config.store_dir.display()),
+            )
+        })?;
+        Ok(ServerState {
+            store,
+            pool: WorkerPool::new(workers, config.queue_capacity),
+            metrics: Arc::new(ServeMetrics::new()),
+            local_shutdown: AtomicBool::new(false),
+        })
+    }
+
     fn should_stop(&self) -> bool {
         self.local_shutdown.load(Ordering::Relaxed) || signal::requested()
     }
@@ -112,12 +141,7 @@ fn serve_on(listener: TcpListener, config: &ServeConfig) -> io::Result<()> {
     } else {
         config.workers
     };
-    let state = Arc::new(ServerState {
-        store_dir: config.store_dir.clone(),
-        pool: WorkerPool::new(workers, config.queue_capacity),
-        metrics: Arc::new(ServeMetrics::new()),
-        local_shutdown: AtomicBool::new(false),
-    });
+    let state = Arc::new(ServerState::new(config, workers)?);
     println!(
         "gdp serve listening on {local} (store {}, {workers} worker(s), queue capacity {})",
         config.store_dir.display(),
@@ -181,8 +205,22 @@ fn handle_connection(reader: TcpStream, state: &Arc<ServerState>) {
     let mut writer = io::BufWriter::new(writer);
     let mut buffered: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
-    'connection: loop {
-        while let Some(newline) = buffered.iter().position(|&b| b == b'\n') {
+    loop {
+        let newline = buffered.iter().position(|&b| b == b'\n');
+        if newline.unwrap_or(buffered.len()) > MAX_LINE_BYTES {
+            state.metrics.note_line_rejection();
+            let message = format!(
+                "request line exceeds the {MAX_LINE_BYTES}-byte limit; closing the connection"
+            );
+            let _ = writeln!(writer, "{}", protocol::error_line(&message, false));
+            let _ = writer.flush();
+            // Send FIN after the error line, so the client reads the line
+            // and then EOF even though its unread bytes make the close a
+            // reset.
+            let _ = writer.get_ref().shutdown(Shutdown::Write);
+            break;
+        }
+        if let Some(newline) = newline {
             let raw: Vec<u8> = buffered.drain(..=newline).collect();
             let line = String::from_utf8_lossy(&raw[..raw.len() - 1]);
             let line = line.trim();
@@ -190,9 +228,9 @@ fn handle_connection(reader: TcpStream, state: &Arc<ServerState>) {
                 continue;
             }
             match handle_request(line, &mut writer, state) {
-                Ok(Control::Continue) => {}
+                Ok(Control::Continue) => continue,
                 // Protocol close or the client went away mid-stream.
-                Ok(Control::Close) | Err(_) => break 'connection,
+                Ok(Control::Close) | Err(_) => break,
             }
         }
         if state.should_stop() {
@@ -245,9 +283,8 @@ fn handle_request(
         }
     };
     writer.flush()?;
-    state
-        .metrics
-        .note_request_ms(started.elapsed().as_millis() as u64);
+    let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+    state.metrics.note_request_us(micros);
     Ok(control)
 }
 
@@ -260,10 +297,10 @@ fn handle_sweep(
     state: &Arc<ServerState>,
 ) -> io::Result<()> {
     let spec = Arc::new(request.spec.clone());
-    let store = match CellStore::open(&state.store_dir, &spec, request.exact_check) {
+    let store = match state.store.for_spec(&spec, request.exact_check) {
         Ok(store) => Arc::new(store),
         Err(e) => {
-            let message = format!("cannot open store {}: {e}", state.store_dir.display());
+            let message = format!("cannot record this spec's context in the store: {e}");
             writeln!(writer, "{}", protocol::error_line(&message, false))?;
             return Ok(());
         }
@@ -343,7 +380,11 @@ fn handle_sweep(
     state.metrics.note_sweep();
 
     // Phase 3: stream in deterministic grid order, buffering computed
-    // results that arrive early, and close with the digest footer.
+    // results that arrive early, and close with the digest footer.  The
+    // stream is flushed only where the client would otherwise wait on bytes
+    // already written: after `sweep_start` (the admission signal), before
+    // each blocking wait for a computed cell, and after the footer (in
+    // `handle_request`).
     writeln!(
         writer,
         "{}",
@@ -360,6 +401,7 @@ fn handle_sweep(
                 if let Some(result) = early.remove(&position) {
                     break ("computed", result);
                 }
+                writer.flush()?;
                 match results_rx.recv() {
                     Ok((ready, Ok(result))) => {
                         stats.computed += 1;
@@ -384,7 +426,6 @@ fn handle_sweep(
         };
         let line = protocol::cell_line(position, source, &result);
         writeln!(writer, "{line}")?;
-        writer.flush()?;
         streamed.push_str(&line);
         streamed.push('\n');
         state.metrics.note_cell_streamed();
@@ -519,6 +560,88 @@ mod tests {
         send(&mut client, "{\"type\": \"shutdown\"}");
         assert_eq!(read_line(&mut responses), protocol::bye_line());
         server.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&store);
+    }
+
+    /// A `Write` that keeps the bytes and counts the flushes.
+    #[derive(Default)]
+    struct FlushCounter {
+        bytes: Vec<u8>,
+        flushes: usize,
+    }
+
+    impl Write for FlushCounter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    /// Reads one sweep answer verbatim, `sweep_start` through `summary`.
+    fn read_answer(reader: &mut impl BufRead) -> String {
+        let mut answer = String::new();
+        loop {
+            let start = answer.len();
+            assert!(reader.read_line(&mut answer).unwrap() > 0, "{answer}");
+            if answer[start..].contains("\"type\":\"summary\"") {
+                return answer;
+            }
+        }
+    }
+
+    #[test]
+    fn a_sweep_flushes_only_before_the_server_waits() {
+        let store = temp_store("flushes");
+        let Ok(Request::Sweep(request)) = protocol::parse_request(TINY_SWEEP) else {
+            panic!("TINY_SWEEP is a sweep request");
+        };
+        let record = CellStore::open(&store, &request.spec, request.exact_check)
+            .unwrap()
+            .record_path(&request.spec.expand()[1].key);
+
+        // The reference bytes, as a client reads them off the socket: an
+        // all-hit answer, then one whose second cell was recomputed.
+        let (mut client, server) = start_server(&store);
+        let mut responses = io::BufReader::new(client.try_clone().unwrap());
+        send(&mut client, TINY_SWEEP);
+        read_answer(&mut responses);
+        send(&mut client, TINY_SWEEP);
+        let all_hits = read_answer(&mut responses);
+        std::fs::remove_file(&record).unwrap();
+        send(&mut client, TINY_SWEEP);
+        let one_miss = read_answer(&mut responses);
+        send(&mut client, "{\"type\": \"shutdown\"}");
+        assert_eq!(read_line(&mut responses), protocol::bye_line());
+        server.join().unwrap().unwrap();
+
+        let config = ServeConfig {
+            addr: String::new(),
+            store_dir: store.clone(),
+            workers: 2,
+            queue_capacity: 64,
+        };
+        let state = Arc::new(ServerState::new(&config, config.workers).unwrap());
+        let sweep = || {
+            let mut out = FlushCounter::default();
+            handle_sweep(&request, &mut out, &state).unwrap();
+            (String::from_utf8(out.bytes).unwrap(), out.flushes)
+        };
+        // All hits: one flush, after `sweep_start`; `handle_request`
+        // flushes the footer.
+        let (bytes, flushes) = sweep();
+        assert_eq!(flushes, 1, "all hits");
+        assert_eq!(bytes, all_hits);
+        // One miss: one more, right before the wait for its result.
+        std::fs::remove_file(&record).unwrap();
+        let (bytes, flushes) = sweep();
+        assert_eq!(flushes, 2, "one miss");
+        assert_eq!(bytes, one_miss);
+        state.pool.shutdown();
         let _ = std::fs::remove_dir_all(&store);
     }
 

@@ -15,7 +15,13 @@
 //!   cell objects `gdp sweep` writes for the matching flags, byte for byte;
 //! * **the two failing lookups** — a bit-flipped record is quarantined and
 //!   recomputed into the cold pass's bytes, and a record stamped with a
-//!   newer store format gets one non-retryable error and stays in place.
+//!   newer store format gets one non-retryable error and stays in place;
+//! * **the store is opened once, at start** — requests neither list nor
+//!   sweep it (a planted scratch file survives a sweep request, and the
+//!   next server start sweeps it), and a store that cannot be opened fails
+//!   the server before it listens;
+//! * **the line limit** — an over-long request line gets one error line and
+//!   EOF, and the server keeps answering other connections.
 
 use gdp_scenarios::stable_digest64;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -397,6 +403,94 @@ fn a_newer_format_record_gets_one_nonretryable_error_and_stays_in_place() {
     assert_eq!(server.read_line(), "{\"type\":\"pong\"}");
     assert_eq!(std::fs::read_to_string(&record).unwrap(), restamped);
     assert_eq!(quarantine_count(&store), 0);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn requests_leave_the_store_unswept_and_a_restart_sweeps_it() {
+    let work = temp_dir("open_once");
+    let store = work.join("store");
+    let mut server = Server::start(&store);
+    // The server opened the store before its banner.
+    assert!(store.join("cells").is_dir());
+    let planted = store.join("cells").join("x.tmp.1.2");
+    std::fs::write(&planted, b"torn write").unwrap();
+
+    server.send(SMALL_REQUEST);
+    let (cells, _) = server.read_sweep();
+    assert_eq!(cells.len(), 2);
+    assert!(
+        planted.exists(),
+        "a request must neither list nor sweep the store"
+    );
+    server.shutdown();
+
+    let server = Server::start(&store);
+    assert!(
+        !planted.exists(),
+        "a server start sweeps stale scratch files"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn a_store_that_cannot_be_opened_fails_the_server_before_it_listens() {
+    let work = temp_dir("unopenable");
+    let not_a_dir = work.join("store");
+    std::fs::write(&not_a_dir, b"a file where the store should be").unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gdp"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--store"])
+        .arg(&not_a_dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve child spawns");
+    let mut banner = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut banner)
+        .unwrap();
+    if !banner.is_empty() {
+        let _ = child.kill();
+        let _ = child.wait();
+        panic!("served on a store it cannot open: {banner}");
+    }
+    let output = child.wait_with_output().expect("serve child exits");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("cannot open store"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn an_over_long_request_line_gets_one_error_and_eof() {
+    let work = temp_dir("line_limit");
+    let mut server = Server::start(&work.join("store"));
+    let addr = server.client.peer_addr().unwrap();
+    // One MiB without a newline.  The server stops reading at its limit
+    // and closes, so the tail of this write may fail: only the answer
+    // matters.
+    let _ = server.client.write_all(&vec![b'x'; 1 << 20]);
+    let error = server.read_line();
+    assert!(error.contains("\"type\":\"error\""), "{error}");
+    assert!(error.contains("\"retryable\":false"), "{error}");
+    assert!(error.contains("65536-byte limit"), "{error}");
+    let mut rest = String::new();
+    assert_eq!(
+        server.responses.read_line(&mut rest).unwrap(),
+        0,
+        "EOF after the error, got {rest:?}"
+    );
+
+    // The server itself is fine: a fresh connection is answered.
+    server.client = TcpStream::connect(addr).unwrap();
+    server.responses = BufReader::new(server.client.try_clone().unwrap());
+    server.send("{\"type\": \"ping\"}");
+    assert_eq!(server.read_line(), "{\"type\":\"pong\"}");
+    server.send("{\"type\": \"metrics\"}");
+    let metrics = server.read_line();
+    assert_eq!(field_u64(&metrics, "serve.line_rejections"), 1, "{metrics}");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&work);
 }
