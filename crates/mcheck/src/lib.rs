@@ -12,7 +12,7 @@
 //!   construction of the finite MDP of a (topology, algorithm) pair,
 //!   adversary choices as nondeterministic branches, random draws as
 //!   exhaustively enumerated probabilistic branches, states deduplicated
-//!   exactly ([`KeyTable`]) up to orientation-preserving topology
+//!   exactly by their packed keys up to orientation-preserving topology
 //!   automorphisms (`gdp_topology::symmetry`), frontier expansion
 //!   parallelised with the workspace's bitwise-determinism contract;
 //! * [`mod@solve`] — qualitative certification (avoid-region emptiness ⇒
@@ -51,4 +51,3 @@ pub use model::{build_mdp, BuildOptions, CheckTarget, Mdp, AUTOMORPHISM_LIMIT, U
 pub use restricted::AdversaryClass;
 pub use solve::{solve, Solution, SolveOptions};
 pub use strategy::{extract_counterexample, CounterexampleSchedule};
-pub use table::KeyTable;

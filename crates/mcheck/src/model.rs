@@ -41,9 +41,11 @@
 //! *as-reached* encoding — the labelling in which it was first discovered —
 //! and a worker decodes it into one reused [`EngineState`] to expand it;
 //! expanding the canonical representative instead would renumber states and
-//! change counterexamples.  The dedup table ([`KeyTable`]) holds the
-//! canonical keys, and each transition's probability is a one-byte index
-//! into the model's few distinct values.
+//! change counterexamples.  The dedup table holds the canonical keys in one
+//! arena plus an index of `u32` slots; the model keeps the arena and drops
+//! the index when the build ends.  A state's rows are one offset into the
+//! successor array plus one byte per choice naming the row's *shape* — its
+//! probabilities in draw order, from the model's few distinct ones.
 
 use crate::restricted::{AdversaryClass, Bookkeeping, Crashed, Waits};
 use crate::table::{KeyTable, Packed};
@@ -166,7 +168,9 @@ pub const UNEXPLORED: u32 = u32::MAX;
 ///
 /// Transitions are stored in compressed sparse rows: state-major,
 /// choice-minor, outcomes in draw-lexicographic order — the deterministic
-/// layout every solver pass iterates over.
+/// layout every solver pass iterates over.  A state's rows start at its
+/// offset into the successor array; each row's length and probabilities
+/// come from its shape.
 #[derive(Clone, Debug)]
 pub struct Mdp {
     /// Number of discovered (canonical) states.
@@ -194,12 +198,6 @@ pub struct Mdp {
     /// The automorphisms the symmetry quotient used (always at least the
     /// identity).
     pub automorphisms: Vec<Automorphism>,
-    /// Canonical key → state index: the exact dedup table, retained so
-    /// extracted strategies can be replayed against a live engine.  A key
-    /// is a state's least encoding over [`automorphisms`](Self::automorphisms)
-    /// ([`canonical_key`](Self::canonical_key)), followed in product builds
-    /// by its scheduler bookkeeping's words.
-    pub index_of_key: KeyTable,
     /// Per-state bitmask of the choices a fair adversary must keep taking
     /// infinitely often while confined to an end component containing the
     /// state.  `None` means "every choice" — the paper's unrestricted fair
@@ -209,30 +207,57 @@ pub struct Mdp {
     /// under crash-stop faults only the *surviving* philosophers'
     /// schedule-choices are required.
     pub fairness_requirement: Option<Vec<u64>>,
-    row_offsets: Vec<u32>,
+    /// The states' keys in number order: a key is a state's least encoding
+    /// over [`automorphisms`](Self::automorphisms)
+    /// ([`canonical_key`](Self::canonical_key)), followed in product builds
+    /// by its scheduler bookkeeping's words.
+    keys: Packed,
+    /// Per state, the index in `succs` of its first transition, then the
+    /// transition count: state `s`'s rows are
+    /// `succs[state_offsets[s]..state_offsets[s + 1]]`.
+    state_offsets: Vec<u32>,
+    /// Per (state, choice), state-major: the row's shape in `shapes`.
+    row_shapes: Vec<u8>,
+    shapes: Shapes,
     succs: Vec<u32>,
-    /// Per transition, its probability's index into `prob_values`.
-    probs: Vec<u8>,
-    /// The distinct transition probabilities, bit for bit, in first-use
-    /// order.
-    prob_values: Vec<f64>,
 }
 
 impl Mdp {
+    /// The rows of `state`, choice by choice: each row's successors and
+    /// their probabilities, in deterministic draw order.  Rows are empty
+    /// for target and unexpanded states and for the choices a product
+    /// model disallows.
+    pub(crate) fn rows(&self, state: u32) -> impl Iterator<Item = (&[u32], &[f64])> + '_ {
+        let first = state as usize * self.num_choices;
+        let mut start = self.state_offsets[state as usize] as usize;
+        self.row_shapes[first..first + self.num_choices]
+            .iter()
+            .map(move |&shape| {
+                let probs = self.shapes.get(shape);
+                let succs = &self.succs[start..start + probs.len()];
+                start += probs.len();
+                (succs, probs)
+            })
+    }
+
     /// The `(successor, probability)` outcomes of scheduling philosopher
     /// `choice` in `state`, in deterministic draw order.  Empty for target,
     /// unexpanded and (vacuously) absorbing rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `choice` is not below [`num_choices`](Self::num_choices).
     pub fn outcomes(&self, state: u32, choice: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let row = state as usize * self.num_choices + choice;
-        let (start, end) = (
-            self.row_offsets[row] as usize,
-            self.row_offsets[row + 1] as usize,
-        );
-        self.succs[start..end].iter().copied().zip(
-            self.probs[start..end]
-                .iter()
-                .map(|&i| self.prob_values[usize::from(i)]),
-        )
+        let (succs, probs) = self
+            .rows(state)
+            .nth(choice)
+            .expect("the choice is below num_choices");
+        succs.iter().copied().zip(probs.iter().copied())
+    }
+
+    /// Every state's key, in state order.
+    pub(crate) fn keys(&self) -> &Packed {
+        &self.keys
     }
 
     /// Total number of stored transitions.
@@ -254,18 +279,9 @@ impl Mdp {
                     return false;
                 }
                 let mut any_choice = false;
-                let all_self = (0..self.num_choices).all(|c| {
-                    let mut any = false;
-                    let self_looping = self.outcomes(s, c).all(|(succ, _)| {
-                        any = true;
-                        succ == s
-                    });
-                    if any {
-                        any_choice = true;
-                        self_looping
-                    } else {
-                        true
-                    }
+                let all_self = self.rows(s).all(|(succs, _)| {
+                    any_choice |= !succs.is_empty();
+                    succs.iter().all(|&succ| succ == s)
                 });
                 any_choice && all_self
             })
@@ -273,10 +289,9 @@ impl Mdp {
     }
 
     /// The canonical key of an engine state under this model's
-    /// automorphism set — its least encoding, written into `scratch` — as
-    /// [`index_of_key`](Self::index_of_key) numbers the states of an
-    /// all-fair build.  `codec` must be the codec of the model's topology
-    /// and program.
+    /// automorphism set — its least encoding, written into `scratch` —
+    /// which is the key of its state in an all-fair build.  `codec` must be
+    /// the codec of the model's topology and program.
     #[must_use]
     pub fn canonical_key<'a, P: Program>(
         &self,
@@ -305,13 +320,39 @@ pub(crate) fn is_target<P: Program>(engine: &Engine<P>, target: CheckTarget) -> 
     })
 }
 
-/// A successor reference produced by a worker before global merge.
-#[derive(Clone, Copy)]
-enum SuccRef {
-    /// Already in the global table when the layer started.
-    Known(u32),
-    /// Index into the worker's new states.
-    New(u32),
+/// The shape of every row that has no outcome.
+const EMPTY_ROW: u8 = 0;
+
+/// The distinct row shapes of a model — each a row's probabilities, bit for
+/// bit, in draw order — numbered in first-use order after the empty row.
+#[derive(Clone, Debug, PartialEq)]
+struct Shapes(Vec<Vec<f64>>);
+
+impl Shapes {
+    fn new() -> Self {
+        Shapes(vec![Vec::new()])
+    }
+
+    fn get(&self, shape: u8) -> &[f64] {
+        &self.0[usize::from(shape)]
+    }
+
+    /// The number of the shape `probs`, interning it on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 256 distinct shapes.
+    fn intern(&mut self, probs: &[f64]) -> u8 {
+        let same = |shape: &Vec<f64>| {
+            let bits = |p: &f64| p.to_bits();
+            shape.iter().map(bits).eq(probs.iter().map(bits))
+        };
+        let index = self.0.iter().position(same).unwrap_or_else(|| {
+            self.0.push(probs.to_vec());
+            self.0.len() - 1
+        });
+        u8::try_from(index).expect("a model has at most 256 distinct row shapes")
+    }
 }
 
 /// A state a worker discovered; its key and as-reached encoding sit at the
@@ -322,13 +363,16 @@ struct NewState<B> {
     safe: bool,
 }
 
-/// Expansion of one contiguous frontier slice: edges in parent-major,
-/// choice-minor, draw-lexicographic order, plus the locally new states in
-/// discovery order.
+/// Expansion of one contiguous frontier slice: rows in parent-major,
+/// choice-minor order, plus the locally new states in discovery order.
 struct SliceExpansion<B> {
-    edges: Vec<(f64, SuccRef)>,
-    /// One length per (parent, choice), parent-major.
-    group_lens: Vec<u32>,
+    /// Per edge, in row order and draw order within a row: the successor's
+    /// number when the global table `frozen` held it at layer start, else
+    /// `frozen.len()` plus its number among this slice's new states.
+    succs: Vec<u32>,
+    /// Per row: its shape in `shapes`.
+    rows: Vec<u8>,
+    shapes: Shapes,
     /// The new states' keys, numbered in discovery order.
     keys: KeyTable,
     /// The new states' as-reached encodings.
@@ -342,15 +386,17 @@ impl<B> SliceExpansion<B> {
     /// and returns whether the key is new here, in which case the caller
     /// records the state.
     #[inline]
-    fn push_edge(&mut self, frozen: &KeyTable, prob: f64, key: &[u64]) -> bool {
+    fn push_edge(&mut self, frozen: &KeyTable, key: &[u64]) -> bool {
         let (succ, new) = match frozen.get(key) {
-            Some(idx) => (SuccRef::Known(idx), false),
+            Some(idx) => (idx, false),
             None => {
                 let (local, new) = self.keys.insert(key);
-                (SuccRef::New(local), new)
+                let succ = u32::try_from(frozen.len() + local as usize)
+                    .expect("state numbers exceed the u32 range");
+                (succ, new)
             }
         };
-        self.edges.push((prob, succ));
+        self.succs.push(succ);
         new
     }
 
@@ -436,10 +482,12 @@ where
     );
     let mut parent = engine.snapshot();
     let mut succ_buf = engine.snapshot();
-    let (mut encodings, mut key) = (Vec::new(), Vec::new());
+    let (mut encodings, mut key, mut probs) = (Vec::new(), Vec::new(), Vec::new());
+    let rows_per_parent = if B::CRASH_ROWS { 2 * n } else { n };
     let mut out = SliceExpansion {
-        edges: Vec::new(),
-        group_lens: Vec::with_capacity(slice.len() * n),
+        succs: Vec::new(),
+        rows: Vec::with_capacity(slice.len() * rows_per_parent),
+        shapes: Shapes::new(),
         keys: KeyTable::new(),
         reached: Packed::new(),
         new_states: Vec::new(),
@@ -449,16 +497,17 @@ where
         let bookkeeping = &frontier.bookkeeping[i];
         let allowed = bookkeeping.allowed(shared.bound, n);
         for choice in 0..n {
-            let before = out.edges.len();
+            probs.clear();
             if !B::PRODUCT || allowed & (1 << choice) != 0 {
                 let next = bookkeeping.scheduled(choice);
                 engine.for_each_step_outcome_from(
                     &parent,
                     PhilosopherId::new(choice as u32),
                     |prob, post, _| {
+                        probs.push(prob);
                         post.snapshot_into(&mut succ_buf);
                         let words = shared.key(&succ_buf, &next, &mut encodings, &mut key);
-                        if out.push_edge(frozen, prob, &key) {
+                        if out.push_edge(frozen, &key) {
                             let new_state = NewState {
                                 bookkeeping: next.clone(),
                                 target: is_target(post, shared.target),
@@ -469,14 +518,15 @@ where
                     },
                 );
             }
-            out.group_lens.push((out.edges.len() - before) as u32);
+            out.rows.push(out.shapes.intern(&probs));
         }
         if B::CRASH_ROWS {
             for victim in 0..n {
-                let before = out.edges.len();
+                probs.clear();
                 if let Some(next) = bookkeeping.crashed(shared.bound, victim, n) {
+                    probs.push(1.0);
                     let words = shared.key(&parent, &next, &mut encodings, &mut key);
-                    if out.push_edge(frozen, 1.0, &key) {
+                    if out.push_edge(frozen, &key) {
                         // A crash leaves the engine state as it is, so the
                         // successor shares the (non-target) parent's flags.
                         engine.restore(&parent);
@@ -488,28 +538,54 @@ where
                         out.discover(&encodings[..words], new_state);
                     }
                 }
-                out.group_lens.push((out.edges.len() - before) as u32);
+                out.rows.push(out.shapes.intern(&probs));
             }
         }
     }
     out
 }
 
-/// The one-byte index of `prob` in `values`, interning it on first use.
-/// Values are compared bit for bit.
-///
-/// # Panics
-///
-/// Panics past 256 distinct values.
-fn intern(values: &mut Vec<f64>, prob: f64) -> u8 {
-    let index = values
-        .iter()
-        .position(|v| v.to_bits() == prob.to_bits())
-        .unwrap_or_else(|| {
-            values.push(prob);
-            values.len() - 1
-        });
-    u8::try_from(index).expect("a model has at most 256 distinct transition probabilities")
+/// The model's row arrays while the merge appends to them, state by state.
+/// Each layer reserves its room once, exactly, before its merge: arrays
+/// that doubled as they filled would leave their old buffers on the heap.
+struct RowsBuilder {
+    state_offsets: Vec<u32>,
+    row_shapes: Vec<u8>,
+    shapes: Shapes,
+    succs: Vec<u32>,
+}
+
+impl RowsBuilder {
+    /// Makes room for the rows of `states` states in all, plus `edges` more
+    /// transitions.
+    fn reserve_exact(&mut self, states: usize, edges: usize, num_choices: usize) {
+        self.state_offsets
+            .reserve_exact(states + 1 - self.state_offsets.len());
+        self.row_shapes
+            .reserve_exact(states * num_choices - self.row_shapes.len());
+        self.succs.reserve_exact(edges);
+    }
+
+    /// Stores empty rows for every state below `state` that has none yet:
+    /// the targets and budget-capped discoveries, which are not expanded.
+    fn pad_to(&mut self, state: usize, num_choices: usize) {
+        let end = *self.state_offsets.last().expect("offsets start at 0");
+        self.state_offsets.resize(state + 1, end);
+        self.row_shapes.resize(state * num_choices, EMPTY_ROW);
+    }
+
+    /// Closes the rows of the next state, whose transitions now end
+    /// `succs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the model holds more transitions than a `u32` offset
+    /// can address.
+    fn end_state(&mut self) {
+        let offset = u32::try_from(self.succs.len())
+            .expect("a model holds at most u32::MAX (4294967295) transitions");
+        self.state_offsets.push(offset);
+    }
 }
 
 /// Builds the exact MDP of `program` on `topology` for `target`, over the
@@ -531,8 +607,8 @@ fn intern(values: &mut Vec<f64>, prob: f64) -> u8 {
 /// Panics when a product build has more philosophers than its choice
 /// bitmasks support ([`AdversaryClass::max_philosophers`]), when a
 /// k-bounded class has `k = 0`, when a state does not fit the exact
-/// encoding ([`StateCodec`]), or past 256 distinct transition
-/// probabilities.
+/// encoding ([`StateCodec`]), past 256 distinct row shapes, or when the
+/// states or transitions outgrow the model's `u32` numbers and offsets.
 #[must_use]
 pub fn build_mdp<P>(
     topology: &Topology,
@@ -635,12 +711,12 @@ where
         requirements.push(requirement(&initial_bookkeeping, target_flags[0]));
     }
     let mut truncated = false;
-
-    let mut row_offsets: Vec<u32> = vec![0];
-    let mut succs: Vec<u32> = Vec::new();
-    let mut probs: Vec<u8> = Vec::new();
-    let mut prob_values: Vec<f64> = Vec::new();
-    let mut rows_emitted: usize = 0; // states whose row groups are in the CSR
+    let mut rows = RowsBuilder {
+        state_offsets: vec![0],
+        row_shapes: Vec::new(),
+        shapes: Shapes::new(),
+        succs: Vec::new(),
+    };
 
     let mut frontier = Frontier::new();
     if !target_flags[0] {
@@ -655,31 +731,51 @@ where
             .step_by(chunk_len)
             .map(|start| start..(start + chunk_len).min(len))
             .collect();
-        let mut results: Vec<Option<SliceExpansion<B>>> = Vec::new();
-        results.resize_with(slices.len(), || None);
-        if threads <= 1 {
-            results[0] = Some(expand_slice(
-                &shared,
-                &index_of_key,
-                &frontier,
-                slices[0].clone(),
-            ));
+        let (shared, frozen) = (&shared, &index_of_key);
+        let results: Vec<SliceExpansion<B>> = if threads <= 1 {
+            vec![expand_slice(shared, frozen, &frontier, 0..len)]
         } else {
-            let (shared, frozen, frontier) = (&shared, &index_of_key, &frontier);
+            let frontier = &frontier;
             std::thread::scope(|scope| {
-                for (slice, slot) in slices.iter().zip(results.iter_mut()) {
-                    scope.spawn(move || {
-                        *slot = Some(expand_slice(shared, frozen, frontier, slice.clone()));
-                    });
-                }
-            });
+                let workers: Vec<_> = slices
+                    .into_iter()
+                    .map(|slice| scope.spawn(move || expand_slice(shared, frozen, frontier, slice)))
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|worker| {
+                        worker
+                            .join()
+                            .unwrap_or_else(|e| std::panic::resume_unwind(e))
+                    })
+                    .collect()
+            })
+        };
+
+        // Room for everything the merge may append: the slices' new states
+        // (fewer when two slices found one state, or past the budget) and
+        // their edges, with empty rows up to the last new state.
+        let (mut new_states, mut new_words, mut new_edges) = (0, 0, 0);
+        for result in &results {
+            new_states += result.new_states.len();
+            new_words += result.keys.keys().words();
+            new_edges += result.succs.len();
         }
+        index_of_key.reserve_exact(new_states, new_words);
+        target_flags.reserve_exact(new_states);
+        expanded.reserve_exact(new_states);
+        if B::PRODUCT {
+            requirements.reserve_exact(new_states);
+        }
+        rows.reserve_exact(target_flags.len() + new_states, new_edges, num_choices);
 
         // Deterministic merge: workers in frontier order, new states in
-        // discovery order — identical numbering for every thread count.
+        // discovery order, shapes in first-use order — identical numbering
+        // for every thread count.
         let mut next_frontier = Frontier::new();
         let mut parent_cursor = 0usize;
-        for result in results.into_iter().map(Option::unwrap) {
+        let layer_start = index_of_key.len();
+        for result in results {
             let mut local_to_global: Vec<u32> = Vec::with_capacity(result.new_states.len());
             for (local, new_state) in result.new_states.into_iter().enumerate() {
                 let key = result.keys.key(local as u32);
@@ -710,51 +806,35 @@ where
                 };
                 local_to_global.push(global);
             }
-            // Append this slice's rows, padding empty row groups for the
-            // interleaved states that are not being expanded (targets,
-            // budget-capped discoveries).
-            let parents_in_slice = result.group_lens.len() / num_choices;
+            // Append this slice's rows, after empty rows for the
+            // interleaved states that are not being expanded.
+            let global = |succ: u32| match (succ as usize).checked_sub(layer_start) {
+                None => succ,
+                Some(local) => local_to_global[local],
+            };
+            let mut shape_of: Vec<Option<u8>> = vec![None; result.shapes.0.len()];
             let mut edge_cursor = 0usize;
-            for local_parent in 0..parents_in_slice {
+            for (local_parent, parent_rows) in result.rows.chunks_exact(num_choices).enumerate() {
                 let parent_index = frontier.indices[parent_cursor + local_parent] as usize;
-                while rows_emitted < parent_index {
-                    for _ in 0..num_choices {
-                        row_offsets.push(succs.len() as u32);
-                    }
-                    rows_emitted += 1;
+                rows.pad_to(parent_index, num_choices);
+                let start = edge_cursor;
+                for &local in parent_rows {
+                    let shape = *shape_of[usize::from(local)]
+                        .get_or_insert_with(|| rows.shapes.intern(result.shapes.get(local)));
+                    rows.row_shapes.push(shape);
+                    edge_cursor += result.shapes.get(local).len();
                 }
-                for choice in 0..num_choices {
-                    let len = result.group_lens[local_parent * num_choices + choice] as usize;
-                    for &(prob, succ) in &result.edges[edge_cursor..edge_cursor + len] {
-                        let global = match succ {
-                            SuccRef::Known(idx) => idx,
-                            SuccRef::New(local) => local_to_global[local as usize],
-                        };
-                        succs.push(global);
-                        probs.push(intern(&mut prob_values, prob));
-                    }
-                    edge_cursor += len;
-                    row_offsets.push(succs.len() as u32);
-                }
+                let succs = &result.succs[start..edge_cursor];
+                rows.succs.extend(succs.iter().map(|&succ| global(succ)));
+                rows.end_state();
                 expanded[parent_index] = true;
-                rows_emitted = parent_index + 1;
             }
-            parent_cursor += parents_in_slice;
+            parent_cursor += result.rows.len() / num_choices;
         }
         frontier = next_frontier;
     }
-
-    // Empty row groups for every remaining (target or unexpanded) state.
-    while rows_emitted < target_flags.len() {
-        for _ in 0..num_choices {
-            row_offsets.push(succs.len() as u32);
-        }
-        rows_emitted += 1;
-    }
-    assert!(
-        succs.len() < UNEXPLORED as usize,
-        "transition count overflows the CSR index type"
-    );
+    // Empty rows for every remaining (target or unexpanded) state.
+    rows.pad_to(target_flags.len(), num_choices);
 
     Mdp {
         num_states: target_flags.len(),
@@ -767,18 +847,19 @@ where
         target_kind: target,
         class: options.class,
         automorphisms,
-        index_of_key,
         fairness_requirement: B::PRODUCT.then_some(requirements),
-        row_offsets,
-        succs,
-        probs,
-        prob_values,
+        keys: index_of_key.into_keys(),
+        state_offsets: rows.state_offsets,
+        row_shapes: rows.row_shapes,
+        shapes: rows.shapes,
+        succs: rows.succs,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::KeyIndex;
     use gdp_algorithms::{AlgorithmKind, AnyProgram, Gdp1, Lr1};
     use gdp_sim::ForkCell;
     use gdp_topology::builders::classic_ring;
@@ -852,11 +933,64 @@ mod tests {
                 assert_eq!(serial.target, parallel.target);
                 assert_eq!(serial.expanded, parallel.expanded);
                 assert_eq!(serial.fairness_requirement, parallel.fairness_requirement);
-                assert_eq!(serial.row_offsets, parallel.row_offsets);
+                assert_eq!(serial.keys, parallel.keys);
+                assert_eq!(serial.state_offsets, parallel.state_offsets);
                 assert_eq!(serial.succs, parallel.succs);
-                assert_eq!(serial.probs, parallel.probs, "{class:?}, {threads} threads");
-                assert_eq!(serial.prob_values, parallel.prob_values);
+                let context = format!("{class:?}, {threads} threads");
+                assert_eq!(serial.row_shapes, parallel.row_shapes, "{context}");
+                assert_eq!(serial.shapes, parallel.shapes, "{context}");
             }
+        }
+    }
+
+    /// Every row of an unreduced all-fair build is the engine's own step
+    /// enumeration from the state its key decodes to: successors in draw
+    /// order (`UNEXPLORED` past the budget), probabilities bit for bit.
+    /// Target and unexpanded rows are empty.
+    #[test]
+    fn rows_replay_the_engine_outcome_for_outcome() {
+        let ring = classic_ring(3).unwrap();
+        let lockout = CheckTarget::PhilosopherEats(PhilosopherId::new(0));
+        for (kind, target, budget) in [
+            (AlgorithmKind::Gdp1, CheckTarget::Progress, 200_000),
+            (AlgorithmKind::Lr1, lockout, 200_000),
+            (AlgorithmKind::Gdp2, lockout, 2_000),
+        ] {
+            let program = kind.program();
+            let options = options(false).with_max_states(budget);
+            let mdp = build_mdp(&ring, &program, target, &options);
+            assert_eq!(mdp.truncated, budget == 2_000, "{kind}");
+            let codec = StateCodec::new(&ring, &program);
+            let index = KeyIndex::of(mdp.keys());
+            let mut engine = Engine::new(ring.clone(), program, SimConfig::default());
+            let (mut state, mut post_state) = (engine.snapshot(), engine.snapshot());
+            let (mut key, mut unexplored) = (Vec::new(), 0);
+            for s in 0..mdp.num_states as u32 {
+                let stored = |c| {
+                    mdp.outcomes(s, c)
+                        .map(|(succ, p)| (succ, p.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                if mdp.target[s as usize] || !mdp.expanded[s as usize] {
+                    assert!((0..mdp.num_choices).all(|c| stored(c).is_empty()));
+                    continue;
+                }
+                state.decode_from(&codec, mdp.keys().get(s as usize));
+                for c in 0..mdp.num_choices {
+                    let mut expected = Vec::new();
+                    let p = PhilosopherId::new(c as u32);
+                    engine.for_each_step_outcome_from(&state, p, |prob, post, _| {
+                        post.snapshot_into(&mut post_state);
+                        key.clear();
+                        post_state.encode(&codec, &mdp.automorphisms, &mut key);
+                        let succ = index.get(mdp.keys(), &key).unwrap_or(UNEXPLORED);
+                        unexplored += usize::from(succ == UNEXPLORED);
+                        expected.push((succ, prob.to_bits()));
+                    });
+                    assert_eq!(stored(c), expected, "{kind} state {s} choice {c}");
+                }
+            }
+            assert_eq!(unexplored > 0, mdp.truncated, "{kind}");
         }
     }
 
@@ -1003,7 +1137,7 @@ mod tests {
                 (Vec::new(), Vec::new(), Vec::new(), Vec::new());
             let mut longest_seen = 0;
             for index in 0..mdp.num_states as u32 {
-                let key = mdp.index_of_key.key(index);
+                let key = mdp.keys().get(index as usize);
                 let words = &key[..key.len() - bookkeeping];
                 longest_seen = longest_seen.max(words.len());
                 // A key decodes to a state that encodes back to the key.
@@ -1066,6 +1200,6 @@ mod tests {
         let ring5 = classic_ring(5).unwrap();
         let options = BuildOptions::default().with_max_states(2_000);
         let mdp = build_mdp(&ring5, &Gdp1::new(), CheckTarget::Progress, &options);
-        assert!((0..mdp.num_states as u32).all(|i| mdp.index_of_key.key(i).len() == 1));
+        assert!((0..mdp.num_states).all(|i| mdp.keys().get(i).len() == 1));
     }
 }

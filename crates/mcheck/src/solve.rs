@@ -121,25 +121,46 @@ impl Solution {
     }
 }
 
-/// Iterative Tarjan SCC over the sub-graph spanned by the enabled choices.
-/// Returns `component[s]` (`u32::MAX` for states outside the sub-graph).
-fn strongly_connected_components(
-    mdp: &Mdp,
-    live: &[bool],
-    choice_enabled: &[bool],
-) -> (Vec<u32>, u32) {
-    const UNSEEN: u32 = u32::MAX;
+/// A fixed-length set of bits.
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn new(len: usize) -> Self {
+        Bits(vec![0; len.div_ceil(64)])
+    }
+
+    fn get(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn clear(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+}
+
+/// Marks a state the SCC search has not reached.
+const UNSEEN: u32 = u32::MAX;
+
+/// Iterative Tarjan SCC over the sub-graph of the `live` states and their
+/// `enabled` rows.  Returns `component[s]` (`UNSEEN` for states outside the
+/// sub-graph) and the number of components.  A state's DFS index is read
+/// only while the state is on the stack, so the array holding it takes the
+/// state's component number when its component closes.
+fn strongly_connected_components(mdp: &Mdp, live: &Bits, enabled: &Bits) -> (Vec<u32>, u32) {
     let n_states = mdp.num_states;
     let n_choices = mdp.num_choices;
     let mut index = vec![UNSEEN; n_states];
     let mut lowlink = vec![0u32; n_states];
-    let mut component = vec![UNSEEN; n_states];
-    let mut on_stack = vec![false; n_states];
+    let mut on_stack = Bits::new(n_states);
     let mut stack: Vec<u32> = Vec::new();
     let mut next_index = 0u32;
     let mut next_component = 0u32;
 
-    // Explicit DFS frames: (state, current choice, current outcome offset).
+    // Explicit DFS frames: (state, position in its enabled successors).
     enum Frame {
         Enter(u32),
         Resume(u32, u32),
@@ -147,7 +168,7 @@ fn strongly_connected_components(
     let mut work: Vec<Frame> = Vec::new();
 
     for root in 0..n_states as u32 {
-        if !live[root as usize] || index[root as usize] != UNSEEN {
+        if !live.get(root as usize) || index[root as usize] != UNSEEN {
             continue;
         }
         work.push(Frame::Enter(root));
@@ -158,24 +179,24 @@ fn strongly_connected_components(
                     lowlink[s as usize] = next_index;
                     next_index += 1;
                     stack.push(s);
-                    on_stack[s as usize] = true;
+                    on_stack.set(s as usize);
                     work.push(Frame::Resume(s, 0));
                 }
                 Frame::Resume(s, mut edge) => {
-                    // Iterate the flattened enabled successor list from
-                    // offset `edge`.
+                    // Scan the enabled rows' successors from position
+                    // `edge`, skipping whole rows before it.
                     let mut descended = false;
                     let mut seen = 0u32;
-                    'scan: for c in 0..n_choices {
-                        if !choice_enabled[s as usize * n_choices + c] {
+                    'scan: for (c, (succs, _)) in mdp.rows(s).enumerate() {
+                        if !enabled.get(s as usize * n_choices + c) {
                             continue;
                         }
-                        for (succ, _) in mdp.outcomes(s, c) {
-                            if seen < edge {
-                                seen += 1;
-                                continue;
-                            }
-                            seen += 1;
+                        let len = succs.len() as u32;
+                        if seen + len <= edge {
+                            seen += len;
+                            continue;
+                        }
+                        for &succ in &succs[(edge - seen) as usize..] {
                             edge += 1;
                             let t = succ as usize;
                             if index[t] == UNSEEN {
@@ -184,10 +205,11 @@ fn strongly_connected_components(
                                 descended = true;
                                 break 'scan;
                             }
-                            if on_stack[t] {
+                            if on_stack.get(t) {
                                 lowlink[s as usize] = lowlink[s as usize].min(index[t]);
                             }
                         }
+                        seen += len;
                     }
                     if descended {
                         continue;
@@ -195,8 +217,8 @@ fn strongly_connected_components(
                     if lowlink[s as usize] == index[s as usize] {
                         loop {
                             let t = stack.pop().expect("tarjan stack underflow");
-                            on_stack[t as usize] = false;
-                            component[t as usize] = next_component;
+                            on_stack.clear(t as usize);
+                            index[t as usize] = next_component;
                             if t == s {
                                 break;
                             }
@@ -212,7 +234,7 @@ fn strongly_connected_components(
             }
         }
     }
-    (component, next_component)
+    (index, next_component)
 }
 
 /// The fair-core analysis: maximal end components of the non-target
@@ -234,25 +256,28 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
     let n_choices = mdp.num_choices;
 
     // Live fragment: expanded non-target states.
-    let mut live: Vec<bool> = (0..n_states)
-        .map(|s| mdp.expanded[s] && !mdp.target[s])
-        .collect();
+    let mut live = Bits::new(n_states);
+    for s in 0..n_states {
+        if mdp.expanded[s] && !mdp.target[s] {
+            live.set(s);
+        }
+    }
     // A choice is enabled while it has at least one outcome and all its
     // outcomes stay in the live fragment.  (Restricted models disallow some
     // choices by giving them empty rows; an empty row is never enabled —
     // no play can take it.)
-    let mut enabled = vec![false; n_states * n_choices];
+    let mut enabled = Bits::new(n_states * n_choices);
     for s in 0..n_states {
-        if !live[s] {
+        if !live.get(s) {
             continue;
         }
-        for c in 0..n_choices {
-            let mut any = false;
-            let all_live = mdp.outcomes(s as u32, c).all(|(succ, _)| {
-                any = true;
-                succ != UNEXPLORED && live.get(succ as usize).copied().unwrap_or(false)
-            });
-            enabled[s * n_choices + c] = any && all_live;
+        for (c, (succs, _)) in mdp.rows(s as u32).enumerate() {
+            let all_live = succs
+                .iter()
+                .all(|&succ| succ != UNEXPLORED && live.get(succ as usize));
+            if !succs.is_empty() && all_live {
+                enabled.set(s * n_choices + c);
+            }
         }
     }
 
@@ -263,24 +288,27 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
         let (component, _) = strongly_connected_components(mdp, &live, &enabled);
         let mut changed = false;
         for s in 0..n_states {
-            if !live[s] {
+            if !live.get(s) {
                 continue;
             }
-            for c in 0..n_choices {
+            let mut any_enabled = false;
+            for (c, (succs, _)) in mdp.rows(s as u32).enumerate() {
                 let row = s * n_choices + c;
-                if !enabled[row] {
+                if !enabled.get(row) {
                     continue;
                 }
-                let leaves = mdp
-                    .outcomes(s as u32, c)
-                    .any(|(succ, _)| component[succ as usize] != component[s]);
-                if leaves {
-                    enabled[row] = false;
+                if succs
+                    .iter()
+                    .any(|&succ| component[succ as usize] != component[s])
+                {
+                    enabled.clear(row);
                     changed = true;
+                } else {
+                    any_enabled = true;
                 }
             }
-            if (0..n_choices).all(|c| !enabled[s * n_choices + c]) {
-                live[s] = false;
+            if !any_enabled {
+                live.clear(s);
                 changed = true;
             }
         }
@@ -289,17 +317,13 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
         }
         // A state that died invalidates choices pointing at it.
         for s in 0..n_states {
-            if !live[s] {
+            if !live.get(s) {
                 continue;
             }
-            for c in 0..n_choices {
+            for (c, (succs, _)) in mdp.rows(s as u32).enumerate() {
                 let row = s * n_choices + c;
-                if enabled[row]
-                    && mdp
-                        .outcomes(s as u32, c)
-                        .any(|(succ, _)| !live[succ as usize])
-                {
-                    enabled[row] = false;
+                if enabled.get(row) && succs.iter().any(|&succ| !live.get(succ as usize)) {
+                    enabled.clear(row);
                 }
             }
         }
@@ -326,7 +350,7 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
         Some(_) => vec![0u64; num_components as usize * words],
     };
     for s in 0..n_states {
-        if !live[s] {
+        if !live.get(s) {
             continue;
         }
         let base = component[s] as usize * words;
@@ -334,7 +358,7 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
             required[base] |= masks[s];
         }
         for c in 0..n_choices {
-            if enabled[s * n_choices + c] {
+            if enabled.get(s * n_choices + c) {
                 covered[base + c / 64] |= 1 << (c % 64);
             }
         }
@@ -344,7 +368,7 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
     let mut conservative = vec![false; n_states];
     let mut genuine_states = 0usize;
     for s in 0..n_states {
-        let fair = live[s] && {
+        let fair = live.get(s) && {
             let base = component[s] as usize * words;
             let span = base..base + words;
             covered[span.clone()]
@@ -374,7 +398,6 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
 /// core.
 fn sure_attractor(mdp: &Mdp, core: &[bool]) -> Vec<bool> {
     let n_states = mdp.num_states;
-    let n_choices = mdp.num_choices;
     let mut inside: Vec<bool> = core.to_vec();
     // Simple round-based saturation: the attractor of these models is
     // shallow (bounded by the BFS diameter).
@@ -384,17 +407,15 @@ fn sure_attractor(mdp: &Mdp, core: &[bool]) -> Vec<bool> {
             if inside[s] || mdp.target[s] || !mdp.expanded[s] {
                 continue;
             }
-            for c in 0..n_choices {
-                let mut any = false;
-                let all_in = mdp.outcomes(s as u32, c).all(|(succ, _)| {
-                    any = true;
-                    succ != UNEXPLORED && inside[succ as usize]
-                });
-                if any && all_in {
-                    inside[s] = true;
-                    changed = true;
-                    break;
-                }
+            let surely_in = mdp.rows(s as u32).any(|(succs, _)| {
+                !succs.is_empty()
+                    && succs
+                        .iter()
+                        .all(|&succ| succ != UNEXPLORED && inside[succ as usize])
+            });
+            if surely_in {
+                inside[s] = true;
+                changed = true;
             }
         }
         if !changed {
@@ -410,7 +431,6 @@ fn sure_attractor(mdp: &Mdp, core: &[bool]) -> Vec<bool> {
 #[must_use]
 pub fn solve(mdp: &Mdp, options: &SolveOptions) -> Solution {
     let n_states = mdp.num_states;
-    let n_choices = mdp.num_choices;
     let cores = fair_cores(mdp);
 
     if cores.genuine_states == 0 && !mdp.truncated {
@@ -466,9 +486,9 @@ pub fn solve(mdp: &Mdp, options: &SolveOptions) -> Solution {
                 continue;
             }
             let mut best = f64::NEG_INFINITY;
-            for c in 0..n_choices {
+            for (succs, probs) in mdp.rows(s as u32) {
                 let mut value = 0.0;
-                for (succ, p) in mdp.outcomes(s as u32, c) {
+                for (&succ, &p) in succs.iter().zip(probs) {
                     // UNEXPLORED is adversary-friendly (truncated models
                     // only report lower bounds on the target probability).
                     value += p * if succ == UNEXPLORED {
@@ -529,9 +549,9 @@ fn uniform_expected_steps(mdp: &Mdp) -> (f64, u64) {
                 continue;
             }
             let mut value = 1.0;
-            for c in 0..n_choices {
+            for (succs, probs) in mdp.rows(s as u32) {
                 let mut choice_value = 0.0;
-                for (succ, p) in mdp.outcomes(s as u32, c) {
+                for (&succ, &p) in succs.iter().zip(probs) {
                     choice_value += p * values[succ as usize];
                 }
                 value += uniform * choice_value;

@@ -25,6 +25,7 @@
 
 use crate::model::{is_target, CheckTarget, Mdp};
 use crate::solve::Solution;
+use crate::table::KeyIndex;
 use gdp_sim::{Engine, Phase, Program, SimConfig, StateCodec};
 use gdp_topology::{Automorphism, PhilosopherId, Topology};
 use std::collections::HashMap;
@@ -86,6 +87,7 @@ pub fn extract_counterexample<P: Program + Clone>(
     }
     let n = topology.num_philosophers();
     let codec = StateCodec::new(topology, program);
+    let index = KeyIndex::of(mdp.keys());
     let mut scratch = Vec::new();
     'seeds: for &seed in seeds {
         let mut engine = Engine::new(
@@ -124,9 +126,8 @@ pub fn extract_counterexample<P: Program + Clone>(
                     |_, post, _| {
                         post.snapshot_into(&mut succ_buf);
                         let succ_key = mdp.canonical_key(&codec, &succ_buf, &mut scratch);
-                        let value = mdp
-                            .index_of_key
-                            .get(succ_key)
+                        let value = index
+                            .get(mdp.keys(), succ_key)
                             .map_or(0.0, |i| solution.avoid_value[i as usize]);
                         worth = worth.min(value);
                     },

@@ -1,21 +1,21 @@
 //! Exact state storage: packed state keys back to back in one arena, and
-//! the dedup table over them.
+//! the dedup index over them.
 //!
 //! A key is a state's exact encoding ([`gdp_sim::EngineState::encode`]),
 //! plus scheduler bookkeeping words in product builds — a run of `u64`
-//! words.  The table stores every key whole and compares keys word for
-//! word; the hash ([`fingerprint64`] of the words) only says where to look,
-//! so no digest decides state identity.
+//! words.  The index compares keys whole, word for word; the hash
+//! ([`fingerprint64`] of the words) only says where to look, so no digest
+//! decides state identity.
 
 use gdp_sim::fingerprint64;
 
 /// Runs of words stored back to back in one arena: the checker's frontier
-/// and the key store of a [`KeyTable`].
+/// and its state keys.
 ///
 /// While every run has one length, a run is found by its index alone;
 /// per-run offsets are kept only once lengths differ (a request-list or
 /// guest-book tail), so fixed-length keys cost no more than their words.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Packed {
     words: Vec<u64>,
     len: usize,
@@ -38,6 +38,19 @@ impl Packed {
     /// Number of runs.
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// Number of words in all runs.
+    pub(crate) fn words(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Makes room for `runs` more runs of `words` words in all, exactly.
+    pub(crate) fn reserve_exact(&mut self, runs: usize, words: usize) {
+        self.words.reserve_exact(words);
+        if self.stride.is_none() {
+            self.starts.reserve_exact(runs);
+        }
     }
 
     /// Run `i`.
@@ -73,57 +86,93 @@ fn offset(words: usize) -> u32 {
 /// Marks an empty slot.
 const EMPTY: u32 = u32::MAX;
 
-/// An exact dedup table of state keys, numbered in insertion order.
-///
-/// Keys live whole in one arena; open-addressing `u32` slots (linear
-/// probing, at most half full) hold key numbers.  Two keys share a number
-/// exactly when their words are equal.
+/// An exact index over the runs of one [`Packed`] arena: open-addressing
+/// `u32` slots (linear probing, at most half full) holding run numbers.
+/// Two runs share a number exactly when their words are equal.
 #[derive(Clone, Debug)]
-pub struct KeyTable {
-    keys: Packed,
+pub(crate) struct KeyIndex {
     slots: Vec<u32>,
+}
+
+impl KeyIndex {
+    /// The index of every run of `keys`, which must be distinct, built in
+    /// one pass.
+    pub(crate) fn of(keys: &Packed) -> Self {
+        let mut slots = vec![EMPTY; (2 * keys.len()).next_power_of_two().max(16)];
+        let mask = slots.len() - 1;
+        for index in 0..keys.len() {
+            let mut slot = fingerprint64(keys.get(index)) as usize & mask;
+            while slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            slots[slot] = index as u32;
+        }
+        KeyIndex { slots }
+    }
+
+    /// The number of `key` in `keys`, the arena this index was built over.
+    pub(crate) fn get(&self, keys: &Packed, key: &[u64]) -> Option<u32> {
+        self.probe(keys, key).ok()
+    }
+
+    /// `Ok(number)` of `key`, or `Err(slot)`: the empty slot it would take.
+    fn probe(&self, keys: &Packed, key: &[u64]) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = fingerprint64(key) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(slot),
+                index if keys.get(index as usize) == key => return Ok(index),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+}
+
+/// An exact dedup table of state keys, numbered in insertion order: the
+/// key arena and its index.
+#[derive(Clone, Debug)]
+pub(crate) struct KeyTable {
+    keys: Packed,
+    index: KeyIndex,
 }
 
 impl KeyTable {
     pub(crate) fn new() -> Self {
-        KeyTable {
-            keys: Packed::new(),
-            slots: vec![EMPTY; 16],
-        }
+        let keys = Packed::new();
+        let index = KeyIndex::of(&keys);
+        KeyTable { keys, index }
     }
 
     /// Number of keys.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.keys.len()
     }
 
-    /// Whether the table holds no key.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The key numbered `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is not below [`len`](Self::len).
-    #[must_use]
-    pub fn key(&self, index: u32) -> &[u64] {
+    pub(crate) fn key(&self, index: u32) -> &[u64] {
         self.keys.get(index as usize)
     }
 
+    /// The key arena.
+    pub(crate) fn keys(&self) -> &Packed {
+        &self.keys
+    }
+
+    /// Makes room for `keys` more keys of `words` words in all, exactly.
+    pub(crate) fn reserve_exact(&mut self, keys: usize, words: usize) {
+        self.keys.reserve_exact(keys, words);
+    }
+
     /// The number of `key`, if the table holds it.
-    #[must_use]
-    pub fn get(&self, key: &[u64]) -> Option<u32> {
-        self.probe(key).ok()
+    pub(crate) fn get(&self, key: &[u64]) -> Option<u32> {
+        self.index.get(&self.keys, key)
     }
 
     /// The number of `key`, inserting it as the next number when absent;
     /// the flag tells whether it was inserted.
     pub(crate) fn insert(&mut self, key: &[u64]) -> (u32, bool) {
-        match self.probe(key) {
+        match self.index.probe(&self.keys, key) {
             Ok(index) => (index, false),
             Err(slot) => {
                 let index = u32::try_from(self.len())
@@ -131,39 +180,18 @@ impl KeyTable {
                     .filter(|&index| index != EMPTY)
                     .expect("state numbers exceed the u32 range");
                 self.keys.push(key);
-                self.slots[slot] = index;
-                if 2 * self.len() > self.slots.len() {
-                    self.grow();
+                self.index.slots[slot] = index;
+                if 2 * self.len() > self.index.slots.len() {
+                    self.index = KeyIndex::of(&self.keys);
                 }
                 (index, true)
             }
         }
     }
 
-    /// `Ok(number)` of `key`, or `Err(slot)`: the empty slot it would take.
-    fn probe(&self, key: &[u64]) -> Result<u32, usize> {
-        let mask = self.slots.len() - 1;
-        let mut slot = fingerprint64(key) as usize & mask;
-        loop {
-            match self.slots[slot] {
-                EMPTY => return Err(slot),
-                index if self.key(index) == key => return Ok(index),
-                _ => slot = (slot + 1) & mask,
-            }
-        }
-    }
-
-    fn grow(&mut self) {
-        let mut slots = vec![EMPTY; 2 * self.slots.len()];
-        let mask = slots.len() - 1;
-        for index in 0..self.len() as u32 {
-            let mut slot = fingerprint64(self.key(index)) as usize & mask;
-            while slots[slot] != EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            slots[slot] = index;
-        }
-        self.slots = slots;
+    /// The keys in number order, without the index.
+    pub(crate) fn into_keys(self) -> Packed {
+        self.keys
     }
 }
 
@@ -195,5 +223,13 @@ mod tests {
         assert_eq!(table.get(&keys[998][..1]), None);
         assert_eq!(table.get(&[keys[0][0], 0]), None);
         assert_eq!(table.get(&[]), None);
+
+        // An index built over the arena afterwards numbers it the same way.
+        let arena = table.into_keys();
+        let index = KeyIndex::of(&arena);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(index.get(&arena, key), Some(i as u32));
+        }
+        assert_eq!(index.get(&arena, &keys[998][..1]), None);
     }
 }

@@ -23,8 +23,8 @@ fn stderr(output: &Output) -> String {
 
 /// The acceptance gate of the mcheck subsystem: `gdp check` on GDP1 over
 /// the classic 5-ring emits a byte-reproducible certificate reporting a
-/// worst-case progress probability of exactly 1, identical for every
-/// `--threads` value.
+/// worst-case progress probability of exactly 1 over its pinned state
+/// space, identical for every `--threads` value.
 #[test]
 fn check_gdp1_ring5_certificate_is_byte_reproducible_across_threads() {
     let serial = gdp(&[
@@ -47,6 +47,12 @@ fn check_gdp1_ring5_certificate_is_byte_reproducible_across_threads() {
     assert!(text.contains("worst-case P[progress]:  1 (exact"), "{text}");
     assert!(text.contains("verdict:           certified"), "{text}");
     assert!(text.contains("truncated:         false"), "{text}");
+    assert!(
+        text.contains(
+            "state space:       4012473 canonical states, 12025250 transitions (symmetry group 5)"
+        ),
+        "{text}"
+    );
 
     let threaded = gdp(&[
         "check",
