@@ -11,9 +11,10 @@
 //!   which *every* philosopher completes at least one meal, plus the
 //!   per-philosopher starvation counts.
 //!
-//! The estimators are generic in the program and the adversary, so the same
-//! harness measures LR1/LR2 under the paper's defeating schedulers and
-//! GDP1/GDP2 under every scheduler (experiments E2–E6, E9).
+//! Both are read off **one** batch by [`estimate_liveness`], which is
+//! generic in the program and the adversary, so the same harness measures
+//! LR1/LR2 under the paper's defeating schedulers and GDP1/GDP2 under every
+//! scheduler (experiments E2–E6, E9).
 //!
 //! ## Parallelism and determinism
 //!
@@ -28,7 +29,7 @@
 //! regardless of the thread count (test-enforced below).
 
 use crate::stats;
-use gdp_sim::{Adversary, Engine, Program, SimConfig, StopCondition};
+use gdp_sim::{jain_index, Adversary, Engine, Program, SimConfig, StopCondition};
 use gdp_topology::Topology;
 
 /// Configuration of a batch of independent trials.
@@ -137,8 +138,6 @@ pub struct ProgressEstimate {
     pub progressed: u64,
     /// `progressed / trials`.
     pub progress_fraction: f64,
-    /// 95% Wilson confidence interval for the progress probability.
-    pub confidence: (f64, f64),
     /// Mean first-meal step over the progressing trials.
     pub first_meal_mean: f64,
     /// Median first-meal step over the progressing trials.
@@ -149,7 +148,7 @@ pub struct ProgressEstimate {
     pub first_meal_p95: f64,
     /// 99th-percentile first-meal step over the progressing trials.
     pub first_meal_p99: f64,
-    /// Mean total meals per trial (all trials).
+    /// Mean total meals per trial over the whole step budget (all trials).
     pub meals_mean: f64,
 }
 
@@ -162,8 +161,6 @@ pub struct LockoutEstimate {
     pub all_ate: u64,
     /// `all_ate / trials`.
     pub lockout_free_fraction: f64,
-    /// 95% Wilson confidence interval.
-    pub confidence: (f64, f64),
     /// For each philosopher, the number of trials in which it starved
     /// (completed no meal within the budget).
     pub starvation_per_philosopher: Vec<u64>,
@@ -171,75 +168,6 @@ pub struct LockoutEstimate {
     pub min_meals_mean: f64,
     /// Mean over trials of the Jain index of the meal distribution.
     pub fairness_mean: f64,
-}
-
-/// The fixed-size summary one progress trial reduces to.
-struct ProgressTrial {
-    first_meal: Option<u64>,
-    total_meals: u64,
-}
-
-/// Estimates the progress probability of `program` on `topology` under the
-/// adversaries produced by `make_adversary` (one fresh adversary per trial).
-///
-/// Trials run in parallel per [`TrialConfig::threads`]; the estimate is
-/// bitwise-identical for every thread count.
-pub fn estimate_progress<P, A, F>(
-    topology: &Topology,
-    program: &P,
-    make_adversary: F,
-    config: &TrialConfig,
-) -> ProgressEstimate
-where
-    P: Program + Clone + Sync,
-    A: Adversary,
-    F: Fn(u64) -> A + Sync,
-{
-    let outcomes = collect_trials(config.trials, config.effective_threads(), |trial| {
-        let seed = config.base_seed.wrapping_add(trial);
-        let sim = config.sim.clone().with_seed(seed);
-        let mut engine = Engine::new(topology.clone(), program.clone(), sim);
-        let mut adversary = make_adversary(trial);
-        let outcome = engine.run(
-            &mut adversary,
-            StopCondition::FirstMeal {
-                max_steps: config.max_steps,
-            },
-        );
-        ProgressTrial {
-            first_meal: outcome.first_meal_step,
-            total_meals: outcome.total_meals,
-        }
-    });
-
-    // In-order fold over the per-trial summaries (identical for serial and
-    // parallel batches).
-    let mut progressed = 0u64;
-    let mut first_meals = Vec::new();
-    let mut meals = Vec::with_capacity(outcomes.len());
-    for trial in &outcomes {
-        meals.push(trial.total_meals as f64);
-        if let Some(step) = trial.first_meal {
-            progressed += 1;
-            first_meals.push(step as f64);
-        }
-    }
-    ProgressEstimate {
-        trials: config.trials,
-        progressed,
-        progress_fraction: if config.trials == 0 {
-            0.0
-        } else {
-            progressed as f64 / config.trials as f64
-        },
-        confidence: stats::wilson_interval(progressed, config.trials),
-        first_meal_mean: stats::mean(&first_meals),
-        first_meal_p50: stats::percentile(&first_meals, 50.0),
-        first_meal_p90: stats::percentile(&first_meals, 90.0),
-        first_meal_p95: stats::percentile(&first_meals, 95.0),
-        first_meal_p99: stats::percentile(&first_meals, 99.0),
-        meals_mean: stats::mean(&meals),
-    }
 }
 
 /// Both liveness estimates, derived from **one** batch of trials.
@@ -278,7 +206,7 @@ impl ViolationSummary {
     }
 }
 
-/// The fixed-size summary one combined trial reduces to.
+/// The fixed-size summary one trial reduces to.
 struct LivenessTrial {
     first_meal: Option<u64>,
     total_meals: u64,
@@ -290,18 +218,13 @@ struct LivenessTrial {
     safe: bool,
 }
 
-/// Estimates progress **and** lockout-freedom from a single batch: each
-/// trial runs once for the full step budget, and the progress signature is
-/// read off the recorded first-meal step.
-///
-/// Because trial `i` evolves identically up to its first meal whether or not
-/// the engine stops there, every progress field except `meals_mean` is
-/// bitwise-equal to [`estimate_progress`] on the same configuration
-/// (test-enforced below).  The saving over calling both estimators is the
-/// progress batch — cheap when trials reach a meal quickly, up to a full
-/// extra budget per trial on the no-progress cells adversarial sweeps
-/// exist to study.  The one semantic difference: `progress.meals_mean`
-/// counts meals over the whole window rather than up to the first meal.
+/// Estimates progress **and** lockout-freedom of `program` on `topology`
+/// under the adversaries produced by `make_adversary` (one fresh adversary
+/// per trial) from a single batch: each trial runs once for the full step
+/// budget, and the progress signature is read off the recorded first-meal
+/// step.  Trial `i` evolves identically up to its first meal whether or not
+/// the engine stops there, so the first-meal fields equal those of trials
+/// stopped at their first meal (test-enforced below).
 ///
 /// Trials run in parallel per [`TrialConfig::threads`]; the estimates are
 /// bitwise-identical for every thread count.
@@ -323,11 +246,6 @@ where
         let mut engine = Engine::new(topology.clone(), program.clone(), sim);
         let mut adversary = make_adversary(trial);
         let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(config.max_steps));
-        let meals: Vec<f64> = outcome
-            .meals_per_philosopher
-            .iter()
-            .map(|&m| m as f64)
-            .collect();
         let safe = engine.state_is_safe();
         let stuck = engine.is_stuck();
         LivenessTrial {
@@ -341,7 +259,7 @@ where
                 .copied()
                 .min()
                 .unwrap_or(0),
-            jain: stats::jain_index(&meals),
+            jain: jain_index(&outcome.meals_per_philosopher),
             stuck,
             safe,
         }
@@ -388,7 +306,6 @@ where
             trials: config.trials,
             progressed,
             progress_fraction: fraction(progressed),
-            confidence: stats::wilson_interval(progressed, config.trials),
             first_meal_mean: stats::mean(&first_meals),
             first_meal_p50: stats::percentile(&first_meals, 50.0),
             first_meal_p90: stats::percentile(&first_meals, 90.0),
@@ -400,7 +317,6 @@ where
             trials: config.trials,
             all_ate,
             lockout_free_fraction: fraction(all_ate),
-            confidence: stats::wilson_interval(all_ate, config.trials),
             starvation_per_philosopher: starvation,
             min_meals_mean: stats::mean(&min_meals),
             fairness_mean: stats::mean(&fairness),
@@ -419,15 +335,15 @@ mod tests {
     #[test]
     fn gdp1_progress_probability_is_one_on_the_triangle() {
         let config = TrialConfig::new(20, 50_000).with_base_seed(1);
-        let estimate = estimate_progress(
+        let estimate = estimate_liveness(
             &figure1_triangle(),
             &Gdp1::new(),
             UniformRandomAdversary::new,
             &config,
-        );
+        )
+        .progress;
         assert_eq!(estimate.progressed, estimate.trials);
         assert_eq!(estimate.progress_fraction, 1.0);
-        assert!(estimate.confidence.0 > 0.8);
         assert!(estimate.first_meal_p90 >= estimate.first_meal_p50);
         assert!(estimate.first_meal_p95 >= estimate.first_meal_p90);
         assert!(estimate.first_meal_p99 >= estimate.first_meal_p95);
@@ -454,13 +370,13 @@ mod tests {
     #[test]
     fn lr1_progresses_on_the_ring_under_round_robin() {
         let config = TrialConfig::new(10, 50_000);
-        let estimate = estimate_progress(
+        let estimate = estimate_liveness(
             &classic_ring(6).unwrap(),
             &Lr1::new(),
             |_| RoundRobinAdversary::new(),
             &config,
         );
-        assert_eq!(estimate.progress_fraction, 1.0);
+        assert_eq!(estimate.progress.progress_fraction, 1.0);
     }
 
     #[test]
@@ -472,26 +388,29 @@ mod tests {
             threads: 0,
             sim: SimConfig::default(),
         };
-        let estimate = estimate_progress(
+        let estimate = estimate_liveness(
             &classic_ring(3).unwrap(),
             &Gdp1::new(),
             |_| RoundRobinAdversary::new(),
             &config,
         );
-        assert_eq!(estimate.progress_fraction, 0.0);
-        assert_eq!(estimate.confidence, (0.0, 1.0));
+        assert_eq!(estimate.progress.progress_fraction, 0.0);
+        assert_eq!(estimate.progress.first_meal_mean, 0.0);
+        assert_eq!(estimate.lockout.lockout_free_fraction, 0.0);
+        assert_eq!(estimate.lockout.starvation_per_philosopher, vec![0; 3]);
+        assert_eq!(estimate.violations, ViolationSummary::default());
     }
 
     #[test]
     fn estimates_are_deterministic_given_seeds() {
         let config = TrialConfig::new(5, 20_000).with_base_seed(9);
-        let a = estimate_progress(
+        let a = estimate_liveness(
             &figure1_triangle(),
             &Gdp1::new(),
             UniformRandomAdversary::new,
             &config,
         );
-        let b = estimate_progress(
+        let b = estimate_liveness(
             &figure1_triangle(),
             &Gdp1::new(),
             UniformRandomAdversary::new,
@@ -514,14 +433,14 @@ mod tests {
             let parallel = serial.clone().with_threads(threads);
 
             let lr1_serial =
-                estimate_progress(&topology, &Lr1::new(), UniformRandomAdversary::new, &serial);
-            let lr1_parallel = estimate_progress(
+                estimate_liveness(&topology, &Lr1::new(), UniformRandomAdversary::new, &serial);
+            let lr1_parallel = estimate_liveness(
                 &topology,
                 &Lr1::new(),
                 UniformRandomAdversary::new,
                 &parallel,
             );
-            assert_eq!(lr1_serial, lr1_parallel, "LR1 progress, {threads} threads");
+            assert_eq!(lr1_serial, lr1_parallel, "LR1, {threads} threads");
 
             let gdp1_serial = estimate_liveness(
                 &topology,
@@ -535,16 +454,14 @@ mod tests {
                 UniformRandomAdversary::new,
                 &parallel,
             );
-            assert_eq!(
-                gdp1_serial, gdp1_parallel,
-                "GDP1 lockout, {threads} threads"
-            );
+            assert_eq!(gdp1_serial, gdp1_parallel, "GDP1, {threads} threads");
         }
     }
 
-    /// `estimate_liveness`'s progress half must agree with the separate
-    /// progress estimator on the same configuration — bitwise, except for
-    /// the documented `meals_mean` semantic change.
+    /// The progress half of full-window trials must agree bit for bit with
+    /// trials stopped at their first meal — the separate progress estimator
+    /// `estimate_liveness` replaced, kept here as the oracle — on every
+    /// first-meal field.
     #[test]
     fn combined_liveness_estimate_matches_the_separate_estimators() {
         let topology = classic_ring(5).unwrap();
@@ -554,18 +471,29 @@ mod tests {
             &Gdp1::new(),
             UniformRandomAdversary::new,
             &config,
-        );
-        let progress = estimate_progress(
-            &topology,
-            &Gdp1::new(),
-            UniformRandomAdversary::new,
-            &config,
-        );
-        let mut expected_progress = progress.clone();
-        expected_progress.meals_mean = combined.progress.meals_mean;
-        assert_eq!(combined.progress, expected_progress);
-        // Full-window meal counts dominate stop-at-first-meal counts.
-        assert!(combined.progress.meals_mean >= progress.meals_mean);
+        )
+        .progress;
+        let first_meals: Vec<f64> = (0..config.trials)
+            .filter_map(|trial| {
+                let sim = SimConfig::default().with_seed(config.base_seed + trial);
+                let mut engine = Engine::new(topology.clone(), Gdp1::new(), sim);
+                let stop = StopCondition::FirstMeal {
+                    max_steps: config.max_steps,
+                };
+                let outcome = engine.run(&mut UniformRandomAdversary::new(trial), stop);
+                outcome.first_meal_step.map(|step| step as f64)
+            })
+            .collect();
+        assert_eq!(combined.progressed, first_meals.len() as u64);
+        assert_eq!(combined.first_meal_mean, stats::mean(&first_meals));
+        for (q, value) in [
+            (50.0, combined.first_meal_p50),
+            (90.0, combined.first_meal_p90),
+            (95.0, combined.first_meal_p95),
+            (99.0, combined.first_meal_p99),
+        ] {
+            assert_eq!(value, stats::percentile(&first_meals, q), "p{q}");
+        }
     }
 
     #[test]

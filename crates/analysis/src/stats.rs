@@ -1,4 +1,4 @@
-//! Small numerical helpers shared by the metrics and Monte-Carlo modules.
+//! Small numerical helpers of the Monte-Carlo estimators.
 
 /// Arithmetic mean; 0 for an empty slice.
 #[must_use]
@@ -8,17 +8,6 @@ pub fn mean(values: &[f64]) -> f64 {
     } else {
         values.iter().sum::<f64>() / values.len() as f64
     }
-}
-
-/// Sample standard deviation (n − 1 denominator); 0 for fewer than two values.
-#[must_use]
-pub fn std_dev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    let var = values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / (values.len() - 1) as f64;
-    var.sqrt()
 }
 
 /// The `q`-th percentile (0 ≤ q ≤ 100) using nearest-rank on a sorted copy.
@@ -37,50 +26,15 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Jain's fairness index: `(Σx)² / (n · Σx²)`.  1 means perfectly even,
-/// `1/n` means a single philosopher got everything.  Returns 1 for an empty
-/// or all-zero input (an empty allocation is vacuously fair).
-#[must_use]
-pub fn jain_index(values: &[f64]) -> f64 {
-    let sum: f64 = values.iter().sum();
-    let sum_sq: f64 = values.iter().map(|v| v * v).sum();
-    if values.is_empty() || sum_sq == 0.0 {
-        1.0
-    } else {
-        (sum * sum) / (values.len() as f64 * sum_sq)
-    }
-}
-
-/// Wilson score interval for a binomial proportion at ~95% confidence.
-/// Returns `(low, high)`; for `trials == 0` returns `(0, 1)`.
-#[must_use]
-pub fn wilson_interval(successes: u64, trials: u64) -> (f64, f64) {
-    if trials == 0 {
-        return (0.0, 1.0);
-    }
-    let z = 1.96_f64;
-    let n = trials as f64;
-    let p = successes as f64 / n;
-    let denom = 1.0 + z * z / n;
-    let centre = p + z * z / (2.0 * n);
-    let margin = z * ((p * (1.0 - p) + z * z / (4.0 * n)) / n).sqrt();
-    (
-        ((centre - margin) / denom).max(0.0),
-        ((centre + margin) / denom).min(1.0),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std_dev() {
+    fn mean_of_values() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0, 6.0]), 4.0);
-        assert_eq!(std_dev(&[5.0]), 0.0);
-        let sd = std_dev(&[2.0, 4.0, 6.0]);
-        assert!((sd - 2.0).abs() < 1e-12);
+        assert_eq!(mean(&[5.0]), 5.0);
     }
 
     #[test]
@@ -94,24 +48,14 @@ mod tests {
         assert_eq!(percentile(&[5.0, 1.0, 3.0], 100.0), 5.0);
     }
 
+    /// The estimators score a trial's fairness with `gdp_sim::jain_index`.
     #[test]
     fn jain_index_extremes() {
+        use gdp_sim::jain_index;
         assert_eq!(jain_index(&[]), 1.0);
-        assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
-        assert!((jain_index(&[3.0, 3.0, 3.0]) - 1.0).abs() < 1e-12);
-        let skewed = jain_index(&[10.0, 0.0, 0.0, 0.0]);
+        assert_eq!(jain_index(&[0, 0]), 1.0);
+        assert!((jain_index(&[3, 3, 3]) - 1.0).abs() < 1e-12);
+        let skewed = jain_index(&[10, 0, 0, 0]);
         assert!((skewed - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wilson_interval_behaviour() {
-        assert_eq!(wilson_interval(0, 0), (0.0, 1.0));
-        let (lo, hi) = wilson_interval(50, 100);
-        assert!(lo < 0.5 && hi > 0.5);
-        assert!(lo > 0.39 && hi < 0.61);
-        let (lo, hi) = wilson_interval(100, 100);
-        assert!(lo > 0.95 && (hi - 1.0).abs() < 1e-12);
-        let (lo, _) = wilson_interval(0, 100);
-        assert!(lo.abs() < 1e-12);
     }
 }

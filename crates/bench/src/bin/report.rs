@@ -19,7 +19,7 @@ use gdp_analysis::symmetry::{distinct_probability_lower_bound, empirical_distinc
 use gdp_analysis::TrialConfig;
 use gdp_bench::{print_header, run_and_print, wave_summary, MAX_STEPS, TRIALS};
 use gdp_picalc::{ChannelId, ChoiceRound, Guard};
-use gdp_runtime::run_for_meals;
+use gdp_runtime::{run, RunOptions, StressLoad};
 use gdp_sim::{Adversary, Engine, RunOutcome, SimConfig, StopCondition, UniformRandomAdversary};
 use gdp_topology::builders::{
     classic_ring, complete_conflict, figure1_gallery, figure2_hexagon_with_pendant, figure3_theta,
@@ -324,13 +324,17 @@ fn main() {
         ("figure1-triangle", triangle),
         ("figure3-theta", figure3_theta()),
     ] {
-        let report = run_for_meals(topology, 200, std::hint::spin_loop);
+        let options = RunOptions {
+            load: StressLoad::MealsPerSeat(200),
+            ..RunOptions::default()
+        };
+        let report = run(topology, &options, std::hint::spin_loop);
         println!(
             "{:<18} threads={:<3} meals={:<6} throughput={:>10.0} meals/s  everyone_ate={}",
             name,
             report.philosophers,
             report.total_meals(),
-            report.throughput_meals_per_sec().unwrap_or(0.0),
+            report.throughput_meals_per_sec(),
             report.everyone_ate()
         );
     }

@@ -4,8 +4,7 @@
 //! bucket `i >= 1` counts values in `[2^i, 2^(i+1))`; the top bucket absorbs
 //! everything above `2^31`.  The same bucketing serves step-denominated
 //! simulator latencies and nanosecond runtime latencies, and is exactly the
-//! layout `gdp-runtime`'s wait histogram has always used — the runtime type
-//! is now a thin wrapper over [`AtomicLog2Histogram`].
+//! layout `gdp-runtime`'s wait histogram has always used.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

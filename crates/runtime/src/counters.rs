@@ -1,4 +1,4 @@
-//! Cache-line-padded hot-path statistics and the meal-fairness index.
+//! Cache-line-padded hot-path statistics.
 //!
 //! Every completed meal bumps the eating philosopher's counters.  With a
 //! plain `Vec<AtomicU64>` the counters of up to eight philosophers share one
@@ -76,24 +76,6 @@ impl SeatCounters {
     }
 }
 
-/// Jain's fairness index of a meal distribution:
-/// `(Σx)² / (n · Σx²)`, ranging from `1/n` (one philosopher took
-/// everything) to `1.0` (perfectly even).  The degenerate all-zero
-/// distribution is defined as `1.0` — everyone is *equally* starved, which
-/// is what the index measures.
-#[must_use]
-pub fn jain_fairness_index(meals: &[u64]) -> f64 {
-    if meals.is_empty() {
-        return 1.0;
-    }
-    let sum: u128 = meals.iter().map(|&m| u128::from(m)).sum();
-    if sum == 0 {
-        return 1.0;
-    }
-    let sum_sq: u128 = meals.iter().map(|&m| u128::from(m) * u128::from(m)).sum();
-    (sum as f64) * (sum as f64) / (meals.len() as f64 * sum_sq as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,14 +115,17 @@ mod tests {
         assert_eq!(c.first_wait_nanos(), Some(0));
     }
 
+    /// The runtime's fairness figure is `gdp_sim::jain_index` of these
+    /// counters' meal counts.
     #[test]
     fn jain_index_ranges_and_edge_cases() {
-        assert_eq!(jain_fairness_index(&[]), 1.0);
-        assert_eq!(jain_fairness_index(&[0, 0, 0]), 1.0);
-        assert_eq!(jain_fairness_index(&[7, 7, 7, 7]), 1.0);
-        let skewed = jain_fairness_index(&[10, 0, 0, 0]);
+        use gdp_sim::jain_index;
+        assert_eq!(jain_index(&[]), 1.0);
+        assert_eq!(jain_index(&[0, 0, 0]), 1.0);
+        assert_eq!(jain_index(&[7, 7, 7, 7]), 1.0);
+        let skewed = jain_index(&[10, 0, 0, 0]);
         assert!((skewed - 0.25).abs() < 1e-12, "got {skewed}");
-        let mild = jain_fairness_index(&[3, 4, 5]);
+        let mild = jain_index(&[3, 4, 5]);
         assert!(mild > 0.9 && mild < 1.0);
     }
 }

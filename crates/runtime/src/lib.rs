@@ -54,14 +54,15 @@
 //!
 //! ```
 //! use gdp_algorithms::AlgorithmKind;
-//! use gdp_runtime::{run_with, RunOptions};
+//! use gdp_runtime::{run, RunOptions, StressLoad};
 //! use gdp_topology::builders::classic_ring;
 //!
-//! let report = run_with(
-//!     classic_ring(5).unwrap(),
-//!     &RunOptions { algorithm: AlgorithmKind::Gdp1, meals_per_seat: 10, ..RunOptions::default() },
-//!     || {},
-//! );
+//! let options = RunOptions {
+//!     algorithm: AlgorithmKind::Gdp1,
+//!     load: StressLoad::MealsPerSeat(10),
+//!     ..RunOptions::default()
+//! };
+//! let report = run(classic_ring(5).unwrap(), &options, || {});
 //! assert!(report.everyone_ate());
 //! ```
 //!
@@ -77,8 +78,8 @@ mod run;
 mod seat;
 mod table;
 
-pub use counters::{jain_fairness_index, SeatCounters};
+pub use counters::SeatCounters;
 pub use fork::SharedFork;
-pub use run::{run_for_duration, run_for_meals, run_with, RunOptions, RunReport, RunTiming};
+pub use run::{run, RunOptions, RunReport, StressLoad};
 pub use seat::Seat;
 pub use table::{DiningTable, TableStats};

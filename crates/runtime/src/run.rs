@@ -1,4 +1,4 @@
-//! Whole-table drivers: spawn one OS thread per (active) philosopher and
+//! Running a whole table: spawn one OS thread per (active) philosopher and
 //! drive every seat to a meal budget or for a wall-clock duration, with an
 //! optional watchdog so even the deliberately broken baselines terminate.
 //!
@@ -14,23 +14,47 @@
 //! derive from [`RunOptions::seed`] alone, so meal-budget crash runs stay
 //! byte-reproducible like every other timing-free artifact.
 
-use crate::counters::jain_fairness_index;
 use crate::seat::Seat;
 use crate::table::DiningTable;
 use gdp_algorithms::AlgorithmKind;
 use gdp_observe::{SharedSink, LOG2_BUCKETS};
+use gdp_sim::jain_index;
 use gdp_topology::{PhilosopherId, Topology};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// Options for [`run_with`] and [`run_for_duration`].
+/// What a run drives every active seat to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StressLoad {
+    /// Every active seat completes exactly this many meals (or the watchdog
+    /// trips).  Deterministic meal counts — the byte-reproducible mode.
+    MealsPerSeat(u64),
+    /// Every active seat dines as often as it can for this many
+    /// milliseconds.  Meal counts measure fairness/throughput under real
+    /// contention and are wall-clock-dependent.
+    DurationMs(u64),
+}
+
+impl StressLoad {
+    /// The canonical spec string (`"meals:50"` / `"duration_ms:200"`).
+    #[must_use]
+    pub fn name(self) -> String {
+        match self {
+            StressLoad::MealsPerSeat(m) => format!("meals:{m}"),
+            StressLoad::DurationMs(ms) => format!("duration_ms:{ms}"),
+        }
+    }
+}
+
+/// Options for [`run`].
 #[derive(Clone)]
 pub struct RunOptions {
     /// The algorithm every seat interprets.
     pub algorithm: AlgorithmKind,
-    /// Meals each active seat must complete ([`run_with`] only).
-    pub meals_per_seat: u64,
+    /// What every active seat is driven to: a meal budget or a wall-clock
+    /// duration.
+    pub load: StressLoad,
     /// How many philosophers get a driving thread: seats `0..active_seats`.
     /// `None`, `Some(0)` and any value `>= n` all drive every philosopher
     /// (0 means "all", matching `gdp stress --threads 0`); anything in
@@ -39,13 +63,15 @@ pub struct RunOptions {
     pub active_seats: Option<usize>,
     /// Whole-run watchdog: once elapsed, threads abandon their current
     /// acquisition attempt and the report sets
-    /// [`RunReport::watchdog_tripped`].  `None` runs unbounded — do **not**
-    /// do that with [`AlgorithmKind::Naive`], which can deadlock.
+    /// [`RunReport::watchdog_tripped`]; in duration mode a watchdog shorter
+    /// than the duration cuts the run the same way.  `None` runs unbounded —
+    /// do **not** do that with [`AlgorithmKind::Naive`] under a meal
+    /// budget, which can deadlock.
     pub watchdog: Option<Duration>,
     /// Seed for the seats' private randomness.
     pub seed: u64,
     /// Crash-stop faults: this many seeded active seats stop mid-protocol
-    /// before finishing their budget, recovering their forks through
+    /// before finishing their load, recovering their forks through
     /// [`Seat::reset_trying`](crate::Seat::reset_trying).  Capped at
     /// `active − 1` (somebody always survives); victims and crash points
     /// derive from [`seed`](Self::seed) alone, so crash runs replay.
@@ -63,7 +89,7 @@ impl fmt::Debug for RunOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RunOptions")
             .field("algorithm", &self.algorithm)
-            .field("meals_per_seat", &self.meals_per_seat)
+            .field("load", &self.load)
             .field("active_seats", &self.active_seats)
             .field("watchdog", &self.watchdog)
             .field("seed", &self.seed)
@@ -77,7 +103,7 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             algorithm: AlgorithmKind::Gdp2,
-            meals_per_seat: 50,
+            load: StressLoad::MealsPerSeat(50),
             active_seats: None,
             watchdog: None,
             seed: 0,
@@ -87,28 +113,12 @@ impl Default for RunOptions {
     }
 }
 
-/// Wall-clock figures of a run.  Kept separate from [`RunReport`] so report
-/// serializers can omit them: with timing excluded, a meal-budget run that
-/// fed everyone is a deterministic artifact (every count is exactly the
-/// budget), byte-reproducible like the sweep reports.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunTiming {
-    /// Wall-clock duration of the whole run.
-    pub elapsed: Duration,
-    /// Total meals per second across the table.
-    pub throughput_meals_per_sec: f64,
-    /// Total time each philosopher spent waiting for forks.
-    pub wait: Vec<Duration>,
-    /// Hungry-to-eating latency of each philosopher's first meal in
-    /// nanoseconds (`None` if the philosopher never started eating) — the
-    /// runtime's wall-clock time-to-first-meal figure.
-    pub first_wait_nanos: Vec<Option<u64>>,
-    /// Table-wide log2 histogram of per-meal wait times in nanoseconds
-    /// (bucket `i` counts waits in `[2^i, 2^(i+1))` ns).
-    pub wait_histogram: [u64; LOG2_BUCKETS],
-}
-
-/// Result of [`run_with`] / [`run_for_meals`] / [`run_for_duration`].
+/// Result of [`run`].  The counts are facts of the run; the nanosecond
+/// fields from [`elapsed_nanos`](Self::elapsed_nanos) on are wall-clock
+/// measurements, which report serializers leave out on request: without
+/// them a meal-budget run that fed everyone is a deterministic artifact
+/// (every count is exactly the budget), byte-reproducible like the sweep
+/// reports.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
     /// The algorithm that was interpreted.
@@ -122,11 +132,21 @@ pub struct RunReport {
     /// Per-philosopher crash flags: `true` for the seats the crash-stop
     /// fault model ([`RunOptions::crash_seats`]) stopped mid-run.
     pub crashed: Vec<bool>,
-    /// Whether any thread hit the watchdog before finishing its budget.
+    /// Whether the watchdog cut the run: a thread hit it before finishing
+    /// its meal budget, or it was shorter than the duration load.
     pub watchdog_tripped: bool,
-    /// Wall-clock figures; `None` when the caller asked for a
-    /// timing-free (byte-reproducible) report.
-    pub timing: Option<RunTiming>,
+    /// Wall-clock nanoseconds of the whole run.
+    pub elapsed_nanos: u64,
+    /// Nanoseconds each philosopher spent waiting for forks, over all its
+    /// meals.
+    pub wait_nanos: Vec<u64>,
+    /// Hungry-to-eating latency of each philosopher's first meal in
+    /// nanoseconds (`None` if the philosopher never started eating) — the
+    /// runtime's wall-clock time-to-first-meal figure.
+    pub first_wait_nanos: Vec<Option<u64>>,
+    /// Table-wide log2 histogram of per-meal wait times in nanoseconds
+    /// (bucket `i` counts waits in `[2^i, 2^(i+1))` ns).
+    pub wait_histogram: [u64; LOG2_BUCKETS],
 }
 
 impl RunReport {
@@ -154,16 +174,21 @@ impl RunReport {
     }
 
     /// Jain's fairness index over the active philosophers' meal counts
-    /// (see [`jain_fairness_index`]).
+    /// (see [`jain_index`]).
     #[must_use]
     pub fn jain_fairness(&self) -> f64 {
-        jain_fairness_index(&self.meals[..self.active_seats])
+        jain_index(&self.meals[..self.active_seats])
     }
 
-    /// Convenience accessor: throughput if timing was recorded.
+    /// Total meals per second across the table (0 for a run too short to
+    /// time).
     #[must_use]
-    pub fn throughput_meals_per_sec(&self) -> Option<f64> {
-        self.timing.as_ref().map(|t| t.throughput_meals_per_sec)
+    pub fn throughput_meals_per_sec(&self) -> f64 {
+        if self.elapsed_nanos == 0 {
+            0.0
+        } else {
+            self.total_meals() as f64 * 1e9 / self.elapsed_nanos as f64
+        }
     }
 }
 
@@ -195,41 +220,19 @@ fn crash_stop(seat: &mut Seat) {
     seat.note_crash();
 }
 
-fn finish_report(
-    table: &DiningTable,
-    active: usize,
-    crashed: Vec<bool>,
-    tripped: bool,
-    elapsed: Duration,
-) -> RunReport {
-    let stats = table.stats();
-    let total = stats.total_meals();
-    RunReport {
-        algorithm: table.algorithm(),
-        philosophers: table.topology().num_philosophers(),
-        active_seats: active,
-        meals: stats.meals().to_vec(),
-        crashed,
-        watchdog_tripped: tripped,
-        timing: Some(RunTiming {
-            elapsed,
-            throughput_meals_per_sec: if elapsed.as_secs_f64() > 0.0 {
-                total as f64 / elapsed.as_secs_f64()
-            } else {
-                0.0
-            },
-            wait: stats.wait_times(),
-            first_wait_nanos: stats.first_wait_nanos().to_vec(),
-            wait_histogram: *stats.wait_histogram(),
-        }),
-    }
-}
-
-/// Spawns one thread for each active philosopher of `topology`; each thread
-/// completes [`RunOptions::meals_per_seat`] meals (each running `critical`)
-/// or gives up at the watchdog.  Uses scoped threads, so `critical` only
-/// needs to be `Sync`.
-pub fn run_with<F>(topology: Topology, options: &RunOptions, critical: F) -> RunReport
+/// Spawns one thread for each active philosopher of `topology` and drives
+/// [`RunOptions::load`], running `critical` inside every meal.
+///
+/// * [`StressLoad::MealsPerSeat`]: each thread completes its meals or
+///   gives up at the watchdog, which reports as tripped.
+/// * [`StressLoad::DurationMs`]: each thread completes as many meals as it
+///   can before the shared deadline; running out of time *is* the stop
+///   condition, and the per-philosopher meal counts are the measurement
+///   (inherently timing-dependent).  A watchdog shorter than the duration
+///   becomes the deadline and reports as tripped.
+///
+/// Uses scoped threads, so `critical` only needs to be `Sync`.
+pub fn run<F>(topology: Topology, options: &RunOptions, critical: F) -> RunReport
 where
     F: Fn() + Sync,
 {
@@ -244,8 +247,19 @@ where
     for (p, share) in plan.iter().enumerate() {
         crashed[p] = share.is_some();
     }
-    let deadline = options.watchdog.map(|w| Instant::now() + w);
-    let tripped = AtomicBool::new(false);
+    // Per seat: a meal budget (unbounded in duration mode) and a deadline
+    // measured from the start (the watchdog in meal mode).
+    let (meals, bound, cut_short) = match options.load {
+        StressLoad::MealsPerSeat(meals) => (Some(meals), options.watchdog, false),
+        StressLoad::DurationMs(ms) => {
+            let duration = Duration::from_millis(ms);
+            match options.watchdog {
+                Some(watchdog) if watchdog < duration => (None, Some(watchdog), true),
+                _ => (None, Some(duration), false),
+            }
+        }
+    };
+    let tripped = AtomicBool::new(cut_short);
     let started = Instant::now();
     let critical_ref = &critical;
     let tripped_ref = &tripped;
@@ -253,93 +267,39 @@ where
         for (p, share) in plan.iter().enumerate() {
             let mut seat = table.seat(PhilosopherId::new(p as u32));
             seat.set_event_sink(options.sink.clone());
-            // Victims complete a seeded share of the budget (at least one
-            // meal), then crash mid-protocol and recover their forks.
-            let budget = match *share {
-                None => options.meals_per_seat,
-                Some(permille) => (options.meals_per_seat * permille / 1000).max(1),
+            // Victims complete a seeded share of their load (of the meals,
+            // at least one, or of the wall clock), then crash mid-protocol
+            // and recover their forks.
+            let (budget, deadline) = match (meals, *share) {
+                (Some(meals), Some(permille)) => {
+                    let share = u128::from(meals) * u128::from(permille) / 1000;
+                    ((share as u64).max(1), bound)
+                }
+                (None, Some(permille)) => {
+                    (u64::MAX, bound.map(|b| b.mul_f64(permille as f64 / 1000.0)))
+                }
+                (meals, None) => (meals.unwrap_or(u64::MAX), bound),
             };
+            // A deadline past the representable future is no deadline.
+            let deadline = deadline.and_then(|d| started.checked_add(d));
             let is_victim = share.is_some();
             scope.spawn(move || {
                 for _ in 0..budget {
-                    match deadline {
+                    let fed = match deadline {
                         None => {
                             seat.dine(critical_ref);
+                            true
                         }
-                        Some(d) => {
-                            if seat.try_dine_until(d, critical_ref).is_none() {
-                                seat.note_watchdog();
-                                tripped_ref.store(true, Ordering::SeqCst);
-                                return;
-                            }
+                        Some(d) => seat.try_dine_until(d, critical_ref).is_some(),
+                    };
+                    if !fed {
+                        // Out of time: a meal budget left unfinished is a
+                        // watchdog trip; a duration run is simply over.
+                        if meals.is_some() {
+                            seat.note_watchdog();
+                            tripped_ref.store(true, Ordering::SeqCst);
+                            return;
                         }
-                    }
-                }
-                if is_victim {
-                    crash_stop(&mut seat);
-                }
-            });
-        }
-    });
-    finish_report(
-        &table,
-        active,
-        crashed,
-        tripped.load(Ordering::SeqCst),
-        started.elapsed(),
-    )
-}
-
-/// Drives every active seat for (at least) `duration` of wall-clock time:
-/// each thread completes as many meals as it can before the shared deadline.
-/// A [`RunOptions::watchdog`] shorter than `duration` cuts the run short
-/// and is reported as tripped — it stays the whole-run bound in this mode
-/// too; otherwise running out of time *is* the stop condition, and the
-/// per-philosopher meal counts are the measurement (inherently
-/// timing-dependent, unlike the meal-budget mode).
-pub fn run_for_duration<F>(
-    topology: Topology,
-    options: &RunOptions,
-    duration: Duration,
-    critical: F,
-) -> RunReport
-where
-    F: Fn() + Sync,
-{
-    let table = DiningTable::new(topology, options.algorithm, options.seed);
-    let n = table.topology().num_philosophers();
-    let active = match options.active_seats {
-        Some(a) if a >= 1 => a.min(n),
-        _ => n,
-    };
-    let plan = crash_plan(options.seed, options.crash_seats, active);
-    let mut crashed = vec![false; n];
-    for (p, share) in plan.iter().enumerate() {
-        crashed[p] = share.is_some();
-    }
-    let tripped = matches!(options.watchdog, Some(w) if w < duration);
-    let bound = if tripped {
-        options.watchdog.expect("tripped implies a watchdog")
-    } else {
-        duration
-    };
-    let started = Instant::now();
-    let deadline = started + bound;
-    let critical_ref = &critical;
-    std::thread::scope(|scope| {
-        for (p, share) in plan.iter().enumerate() {
-            let mut seat = table.seat(PhilosopherId::new(p as u32));
-            seat.set_event_sink(options.sink.clone());
-            // Victims run until a seeded share of the wall clock, then
-            // crash mid-protocol and recover their forks.
-            let my_deadline = match *share {
-                None => deadline,
-                Some(permille) => started + bound.mul_f64(permille as f64 / 1000.0),
-            };
-            let is_victim = share.is_some();
-            scope.spawn(move || {
-                while Instant::now() < my_deadline {
-                    if seat.try_dine_until(my_deadline, critical_ref).is_none() {
                         break;
                     }
                 }
@@ -349,23 +309,20 @@ where
             });
         }
     });
-    finish_report(&table, active, crashed, tripped, started.elapsed())
-}
-
-/// Back-compatible convenience wrapper: GDP2, every seat active, no
-/// watchdog — each thread completes `meals_per_philosopher` meals.
-pub fn run_for_meals<F>(topology: Topology, meals_per_philosopher: u64, critical: F) -> RunReport
-where
-    F: Fn() + Sync,
-{
-    run_with(
-        topology,
-        &RunOptions {
-            meals_per_seat: meals_per_philosopher,
-            ..RunOptions::default()
-        },
-        critical,
-    )
+    let elapsed = started.elapsed();
+    let stats = table.stats();
+    RunReport {
+        algorithm: table.algorithm(),
+        philosophers: n,
+        active_seats: active,
+        meals: stats.meals().to_vec(),
+        crashed,
+        watchdog_tripped: tripped.load(Ordering::SeqCst),
+        elapsed_nanos: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+        wait_nanos: stats.wait_nanos().to_vec(),
+        first_wait_nanos: stats.first_wait_nanos().to_vec(),
+        wait_histogram: *stats.wait_histogram(),
+    }
 }
 
 #[cfg(test)]
@@ -374,9 +331,23 @@ mod tests {
     use gdp_topology::builders::{classic_ring, figure1_triangle};
     use std::sync::atomic::AtomicU64;
 
+    fn meals(meals: u64) -> RunOptions {
+        RunOptions {
+            load: StressLoad::MealsPerSeat(meals),
+            ..RunOptions::default()
+        }
+    }
+
+    fn lasting(ms: u64) -> RunOptions {
+        RunOptions {
+            load: StressLoad::DurationMs(ms),
+            ..RunOptions::default()
+        }
+    }
+
     #[test]
     fn everyone_completes_their_meals_on_the_ring() {
-        let report = run_for_meals(classic_ring(5).unwrap(), 50, || {});
+        let report = run(classic_ring(5).unwrap(), &meals(50), || {});
         assert_eq!(report.philosophers, 5);
         assert_eq!(report.active_seats, 5);
         assert_eq!(report.total_meals(), 250);
@@ -385,13 +356,12 @@ mod tests {
         assert!(report.meals.iter().all(|&m| m == 50));
         assert_eq!(report.jain_fairness(), 1.0);
         assert_eq!(report.algorithm, AlgorithmKind::Gdp2);
-        let timing = report.timing.as_ref().expect("drivers record timing");
-        assert!(timing.throughput_meals_per_sec > 0.0);
-        assert_eq!(timing.wait.len(), 5);
-        assert_eq!(timing.wait_histogram.iter().sum::<u64>(), 250);
+        assert!(report.throughput_meals_per_sec() > 0.0);
+        assert_eq!(report.wait_nanos.len(), 5);
+        assert_eq!(report.wait_histogram.iter().sum::<u64>(), 250);
         // Everyone ate, so everyone has a time-to-first-meal sample.
-        assert_eq!(timing.first_wait_nanos.len(), 5);
-        assert!(timing.first_wait_nanos.iter().all(Option::is_some));
+        assert_eq!(report.first_wait_nanos.len(), 5);
+        assert!(report.first_wait_nanos.iter().all(Option::is_some));
     }
 
     #[test]
@@ -400,12 +370,11 @@ mod tests {
         use std::sync::Arc;
 
         let sink = Arc::new(MemorySink::new());
-        let report = run_with(
+        let report = run(
             classic_ring(4).unwrap(),
             &RunOptions {
-                meals_per_seat: 5,
                 sink: Some(sink.clone()),
-                ..RunOptions::default()
+                ..meals(5)
             },
             || {},
         );
@@ -440,7 +409,7 @@ mod tests {
     #[test]
     fn critical_sections_are_actually_executed() {
         let counter = AtomicU64::new(0);
-        let report = run_for_meals(figure1_triangle(), 20, || {
+        let report = run(figure1_triangle(), &meals(20), || {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(report.total_meals(), 120);
@@ -450,13 +419,12 @@ mod tests {
     #[test]
     fn every_deadlock_free_algorithm_feeds_the_ring_on_real_threads() {
         for algorithm in AlgorithmKind::deadlock_free() {
-            let report = run_with(
+            let report = run(
                 classic_ring(4).unwrap(),
                 &RunOptions {
                     algorithm,
-                    meals_per_seat: 20,
                     watchdog: Some(Duration::from_secs(60)),
-                    ..RunOptions::default()
+                    ..meals(20)
                 },
                 || {},
             );
@@ -468,12 +436,11 @@ mod tests {
 
     #[test]
     fn partial_participation_drives_only_the_requested_seats() {
-        let report = run_with(
+        let report = run(
             classic_ring(6).unwrap(),
             &RunOptions {
-                meals_per_seat: 10,
                 active_seats: Some(2),
-                ..RunOptions::default()
+                ..meals(10)
             },
             || {},
         );
@@ -486,13 +453,12 @@ mod tests {
     #[test]
     fn crash_seats_cut_seeded_victims_short_and_recover_their_forks() {
         let options = RunOptions {
-            meals_per_seat: 10,
             crash_seats: 2,
             watchdog: Some(Duration::from_secs(60)),
             seed: 5,
-            ..RunOptions::default()
+            ..meals(10)
         };
-        let report = run_with(classic_ring(5).unwrap(), &options, || {});
+        let report = run(classic_ring(5).unwrap(), &options, || {});
         assert!(!report.watchdog_tripped);
         assert_eq!(report.crashed_seats(), 2);
         assert!(
@@ -510,17 +476,13 @@ mod tests {
                 assert_eq!(meals, 10, "survivor P{p} finishes its budget");
             }
         }
-        // Every fork is free again: reset_trying released the victims'.
-        let table = DiningTable::for_topology(classic_ring(5).unwrap());
-        drop(table);
-
         // Same seed, same victims, same meal counts: crash runs replay.
-        let again = run_with(classic_ring(5).unwrap(), &options, || {});
+        let again = run(classic_ring(5).unwrap(), &options, || {});
         assert_eq!(report.meals, again.meals);
         assert_eq!(report.crashed, again.crashed);
 
         // A different seed picks (generally) different victims/budgets.
-        let other = run_with(
+        let other = run(
             classic_ring(5).unwrap(),
             &RunOptions { seed: 6, ..options },
             || {},
@@ -540,14 +502,13 @@ mod tests {
 
     #[test]
     fn duration_mode_crashes_victims_at_their_seeded_share() {
-        let report = run_for_duration(
+        let report = run(
             classic_ring(4).unwrap(),
             &RunOptions {
                 crash_seats: 1,
                 seed: 2,
-                ..RunOptions::default()
+                ..lasting(80)
             },
-            Duration::from_millis(80),
             || {},
         );
         assert_eq!(report.crashed_seats(), 1);
@@ -559,17 +520,16 @@ mod tests {
     fn duration_mode_honours_a_shorter_watchdog() {
         // The watchdog stays the whole-run bound in duration mode: shorter
         // than the requested duration, it cuts the run and reports tripped.
-        let report = run_for_duration(
+        let report = run(
             classic_ring(3).unwrap(),
             &RunOptions {
                 watchdog: Some(Duration::from_millis(30)),
-                ..RunOptions::default()
+                ..lasting(600_000)
             },
-            Duration::from_secs(600),
             || {},
         );
         assert!(report.watchdog_tripped);
-        let elapsed = report.timing.as_ref().unwrap().elapsed;
+        let elapsed = Duration::from_nanos(report.elapsed_nanos);
         assert!(
             elapsed < Duration::from_secs(60),
             "the watchdog bounds the run, took {elapsed:?}"
@@ -578,15 +538,10 @@ mod tests {
 
     #[test]
     fn duration_mode_stops_near_the_deadline() {
-        let report = run_for_duration(
-            classic_ring(3).unwrap(),
-            &RunOptions::default(),
-            Duration::from_millis(60),
-            || {},
-        );
+        let report = run(classic_ring(3).unwrap(), &lasting(60), || {});
         assert!(!report.watchdog_tripped);
         assert!(report.total_meals() > 0, "60ms is plenty for some meals");
-        let elapsed = report.timing.as_ref().unwrap().elapsed;
+        let elapsed = Duration::from_nanos(report.elapsed_nanos);
         assert!(
             elapsed < Duration::from_secs(20),
             "the deadline bounds the run, took {elapsed:?}"

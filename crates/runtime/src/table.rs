@@ -1,14 +1,14 @@
 //! The dining table: a conflict topology instantiated with real shared forks
 //! and per-philosopher seats, parameterized by the algorithm the seats run.
 
-use crate::counters::{jain_fairness_index, SeatCounters};
+use crate::counters::SeatCounters;
 use crate::fork::SharedFork;
 use crate::seat::Seat;
 use gdp_algorithms::AlgorithmKind;
 use gdp_observe::{AtomicLog2Histogram, LOG2_BUCKETS};
+use gdp_sim::jain_index;
 use gdp_topology::{ForkId, PhilosopherId, Topology};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Aggregated statistics of a [`DiningTable`].
 #[derive(Debug)]
@@ -32,13 +32,10 @@ impl TableStats {
         self.meals.iter().sum()
     }
 
-    /// Total time spent waiting to acquire forks, per philosopher.
+    /// Total nanoseconds spent waiting to acquire forks, per philosopher.
     #[must_use]
-    pub fn wait_times(&self) -> Vec<Duration> {
-        self.wait_nanos
-            .iter()
-            .map(|&n| Duration::from_nanos(n))
-            .collect()
+    pub fn wait_nanos(&self) -> &[u64] {
+        &self.wait_nanos
     }
 
     /// Hungry-to-eating latency of each philosopher's *first* meal, in
@@ -59,10 +56,10 @@ impl TableStats {
     }
 
     /// Jain's fairness index of the meal distribution (see
-    /// [`jain_fairness_index`]).
+    /// [`jain_index`]).
     #[must_use]
     pub fn jain_fairness(&self) -> f64 {
-        jain_fairness_index(&self.meals)
+        jain_index(&self.meals)
     }
 
     /// Returns the philosophers that have not completed a single meal.
@@ -295,7 +292,7 @@ mod tests {
         let stats = table.stats();
         assert!(stats.starved().is_empty());
         assert!(stats.meals().iter().all(|&m| m == 100));
-        assert_eq!(stats.wait_times().len(), 8);
+        assert_eq!(stats.wait_nanos().len(), 8);
         assert_eq!(stats.jain_fairness(), 1.0);
         // Every completed meal left one sample in the wait histogram.
         assert_eq!(stats.wait_histogram().iter().sum::<u64>(), 800);

@@ -74,6 +74,7 @@ pub use family::{FamilyParseError, TopologyFamily, FAMILY_CATALOG};
 pub use gdp_adversary::{
     AdversaryCatalogEntry, FairnessClass, ParseAdversaryError, ADVERSARY_CATALOG,
 };
+pub use gdp_runtime::StressLoad;
 pub use report::{cell_json, csv_header, SweepReport};
 pub use runner::{
     compute_and_save, compute_cell, lookup_cell, run_sweep, run_sweep_durable, run_sweep_with,
@@ -86,6 +87,5 @@ pub use store::{
     STORE_FORMAT_V2, STORE_VERSION,
 };
 pub use stress::{
-    run_stress, run_stress_observed, stress_csv_header, StressLoad, StressReport, StressSpec,
-    StressTiming,
+    run_stress, run_stress_observed, stress_csv_header, StressReport, StressSpec, StressTiming,
 };

@@ -40,8 +40,9 @@ impl SweepReport {
 
 /// Formats an `f64` for the JSON/CSV artifacts: finite values with six
 /// decimal places (enough to round-trip every rate and mean the estimators
-/// produce from small-integer ratios), `null`/empty-safe otherwise.
-fn num(value: f64) -> String {
+/// produce from small-integer ratios), `null`/empty-safe otherwise.  The
+/// one number formatter of the sweep and stress artifacts.
+pub(crate) fn num(value: f64) -> String {
     if value.is_finite() {
         format!("{value:.6}")
     } else {

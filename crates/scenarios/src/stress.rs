@@ -23,35 +23,13 @@
 //! `docs/RUNTIME.md`.
 
 use crate::family::TopologyFamily;
+use crate::report::num;
 use gdp_algorithms::AlgorithmKind;
 use gdp_observe::LOG2_BUCKETS;
-use gdp_runtime::{run_for_duration, run_with, RunOptions, RunReport};
+use gdp_runtime::{run, RunOptions, StressLoad};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Duration;
-
-/// What a stress run drives the table to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StressLoad {
-    /// Every active seat completes exactly this many meals (or the watchdog
-    /// trips).  Deterministic meal counts — the byte-reproducible mode.
-    MealsPerSeat(u64),
-    /// Every active seat dines as often as it can for this many
-    /// milliseconds.  Meal counts measure fairness/throughput under real
-    /// contention and are wall-clock-dependent.
-    DurationMs(u64),
-}
-
-impl StressLoad {
-    /// The canonical spec string (`"meals:50"` / `"duration_ms:200"`).
-    #[must_use]
-    pub fn name(self) -> String {
-        match self {
-            StressLoad::MealsPerSeat(m) => format!("meals:{m}"),
-            StressLoad::DurationMs(ms) => format!("duration_ms:{ms}"),
-        }
-    }
-}
 
 /// One stress-workload cell: topology family × size × algorithm × threads ×
 /// load.
@@ -197,66 +175,6 @@ impl StressReport {
     }
 }
 
-fn from_run_report(spec: &StressSpec, report: &RunReport, record_timing: bool) -> StressReport {
-    let active = &report.meals[..report.active_seats];
-    let timing = record_timing
-        .then_some(report.timing.as_ref())
-        .flatten()
-        .map(|t| {
-            let total = report.total_meals();
-            let wait_nanos: u128 = t.wait.iter().map(|w| w.as_nanos()).sum();
-            // Time-to-first-meal percentiles over the seats that ate,
-            // through the shared log2-bucket estimator (the runtime face of
-            // the simulator's step-denominated first-meal histogram).
-            let mut first_waits = gdp_observe::Log2Histogram::new();
-            for nanos in t.first_wait_nanos.iter().flatten() {
-                first_waits.record(*nanos);
-            }
-            StressTiming {
-                elapsed_secs: t.elapsed.as_secs_f64(),
-                meals_per_sec: t.throughput_meals_per_sec,
-                mean_wait_micros: if total > 0 {
-                    wait_nanos as f64 / 1_000.0 / total as f64
-                } else {
-                    0.0
-                },
-                first_meal_p50: first_waits.quantile(50.0),
-                first_meal_p90: first_waits.quantile(90.0),
-                first_meal_p99: first_waits.quantile(99.0),
-                wait_histogram: t.wait_histogram,
-            }
-        });
-    StressReport {
-        cell: spec.cell(),
-        family: spec.family.name(),
-        size: spec.size,
-        philosophers: report.philosophers,
-        forks: 0, // filled by run_stress, which still holds the topology
-        algorithm: report.algorithm.name().to_string(),
-        threads: report.active_seats,
-        load: spec.load.name(),
-        watchdog_ms: spec.watchdog_ms,
-        seed: spec.seed,
-        spin: spec.spin,
-        crash_seats: spec.crash_seats,
-        crashed_seats: report
-            .crashed
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c)
-            .map(|(p, _)| p as u64)
-            .collect(),
-        total_meals: report.total_meals(),
-        min_meals: active.iter().copied().min().unwrap_or(0),
-        max_meals: active.iter().copied().max().unwrap_or(0),
-        everyone_ate: report.everyone_ate(),
-        watchdog_tripped: report.watchdog_tripped,
-        jain_fairness: report.jain_fairness(),
-        meals: report.meals.clone(),
-        timing,
-    }
-}
-
 /// Executes one stress cell: builds the topology, spawns one thread per
 /// active seat, drives the load on real contending OS threads, and collects
 /// the report.  `record_timing` controls whether wall-clock fields are
@@ -295,10 +213,7 @@ pub fn run_stress_observed(
     let forks = topology.num_forks();
     let options = RunOptions {
         algorithm: spec.algorithm,
-        meals_per_seat: match spec.load {
-            StressLoad::MealsPerSeat(m) => m,
-            StressLoad::DurationMs(_) => 0,
-        },
+        load: spec.load,
         active_seats: (spec.threads > 0).then_some(spec.threads),
         watchdog: (spec.watchdog_ms > 0).then(|| Duration::from_millis(spec.watchdog_ms)),
         seed: spec.seed,
@@ -311,15 +226,61 @@ pub fn run_stress_observed(
             std::hint::spin_loop();
         }
     };
-    let run = match spec.load {
-        StressLoad::MealsPerSeat(_) => run_with(topology, &options, critical),
-        StressLoad::DurationMs(ms) => {
-            run_for_duration(topology, &options, Duration::from_millis(ms), critical)
+    let report = run(topology, &options, critical);
+    let active = &report.meals[..report.active_seats];
+    let timing = record_timing.then(|| {
+        let total = report.total_meals();
+        let wait_nanos: u128 = report.wait_nanos.iter().map(|&w| u128::from(w)).sum();
+        // Time-to-first-meal percentiles over the seats that ate, through
+        // the shared log2-bucket estimator (the runtime face of the
+        // simulator's step-denominated first-meal histogram).
+        let mut first_waits = gdp_observe::Log2Histogram::new();
+        for nanos in report.first_wait_nanos.iter().flatten() {
+            first_waits.record(*nanos);
         }
-    };
-    let mut report = from_run_report(spec, &run, record_timing);
-    report.forks = forks;
-    Ok(report)
+        StressTiming {
+            elapsed_secs: report.elapsed_nanos as f64 / 1e9,
+            meals_per_sec: report.throughput_meals_per_sec(),
+            mean_wait_micros: if total > 0 {
+                wait_nanos as f64 / 1_000.0 / total as f64
+            } else {
+                0.0
+            },
+            first_meal_p50: first_waits.quantile(50.0),
+            first_meal_p90: first_waits.quantile(90.0),
+            first_meal_p99: first_waits.quantile(99.0),
+            wait_histogram: report.wait_histogram,
+        }
+    });
+    Ok(StressReport {
+        cell: spec.cell(),
+        family: spec.family.name(),
+        size: spec.size,
+        philosophers: report.philosophers,
+        forks,
+        algorithm: report.algorithm.name().to_string(),
+        threads: report.active_seats,
+        load: spec.load.name(),
+        watchdog_ms: spec.watchdog_ms,
+        seed: spec.seed,
+        spin: spec.spin,
+        crash_seats: spec.crash_seats,
+        crashed_seats: report
+            .crashed
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c)
+            .map(|(p, _)| p as u64)
+            .collect(),
+        total_meals: report.total_meals(),
+        min_meals: active.iter().copied().min().unwrap_or(0),
+        max_meals: active.iter().copied().max().unwrap_or(0),
+        everyone_ate: report.everyone_ate(),
+        watchdog_tripped: report.watchdog_tripped,
+        jain_fairness: report.jain_fairness(),
+        meals: report.meals,
+        timing,
+    })
 }
 
 /// The CSV header row written by [`StressReport::to_csv`].
@@ -330,14 +291,6 @@ pub fn stress_csv_header() -> &'static str {
      total_meals,min_meals,max_meals,everyone_ate,watchdog_tripped,jain_fairness,\
      elapsed_secs,meals_per_sec,mean_wait_micros,\
      first_meal_p50,first_meal_p90,first_meal_p99"
-}
-
-fn num(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "null".to_string()
-    }
 }
 
 impl StressReport {
@@ -427,14 +380,7 @@ impl StressReport {
                 num(t.first_meal_p90),
                 num(t.first_meal_p99),
             ),
-            None => (
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ),
+            None => Default::default(),
         };
         let crashed: Vec<String> = self.crashed_seats.iter().map(u64::to_string).collect();
         let mut out = String::from(stress_csv_header());

@@ -32,7 +32,8 @@
 //!   a philosopher, executes that philosopher's next atomic step (returning
 //!   its [`StepRecord`]), keeps the counters behind [`RunOutcome`], and
 //!   evaluates [`StopCondition`]s.  An attached `gdp-observe` event sink
-//!   receives the step-by-step record of the run.
+//!   receives the step-by-step record of the run.  [`jain_index`] scores a
+//!   meal distribution, simulated or real-thread.
 //! * [`EngineState`] — first-class snapshots of the semantic state
 //!   (forks, private program states, step counter) with `O(n + k)`
 //!   [`Engine::restore`], plus their exact bit-packed encoding
@@ -128,7 +129,7 @@ pub use draws::{DrawOutcome, DrawRequest, DrawTape};
 pub use engine::{Engine, StepRecord};
 pub use fork::{ForkCell, UsageStamp};
 pub use hash::fingerprint64;
-pub use outcome::{RunOutcome, StopCondition, StopReason};
+pub use outcome::{jain_index, RunOutcome, StopCondition, StopReason};
 pub use program::{Action, Phase, Program, ProgramObservation, StepCtx};
 pub use snapshot::{EngineState, StateCodec};
 pub use view::{Holding, PhilosopherView, SystemView};

@@ -49,9 +49,9 @@ pub mod prelude {
     };
 
     pub use gdp_sim::{
-        Action, Adversary, DrawTape, Engine, EngineState, ForkCell, Phase, PhilosopherView,
-        Program, ProgramObservation, RoundRobinAdversary, RunOutcome, SimConfig, StepCtx,
-        StepRecord, StopCondition, StopReason, SystemView, UniformRandomAdversary,
+        jain_index, Action, Adversary, DrawTape, Engine, EngineState, ForkCell, Phase,
+        PhilosopherView, Program, ProgramObservation, RoundRobinAdversary, RunOutcome, SimConfig,
+        StepCtx, StepRecord, StopCondition, StopReason, SystemView, UniformRandomAdversary,
     };
 
     pub use gdp_algorithms::{
@@ -64,11 +64,13 @@ pub mod prelude {
     };
 
     pub use gdp_analysis::{
-        metrics, montecarlo, stats, symmetry, LockoutEstimate, ProgressEstimate, RunMetrics,
-        TrialConfig,
+        montecarlo, stats, symmetry, LockoutEstimate, ProgressEstimate, TrialConfig,
     };
 
-    pub use gdp_runtime::{run_for_meals, DiningTable, RunReport, Seat, SharedFork, TableStats};
+    pub use gdp_runtime::{
+        self as runtime, DiningTable, RunOptions, RunReport, Seat, SharedFork, StressLoad,
+        TableStats,
+    };
 
     pub use gdp_picalc::{ChannelId, ChoiceRound, Guard, ProcessId, RoundOutcome, Synchronization};
 }

@@ -411,13 +411,21 @@ fn cmd_run(mut args: Args) -> Result<CommandOutcome, String> {
     }
     let mut adv = adversary.build(seed, 0);
     let outcome = engine.run(&mut adv, StopCondition::MaxSteps(steps));
-    let metrics = RunMetrics::from_outcome(&outcome);
     println!(
         "run      {} under {} for {steps} steps (seed {seed})",
         algorithm.name(),
         adversary.name()
     );
-    println!("metrics  {}", metrics.summary_line());
+    println!(
+        "metrics  steps={} meals={} thru/kstep={:.2} progress={} everyone={} starved={} jain={:.3}",
+        outcome.steps,
+        outcome.total_meals,
+        outcome.throughput_per_kstep(),
+        outcome.made_progress(),
+        outcome.everyone_ate(),
+        outcome.starved().len(),
+        jain_index(&outcome.meals_per_philosopher)
+    );
     for (i, meals) in outcome.meals_per_philosopher.iter().enumerate() {
         println!("         P{i}: {meals} meals");
     }

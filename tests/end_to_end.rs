@@ -30,7 +30,11 @@ fn simulation_and_runtime_agree_on_lockout_freedom() {
     );
 
     // Threaded.
-    let report = run_for_meals(topology, 25, || {});
+    let options = RunOptions {
+        load: StressLoad::MealsPerSeat(25),
+        ..RunOptions::default()
+    };
+    let report = runtime::run(topology, &options, || {});
     assert!(report.everyone_ate());
     assert_eq!(report.total_meals(), 25 * 10);
 }

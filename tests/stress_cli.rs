@@ -216,10 +216,50 @@ fn partial_thread_counts_drive_a_subset() {
     let _ = std::fs::remove_file(csv);
 }
 
+/// The whole artifacts of the `crash:2` cell below: seeded victims 3 and 4
+/// eat 3 and 5 of their 8 meals, and the Jain index of the cut budgets is
+/// below 1.
+const CRASH_CELL_JSON: &str = r#"{
+  "schema": 1,
+  "kind": "runtime_stress",
+  "cell": "ring/n5/GDP2",
+  "family": "ring",
+  "size": 5,
+  "philosophers": 5,
+  "forks": 5,
+  "algorithm": "GDP2",
+  "threads": 5,
+  "load": "meals:8",
+  "watchdog_ms": 60000,
+  "seed": 0,
+  "spin": 64,
+  "crash_seats": 2,
+  "crashed_seats": [3, 4],
+  "total_meals": 32,
+  "min_meals": 3,
+  "max_meals": 8,
+  "everyone_ate": true,
+  "watchdog_tripped": false,
+  "jain_fairness": 0.906195,
+  "meals": [8, 8, 8, 3, 5],
+  "elapsed_secs": null,
+  "meals_per_sec": null,
+  "mean_wait_micros": null,
+  "first_meal_p50": null,
+  "first_meal_p90": null,
+  "first_meal_p99": null,
+  "wait_histogram_ns": null
+}
+"#;
+const CRASH_CELL_CSV: &str = "\
+cell,family,size,philosophers,forks,algorithm,threads,load,watchdog_ms,seed,spin,crash_seats,crashed_seats,total_meals,min_meals,max_meals,everyone_ate,watchdog_tripped,jain_fairness,elapsed_secs,meals_per_sec,mean_wait_micros,first_meal_p50,first_meal_p90,first_meal_p99
+ring/n5/GDP2,ring,5,5,5,GDP2,5,meals:8,60000,0,64,2,3;4,32,3,8,true,false,0.906195,,,,,,
+";
+
 /// `--adversary crash:<f>` injects seeded crash-stop seats: victims eat a
 /// strict share of the budget, survivors finish theirs, the run still
 /// succeeds (crashed seats are exempt from `everyone_ate`), and the
-/// artifacts carry the crash columns.
+/// artifacts carry the crash columns, byte for byte.
 #[test]
 fn crash_adversary_shapes_the_load_and_reports_crash_columns() {
     let json = tmp("crash.json");
@@ -238,18 +278,8 @@ fn crash_adversary_shapes_the_load_and_reports_crash_columns() {
     let stdout = String::from_utf8_lossy(&output.stdout).to_string();
     assert!(stdout.contains("2 crash-stop seat(s)"), "{stdout}");
     assert!(stdout.contains("crashed="), "{stdout}");
-    let json_text = std::fs::read_to_string(&json).unwrap();
-    assert!(json_text.contains("\"crash_seats\": 2"), "{json_text}");
-    assert!(json_text.contains("\"everyone_ate\": true"), "{json_text}");
-    let csv_text = std::fs::read_to_string(&csv).unwrap();
-    assert!(
-        csv_text
-            .lines()
-            .next()
-            .unwrap()
-            .contains("crash_seats,crashed_seats"),
-        "{csv_text}"
-    );
+    assert_eq!(std::fs::read_to_string(&json).unwrap(), CRASH_CELL_JSON);
+    assert_eq!(std::fs::read_to_string(&csv).unwrap(), CRASH_CELL_CSV);
     let _ = std::fs::remove_file(json);
     let _ = std::fs::remove_file(csv);
 }
