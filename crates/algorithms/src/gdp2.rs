@@ -1,4 +1,4 @@
-//! GDP2 — the paper's lockout-free algorithm (Table 4, Theorem 4).
+//! GDP2 — the paper's algorithm for lockout-freedom (Table 4, Theorem 4).
 //!
 //! ```text
 //!  1. think;
@@ -17,19 +17,31 @@
 //!
 //! GDP2 combines the random fork-priority mechanism of [`Gdp1`](crate::Gdp1)
 //! (which guarantees that *somebody* eats) with the request lists and guest
-//! books of LR2 (which guarantee that an eager eater defers to a neighbour
-//! it has overtaken).  Theorem 4 shows the combination is lockout-free with
-//! probability 1 under every fair adversary; experiment E6 verifies this on
-//! the Figure 1 gallery and random multigraphs, and experiment E9 shows the
-//! starvation schedule that defeats GDP1 does not defeat GDP2.
+//! books of LR2 (which make an eager eater defer to a neighbour it has
+//! overtaken).  Theorem 4 claims the combination is lockout-free with
+//! probability 1 under every fair adversary.  Experiment E6 samples it under
+//! uniform-random scheduling on the Figure 1 gallery and the Figure 2 and 3
+//! witnesses, and experiment E9 shows the starvation schedule that defeats
+//! GDP1 does not defeat GDP2.
 //!
 //! Faithfulness note: Table 4 as printed omits the `Cond(fork)` conjunct on
 //! line 4, but Section 5's text introduces the request lists, guest books
-//! and `Cond` "like it was done in Section 3.2", and the proof of Theorem 4
-//! counts neighbours "which have already eaten and can't eat until all their
-//! adjacent philosophers ... have eaten as well" — which is precisely the
-//! effect of testing `Cond` before the first take.  We therefore include the
-//! conjunct, mirroring line 4 of LR2 (Table 2).
+//! and `Cond` "like it was done in Section 3.2".  We therefore include the
+//! conjunct, mirroring line 4 of LR2 (Table 2).  Line 6, the second take,
+//! tests only that the fork is free.
+//!
+//! Under this reading GDP2 is **not** lockout-free: the exact check
+//! `gdp check --family ring --size 3 --algorithm gdp2 --target lockout` is
+//! violated with worst-case probability 0.  The first collision redraws the
+//! `nr` of the fork P0 does not use, while P0's two forks keep `nr` 0, so P1
+//! and P2 always take that fork first and one of P0's forks second, where
+//! P0's request does not bind them; the test
+//! `a_bounded_fair_schedule_starves_p0_on_the_three_ring` replays such a
+//! schedule.  The proof of Theorem 4 counts neighbours "which have already
+//! eaten and can't eat until all their adjacent philosophers ... have eaten
+//! as well", which a second take without `Cond` breaks.  The other reading
+//! tests `Cond` at line 6 as well; it changes every GDP2 run and is not the
+//! one implemented here.
 
 use gdp_sim::{Action, Phase, Program, ProgramObservation, StepCtx};
 use gdp_topology::{ForkEnds, ForkId, Side};
@@ -217,9 +229,12 @@ impl Program for Gdp2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdp_sim::{Engine, RoundRobinAdversary, SimConfig, StopCondition, UniformRandomAdversary};
+    use gdp_sim::{
+        Adversary, Engine, RoundRobinAdversary, SimConfig, StopCondition, StopReason, SystemView,
+        UniformRandomAdversary,
+    };
     use gdp_topology::builders::{classic_ring, figure1_gallery, figure3_theta};
-    use gdp_topology::Topology;
+    use gdp_topology::{PhilosopherId, Topology};
 
     fn engine_on(t: Topology, seed: u64) -> Engine<Gdp2> {
         Engine::new(t, Gdp2::new(), SimConfig::default().with_seed(seed))
@@ -330,6 +345,60 @@ mod tests {
             assert!(
                 !e.fork(f).guest_book_is_empty(),
                 "fork {f} was never signed after 20 meals"
+            );
+        }
+    }
+
+    /// Steps the least recently scheduled philosopher, passing over P0
+    /// whenever its step would take a fork.
+    struct StarveP0 {
+        last: Vec<Option<u64>>,
+    }
+
+    impl Adversary for StarveP0 {
+        fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
+            let p0 = view.philosopher(PhilosopherId::new(0));
+            let p0_takes = p0.label == "GDP2.4"
+                && p0
+                    .committed
+                    .is_some_and(|f| view.fork(f).is_free() && view.fork(f).courtesy_holds(p0.id));
+            let chosen = (0..view.num_philosophers())
+                .filter(|&i| i != 0 || !p0_takes)
+                .min_by_key(|&i| (self.last[i], i))
+                .expect("P1 is always eligible");
+            self.last[chosen] = Some(view.step());
+            PhilosopherId::new(chosen as u32)
+        }
+    }
+
+    #[test]
+    fn a_bounded_fair_schedule_starves_p0_on_the_three_ring() {
+        // `Cond` is tested at line 4 only. The first collision redraws the
+        // `nr` of f2, the fork P0 does not use, above P0's two forks, which
+        // keep `nr` 0: from then on P1 and P2 take f2 first and one of P0's
+        // forks second, where P0's request does not bind them.
+        for seed in [0, 1] {
+            let mut e = engine_on(classic_ring(3).unwrap(), seed);
+            let outcome = e.run(
+                &mut StarveP0 {
+                    last: vec![None; 3],
+                },
+                StopCondition::PhilosopherEats {
+                    philosopher: PhilosopherId::new(0),
+                    max_steps: 20_000,
+                },
+            );
+            assert_eq!(outcome.reason, StopReason::StepLimitReached, "seed {seed}");
+            assert_eq!(
+                outcome.meals_per_philosopher,
+                [0, 1_333, 1_332],
+                "seed {seed}"
+            );
+            assert_eq!(outcome.fairness_bound, Some(17), "seed {seed}");
+            let nrs: Vec<u32> = e.topology().fork_ids().map(|f| e.fork(f).nr()).collect();
+            assert!(
+                nrs[0] == 0 && nrs[1] == 0 && nrs[2] > 0,
+                "seed {seed}: {nrs:?}"
             );
         }
     }

@@ -17,7 +17,9 @@
 //!   probability 1 on *every* topology under *every* fair adversary
 //!   (Theorem 3).
 //! * [`Gdp2`] — Table 4: GDP1 plus the request lists / guest books of LR2.
-//!   Guarantees **lockout-freedom** with probability 1 (Theorem 4).
+//!   Theorem 4 claims **lockout-freedom** with probability 1; with `Cond`
+//!   tested at the first take only, as here, a fair adversary starves a
+//!   philosopher even on the 3-ring (the faithfulness note in `gdp2.rs`).
 //! * [`baselines`] — the strawmen: the globally ordered forks of the
 //!   paper's introduction (deadlock-free but not symmetric) and the naive
 //!   left-then-right program (symmetric but deadlocking), used as oracles

@@ -99,7 +99,7 @@ impl AlgorithmKind {
                 "Herescu-Palamidessi GDP1: random fork priorities; progress on every topology"
             }
             AlgorithmKind::Gdp2 => {
-                "Herescu-Palamidessi GDP2: GDP1 + courtesy; lockout-free on every topology"
+                "Herescu-Palamidessi GDP2: GDP1 + courtesy at the first take; not lockout-free, even on the 3-ring"
             }
             AlgorithmKind::OrderedForks => {
                 "Dijkstra ordered forks: asymmetric deterministic baseline"

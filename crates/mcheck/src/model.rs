@@ -21,10 +21,9 @@
 //!   probabilities.
 //!
 //! States satisfying the [`CheckTarget`] are absorbing (they are the "good"
-//! states of the reachability objective and are never expanded), which also
-//! keeps otherwise-unbounded bookkeeping — e.g. LR2/GDP2 guest-book stamps —
-//! out of a progress check: no meal ever completes inside the explored
-//! fragment.
+//! states of the reachability objective and are never expanded), so the
+//! LR2/GDP2 guest books stay empty in a progress check: no meal ever
+//! completes inside the explored fragment.
 //!
 //! [`BuildOptions::class`] picks the adversary class.  The default, all fair
 //! schedulers, builds the plain automaton above; a restricted class builds
@@ -1084,11 +1083,13 @@ mod tests {
     }
 
     /// The exact encoding over every state of small builds: request lists
-    /// and guest-book stamps (GDP2/LR2 lockout), product keys (k-bounded,
+    /// and guest books (GDP2/LR2 lockout; a ring-3 key fits one word, a
+    /// ring-4 tail crosses into a second), product keys (k-bounded,
     /// crash-stop) and keys of more than one word (ring-7).
     #[test]
     fn state_encoding_is_exact_over_every_state_of_small_builds() {
-        let (ring3, ring7) = (classic_ring(3).unwrap(), classic_ring(7).unwrap());
+        let (ring3, ring4) = (classic_ring(3).unwrap(), classic_ring(4).unwrap());
+        let ring7 = classic_ring(7).unwrap();
         let lockout = CheckTarget::PhilosopherEats(PhilosopherId::new(0));
         let progress = CheckTarget::Progress;
         let fair = AdversaryClass::Fair;
@@ -1097,8 +1098,9 @@ mod tests {
         // (topology, algorithm, target, class, budget, bookkeeping words per
         // key, whether some state encoding spans more than one word)
         let cases = [
-            (&ring3, AlgorithmKind::Gdp2, lockout, fair, 2_000, 0, true),
-            (&ring3, AlgorithmKind::Lr2, lockout, fair, 2_000, 0, true),
+            (&ring3, AlgorithmKind::Gdp2, lockout, fair, 2_000, 0, false),
+            (&ring3, AlgorithmKind::Lr2, lockout, fair, 2_000, 0, false),
+            (&ring4, AlgorithmKind::Gdp2, lockout, fair, 1_000, 0, true),
             (
                 &ring3,
                 AlgorithmKind::Lr1,

@@ -17,14 +17,6 @@
 
 use gdp_topology::PhilosopherId;
 
-/// A monotonically increasing per-fork usage counter.
-///
-/// The guest book records, for each philosopher, the stamp of its most
-/// recent meal that used this fork.  Stamps are only ever compared between
-/// philosophers sharing the same fork, so a per-fork counter suffices and no
-/// global clock is introduced (preserving full distribution).
-pub type UsageStamp = u64;
-
 /// The complete shared state of a single fork.
 ///
 /// All fields are private to this crate; outside it the atomic-step
@@ -38,10 +30,12 @@ pub struct ForkCell {
     pub(crate) nr: u32,
     /// Incoming requests, in insertion order (LR2 / GDP2 line 2).
     pub(crate) requests: Vec<PhilosopherId>,
-    /// Guest book: who has used this fork and at which usage stamp.
-    pub(crate) guest_book: Vec<(PhilosopherId, UsageStamp)>,
-    /// Next usage stamp to hand out when somebody signs the guest book.
-    pub(crate) next_stamp: UsageStamp,
+    /// Guest book: every philosopher that has eaten with this fork, once
+    /// each, the most recent signer last.  `Cond` compares only the order
+    /// of two signatures on the same fork, so the order is all it keeps: no
+    /// counter or clock (preserving full distribution), and finitely many
+    /// states.
+    pub(crate) guest_book: Vec<PhilosopherId>,
 }
 
 // Manual impl so `clone_from` reuses the request-list and guest-book
@@ -56,7 +50,6 @@ impl Clone for ForkCell {
             nr: self.nr,
             requests: self.requests.clone(),
             guest_book: self.guest_book.clone(),
-            next_stamp: self.next_stamp,
         }
     }
 
@@ -65,7 +58,6 @@ impl Clone for ForkCell {
         self.nr = source.nr;
         self.requests.clone_from(&source.requests);
         self.guest_book.clone_from(&source.guest_book);
-        self.next_stamp = source.next_stamp;
     }
 }
 
@@ -157,32 +149,18 @@ impl ForkCell {
     }
 
     /// Signs the guest book for `philosopher` (LR2/GDP2: `insert(id, fork.g)`),
-    /// recording that it has just eaten using this fork.  Returns the stamp.
-    pub fn sign_guest_book(&mut self, philosopher: PhilosopherId) -> UsageStamp {
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        if let Some(entry) = self.guest_book.iter_mut().find(|(p, _)| *p == philosopher) {
-            entry.1 = stamp;
-        } else {
-            self.guest_book.push((philosopher, stamp));
+    /// recording that it has just eaten using this fork: it becomes the
+    /// most recent signer.
+    pub fn sign_guest_book(&mut self, philosopher: PhilosopherId) {
+        match self.guest_book.iter().position(|&p| p == philosopher) {
+            Some(at) => self.guest_book[at..].rotate_left(1),
+            None => self.guest_book.push(philosopher),
         }
-        stamp
-    }
-
-    /// The usage stamp of `philosopher`'s most recent meal with this fork, or
-    /// `None` if it has never eaten with it.
-    #[must_use]
-    pub fn last_use(&self, philosopher: PhilosopherId) -> Option<UsageStamp> {
-        self.guest_book
-            .iter()
-            .find(|(p, _)| *p == philosopher)
-            .map(|&(_, stamp)| stamp)
     }
 
     /// Returns `true` if the guest book is empty (nobody has ever eaten with
     /// this fork).  Theorem 2's proof observes that on the defeated
-    /// computation `fork.g` remains forever empty; the analysis crate checks
-    /// exactly this.
+    /// computation `fork.g` remains forever empty.
     #[must_use]
     pub fn guest_book_is_empty(&self) -> bool {
         self.guest_book.is_empty()
@@ -198,33 +176,26 @@ impl ForkCell {
     ///
     /// The paper states it as: *"there are no other incoming requests for
     /// that fork, or the other philosophers requesting the fork have used it
-    /// after he did"*.  We implement it as: for every **other** requesting
-    /// philosopher `q`, `q`'s last use of the fork is **not older** than
-    /// `philosopher`'s last use, treating "never used" as older than any use.
-    /// Consequences:
+    /// after he did"*.  We implement it as: if `philosopher` has signed the
+    /// guest book, every **other** requesting philosopher `q` has signed it
+    /// since; "never used" counts as older than any use.  Consequences:
     ///
     /// * initially (nobody has eaten) the condition holds for everybody, so
     ///   the system can start;
     /// * once `philosopher` has eaten with the fork, it may not take it again
-    ///   while a neighbour that has not eaten since is requesting it — this
-    ///   is precisely the courtesy that makes GDP2 lockout-free (Theorem 4).
+    ///   while a neighbour that has not eaten since is requesting it — the
+    ///   courtesy on which the proof of Theorem 4 (GDP2 is lockout-free)
+    ///   rests.
     #[must_use]
     pub fn courtesy_holds(&self, philosopher: PhilosopherId) -> bool {
-        let mine = self.last_use(philosopher);
+        // I never ate: I am owed the fork at least as much as anyone.
+        let Some(mine) = self.guest_book.iter().position(|&p| p == philosopher) else {
+            return true;
+        };
+        let since = &self.guest_book[mine + 1..];
         self.requests
             .iter()
-            .filter(|&&q| q != philosopher)
-            .all(|&q| {
-                let theirs = self.last_use(q);
-                match (mine, theirs) {
-                    // I never ate: I am owed the fork at least as much as anyone.
-                    (None, _) => true,
-                    // I ate, they never did: defer to them.
-                    (Some(_), None) => false,
-                    // Both ate: they must have eaten after me.
-                    (Some(m), Some(t)) => t > m,
-                }
-            })
+            .all(|q| *q == philosopher || since.contains(q))
     }
 
     /// Resets the fork to its initial state.  Used by the engine when reusing
@@ -235,7 +206,7 @@ impl ForkCell {
 
     /// Writes into `out` a copy of this cell with every stored philosopher
     /// identifier relabelled through `map`, preserving request-list and
-    /// guest-book order (and all stamps).
+    /// guest-book order.
     ///
     /// Applying a topology automorphism to a system state relabels the
     /// philosophers referenced by each fork cell while leaving everything
@@ -254,8 +225,7 @@ impl ForkCell {
         out.requests.extend(self.requests.iter().map(|&p| map(p)));
         out.guest_book.clear();
         out.guest_book
-            .extend(self.guest_book.iter().map(|&(p, stamp)| (map(p), stamp)));
-        out.next_stamp = self.next_stamp;
+            .extend(self.guest_book.iter().map(|&p| map(p)));
     }
 }
 
@@ -320,16 +290,27 @@ mod tests {
     }
 
     #[test]
-    fn guest_book_records_latest_stamp() {
+    fn guest_book_keeps_signers_in_recency_order() {
         let mut fork = ForkCell::new();
-        assert_eq!(fork.last_use(p(0)), None);
-        let s0 = fork.sign_guest_book(p(0));
-        let s1 = fork.sign_guest_book(p(1));
-        let s2 = fork.sign_guest_book(p(0));
-        assert!(s0 < s1 && s1 < s2);
-        assert_eq!(fork.last_use(p(0)), Some(s2));
-        assert_eq!(fork.last_use(p(1)), Some(s1));
-        assert_eq!(fork.guest_book_len(), 2);
+        for q in [0, 1, 2] {
+            fork.insert_request(p(q));
+            fork.sign_guest_book(p(q));
+        }
+        assert_eq!(fork.guest_book, [p(0), p(1), p(2)]);
+        // Only P0 has been overtaken by every other requester.
+        assert!(fork.courtesy_holds(p(0)));
+        assert!(!fork.courtesy_holds(p(1)) && !fork.courtesy_holds(p(2)));
+        // Signing again moves a philosopher to the end, once.
+        fork.sign_guest_book(p(0));
+        assert_eq!(fork.guest_book, [p(1), p(2), p(0)]);
+        assert_eq!(fork.guest_book_len(), 3);
+        assert!(fork.courtesy_holds(p(1)));
+        assert!(!fork.courtesy_holds(p(0)) && !fork.courtesy_holds(p(2)));
+        // Courtesy owes only current requesters: once P1 withdraws, P2
+        // owes only P0, who signed after it.
+        fork.remove_request(p(1));
+        assert!(fork.courtesy_holds(p(2)));
+        assert!(!fork.courtesy_holds(p(0)));
     }
 
     #[test]

@@ -127,7 +127,7 @@ pub use adversary::{Adversary, RoundRobinAdversary, UniformRandomAdversary};
 pub use config::SimConfig;
 pub use draws::{DrawOutcome, DrawRequest, DrawTape};
 pub use engine::{Engine, StepRecord};
-pub use fork::{ForkCell, UsageStamp};
+pub use fork::ForkCell;
 pub use hash::fingerprint64;
 pub use outcome::{jain_index, RunOutcome, StopCondition, StopReason};
 pub use program::{Action, Phase, Program, ProgramObservation, StepCtx};

@@ -191,11 +191,9 @@ impl<P: Program> EngineState<P> {
                         push(hb, phil(p));
                     }
                     push(hb, count(cell.guest_book.len(), hb, f));
-                    for &(p, stamp) in &cell.guest_book {
+                    for &p in &cell.guest_book {
                         push(hb, phil(p));
-                        push(64, stamp);
                     }
-                    push(64, cell.next_stamp);
                 }
             }
         }
@@ -225,7 +223,6 @@ impl<P: Program> EngineState<P> {
             cell.nr = get(words, at + hb as usize, nb) as u32;
             cell.requests.clear();
             cell.guest_book.clear();
-            cell.next_stamp = 0;
         }
         for (p, state) in self.states.iter_mut().enumerate() {
             let code = get(words, codes_at + p * cb as usize, cb) as usize;
@@ -249,10 +246,8 @@ impl<P: Program> EngineState<P> {
                     cell.requests.push(PhilosopherId::new(pull(hb) as u32));
                 }
                 for _ in 0..pull(hb) {
-                    let p = PhilosopherId::new(pull(hb) as u32);
-                    cell.guest_book.push((p, pull(64)));
+                    cell.guest_book.push(PhilosopherId::new(pull(hb) as u32));
                 }
-                cell.next_stamp = pull(64);
             }
         }
     }
@@ -271,10 +266,9 @@ impl<P: Program> EngineState<P> {
 ///   the state's index in [`Program::private_states`] — in ⌈log₂ s⌉ bits
 ///   for `s` listed states;
 /// * a variable-length tail for the request lists and guest books of LR2
-///   and GDP2, present only when some fork has a request, a guest-book
-///   entry or a used stamp counter: a `1` marker bit, then per fork its
-///   request count and requests, its guest-book count and entries (each a
-///   philosopher and a full 64-bit stamp), and its next stamp (64 bits).
+///   and GDP2, present only when some fork has a request or a guest-book
+///   entry: a `1` marker bit, then per fork its request count and
+///   requests, and its guest-book count and signers, least recent first.
 ///   Counts and philosophers take ⌈log₂(n+1)⌉ bits.
 ///
 /// The bits after the last field are zero.  Without a tail the encoding
@@ -341,17 +335,14 @@ impl<P: Program> StateCodec<P> {
 
     /// The bits of the tail of a state with these forks (`0`: no tail).
     fn tail_bits(&self, forks: &[ForkCell]) -> usize {
-        if forks
+        let listed: usize = forks
             .iter()
-            .all(|c| c.requests.is_empty() && c.guest_book.is_empty() && c.next_stamp == 0)
-        {
+            .map(|c| c.requests.len() + c.guest_book.len())
+            .sum();
+        if listed == 0 {
             return 0;
         }
-        let hb = self.holder_bits as usize;
-        1 + forks
-            .iter()
-            .map(|c| 2 * hb + c.requests.len() * hb + c.guest_book.len() * (hb + 64) + 64)
-            .sum::<usize>()
+        1 + (2 * forks.len() + listed) * self.holder_bits as usize
     }
 
     fn code_of(&self, state: &P::State) -> u64 {

@@ -103,7 +103,10 @@ USAGE:
         the objective over every fair adversary.  The certificate on stdout
         is byte-reproducible and identical for every --threads value.
           --family <family>      topology family spec        [default: ring]
+                                 (--topology is the same flag; pass one)
           --size <n>             family scale parameter      [default: 4]
+          --seed <n>             topology seed of random families, the
+                                 @s<seed> of the certificate key [default: 0]
           --algorithm <name>     algorithm to check          [default: gdp1]
           --target <t>           progress|lockout|philosopher:<i> [default: progress]
           --adversary <class>    fair|kbounded:<k>|crash:<f> [default: fair]
@@ -129,6 +132,7 @@ USAGE:
         naive baseline genuinely deadlocks and is bounded by the watchdog.
           --family <family>      topology family spec        [default: ring]
           --n <n>                family scale parameter      [default: 5]
+                                 (--size is the same flag; pass one)
           --algorithm <name>     lr1|lr2|gdp1|gdp2|ordered|naive [default: gdp2]
           --threads <n>          driven seats, 0 = all philosophers [default: 0]
           --meals <n>            meal budget per seat        [default: 50]

@@ -202,8 +202,11 @@ fn check_restricted_adversary_classes_flip_the_gdp1_verdict() {
 
 /// The courteous algorithms' models, pinned: LR2 and GDP2 are the only users
 /// of the request lists and guest books, so their states carry the
-/// variable-length tail of the exact state encoding.  Each certificate is
-/// byte-identical at one and two threads.
+/// variable-length tail of the exact state encoding.  A guest book keeps
+/// only the order of its signers, so the lockout models are finite and
+/// decide without a budget: LR2 keeps P0 fed, and a fair adversary surely
+/// starves P0 under GDP2.  Each certificate is byte-identical at one and
+/// two threads.
 #[test]
 fn check_pins_the_lr2_and_gdp2_models_on_the_three_ring() {
     let cases: [(&[&str], &str, &str, i32); 4] = [
@@ -220,30 +223,16 @@ fn check_pins_the_lr2_and_gdp2_models_on_the_three_ring() {
             0,
         ),
         (
-            &[
-                "--algorithm",
-                "gdp2",
-                "--target",
-                "lockout",
-                "--max-states",
-                "20000",
-            ],
-            "20000 canonical states, 47028 transitions (symmetry group 1)",
-            "inconclusive",
-            3,
+            &["--algorithm", "gdp2", "--target", "lockout"],
+            "76286 canonical states, 207771 transitions (symmetry group 1)",
+            "violated",
+            1,
         ),
         (
-            &[
-                "--algorithm",
-                "lr2",
-                "--target",
-                "lockout",
-                "--max-states",
-                "20000",
-            ],
-            "20000 canonical states, 54970 transitions (symmetry group 1)",
-            "inconclusive",
-            3,
+            &["--algorithm", "lr2", "--target", "lockout"],
+            "7550 canonical states, 22456 transitions (symmetry group 1)",
+            "certified",
+            0,
         ),
     ];
     for (flags, state_space, verdict, code) in cases {
@@ -269,12 +258,13 @@ fn check_pins_the_lr2_and_gdp2_models_on_the_three_ring() {
             text.contains(&format!("overall verdict:   {verdict}\n")),
             "{text}"
         );
-        if flags.contains(&"lr2") && flags.contains(&"lockout") {
+        if flags.contains(&"gdp2") && flags.contains(&"lockout") {
             assert!(
-                text.contains(
-                    "counterexample:    360 steps against \"philosopher P0 eats\" \
-                     (seed 0, lasso from step 8)\n"
-                ),
+                text.contains("worst-case P[target]:  0 ")
+                    && text.contains(
+                        "counterexample:    360 steps against \"philosopher P0 eats\" \
+                         (seed 0, lasso from step 14)\n"
+                    ),
                 "{text}"
             );
         }
@@ -432,6 +422,13 @@ fn usage_errors_exit_2() {
         "{err}"
     );
     assert!(stdout(&output).is_empty());
+    // The topology seed is a number, named in the one error line.
+    let output = gdp(&["check", "--family", "random-regular:3", "--seed", "x7"]);
+    assert_eq!(output.status.code(), Some(2));
+    let err = stderr(&output);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("seed") && err.contains("x7"), "{err}");
+    assert!(stdout(&output).is_empty());
     // Product builds are quotient-free: an explicit `--symmetry on` with a
     // restricted class is refused, not silently ignored.
     for class in ["kbounded:2", "crash:1"] {
@@ -580,7 +577,7 @@ ALGORITHMS (--algorithms / --algorithm):
   LR1                        Lehmann-Rabin 1: random first fork; progress on classic rings only
   LR2                        Lehmann-Rabin 2: courteous variant; lockout-free on classic rings only
   GDP1                       Herescu-Palamidessi GDP1: random fork priorities; progress on every topology
-  GDP2                       Herescu-Palamidessi GDP2: GDP1 + courtesy; lockout-free on every topology
+  GDP2                       Herescu-Palamidessi GDP2: GDP1 + courtesy at the first take; not lockout-free, even on the 3-ring
   ordered-forks              Dijkstra ordered forks: asymmetric deterministic baseline
   naive-left-right           naive take-left-then-right: symmetric but deadlocks on rings
 
