@@ -1,5 +1,5 @@
-//! The blocking adversary: a full-information scheduler that tries to keep a
-//! set of philosophers from ever eating.
+//! The blocking adversary: a full-information scheduler that tries to keep
+//! every philosopher from ever eating.
 //!
 //! This generalizes the hand-crafted schedulers of the paper:
 //!
@@ -17,9 +17,8 @@
 //!
 //! 1. never schedule a philosopher that is about to test-and-set its second
 //!    fork while that fork is free (deferral);
-//! 2. while such a philosopher is deferred, steer some other philosopher —
-//!    preferably one outside the protected target set, such as the pendant
-//!    philosopher `P` of Figure 2 — into taking exactly that fork;
+//! 2. while such a philosopher is deferred, steer some other philosopher
+//!    into taking exactly that fork;
 //! 3. fill the remaining schedule with harmless moves (busy-waits on held
 //!    forks, releases after failed second takes, redraws) so that every
 //!    philosopher keeps being scheduled.
@@ -28,8 +27,8 @@
 //! always run underneath a [`FairDriver`] with an increasing-stubbornness
 //! schedule, exactly as the paper repairs its own schedulers.  The adversary
 //! therefore succeeds only with *positive probability*, not with certainty —
-//! which is precisely the shape of the paper's Theorems 1 and 2 — and the
-//! experiments in `gdp-bench` report the measured success frequency.
+//! which is precisely the shape of the paper's Theorems 1 and 2 — and
+//! `gdp sweep --adversary blocking` measures the success frequency.
 
 use crate::fairness::{FairDriver, SchedulingPolicy, StubbornnessSchedule};
 use gdp_sim::{Phase, PhilosopherView, SystemView};
@@ -75,13 +74,11 @@ fn posture(view: &SystemView<'_>, p: &PhilosopherView) -> Posture {
     }
 }
 
-/// The raw (unfair) blocking policy.  Use [`BlockingAdversary`] for the fair,
-/// ready-to-run wrapper.
+/// The raw (unfair) blocking policy: it tries to keep every philosopher from
+/// eating (global no-progress, as in the Section 3 example and Theorem 2).
+/// Use [`BlockingAdversary`] for the fair, ready-to-run wrapper.
 #[derive(Clone, Debug)]
 pub struct BlockingPolicy {
-    /// The philosophers the adversary tries to starve.  `None` means all of
-    /// them (global no-progress, as in the Section 3 example and Theorem 2).
-    targets: Option<BTreeSet<PhilosopherId>>,
     /// How often (in scheduler steps) the policy proactively re-schedules a
     /// philosopher that currently has only harmless moves available, so that
     /// the fairness guard never has to force anybody.
@@ -97,33 +94,10 @@ impl BlockingPolicy {
     #[must_use]
     pub fn global() -> Self {
         BlockingPolicy {
-            targets: None,
             refresh_interval: 0,
             step: 0,
             last_proposed: Vec::new(),
         }
-    }
-
-    /// A policy that tries to starve exactly `targets`, using the remaining
-    /// philosophers as helpers that are allowed (even encouraged) to eat.
-    #[must_use]
-    pub fn starving<I: IntoIterator<Item = PhilosopherId>>(targets: I) -> Self {
-        BlockingPolicy {
-            targets: Some(targets.into_iter().collect()),
-            refresh_interval: 0,
-            step: 0,
-            last_proposed: Vec::new(),
-        }
-    }
-
-    fn is_target(&self, p: PhilosopherId) -> bool {
-        self.targets.as_ref().is_none_or(|set| set.contains(&p))
-    }
-
-    /// The starved set, or `None` when the policy targets everyone.
-    #[must_use]
-    pub fn targets(&self) -> Option<&BTreeSet<PhilosopherId>> {
-        self.targets.as_ref()
     }
 
     fn ensure_tracking(&mut self, n: usize) {
@@ -195,20 +169,20 @@ impl SchedulingPolicy for BlockingPolicy {
     fn propose(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         self.ensure_tracking(view.num_philosophers());
         let philosophers = view.philosophers();
-        let postures: Vec<(PhilosopherId, Posture, bool)> = philosophers
+        let postures: Vec<(PhilosopherId, Posture)> = philosophers
             .iter()
-            .map(|p| (p.id, posture(view, p), self.is_target(p.id)))
+            .map(|p| (p.id, posture(view, p)))
             .collect();
 
-        // "Hot" forks: free forks that some *target* philosopher is one
-        // scheduler step away from grabbing as its second fork.
+        // "Hot" forks: free forks that some philosopher is one scheduler
+        // step away from grabbing as its second fork.
         let hot: BTreeSet<ForkId> = postures
             .iter()
-            .filter_map(|&(_, posture, is_target)| match posture {
+            .filter_map(|&(_, posture)| match posture {
                 Posture::SecondAttempt {
                     fork,
                     fork_free: true,
-                } if is_target => Some(fork),
+                } => Some(fork),
                 _ => None,
             })
             .collect();
@@ -217,7 +191,7 @@ impl SchedulingPolicy for BlockingPolicy {
         // without a standby would immediately create a hot philosopher.
         let wanted_second: BTreeSet<ForkId> = postures
             .iter()
-            .filter_map(|&(_, posture, _)| match posture {
+            .filter_map(|&(_, posture)| match posture {
                 Posture::SecondAttempt { fork, .. } => Some(fork),
                 _ => None,
             })
@@ -226,8 +200,8 @@ impl SchedulingPolicy for BlockingPolicy {
         // --- Rule 0: let anyone who is eating finish, so forks circulate. ---
         let eating: Vec<PhilosopherId> = postures
             .iter()
-            .filter(|&&(_, posture, _)| posture == Posture::Eating)
-            .map(|&(id, _, _)| id)
+            .filter(|&&(_, posture)| posture == Posture::Eating)
+            .map(|&(id, _)| id)
             .collect();
         if let Some(p) = least_scheduled(view, &eating) {
             return self.record(p);
@@ -236,17 +210,17 @@ impl SchedulingPolicy for BlockingPolicy {
         // --- Rule 1: cover hot forks. ------------------------------------
         // Somebody is one step from eating off a free fork; get that fork
         // occupied first.  Prefer coverers whose own situation stays safe,
-        // then helpers that may eat onto it, then anybody committed to it.
+        // then anybody committed to it.
         if !hot.is_empty() {
             let mut safe_cover = Vec::new();
-            let mut helper_eat_cover = Vec::new();
             let mut any_cover = Vec::new();
-            for &(id, posture, is_target) in &postures {
-                match posture {
-                    Posture::FirstAttempt {
-                        fork,
-                        fork_free: true,
-                    } if hot.contains(&fork) => {
+            for &(id, posture) in &postures {
+                if let Posture::FirstAttempt {
+                    fork,
+                    fork_free: true,
+                } = posture
+                {
+                    if hot.contains(&fork) {
                         let other = view.topology().other_fork(id, fork);
                         if !view.fork(other).is_free() || coverable(view, other, id) {
                             safe_cover.push(id);
@@ -254,14 +228,9 @@ impl SchedulingPolicy for BlockingPolicy {
                             any_cover.push(id);
                         }
                     }
-                    Posture::SecondAttempt {
-                        fork,
-                        fork_free: true,
-                    } if !is_target && hot.contains(&fork) => helper_eat_cover.push(id),
-                    _ => {}
                 }
             }
-            for tier in [&safe_cover, &helper_eat_cover, &any_cover] {
+            for tier in [&safe_cover, &any_cover] {
                 if let Some(p) = least_scheduled(view, tier) {
                     return self.record(p);
                 }
@@ -308,10 +277,6 @@ impl SchedulingPolicy for BlockingPolicy {
                 if qv.phase == Phase::Eating || !qv.holding.is_empty() {
                     continue;
                 }
-                if !self.is_target(q) {
-                    // Helpers are handled below; don't waste them here.
-                    continue;
-                }
                 match qv.committed {
                     // Uncommitted: a draw may land on f.
                     None if qv.phase == Phase::Hungry => builders.push(q),
@@ -333,28 +298,10 @@ impl SchedulingPolicy for BlockingPolicy {
             return self.record(p);
         }
 
-        // --- Rule 3: helpers advance freely. ------------------------------
-        let helpers: Vec<PhilosopherId> = postures
-            .iter()
-            .filter(|&&(id, posture, is_target)| {
-                !is_target
-                    && posture != Posture::Eating
-                    && view.philosopher(id).phase != Phase::Thinking
-            })
-            .map(|&(id, _, _)| id)
-            .collect();
-        if let Some(p) = least_scheduled(view, &helpers) {
-            // Helpers are scheduled round-robin-ish with the fillers below:
-            // only jump the queue when they have waited at least a little.
-            if self.age(p) >= self.refresh_interval / 2 {
-                return self.record(p);
-            }
-        }
-
-        // --- Rule 4: proactive refresh of anyone whose harmless move is
+        // --- Rule 3: proactive refresh of anyone whose harmless move is
         //             overdue, so the fairness guard never has to fire. -----
         let mut overdue: Vec<(u64, PhilosopherId)> = Vec::new();
-        for &(id, posture, is_target) in &postures {
+        for &(id, posture) in &postures {
             let age = self.age(id);
             if age < self.refresh_interval {
                 continue;
@@ -387,7 +334,6 @@ impl SchedulingPolicy for BlockingPolicy {
                 }
                 _ => false,
             };
-            let _ = is_target;
             if harmless {
                 overdue.push((age, id));
             }
@@ -399,11 +345,11 @@ impl SchedulingPolicy for BlockingPolicy {
             return self.record(p);
         }
 
-        // --- Rule 5: fillers — harmless busy-waits and draws. -------------
+        // --- Rule 4: fillers — harmless busy-waits and draws. -------------
         let mut fillers = Vec::new();
         let mut safe_takers = Vec::new();
         let mut bootstrap = Vec::new();
-        for &(id, posture, _) in &postures {
+        for &(id, posture) in &postures {
             match posture {
                 Posture::Idle
                 | Posture::FirstAttempt {
@@ -429,17 +375,17 @@ impl SchedulingPolicy for BlockingPolicy {
             }
         }
 
-        // --- Rule 6: bootstrap — nothing is held yet (or only unsafe moves
+        // --- Rule 5: bootstrap — nothing is held yet (or only unsafe moves
         //             remain): start the wave with a coverable first take. --
         if let Some(p) = least_scheduled(view, &bootstrap) {
             return self.record(p);
         }
 
-        // --- Rule 7: last resorts, preferring moves that cannot eat. -------
+        // --- Rule 6: last resorts, preferring moves that cannot eat. -------
         let mut stable_holders = Vec::new();
         let mut other_non_eating = Vec::new();
         let mut hot_holders = Vec::new();
-        for &(id, posture, _) in &postures {
+        for &(id, posture) in &postures {
             match posture {
                 Posture::SecondAttempt {
                     fork_free: false, ..
@@ -477,16 +423,6 @@ impl BlockingAdversary {
         Self::with_schedule(BlockingPolicy::global(), StubbornnessSchedule::Growing)
     }
 
-    /// An adversary attempting to starve exactly `targets` (Theorem 1: the
-    /// ring philosophers `H`), with the default stubbornness schedule.
-    #[must_use]
-    pub fn starving<I: IntoIterator<Item = PhilosopherId>>(targets: I) -> Self {
-        Self::with_schedule(
-            BlockingPolicy::starving(targets),
-            StubbornnessSchedule::Growing,
-        )
-    }
-
     /// Builds an adversary from an explicit policy and stubbornness schedule.
     #[must_use]
     pub fn with_schedule(policy: BlockingPolicy, schedule: StubbornnessSchedule) -> Self {
@@ -499,9 +435,7 @@ mod tests {
     use super::*;
     use gdp_algorithms::{Gdp1, Gdp2, Lr1, Lr2};
     use gdp_sim::{Engine, Program, SimConfig, StopCondition};
-    use gdp_topology::builders::{
-        classic_ring, figure1_triangle, figure3_theta, ring_with_chord, ChordTarget,
-    };
+    use gdp_topology::builders::{classic_ring, figure1_triangle, figure3_theta};
     use gdp_topology::Topology;
 
     /// Window length for the finite-horizon blocking experiments.
@@ -643,71 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn starves_the_ring_philosophers_of_lr1_on_the_figure2_system() {
-        // Theorem 1: hexagon + pendant philosopher.  The ring philosophers
-        // (0..6) finish the window without a single meal while the pendant
-        // philosopher (6) remains free to eat.
-        let topology = ring_with_chord(6, ChordTarget::ExternalFork).unwrap();
-        let ring: Vec<PhilosopherId> = (0..6).map(PhilosopherId::new).collect();
-        let trials = 20u64;
-        let mut ring_starved_trials = 0u64;
-        let mut pendant_meals_total = 0u64;
-        for seed in 0..trials {
-            let mut engine = Engine::new(
-                topology.clone(),
-                Lr1::new(),
-                SimConfig::default().with_seed(seed),
-            );
-            let mut adversary =
-                BlockingAdversary::with_schedule(BlockingPolicy::starving(ring.clone()), patient());
-            let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(WINDOW));
-            let ring_meals: u64 = ring
-                .iter()
-                .map(|p| outcome.meals_per_philosopher[p.index()])
-                .sum();
-            pendant_meals_total += outcome.meals_per_philosopher[6];
-            if ring_meals == 0 {
-                ring_starved_trials += 1;
-            }
-        }
-        let fraction = ring_starved_trials as f64 / trials as f64;
-        assert!(
-            fraction >= 0.75,
-            "ring philosophers starved in only {fraction} of trials"
-        );
-        assert!(
-            pendant_meals_total > 0,
-            "the pendant philosopher should be allowed to eat (it is not a target)"
-        );
-    }
-
-    #[test]
-    fn cannot_starve_the_ring_philosophers_of_gdp1_on_the_figure2_system() {
-        // Counterpart to the previous test with the default (growing but
-        // finite) stubbornness schedule: against GDP1 the same targeting
-        // adversary fails — the ring philosophers eat within the window.
-        let topology = ring_with_chord(6, ChordTarget::ExternalFork).unwrap();
-        let ring: Vec<PhilosopherId> = (0..6).map(PhilosopherId::new).collect();
-        for seed in 0..10u64 {
-            let mut engine = Engine::new(
-                topology.clone(),
-                Gdp1::new(),
-                SimConfig::default().with_seed(seed),
-            );
-            let mut adversary = BlockingAdversary::starving(ring.clone());
-            let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(WINDOW));
-            let ring_meals: u64 = ring
-                .iter()
-                .map(|p| outcome.meals_per_philosopher[p.index()])
-                .sum();
-            assert!(
-                ring_meals > 0,
-                "GDP1 ring philosophers must make progress under the Theorem 1 adversary (seed {seed})"
-            );
-        }
-    }
-
-    #[test]
     fn tight_fairness_bounds_restore_progress_everywhere() {
         // With a small constant stubbornness bound the guard forces progress
         // even for LR1 on the triangle and on the classic ring: the negative
@@ -746,9 +615,10 @@ mod tests {
     #[test]
     fn policy_accessors() {
         let global = BlockingAdversary::global();
-        assert!(global.policy().targets().is_none());
-        let targeted = BlockingAdversary::starving([PhilosopherId::new(0), PhilosopherId::new(2)]);
-        assert_eq!(targeted.policy().targets().unwrap().len(), 2);
+        assert!(
+            global.policy().last_proposed.is_empty(),
+            "sized on first use"
+        );
         assert_eq!(global.overrides(), 0);
     }
 }

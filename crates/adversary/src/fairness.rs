@@ -73,10 +73,9 @@ pub trait SchedulingPolicy {
 ///
 /// Every guarded scheduler in this crate is one of these:
 /// [`MaxWaitAdversary`](crate::MaxWaitAdversary),
-/// [`GreedyConflictAdversary`](crate::GreedyConflictAdversary),
-/// [`BlockingAdversary`](crate::BlockingAdversary) and
-/// [`TargetStarver`](crate::TargetStarver) each name a policy, and their
-/// constructors pick its schedule.
+/// [`GreedyConflictAdversary`](crate::GreedyConflictAdversary) and
+/// [`BlockingAdversary`](crate::BlockingAdversary) each name a policy, and
+/// their constructors pick its schedule.
 #[derive(Clone, Debug)]
 pub struct FairDriver<P> {
     policy: P,

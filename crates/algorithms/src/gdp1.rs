@@ -21,7 +21,9 @@
 //! (line 4).  Once every cycle of the conflict graph has adjacent forks with
 //! pairwise-distinct numbers, the algorithm behaves like hierarchical
 //! resource allocation on a partial order and somebody must eat — that is
-//! the proof skeleton of Theorem 3, which experiment E5 checks empirically.
+//! the proof skeleton of Theorem 3, which the Theorem 3 rows of
+//! `gdp_bench::CLAIMS` check exactly (ring 4, theta 5, the Figure 1
+//! triangle).
 //!
 //! Note on line 4 of Table 3: the paper prints `fork := random[1, m]`; from
 //! the surrounding text ("the philosopher may change the nr value of a fork
@@ -29,7 +31,8 @@
 //! assignment is to `fork.nr`, which is what we implement.
 //!
 //! GDP1 guarantees progress but **not** lockout-freedom (Section 5 opens
-//! with a starvation scenario, reproduced by experiment E9); use
+//! with a starvation scenario; the Section 5 claim row checks the 3-ring
+//! lockout target violated with worst-case probability 0); use
 //! [`Gdp2`](crate::Gdp2) when per-philosopher liveness is required.
 
 use gdp_sim::{Action, Phase, Program, ProgramObservation, StepCtx};

@@ -19,10 +19,9 @@
 //! (which guarantees that *somebody* eats) with the request lists and guest
 //! books of LR2 (which make an eager eater defer to a neighbour it has
 //! overtaken).  Theorem 4 claims the combination is lockout-free with
-//! probability 1 under every fair adversary.  Experiment E6 samples it under
-//! uniform-random scheduling on the Figure 1 gallery and the Figure 2 and 3
-//! witnesses, and experiment E9 shows the starvation schedule that defeats
-//! GDP1 does not defeat GDP2.
+//! probability 1 under every fair adversary.  The Theorem 4 rows of
+//! `gdp_bench::CLAIMS` check it exactly: progress on theta 4 and lockout on
+//! `shared-ring:2` size 2 certify, and lockout on the 3-ring does not.
 //!
 //! Faithfulness note: Table 4 as printed omits the `Cond(fork)` conjunct on
 //! line 4, but Section 5's text introduces the request lists, guest books

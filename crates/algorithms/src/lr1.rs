@@ -20,8 +20,9 @@
 //! every fair adversary (Lehmann & Rabin 1981).  Section 3 of the paper
 //! shows that on generalized topologies — starting with the 6-philosopher /
 //! 3-fork triangle of Figure 1 — a fair adversary can prevent progress with
-//! positive probability; the `gdp-adversary` crate implements that scheduler
-//! and experiment E2/E3 measure it.
+//! positive probability; the `gdp-adversary` crate implements that scheduler,
+//! the report's Section 3 table (E2) runs it, and the Section 3 and Theorem
+//! 1 rows of `gdp_bench::CLAIMS` check the failure exactly.
 
 use gdp_sim::{Action, Phase, Program, ProgramObservation, StepCtx};
 use gdp_topology::{ForkEnds, ForkId, Side};

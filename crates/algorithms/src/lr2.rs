@@ -28,7 +28,9 @@
 //!
 //! On the classic ring LR2 is lockout-free.  Theorem 2 of the paper shows it
 //! can be defeated (no progress for a whole ring plus path) on any topology
-//! containing a theta subgraph; experiment E4 reproduces that.
+//! containing a theta subgraph; the Theorem 2 row of `gdp_bench::CLAIMS`
+//! checks that exactly on a theta graph, and the Lehmann–Rabin row checks
+//! lockout-freedom on the 3-ring.
 
 use gdp_sim::{Action, Phase, Program, ProgramObservation, StepCtx};
 use gdp_topology::{ForkEnds, ForkId, Side};

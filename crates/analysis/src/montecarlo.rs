@@ -14,7 +14,7 @@
 //! Both are read off **one** batch by [`estimate_liveness`], which is
 //! generic in the program and the adversary, so the same harness measures
 //! LR1/LR2 under the paper's defeating schedulers and GDP1/GDP2 under every
-//! scheduler (experiments E2–E6, E9).
+//! scheduler (the cells of `gdp sweep`).
 //!
 //! ## Parallelism and determinism
 //!

@@ -1,19 +1,205 @@
-//! Shared helpers for the `report` binary
-//! (`cargo run -p gdp-bench --bin report --release`), which regenerates
-//! every summary table of the paper in one go.
+//! The paper's claims as checked rows ([`CLAIMS`]), and the helpers of the
+//! `report` binary (`cargo run -p gdp-bench --bin report --release`), which
+//! prints every row's exact verdict and then the tables no exact class
+//! covers.
 
-use gdp_adversary::{AdversaryKind, TriangleWaveAdversary};
+use gdp_adversary::TriangleWaveAdversary;
 use gdp_algorithms::AlgorithmKind;
-use gdp_analysis::montecarlo::{estimate_liveness, LivenessEstimate};
-use gdp_analysis::TrialConfig;
+use gdp_scenarios::{CheckSpec, CheckTargetSpec, CheckVerdict, TopologyFamily};
 use gdp_sim::{Engine, SimConfig, StopCondition};
-use gdp_topology::Topology;
 
 /// Number of Monte-Carlo trials used by the printed summaries.
 pub const TRIALS: u64 = 20;
 
-/// Step budget per trial used by the printed summaries.
-pub const MAX_STEPS: u64 = 60_000;
+/// One checkable claim of the paper, pinned as the exact verdict of one
+/// `gdp check` cell at the checker's defaults: every fair adversary, a
+/// 6,000,000-state budget and the automatic symmetry quotient.
+#[derive(Clone, Copy, Debug)]
+pub struct Claim {
+    /// Where the claim is made: a theorem or section of the paper, or the
+    /// Lehmann–Rabin results it builds on.
+    pub source: &'static str,
+    /// The verdict the paper states for this cell.
+    pub paper: CheckVerdict,
+    /// The checked topology family.
+    pub family: TopologyFamily,
+    /// The family's scale parameter.
+    pub size: usize,
+    /// The checked algorithm.
+    pub algorithm: AlgorithmKind,
+    /// The checked objective.
+    pub target: CheckTargetSpec,
+    /// The verdict `gdp check` reaches.
+    pub verdict: CheckVerdict,
+    /// The worst-case probability of the first checked target.
+    pub probability: f64,
+}
+
+impl Claim {
+    /// The check this row pins: `gdp check`'s defaults plus the row's
+    /// target.
+    #[must_use]
+    pub fn spec(&self) -> CheckSpec {
+        CheckSpec {
+            target: self.target,
+            ..CheckSpec::new(self.family, self.size, self.algorithm)
+        }
+    }
+
+    /// The `gdp check` command line that reproduces this row.
+    #[must_use]
+    pub fn command(&self) -> String {
+        let mut command = format!(
+            "gdp check --family {} --size {} --algorithm {}",
+            self.family.name(),
+            self.size,
+            self.algorithm.name().to_ascii_lowercase()
+        );
+        if self.target != CheckTargetSpec::Progress {
+            command.push_str(" --target ");
+            command.push_str(&self.target.name());
+        }
+        command
+    }
+}
+
+/// The paper's checkable claims (Herescu & Palamidessi, arXiv cs/0109003),
+/// one row per `gdp check` cell that decides one.  Every row is exact at
+/// the default budget; `tests/claims.rs` runs each one in process and
+/// through the `gdp` binary.
+///
+/// The Figure 1 triangle is `shared-ring:2` at size 3.  The last row is the
+/// one where the check and the paper differ: with `Cond` tested at the
+/// first take only, a fair adversary starves P0 of the 3-ring surely.
+pub const CLAIMS: &[Claim] = &[
+    // Lehmann and Rabin: LR1 progresses and LR2 is lockout-free on rings.
+    Claim {
+        source: "Lehmann-Rabin",
+        paper: CheckVerdict::Certified,
+        family: TopologyFamily::Ring,
+        size: 3,
+        algorithm: AlgorithmKind::Lr1,
+        target: CheckTargetSpec::Progress,
+        verdict: CheckVerdict::Certified,
+        probability: 1.0,
+    },
+    Claim {
+        source: "Lehmann-Rabin",
+        paper: CheckVerdict::Certified,
+        family: TopologyFamily::Ring,
+        size: 3,
+        algorithm: AlgorithmKind::Lr2,
+        target: CheckTargetSpec::Lockout,
+        verdict: CheckVerdict::Certified,
+        probability: 1.0,
+    },
+    // LR1 fails on the Figure 1 triangle.
+    Claim {
+        source: "Section 3",
+        paper: CheckVerdict::Violated,
+        family: TopologyFamily::SharedRing { sharing: 2 },
+        size: 3,
+        algorithm: AlgorithmKind::Lr1,
+        target: CheckTargetSpec::Progress,
+        verdict: CheckVerdict::Violated,
+        probability: 0.1875,
+    },
+    // LR1 fails on a ring with an extra arc.
+    Claim {
+        source: "Theorem 1",
+        paper: CheckVerdict::Violated,
+        family: TopologyFamily::Theta { paths: 3 },
+        size: 5,
+        algorithm: AlgorithmKind::Lr1,
+        target: CheckTargetSpec::Progress,
+        verdict: CheckVerdict::Violated,
+        probability: 0.6875,
+    },
+    // LR2 fails on theta graphs.
+    Claim {
+        source: "Theorem 2",
+        paper: CheckVerdict::Violated,
+        family: TopologyFamily::Theta { paths: 3 },
+        size: 4,
+        algorithm: AlgorithmKind::Lr2,
+        target: CheckTargetSpec::Progress,
+        verdict: CheckVerdict::Violated,
+        probability: 0.5,
+    },
+    // GDP1 progresses on every topology.
+    Claim {
+        source: "Theorem 3",
+        paper: CheckVerdict::Certified,
+        family: TopologyFamily::Ring,
+        size: 4,
+        algorithm: AlgorithmKind::Gdp1,
+        target: CheckTargetSpec::Progress,
+        verdict: CheckVerdict::Certified,
+        probability: 1.0,
+    },
+    Claim {
+        source: "Theorem 3",
+        paper: CheckVerdict::Certified,
+        family: TopologyFamily::Theta { paths: 3 },
+        size: 5,
+        algorithm: AlgorithmKind::Gdp1,
+        target: CheckTargetSpec::Progress,
+        verdict: CheckVerdict::Certified,
+        probability: 1.0,
+    },
+    Claim {
+        source: "Theorem 3",
+        paper: CheckVerdict::Certified,
+        family: TopologyFamily::SharedRing { sharing: 2 },
+        size: 3,
+        algorithm: AlgorithmKind::Gdp1,
+        target: CheckTargetSpec::Progress,
+        verdict: CheckVerdict::Certified,
+        probability: 1.0,
+    },
+    // GDP1 is not lockout-free.
+    Claim {
+        source: "Section 5",
+        paper: CheckVerdict::Violated,
+        family: TopologyFamily::Ring,
+        size: 3,
+        algorithm: AlgorithmKind::Gdp1,
+        target: CheckTargetSpec::Lockout,
+        verdict: CheckVerdict::Violated,
+        probability: 0.0,
+    },
+    // GDP2 is lockout-free on every topology.
+    Claim {
+        source: "Theorem 4",
+        paper: CheckVerdict::Certified,
+        family: TopologyFamily::Theta { paths: 3 },
+        size: 4,
+        algorithm: AlgorithmKind::Gdp2,
+        target: CheckTargetSpec::Progress,
+        verdict: CheckVerdict::Certified,
+        probability: 1.0,
+    },
+    Claim {
+        source: "Theorem 4",
+        paper: CheckVerdict::Certified,
+        family: TopologyFamily::SharedRing { sharing: 2 },
+        size: 2,
+        algorithm: AlgorithmKind::Gdp2,
+        target: CheckTargetSpec::Lockout,
+        verdict: CheckVerdict::Certified,
+        probability: 1.0,
+    },
+    Claim {
+        source: "Theorem 4",
+        paper: CheckVerdict::Certified,
+        family: TopologyFamily::Ring,
+        size: 3,
+        algorithm: AlgorithmKind::Gdp2,
+        target: CheckTargetSpec::Lockout,
+        verdict: CheckVerdict::Violated,
+        probability: 0.0,
+    },
+];
 
 /// Prints a section header.
 pub fn print_header(title: &str) {
@@ -21,36 +207,6 @@ pub fn print_header(title: &str) {
     println!("{}", "=".repeat(100));
     println!("{title}");
     println!("{}", "=".repeat(100));
-}
-
-/// Estimates progress and lockout-freedom of `algorithm` on `topology`
-/// under `adversary` — one [`estimate_liveness`] batch of [`TRIALS`] ×
-/// [`MAX_STEPS`] with cell seed 0, the estimator `gdp sweep` cells use —
-/// and prints one paper-style summary row:
-/// `topology | algorithm | adversary | progress | lockout-free | first-meal p50 | meals/kstep`.
-pub fn run_and_print(
-    name: &str,
-    topology: &Topology,
-    algorithm: AlgorithmKind,
-    adversary: AdversaryKind,
-) -> LivenessEstimate {
-    let estimate = estimate_liveness(
-        topology,
-        &algorithm.program(),
-        |trial| adversary.build(0, trial),
-        &TrialConfig::new(TRIALS, MAX_STEPS),
-    );
-    println!(
-        "{:<26} {:<14} {:<22} progress={:>5.2} lockout_free={:>5.2} first_meal_p50={:>8.0} meals/kstep={:>7.2}",
-        name,
-        algorithm.name(),
-        adversary.name(),
-        estimate.progress.progress_fraction,
-        estimate.lockout.lockout_free_fraction,
-        estimate.progress.first_meal_p50,
-        estimate.progress.meals_mean * 1000.0 / MAX_STEPS as f64,
-    );
-    estimate
 }
 
 /// Outcome of a batch of runs under the Section 3 wave scheduler.

@@ -180,13 +180,14 @@ impl CheckSpec {
     /// Symmetry is recorded *resolved* (`true`/`false`), so `auto` and an
     /// explicit matching flag share cache entries.
     ///
-    /// The leading `gdp-check v1` token versions this vocabulary itself:
+    /// The leading `gdp-check v2` token versions this vocabulary itself:
     /// records fingerprinted under an older vocabulary simply miss, they
-    /// are never misread.
+    /// are never misread.  v2 retired the v1 records that could still hold
+    /// a quotient refutation or an inconclusive certificate's lasso.
     #[must_use]
     pub fn store_context(&self) -> String {
         format!(
-            "gdp-check v1 | target={} | adversary={} | max_states={} | symmetry={} | \
+            "gdp-check v2 | target={} | adversary={} | max_states={} | symmetry={} | \
              expected_steps={}",
             self.target.name(),
             self.adversary.name(),
@@ -203,13 +204,19 @@ impl CheckSpec {
         stable_digest64(self.store_context().as_bytes())
     }
 
-    /// The certificate-record key: the cell key plus the topology seed
-    /// (random families build different topologies per seed, and the seed
-    /// is a cell axis in sweeps, so it belongs in the key, not the
-    /// context).
+    /// The certificate-record key: the cell key plus the topology seed of
+    /// a random family (it builds a different topology per seed, and the
+    /// seed is a cell axis in sweeps, so it belongs in the key, not the
+    /// context).  Every other family ignores the seed and keys `@s0`, so
+    /// one certificate answers every seed.
     #[must_use]
     pub fn cert_key(&self) -> String {
-        format!("{}@s{}", self.cell_key(), self.topology_seed)
+        let seed = if self.family.is_random() {
+            self.topology_seed
+        } else {
+            0
+        };
+        format!("{}@s{seed}", self.cell_key())
     }
 }
 
@@ -342,7 +349,13 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, String> {
         // Counterexample replay speaks plain engine states; restricted
         // product states carry scheduler bookkeeping the replayer cannot
         // reconstruct, so extraction is limited to the unrestricted model.
-        if unrestricted && counterexample.is_none() && !solution.holds_with_probability_one() {
+        // A truncated fragment refutes nothing, so only a violated
+        // certificate gets a lasso.
+        if unrestricted
+            && counterexample.is_none()
+            && certificate.verdict() == Verdict::Violated
+            && !solution.holds_with_probability_one()
+        {
             if let Some(schedule) = extract_counterexample(
                 &topology,
                 &program,
@@ -390,7 +403,7 @@ fn overall_verdict(certificates: &[Certificate]) -> Verdict {
 /// recomputed checksum — is rejected, never trusted.
 #[derive(Clone, Debug)]
 pub struct StoredCheck {
-    /// The record key, `"<cell key>@s<topology seed>"`.
+    /// The record key, [`CheckSpec::cert_key`].
     pub key: String,
     /// The checked cell key (what [`CheckReport::cell`] holds).
     pub cell: String,
@@ -559,13 +572,6 @@ pub fn run_check_cached(
     let mut stats = StoreStats::default();
     if resume {
         match store.read::<StoredCheck>(fingerprint, &key) {
-            // A refutation from a quotient was stored before `run_check`
-            // rebuilt refuted targets unreduced: recompute it.
-            Lookup::Hit(stored)
-                if stored
-                    .certificates
-                    .iter()
-                    .any(|c| c.symmetry_group > 1 && c.verdict() == Verdict::Violated) => {}
             Lookup::Hit(stored) => {
                 stats.reused = 1;
                 let StoredCheck {
@@ -934,15 +940,28 @@ mod tests {
         };
         let (_, stats) = run_check_cached(&restricted, &store, true).unwrap();
         assert_eq!((stats.reused, stats.computed), (0, 1));
-        // So is a different topology seed (random families redraw edges).
+        // A family that ignores the seed shares one certificate across seeds.
+        let reseeded_ring = CheckSpec {
+            topology_seed: 7,
+            ..spec.clone()
+        };
+        let (_, stats) = run_check_cached(&reseeded_ring, &store, true).unwrap();
+        assert_eq!((stats.reused, stats.computed), (1, 0));
+        // A random family redraws its edges per seed: a different check.
+        let random = CheckSpec::new(
+            TopologyFamily::RandomRegular { degree: 2 },
+            3,
+            AlgorithmKind::Gdp1,
+        );
+        run_check_cached(&random, &store, true).unwrap();
         let reseeded = CheckSpec {
             topology_seed: 1,
-            ..spec.clone()
+            ..random.clone()
         };
         let (_, stats) = run_check_cached(&reseeded, &store, true).unwrap();
         assert_eq!((stats.reused, stats.computed), (0, 1));
         // And each variant now answers warm from its own record.
-        for variant in [&spec, &restricted, &reseeded] {
+        for variant in [&spec, &restricted, &random, &reseeded] {
             let (_, stats) = run_check_cached(variant, &store, true).unwrap();
             assert_eq!(
                 (stats.reused, stats.computed),
@@ -951,48 +970,6 @@ mod tests {
                 variant.cert_key()
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A stored refutation from a quotient predates the rebuild rule: a
-    /// resumed check recomputes it instead of answering from disk.
-    #[test]
-    fn stored_quotient_refutations_are_recomputed() {
-        let (store, dir) = temp_cert_store("quotient");
-        let family = TopologyFamily::SharedRing { sharing: 2 };
-        let spec = CheckSpec::new(family, 2, AlgorithmKind::Gdp1);
-        let topology = family.build(2, 0).unwrap();
-        let options = BuildOptions::default().with_threads(1);
-        let mdp = build_mdp(
-            &topology,
-            &spec.algorithm.program(),
-            CheckTarget::Progress,
-            &options,
-        );
-        let solution = solve(&mdp, &SolveOptions::default());
-        let stale = Certificate::new(
-            &topology,
-            spec.algorithm.name(),
-            CheckTarget::Progress,
-            &options.sim,
-            &mdp,
-            &solution,
-            None,
-        );
-        assert_eq!(
-            (stale.symmetry_group, stale.verdict()),
-            (2, Verdict::Violated)
-        );
-        let payload = encode_check_payload(&spec.cert_key(), &spec.cell_key(), &[stale]);
-        store
-            .write::<StoredCheck>(spec.store_fingerprint(), &spec.cert_key(), &payload)
-            .unwrap();
-        let (report, stats) = run_check_cached(&spec, &store, true).unwrap();
-        assert_eq!((stats.reused, stats.computed), (0, 1));
-        assert_eq!(report.verdict(), Verdict::Certified);
-        // The recomputed record answers the next warm check.
-        let (_, stats) = run_check_cached(&spec, &store, true).unwrap();
-        assert_eq!((stats.reused, stats.computed), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1782,8 +1782,8 @@ mod tests {
         assert_eq!(
             files("certs"),
             [(
-                "ring_n3_GDP1_s0-bb82bb2d3b9a0234.cert".to_string(),
-                0x42f0_fc56_f5b4_9928
+                "ring_n3_GDP1_s0-210d1e2cbccea887.cert".to_string(),
+                0x1c62_d0ff_1bab_30df
             )]
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -10,8 +10,7 @@
 //!   paths) that witness Theorem 2 (LR2 fails);
 //! * auxiliary families (star, path, complete conflict graph) used in the
 //!   test-suite and benchmarks;
-//! * **random multigraph** generators for the probabilistic sweeps of
-//!   experiments E5/E6;
+//! * **random multigraph** generators for seeded property tests;
 //! * the parameterized **scenario families** enumerated by `gdp-scenarios`
 //!   and the `gdp sweep` command: grids, tori, barbells, generalized theta
 //!   graphs and seeded random `d`-regular conflict graphs.

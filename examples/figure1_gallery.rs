@@ -1,6 +1,7 @@
 //! Reproduces Figure 1 of the paper: the gallery of generalized dining
 //! philosopher systems, with structural analysis and a progress check for
-//! GDP1/GDP2 on each of them (experiment E1).
+//! GDP1/GDP2 on each of them (the triangle's exact verdicts are the Section 3
+//! and Theorem 3 rows of `gdp_bench::CLAIMS`).
 //!
 //! ```bash
 //! cargo run --example figure1_gallery

@@ -1,6 +1,6 @@
 //! The paper's headline negative result, live: the Section 3 scheduler
 //! defeats LR1 (and LR2) on the 6-philosopher / 3-fork system, while GDP1
-//! and GDP2 cannot be defeated by it (experiments E2 / E4).
+//! and GDP2 cannot be defeated by it (the report's Section 3 table, E2).
 //!
 //! ```bash
 //! cargo run --release --example lr1_adversary_demo

@@ -60,7 +60,7 @@ pub mod prelude {
 
     pub use gdp_adversary::{
         AdversaryKind, BlockingAdversary, BlockingPolicy, FairDriver, ReplayAdversary,
-        SchedulingPolicy, StubbornnessSchedule, TargetStarver, TriangleWaveAdversary,
+        SchedulingPolicy, StubbornnessSchedule, TriangleWaveAdversary,
     };
 
     pub use gdp_analysis::{

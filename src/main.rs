@@ -106,7 +106,8 @@ USAGE:
                                  (--topology is the same flag; pass one)
           --size <n>             family scale parameter      [default: 4]
           --seed <n>             topology seed of random families, the
-                                 @s<seed> of the certificate key [default: 0]
+                                 @s<seed> of their certificate key; other
+                                 families ignore it          [default: 0]
           --algorithm <name>     algorithm to check          [default: gdp1]
           --target <t>           progress|lockout|philosopher:<i> [default: progress]
           --adversary <class>    fair|kbounded:<k>|crash:<f> [default: fair]

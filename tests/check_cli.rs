@@ -274,22 +274,50 @@ fn check_pins_the_lr2_and_gdp2_models_on_the_three_ring() {
     }
 }
 
+/// A truncated build decides nothing, so it prints no counterexample
+/// either: the LR2 3-ring lockout fragment below has no fair avoid core,
+/// and the whole 7,550-state model certifies.
 #[test]
 fn check_with_exhausted_budget_is_inconclusive_and_exits_3() {
-    let output = gdp(&[
-        "check",
-        "--family",
-        "ring",
-        "--size",
-        "5",
-        "--algorithm",
-        "gdp1",
-        "--max-states",
-        "500",
-    ]);
-    assert_eq!(output.status.code(), Some(3));
-    assert!(stdout(&output).contains("verdict:           inconclusive"));
-    assert!(stderr(&output).contains("inconclusive:"));
+    let dot = std::env::temp_dir().join(format!("gdp_inconclusive_{}.dot", std::process::id()));
+    let dot = dot.to_str().expect("utf-8 temp path");
+    for cell in [
+        &[
+            "--family",
+            "ring",
+            "--size",
+            "5",
+            "--algorithm",
+            "gdp1",
+            "--max-states",
+            "500",
+        ][..],
+        &[
+            "--family",
+            "ring",
+            "--size",
+            "3",
+            "--algorithm",
+            "lr2",
+            "--target",
+            "lockout",
+            "--max-states",
+            "7000",
+        ],
+    ] {
+        let output = gdp(&[&["check"], cell].concat());
+        assert_eq!(output.status.code(), Some(3), "{cell:?}");
+        let text = stdout(&output);
+        assert!(text.contains("verdict:           inconclusive"), "{text}");
+        assert!(!text.contains("counterexample:"), "{text}");
+        assert!(stderr(&output).contains("inconclusive:"));
+        let output = gdp(&[&["check"], cell, &["--counterexample", dot]].concat());
+        assert_eq!(output.status.code(), Some(3), "{cell:?}");
+        assert!(
+            stdout(&output).contains(&format!("no counterexample to write to {dot}")),
+            "{cell:?}"
+        );
+    }
 }
 
 #[test]

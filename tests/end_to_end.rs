@@ -41,7 +41,7 @@ fn simulation_and_runtime_agree_on_lockout_freedom() {
 
 /// The analysis estimators, the adversary catalog and the algorithms crate
 /// compose: a full sweep over algorithms on the classic ring where all four
-/// are correct (experiment E7's sanity backbone).
+/// are correct (the Monte-Carlo side of the Lehmann–Rabin claim rows).
 #[test]
 fn all_algorithms_work_on_the_classic_ring() {
     // The deliberately broken naive baseline is excluded: deadlocking on

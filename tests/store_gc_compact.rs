@@ -318,21 +318,24 @@ fn corrupt_certificate_records_are_quarantined_never_trusted() {
             args.extend_from_slice(extra);
             gdp(&args)
         };
+        let records = || -> Vec<PathBuf> {
+            std::fs::read_dir(store.join("certs"))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|e| e == "cert"))
+                .collect()
+        };
         let cold = check(&[]);
         assert!(cold.status.success(), "{tag}: {}", stderr(&cold));
+        let [checked] = records()
+            .try_into()
+            .expect("one record after the cold check");
         // A second record (different adversary class) is the swap partner.
         let other = check(&["--adversary", "kbounded:1"]);
         assert!(other.status.success(), "{tag}: {}", stderr(&other));
-
-        let certs_dir = store.join("certs");
-        let mut records: Vec<PathBuf> = std::fs::read_dir(&certs_dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|e| e == "cert"))
-            .collect();
-        records.sort();
-        assert_eq!(records.len(), 2, "{tag}");
-        corrupt(&records[0], &records[1]);
+        let partner: Vec<PathBuf> = records().into_iter().filter(|p| *p != checked).collect();
+        assert_eq!(partner.len(), 1, "{tag}");
+        corrupt(&checked, &partner[0]);
 
         let warm = check(&["--resume"]);
         assert!(warm.status.success(), "{tag}: {}", stderr(&warm));

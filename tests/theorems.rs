@@ -1,6 +1,8 @@
-//! Cross-crate integration tests: the paper's four theorem-level claims,
-//! exercised end-to-end through the public `gdp` prelude and the
-//! Monte-Carlo estimator `gdp sweep` cells use.
+//! Cross-crate integration tests of what the exact claim rows
+//! (`gdp_bench::CLAIMS`, checked by `tests/claims.rs`) do not decide: the
+//! Section 3 wave scheduler, the structural preconditions of Theorems 1
+//! and 2, and the Section 4 symmetry-breaking bound, exercised through the
+//! public `gdp` prelude.
 
 use gdp::prelude::*;
 
@@ -45,73 +47,6 @@ fn section3_contrast_on_the_triangle() {
     // GDP1 and GDP2 are never blocked (Theorems 3 and 4).
     assert_eq!(blocked[2], 0, "GDP1 must never be blocked");
     assert_eq!(blocked[3], 0, "GDP2 must never be blocked");
-}
-
-/// Theorem 3: GDP1 progress probability 1 across the Figure 1 gallery and
-/// both built-in fair schedulers.
-#[test]
-fn theorem3_progress_across_the_gallery() {
-    for (name, topology) in builders::figure1_gallery() {
-        for adversary in [AdversaryKind::UniformRandom, AdversaryKind::RoundRobin] {
-            let estimate = montecarlo::estimate_liveness(
-                &topology,
-                &Gdp1::new(),
-                |trial| adversary.build(0, trial),
-                &TrialConfig::new(5, 300_000),
-            );
-            assert_eq!(
-                estimate.progress.progress_fraction, 1.0,
-                "GDP1 failed to progress on {name} under {adversary}"
-            );
-        }
-    }
-}
-
-/// Theorem 4: GDP2 lockout-freedom on the Theorem-2 witness topology
-/// (theta graph) and on the Figure 2 system.
-#[test]
-fn theorem4_lockout_freedom_on_witness_topologies() {
-    for topology in [
-        builders::figure3_theta(),
-        builders::figure2_hexagon_with_pendant(),
-    ] {
-        let estimate = montecarlo::estimate_liveness(
-            &topology,
-            &Gdp2::new(),
-            |trial| AdversaryKind::UniformRandom.build(0, trial),
-            &TrialConfig::new(5, 400_000),
-        );
-        assert_eq!(
-            estimate.lockout.lockout_free_fraction,
-            1.0,
-            "GDP2 allowed starvation on {}: {:?}",
-            topology.summary(),
-            estimate.lockout.starvation_per_philosopher
-        );
-    }
-}
-
-/// Section 5: GDP1 is not lockout-free (a fair scheduler can starve a chosen
-/// victim), while GDP2 protects the same victim.
-#[test]
-fn section5_gdp1_starvation_vs_gdp2() {
-    let starved = [AlgorithmKind::Gdp1, AlgorithmKind::Gdp2].map(|kind| {
-        montecarlo::estimate_liveness(
-            &builders::figure1_triangle(),
-            &kind.program(),
-            |_| TargetStarver::new(PhilosopherId::new(0)),
-            &TrialConfig::new(10, 60_000),
-        )
-        .lockout
-        .starvation_per_philosopher[0]
-    });
-    assert!(
-        starved[0] > starved[1],
-        "GDP1 victim should starve more often than GDP2 victim (GDP1: {}, GDP2: {})",
-        starved[0],
-        starved[1]
-    );
-    assert_eq!(starved[1], 0, "GDP2 must protect the victim in every trial");
 }
 
 /// The structural preconditions of the negative theorems match the paper's
