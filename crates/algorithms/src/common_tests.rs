@@ -6,8 +6,12 @@
 //! statistical symmetry that only the paper's four algorithms promise.
 
 use crate::{AlgorithmKind, AnyProgram};
-use gdp_sim::{Engine, Phase, Program, SimConfig, StopCondition, UniformRandomAdversary};
-use gdp_topology::builders::{classic_ring, figure1_triangle, figure3_theta, random_connected};
+use gdp_sim::{
+    Adversary, Engine, Phase, Program, SimConfig, StopCondition, UniformRandomAdversary,
+};
+use gdp_topology::builders::{
+    classic_ring, figure1_triangle, figure3_theta, generalized_theta, random_connected,
+};
 use gdp_topology::Topology;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -88,6 +92,55 @@ fn safety_invariants_hold_for_all_algorithms_on_the_triangle() {
 fn safety_invariants_hold_for_all_algorithms_on_the_theta_graph() {
     for kind in AlgorithmKind::all() {
         run_with_invariants(kind, figure3_theta(), 2, 20_000);
+    }
+}
+
+/// The step enumeration that the exact checker builds on, checked against
+/// the engine: every sampled step lands on one of the outcomes
+/// `EngineState::for_each_step_outcome` lists from the engine's snapshot
+/// (same forks, private states, step count and action), and the listed
+/// probabilities sum to 1.
+#[test]
+fn sampled_steps_land_on_an_enumerated_outcome() {
+    // Ring-5, and `theta:3` at size 5 (paths of 2, 2 and 1 philosophers).
+    for topology in [
+        classic_ring(5).unwrap(),
+        generalized_theta(&[2, 2, 1]).unwrap(),
+    ] {
+        for kind in AlgorithmKind::all() {
+            let mut engine = Engine::new(
+                topology.clone(),
+                kind.program(),
+                SimConfig::default().with_seed(11),
+            );
+            let mut adversary = UniformRandomAdversary::new(17);
+            let mut post = engine.snapshot();
+            for step in 0..2_000 {
+                let before = engine.snapshot();
+                let chosen = engine.with_view(|view| adversary.select(view));
+                let (mut outcomes, mut total) = (Vec::new(), 0.0);
+                before.for_each_step_outcome(
+                    engine.topology(),
+                    engine.program(),
+                    chosen,
+                    &mut post,
+                    |p, post, action| {
+                        total += p;
+                        outcomes.push((post.clone(), action));
+                    },
+                );
+                let record = engine.step_philosopher(chosen);
+                let after = engine.snapshot();
+                let context = format!("{kind} on {}, step {step}", topology.summary());
+                assert!((total - 1.0).abs() < 1e-12, "{context}: P sums to {total}");
+                assert!(
+                    outcomes
+                        .iter()
+                        .any(|(post, action)| *post == after && *action == record.action),
+                    "{context}: the sampled step of {chosen} is not an enumerated outcome"
+                );
+            }
+        }
     }
 }
 

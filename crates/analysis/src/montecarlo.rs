@@ -144,8 +144,6 @@ pub struct ProgressEstimate {
     pub first_meal_p50: f64,
     /// 90th-percentile first-meal step over the progressing trials.
     pub first_meal_p90: f64,
-    /// 95th-percentile first-meal step over the progressing trials.
-    pub first_meal_p95: f64,
     /// 99th-percentile first-meal step over the progressing trials.
     pub first_meal_p99: f64,
     /// Mean total meals per trial over the whole step budget (all trials).
@@ -161,9 +159,6 @@ pub struct LockoutEstimate {
     pub all_ate: u64,
     /// `all_ate / trials`.
     pub lockout_free_fraction: f64,
-    /// For each philosopher, the number of trials in which it starved
-    /// (completed no meal within the budget).
-    pub starvation_per_philosopher: Vec<u64>,
     /// Mean over trials of the minimum meal count across philosophers.
     pub min_meals_mean: f64,
     /// Mean over trials of the Jain index of the meal distribution.
@@ -211,7 +206,6 @@ struct LivenessTrial {
     first_meal: Option<u64>,
     total_meals: u64,
     all_ate: bool,
-    starved: Vec<u32>,
     min_meals: u64,
     jain: f64,
     stuck: bool,
@@ -239,7 +233,6 @@ where
     A: Adversary,
     F: Fn(u64) -> A + Sync,
 {
-    let n = topology.num_philosophers();
     let outcomes = collect_trials(config.trials, config.effective_threads(), |trial| {
         let seed = config.base_seed.wrapping_add(trial);
         let sim = config.sim.clone().with_seed(seed);
@@ -252,7 +245,6 @@ where
             first_meal: outcome.first_meal_step,
             total_meals: outcome.total_meals,
             all_ate: outcome.everyone_ate(),
-            starved: outcome.starved().iter().map(|p| p.raw()).collect(),
             min_meals: outcome
                 .meals_per_philosopher
                 .iter()
@@ -269,7 +261,6 @@ where
     let mut first_meals = Vec::new();
     let mut meals = Vec::with_capacity(outcomes.len());
     let mut all_ate = 0u64;
-    let mut starvation = vec![0u64; n];
     let mut min_meals = Vec::with_capacity(outcomes.len());
     let mut fairness = Vec::with_capacity(outcomes.len());
     let mut violations = ViolationSummary::default();
@@ -287,9 +278,6 @@ where
         }
         if trial.all_ate {
             all_ate += 1;
-        }
-        for &starved in &trial.starved {
-            starvation[starved as usize] += 1;
         }
         min_meals.push(trial.min_meals as f64);
         fairness.push(trial.jain);
@@ -309,7 +297,6 @@ where
             first_meal_mean: stats::mean(&first_meals),
             first_meal_p50: stats::percentile(&first_meals, 50.0),
             first_meal_p90: stats::percentile(&first_meals, 90.0),
-            first_meal_p95: stats::percentile(&first_meals, 95.0),
             first_meal_p99: stats::percentile(&first_meals, 99.0),
             meals_mean: stats::mean(&meals),
         },
@@ -317,7 +304,6 @@ where
             trials: config.trials,
             all_ate,
             lockout_free_fraction: fraction(all_ate),
-            starvation_per_philosopher: starvation,
             min_meals_mean: stats::mean(&min_meals),
             fairness_mean: stats::mean(&fairness),
         },
@@ -345,8 +331,7 @@ mod tests {
         assert_eq!(estimate.progressed, estimate.trials);
         assert_eq!(estimate.progress_fraction, 1.0);
         assert!(estimate.first_meal_p90 >= estimate.first_meal_p50);
-        assert!(estimate.first_meal_p95 >= estimate.first_meal_p90);
-        assert!(estimate.first_meal_p99 >= estimate.first_meal_p95);
+        assert!(estimate.first_meal_p99 >= estimate.first_meal_p90);
         assert!(estimate.first_meal_mean > 0.0);
     }
 
@@ -362,7 +347,6 @@ mod tests {
         .lockout;
         assert_eq!(estimate.all_ate, estimate.trials);
         assert_eq!(estimate.lockout_free_fraction, 1.0);
-        assert!(estimate.starvation_per_philosopher.iter().all(|&s| s == 0));
         assert!(estimate.min_meals_mean >= 1.0);
         assert!(estimate.fairness_mean > 0.8);
     }
@@ -397,7 +381,6 @@ mod tests {
         assert_eq!(estimate.progress.progress_fraction, 0.0);
         assert_eq!(estimate.progress.first_meal_mean, 0.0);
         assert_eq!(estimate.lockout.lockout_free_fraction, 0.0);
-        assert_eq!(estimate.lockout.starvation_per_philosopher, vec![0; 3]);
         assert_eq!(estimate.violations, ViolationSummary::default());
     }
 
@@ -489,7 +472,6 @@ mod tests {
         for (q, value) in [
             (50.0, combined.first_meal_p50),
             (90.0, combined.first_meal_p90),
-            (95.0, combined.first_meal_p95),
             (99.0, combined.first_meal_p99),
         ] {
             assert_eq!(value, stats::percentile(&first_meals, q), "p{q}");

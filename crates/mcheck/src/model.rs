@@ -16,8 +16,9 @@
 //!   states merge only when they are equal up to the quotient;
 //! * **choices** are the `n` schedulable philosophers;
 //! * **branches** of a choice are the outcomes of the scheduled step's
-//!   random draws, enumerated exhaustively through the engine's scripted
-//!   [`DrawTape`](gdp_sim::DrawTape) protocol with their exact
+//!   random draws, enumerated exhaustively on the bare state
+//!   ([`EngineState::for_each_step_outcome`], the scripted
+//!   [`DrawTape`](gdp_sim::DrawTape) protocol) with their exact
 //!   probabilities.
 //!
 //! States satisfying the [`CheckTarget`] are absorbing (they are the "good"
@@ -31,8 +32,8 @@
 //! through the same expansion.
 //!
 //! Frontier expansion fans out over `std::thread::scope` workers, each with
-//! its own engine; results are merged on one thread **in frontier order**,
-//! so state numbering, transition order and every probability are
+//! its own state buffers; results are merged on one thread **in frontier
+//! order**, so state numbering, transition order and every probability are
 //! bitwise-identical for every thread count — the same determinism contract
 //! the Monte-Carlo trial runner enforces (test-enforced here too).
 //!
@@ -40,15 +41,19 @@
 //! *as-reached* encoding — the labelling in which it was first discovered —
 //! and a worker decodes it into one reused [`EngineState`] to expand it;
 //! expanding the canonical representative instead would renumber states and
-//! change counterexamples.  The dedup table holds the canonical keys in one
-//! arena plus an index of `u32` slots; the model keeps the arena and drops
-//! the index when the build ends.  A state's rows are one offset into the
-//! successor array plus one byte per choice naming the row's *shape* — its
-//! probabilities in draw order, from the model's few distinct ones.
+//! change counterexamples.  The worker encodes the parent once, under every
+//! automorphism, and keys each successor from those encodings
+//! ([`EngineState::encode_successor`]): a step rewrites only the stepping
+//! philosopher's private state and its two forks.  The dedup table holds
+//! the canonical keys in one arena plus an index of `u32` slots; the model
+//! keeps the arena and drops the index when the build ends.  A state's rows
+//! are one offset into the successor array plus one byte per choice naming
+//! the row's *shape* — its probabilities in draw order, from the model's few
+//! distinct ones.
 
 use crate::restricted::{AdversaryClass, Bookkeeping, Crashed, Waits};
 use crate::table::{KeyTable, Packed};
-use gdp_sim::{Engine, EngineState, Phase, Program, SimConfig, StateCodec};
+use gdp_sim::{EngineState, Phase, Program, SimConfig, StateCodec};
 use gdp_topology::{symmetry, Automorphism, PhilosopherId, Topology};
 use std::ops::Range;
 
@@ -99,9 +104,8 @@ pub struct BuildOptions {
     /// Worker threads for frontier expansion (`0` = all cores, `1` =
     /// serial).  The model is bitwise-identical for every value.
     pub threads: usize,
-    /// Simulation configuration of the builder's engines.  It holds only a
-    /// seed, and the seed is irrelevant: every draw is enumerated, not
-    /// sampled.
+    /// Unused: the build steps bare states and runs no engine, so it has no
+    /// seed to take.  The field remains for callers that still pass it.
     pub sim: SimConfig,
     /// The adversary class to quantify over (default: all fair
     /// schedulers).
@@ -312,11 +316,17 @@ fn least(encodings: &[u64], words: usize) -> &[u64] {
         .expect("the automorphism set holds the identity")
 }
 
-pub(crate) fn is_target<P: Program>(engine: &Engine<P>, target: CheckTarget) -> bool {
-    engine.with_view(|view| match target {
-        CheckTarget::Progress => view.someone_eating(),
-        CheckTarget::PhilosopherEats(p) => view.philosopher(p).phase == Phase::Eating,
-    })
+pub(crate) fn is_target<P: Program>(
+    topology: &Topology,
+    program: &P,
+    state: &EngineState<P>,
+    target: CheckTarget,
+) -> bool {
+    let eating = |p| state.phase_of(topology, program, p) == Phase::Eating;
+    match target {
+        CheckTarget::Progress => topology.philosopher_ids().any(eating),
+        CheckTarget::PhilosopherEats(p) => eating(p),
+    }
 }
 
 /// The shape of every row that has no outcome.
@@ -434,7 +444,6 @@ struct Shared<'a, P: Program, B: Bookkeeping> {
     topology: &'a Topology,
     program: &'a P,
     codec: &'a StateCodec<P>,
-    sim: &'a SimConfig,
     target: CheckTarget,
     bound: B::Bound,
     /// The identity first, so a state's first encoding is its as-reached
@@ -443,23 +452,22 @@ struct Shared<'a, P: Program, B: Bookkeeping> {
 }
 
 impl<P: Program, B: Bookkeeping> Shared<'_, P, B> {
-    /// Writes `state`'s encodings under every automorphism into `encodings`
-    /// and its dedup key — the least of them, then the bookkeeping's words —
-    /// into `key`.  Returns the words of one encoding: `encodings[..words]`
-    /// is the as-reached encoding.
-    fn key(
-        &self,
-        state: &EngineState<P>,
-        bookkeeping: &B,
-        encodings: &mut Vec<u64>,
-        key: &mut Vec<u64>,
-    ) -> usize {
-        encodings.clear();
-        let words = state.encode(self.codec, self.automorphisms, encodings);
+    /// Writes into `key` the dedup key of a state with `bookkeeping` whose
+    /// `words`-long encodings under every automorphism are `encodings`: the
+    /// least of them, then the bookkeeping's words.
+    fn key(&self, encodings: &[u64], words: usize, bookkeeping: &B, key: &mut Vec<u64>) {
         key.clear();
         key.extend_from_slice(least(encodings, words));
         bookkeeping.push_words(key);
-        words
+    }
+
+    /// The flags of a newly discovered `state`.
+    fn new_state(&self, state: &EngineState<P>, bookkeeping: B) -> NewState<B> {
+        NewState {
+            bookkeeping,
+            target: is_target(self.topology, self.program, state, self.target),
+            safe: state.is_safe(self.topology, self.program),
+        }
     }
 }
 
@@ -470,18 +478,15 @@ fn expand_slice<P, B>(
     slice: Range<usize>,
 ) -> SliceExpansion<B>
 where
-    P: Program + Clone,
+    P: Program,
     B: Bookkeeping,
 {
-    let n = shared.topology.num_philosophers();
-    let mut engine = Engine::new(
-        shared.topology.clone(),
-        shared.program.clone(),
-        shared.sim.clone(),
-    );
-    let mut parent = engine.snapshot();
-    let mut succ_buf = engine.snapshot();
-    let (mut encodings, mut key, mut probs) = (Vec::new(), Vec::new(), Vec::new());
+    let (topology, program, codec) = (shared.topology, shared.program, shared.codec);
+    let n = topology.num_philosophers();
+    let mut parent = EngineState::initial(topology, program);
+    let mut post = parent.clone();
+    let (mut parent_encodings, mut encodings) = (Vec::new(), Vec::new());
+    let (mut key, mut probs) = (Vec::new(), Vec::new());
     let rows_per_parent = if B::CRASH_ROWS { 2 * n } else { n };
     let mut out = SliceExpansion {
         succs: Vec::new(),
@@ -492,26 +497,34 @@ where
         new_states: Vec::new(),
     };
     for i in slice {
-        parent.decode_from(shared.codec, frontier.reached.get(i));
+        parent.decode_from(codec, frontier.reached.get(i));
+        parent_encodings.clear();
+        let parent_words = parent.encode(codec, shared.automorphisms, &mut parent_encodings);
         let bookkeeping = &frontier.bookkeeping[i];
         let allowed = bookkeeping.allowed(shared.bound, n);
         for choice in 0..n {
             probs.clear();
             if !B::PRODUCT || allowed & (1 << choice) != 0 {
                 let next = bookkeeping.scheduled(choice);
-                engine.for_each_step_outcome_from(
-                    &parent,
-                    PhilosopherId::new(choice as u32),
+                let philosopher = PhilosopherId::new(choice as u32);
+                parent.for_each_step_outcome(
+                    topology,
+                    program,
+                    philosopher,
+                    &mut post,
                     |prob, post, _| {
                         probs.push(prob);
-                        post.snapshot_into(&mut succ_buf);
-                        let words = shared.key(&succ_buf, &next, &mut encodings, &mut key);
+                        encodings.clear();
+                        let words = post.encode_successor(
+                            codec,
+                            shared.automorphisms,
+                            &parent_encodings,
+                            philosopher,
+                            &mut encodings,
+                        );
+                        shared.key(&encodings, words, &next, &mut key);
                         if out.push_edge(frozen, &key) {
-                            let new_state = NewState {
-                                bookkeeping: next.clone(),
-                                target: is_target(post, shared.target),
-                                safe: post.state_is_safe(),
-                            };
+                            let new_state = shared.new_state(post, next.clone());
                             out.discover(&encodings[..words], new_state);
                         }
                     },
@@ -524,17 +537,12 @@ where
                 probs.clear();
                 if let Some(next) = bookkeeping.crashed(shared.bound, victim, n) {
                     probs.push(1.0);
-                    let words = shared.key(&parent, &next, &mut encodings, &mut key);
+                    shared.key(&parent_encodings, parent_words, &next, &mut key);
                     if out.push_edge(frozen, &key) {
-                        // A crash leaves the engine state as it is, so the
-                        // successor shares the (non-target) parent's flags.
-                        engine.restore(&parent);
-                        let new_state = NewState {
-                            bookkeeping: next,
-                            target: false,
-                            safe: engine.state_is_safe(),
-                        };
-                        out.discover(&encodings[..words], new_state);
+                        // A crash leaves the state as it is, so the successor
+                        // shares the (non-target) parent's encodings and flags.
+                        let new_state = shared.new_state(&parent, next);
+                        out.discover(&parent_encodings[..parent_words], new_state);
                     }
                 }
                 out.rows.push(out.shapes.intern(&probs));
@@ -616,7 +624,7 @@ pub fn build_mdp<P>(
     options: &BuildOptions,
 ) -> Mdp
 where
-    P: Program + Clone + Send + Sync,
+    P: Program + Send + Sync,
     P::State: Send + Sync,
 {
     if let Some(limit) = options.class.max_philosophers() {
@@ -646,7 +654,7 @@ fn build<P, B>(
     bound: B::Bound,
 ) -> Mdp
 where
-    P: Program + Clone + Send + Sync,
+    P: Program + Send + Sync,
     P::State: Send + Sync,
     B: Bookkeeping,
 {
@@ -675,7 +683,6 @@ where
         topology,
         program,
         codec: &codec,
-        sim: &options.sim,
         target,
         bound,
         automorphisms: &automorphisms,
@@ -690,24 +697,20 @@ where
         }
     };
 
-    let engine = Engine::new(topology.clone(), program.clone(), options.sim.clone());
-    let initial_bookkeeping = B::initial(n);
+    let initial_state = EngineState::initial(topology, program);
     let (mut encodings, mut initial_key) = (Vec::new(), Vec::new());
-    let words = shared.key(
-        &engine.snapshot(),
-        &initial_bookkeeping,
-        &mut encodings,
-        &mut initial_key,
-    );
+    let words = initial_state.encode(&codec, &automorphisms, &mut encodings);
+    let initial = shared.new_state(&initial_state, B::initial(n));
+    shared.key(&encodings, words, &initial.bookkeeping, &mut initial_key);
 
     let mut index_of_key = KeyTable::new();
     index_of_key.insert(&initial_key);
-    let mut target_flags = vec![is_target(&engine, target)];
+    let mut target_flags = vec![initial.target];
     let mut expanded = vec![false];
-    let mut safety_violations = usize::from(!engine.state_is_safe());
+    let mut safety_violations = usize::from(!initial.safe);
     let mut requirements: Vec<u64> = Vec::new();
     if B::PRODUCT {
-        requirements.push(requirement(&initial_bookkeeping, target_flags[0]));
+        requirements.push(requirement(&initial.bookkeeping, target_flags[0]));
     }
     let mut truncated = false;
     let mut rows = RowsBuilder {
@@ -719,7 +722,7 @@ where
 
     let mut frontier = Frontier::new();
     if !target_flags[0] {
-        frontier.push(0, &encodings[..words], initial_bookkeeping);
+        frontier.push(0, &encodings[..words], initial.bookkeeping);
     }
 
     while !frontier.indices.is_empty() && (B::PRODUCT || !truncated) {
@@ -942,10 +945,10 @@ mod tests {
         }
     }
 
-    /// Every row of an unreduced all-fair build is the engine's own step
-    /// enumeration from the state its key decodes to: successors in draw
-    /// order (`UNEXPLORED` past the budget), probabilities bit for bit.
-    /// Target and unexpanded rows are empty.
+    /// Every row of an unreduced all-fair build is the step enumeration
+    /// from the state its key decodes to, keyed by `encode` from scratch:
+    /// successors in draw order (`UNEXPLORED` past the budget),
+    /// probabilities bit for bit.  Target and unexpanded rows are empty.
     #[test]
     fn rows_replay_the_engine_outcome_for_outcome() {
         let ring = classic_ring(3).unwrap();
@@ -961,8 +964,8 @@ mod tests {
             assert_eq!(mdp.truncated, budget == 2_000, "{kind}");
             let codec = StateCodec::new(&ring, &program);
             let index = KeyIndex::of(mdp.keys());
-            let mut engine = Engine::new(ring.clone(), program, SimConfig::default());
-            let (mut state, mut post_state) = (engine.snapshot(), engine.snapshot());
+            let mut state = EngineState::initial(&ring, &program);
+            let mut post = state.clone();
             let (mut key, mut unexplored) = (Vec::new(), 0);
             for s in 0..mdp.num_states as u32 {
                 let stored = |c| {
@@ -978,10 +981,9 @@ mod tests {
                 for c in 0..mdp.num_choices {
                     let mut expected = Vec::new();
                     let p = PhilosopherId::new(c as u32);
-                    engine.for_each_step_outcome_from(&state, p, |prob, post, _| {
-                        post.snapshot_into(&mut post_state);
+                    state.for_each_step_outcome(&ring, &program, p, &mut post, |prob, post, _| {
                         key.clear();
-                        post_state.encode(&codec, &mdp.automorphisms, &mut key);
+                        post.encode(&codec, &mdp.automorphisms, &mut key);
                         let succ = index.get(mdp.keys(), &key).unwrap_or(UNEXPLORED);
                         unexplored += usize::from(succ == UNEXPLORED);
                         expected.push((succ, prob.to_bits()));
@@ -1085,7 +1087,10 @@ mod tests {
     /// The exact encoding over every state of small builds: request lists
     /// and guest books (GDP2/LR2 lockout; a ring-3 key fits one word, a
     /// ring-4 tail crosses into a second), product keys (k-bounded,
-    /// crash-stop) and keys of more than one word (ring-7).
+    /// crash-stop) and keys of more than one word (ring-7).  Every
+    /// successor's encodings built from its parent's
+    /// (`encode_successor`, the build's keys) equal `encode`'s word for
+    /// word.
     #[test]
     fn state_encoding_is_exact_over_every_state_of_small_builds() {
         let (ring3, ring4) = (classic_ring(3).unwrap(), classic_ring(4).unwrap());
@@ -1131,12 +1136,12 @@ mod tests {
             let codec = StateCodec::new(topology, &program);
             let automorphisms = symmetry::automorphisms(topology, AUTOMORPHISM_LIMIT);
             let identity = &automorphisms[..1];
-            let mut engine = Engine::new(topology.clone(), program, SimConfig::default());
-            let mut state = engine.snapshot();
+            let mut state = EngineState::initial(topology, &program);
             let (mut reached, mut back, mut image) = (state.clone(), state.clone(), state.clone());
             let mut by_encoding: HashMap<Vec<u64>, EngineState<AnyProgram>> = HashMap::new();
             let (mut encoded, mut all, mut twice, mut composed) =
                 (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            let (mut parent, mut successor) = (Vec::new(), Vec::new());
             let mut longest_seen = 0;
             for index in 0..mdp.num_states as u32 {
                 let key = mdp.keys().get(index as usize);
@@ -1161,33 +1166,53 @@ mod tests {
                         assert_eq!(twice, composed, "{kind} state {index}");
                     }
                 }
-                // Every successor, as the engine reaches it:
+                // Every successor, as a step reaches it:
+                parent.clear();
+                state.encode(&codec, &automorphisms, &mut parent);
                 for p in 0..topology.num_philosophers() {
                     let p = PhilosopherId::new(p as u32);
-                    engine.for_each_step_outcome_from(&state, p, |_, post, _| {
-                        post.snapshot_into(&mut reached);
-                        all.clear();
-                        let len = reached.encode(&codec, &automorphisms, &mut all);
-                        // decoding its encoding gives it back,
-                        back.decode_from(&codec, &all[..len]);
-                        assert_eq!(back.forks(), reached.forks(), "{kind}");
-                        assert_eq!(back.states(), reached.states(), "{kind}");
-                        for (auto, encoding) in automorphisms.iter().zip(all.chunks_exact(len)) {
-                            // its encoding under an automorphism is that of
-                            // the relabelled state,
-                            image.decode_from(&codec, encoding);
-                            assert_relabelled(&reached, auto, &image);
-                            encoded.clear();
-                            image.encode(&codec, identity, &mut encoded);
-                            assert_eq!(encoded, encoding, "{kind}");
-                            // and two states share an encoding only if they
-                            // are equal.
-                            let known = by_encoding
-                                .entry(encoding.to_vec())
-                                .or_insert_with(|| image.clone());
-                            assert_eq!(*known, image, "{kind}");
-                        }
-                    });
+                    state.for_each_step_outcome(
+                        topology,
+                        &program,
+                        p,
+                        &mut reached,
+                        |_, reached, _| {
+                            all.clear();
+                            let len = reached.encode(&codec, &automorphisms, &mut all);
+                            // its encodings built from its parent's are the
+                            // same words,
+                            successor.clear();
+                            let words = reached.encode_successor(
+                                &codec,
+                                &automorphisms,
+                                &parent,
+                                p,
+                                &mut successor,
+                            );
+                            assert_eq!(words, len, "{kind} state {index}");
+                            assert_eq!(successor, all, "{kind} state {index}");
+                            // decoding its encoding gives it back,
+                            back.decode_from(&codec, &all[..len]);
+                            assert_eq!(back.forks(), reached.forks(), "{kind}");
+                            assert_eq!(back.states(), reached.states(), "{kind}");
+                            for (auto, encoding) in automorphisms.iter().zip(all.chunks_exact(len))
+                            {
+                                // its encoding under an automorphism is that of
+                                // the relabelled state,
+                                image.decode_from(&codec, encoding);
+                                assert_relabelled(reached, auto, &image);
+                                encoded.clear();
+                                image.encode(&codec, identity, &mut encoded);
+                                assert_eq!(encoded, encoding, "{kind}");
+                                // and two states share an encoding only if they
+                                // are equal.
+                                let known = by_encoding
+                                    .entry(encoding.to_vec())
+                                    .or_insert_with(|| image.clone());
+                                assert_eq!(*known, image, "{kind}");
+                            }
+                        },
+                    );
                 }
             }
             assert_eq!(

@@ -283,9 +283,10 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
 
     // Standard MEC refinement: SCCs of the enabled sub-graph; disable
     // choices that leave their component; drop states with no enabled
-    // choice; repeat until stable.
-    loop {
-        let (component, _) = strongly_connected_components(mdp, &live, &enabled);
+    // choice; repeat until stable.  The last round changed nothing, so its
+    // components are the end components.
+    let (component, num_components) = loop {
+        let (component, num_components) = strongly_connected_components(mdp, &live, &enabled);
         let mut changed = false;
         for s in 0..n_states {
             if !live.get(s) {
@@ -313,7 +314,7 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
             }
         }
         if !changed {
-            break;
+            break (component, num_components);
         }
         // A state that died invalidates choices pointing at it.
         for s in 0..n_states {
@@ -327,7 +328,7 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
                 }
             }
         }
-    }
+    };
 
     // Fairness filter: an end component is a fair core iff every choice
     // the fairness requirement names for its member states is enabled
@@ -339,7 +340,6 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
     // Each component's choice sets are `words` 64-bit words wide, so any
     // number of philosophers fits; a restricted model's requirement masks
     // are one word (its product build caps the philosopher count).
-    let (component, num_components) = strongly_connected_components(mdp, &live, &enabled);
     let words = n_choices.div_ceil(64);
     let mut covered = vec![0u64; num_components as usize * words];
     let mut required = match mdp.fairness_requirement {

@@ -7,7 +7,7 @@
 //! * [`extract_counterexample`] replays the worst-case adversary against a
 //!   live engine and records the schedule it plays.  The replay is
 //!   *value-guided* and frame-free: at each state it enumerates every
-//!   philosopher's step outcomes with the engine itself, scores each
+//!   philosopher's step outcomes on the engine's snapshot, scores each
 //!   choice by the worst (minimum) avoid value among its outcomes'
 //!   canonical states, and schedules the best-scoring choice — breaking
 //!   ties toward the least recently scheduled philosopher, so starvation
@@ -95,17 +95,17 @@ pub fn extract_counterexample<P: Program + Clone>(
             program.clone(),
             SimConfig::default().with_seed(seed),
         );
-        let mut succ_buf = engine.snapshot();
+        let mut post = engine.snapshot();
         let mut steps = Vec::with_capacity(max_steps);
         let mut visited: HashMap<Vec<u64>, usize> = HashMap::new();
         let mut cycle_start = None;
         let mut last_scheduled = vec![0u64; n];
         for step in 0..max_steps {
-            if is_target(&engine, mdp.target_kind) {
+            let snapshot = engine.snapshot();
+            if is_target(topology, program, &snapshot, mdp.target_kind) {
                 // The sampled draws beat the adversary on this seed.
                 continue 'seeds;
             }
-            let snapshot = engine.snapshot();
             if cycle_start.is_none() {
                 let key = mdp.canonical_key(&codec, &snapshot, &mut scratch);
                 if let Some(&at) = visited.get(key) {
@@ -120,12 +120,13 @@ pub fn extract_counterexample<P: Program + Clone>(
             #[allow(clippy::needless_range_loop)] // p is a philosopher id, not just an index
             for p in 0..n {
                 let mut worth = f64::INFINITY;
-                engine.for_each_step_outcome_from(
-                    &snapshot,
+                snapshot.for_each_step_outcome(
+                    topology,
+                    program,
                     PhilosopherId::new(p as u32),
+                    &mut post,
                     |_, post, _| {
-                        post.snapshot_into(&mut succ_buf);
-                        let succ_key = mdp.canonical_key(&codec, &succ_buf, &mut scratch);
+                        let succ_key = mdp.canonical_key(&codec, post, &mut scratch);
                         let value = index
                             .get(mdp.keys(), succ_key)
                             .map_or(0.0, |i| solution.avoid_value[i as usize]);
@@ -146,7 +147,7 @@ pub fn extract_counterexample<P: Program + Clone>(
             steps.push(chosen);
             engine.step_philosopher(chosen);
         }
-        if is_target(&engine, mdp.target_kind) {
+        if is_target(topology, program, &engine.snapshot(), mdp.target_kind) {
             continue 'seeds;
         }
         return Some(CounterexampleSchedule {

@@ -7,8 +7,7 @@
 //! samples those branches through the engine's seeded RNG; exact model
 //! checking (`gdp-mcheck`) must instead *enumerate* them.
 //!
-//! A [`DrawTape`] is the bridge between the two worlds.  A step executed
-//! with [`Engine::step_philosopher_with_tape`](crate::Engine::step_philosopher_with_tape)
+//! A [`DrawTape`] is the bridge between the two worlds.  A scripted step
 //! consumes its random draws from the tape instead of the RNG:
 //!
 //! * while the tape has prerecorded outcomes, each draw pops the next one
@@ -16,12 +15,15 @@
 //! * the first draw *past* the end of the tape records the [`DrawRequest`]
 //!   that the program issued — its kind and outcome domain — and returns a
 //!   default value.  The caller observes the pending request, discards the
-//!   poisoned execution (by restoring a snapshot), and re-runs the step once
-//!   per possible outcome with an extended tape.
+//!   poisoned execution, and re-runs the step once per possible outcome
+//!   with an extended tape.
 //!
-//! [`Engine::for_each_step_outcome`](crate::Engine::for_each_step_outcome)
+//! [`EngineState::for_each_step_outcome`](crate::EngineState::for_each_step_outcome)
 //! packages that probe-extend-rerun loop into a single enumeration
-//! primitive; everything in `gdp-mcheck` is built on it.
+//! primitive on a bare state, discarding a poisoned execution by stepping
+//! a fresh copy; everything in `gdp-mcheck` is built on it.
+//! [`Engine::step_philosopher_with_tape`](crate::Engine::step_philosopher_with_tape)
+//! replays a tape on a running engine.
 
 /// The kind (and outcome domain) of one random draw a program requested.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,8 +119,8 @@ impl DrawTape {
 
     /// The draw request that ran past the end of the tape during the last
     /// scripted step, if any.  A pending request poisons the execution it
-    /// occurred in: the engine state after that step is meaningless and must
-    /// be discarded by restoring a snapshot.
+    /// occurred in: the state after that step is meaningless and must be
+    /// discarded.
     #[must_use]
     pub fn pending(&self) -> Option<DrawRequest> {
         self.pending

@@ -7,7 +7,7 @@ use crate::fork::ForkCell;
 use crate::hash::fingerprint64;
 use crate::outcome::{RunOutcome, StopCondition, StopReason};
 use crate::program::{Action, Phase, Program, StepCtx, StepRandomness};
-use crate::snapshot::EngineState;
+use crate::snapshot::{is_safe, EngineState};
 use crate::view::{make_view, Holding, PhilosopherView, SystemView};
 use gdp_observe::{Event, Log2Histogram, SharedSink};
 use gdp_topology::{ForkId, PhilosopherId, Topology};
@@ -15,8 +15,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// One scheduled atomic step, as returned by
-/// [`Engine::step_philosopher`] and [`Engine::step_with`] and visited by
-/// [`Engine::for_each_step_outcome`].
+/// [`Engine::step_philosopher`] and [`Engine::step_with`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StepRecord {
     /// Global step index (0-based).
@@ -68,7 +67,7 @@ pub struct Engine<P: Program> {
     first_meal_hist: Log2Histogram,
     /// Optional structured-event sink (see `gdp-observe`).  `None` — the
     /// default — costs one branch per step; this is *not* captured by
-    /// snapshots and survives `reset`/`restore`.
+    /// snapshots and survives `reset`.
     sink: Option<SharedSink>,
     /// Persistent adversary-facing views, kept in sync incrementally:
     /// `views[i]` always equals the view rebuilt from scratch for
@@ -80,13 +79,17 @@ impl<P: Program> Engine<P> {
     /// Creates an engine for `topology` running `program` under `config`.
     pub fn new(topology: Topology, program: P, config: SimConfig) -> Self {
         let n = topology.num_philosophers();
-        let k = topology.num_forks();
+        let EngineState {
+            forks,
+            states,
+            step_count,
+        } = EngineState::initial(&topology, &program);
         let mut engine = Engine {
             seed: config.seed,
-            forks: (0..k).map(|_| ForkCell::new()).collect(),
-            states: (0..n).map(|_| program.initial_state()).collect(),
+            forks,
+            states,
             rng: ChaCha8Rng::seed_from_u64(config.seed),
-            step_count: 0,
+            step_count,
             meals_completed: vec![0; n],
             first_meal_started: None,
             scheduled: vec![0; n],
@@ -170,11 +173,9 @@ impl<P: Program> Engine<P> {
     /// `sim.steps_per_s` times this path).
     ///
     /// The sink is engine configuration, not semantic state: it survives
-    /// [`reset`](Self::reset) and [`restore`](Self::restore), and snapshots
-    /// never capture it.  Note that exploration entry points
-    /// ([`for_each_step_outcome`](Self::for_each_step_outcome),
-    /// [`is_stuck`](Self::is_stuck)) execute probe steps that emit like any
-    /// other step — detach or drain the sink before exploring.
+    /// [`reset`](Self::reset), and snapshots never capture it.  Exploration
+    /// ([`is_stuck`](Self::is_stuck)) steps a snapshot, not the engine, so
+    /// it emits nothing.
     pub fn set_event_sink(&mut self, sink: Option<SharedSink>) {
         self.sink = sink;
     }
@@ -297,13 +298,11 @@ impl<P: Program> Engine<P> {
     /// Executes one atomic step for `philosopher` with its random draws read
     /// from `tape` instead of the engine RNG (which is left untouched).
     ///
-    /// This is the replay/enumeration entry point of the scripted-draw
-    /// protocol (see [`crate::draws`]): if the step requests a draw past the
-    /// end of the tape, [`DrawTape::pending`] reports the request and the
-    /// resulting engine state is *meaningless* — the caller must discard it
-    /// by [`restore`](Self::restore)-ing a snapshot.
-    /// [`for_each_step_outcome`](Self::for_each_step_outcome) wraps the full
-    /// probe-extend-rerun loop.
+    /// This replays scripted draws (see [`crate::draws`]) on a running
+    /// engine: if the step requests a draw past the end of the tape,
+    /// [`DrawTape::pending`] reports the request and the resulting engine
+    /// state is *meaningless*.  To enumerate a step's outcomes, step a
+    /// snapshot with [`EngineState::for_each_step_outcome`] instead.
     ///
     /// # Panics
     ///
@@ -530,150 +529,11 @@ impl<P: Program> Engine<P> {
         }
     }
 
-    /// [`snapshot`](Self::snapshot) into an existing buffer, reusing its
-    /// allocations (the hot path of state-space exploration).
-    pub fn snapshot_into(&self, out: &mut EngineState<P>) {
-        out.forks.clone_from(&self.forks);
-        out.states.clone_from(&self.states);
-        out.step_count = self.step_count;
-    }
-
-    /// Restores the engine to a previously captured [`EngineState`].
-    ///
-    /// The fork cells, program states and step counter return exactly to
-    /// their snapshot values.  The RNG stays where it is: a scripted step
-    /// ([`step_philosopher_with_tape`](Self::step_philosopher_with_tape))
-    /// never draws from it, so a probe-and-restore loop leaves the sampled
-    /// stream untouched, and the next
-    /// [`step_philosopher`](Self::step_philosopher) samples exactly what it
-    /// would have without the probes.  Run statistics — meal counts,
-    /// scheduling/fairness accounting and the first-meal histogram —
-    /// restart from zero, because a snapshot deliberately does not capture
-    /// them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from an engine with a different
-    /// number of forks or philosophers.
-    pub fn restore(&mut self, snapshot: &EngineState<P>) {
-        assert_eq!(
-            snapshot.forks.len(),
-            self.forks.len(),
-            "snapshot has a different fork count than this engine"
-        );
-        assert_eq!(
-            snapshot.states.len(),
-            self.states.len(),
-            "snapshot has a different philosopher count than this engine"
-        );
-        self.forks.clone_from(&snapshot.forks);
-        self.states.clone_from(&snapshot.states);
-        self.step_count = snapshot.step_count;
-        let n = self.states.len();
-        self.meals_completed.iter_mut().for_each(|m| *m = 0);
-        self.first_meal_started = None;
-        self.scheduled.iter_mut().for_each(|s| *s = 0);
-        self.last_scheduled.iter_mut().for_each(|l| *l = None);
-        self.max_scheduling_gap = 0;
-        self.hungry_since.iter_mut().for_each(|h| *h = None);
-        self.first_meal_hist.clear();
-        for idx in 0..n {
-            self.refresh_view(idx);
-        }
-    }
-
-    /// Enumerates **every** possible outcome of scheduling `philosopher` for
-    /// one atomic step from the current state — the probabilistic branching
-    /// of the paper's automaton, made exhaustive.
-    ///
-    /// For each complete outcome, `visit` is called with the outcome's
-    /// probability (the product of its draw probabilities; outcomes with
-    /// probability 0 are never visited), the engine *in the post-step state*,
-    /// and the step record.  The engine is restored to its pre-call state
-    /// between outcomes and before returning, so `visit` may freely inspect
-    /// or [`snapshot`](Self::snapshot) it but must not step it.
-    ///
-    /// The visited probabilities sum to 1 and their order is deterministic
-    /// (draw-lexicographic), which the bitwise-determinism guarantees of
-    /// `gdp-mcheck` rely on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `philosopher` is out of range for the topology.
-    pub fn for_each_step_outcome(
-        &mut self,
-        philosopher: PhilosopherId,
-        visit: impl FnMut(f64, &mut Engine<P>, &StepRecord),
-    ) {
-        let snapshot = self.snapshot();
-        self.for_each_step_outcome_from(&snapshot, philosopher, visit);
-    }
-
-    /// [`for_each_step_outcome`](Self::for_each_step_outcome) relative to
-    /// an explicit pre-step snapshot, the allocation-lean form used on the
-    /// model-checking hot path (state-space builders already hold a
-    /// snapshot of the state they are expanding).
-    ///
-    /// The engine's current state is clobbered; on return it is restored
-    /// to `snapshot`.
-    pub fn for_each_step_outcome_from(
-        &mut self,
-        snapshot: &EngineState<P>,
-        philosopher: PhilosopherId,
-        mut visit: impl FnMut(f64, &mut Engine<P>, &StepRecord),
-    ) {
-        let mut tape = DrawTape::new();
-        self.enumerate_outcomes(snapshot, philosopher, &mut tape, 1.0, &mut visit);
-        self.restore(snapshot);
-    }
-
-    fn enumerate_outcomes(
-        &mut self,
-        snapshot: &EngineState<P>,
-        philosopher: PhilosopherId,
-        tape: &mut DrawTape,
-        probability: f64,
-        visit: &mut impl FnMut(f64, &mut Engine<P>, &StepRecord),
-    ) {
-        self.restore(snapshot);
-        tape.rewind();
-        let record = self.step_philosopher_with_tape(philosopher, tape);
-        match tape.pending() {
-            None => visit(probability, self, &record),
-            Some(request) => {
-                for (outcome, p) in request.outcomes() {
-                    tape.push(outcome);
-                    self.enumerate_outcomes(snapshot, philosopher, tape, probability * p, visit);
-                    tape.pop();
-                }
-            }
-        }
-    }
-
-    /// Returns `true` if the current state satisfies the safety invariants:
-    /// every held fork is held by an adjacent philosopher, and eating
-    /// implies holding both forks.
-    ///
-    /// The single source of truth for the predicate the exact checker
-    /// counts as `safety_violations` and the Monte-Carlo estimators surface
-    /// as `unsafe_trials`.
+    /// Returns `true` if the current state satisfies the safety invariants
+    /// ([`EngineState::is_safe`], the one definition of safety).
     #[must_use]
     pub fn state_is_safe(&self) -> bool {
-        self.with_view(|view| {
-            for fork in view.topology().fork_ids() {
-                if let Some(holder) = view.holder_of(fork) {
-                    if !view.topology().forks_of(holder).contains(fork) {
-                        return false;
-                    }
-                }
-            }
-            for p in view.philosophers() {
-                if p.phase == Phase::Eating && p.holding.len() != 2 {
-                    return false;
-                }
-            }
-            true
-        })
+        is_safe(&self.topology, &self.program, &self.forks, &self.states)
     }
 
     /// Returns `true` if the current state is **stuck**: no scheduling
@@ -684,22 +544,27 @@ impl<P: Program> Engine<P> {
     /// every-philosopher-holds-its-left-fork state): busy-wait loops that
     /// leave forks and program states untouched cannot escape, whereas any
     /// state with a productive step — including a merely improbable one — is
-    /// not stuck.  Post-step states are compared with the current one field
-    /// by field, not by fingerprint, so the answer is exact.  The engine is
-    /// restored before returning.
-    pub fn is_stuck(&mut self) -> bool {
+    /// not stuck.  Every outcome is enumerated on a snapshot
+    /// ([`EngineState::for_each_step_outcome`]) and compared with the
+    /// current state field by field, not by fingerprint, so the answer is
+    /// exact and the engine is left as it was.
+    #[must_use]
+    pub fn is_stuck(&self) -> bool {
         let base = self.snapshot();
-        let n = self.states.len() as u32;
-        for p in 0..n {
+        let mut post = base.clone();
+        !self.topology.philosopher_ids().any(|p| {
             let mut moved = false;
-            self.for_each_step_outcome_from(&base, PhilosopherId::new(p), |_, engine, _| {
-                moved |= engine.forks != base.forks || engine.states != base.states;
-            });
-            if moved {
-                return false;
-            }
-        }
-        true
+            base.for_each_step_outcome(
+                &self.topology,
+                &self.program,
+                p,
+                &mut post,
+                |_, post, _| {
+                    moved |= post.forks != base.forks || post.states != base.states;
+                },
+            );
+            moved
+        })
     }
 }
 
@@ -997,39 +862,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_replays_bit_for_bit() {
-        // Run a prefix, snapshot, run a suffix; restoring the snapshot and
-        // re-running the suffix must reproduce the exact same state.  The
-        // plain toy draws nothing, so the RNG (which a snapshot does not
-        // hold) cannot make the replay diverge.
-        let mut engine = engine(5, 3);
-        let mut adversary = UniformRandomAdversary::new(17);
-        for _ in 0..137 {
-            engine.step_with(&mut adversary);
-        }
-        let snapshot = engine.snapshot();
-        assert_eq!(snapshot, engine.snapshot());
-        assert_eq!(snapshot.step_count(), 137);
-        let mut suffix_adversary = adversary.clone();
-        let records: Vec<_> = (0..211)
-            .map(|_| engine.step_with(&mut suffix_adversary))
-            .collect();
-        let end_fp = engine.state_fingerprint();
-
-        engine.restore(&snapshot);
-        assert_eq!(engine.snapshot(), snapshot);
-        assert_eq!(engine.step_count(), 137);
-        assert_eq!(engine.views(), engine.rebuilt_views().as_slice());
-        let replayed: Vec<_> = (0..211).map(|_| engine.step_with(&mut adversary)).collect();
-        assert_eq!(records, replayed);
-        assert_eq!(engine.state_fingerprint(), end_fp);
-    }
-
-    #[test]
     fn probes_and_restores_leave_the_sampled_stream_alone() {
-        // Enumerating outcomes (scripted draws) and restoring between
-        // sampled steps must not shift the RNG: both engines sample the
-        // same coins.
+        // Enumerating a snapshot's outcomes (scripted draws) between sampled
+        // steps must not shift the RNG: both engines sample the same coins.
         let mut probed = coin_engine(4, 21);
         let mut plain = coin_engine(4, 21);
         let mut adversary = UniformRandomAdversary::new(5);
@@ -1037,7 +872,15 @@ mod tests {
             let chosen = probed.with_view(|view| adversary.select(view));
             assert!(!probed.is_stuck());
             let snapshot = probed.snapshot();
-            probed.for_each_step_outcome_from(&snapshot, chosen, |_, _, _| {});
+            let mut post = snapshot.clone();
+            snapshot.for_each_step_outcome(
+                &probed.topology,
+                &COIN_TOY,
+                chosen,
+                &mut post,
+                |_, _, _| {},
+            );
+            assert_eq!(probed.snapshot(), snapshot);
             assert_eq!(
                 probed.step_philosopher(chosen),
                 plain.step_philosopher(chosen)
@@ -1046,61 +889,69 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_into_reuses_buffers_and_matches_snapshot() {
-        let mut engine = engine(4, 9);
-        let mut buffer = engine.snapshot();
-        engine.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(100),
-        );
-        engine.snapshot_into(&mut buffer);
-        assert_eq!(buffer, engine.snapshot());
-    }
-
-    #[test]
     fn scripted_step_with_empty_tape_reports_pending_for_random_draws() {
         use crate::draws::{DrawRequest, DrawTape};
         // The coin toy's very first scheduled step needs a coin.
         let mut engine = coin_engine(3, 0);
-        let snapshot = engine.snapshot();
         let mut tape = DrawTape::new();
         engine.step_philosopher_with_tape(PhilosopherId::new(0), &mut tape);
         assert_eq!(tape.pending(), Some(DrawRequest::Coin));
-        engine.restore(&snapshot);
-        assert_eq!(engine.snapshot(), snapshot);
     }
 
     #[test]
     fn for_each_step_outcome_enumerates_a_coin_with_probabilities_summing_to_one() {
-        let mut engine = coin_engine(3, 0);
-        let before = engine.state_fingerprint();
+        let ring = classic_ring(3).unwrap();
+        let state = EngineState::initial(&ring, &COIN_TOY);
+        let mut post = state.clone();
         let mut outcomes = Vec::new();
-        engine.for_each_step_outcome(PhilosopherId::new(0), |p, e, record| {
-            outcomes.push((p, e.state_fingerprint(), record.action));
-        });
+        state.for_each_step_outcome(
+            &ring,
+            &COIN_TOY,
+            PhilosopherId::new(0),
+            &mut post,
+            |p, post, action| {
+                outcomes.push((p, post.clone(), action));
+            },
+        );
         // One fair coin: hungry on `true` (left), still thinking on `false`.
         assert_eq!(outcomes.len(), 2);
         assert_eq!(outcomes[0].0, 0.5);
         assert_eq!(outcomes[1].0, 0.5);
         assert_eq!(outcomes[0].2, Action::BecomeHungry);
-        assert_ne!(outcomes[0].1, before, "becoming hungry changes the state");
+        assert_eq!(
+            outcomes[0].1.states()[0],
+            Toy::Hungry,
+            "becoming hungry changes the state"
+        );
         assert_eq!(outcomes[1].2, Action::Wait);
-        assert_eq!(outcomes[1].1, before, "staying thinking leaves the state");
-        // The engine itself is restored.
-        assert_eq!(engine.state_fingerprint(), before);
-        assert_eq!(engine.views(), engine.rebuilt_views().as_slice());
+        assert_eq!(
+            outcomes[1].1.states(),
+            state.states(),
+            "staying thinking leaves the state"
+        );
+        assert_eq!(outcomes[1].1.forks(), state.forks());
+        // Each outcome is one step past the state it was enumerated from.
+        assert!(outcomes.iter().all(|(_, post, _)| post.step_count() == 1));
     }
 
     #[test]
     fn for_each_step_outcome_is_deterministic_for_always_hungry_steps() {
         // Always-hungry Toy steps draw nothing: exactly one outcome, p = 1.
-        let mut engine = engine(3, 0);
+        let ring = classic_ring(3).unwrap();
+        let state = EngineState::initial(&ring, &TOY);
+        let mut post = state.clone();
         let mut count = 0;
-        engine.for_each_step_outcome(PhilosopherId::new(1), |p, _, record| {
-            count += 1;
-            assert_eq!(p, 1.0);
-            assert_eq!(record.action, Action::BecomeHungry);
-        });
+        state.for_each_step_outcome(
+            &ring,
+            &TOY,
+            PhilosopherId::new(1),
+            &mut post,
+            |p, _, action| {
+                count += 1;
+                assert_eq!(p, 1.0);
+                assert_eq!(action, Action::BecomeHungry);
+            },
+        );
         assert_eq!(count, 1);
     }
 

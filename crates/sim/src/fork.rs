@@ -39,10 +39,10 @@ pub struct ForkCell {
 }
 
 // Manual impl so `clone_from` reuses the request-list and guest-book
-// allocations: [`Engine::restore`](crate::Engine::restore) clones fork
-// cells on the state-space exploration hot path, where the derived
-// fallback (`*self = source.clone()`) would reallocate both vectors per
-// fork per restore.
+// allocations: `EngineState::for_each_step_outcome` copies a state's fork
+// cells once per step outcome on the state-space exploration hot path,
+// where the derived fallback (`*self = source.clone()`) would reallocate
+// both vectors per fork per copy.
 impl Clone for ForkCell {
     fn clone(&self) -> Self {
         ForkCell {

@@ -34,15 +34,19 @@
 //!   evaluates [`StopCondition`]s.  An attached `gdp-observe` event sink
 //!   receives the step-by-step record of the run.  [`jain_index`] scores a
 //!   meal distribution, simulated or real-thread.
-//! * [`EngineState`] — first-class snapshots of the semantic state
-//!   (forks, private program states, step counter) with `O(n + k)`
-//!   [`Engine::restore`], plus their exact bit-packed encoding
-//!   ([`StateCodec`]), written directly under any topology automorphism:
-//!   the state keys, and the frontier, of `gdp-mcheck`.
-//! * [`DrawTape`] — scripted randomness: replay or exhaustively enumerate
-//!   a step's random draws ([`Engine::for_each_step_outcome`]), the
-//!   probabilistic-branching primitive of exact model checking; also
-//!   behind the exact deadlock test [`Engine::is_stuck`].
+//! * [`EngineState`] — the semantic state (forks, private program states,
+//!   step counter), taken from an engine by [`Engine::snapshot`].  It steps
+//!   without an engine: [`EngineState::for_each_step_outcome`] enumerates
+//!   every outcome of one philosopher's step, the probabilistic-branching
+//!   primitive of exact model checking, also behind the exact deadlock test
+//!   [`Engine::is_stuck`].  Its exact bit-packed encoding ([`StateCodec`])
+//!   is written directly under any topology automorphism, from scratch or
+//!   from a parent's encodings: the state keys, and the frontier, of
+//!   `gdp-mcheck`.
+//! * [`DrawTape`] — scripted randomness: the draws a step reads instead of
+//!   the RNG, replayed on an engine
+//!   ([`Engine::step_philosopher_with_tape`]) or extended outcome by outcome
+//!   by the enumeration.
 //!
 //! Crafted adversaries that defeat LR1/LR2 (Section 3 and Theorems 1–2 of
 //! the paper) live in the `gdp-adversary` crate; the algorithms themselves

@@ -1,8 +1,7 @@
-//! First-class engine state snapshots.
+//! The semantic state of a system, stepped and encoded without an engine.
 //!
-//! An [`EngineState`] captures the *semantic* state of a running
-//! [`Engine`](crate::Engine) — exactly the state of the paper's
-//! probabilistic automaton:
+//! An [`EngineState`] is exactly the state of the paper's probabilistic
+//! automaton:
 //!
 //! * the shared fork cells (holders, `nr` numbers, request lists, guest
 //!   books),
@@ -10,23 +9,19 @@
 //! * the global step counter.
 //!
 //! Run *statistics* (meal counts, fairness accounting, the first-meal
-//! histogram) are deliberately **not** captured: two executions that reach
+//! histogram) are deliberately **not** part of it: two executions that reach
 //! the same `EngineState` are indistinguishable to every philosopher and to
-//! the shared forks, regardless of how they got there.  Restoring a
-//! snapshot therefore resets the statistics, as documented on
-//! [`Engine::restore`](crate::Engine::restore).
+//! the shared forks, regardless of how they got there.  Nor is the engine's
+//! RNG: the automaton branches on a random draw rather than remembering a
+//! sampler.
 //!
-//! Nor is the engine's RNG: the automaton branches on a random draw rather
-//! than remembering a sampler, and every caller that restores a snapshot
-//! (`gdp-mcheck`'s builder and counterexample replay,
-//! [`Engine::is_stuck`](crate::Engine::is_stuck)) reads its draws from a
-//! [`DrawTape`](crate::DrawTape) in between, which never touches the RNG.
-//!
-//! Snapshots replace the replay-per-expansion scheme the state-space
-//! explorer used before: instead of re-simulating an entire decision prefix
-//! to revisit a state (`O(depth)` per expansion), exploration stores the
-//! `EngineState` and restores it in `O(n + k)`.  `gdp-mcheck` builds its
-//! exact MDP on the same primitive.
+//! A state steps on its own.  [`EngineState::for_each_step_outcome`] runs
+//! one philosopher's step once per outcome of its random draws, read from a
+//! [`DrawTape`], with no engine, RNG or statistics to keep: `gdp-mcheck`'s
+//! builder and counterexample replay and
+//! [`Engine::is_stuck`](crate::Engine::is_stuck) explore through it.
+//! [`EngineState::is_safe`] is the safety predicate, the one
+//! [`Engine::state_is_safe`](crate::Engine::state_is_safe) applies too.
 //!
 //! The **exact encoding** half of this module is [`StateCodec`] with
 //! [`EngineState::encode`] and [`EngineState::decode_from`]: a state packed
@@ -34,17 +29,23 @@
 //! automorphism.  Two states share an encoding exactly when their forks and
 //! private states are equal, so the encoding is a state *key*: `gdp-mcheck`
 //! dedups states by their least encoding over an automorphism set (its
-//! symmetry quotient) and stores its frontier encoded.
+//! symmetry quotient) and stores its frontier encoded.  A step reads and
+//! writes only the stepping philosopher's private state and its two forks
+//! (the paper's full distribution, which [`StepCtx`] enforces), so
+//! [`EngineState::encode_successor`] derives a successor's encodings from
+//! its parent's by rewriting those three fields and the tail.
 
+use crate::draws::DrawTape;
 use crate::fork::ForkCell;
-use crate::program::Program;
-use gdp_topology::{Automorphism, PhilosopherId, Topology};
+use crate::program::{Action, Phase, Program, StepCtx, StepRandomness};
+use gdp_topology::{Automorphism, ForkEnds, PhilosopherId, Topology};
 
-/// A snapshot of the semantic state of an [`Engine`](crate::Engine).
+/// The semantic state of a system: forks, private program states and the
+/// step counter.
 ///
-/// Create one with [`Engine::snapshot`](crate::Engine::snapshot) (or reuse
-/// allocations with [`Engine::snapshot_into`](crate::Engine::snapshot_into))
-/// and go back to it with [`Engine::restore`](crate::Engine::restore).
+/// Take one from a running engine with
+/// [`Engine::snapshot`](crate::Engine::snapshot), or start from
+/// [`initial`](Self::initial).
 pub struct EngineState<P: Program> {
     pub(crate) forks: Vec<ForkCell>,
     pub(crate) states: Vec<P::State>,
@@ -90,6 +91,19 @@ impl<P: Program> PartialEq for EngineState<P> {
 impl<P: Program> Eq for EngineState<P> {}
 
 impl<P: Program> EngineState<P> {
+    /// The state a run of `program` on `topology` starts in: every fork
+    /// fresh, every philosopher in the program's initial state, step 0.
+    #[must_use]
+    pub fn initial(topology: &Topology, program: &P) -> Self {
+        EngineState {
+            forks: (0..topology.num_forks()).map(|_| ForkCell::new()).collect(),
+            states: (0..topology.num_philosophers())
+                .map(|_| program.initial_state())
+                .collect(),
+            step_count: 0,
+        }
+    }
+
     /// The shared state of every fork, indexed by
     /// [`ForkId::index`](gdp_topology::ForkId::index).
     #[must_use]
@@ -104,10 +118,77 @@ impl<P: Program> EngineState<P> {
         &self.states
     }
 
-    /// The step count at which the snapshot was taken.
+    /// The number of steps taken to reach this state.
     #[must_use]
     pub fn step_count(&self) -> u64 {
         self.step_count
+    }
+
+    /// The phase of `philosopher`, as its program observes its private
+    /// state.
+    #[must_use]
+    pub fn phase_of(&self, topology: &Topology, program: &P, philosopher: PhilosopherId) -> Phase {
+        let ends = topology.forks_of(philosopher);
+        program
+            .observation(&self.states[philosopher.index()], ends)
+            .phase
+    }
+
+    /// Returns `true` if the state satisfies the safety invariants: every
+    /// held fork is held by an adjacent philosopher, and eating implies
+    /// holding both forks.
+    ///
+    /// The single source of truth for the predicate the exact checker
+    /// counts as `safety_violations` and the Monte-Carlo estimators surface
+    /// as `unsafe_trials`.
+    #[must_use]
+    pub fn is_safe(&self, topology: &Topology, program: &P) -> bool {
+        is_safe(topology, program, &self.forks, &self.states)
+    }
+
+    /// Enumerates **every** possible outcome of scheduling `philosopher` for
+    /// one atomic step from this state — the probabilistic branching of the
+    /// paper's automaton, made exhaustive.
+    ///
+    /// The step runs on `post`, a copy of this state, with its random draws
+    /// read from a [`DrawTape`]: a draw past the tape's end poisons the copy,
+    /// and the step reruns from a fresh copy once per outcome of that draw.
+    /// For each complete outcome, `visit` is called with the outcome's
+    /// probability (the product of its draw probabilities), the post-step
+    /// state and the step's action; `post` holds the last outcome on return.
+    /// The post-step state's step counter is one above this state's.
+    ///
+    /// The visited probabilities sum to 1 and their order is deterministic
+    /// (draw-lexicographic), which the bitwise-determinism guarantees of
+    /// `gdp-mcheck` rely on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `philosopher` is out of range for the topology, or if the
+    /// state's fork or philosopher count differs from the topology's.
+    pub fn for_each_step_outcome(
+        &self,
+        topology: &Topology,
+        program: &P,
+        philosopher: PhilosopherId,
+        post: &mut EngineState<P>,
+        mut visit: impl FnMut(f64, &EngineState<P>, Action),
+    ) {
+        assert!(
+            self.forks.len() == topology.num_forks()
+                && self.states.len() == topology.num_philosophers(),
+            "state has a different fork or philosopher count than the topology"
+        );
+        let ends = topology.forks_of(philosopher);
+        let mut step = |post: &mut EngineState<P>, tape: &mut DrawTape| {
+            post.clone_from(self);
+            post.step_count += 1;
+            let idx = philosopher.index();
+            let randomness = StepRandomness::Scripted(tape);
+            let mut ctx = StepCtx::new(philosopher, ends, &mut post.forks, randomness);
+            program.step(&mut post.states[idx], &mut ctx)
+        };
+        branch_on_draws(&mut step, post, &mut DrawTape::new(), 1.0, &mut visit);
     }
 
     /// Appends to `out` this state's exact encoding under each automorphism
@@ -121,7 +202,7 @@ impl<P: Program> EngineState<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's fork or philosopher count differs from the
+    /// Panics if the state's fork or philosopher count differs from the
     /// codec's, or if a value does not fit its field: an `nr` above the
     /// fork count or a private state the program does not list.
     pub fn encode(
@@ -131,83 +212,95 @@ impl<P: Program> EngineState<P> {
         out: &mut Vec<u64>,
     ) -> usize {
         codec.check_counts(self);
-        let (hb, nb, cb) = (codec.holder_bits, codec.nr_bits, codec.code_bits);
-        let fork_bits = (hb + nb) as usize;
-        let codes_at = self.forks.len() * fork_bits;
-        let fixed = codec.fixed_bits();
-        let tail = codec.tail_bits(&self.forks);
-        let words = (fixed + tail).div_ceil(64).max(1);
+        let (words, tail) = codec.words(&self.forks);
         let base = out.len();
         out.resize(base + words * automorphisms.len(), 0);
         let encodings = &mut out[base..];
-
         for (f, cell) in self.forks.iter().enumerate() {
-            let nr = u64::from(cell.nr);
-            assert!(
-                fits(nr, nb),
-                "fork {f}'s nr {nr} does not fit its {nb}-bit field (priority numbers are drawn from [1, {}])",
-                self.forks.len()
-            );
             for (key, auto) in encodings.chunks_exact_mut(words).zip(automorphisms) {
-                let holder = cell
-                    .holder
-                    .map_or(0, |p| auto.phil_map[p.index()].index() as u64 + 1);
-                // The holder's field, then `nr`'s, written as one.
-                let at = auto.fork_map[f].index() * fork_bits;
-                put(key, at, hb + nb, holder | nr << hb);
+                codec.write_fork(key, auto, f, cell);
             }
         }
         for (p, state) in self.states.iter().enumerate() {
             let code = codec.code_of(state);
             for (key, auto) in encodings.chunks_exact_mut(words).zip(automorphisms) {
-                put(
-                    key,
-                    codes_at + auto.phil_map[p].index() * cb as usize,
-                    cb,
-                    code,
-                );
+                codec.write_code(key, auto, p, code);
             }
         }
-        if tail > 0 {
+        if tail {
             for (key, auto) in encodings.chunks_exact_mut(words).zip(automorphisms) {
-                let mut at = fixed;
-                let mut push = |width: u32, value: u64| {
-                    put(key, at, width, value);
-                    at += width as usize;
-                };
-                push(1, 1);
-                // Fork records go in image order: the record at position
-                // `image` is that of the fork the automorphism maps there.
-                for image in 0..self.forks.len() {
-                    let f = auto
-                        .fork_map
-                        .iter()
-                        .position(|g| g.index() == image)
-                        .expect("an automorphism's fork map is a permutation");
-                    let cell = &self.forks[f];
-                    let phil = |p: PhilosopherId| auto.phil_map[p.index()].index() as u64;
-                    push(hb, count(cell.requests.len(), hb, f));
-                    for &p in &cell.requests {
-                        push(hb, phil(p));
-                    }
-                    push(hb, count(cell.guest_book.len(), hb, f));
-                    for &p in &cell.guest_book {
-                        push(hb, phil(p));
-                    }
-                }
+                codec.write_tail(key, auto, &self.forks);
             }
         }
         words
     }
 
-    /// Overwrites this snapshot's forks and private states with the state
+    /// Appends to `out` this state's encodings under each automorphism, as
+    /// [`encode`](Self::encode) does, given `parent`: the encodings under
+    /// the same automorphisms, in the same order, of the state this one was
+    /// reached from by one step of `philosopher`.  Returns the words one
+    /// encoding takes.
+    ///
+    /// A step changes only the stepping philosopher's private state and its
+    /// two forks, so each encoding is its parent's fixed-width part with
+    /// those three fields rewritten, followed by the tail.  The result equals
+    /// `encode`'s word for word; for any other pair of states it is
+    /// meaningless.
+    ///
+    /// # Panics
+    ///
+    /// As [`encode`](Self::encode), and if `parent` does not hold one
+    /// encoding per automorphism.
+    pub fn encode_successor(
+        &self,
+        codec: &StateCodec<P>,
+        automorphisms: &[Automorphism],
+        parent: &[u64],
+        philosopher: PhilosopherId,
+        out: &mut Vec<u64>,
+    ) -> usize {
+        codec.check_counts(self);
+        let parent_words = parent.len() / automorphisms.len().max(1);
+        assert!(
+            parent_words > 0 && parent_words * automorphisms.len() == parent.len(),
+            "the parent holds one encoding per automorphism"
+        );
+        let (words, tail) = codec.words(&self.forks);
+        let fixed = codec.fixed_bits();
+        let (whole, partial) = (fixed / 64, fixed % 64);
+        let p = philosopher.index();
+        let ends = codec.ends[p];
+        let code = codec.code_of(&self.states[p]);
+        let base = out.len();
+        out.resize(base + words * automorphisms.len(), 0);
+        let encodings = out[base..].chunks_exact_mut(words);
+        for ((key, auto), from) in encodings
+            .zip(automorphisms)
+            .zip(parent.chunks_exact(parent_words))
+        {
+            key[..whole].copy_from_slice(&from[..whole]);
+            if partial > 0 {
+                key[whole] = from[whole] & ((1 << partial) - 1);
+            }
+            for fork in ends.as_array() {
+                codec.write_fork(key, auto, fork.index(), &self.forks[fork.index()]);
+            }
+            codec.write_code(key, auto, p, code);
+            if tail {
+                codec.write_tail(key, auto, &self.forks);
+            }
+        }
+        words
+    }
+
+    /// Overwrites this state's forks and private states with the state
     /// `words` encodes — one encoding written by [`encode`](Self::encode)
     /// — reusing its allocations.  The step counter is not encoded and
     /// stays as it is.
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's fork or philosopher count differs from the
+    /// Panics if the state's fork or philosopher count differs from the
     /// codec's, or if `words` is not an encoding of this codec.
     pub fn decode_from(&mut self, codec: &StateCodec<P>, words: &[u64]) {
         codec.check_counts(self);
@@ -253,6 +346,53 @@ impl<P: Program> EngineState<P> {
     }
 }
 
+/// Runs `step` on `post` with the draws on `tape`, and on a pending draw
+/// extends the tape by each of its outcomes and reruns.
+fn branch_on_draws<P: Program>(
+    step: &mut impl FnMut(&mut EngineState<P>, &mut DrawTape) -> Action,
+    post: &mut EngineState<P>,
+    tape: &mut DrawTape,
+    probability: f64,
+    visit: &mut impl FnMut(f64, &EngineState<P>, Action),
+) {
+    tape.rewind();
+    let action = step(post, tape);
+    match tape.pending() {
+        None => visit(probability, post, action),
+        Some(request) => {
+            for (outcome, p) in request.outcomes() {
+                tape.push(outcome);
+                branch_on_draws(step, post, tape, probability * p, visit);
+                tape.pop();
+            }
+        }
+    }
+}
+
+/// The safety invariants over a state's forks and private states; see
+/// [`EngineState::is_safe`].
+pub(crate) fn is_safe<P: Program>(
+    topology: &Topology,
+    program: &P,
+    forks: &[ForkCell],
+    states: &[P::State],
+) -> bool {
+    let adjacent_holders = topology.fork_ids().all(|fork| {
+        forks[fork.index()]
+            .holder
+            .is_none_or(|holder| topology.forks_of(holder).contains(fork))
+    });
+    adjacent_holders
+        && topology.philosopher_ids().all(|p| {
+            let ends = topology.forks_of(p);
+            program.observation(&states[p.index()], ends).phase != Phase::Eating
+                || ends
+                    .as_array()
+                    .iter()
+                    .all(|fork| forks[fork.index()].holder == Some(p))
+        })
+}
+
 /// The exact, bit-packed encoding of the [`EngineState`]s of one system:
 /// one topology (`n` philosophers, `k` forks) and one program.
 ///
@@ -284,7 +424,8 @@ pub struct StateCodec<P: Program> {
     nr_bits: u32,
     code_bits: u32,
     num_forks: usize,
-    num_philosophers: usize,
+    /// Each philosopher's two forks: the fields its step may rewrite.
+    ends: Vec<ForkEnds>,
     /// The program's private states; a state's code is its index.
     table: Vec<P::State>,
 }
@@ -309,7 +450,10 @@ impl<P: Program> StateCodec<P> {
             nr_bits: bits_for(k),
             code_bits: bits_for(table.len() - 1),
             num_forks: k,
-            num_philosophers: n,
+            ends: topology
+                .philosopher_ids()
+                .map(|p| topology.forks_of(p))
+                .collect(),
             table,
         }
     }
@@ -322,7 +466,7 @@ impl<P: Program> StateCodec<P> {
         );
         assert_eq!(
             state.states.len(),
-            self.num_philosophers,
+            self.ends.len(),
             "snapshot has a different philosopher count than the codec"
         );
     }
@@ -330,19 +474,22 @@ impl<P: Program> StateCodec<P> {
     /// The bits of the fixed-width part: the fork fields, then the codes.
     fn fixed_bits(&self) -> usize {
         self.num_forks * (self.holder_bits + self.nr_bits) as usize
-            + self.num_philosophers * self.code_bits as usize
+            + self.ends.len() * self.code_bits as usize
     }
 
-    /// The bits of the tail of a state with these forks (`0`: no tail).
-    fn tail_bits(&self, forks: &[ForkCell]) -> usize {
+    /// The words one encoding of a state with these forks takes, and
+    /// whether it has a tail.
+    fn words(&self, forks: &[ForkCell]) -> (usize, bool) {
         let listed: usize = forks
             .iter()
             .map(|c| c.requests.len() + c.guest_book.len())
             .sum();
-        if listed == 0 {
-            return 0;
-        }
-        1 + (2 * forks.len() + listed) * self.holder_bits as usize
+        let tail = if listed == 0 {
+            0
+        } else {
+            1 + (2 * forks.len() + listed) * self.holder_bits as usize
+        };
+        ((self.fixed_bits() + tail).div_ceil(64).max(1), tail > 0)
     }
 
     fn code_of(&self, state: &P::State) -> u64 {
@@ -352,6 +499,63 @@ impl<P: Program> StateCodec<P> {
             .unwrap_or_else(|| {
                 panic!("private state {state:?} is not in the program's private_states()")
             }) as u64
+    }
+
+    /// Writes fork `f`'s holder and `nr` into `key`, the encoding under
+    /// `auto`, over whatever the field held.
+    fn write_fork(&self, key: &mut [u64], auto: &Automorphism, f: usize, cell: &ForkCell) {
+        let (hb, nb) = (self.holder_bits, self.nr_bits);
+        let nr = u64::from(cell.nr);
+        assert!(
+            fits(nr, nb),
+            "fork {f}'s nr {nr} does not fit its {nb}-bit field (priority numbers are drawn from [1, {}])",
+            self.num_forks
+        );
+        let holder = cell
+            .holder
+            .map_or(0, |p| auto.phil_map[p.index()].index() as u64 + 1);
+        // The holder's field, then `nr`'s, written as one.
+        let at = auto.fork_map[f].index() * (hb + nb) as usize;
+        put(key, at, hb + nb, holder | nr << hb);
+    }
+
+    /// Writes philosopher `p`'s private-state `code` into `key`, the
+    /// encoding under `auto`, over whatever the field held.
+    fn write_code(&self, key: &mut [u64], auto: &Automorphism, p: usize, code: u64) {
+        let codes_at = self.num_forks * (self.holder_bits + self.nr_bits) as usize;
+        let at = codes_at + auto.phil_map[p].index() * self.code_bits as usize;
+        put(key, at, self.code_bits, code);
+    }
+
+    /// Writes the tail of a state with these forks into `key`, the encoding
+    /// under `auto`, whose bits past the fixed-width part are zero.
+    fn write_tail(&self, key: &mut [u64], auto: &Automorphism, forks: &[ForkCell]) {
+        let hb = self.holder_bits;
+        let mut at = self.fixed_bits();
+        let mut push = |width: u32, value: u64| {
+            put(key, at, width, value);
+            at += width as usize;
+        };
+        push(1, 1);
+        // Fork records go in image order: the record at position `image` is
+        // that of the fork the automorphism maps there.
+        for image in 0..forks.len() {
+            let f = auto
+                .fork_map
+                .iter()
+                .position(|g| g.index() == image)
+                .expect("an automorphism's fork map is a permutation");
+            let cell = &forks[f];
+            let phil = |p: PhilosopherId| auto.phil_map[p.index()].index() as u64;
+            push(hb, count(cell.requests.len(), hb, f));
+            for &p in &cell.requests {
+                push(hb, phil(p));
+            }
+            push(hb, count(cell.guest_book.len(), hb, f));
+            for &p in &cell.guest_book {
+                push(hb, phil(p));
+            }
+        }
     }
 }
 
@@ -374,16 +578,19 @@ fn count(len: usize, width: u32, fork: usize) -> u64 {
     len
 }
 
-/// ORs the `width`-bit `value` into `words` at bit offset `at`.
+/// Writes the `width`-bit `value` into `words` at bit offset `at`, over
+/// whatever the field held.
 fn put(words: &mut [u64], at: usize, width: u32, value: u64) {
     debug_assert!(fits(value, width), "{value} overflows {width} bits");
     if width == 0 {
         return;
     }
+    let mask = u64::MAX >> (64 - width);
     let (word, bit) = (at / 64, (at % 64) as u32);
-    words[word] |= value << bit;
+    words[word] = words[word] & !(mask << bit) | value << bit;
     if bit + width > 64 {
-        words[word + 1] |= value >> (64 - bit);
+        let shift = 64 - bit;
+        words[word + 1] = words[word + 1] & !(mask >> shift) | value >> shift;
     }
 }
 

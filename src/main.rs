@@ -435,10 +435,11 @@ fn cmd_run(mut args: Args) -> Result<CommandOutcome, String> {
         println!("         P{i}: {meals} meals");
     }
 
-    // Observability: the histogram and trace export happen *before* the
-    // safety and deadlock probes below — `is_stuck` explores by stepping
-    // the engine, and those probe steps must not leak into the trace.  The
-    // sink is detached for the same reason.
+    // Observability: the histogram and the trace are exported first; the
+    // safety and deadlock probes below only read the final state.
+    // `is_stuck` steps copies of the engine's snapshot, never the engine
+    // itself, so its probe steps reach neither the trace nor the run
+    // statistics.
     let first_meal = engine.first_meal_histogram();
     if !first_meal.is_empty() {
         println!(
