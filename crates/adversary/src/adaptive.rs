@@ -212,7 +212,7 @@ impl Default for GreedyConflictAdversary {
 mod tests {
     use super::*;
     use gdp_algorithms::{Gdp1, Gdp2, Lr1};
-    use gdp_sim::{Adversary, Engine, SimConfig, StopCondition};
+    use gdp_sim::{Engine, SimConfig, StopCondition};
     use gdp_topology::builders::{classic_ring, figure1_triangle};
 
     #[test]
@@ -236,17 +236,18 @@ mod tests {
 
     #[test]
     fn max_wait_is_resettable_and_deterministic() {
-        let mut a = Engine::new(
-            classic_ring(4).unwrap(),
-            Lr1::new(),
-            SimConfig::default().with_seed(3),
-        );
-        let mut adv = MaxWaitAdversary::new();
-        let first: Vec<_> = (0..2_000).map(|_| a.step_with(&mut adv)).collect();
-        adv.reset();
-        a.reset();
-        let second: Vec<_> = (0..2_000).map(|_| a.step_with(&mut adv)).collect();
-        assert_eq!(second, first);
+        let run = || {
+            let mut engine = Engine::new(
+                classic_ring(4).unwrap(),
+                Lr1::new(),
+                SimConfig::default().with_seed(3),
+            );
+            let mut adv = MaxWaitAdversary::new();
+            (0..2_000)
+                .map(|_| engine.step_with(&mut adv))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

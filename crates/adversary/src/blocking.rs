@@ -404,11 +404,6 @@ impl SchedulingPolicy for BlockingPolicy {
         }
         self.record(PhilosopherId::new(0))
     }
-
-    fn reset(&mut self) {
-        self.step = 0;
-        self.last_proposed.clear();
-    }
 }
 
 /// The fair blocking adversary: [`BlockingPolicy`] under a [`FairDriver`]

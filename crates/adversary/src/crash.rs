@@ -212,10 +212,6 @@ impl Adversary for CrashStopAdversary {
         let pick = plan.rng.gen_range(0..plan.alive_buf.len());
         plan.alive_buf[pick]
     }
-
-    fn reset(&mut self) {
-        self.plan = None;
-    }
 }
 
 #[cfg(test)]
@@ -273,8 +269,6 @@ mod tests {
         let ta = run(&mut a);
         assert_eq!(ta, run(&mut b), "same seed, same faulty schedule");
         assert_eq!(a.crash_plan(), b.crash_plan());
-        a.reset();
-        assert_eq!(ta, run(&mut a), "reset replays the same plan");
     }
 
     #[test]

@@ -61,8 +61,6 @@ impl StubbornnessSchedule {
 pub trait SchedulingPolicy {
     /// Proposes a philosopher to schedule next.
     fn propose(&mut self, view: &SystemView<'_>) -> PhilosopherId;
-    /// Resets internal state for a fresh run.
-    fn reset(&mut self) {}
 }
 
 /// A [`SchedulingPolicy`] made a fair [`Adversary`] by the
@@ -145,13 +143,6 @@ impl<P: SchedulingPolicy> Adversary for FairDriver<P> {
         self.last_scheduled[chosen.index()] = self.step;
         chosen
     }
-
-    fn reset(&mut self) {
-        self.policy.reset();
-        self.overrides = 0;
-        self.step = 0;
-        self.last_scheduled.fill(0);
-    }
 }
 
 #[cfg(test)]
@@ -210,18 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn guard_reset_restores_initial_behaviour() {
-        let two_ring = Topology::from_arcs(2, [(0, 1), (1, 0)]).unwrap();
-        let mut adversary = FairDriver::guarding(AlwaysZero, StubbornnessSchedule::Constant(3));
-        schedule(two_ring, &mut adversary, 10);
-        let overrides = adversary.overrides();
-        assert!(overrides > 0);
-        adversary.reset();
-        assert_eq!(adversary.overrides(), 0);
-        assert_eq!(adversary.schedule.bound_for_round(adversary.overrides), 3);
-    }
-
-    #[test]
     fn fair_driver_produces_bounded_fair_runs() {
         let mut engine = Engine::new(
             classic_ring(5).unwrap(),
@@ -235,20 +214,5 @@ mod tests {
         let bound = outcome.fairness_bound.expect("everyone must be scheduled");
         assert!(bound <= 10 + 5, "realized fairness bound {bound} too large");
         assert!(adversary.overrides() > 0);
-    }
-
-    #[test]
-    fn fair_driver_reset_supports_reuse() {
-        let mut engine = Engine::new(
-            classic_ring(4).unwrap(),
-            Lr1::new(),
-            SimConfig::default().with_seed(3),
-        );
-        let mut adversary = FairDriver::guarding(AlwaysZero, StubbornnessSchedule::default());
-        engine.run(&mut adversary, StopCondition::MaxSteps(1_000));
-        adversary.reset();
-        engine.reset();
-        let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(1_000));
-        assert_eq!(outcome.steps, 1_000);
     }
 }

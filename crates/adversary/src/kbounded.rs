@@ -80,11 +80,6 @@ impl Adversary for KBoundedRoundRobin {
         }
         chosen
     }
-
-    fn reset(&mut self) {
-        self.current = 0;
-        self.dwelt = 0;
-    }
 }
 
 #[cfg(test)]
@@ -106,8 +101,6 @@ mod tests {
             .map(|_| engine.with_view(|v| adv.select(v)).raw())
             .collect();
         assert_eq!(picks, vec![0, 0, 1, 1, 2, 2, 0, 0]);
-        adv.reset();
-        assert_eq!(engine.with_view(|v| adv.select(v)).raw(), 0);
         assert_eq!(adv.k(), 2);
     }
 

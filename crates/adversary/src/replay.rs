@@ -73,11 +73,6 @@ impl Adversary for ReplayAdversary {
         self.fallback_next = (self.fallback_next + 1) % n;
         chosen
     }
-
-    fn reset(&mut self) {
-        self.position = 0;
-        self.fallback_next = 0;
-    }
 }
 
 #[cfg(test)]
@@ -109,8 +104,6 @@ mod tests {
         );
         assert!(adversary.exhausted());
         assert_eq!(adversary.steps_played(), 4);
-        adversary.reset();
-        assert!(!adversary.exhausted());
     }
 
     #[test]

@@ -408,16 +408,6 @@ impl Adversary for TriangleWaveAdversary {
             Mode::Conceded => self.round_robin(view),
         }
     }
-
-    fn reset(&mut self) {
-        self.mode = Mode::Bootstrap;
-        self.roles = None;
-        self.attempts = 0;
-        self.budget = Self::INITIAL_BUDGET;
-        self.rounds = 0;
-        self.cursor = 0;
-        self.conceded = false;
-    }
 }
 
 #[cfg(test)]
@@ -532,19 +522,5 @@ mod tests {
             let counts = &outcome.scheduled_per_philosopher;
             assert!(counts.iter().all(|&c| c > 100), "{counts:?}");
         }
-    }
-
-    #[test]
-    fn reset_supports_reuse() {
-        let topology = figure1_triangle();
-        let mut adversary = TriangleWaveAdversary::new(&topology).unwrap();
-        let mut engine = Engine::new(topology, Lr1::new(), SimConfig::default().with_seed(1));
-        engine.run(&mut adversary, StopCondition::MaxSteps(2_000));
-        adversary.reset();
-        assert!(!adversary.conceded());
-        assert_eq!(adversary.rounds(), 0);
-        engine.reset_with_seed(2);
-        let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(2_000));
-        assert_eq!(outcome.steps, 2_000);
     }
 }

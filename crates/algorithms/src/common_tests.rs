@@ -26,7 +26,7 @@ fn check_safety_invariants(engine: &Engine<AnyProgram>) {
     );
     // Every reached private state is in the program's code table.
     let listed = engine.program().private_states();
-    for state in engine.snapshot().states() {
+    for state in engine.state().states() {
         assert!(listed.contains(state), "{state:?} is not a listed state");
     }
     engine.with_view(|view| {
@@ -97,7 +97,7 @@ fn safety_invariants_hold_for_all_algorithms_on_the_theta_graph() {
 
 /// The step enumeration that the exact checker builds on, checked against
 /// the engine: every sampled step lands on one of the outcomes
-/// `EngineState::for_each_step_outcome` lists from the engine's snapshot
+/// `EngineState::for_each_step_outcome` lists from the engine's state
 /// (same forks, private states, step count and action), and the listed
 /// probabilities sum to 1.
 #[test]
@@ -114,9 +114,9 @@ fn sampled_steps_land_on_an_enumerated_outcome() {
                 SimConfig::default().with_seed(11),
             );
             let mut adversary = UniformRandomAdversary::new(17);
-            let mut post = engine.snapshot();
+            let mut post = engine.state().clone();
             for step in 0..2_000 {
-                let before = engine.snapshot();
+                let before = engine.state().clone();
                 let chosen = engine.with_view(|view| adversary.select(view));
                 let (mut outcomes, mut total) = (Vec::new(), 0.0);
                 before.for_each_step_outcome(
@@ -130,16 +130,88 @@ fn sampled_steps_land_on_an_enumerated_outcome() {
                     },
                 );
                 let record = engine.step_philosopher(chosen);
-                let after = engine.snapshot();
+                let after = engine.state();
                 let context = format!("{kind} on {}, step {step}", topology.summary());
                 assert!((total - 1.0).abs() < 1e-12, "{context}: P sums to {total}");
                 assert!(
                     outcomes
                         .iter()
-                        .any(|(post, action)| *post == after && *action == record.action),
+                        .any(|(post, action)| post == after && *action == record.action),
                     "{context}: the sampled step of {chosen} is not an enumerated outcome"
                 );
             }
+        }
+    }
+}
+
+/// The run statistics, recounted from the step records alone: each
+/// philosopher's schedulings, completed meals and hunger stamp, the first
+/// meal's step and the fairness bound (the longest window some philosopher
+/// waited, counted from step 0 before its first scheduling) equal the
+/// engine's views and its `RunOutcome`.
+#[test]
+fn step_records_recount_the_views_and_the_run_outcome() {
+    for topology in [
+        classic_ring(5).unwrap(),
+        generalized_theta(&[2, 2, 1]).unwrap(),
+    ] {
+        for kind in AlgorithmKind::all() {
+            let program = kind.program();
+            let n = topology.num_philosophers();
+            let mut phase: Vec<Phase> = topology
+                .philosopher_ids()
+                .map(|p| {
+                    let ends = topology.forks_of(p);
+                    program.observation(&program.initial_state(), ends).phase
+                })
+                .collect();
+            let mut engine =
+                Engine::new(topology.clone(), program, SimConfig::default().with_seed(5));
+            let mut adversary = UniformRandomAdversary::new(23);
+            let (mut scheduled_at, mut meals) = (vec![Vec::new(); n], vec![0u64; n]);
+            let (mut hungry_since, mut first_meal) = (vec![None; n], None);
+            for _ in 0..3_000 {
+                let record = engine.step_with(&mut adversary);
+                let i = record.philosopher.index();
+                scheduled_at[i].push(record.step);
+                let before = std::mem::replace(&mut phase[i], record.phase_after);
+                if before != Phase::Hungry && record.phase_after == Phase::Hungry {
+                    hungry_since[i] = Some(record.step);
+                }
+                if before != Phase::Eating && record.phase_after == Phase::Eating {
+                    first_meal.get_or_insert(record.step);
+                }
+                if before == Phase::Eating && record.phase_after != Phase::Eating {
+                    meals[i] += 1;
+                    hungry_since[i] = None;
+                }
+            }
+            let outcome = engine.run(&mut adversary, StopCondition::MaxSteps(0));
+            let context = format!("{kind} on {}", topology.summary());
+            let scheduled: Vec<u64> = scheduled_at.iter().map(|at| at.len() as u64).collect();
+            let fairness_bound = scheduled_at.iter().all(|at| !at.is_empty()).then(|| {
+                scheduled_at
+                    .iter()
+                    .flat_map(|at| {
+                        let gaps = at.windows(2).map(|w| w[1] - w[0]);
+                        std::iter::once(at[0] + 1).chain(gaps)
+                    })
+                    .max()
+                    .unwrap()
+                    .max(1)
+            });
+            for view in engine.views() {
+                let i = view.id.index();
+                assert_eq!(view.scheduled, scheduled[i], "{context}: {}", view.id);
+                assert_eq!(view.meals, meals[i], "{context}: {}", view.id);
+                assert_eq!(view.hungry_since, hungry_since[i], "{context}: {}", view.id);
+            }
+            assert_eq!(outcome.steps, 3_000, "{context}");
+            assert_eq!(outcome.scheduled_per_philosopher, scheduled, "{context}");
+            assert_eq!(outcome.meals_per_philosopher, meals, "{context}");
+            assert_eq!(outcome.total_meals, meals.iter().sum::<u64>(), "{context}");
+            assert_eq!(outcome.first_meal_step, first_meal, "{context}");
+            assert_eq!(outcome.fairness_bound, fairness_bound, "{context}");
         }
     }
 }

@@ -215,10 +215,7 @@ impl Program for Gdp1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdp_sim::{
-        DrawRequest, DrawTape, Engine, RoundRobinAdversary, SimConfig, StopCondition,
-        UniformRandomAdversary,
-    };
+    use gdp_sim::{Engine, RoundRobinAdversary, SimConfig, StopCondition, UniformRandomAdversary};
     use gdp_topology::builders::{
         classic_ring, complete_conflict, figure1_gallery, figure3_theta, ring_with_chord,
         ChordTarget,
@@ -321,9 +318,17 @@ mod tests {
         for _ in 0..3 {
             e.step_philosopher(p0);
         }
-        let mut tape = DrawTape::new();
-        e.step_philosopher_with_tape(p0, &mut tape);
-        assert_eq!(tape.pending(), Some(DrawRequest::Uniform { m: 6 }));
+        let state = e.state();
+        let mut post = state.clone();
+        let mut relabels = Vec::new();
+        state.for_each_step_outcome(e.topology(), e.program(), p0, &mut post, |p, _, action| {
+            relabels.push((p, action));
+        });
+        assert_eq!(relabels.len(), 6);
+        for (value, (p, action)) in (1..=6).zip(relabels) {
+            assert_eq!(p, 1.0 / 6.0);
+            assert!(matches!(action, Action::RelabelFork { nr, .. } if nr == value));
+        }
     }
 
     #[test]

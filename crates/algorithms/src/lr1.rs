@@ -191,11 +191,10 @@ pub fn committed_fork(state: &Lr1State, ends: ForkEnds) -> Option<ForkId> {
 mod tests {
     use super::*;
     use gdp_sim::{
-        DrawOutcome, DrawTape, Engine, RoundRobinAdversary, SimConfig, StepRecord, StopCondition,
-        UniformRandomAdversary,
+        Engine, EngineState, RoundRobinAdversary, SimConfig, StopCondition, UniformRandomAdversary,
     };
     use gdp_topology::builders::classic_ring;
-    use gdp_topology::{ForkEnds, ForkId, PhilosopherId};
+    use gdp_topology::{ForkEnds, ForkId, PhilosopherId, Topology};
 
     fn engine(n: usize, seed: u64) -> Engine<Lr1> {
         Engine::new(
@@ -205,11 +204,17 @@ mod tests {
         )
     }
 
-    /// Steps `p` through its line-2 draw with the coin scripted to `left`.
-    fn draw_left(e: &mut Engine<Lr1>, p: PhilosopherId) -> StepRecord {
-        let mut tape = DrawTape::new();
-        tape.push(DrawOutcome::Coin(true));
-        e.step_philosopher_with_tape(p, &mut tape)
+    /// Steps `p` on `state` with its line-2 coin, if it draws, coming up
+    /// `left`: the first enumerated outcome.
+    fn step_left(t: &Topology, state: &mut EngineState<Lr1>, p: PhilosopherId) -> Action {
+        let mut post = state.clone();
+        let mut first = None;
+        state.for_each_step_outcome(t, &Lr1::new(), p, &mut post, |_, post, action| {
+            first.get_or_insert_with(|| (post.clone(), action));
+        });
+        let (next, action) = first.expect("every step has an outcome");
+        *state = next;
+        action
     }
 
     #[test]
@@ -317,55 +322,50 @@ mod tests {
         // blocked, and after committing to whichever fork, a failed second
         // take must release the first.  Every draw is scripted to come up
         // left (fork 0 for both philosophers).
-        let t = gdp_topology::Topology::from_arcs(2, [(0, 1), (0, 1)]).unwrap();
-        let mut e = Engine::new(t, Lr1::new(), SimConfig::default());
+        let t = Topology::from_arcs(2, [(0, 1), (0, 1)]).unwrap();
+        let mut s = EngineState::initial(&t, &Lr1::new());
         let p0 = PhilosopherId::new(0);
         let p1 = PhilosopherId::new(1);
         // P0: think->hungry, draw, take fork0, take fork1 => eating.
-        e.step_philosopher(p0);
-        draw_left(&mut e, p0);
-        e.step_philosopher(p0);
-        e.step_philosopher(p0);
-        assert_eq!(e.phase_of(p0), Phase::Eating);
+        for _ in 0..4 {
+            step_left(&t, &mut s, p0);
+        }
+        assert_eq!(s.phase_of(&t, &Lr1::new(), p0), Phase::Eating);
         // P1: think->hungry, draw (fork0), try take fork0 (fails, busy-waits).
-        e.step_philosopher(p1);
-        draw_left(&mut e, p1);
-        let record = e.step_philosopher(p1);
+        step_left(&t, &mut s, p1);
+        step_left(&t, &mut s, p1);
         assert_eq!(
-            record.action,
+            step_left(&t, &mut s, p1),
             Action::TakeFirst {
                 fork: ForkId::new(0),
                 success: false
             }
         );
         // P0 finishes eating, releasing both forks.
-        e.step_philosopher(p0);
-        assert!(e.fork(ForkId::new(0)).is_free());
+        step_left(&t, &mut s, p0);
+        assert!(s.forks()[0].is_free());
         // P1 now takes fork 0 ...
-        let record = e.step_philosopher(p1);
-        assert!(record.action.acquired_fork());
+        assert!(step_left(&t, &mut s, p1).acquired_fork());
         // ... P0 becomes hungry again, draws fork 0 and busy-waits: P0
         // cannot take fork 0 (held by P1), so it holds nothing.
-        e.step_philosopher(p0); // become hungry
-        draw_left(&mut e, p0);
-        let r = e.step_philosopher(p0);
+        step_left(&t, &mut s, p0); // become hungry
+        step_left(&t, &mut s, p0); // draw
         assert_eq!(
-            r.action,
+            step_left(&t, &mut s, p0),
             Action::TakeFirst {
                 fork: ForkId::new(0),
                 success: false
             }
         );
         // P1 takes fork 1 and eats.
-        let r = e.step_philosopher(p1);
         assert_eq!(
-            r.action,
+            step_left(&t, &mut s, p1),
             Action::TakeSecond {
                 fork: ForkId::new(1),
                 success: true
             }
         );
-        assert_eq!(e.phase_of(p1), Phase::Eating);
+        assert_eq!(s.phase_of(&t, &Lr1::new(), p1), Phase::Eating);
     }
 
     #[test]

@@ -195,17 +195,21 @@ impl Program for Lr2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdp_sim::{
-        DrawOutcome, DrawTape, Engine, SimConfig, StepRecord, StopCondition, UniformRandomAdversary,
-    };
+    use gdp_sim::{Engine, EngineState, SimConfig, StopCondition, UniformRandomAdversary};
     use gdp_topology::builders::classic_ring;
-    use gdp_topology::PhilosopherId;
+    use gdp_topology::{PhilosopherId, Topology};
 
-    /// Steps `p` through its line-3 draw with the coin scripted to `left`.
-    fn draw_left(e: &mut Engine<Lr2>, p: PhilosopherId) -> StepRecord {
-        let mut tape = DrawTape::new();
-        tape.push(DrawOutcome::Coin(true));
-        e.step_philosopher_with_tape(p, &mut tape)
+    /// Steps `p` on `state` with its line-3 coin, if it draws, coming up
+    /// `left`: the first enumerated outcome.
+    fn step_left(t: &Topology, state: &mut EngineState<Lr2>, p: PhilosopherId) -> Action {
+        let mut post = state.clone();
+        let mut first = None;
+        state.for_each_step_outcome(t, &Lr2::new(), p, &mut post, |_, post, action| {
+            first.get_or_insert_with(|| (post.clone(), action));
+        });
+        let (next, action) = first.expect("every step has an outcome");
+        *state = next;
+        action
     }
 
     fn engine(n: usize, seed: u64) -> Engine<Lr2> {
@@ -297,30 +301,32 @@ mod tests {
         // eats, P0 cannot take a fork again until P1 (who is registered and
         // has not eaten) has eaten: the courtesy condition fails for P0.
         // P0's draws are scripted to come up left.
-        let t = gdp_topology::Topology::from_arcs(2, [(0, 1), (1, 0)]).unwrap();
-        let mut e = Engine::new(t, Lr2::new(), SimConfig::default());
+        let t = Topology::from_arcs(2, [(0, 1), (1, 0)]).unwrap();
+        let mut s = EngineState::initial(&t, &Lr2::new());
         let p0 = PhilosopherId::new(0);
         let p1 = PhilosopherId::new(1);
         // P1 becomes hungry and registers (so it is in the request lists).
-        e.step_philosopher(p1); // think -> register state
-        e.step_philosopher(p1); // register
-                                // P0 eats once.
-        e.step_philosopher(p0); // hungry
-        e.step_philosopher(p0); // register
-        draw_left(&mut e, p0);
-        e.step_philosopher(p0); // take first
-        e.step_philosopher(p0); // take second -> eating
-        assert_eq!(e.phase_of(p0), Phase::Eating);
-        e.step_philosopher(p0); // finish eating, sign guest books
-                                // P0 becomes hungry again and tries to take a fork: courtesy must fail
-                                // because P1 is requesting and has not eaten since.
-        e.step_philosopher(p0); // hungry
-        e.step_philosopher(p0); // register
-        draw_left(&mut e, p0);
-        let record = e.step_philosopher(p0); // attempt first take
+        step_left(&t, &mut s, p1); // think -> register state
+        step_left(&t, &mut s, p1); // register
+
+        // P0 eats once.
+        step_left(&t, &mut s, p0); // hungry
+        step_left(&t, &mut s, p0); // register
+        step_left(&t, &mut s, p0); // draw
+        step_left(&t, &mut s, p0); // take first
+        step_left(&t, &mut s, p0); // take second -> eating
+        assert_eq!(s.phase_of(&t, &Lr2::new(), p0), Phase::Eating);
+        step_left(&t, &mut s, p0); // finish eating, sign guest books
+
+        // P0 becomes hungry again and tries to take a fork: courtesy must
+        // fail because P1 is requesting and has not eaten since.
+        step_left(&t, &mut s, p0); // hungry
+        step_left(&t, &mut s, p0); // register
+        step_left(&t, &mut s, p0); // draw
+        let action = step_left(&t, &mut s, p0); // attempt first take
         assert!(
-            matches!(record.action, Action::TakeFirst { success: false, .. }),
-            "P0 must defer to P1 after eating: {record:?}"
+            matches!(action, Action::TakeFirst { success: false, .. }),
+            "P0 must defer to P1 after eating: {action:?}"
         );
     }
 

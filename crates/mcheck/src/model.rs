@@ -948,7 +948,9 @@ mod tests {
     /// Every row of an unreduced all-fair build is the step enumeration
     /// from the state its key decodes to, keyed by `encode` from scratch:
     /// successors in draw order (`UNEXPLORED` past the budget),
-    /// probabilities bit for bit.  Target and unexpanded rows are empty.
+    /// probabilities bit for bit.  Target and unexpanded rows are empty,
+    /// and every state, expanded or not, is flagged a target exactly when
+    /// `is_target` holds of it.
     #[test]
     fn rows_replay_the_engine_outcome_for_outcome() {
         let ring = classic_ring(3).unwrap();
@@ -973,11 +975,16 @@ mod tests {
                         .map(|(succ, p)| (succ, p.to_bits()))
                         .collect::<Vec<_>>()
                 };
+                state.decode_from(&codec, mdp.keys().get(s as usize));
+                assert_eq!(
+                    mdp.target[s as usize],
+                    is_target(&ring, &program, &state, target),
+                    "{kind} state {s}"
+                );
                 if mdp.target[s as usize] || !mdp.expanded[s as usize] {
                     assert!((0..mdp.num_choices).all(|c| stored(c).is_empty()));
                     continue;
                 }
-                state.decode_from(&codec, mdp.keys().get(s as usize));
                 for c in 0..mdp.num_choices {
                     let mut expected = Vec::new();
                     let p = PhilosopherId::new(c as u32);

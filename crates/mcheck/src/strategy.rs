@@ -7,7 +7,7 @@
 //! * [`extract_counterexample`] replays the worst-case adversary against a
 //!   live engine and records the schedule it plays.  The replay is
 //!   *value-guided* and frame-free: at each state it enumerates every
-//!   philosopher's step outcomes on the engine's snapshot, scores each
+//!   philosopher's step outcomes from the engine's state, scores each
 //!   choice by the worst (minimum) avoid value among its outcomes'
 //!   canonical states, and schedules the best-scoring choice — breaking
 //!   ties toward the least recently scheduled philosopher, so starvation
@@ -95,19 +95,19 @@ pub fn extract_counterexample<P: Program + Clone>(
             program.clone(),
             SimConfig::default().with_seed(seed),
         );
-        let mut post = engine.snapshot();
+        let mut post = engine.state().clone();
         let mut steps = Vec::with_capacity(max_steps);
         let mut visited: HashMap<Vec<u64>, usize> = HashMap::new();
         let mut cycle_start = None;
         let mut last_scheduled = vec![0u64; n];
         for step in 0..max_steps {
-            let snapshot = engine.snapshot();
-            if is_target(topology, program, &snapshot, mdp.target_kind) {
+            let state = engine.state();
+            if is_target(topology, program, state, mdp.target_kind) {
                 // The sampled draws beat the adversary on this seed.
                 continue 'seeds;
             }
             if cycle_start.is_none() {
-                let key = mdp.canonical_key(&codec, &snapshot, &mut scratch);
+                let key = mdp.canonical_key(&codec, state, &mut scratch);
                 if let Some(&at) = visited.get(key) {
                     cycle_start = Some(at);
                 } else {
@@ -120,7 +120,7 @@ pub fn extract_counterexample<P: Program + Clone>(
             #[allow(clippy::needless_range_loop)] // p is a philosopher id, not just an index
             for p in 0..n {
                 let mut worth = f64::INFINITY;
-                snapshot.for_each_step_outcome(
+                state.for_each_step_outcome(
                     topology,
                     program,
                     PhilosopherId::new(p as u32),
@@ -147,7 +147,7 @@ pub fn extract_counterexample<P: Program + Clone>(
             steps.push(chosen);
             engine.step_philosopher(chosen);
         }
-        if is_target(topology, program, &engine.snapshot(), mdp.target_kind) {
+        if is_target(topology, program, engine.state(), mdp.target_kind) {
             continue 'seeds;
         }
         return Some(CounterexampleSchedule {
@@ -193,7 +193,7 @@ pub fn counterexample_dot<P: Program + Clone>(
         engine: &Engine<P>,
     ) -> usize {
         let mut key = Vec::new();
-        engine.snapshot().encode(codec, identity, &mut key);
+        engine.state().encode(codec, identity, &mut key);
         if let Some(&id) = node_of.get(&key) {
             return id;
         }

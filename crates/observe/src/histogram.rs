@@ -116,11 +116,6 @@ impl Log2Histogram {
         self.total() == 0
     }
 
-    /// Resets every bucket to zero.
-    pub fn clear(&mut self) {
-        self.buckets = [0; LOG2_BUCKETS];
-    }
-
     /// Bucket-quantile estimate of the `q`-th percentile (see
     /// [`quantile_from_buckets`] for the error bound).
     #[must_use]
@@ -274,14 +269,5 @@ mod tests {
             atomic.record(v);
         }
         assert_eq!(&atomic.snapshot(), plain.counts());
-    }
-
-    #[test]
-    fn clear_resets_the_histogram() {
-        let mut h = Log2Histogram::new();
-        h.record(7);
-        assert_eq!(h.total(), 1);
-        h.clear();
-        assert!(h.is_empty());
     }
 }

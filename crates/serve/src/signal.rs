@@ -1,7 +1,8 @@
-//! SIGTERM/SIGINT → a process-wide shutdown flag.
+//! SIGTERM/SIGINT → a process-wide shutdown flag, and SIGPIPE's default
+//! disposition for the `gdp` commands that only write to stdout.
 //!
-//! The workspace carries no `libc` crate (offline container), so the one
-//! foreign call this needs — `signal(2)` — is declared by hand in the one
+//! The workspace carries no `libc` crate, so the one foreign call this
+//! needs — `signal(2)` — is declared by hand in the one
 //! `#[allow(unsafe_code)]` island of the crate.  The handler body is the
 //! minimal async-signal-safe action: a relaxed store into an `AtomicBool`.
 //! Everything else (draining workers, flushing connections) happens on
@@ -38,10 +39,12 @@ pub fn reset() {
 #[cfg(unix)]
 #[allow(unsafe_code)]
 mod ffi {
-    /// `SIGINT` / `SIGTERM` numbers are part of the POSIX ABI on every
-    /// platform this repo targets.
+    /// The `SIGINT`, `SIGPIPE` and `SIGTERM` numbers and `SIG_DFL` are part
+    /// of the POSIX ABI on every platform this repo targets.
     const SIGINT: i32 = 2;
+    const SIGPIPE: i32 = 13;
     const SIGTERM: i32 = 15;
+    const SIG_DFL: usize = 0;
 
     extern "C" {
         /// POSIX `signal(2)`; `sighandler_t` is pointer-sized, declared as
@@ -65,6 +68,13 @@ mod ffi {
             signal(SIGTERM, handler);
         }
     }
+
+    pub fn default_sigpipe() {
+        // SAFETY: as in `install`; `SIG_DFL` installs no handler at all.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
+        }
+    }
 }
 
 #[cfg(not(unix))]
@@ -72,11 +82,22 @@ mod ffi {
     /// Non-Unix fallback: no signal wiring; the `shutdown` protocol request
     /// still works.
     pub fn install() {}
+
+    /// Non-Unix fallback: there is no SIGPIPE.
+    pub fn default_sigpipe() {}
 }
 
 /// Installs the SIGINT/SIGTERM handlers (idempotent).
 pub fn install() {
     ffi::install();
+}
+
+/// Restores SIGPIPE's default disposition, which the Rust runtime sets to
+/// "ignore", so a write to a closed pipe ends the process as it ends any
+/// Unix filter instead of making `println!` panic on `EPIPE`.  A server
+/// must not call this: a vanished client must be a write error.
+pub fn default_sigpipe() {
+    ffi::default_sigpipe();
 }
 
 #[cfg(test)]

@@ -29,18 +29,11 @@ pub trait Adversary {
     /// (i.e. `< view.num_philosophers()`); the engine panics otherwise, since
     /// a scheduler bug would silently invalidate an experiment.
     fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId;
-
-    /// Resets any internal state so the adversary can drive a fresh run.
-    /// The default does nothing.
-    fn reset(&mut self) {}
 }
 
 impl<T: Adversary + ?Sized> Adversary for Box<T> {
     fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         (**self).select(view)
-    }
-    fn reset(&mut self) {
-        (**self).reset();
     }
 }
 
@@ -66,10 +59,6 @@ impl Adversary for RoundRobinAdversary {
         self.next = (self.next + 1) % n;
         chosen
     }
-
-    fn reset(&mut self) {
-        self.next = 0;
-    }
 }
 
 /// A uniformly random scheduler: each step schedules a philosopher chosen
@@ -82,7 +71,6 @@ impl Adversary for RoundRobinAdversary {
 #[derive(Clone, Debug)]
 pub struct UniformRandomAdversary {
     rng: ChaCha8Rng,
-    seed: u64,
 }
 
 impl UniformRandomAdversary {
@@ -91,7 +79,6 @@ impl UniformRandomAdversary {
     pub fn new(seed: u64) -> Self {
         UniformRandomAdversary {
             rng: ChaCha8Rng::seed_from_u64(seed),
-            seed,
         }
     }
 }
@@ -100,10 +87,6 @@ impl Adversary for UniformRandomAdversary {
     fn select(&mut self, view: &SystemView<'_>) -> PhilosopherId {
         let n = view.num_philosophers();
         PhilosopherId::new(self.rng.gen_range(0..n) as u32)
-    }
-
-    fn reset(&mut self) {
-        self.rng = ChaCha8Rng::seed_from_u64(self.seed);
     }
 }
 
@@ -146,8 +129,6 @@ mod tests {
             .map(|_| with_view(&topology, |v| adv.select(v)).raw())
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-        adv.reset();
-        assert_eq!(with_view(&topology, |v| adv.select(v)).raw(), 0);
     }
 
     #[test]
@@ -162,11 +143,6 @@ mod tests {
             .map(|_| with_view(&topology, |v| b.select(v)).raw())
             .collect();
         assert_eq!(pa, pb, "same seed, same schedule");
-        a.reset();
-        let pa2: Vec<u32> = (0..20)
-            .map(|_| with_view(&topology, |v| a.select(v)).raw())
-            .collect();
-        assert_eq!(pa, pa2, "reset replays the schedule");
         assert!(pa.iter().all(|&i| i < 5));
     }
 
@@ -189,7 +165,5 @@ mod tests {
         let p = with_view(&topology, |v| adv.select(v));
         assert_eq!(p, PhilosopherId::new(0));
         assert_eq!(with_view(&topology, |v| adv.select(v)).raw(), 1);
-        adv.reset();
-        assert_eq!(with_view(&topology, |v| adv.select(v)).raw(), 0);
     }
 }

@@ -22,8 +22,6 @@
 //! packages that probe-extend-rerun loop into a single enumeration
 //! primitive on a bare state, discarding a poisoned execution by stepping
 //! a fresh copy; everything in `gdp-mcheck` is built on it.
-//! [`Engine::step_philosopher_with_tape`](crate::Engine::step_philosopher_with_tape)
-//! replays a tape on a running engine.
 
 /// The kind (and outcome domain) of one random draw a program requested.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -2,13 +2,12 @@
 
 use crate::adversary::Adversary;
 use crate::config::SimConfig;
-use crate::draws::DrawTape;
 use crate::fork::ForkCell;
 use crate::hash::fingerprint64;
 use crate::outcome::{RunOutcome, StopCondition, StopReason};
-use crate::program::{Action, Phase, Program, StepCtx, StepRandomness};
-use crate::snapshot::{is_safe, EngineState};
-use crate::view::{make_view, Holding, PhilosopherView, SystemView};
+use crate::program::{Action, Phase, Program, StepRandomness};
+use crate::snapshot::EngineState;
+use crate::view::{Holding, PhilosopherView, SystemView};
 use gdp_observe::{Event, Log2Histogram, SharedSink};
 use gdp_topology::{ForkId, PhilosopherId, Topology};
 use rand::SeedableRng;
@@ -31,8 +30,9 @@ pub struct StepRecord {
 /// A deterministic, seedable simulator of one generalized dining
 /// philosophers system running one [`Program`] under one [`Adversary`].
 ///
-/// The engine owns the shared fork state, every philosopher's private
-/// program state and the philosophers' randomness.  Each call to
+/// The engine is a driver around one [`EngineState`] — the shared fork
+/// state and every philosopher's private program state — which it steps
+/// with the philosophers' sampled randomness.  Each call to
 /// [`step_philosopher`](Engine::step_philosopher) executes one atomic step;
 /// [`run`](Engine::run) drives a whole computation by repeatedly consulting
 /// an adversary.
@@ -46,67 +46,63 @@ pub struct StepRecord {
 /// stepped philosopher's observable state (its phase, commitment and held
 /// forks, all derived from its own private state and its own two fork
 /// cells), so after each step exactly one view is refreshed in place.  The
-/// hot path `step_with` → `with_view` → `step_philosopher` performs no heap
-/// allocation; see `docs/PERFORMANCE.md`.
+/// views also hold the run's per-philosopher counters (meals, schedulings,
+/// hunger stamps).  The hot path `step_with` → `with_view` →
+/// `step_philosopher` performs no heap allocation; see
+/// `docs/PERFORMANCE.md`.
 pub struct Engine<P: Program> {
     topology: Topology,
     program: P,
-    seed: u64,
-    forks: Vec<ForkCell>,
-    states: Vec<P::State>,
+    state: EngineState<P>,
     rng: ChaCha8Rng,
-    step_count: u64,
-    meals_completed: Vec<u64>,
     first_meal_started: Option<u64>,
-    scheduled: Vec<u64>,
     last_scheduled: Vec<Option<u64>>,
     max_scheduling_gap: u64,
-    hungry_since: Vec<Option<u64>>,
     /// Step-denominated time-to-first-meal per philosopher (one sample per
     /// philosopher that ever eats).
     first_meal_hist: Log2Histogram,
     /// Optional structured-event sink (see `gdp-observe`).  `None` — the
-    /// default — costs one branch per step; this is *not* captured by
-    /// snapshots and survives `reset`.
+    /// default — costs one branch per step; it is not part of the state.
     sink: Option<SharedSink>,
     /// Persistent adversary-facing views, kept in sync incrementally:
-    /// `views[i]` always equals the view rebuilt from scratch for
-    /// philosopher `i` (test-enforced, see `rebuilt_views`).
+    /// `views[i]` always equals philosopher `i`'s view rebuilt from the
+    /// state (test-enforced, see `rebuilt_views`), and carries its counters.
     views: Vec<PhilosopherView>,
 }
 
 impl<P: Program> Engine<P> {
     /// Creates an engine for `topology` running `program` under `config`.
     pub fn new(topology: Topology, program: P, config: SimConfig) -> Self {
-        let n = topology.num_philosophers();
-        let EngineState {
-            forks,
-            states,
-            step_count,
-        } = EngineState::initial(&topology, &program);
-        let mut engine = Engine {
-            seed: config.seed,
-            forks,
-            states,
+        let state = EngineState::initial(&topology, &program);
+        let views = topology
+            .philosopher_ids()
+            .map(|id| {
+                let mut view = PhilosopherView {
+                    id,
+                    phase: Phase::Thinking,
+                    committed: None,
+                    label: "",
+                    holding: Holding::new(),
+                    meals: 0,
+                    scheduled: 0,
+                    hungry_since: None,
+                };
+                observe(&topology, &program, &state, &mut view);
+                view
+            })
+            .collect();
+        Engine {
+            last_scheduled: vec![None; topology.num_philosophers()],
+            state,
             rng: ChaCha8Rng::seed_from_u64(config.seed),
-            step_count,
-            meals_completed: vec![0; n],
             first_meal_started: None,
-            scheduled: vec![0; n],
-            last_scheduled: vec![None; n],
             max_scheduling_gap: 0,
-            hungry_since: vec![None; n],
             first_meal_hist: Log2Histogram::new(),
             sink: None,
-            views: Vec::with_capacity(n),
+            views,
             topology,
             program,
-        };
-        for p in 0..n {
-            let view = engine.compute_view(PhilosopherId::new(p as u32));
-            engine.views.push(view);
         }
-        engine
     }
 
     /// The topology being simulated.
@@ -121,39 +117,42 @@ impl<P: Program> Engine<P> {
         &self.program
     }
 
+    /// The semantic state the engine steps: fork cells, private program
+    /// states and step count, without the run statistics or the RNG (see
+    /// the [`crate::snapshot`] module docs).
+    #[must_use]
+    pub fn state(&self) -> &EngineState<P> {
+        &self.state
+    }
+
     /// Number of atomic steps executed so far.
     #[must_use]
     pub fn step_count(&self) -> u64 {
-        self.step_count
+        self.state.step_count
     }
 
     /// The shared state of `fork`.
     #[must_use]
     pub fn fork(&self, fork: ForkId) -> &ForkCell {
-        &self.forks[fork.index()]
+        &self.state.forks[fork.index()]
     }
 
     /// The current phase of `philosopher`.
     #[must_use]
     pub fn phase_of(&self, philosopher: PhilosopherId) -> Phase {
-        self.program
-            .observation(
-                &self.states[philosopher.index()],
-                self.topology.forks_of(philosopher),
-            )
-            .phase
+        self.views[philosopher.index()].phase
     }
 
     /// Completed meals of `philosopher`.
     #[must_use]
     pub fn meals_of(&self, philosopher: PhilosopherId) -> u64 {
-        self.meals_completed[philosopher.index()]
+        self.views[philosopher.index()].meals
     }
 
     /// Total completed meals.
     #[must_use]
     pub fn total_meals(&self) -> u64 {
-        self.meals_completed.iter().sum()
+        self.views.iter().map(|view| view.meals).sum()
     }
 
     /// Step at which the first meal started, if any.
@@ -172,10 +171,10 @@ impl<P: Program> Engine<P> {
     /// the default — the cost is a single branch per step (perfbench's
     /// `sim.steps_per_s` times this path).
     ///
-    /// The sink is engine configuration, not semantic state: it survives
-    /// [`reset`](Self::reset), and snapshots never capture it.  Exploration
-    /// ([`is_stuck`](Self::is_stuck)) steps a snapshot, not the engine, so
-    /// it emits nothing.
+    /// The sink is engine configuration, not semantic state: the
+    /// [`state`](Self::state) never holds it.  Exploration
+    /// ([`is_stuck`](Self::is_stuck)) steps a copy of the state, not the
+    /// engine, so it emits nothing.
     pub fn set_event_sink(&mut self, sink: Option<SharedSink>) {
         self.sink = sink;
     }
@@ -200,57 +199,12 @@ impl<P: Program> Engine<P> {
     /// ([`EngineState::encode`], the state keys of `gdp-mcheck`).
     #[must_use]
     pub fn state_fingerprint(&self) -> u64 {
-        fingerprint64(&(&self.forks, &self.states))
+        fingerprint64(&(&self.state.forks, &self.state.states))
     }
 
-    fn holding_of(&self, philosopher: PhilosopherId) -> Holding {
-        let ends = self.topology.forks_of(philosopher);
-        let mut holding = Holding::new();
-        for fork in ends.as_array() {
-            if self.forks[fork.index()].holder() == Some(philosopher) {
-                holding.push(fork);
-            }
-        }
-        holding
-    }
-
-    /// Builds philosopher `p`'s view from scratch.
-    fn compute_view(&self, p: PhilosopherId) -> PhilosopherView {
-        make_view(
-            p,
-            self.program
-                .observation(&self.states[p.index()], self.topology.forks_of(p)),
-            self.holding_of(p),
-            self.meals_completed[p.index()],
-            self.scheduled[p.index()],
-            self.hungry_since[p.index()],
-        )
-    }
-
-    /// Refreshes the persistent view of philosopher `idx` in place.
-    ///
-    /// An atomic step can only change the stepped philosopher's own
-    /// observable state — its program observation is a function of its own
-    /// private state, and `take_if_free` / `release` only ever set or clear
-    /// the *caller's* holdership of its own two forks — so refreshing this
-    /// one view after each step keeps the whole buffer exact.
-    fn refresh_view(&mut self, idx: usize) {
-        let p = PhilosopherId::new(idx as u32);
-        let ends = self.topology.forks_of(p);
-        let observation = self.program.observation(&self.states[idx], ends);
-        let holding = self.holding_of(p);
-        let view = &mut self.views[idx];
-        view.phase = observation.phase;
-        view.committed = observation.committed;
-        view.label = observation.label;
-        view.holding = holding;
-        view.meals = self.meals_completed[idx];
-        view.scheduled = self.scheduled[idx];
-        view.hungry_since = self.hungry_since[idx];
-    }
-
-    /// Rebuilds every philosopher view from scratch, bypassing the
-    /// incremental buffer.
+    /// Rebuilds every philosopher's phase, commitment, label and holding
+    /// from the state, bypassing the incremental buffer; the counters are
+    /// carried over from it.
     ///
     /// This is the slow reference path; the engine itself never calls it on
     /// the hot path.  It exists so tests can assert that the incremental
@@ -258,10 +212,11 @@ impl<P: Program> Engine<P> {
     /// `docs/PERFORMANCE.md`).
     #[must_use]
     pub fn rebuilt_views(&self) -> Vec<PhilosopherView> {
-        self.topology
-            .philosopher_ids()
-            .map(|p| self.compute_view(p))
-            .collect()
+        let mut views = self.views.clone();
+        for view in &mut views {
+            observe(&self.topology, &self.program, &self.state, view);
+        }
+        views
     }
 
     /// The persistent, incrementally maintained philosopher views.
@@ -278,9 +233,9 @@ impl<P: Program> Engine<P> {
     pub fn with_view<R>(&self, f: impl FnOnce(&SystemView<'_>) -> R) -> R {
         let view = SystemView::new(
             &self.topology,
-            self.step_count,
+            self.state.step_count,
             self.program.name(),
-            &self.forks,
+            &self.state.forks,
             &self.views,
         );
         f(&view)
@@ -292,89 +247,58 @@ impl<P: Program> Engine<P> {
     ///
     /// Panics if `philosopher` is out of range for the topology.
     pub fn step_philosopher(&mut self, philosopher: PhilosopherId) -> StepRecord {
-        self.step_philosopher_impl(philosopher, None)
-    }
-
-    /// Executes one atomic step for `philosopher` with its random draws read
-    /// from `tape` instead of the engine RNG (which is left untouched).
-    ///
-    /// This replays scripted draws (see [`crate::draws`]) on a running
-    /// engine: if the step requests a draw past the end of the tape,
-    /// [`DrawTape::pending`] reports the request and the resulting engine
-    /// state is *meaningless*.  To enumerate a step's outcomes, step a
-    /// snapshot with [`EngineState::for_each_step_outcome`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `philosopher` is out of range for the topology, or if the
-    /// tape's scripted outcomes mismatch the kinds of draws the program
-    /// issues.
-    pub fn step_philosopher_with_tape(
-        &mut self,
-        philosopher: PhilosopherId,
-        tape: &mut DrawTape,
-    ) -> StepRecord {
-        self.step_philosopher_impl(philosopher, Some(tape))
-    }
-
-    fn step_philosopher_impl(
-        &mut self,
-        philosopher: PhilosopherId,
-        tape: Option<&mut DrawTape>,
-    ) -> StepRecord {
         let idx = philosopher.index();
         assert!(
-            idx < self.states.len(),
+            idx < self.views.len(),
             "adversary selected philosopher {philosopher} but the system has only {} philosophers",
-            self.states.len()
+            self.views.len()
         );
-        let ends = self.topology.forks_of(philosopher);
-        let phase_before = self.program.observation(&self.states[idx], ends).phase;
-        let action = {
-            let randomness = match tape {
-                Some(tape) => StepRandomness::Scripted(tape),
-                None => StepRandomness::Sampled(&mut self.rng),
-            };
-            let mut ctx = StepCtx::new(philosopher, ends, &mut self.forks, randomness);
-            self.program.step(&mut self.states[idx], &mut ctx)
-        };
-        let phase_after = self.program.observation(&self.states[idx], ends).phase;
+        let step = self.state.step_count;
+        let phase_before = self.views[idx].phase;
+        let action = self.state.step(
+            &self.topology,
+            &self.program,
+            philosopher,
+            StepRandomness::Sampled(&mut self.rng),
+        );
+        // Keep the persistent view buffer exact: only the stepped
+        // philosopher's observable state can have changed (see `observe`).
+        let view = &mut self.views[idx];
+        observe(&self.topology, &self.program, &self.state, view);
+        let phase_after = view.phase;
 
         // Scheduling accounting (for fairness bounds).
         let gap = match self.last_scheduled[idx] {
-            Some(prev) => self.step_count - prev,
-            None => self.step_count + 1,
+            Some(prev) => step - prev,
+            None => step + 1,
         };
         self.max_scheduling_gap = self.max_scheduling_gap.max(gap);
-        self.last_scheduled[idx] = Some(self.step_count);
-        self.scheduled[idx] += 1;
+        self.last_scheduled[idx] = Some(step);
+        view.scheduled += 1;
 
         // Phase-transition accounting.
+        let starts_eating = phase_before != Phase::Eating && phase_after == Phase::Eating;
         if phase_before != Phase::Hungry && phase_after == Phase::Hungry {
-            self.hungry_since[idx] = Some(self.step_count);
+            view.hungry_since = Some(step);
         }
-        if phase_before != Phase::Eating && phase_after == Phase::Eating {
+        if starts_eating {
             if self.first_meal_started.is_none() {
-                self.first_meal_started = Some(self.step_count);
+                self.first_meal_started = Some(step);
             }
-            if self.meals_completed[idx] == 0 {
-                self.first_meal_hist.record(self.step_count);
+            if view.meals == 0 {
+                self.first_meal_hist.record(step);
             }
         }
         if phase_before == Phase::Eating && phase_after != Phase::Eating {
-            self.meals_completed[idx] += 1;
-            self.hungry_since[idx] = None;
+            view.meals += 1;
+            view.hungry_since = None;
         }
-
-        // Keep the persistent view buffer exact: only the stepped
-        // philosopher's observable state can have changed.
-        self.refresh_view(idx);
 
         // Structured-event emission (disabled: one branch).  The logical
         // clock is the step index, so the event stream is as deterministic
         // as the run.
         if let Some(sink) = &self.sink {
-            let clock = self.step_count;
+            let clock = step;
             let actor = philosopher.raw();
             sink.record(&Event::Schedule { clock, actor });
             match action {
@@ -401,19 +325,17 @@ impl<P: Program> Engine<P> {
             // Eating starts when the second fork lands: the meal-start event
             // comes from the phase transition, exactly like the accounting
             // above.
-            if phase_before != Phase::Eating && phase_after == Phase::Eating {
+            if starts_eating {
                 sink.record(&Event::MealStart { clock, actor });
             }
         }
 
-        let record = StepRecord {
-            step: self.step_count,
+        StepRecord {
+            step,
             philosopher,
             action,
             phase_after,
-        };
-        self.step_count += 1;
-        record
+        }
     }
 
     /// Asks `adversary` for the next philosopher and executes its step.
@@ -427,11 +349,9 @@ impl<P: Program> Engine<P> {
             StopCondition::MaxSteps(_) => false,
             StopCondition::FirstMeal { .. } => self.first_meal_started.is_some(),
             StopCondition::TotalMeals { target, .. } => self.total_meals() >= target,
-            StopCondition::PhilosopherEats { philosopher, .. } => {
-                self.meals_completed[philosopher.index()] > 0
-            }
+            StopCondition::PhilosopherEats { philosopher, .. } => self.meals_of(philosopher) > 0,
             StopCondition::EveryoneEats { times, .. } => {
-                self.meals_completed.iter().all(|&m| m >= times)
+                self.views.iter().all(|view| view.meals >= times)
             }
         }
     }
@@ -466,66 +386,15 @@ impl<P: Program> Engine<P> {
     }
 
     fn outcome(&self, reason: StopReason) -> RunOutcome {
-        let fairness_bound = if self.last_scheduled.iter().all(Option::is_some) {
-            Some(self.max_scheduling_gap.max(1))
-        } else {
-            None
-        };
+        let everyone_scheduled = self.last_scheduled.iter().all(Option::is_some);
         RunOutcome {
-            steps: self.step_count,
+            steps: self.state.step_count,
             reason,
             total_meals: self.total_meals(),
-            meals_per_philosopher: self.meals_completed.clone(),
+            meals_per_philosopher: self.views.iter().map(|view| view.meals).collect(),
             first_meal_step: self.first_meal_started,
-            scheduled_per_philosopher: self.scheduled.clone(),
-            fairness_bound,
-        }
-    }
-
-    /// Resets the engine to its initial state, keeping the same topology,
-    /// program and configuration (including the seed: the next run replays
-    /// the same philosopher randomness).
-    pub fn reset(&mut self) {
-        self.reset_with_seed(self.seed);
-    }
-
-    /// Resets the engine and installs a new random seed — the standard way to
-    /// perform independent Monte-Carlo trials without reallocating.
-    pub fn reset_with_seed(&mut self, seed: u64) {
-        self.seed = seed;
-        self.rng = ChaCha8Rng::seed_from_u64(seed);
-        for fork in &mut self.forks {
-            fork.reset();
-        }
-        for state in &mut self.states {
-            *state = self.program.initial_state();
-        }
-        let n = self.states.len();
-        self.step_count = 0;
-        self.meals_completed.iter_mut().for_each(|m| *m = 0);
-        self.first_meal_started = None;
-        self.scheduled.iter_mut().for_each(|s| *s = 0);
-        self.last_scheduled.iter_mut().for_each(|l| *l = None);
-        self.max_scheduling_gap = 0;
-        self.hungry_since.iter_mut().for_each(|h| *h = None);
-        self.first_meal_hist.clear();
-        for idx in 0..n {
-            self.refresh_view(idx);
-        }
-    }
-
-    /// Captures the engine's semantic state — fork cells, private program
-    /// states and step count — as an [`EngineState`].
-    ///
-    /// Statistics (meal counts, scheduling accounting, the first-meal
-    /// histogram) and the RNG are *not* captured; see the
-    /// [`crate::snapshot`] module docs for why.
-    #[must_use]
-    pub fn snapshot(&self) -> EngineState<P> {
-        EngineState {
-            forks: self.forks.clone(),
-            states: self.states.clone(),
-            step_count: self.step_count,
+            scheduled_per_philosopher: self.views.iter().map(|view| view.scheduled).collect(),
+            fairness_bound: everyone_scheduled.then(|| self.max_scheduling_gap.max(1)),
         }
     }
 
@@ -533,7 +402,7 @@ impl<P: Program> Engine<P> {
     /// ([`EngineState::is_safe`], the one definition of safety).
     #[must_use]
     pub fn state_is_safe(&self) -> bool {
-        is_safe(&self.topology, &self.program, &self.forks, &self.states)
+        self.state.is_safe(&self.topology, &self.program)
     }
 
     /// Returns `true` if the current state is **stuck**: no scheduling
@@ -544,13 +413,13 @@ impl<P: Program> Engine<P> {
     /// every-philosopher-holds-its-left-fork state): busy-wait loops that
     /// leave forks and program states untouched cannot escape, whereas any
     /// state with a productive step — including a merely improbable one — is
-    /// not stuck.  Every outcome is enumerated on a snapshot
-    /// ([`EngineState::for_each_step_outcome`]) and compared with the
-    /// current state field by field, not by fingerprint, so the answer is
-    /// exact and the engine is left as it was.
+    /// not stuck.  Every outcome is enumerated from the engine's state
+    /// ([`EngineState::for_each_step_outcome`]) on a copy and compared with
+    /// the state field by field, not by fingerprint, so the answer is exact
+    /// and the engine is left as it was.
     #[must_use]
     pub fn is_stuck(&self) -> bool {
-        let base = self.snapshot();
+        let base = &self.state;
         let mut post = base.clone();
         !self.topology.philosopher_ids().any(|p| {
             let mut moved = false;
@@ -568,11 +437,37 @@ impl<P: Program> Engine<P> {
     }
 }
 
+/// Rewrites `view`'s phase, commitment, label and holding from `state`,
+/// leaving its counters as they are.
+///
+/// After a step only the stepped philosopher's view needs this: its
+/// observation is a function of its own private state, and `take_if_free` /
+/// `release` only ever set or clear the caller's holdership of its own two
+/// forks.
+fn observe<P: Program>(
+    topology: &Topology,
+    program: &P,
+    state: &EngineState<P>,
+    view: &mut PhilosopherView,
+) {
+    let p = view.id;
+    let ends = topology.forks_of(p);
+    let observation = program.observation(&state.states[p.index()], ends);
+    view.phase = observation.phase;
+    view.committed = observation.committed;
+    view.label = observation.label;
+    view.holding = ends
+        .as_array()
+        .into_iter()
+        .filter(|fork| state.forks[fork.index()].holder() == Some(p))
+        .collect();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::{RoundRobinAdversary, UniformRandomAdversary};
-    use crate::program::ProgramObservation;
+    use crate::program::{ProgramObservation, StepCtx};
     use gdp_topology::builders::classic_ring;
     use gdp_topology::Side;
 
@@ -782,27 +677,6 @@ mod tests {
         assert_ne!(rc, rd);
     }
 
-    #[test]
-    fn reset_replays_identically() {
-        let mut e = engine(4, 5);
-        let first = record_steps(&mut e, &mut RoundRobinAdversary::new(), 300);
-        let fp1 = e.state_fingerprint();
-        e.reset();
-        let second = record_steps(&mut e, &mut RoundRobinAdversary::new(), 300);
-        assert_eq!(second, first);
-        assert_eq!(e.state_fingerprint(), fp1);
-    }
-
-    #[test]
-    fn reset_with_new_seed_changes_randomized_behaviour() {
-        let mut e = coin_engine(4, 0);
-        let first = record_steps(&mut e, &mut RoundRobinAdversary::new(), 400);
-        e.reset_with_seed(1234);
-        let second = record_steps(&mut e, &mut RoundRobinAdversary::new(), 400);
-        assert_ne!(second, first);
-        assert_eq!(e.step_count(), 400);
-    }
-
     /// Property-style check for the incremental view buffer: after arbitrary
     /// step sequences (random adversary, random seeds, several topologies,
     /// coin-flipping philosophers) the persistent views must equal views
@@ -823,22 +697,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn incremental_views_match_after_reset_with_seed() {
-        let mut engine = engine(4, 11);
-        engine.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(250),
-        );
-        engine.reset_with_seed(12);
-        assert_eq!(engine.views(), engine.rebuilt_views().as_slice());
-        engine.run(
-            &mut RoundRobinAdversary::new(),
-            StopCondition::MaxSteps(123),
-        );
-        assert_eq!(engine.views(), engine.rebuilt_views().as_slice());
     }
 
     #[test]
@@ -863,7 +721,7 @@ mod tests {
 
     #[test]
     fn probes_and_restores_leave_the_sampled_stream_alone() {
-        // Enumerating a snapshot's outcomes (scripted draws) between sampled
+        // Enumerating the state's outcomes (scripted draws) between sampled
         // steps must not shift the RNG: both engines sample the same coins.
         let mut probed = coin_engine(4, 21);
         let mut plain = coin_engine(4, 21);
@@ -871,16 +729,16 @@ mod tests {
         for _ in 0..300 {
             let chosen = probed.with_view(|view| adversary.select(view));
             assert!(!probed.is_stuck());
-            let snapshot = probed.snapshot();
-            let mut post = snapshot.clone();
-            snapshot.for_each_step_outcome(
+            let state = probed.state().clone();
+            let mut post = state.clone();
+            state.for_each_step_outcome(
                 &probed.topology,
                 &COIN_TOY,
                 chosen,
                 &mut post,
                 |_, _, _| {},
             );
-            assert_eq!(probed.snapshot(), snapshot);
+            assert_eq!(probed.state(), &state);
             assert_eq!(
                 probed.step_philosopher(chosen),
                 plain.step_philosopher(chosen)
@@ -892,9 +750,15 @@ mod tests {
     fn scripted_step_with_empty_tape_reports_pending_for_random_draws() {
         use crate::draws::{DrawRequest, DrawTape};
         // The coin toy's very first scheduled step needs a coin.
-        let mut engine = coin_engine(3, 0);
+        let ring = classic_ring(3).unwrap();
+        let mut state = EngineState::initial(&ring, &COIN_TOY);
         let mut tape = DrawTape::new();
-        engine.step_philosopher_with_tape(PhilosopherId::new(0), &mut tape);
+        state.step(
+            &ring,
+            &COIN_TOY,
+            PhilosopherId::new(0),
+            StepRandomness::Scripted(&mut tape),
+        );
         assert_eq!(tape.pending(), Some(DrawRequest::Coin));
     }
 
@@ -1001,17 +865,6 @@ mod tests {
         // Clocks are non-decreasing step indices.
         let clocks: Vec<u64> = events.iter().map(Event::clock).collect();
         assert!(clocks.windows(2).all(|w| w[0] <= w[1]));
-
-        // The sink survives reset and keeps recording.
-        e.reset_with_seed(8);
-        e.run(&mut RoundRobinAdversary::new(), StopCondition::MaxSteps(10));
-        assert_eq!(
-            sink.take()
-                .iter()
-                .filter(|ev| matches!(ev, Event::Schedule { .. }))
-                .count(),
-            10
-        );
     }
 
     #[test]
@@ -1035,8 +888,5 @@ mod tests {
         // estimate is positive and below the step budget.
         let p50 = e.first_meal_histogram().quantile(50.0);
         assert!(p50 > 0.0 && p50 < 2_000.0);
-
-        e.reset();
-        assert!(e.first_meal_histogram().is_empty());
     }
 }

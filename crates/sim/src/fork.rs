@@ -198,12 +198,6 @@ impl ForkCell {
             .all(|q| *q == philosopher || since.contains(q))
     }
 
-    /// Resets the fork to its initial state.  Used by the engine when reusing
-    /// allocations across trials.
-    pub fn reset(&mut self) {
-        *self = ForkCell::default();
-    }
-
     /// Writes into `out` a copy of this cell with every stored philosopher
     /// identifier relabelled through `map`, preserving request-list and
     /// guest-book order.
@@ -346,17 +340,6 @@ mod tests {
         fork.insert_request(p(0));
         fork.sign_guest_book(p(0));
         assert!(fork.courtesy_holds(p(0)));
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut fork = ForkCell::new();
-        fork.take_if_free(p(0));
-        fork.set_nr(7);
-        fork.insert_request(p(1));
-        fork.sign_guest_book(p(1));
-        fork.reset();
-        assert_eq!(fork, ForkCell::new());
     }
 
     #[test]

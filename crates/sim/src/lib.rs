@@ -28,14 +28,16 @@
 //! * [`Adversary`] — the scheduler interface, with full-information
 //!   [`SystemView`] access, plus the built-in fair schedulers
 //!   ([`RoundRobinAdversary`], [`UniformRandomAdversary`]).
-//! * [`Engine`] — drives the interleaving: repeatedly asks the adversary for
-//!   a philosopher, executes that philosopher's next atomic step (returning
-//!   its [`StepRecord`]), keeps the counters behind [`RunOutcome`], and
-//!   evaluates [`StopCondition`]s.  An attached `gdp-observe` event sink
-//!   receives the step-by-step record of the run.  [`jain_index`] scores a
-//!   meal distribution, simulated or real-thread.
+//! * [`Engine`] — drives the interleaving around one [`EngineState`]:
+//!   repeatedly asks the adversary for a philosopher, executes that
+//!   philosopher's next atomic step with sampled draws (returning its
+//!   [`StepRecord`]), counts meals, schedulings and hunger in the
+//!   [`PhilosopherView`]s the adversary reads, which [`RunOutcome`]
+//!   collects, and evaluates [`StopCondition`]s.  An attached `gdp-observe`
+//!   event sink receives the step-by-step record of the run.
+//!   [`jain_index`] scores a meal distribution, simulated or real-thread.
 //! * [`EngineState`] — the semantic state (forks, private program states,
-//!   step counter), taken from an engine by [`Engine::snapshot`].  It steps
+//!   step counter), the one an engine steps ([`Engine::state`]).  It steps
 //!   without an engine: [`EngineState::for_each_step_outcome`] enumerates
 //!   every outcome of one philosopher's step, the probabilistic-branching
 //!   primitive of exact model checking, also behind the exact deadlock test
@@ -44,9 +46,7 @@
 //!   from a parent's encodings: the state keys, and the frontier, of
 //!   `gdp-mcheck`.
 //! * [`DrawTape`] — scripted randomness: the draws a step reads instead of
-//!   the RNG, replayed on an engine
-//!   ([`Engine::step_philosopher_with_tape`]) or extended outcome by outcome
-//!   by the enumeration.
+//!   the RNG, extended outcome by outcome by the enumeration.
 //!
 //! Crafted adversaries that defeat LR1/LR2 (Section 3 and Theorems 1–2 of
 //! the paper) live in the `gdp-adversary` crate; the algorithms themselves

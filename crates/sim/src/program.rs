@@ -18,8 +18,8 @@ use std::fmt;
 use std::hash::Hash;
 
 /// Where a step's random draws come from: the engine's seeded RNG (normal
-/// simulation) or a scripted [`DrawTape`] (replay / exhaustive branch
-/// enumeration, see [`crate::draws`]).
+/// simulation) or a scripted [`DrawTape`] (exhaustive branch enumeration,
+/// see [`crate::draws`]).
 pub(crate) enum StepRandomness<'a> {
     /// Draws are sampled from the engine RNG.
     Sampled(&'a mut ChaCha8Rng),

@@ -15,13 +15,15 @@
 //! RNG: the automaton branches on a random draw rather than remembering a
 //! sampler.
 //!
-//! A state steps on its own.  [`EngineState::for_each_step_outcome`] runs
-//! one philosopher's step once per outcome of its random draws, read from a
-//! [`DrawTape`], with no engine, RNG or statistics to keep: `gdp-mcheck`'s
-//! builder and counterexample replay and
-//! [`Engine::is_stuck`](crate::Engine::is_stuck) explore through it.
-//! [`EngineState::is_safe`] is the safety predicate, the one
-//! [`Engine::state_is_safe`](crate::Engine::state_is_safe) applies too.
+//! A state steps on its own; an [`Engine`](crate::Engine) drives one
+//! ([`Engine::state`](crate::Engine::state)) with sampled draws.
+//! [`EngineState::for_each_step_outcome`] runs one philosopher's step once
+//! per outcome of its random draws, read from a [`DrawTape`], with no
+//! engine, RNG or statistics to keep: `gdp-mcheck`'s builder and
+//! counterexample replay and [`Engine::is_stuck`](crate::Engine::is_stuck)
+//! explore through it.  [`EngineState::is_safe`] is the safety predicate,
+//! the one [`Engine::state_is_safe`](crate::Engine::state_is_safe) applies
+//! too.
 //!
 //! The **exact encoding** half of this module is [`StateCodec`] with
 //! [`EngineState::encode`] and [`EngineState::decode_from`]: a state packed
@@ -43,9 +45,8 @@ use gdp_topology::{Automorphism, ForkEnds, PhilosopherId, Topology};
 /// The semantic state of a system: forks, private program states and the
 /// step counter.
 ///
-/// Take one from a running engine with
-/// [`Engine::snapshot`](crate::Engine::snapshot), or start from
-/// [`initial`](Self::initial).
+/// Borrow a running engine's with [`Engine::state`](crate::Engine::state),
+/// or start from [`initial`](Self::initial).
 pub struct EngineState<P: Program> {
     pub(crate) forks: Vec<ForkCell>,
     pub(crate) states: Vec<P::State>,
@@ -143,7 +144,37 @@ impl<P: Program> EngineState<P> {
     /// as `unsafe_trials`.
     #[must_use]
     pub fn is_safe(&self, topology: &Topology, program: &P) -> bool {
-        is_safe(topology, program, &self.forks, &self.states)
+        let adjacent_holders = topology.fork_ids().all(|fork| {
+            self.forks[fork.index()]
+                .holder
+                .is_none_or(|holder| topology.forks_of(holder).contains(fork))
+        });
+        adjacent_holders
+            && topology.philosopher_ids().all(|p| {
+                let ends = topology.forks_of(p);
+                program.observation(&self.states[p.index()], ends).phase != Phase::Eating
+                    || ends
+                        .as_array()
+                        .iter()
+                        .all(|fork| self.forks[fork.index()].holder == Some(p))
+            })
+    }
+
+    /// Runs one atomic step of `philosopher` on this state, its draws taken
+    /// from `randomness`, and returns the step's action: gdp-sim's one call
+    /// of [`Program::step`], behind the engine's sampled step and the
+    /// outcome enumeration.
+    pub(crate) fn step(
+        &mut self,
+        topology: &Topology,
+        program: &P,
+        philosopher: PhilosopherId,
+        randomness: StepRandomness<'_>,
+    ) -> Action {
+        self.step_count += 1;
+        let ends = topology.forks_of(philosopher);
+        let mut ctx = StepCtx::new(philosopher, ends, &mut self.forks, randomness);
+        program.step(&mut self.states[philosopher.index()], &mut ctx)
     }
 
     /// Enumerates **every** possible outcome of scheduling `philosopher` for
@@ -179,14 +210,14 @@ impl<P: Program> EngineState<P> {
                 && self.states.len() == topology.num_philosophers(),
             "state has a different fork or philosopher count than the topology"
         );
-        let ends = topology.forks_of(philosopher);
         let mut step = |post: &mut EngineState<P>, tape: &mut DrawTape| {
             post.clone_from(self);
-            post.step_count += 1;
-            let idx = philosopher.index();
-            let randomness = StepRandomness::Scripted(tape);
-            let mut ctx = StepCtx::new(philosopher, ends, &mut post.forks, randomness);
-            program.step(&mut post.states[idx], &mut ctx)
+            post.step(
+                topology,
+                program,
+                philosopher,
+                StepRandomness::Scripted(tape),
+            )
         };
         branch_on_draws(&mut step, post, &mut DrawTape::new(), 1.0, &mut visit);
     }
@@ -369,30 +400,6 @@ fn branch_on_draws<P: Program>(
     }
 }
 
-/// The safety invariants over a state's forks and private states; see
-/// [`EngineState::is_safe`].
-pub(crate) fn is_safe<P: Program>(
-    topology: &Topology,
-    program: &P,
-    forks: &[ForkCell],
-    states: &[P::State],
-) -> bool {
-    let adjacent_holders = topology.fork_ids().all(|fork| {
-        forks[fork.index()]
-            .holder
-            .is_none_or(|holder| topology.forks_of(holder).contains(fork))
-    });
-    adjacent_holders
-        && topology.philosopher_ids().all(|p| {
-            let ends = topology.forks_of(p);
-            program.observation(&states[p.index()], ends).phase != Phase::Eating
-                || ends
-                    .as_array()
-                    .iter()
-                    .all(|fork| forks[fork.index()].holder == Some(p))
-        })
-}
-
 /// The exact, bit-packed encoding of the [`EngineState`]s of one system:
 /// one topology (`n` philosophers, `k` forks) and one program.
 ///
@@ -462,12 +469,12 @@ impl<P: Program> StateCodec<P> {
         assert_eq!(
             state.forks.len(),
             self.num_forks,
-            "snapshot has a different fork count than the codec"
+            "state has a different fork count than the codec"
         );
         assert_eq!(
             state.states.len(),
             self.ends.len(),
-            "snapshot has a different philosopher count than the codec"
+            "state has a different philosopher count than the codec"
         );
     }
 

@@ -25,9 +25,13 @@
 //!   updated **incrementally** — an atomic step can only change the stepped
 //!   philosopher's own observable state, so only that one view is refreshed
 //!   — rather than rebuilding every view before every adversary decision.
+//!
+//! The views are also the engine's only record of each philosopher's meal,
+//! scheduling and hunger counters, which [`RunOutcome`](crate::RunOutcome)
+//! collects.
 
 use crate::fork::ForkCell;
-use crate::program::{Phase, ProgramObservation};
+use crate::program::Phase;
 use gdp_topology::{ForkId, PhilosopherId, Topology};
 use std::ops::Deref;
 
@@ -172,7 +176,7 @@ impl PhilosopherView {
     }
 }
 
-/// Full-information snapshot handed to [`Adversary::select`](crate::Adversary::select).
+/// Full-information view handed to [`Adversary::select`](crate::Adversary::select).
 #[derive(Debug)]
 pub struct SystemView<'a> {
     topology: &'a Topology,
@@ -331,26 +335,6 @@ impl<'a> SystemView<'a> {
             .min_by_key(|p| (p.scheduled, p.id))
             .map(|p| p.id)
             .expect("a system has at least one philosopher")
-    }
-}
-
-pub(crate) fn make_view(
-    id: PhilosopherId,
-    observation: ProgramObservation,
-    holding: Holding,
-    meals: u64,
-    scheduled: u64,
-    hungry_since: Option<u64>,
-) -> PhilosopherView {
-    PhilosopherView {
-        id,
-        phase: observation.phase,
-        committed: observation.committed,
-        label: observation.label,
-        holding,
-        meals,
-        scheduled,
-        hungry_since,
     }
 }
 

@@ -437,7 +437,7 @@ fn cmd_run(mut args: Args) -> Result<CommandOutcome, String> {
 
     // Observability: the histogram and the trace are exported first; the
     // safety and deadlock probes below only read the final state.
-    // `is_stuck` steps copies of the engine's snapshot, never the engine
+    // `is_stuck` steps copies of the engine's state, never the engine
     // itself, so its probe steps reach neither the trace nor the run
     // statistics.
     let first_meal = engine.first_meal_histogram();
@@ -1108,6 +1108,11 @@ fn cmd_serve(mut args: Args) -> Result<CommandOutcome, String> {
 
 fn main() -> ExitCode {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    // A closed stdout (`gdp sweep … | head -1`) ends every command but
+    // `serve` by SIGPIPE; `serve` reports a vanished client as a write error.
+    if argv.first().map(String::as_str) != Some("serve") {
+        gdp_serve::signal::default_sigpipe();
+    }
     if argv.iter().any(|a| a == "--help" || a == "-h") || argv.is_empty() {
         print!("{USAGE}");
         return ExitCode::SUCCESS;

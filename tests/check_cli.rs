@@ -627,3 +627,55 @@ EXACT ADVERSARY CLASSES (gdp check --adversary):
 "
     );
 }
+
+/// A reader that goes away early (`gdp sweep … | head -1`) ends `list`,
+/// `run` and `sweep` by SIGPIPE, as it ends any Unix filter, not by a
+/// `println!` panic on the broken pipe (exit 101).
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_ends_the_command_by_sigpipe_without_a_panic() {
+    use std::os::unix::process::ExitStatusExt;
+    use std::process::Stdio;
+    let dir = std::env::temp_dir().join(format!("gdp-sigpipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (json, csv) = (dir.join("sweep.json"), dir.join("sweep.csv"));
+    let sweep = [
+        "sweep",
+        "--families",
+        "ring",
+        "--sizes",
+        "3",
+        "--algorithms",
+        "gdp1",
+        "--trials",
+        "1",
+        "--steps",
+        "100",
+        "--json",
+        json.to_str().expect("utf-8 path"),
+        "--csv",
+        csv.to_str().expect("utf-8 path"),
+    ];
+    let run = ["run", "--size", "3", "--steps", "100"];
+    for args in [&["list"][..], &run, &sweep] {
+        // The read end is closed before the child starts, so its first
+        // write to stdout finds no reader.
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let output = Command::new(env!("CARGO_BIN_EXE_gdp"))
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("gdp binary runs");
+        let stderr = stderr(&output);
+        assert!(!stderr.contains("panicked"), "gdp {args:?}: {stderr}");
+        assert_eq!(
+            output.status.signal(),
+            Some(13),
+            "gdp {args:?} must end by SIGPIPE: {:?}, {stderr}",
+            output.status
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
