@@ -235,7 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn max_wait_is_resettable_and_deterministic() {
+    fn max_wait_is_deterministic() {
         let run = || {
             let mut engine = Engine::new(
                 classic_ring(4).unwrap(),

@@ -253,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_is_replayable_and_reset_rederives_the_plan() {
+    fn same_seed_is_replayable() {
         let run = |adv: &mut CrashStopAdversary| {
             let mut engine = Engine::new(
                 classic_ring(4).unwrap(),

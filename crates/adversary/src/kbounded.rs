@@ -90,7 +90,7 @@ mod tests {
     use gdp_topology::builders::classic_ring;
 
     #[test]
-    fn dwell_schedule_is_cyclic_and_resettable() {
+    fn dwell_schedule_is_cyclic() {
         let engine = Engine::new(
             classic_ring(3).unwrap(),
             Lr1::new(),

@@ -41,15 +41,18 @@
 //! *as-reached* encoding — the labelling in which it was first discovered —
 //! and a worker decodes it into one reused [`EngineState`] to expand it;
 //! expanding the canonical representative instead would renumber states and
-//! change counterexamples.  The worker encodes the parent once, under every
-//! automorphism, and keys each successor from those encodings
+//! change counterexamples.  The worker relabels the parent's as-reached
+//! words into its encodings under every automorphism
+//! ([`StateCodec::relabel`]), and keys each successor from those encodings
 //! ([`EngineState::encode_successor`]): a step rewrites only the stepping
 //! philosopher's private state and its two forks.  The dedup table holds
 //! the canonical keys in one arena plus an index of `u32` slots; the model
-//! keeps the arena and drops the index when the build ends.  A state's rows
-//! are one offset into the successor array plus one byte per choice naming
-//! the row's *shape* — its probabilities in draw order, from the model's few
-//! distinct ones.
+//! keeps the arena and drops the index when the build ends.  Workers only
+//! read the table as it stood when their layer began, each after probing
+//! its own table of new keys, so the merge that follows compares a key
+//! only with the keys the layer added.  A state's rows are one offset into
+//! the successor array plus one byte per choice naming the row's *shape* —
+//! its probabilities in draw order, from the model's few distinct ones.
 
 use crate::restricted::{AdversaryClass, Bookkeeping, Crashed, Waits};
 use crate::table::{KeyTable, Packed};
@@ -294,7 +297,8 @@ impl Mdp {
     /// The canonical key of an engine state under this model's
     /// automorphism set — its least encoding, written into `scratch` —
     /// which is the key of its state in an all-fair build.  `codec` must be
-    /// the codec of the model's topology and program.
+    /// the codec of the model's topology and program over
+    /// [`automorphisms`](Self::automorphisms).
     #[must_use]
     pub fn canonical_key<'a, P: Program>(
         &self,
@@ -303,7 +307,7 @@ impl Mdp {
         scratch: &'a mut Vec<u64>,
     ) -> &'a [u64] {
         scratch.clear();
-        let words = state.encode(codec, &self.automorphisms, scratch);
+        let words = state.encode(codec, scratch);
         least(scratch, words)
     }
 }
@@ -394,19 +398,28 @@ impl<B> SliceExpansion<B> {
     /// table `frozen` at layer start, or one of this slice's new states —
     /// and returns whether the key is new here, in which case the caller
     /// records the state.
+    ///
+    /// The slice's own table is probed first: a key it holds was missing
+    /// from `frozen` when it was inserted.
     #[inline]
     fn push_edge(&mut self, frozen: &KeyTable, key: &[u64]) -> bool {
-        let (succ, new) = match frozen.get(key) {
-            Some(idx) => (idx, false),
-            None => {
-                let (local, new) = self.keys.insert(key);
-                let succ = u32::try_from(frozen.len() + local as usize)
-                    .expect("state numbers exceed the u32 range");
-                (succ, new)
-            }
+        let (succ, new) = match self.keys.find(key, 0) {
+            Ok(local) => (self.local_number(frozen, local), false),
+            Err(vacant) => match frozen.get(key) {
+                Some(idx) => (idx, false),
+                None => {
+                    let local = self.keys.insert_at(vacant, key);
+                    (self.local_number(frozen, local), true)
+                }
+            },
         };
         self.succs.push(succ);
         new
+    }
+
+    /// The number an edge to this slice's new state `local` carries.
+    fn local_number(&self, frozen: &KeyTable, local: u32) -> u32 {
+        u32::try_from(frozen.len() + local as usize).expect("state numbers exceed the u32 range")
     }
 
     fn discover(&mut self, reached: &[u64], new_state: NewState<B>) {
@@ -446,9 +459,6 @@ struct Shared<'a, P: Program, B: Bookkeeping> {
     codec: &'a StateCodec<P>,
     target: CheckTarget,
     bound: B::Bound,
-    /// The identity first, so a state's first encoding is its as-reached
-    /// one.
-    automorphisms: &'a [Automorphism],
 }
 
 impl<P: Program, B: Bookkeeping> Shared<'_, P, B> {
@@ -497,9 +507,10 @@ where
         new_states: Vec::new(),
     };
     for i in slice {
-        parent.decode_from(codec, frontier.reached.get(i));
+        let reached = frontier.reached.get(i);
+        parent.decode_from(codec, reached);
         parent_encodings.clear();
-        let parent_words = parent.encode(codec, shared.automorphisms, &mut parent_encodings);
+        let parent_words = codec.relabel(reached, &mut parent_encodings);
         let bookkeeping = &frontier.bookkeeping[i];
         let allowed = bookkeeping.allowed(shared.bound, n);
         for choice in 0..n {
@@ -517,7 +528,6 @@ where
                         encodings.clear();
                         let words = post.encode_successor(
                             codec,
-                            shared.automorphisms,
                             &parent_encodings,
                             philosopher,
                             &mut encodings,
@@ -678,14 +688,15 @@ where
         automorphisms[0].is_identity(),
         "the automorphism set starts with the identity"
     );
-    let codec = StateCodec::new(topology, program);
+    // The identity first, so a state's first encoding is its as-reached
+    // one.
+    let codec = StateCodec::new(topology, program, &automorphisms);
     let shared = Shared {
         topology,
         program,
         codec: &codec,
         target,
         bound,
-        automorphisms: &automorphisms,
     };
     // The fairness requirement of a product state: every schedule at a
     // target, the bookkeeping's rule elsewhere.
@@ -699,7 +710,7 @@ where
 
     let initial_state = EngineState::initial(topology, program);
     let (mut encodings, mut initial_key) = (Vec::new(), Vec::new());
-    let words = initial_state.encode(&codec, &automorphisms, &mut encodings);
+    let words = initial_state.encode(&codec, &mut encodings);
     let initial = shared.new_state(&initial_state, B::initial(n));
     shared.key(&encodings, words, &initial.bookkeeping, &mut initial_key);
 
@@ -773,22 +784,25 @@ where
 
         // Deterministic merge: workers in frontier order, new states in
         // discovery order, shapes in first-use order — identical numbering
-        // for every thread count.
+        // for every thread count.  Every worker missed its new states' keys
+        // in the table as the layer began, so a key is compared only with
+        // the keys this merge has added.
         let mut next_frontier = Frontier::new();
         let mut parent_cursor = 0usize;
         let layer_start = index_of_key.len();
+        let first_new = layer_start as u32;
         for result in results {
             let mut local_to_global: Vec<u32> = Vec::with_capacity(result.new_states.len());
             for (local, new_state) in result.new_states.into_iter().enumerate() {
                 let key = result.keys.key(local as u32);
-                let global = if target_flags.len() >= options.max_states {
-                    index_of_key.get(key).unwrap_or_else(|| {
+                let global = match index_of_key.find(key, first_new) {
+                    Ok(idx) => idx,
+                    Err(_) if target_flags.len() >= options.max_states => {
                         truncated = true;
                         UNEXPLORED
-                    })
-                } else {
-                    let (idx, inserted) = index_of_key.insert(key);
-                    if inserted {
+                    }
+                    Err(vacant) => {
+                        let idx = index_of_key.insert_at(vacant, key);
                         target_flags.push(new_state.target);
                         expanded.push(false);
                         safety_violations += usize::from(!new_state.safe);
@@ -803,8 +817,8 @@ where
                                 new_state.bookkeeping,
                             );
                         }
+                        idx
                     }
-                    idx
                 };
                 local_to_global.push(global);
             }
@@ -855,6 +869,48 @@ where
         row_shapes: rows.row_shapes,
         shapes: rows.shapes,
         succs: rows.succs,
+    }
+}
+
+#[cfg(test)]
+impl Mdp {
+    /// A model with the given rows — per state, per choice, the row's
+    /// `(successor, probability)` outcomes — and fairness masks, whose
+    /// states are all expanded and none a target: solver cases written by
+    /// hand.
+    pub(crate) fn from_rows(
+        rows: &[&[&[(u32, f64)]]],
+        fairness_requirement: Option<Vec<u64>>,
+    ) -> Mdp {
+        let num_states = rows.len();
+        let mut shapes = Shapes::new();
+        let (mut state_offsets, mut row_shapes, mut succs) = (vec![0], Vec::new(), Vec::new());
+        for state in rows {
+            for row in *state {
+                let probs: Vec<f64> = row.iter().map(|&(_, p)| p).collect();
+                row_shapes.push(shapes.intern(&probs));
+                succs.extend(row.iter().map(|&(succ, _)| succ));
+            }
+            state_offsets.push(succs.len() as u32);
+        }
+        Mdp {
+            num_states,
+            num_choices: rows[0].len(),
+            initial: 0,
+            target: vec![false; num_states],
+            expanded: vec![true; num_states],
+            truncated: false,
+            safety_violations: 0,
+            target_kind: CheckTarget::Progress,
+            class: AdversaryClass::Fair,
+            automorphisms: Vec::new(),
+            fairness_requirement,
+            keys: Packed::new(),
+            state_offsets,
+            row_shapes,
+            shapes,
+            succs,
+        }
     }
 }
 
@@ -964,7 +1020,7 @@ mod tests {
             let options = options(false).with_max_states(budget);
             let mdp = build_mdp(&ring, &program, target, &options);
             assert_eq!(mdp.truncated, budget == 2_000, "{kind}");
-            let codec = StateCodec::new(&ring, &program);
+            let codec = StateCodec::new(&ring, &program, &mdp.automorphisms);
             let index = KeyIndex::of(mdp.keys());
             let mut state = EngineState::initial(&ring, &program);
             let mut post = state.clone();
@@ -990,7 +1046,7 @@ mod tests {
                     let p = PhilosopherId::new(c as u32);
                     state.for_each_step_outcome(&ring, &program, p, &mut post, |prob, post, _| {
                         key.clear();
-                        post.encode(&codec, &mdp.automorphisms, &mut key);
+                        post.encode(&codec, &mut key);
                         let succ = index.get(mdp.keys(), &key).unwrap_or(UNEXPLORED);
                         unexplored += usize::from(succ == UNEXPLORED);
                         expected.push((succ, prob.to_bits()));
@@ -1096,8 +1152,9 @@ mod tests {
     /// ring-4 tail crosses into a second), product keys (k-bounded,
     /// crash-stop) and keys of more than one word (ring-7).  Every
     /// successor's encodings built from its parent's
-    /// (`encode_successor`, the build's keys) equal `encode`'s word for
-    /// word.
+    /// (`encode_successor`, the build's keys), and every state's encodings
+    /// relabelled from its own (`relabel`, the build's parents), equal
+    /// `encode`'s word for word.
     #[test]
     fn state_encoding_is_exact_over_every_state_of_small_builds() {
         let (ring3, ring4) = (classic_ring(3).unwrap(), classic_ring(4).unwrap());
@@ -1140,15 +1197,32 @@ mod tests {
                 .with_threads(1)
                 .with_class(class);
             let mdp = build_mdp(topology, &program, target, &options);
-            let codec = StateCodec::new(topology, &program);
             let automorphisms = symmetry::automorphisms(topology, AUTOMORPHISM_LIMIT);
-            let identity = &automorphisms[..1];
+            let codec = StateCodec::new(topology, &program, &automorphisms);
+            // One codec per automorphism, and one per composition of two.
+            let single: Vec<_> = automorphisms
+                .iter()
+                .map(|auto| StateCodec::new(topology, &program, std::slice::from_ref(auto)))
+                .collect();
+            let composition: Vec<Vec<_>> = automorphisms
+                .iter()
+                .map(|first| {
+                    automorphisms
+                        .iter()
+                        .map(|second| {
+                            StateCodec::new(topology, &program, &[compose(first, second)])
+                        })
+                        .collect()
+                })
+                .collect();
+            assert!(automorphisms[0].is_identity());
+            let identity = &single[0];
             let mut state = EngineState::initial(topology, &program);
             let (mut reached, mut back, mut image) = (state.clone(), state.clone(), state.clone());
             let mut by_encoding: HashMap<Vec<u64>, EngineState<AnyProgram>> = HashMap::new();
             let (mut encoded, mut all, mut twice, mut composed) =
                 (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-            let (mut parent, mut successor) = (Vec::new(), Vec::new());
+            let (mut parent, mut successor, mut relabelled) = (Vec::new(), Vec::new(), Vec::new());
             let mut longest_seen = 0;
             for index in 0..mdp.num_states as u32 {
                 let key = mdp.keys().get(index as usize);
@@ -1157,25 +1231,30 @@ mod tests {
                 // A key decodes to a state that encodes back to the key.
                 state.decode_from(&codec, words);
                 encoded.clear();
-                assert_eq!(state.encode(&codec, identity, &mut encoded), words.len());
+                assert_eq!(state.encode(identity, &mut encoded), words.len());
                 assert_eq!(encoded, words, "{kind} state {index}");
                 // Relabelling composes: rotating once, then once more, is
                 // rotating twice.
-                for first in &automorphisms {
+                for (first, by_second) in single.iter().zip(&composition) {
                     encoded.clear();
-                    state.encode(&codec, std::slice::from_ref(first), &mut encoded);
+                    state.encode(first, &mut encoded);
                     image.decode_from(&codec, &encoded);
-                    for second in &automorphisms {
+                    for (second, both) in single.iter().zip(by_second) {
                         twice.clear();
-                        image.encode(&codec, std::slice::from_ref(second), &mut twice);
+                        image.encode(second, &mut twice);
                         composed.clear();
-                        state.encode(&codec, &[compose(first, second)], &mut composed);
+                        state.encode(both, &mut composed);
                         assert_eq!(twice, composed, "{kind} state {index}");
                     }
                 }
-                // Every successor, as a step reaches it:
+                // The state's encodings, relabelled from its own, are
+                // `encode`'s.
                 parent.clear();
-                state.encode(&codec, &automorphisms, &mut parent);
+                state.encode(&codec, &mut parent);
+                relabelled.clear();
+                assert_eq!(codec.relabel(words, &mut relabelled), words.len());
+                assert_eq!(relabelled, parent, "{kind} state {index}");
+                // Every successor, as a step reaches it:
                 for p in 0..topology.num_philosophers() {
                     let p = PhilosopherId::new(p as u32);
                     state.for_each_step_outcome(
@@ -1185,19 +1264,17 @@ mod tests {
                         &mut reached,
                         |_, reached, _| {
                             all.clear();
-                            let len = reached.encode(&codec, &automorphisms, &mut all);
-                            // its encodings built from its parent's are the
-                            // same words,
+                            let len = reached.encode(&codec, &mut all);
+                            // its encodings built from its parent's, and
+                            // relabelled from its own, are the same words,
                             successor.clear();
-                            let words = reached.encode_successor(
-                                &codec,
-                                &automorphisms,
-                                &parent,
-                                p,
-                                &mut successor,
-                            );
+                            let words =
+                                reached.encode_successor(&codec, &parent, p, &mut successor);
                             assert_eq!(words, len, "{kind} state {index}");
                             assert_eq!(successor, all, "{kind} state {index}");
+                            relabelled.clear();
+                            codec.relabel(&all[..len], &mut relabelled);
+                            assert_eq!(relabelled, all, "{kind} state {index}");
                             // decoding its encoding gives it back,
                             back.decode_from(&codec, &all[..len]);
                             assert_eq!(back.forks(), reached.forks(), "{kind}");
@@ -1209,7 +1286,7 @@ mod tests {
                                 image.decode_from(&codec, encoding);
                                 assert_relabelled(reached, auto, &image);
                                 encoded.clear();
-                                image.encode(&codec, identity, &mut encoded);
+                                image.encode(identity, &mut encoded);
                                 assert_eq!(encoded, encoding, "{kind}");
                                 // and two states share an encoding only if they
                                 // are equal.

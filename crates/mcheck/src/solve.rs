@@ -22,7 +22,8 @@
 //! deadlock is the degenerate case: a single state where every
 //! philosopher's step self-loops.)  The solver computes the maximal
 //! end-component decomposition of the non-target fragment with the
-//! standard SCC-refinement algorithm, keeps the fair ones — the **fair
+//! standard SCC-refinement algorithm, dropping each round the components
+//! that cannot hold a fair end component, keeps the fair ones — the **fair
 //! cores** — and concludes:
 //!
 //! * no fair core (and the model untruncated) certifies `V(initial) = 1`
@@ -254,6 +255,7 @@ struct FairCores {
 fn fair_cores(mdp: &Mdp) -> FairCores {
     let n_states = mdp.num_states;
     let n_choices = mdp.num_choices;
+    let masks = mdp.fairness_requirement.as_deref();
 
     // Live fragment: expanded non-target states.
     let mut live = Bits::new(n_states);
@@ -285,13 +287,26 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
     // choices that leave their component; drop states with no enabled
     // choice; repeat until stable.  The last round changed nothing, so its
     // components are the end components.
-    let (component, num_components) = loop {
+    //
+    // Each round also drops every component that cannot hold a fair end
+    // component: one whose enabled choices miss a choice that every one of
+    // its states requires.  Any end component lies inside one component of
+    // the round, keeps its rows enabled, and is fair only if it enables
+    // every choice its own states require.  The choices *every* state of
+    // the component requires are among those, whichever states the end
+    // component holds; the choices *some* state requires need not be, as
+    // that state may lie outside it.  So the prune uses the intersection
+    // of the states' requirements, not their union, and drops no fair end
+    // component: the fair cores come out as without it, in fewer rounds.
+    let (component, coverage) = loop {
         let (component, num_components) = strongly_connected_components(mdp, &live, &enabled);
+        let mut coverage = Coverage::new(num_components as usize, n_choices, masks.is_some());
         let mut changed = false;
         for s in 0..n_states {
             if !live.get(s) {
                 continue;
             }
+            let own = component[s] as usize;
             let mut any_enabled = false;
             for (c, (succs, _)) in mdp.rows(s as u32).enumerate() {
                 let row = s * n_choices + c;
@@ -306,15 +321,24 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
                     changed = true;
                 } else {
                     any_enabled = true;
+                    coverage.enable(own, c);
                 }
             }
             if !any_enabled {
                 live.clear(s);
                 changed = true;
+            } else if let Some(masks) = masks {
+                coverage.require(own, masks[s]);
+            }
+        }
+        for (s, &own) in component.iter().enumerate() {
+            if live.get(s) && !coverage.may_hold_fair(own as usize) {
+                live.clear(s);
+                changed = true;
             }
         }
         if !changed {
-            break (component, num_components);
+            break (component, coverage);
         }
         // A state that died invalidates choices pointing at it.
         for s in 0..n_states {
@@ -336,47 +360,11 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
     // models the requirement is "every philosopher"; restricted models
     // ([`Mdp::fairness_requirement`]) narrow it — e.g. under crash-stop
     // faults only the surviving philosophers must keep being scheduled.
-    //
-    // Each component's choice sets are `words` 64-bit words wide, so any
-    // number of philosophers fits; a restricted model's requirement masks
-    // are one word (its product build caps the philosopher count).
-    let words = n_choices.div_ceil(64);
-    let mut covered = vec![0u64; num_components as usize * words];
-    let mut required = match mdp.fairness_requirement {
-        None => (0..words)
-            .map(|w| u64::MAX >> (64 - (n_choices - 64 * w).min(64)))
-            .collect::<Vec<_>>()
-            .repeat(num_components as usize),
-        Some(_) => vec![0u64; num_components as usize * words],
-    };
-    for s in 0..n_states {
-        if !live.get(s) {
-            continue;
-        }
-        let base = component[s] as usize * words;
-        if let Some(masks) = &mdp.fairness_requirement {
-            required[base] |= masks[s];
-        }
-        for c in 0..n_choices {
-            if enabled.get(s * n_choices + c) {
-                covered[base + c / 64] |= 1 << (c % 64);
-            }
-        }
-    }
-
     let mut genuine = vec![false; n_states];
     let mut conservative = vec![false; n_states];
     let mut genuine_states = 0usize;
     for s in 0..n_states {
-        let fair = live.get(s) && {
-            let base = component[s] as usize * words;
-            let span = base..base + words;
-            covered[span.clone()]
-                .iter()
-                .zip(&required[span])
-                .all(|(covered, required)| covered & required == *required)
-        };
-        if fair {
+        if live.get(s) && coverage.is_fair(component[s] as usize) {
             genuine[s] = true;
             conservative[s] = true;
             genuine_states += 1;
@@ -390,6 +378,84 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
         genuine,
         genuine_states,
         conservative,
+    }
+}
+
+/// What the components of one refinement round enable, and what their
+/// states require: every choice in an unrestricted model, the states'
+/// fairness masks ([`Mdp::fairness_requirement`]) in a restricted one.
+///
+/// Choice sets are `words` 64-bit words wide, so any number of
+/// philosophers fits; a restricted model's masks are one word (its product
+/// build caps the philosopher count).
+struct Coverage {
+    words: usize,
+    /// Per component, `words` words: the choices enabled in it.
+    covered: Vec<u64>,
+    /// Every choice, `words` words: what each state of an unrestricted
+    /// model requires.
+    every: Vec<u64>,
+    /// Per component of a restricted model (empty in an unrestricted one):
+    /// the intersection of its states' masks, the choices every one of
+    /// them requires.
+    shared: Vec<u64>,
+    /// Per component of a restricted model (empty in an unrestricted one):
+    /// the union of its states' masks, the choices some state of it
+    /// requires.
+    union: Vec<u64>,
+}
+
+impl Coverage {
+    fn new(components: usize, n_choices: usize, masked: bool) -> Self {
+        let words = n_choices.div_ceil(64);
+        assert!(!masked || words == 1, "fairness masks are one word");
+        let masks = if masked { components } else { 0 };
+        Coverage {
+            words,
+            covered: vec![0; components * words],
+            every: (0..words)
+                .map(|w| u64::MAX >> (64 - (n_choices - 64 * w).min(64)))
+                .collect(),
+            shared: vec![u64::MAX; masks],
+            union: vec![0; masks],
+        }
+    }
+
+    /// Records that choice `c` is enabled in `component`.
+    fn enable(&mut self, component: usize, c: usize) {
+        self.covered[component * self.words + c / 64] |= 1 << (c % 64);
+    }
+
+    /// Records a state of `component` whose fairness mask is `mask`.
+    fn require(&mut self, component: usize, mask: u64) {
+        self.shared[component] &= mask;
+        self.union[component] |= mask;
+    }
+
+    /// Whether `component` enables every choice in `required`.
+    fn covers(&self, component: usize, required: &[u64]) -> bool {
+        let covered = &self.covered[component * self.words..][..self.words];
+        covered.iter().zip(required).all(|(c, r)| c & r == *r)
+    }
+
+    /// Whether `component` may hold a fair end component: it enables every
+    /// choice that all its states require.
+    fn may_hold_fair(&self, component: usize) -> bool {
+        if self.shared.is_empty() {
+            self.covers(component, &self.every)
+        } else {
+            self.covers(component, &self.shared[component..=component])
+        }
+    }
+
+    /// Whether `component`, an end component, is fair: it enables every
+    /// choice some state of it requires.
+    fn is_fair(&self, component: usize) -> bool {
+        if self.union.is_empty() {
+            self.covers(component, &self.every)
+        } else {
+            self.covers(component, &self.union[component..=component])
+        }
     }
 }
 
@@ -572,10 +638,11 @@ fn uniform_expected_steps(mdp: &Mdp) -> (f64, u64) {
 mod tests {
     use super::*;
     use crate::model::{build_mdp, BuildOptions, CheckTarget};
+    use crate::restricted::AdversaryClass;
     use gdp_algorithms::baselines::OrderedForks;
-    use gdp_algorithms::{Gdp1, Lr1};
+    use gdp_algorithms::{AlgorithmKind, Gdp1, Lr1};
     use gdp_sim::Program;
-    use gdp_topology::builders::classic_ring;
+    use gdp_topology::builders::{classic_ring, generalized_theta, shared_ring};
     use gdp_topology::{PhilosopherId, Topology};
 
     fn build<P>(topology: &Topology, program: &P, target: CheckTarget, symmetry: bool) -> Mdp
@@ -592,6 +659,238 @@ mod tests {
                 .with_threads(1)
                 .with_max_states(300_000),
         )
+    }
+
+    /// The refinement loop without the prune: SCC rounds until nothing
+    /// changes, then the fairness filter over the end components.
+    fn reference_fair_cores(mdp: &Mdp) -> FairCores {
+        let n_states = mdp.num_states;
+        let n_choices = mdp.num_choices;
+
+        // Live fragment: expanded non-target states.
+        let mut live = Bits::new(n_states);
+        for s in 0..n_states {
+            if mdp.expanded[s] && !mdp.target[s] {
+                live.set(s);
+            }
+        }
+        // A choice is enabled while it has at least one outcome and all its
+        // outcomes stay in the live fragment.  (Restricted models disallow some
+        // choices by giving them empty rows; an empty row is never enabled —
+        // no play can take it.)
+        let mut enabled = Bits::new(n_states * n_choices);
+        for s in 0..n_states {
+            if !live.get(s) {
+                continue;
+            }
+            for (c, (succs, _)) in mdp.rows(s as u32).enumerate() {
+                let all_live = succs
+                    .iter()
+                    .all(|&succ| succ != UNEXPLORED && live.get(succ as usize));
+                if !succs.is_empty() && all_live {
+                    enabled.set(s * n_choices + c);
+                }
+            }
+        }
+
+        // Standard MEC refinement: SCCs of the enabled sub-graph; disable
+        // choices that leave their component; drop states with no enabled
+        // choice; repeat until stable.  The last round changed nothing, so its
+        // components are the end components.
+        let (component, num_components) = loop {
+            let (component, num_components) = strongly_connected_components(mdp, &live, &enabled);
+            let mut changed = false;
+            for s in 0..n_states {
+                if !live.get(s) {
+                    continue;
+                }
+                let mut any_enabled = false;
+                for (c, (succs, _)) in mdp.rows(s as u32).enumerate() {
+                    let row = s * n_choices + c;
+                    if !enabled.get(row) {
+                        continue;
+                    }
+                    if succs
+                        .iter()
+                        .any(|&succ| component[succ as usize] != component[s])
+                    {
+                        enabled.clear(row);
+                        changed = true;
+                    } else {
+                        any_enabled = true;
+                    }
+                }
+                if !any_enabled {
+                    live.clear(s);
+                    changed = true;
+                }
+            }
+            if !changed {
+                break (component, num_components);
+            }
+            // A state that died invalidates choices pointing at it.
+            for s in 0..n_states {
+                if !live.get(s) {
+                    continue;
+                }
+                for (c, (succs, _)) in mdp.rows(s as u32).enumerate() {
+                    let row = s * n_choices + c;
+                    if enabled.get(row) && succs.iter().any(|&succ| !live.get(succ as usize)) {
+                        enabled.clear(row);
+                    }
+                }
+            }
+        };
+
+        // Fairness filter: an end component is a fair core iff every choice
+        // the fairness requirement names for its member states is enabled
+        // somewhere in the component (all outcomes inside).  For unrestricted
+        // models the requirement is "every philosopher"; restricted models
+        // ([`Mdp::fairness_requirement`]) narrow it — e.g. under crash-stop
+        // faults only the surviving philosophers must keep being scheduled.
+        //
+        // Each component's choice sets are `words` 64-bit words wide, so any
+        // number of philosophers fits; a restricted model's requirement masks
+        // are one word (its product build caps the philosopher count).
+        let words = n_choices.div_ceil(64);
+        let mut covered = vec![0u64; num_components as usize * words];
+        let mut required = match mdp.fairness_requirement {
+            None => (0..words)
+                .map(|w| u64::MAX >> (64 - (n_choices - 64 * w).min(64)))
+                .collect::<Vec<_>>()
+                .repeat(num_components as usize),
+            Some(_) => vec![0u64; num_components as usize * words],
+        };
+        for s in 0..n_states {
+            if !live.get(s) {
+                continue;
+            }
+            let base = component[s] as usize * words;
+            if let Some(masks) = &mdp.fairness_requirement {
+                required[base] |= masks[s];
+            }
+            for c in 0..n_choices {
+                if enabled.get(s * n_choices + c) {
+                    covered[base + c / 64] |= 1 << (c % 64);
+                }
+            }
+        }
+
+        let mut genuine = vec![false; n_states];
+        let mut conservative = vec![false; n_states];
+        let mut genuine_states = 0usize;
+        for s in 0..n_states {
+            let fair = live.get(s) && {
+                let base = component[s] as usize * words;
+                let span = base..base + words;
+                covered[span.clone()]
+                    .iter()
+                    .zip(&required[span])
+                    .all(|(covered, required)| covered & required == *required)
+            };
+            if fair {
+                genuine[s] = true;
+                conservative[s] = true;
+                genuine_states += 1;
+            } else if !mdp.expanded[s] && !mdp.target[s] {
+                // Unknown frontier of a truncated build: conservatively
+                // adversary-friendly, but never the basis of an "exact" claim.
+                conservative[s] = true;
+            }
+        }
+        FairCores {
+            genuine,
+            genuine_states,
+            conservative,
+        }
+    }
+
+    /// The prune drops only components that hold no fair end component, so
+    /// the fair cores come out as the plain refinement finds them.  The
+    /// models: rings of 3 and 4 under five algorithms, both targets and
+    /// every adversary class, and theta graphs of 4 and 5 philosophers and
+    /// a shared ring under all fair schedulers.  Each is built at budgets
+    /// of 300 and 20,000 states: 68 of the 180 builds are whole, and 49
+    /// have fair cores.  (Many of these models exceed any budget a unit
+    /// test can afford; ring-4 GDP2's lockout model alone passes 2 M
+    /// states.)
+    #[test]
+    fn pruned_fair_cores_match_the_plain_refinement() {
+        let kinds = [
+            AlgorithmKind::Lr1,
+            AlgorithmKind::Lr2,
+            AlgorithmKind::Gdp1,
+            AlgorithmKind::Gdp2,
+            AlgorithmKind::Naive,
+        ];
+        let lockout = CheckTarget::PhilosopherEats(PhilosopherId::new(0));
+        let classes = [
+            AdversaryClass::Fair,
+            AdversaryClass::KBounded { k: 2 },
+            AdversaryClass::CrashStop { max_crashes: 1 },
+        ];
+        let mut cells = Vec::new();
+        for size in [3, 4] {
+            cells.extend(classes.map(|class| (classic_ring(size).unwrap(), class)));
+        }
+        for topology in [
+            generalized_theta(&[2, 1, 1]).unwrap(),
+            generalized_theta(&[2, 2, 1]).unwrap(),
+            shared_ring(3, 2).unwrap(),
+        ] {
+            cells.push((topology, AdversaryClass::Fair));
+        }
+        let (mut counts, mut with_cores) = ([0; 2], 0);
+        for (topology, class) in &cells {
+            for kind in kinds {
+                let program = kind.program();
+                for target in [CheckTarget::Progress, lockout] {
+                    for budget in [300, 20_000] {
+                        let options = BuildOptions::default()
+                            .with_threads(1)
+                            .with_max_states(budget)
+                            .with_class(*class);
+                        let mdp = build_mdp(topology, &program, target, &options);
+                        let (pruned, plain) = (fair_cores(&mdp), reference_fair_cores(&mdp));
+                        let context = format!(
+                            "{kind} on {} {target:?} {class:?} {budget}",
+                            topology.summary()
+                        );
+                        assert_eq!(pruned.genuine, plain.genuine, "{context}");
+                        assert_eq!(pruned.genuine_states, plain.genuine_states, "{context}");
+                        assert_eq!(pruned.conservative, plain.conservative, "{context}");
+                        counts[usize::from(mdp.truncated)] += 1;
+                        with_cores += usize::from(plain.genuine_states > 0);
+                    }
+                }
+            }
+        }
+        assert_eq!(counts, [68, 112], "models built whole and truncated");
+        assert_eq!(with_cores, 49, "models with fair cores");
+    }
+
+    /// The prune keeps a component while it enables every choice that
+    /// *every* state of it requires.  Here state 1 shares a component with
+    /// state 0 and requires choice 1, which the component never keeps
+    /// inside, yet state 0 alone is a fair end component: a prune by what
+    /// *some* state requires would drop it.
+    #[test]
+    fn the_prune_keeps_fair_end_components_of_mixed_components() {
+        // State 0: choice 0 loops, choice 1 goes to states 1 and 2 with
+        // probability 1/2 each.  State 1 returns to 0 and state 2 loops,
+        // both by choice 0; choice 1 is disallowed in both.
+        let mdp = Mdp::from_rows(
+            &[
+                &[&[(0, 1.0)], &[(1, 0.5), (2, 0.5)]],
+                &[&[(0, 1.0)], &[]],
+                &[&[(2, 1.0)], &[]],
+            ],
+            Some(vec![0b01, 0b11, 0b10]),
+        );
+        let (pruned, plain) = (fair_cores(&mdp), reference_fair_cores(&mdp));
+        assert_eq!(plain.genuine, [true, false, false]);
+        assert_eq!(pruned.genuine, plain.genuine);
+        assert_eq!(pruned.conservative, plain.conservative);
     }
 
     #[test]

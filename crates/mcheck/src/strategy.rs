@@ -86,7 +86,7 @@ pub fn extract_counterexample<P: Program + Clone>(
         return None;
     }
     let n = topology.num_philosophers();
-    let codec = StateCodec::new(topology, program);
+    let codec = StateCodec::new(topology, program, &mdp.automorphisms);
     let index = KeyIndex::of(mdp.keys());
     let mut scratch = Vec::new();
     'seeds: for &seed in seeds {
@@ -187,13 +187,12 @@ pub fn counterexample_dot<P: Program + Clone>(
 
     fn emit_node<P: Program>(
         codec: &StateCodec<P>,
-        identity: &[Automorphism],
         node_of: &mut HashMap<Vec<u64>, usize>,
         out: &mut String,
         engine: &Engine<P>,
     ) -> usize {
         let mut key = Vec::new();
-        engine.state().encode(codec, identity, &mut key);
+        engine.state().encode(codec, &mut key);
         if let Some(&id) = node_of.get(&key) {
             return id;
         }
@@ -222,13 +221,13 @@ pub fn counterexample_dot<P: Program + Clone>(
         id
     }
 
-    let codec = StateCodec::new(topology, program);
     let identity = [Automorphism::identity(
         topology.num_forks(),
         topology.num_philosophers(),
     )];
+    let codec = StateCodec::new(topology, program, &identity);
     let mut node_of: HashMap<Vec<u64>, usize> = HashMap::new();
-    let mut from = emit_node(&codec, &identity, &mut node_of, &mut out, &engine);
+    let mut from = emit_node(&codec, &mut node_of, &mut out, &engine);
     for &philosopher in &schedule.steps {
         if node_of.len() >= DOT_STATE_CAP {
             let _ = writeln!(
@@ -240,7 +239,7 @@ pub fn counterexample_dot<P: Program + Clone>(
             break;
         }
         engine.step_philosopher(philosopher);
-        let to = emit_node(&codec, &identity, &mut node_of, &mut out, &engine);
+        let to = emit_node(&codec, &mut node_of, &mut out, &engine);
         let _ = writeln!(out, "  s{from} -> s{to} [label=\"{philosopher}\"];");
         from = to;
     }

@@ -112,22 +112,27 @@ impl KeyIndex {
 
     /// The number of `key` in `keys`, the arena this index was built over.
     pub(crate) fn get(&self, keys: &Packed, key: &[u64]) -> Option<u32> {
-        self.probe(keys, key).ok()
+        self.probe(keys, key, 0).ok()
     }
 
     /// `Ok(number)` of `key`, or `Err(slot)`: the empty slot it would take.
-    fn probe(&self, keys: &Packed, key: &[u64]) -> Result<u32, usize> {
+    /// Only the keys numbered `first` or above are compared; a slot holding
+    /// a lower number is passed over without reading its key.
+    fn probe(&self, keys: &Packed, key: &[u64], first: u32) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
         let mut slot = fingerprint64(key) as usize & mask;
         loop {
             match self.slots[slot] {
                 EMPTY => return Err(slot),
-                index if keys.get(index as usize) == key => return Ok(index),
+                index if index >= first && keys.get(index as usize) == key => return Ok(index),
                 _ => slot = (slot + 1) & mask,
             }
         }
     }
 }
+
+/// The empty slot a key missing from a [`KeyTable`] would take.
+pub(crate) struct Vacant(usize);
 
 /// An exact dedup table of state keys, numbered in insertion order: the
 /// key arena and its index.
@@ -166,26 +171,43 @@ impl KeyTable {
 
     /// The number of `key`, if the table holds it.
     pub(crate) fn get(&self, key: &[u64]) -> Option<u32> {
-        self.index.get(&self.keys, key)
+        self.find(key, 0).ok()
+    }
+
+    /// `Ok` with the number of `key`, or `Err` with the place an
+    /// [`insert_at`](Self::insert_at) of it takes.  Only the keys numbered
+    /// `first` or above are compared: the caller knows `key` is none of the
+    /// lower-numbered ones (`first = 0` compares every key).
+    pub(crate) fn find(&self, key: &[u64], first: u32) -> Result<u32, Vacant> {
+        self.index.probe(&self.keys, key, first).map_err(Vacant)
+    }
+
+    /// Inserts `key` as the next number at `vacant`, the place the last
+    /// [`find`](Self::find) of it returned, and returns its number.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the table holds `u32::MAX` keys.
+    pub(crate) fn insert_at(&mut self, vacant: Vacant, key: &[u64]) -> u32 {
+        debug_assert_eq!(self.index.slots[vacant.0], EMPTY, "a vacant slot");
+        let index = u32::try_from(self.len())
+            .ok()
+            .filter(|&index| index != EMPTY)
+            .expect("state numbers exceed the u32 range");
+        self.keys.push(key);
+        self.index.slots[vacant.0] = index;
+        if 2 * self.len() > self.index.slots.len() {
+            self.index = KeyIndex::of(&self.keys);
+        }
+        index
     }
 
     /// The number of `key`, inserting it as the next number when absent;
     /// the flag tells whether it was inserted.
     pub(crate) fn insert(&mut self, key: &[u64]) -> (u32, bool) {
-        match self.index.probe(&self.keys, key) {
+        match self.find(key, 0) {
             Ok(index) => (index, false),
-            Err(slot) => {
-                let index = u32::try_from(self.len())
-                    .ok()
-                    .filter(|&index| index != EMPTY)
-                    .expect("state numbers exceed the u32 range");
-                self.keys.push(key);
-                self.index.slots[slot] = index;
-                if 2 * self.len() > self.index.slots.len() {
-                    self.index = KeyIndex::of(&self.keys);
-                }
-                (index, true)
-            }
+            Err(vacant) => (self.insert_at(vacant, key), true),
         }
     }
 

@@ -132,7 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn uniform_random_is_seeded_and_resettable() {
+    fn uniform_random_is_seeded() {
         let topology = classic_ring(5).unwrap();
         let mut a = UniformRandomAdversary::new(3);
         let mut b = UniformRandomAdversary::new(3);

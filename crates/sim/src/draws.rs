@@ -93,12 +93,6 @@ impl DrawTape {
         self.pending = None;
     }
 
-    /// Empties the tape entirely.
-    pub fn clear(&mut self) {
-        self.outcomes.clear();
-        self.rewind();
-    }
-
     /// Appends `outcome` to the script.
     pub fn push(&mut self, outcome: DrawOutcome) {
         self.outcomes.push(outcome);
@@ -189,14 +183,15 @@ mod tests {
     }
 
     #[test]
-    fn rewind_replays_and_clear_empties() {
+    fn rewind_replays_and_pop_empties() {
         let mut tape = DrawTape::new();
         tape.push(DrawOutcome::Coin(false));
         assert!(!tape.draw_coin());
         tape.rewind();
         assert!(!tape.draw_coin());
-        tape.clear();
+        assert_eq!(tape.pop(), Some(DrawOutcome::Coin(false)));
         assert_eq!(tape.outcomes(), &[]);
+        tape.rewind();
         let _ = tape.draw_coin();
         assert_eq!(tape.pending(), Some(DrawRequest::Coin));
     }

@@ -831,7 +831,7 @@ mod tests {
     }
 
     #[test]
-    fn event_sink_mirrors_the_trace_and_survives_reset() {
+    fn event_sink_mirrors_the_trace() {
         use gdp_observe::{Event, MemorySink};
         use std::sync::Arc;
         let sink = Arc::new(MemorySink::new());
@@ -868,7 +868,7 @@ mod tests {
     }
 
     #[test]
-    fn meal_histograms_are_step_denominated_and_cleared_on_reset() {
+    fn meal_histograms_are_step_denominated() {
         let mut e = engine(5, 3);
         e.run(
             &mut RoundRobinAdversary::new(),

@@ -42,9 +42,9 @@
 //!   every outcome of one philosopher's step, the probabilistic-branching
 //!   primitive of exact model checking, also behind the exact deadlock test
 //!   [`Engine::is_stuck`].  Its exact bit-packed encoding ([`StateCodec`])
-//!   is written directly under any topology automorphism, from scratch or
-//!   from a parent's encodings: the state keys, and the frontier, of
-//!   `gdp-mcheck`.
+//!   is written directly under each automorphism of one set, from scratch,
+//!   from a parent's encodings or from the state's own: the state keys, and
+//!   the frontier, of `gdp-mcheck`.
 //! * [`DrawTape`] — scripted randomness: the draws a step reads instead of
 //!   the RNG, extended outcome by outcome by the enumeration.
 //!

@@ -27,13 +27,15 @@
 //!
 //! The **exact encoding** half of this module is [`StateCodec`] with
 //! [`EngineState::encode`] and [`EngineState::decode_from`]: a state packed
-//! bit for bit into `u64` words, written directly under any topology
-//! automorphism.  Two states share an encoding exactly when their forks and
+//! bit for bit into `u64` words, written directly under each automorphism
+//! of one set.  Two states share an encoding exactly when their forks and
 //! private states are equal, so the encoding is a state *key*: `gdp-mcheck`
 //! dedups states by their least encoding over an automorphism set (its
-//! symmetry quotient) and stores its frontier encoded.  A step reads and
-//! writes only the stepping philosopher's private state and its two forks
-//! (the paper's full distribution, which [`StepCtx`] enforces), so
+//! symmetry quotient) and stores its frontier encoded.
+//! [`StateCodec::relabel`] writes a stored state's encodings from its own,
+//! with no decoding.  A step reads and writes only the stepping
+//! philosopher's private state and its two forks (the paper's full
+//! distribution, which [`StepCtx`] enforces), so
 //! [`EngineState::encode_successor`] derives a successor's encodings from
 //! its parent's by rewriting those three fields and the tail.
 
@@ -222,11 +224,11 @@ impl<P: Program> EngineState<P> {
         branch_on_draws(&mut step, post, &mut DrawTape::new(), 1.0, &mut visit);
     }
 
-    /// Appends to `out` this state's exact encoding under each automorphism
-    /// in turn — the encoding of the state relabelled by it, written
-    /// directly from this state without building the relabelled copy — and
-    /// returns the words one encoding takes, the same for every
-    /// automorphism.
+    /// Appends to `out` this state's exact encoding under each of the
+    /// codec's automorphisms in turn — the encoding of the state relabelled
+    /// by it, written directly from this state without building the
+    /// relabelled copy — and returns the words one encoding takes, the same
+    /// for every automorphism.
     ///
     /// Under the identity automorphism this is the state's own encoding.
     /// See [`StateCodec`] for the layout.
@@ -236,41 +238,36 @@ impl<P: Program> EngineState<P> {
     /// Panics if the state's fork or philosopher count differs from the
     /// codec's, or if a value does not fit its field: an `nr` above the
     /// fork count or a private state the program does not list.
-    pub fn encode(
-        &self,
-        codec: &StateCodec<P>,
-        automorphisms: &[Automorphism],
-        out: &mut Vec<u64>,
-    ) -> usize {
+    pub fn encode(&self, codec: &StateCodec<P>, out: &mut Vec<u64>) -> usize {
         codec.check_counts(self);
         let (words, tail) = codec.words(&self.forks);
         let base = out.len();
-        out.resize(base + words * automorphisms.len(), 0);
+        out.resize(base + words * codec.frames.len(), 0);
         let encodings = &mut out[base..];
         for (f, cell) in self.forks.iter().enumerate() {
-            for (key, auto) in encodings.chunks_exact_mut(words).zip(automorphisms) {
-                codec.write_fork(key, auto, f, cell);
+            let (holder, nr) = codec.fork_fields(f, cell);
+            for (key, frame) in encodings.chunks_exact_mut(words).zip(&codec.frames) {
+                codec.write_fork(key, frame, f, holder, nr);
             }
         }
         for (p, state) in self.states.iter().enumerate() {
             let code = codec.code_of(state);
-            for (key, auto) in encodings.chunks_exact_mut(words).zip(automorphisms) {
-                codec.write_code(key, auto, p, code);
+            for (key, frame) in encodings.chunks_exact_mut(words).zip(&codec.frames) {
+                codec.write_code(key, frame, p, code);
             }
         }
         if tail {
-            for (key, auto) in encodings.chunks_exact_mut(words).zip(automorphisms) {
-                codec.write_tail(key, auto, &self.forks);
+            for (key, frame) in encodings.chunks_exact_mut(words).zip(&codec.frames) {
+                codec.write_tail(key, frame, |f| lists(&self.forks[f]));
             }
         }
         words
     }
 
-    /// Appends to `out` this state's encodings under each automorphism, as
-    /// [`encode`](Self::encode) does, given `parent`: the encodings under
-    /// the same automorphisms, in the same order, of the state this one was
-    /// reached from by one step of `philosopher`.  Returns the words one
-    /// encoding takes.
+    /// Appends to `out` this state's encodings under each of the codec's
+    /// automorphisms, as [`encode`](Self::encode) does, given `parent`: the
+    /// encodings, in the same order, of the state this one was reached from
+    /// by one step of `philosopher`.  Returns the words one encoding takes.
     ///
     /// A step changes only the stepping philosopher's private state and its
     /// two forks, so each encoding is its parent's fixed-width part with
@@ -285,40 +282,43 @@ impl<P: Program> EngineState<P> {
     pub fn encode_successor(
         &self,
         codec: &StateCodec<P>,
-        automorphisms: &[Automorphism],
         parent: &[u64],
         philosopher: PhilosopherId,
         out: &mut Vec<u64>,
     ) -> usize {
         codec.check_counts(self);
-        let parent_words = parent.len() / automorphisms.len().max(1);
+        let parent_words = parent.len() / codec.frames.len();
         assert!(
-            parent_words > 0 && parent_words * automorphisms.len() == parent.len(),
+            parent_words > 0 && parent_words * codec.frames.len() == parent.len(),
             "the parent holds one encoding per automorphism"
         );
         let (words, tail) = codec.words(&self.forks);
         let fixed = codec.fixed_bits();
         let (whole, partial) = (fixed / 64, fixed % 64);
         let p = philosopher.index();
-        let ends = codec.ends[p];
+        let [left, right] = codec.ends[p].as_array().map(|fork| {
+            let f = fork.index();
+            let (holder, nr) = codec.fork_fields(f, &self.forks[f]);
+            (f, holder, nr)
+        });
         let code = codec.code_of(&self.states[p]);
         let base = out.len();
-        out.resize(base + words * automorphisms.len(), 0);
+        out.resize(base + words * codec.frames.len(), 0);
         let encodings = out[base..].chunks_exact_mut(words);
-        for ((key, auto), from) in encodings
-            .zip(automorphisms)
+        for ((key, frame), from) in encodings
+            .zip(&codec.frames)
             .zip(parent.chunks_exact(parent_words))
         {
             key[..whole].copy_from_slice(&from[..whole]);
             if partial > 0 {
                 key[whole] = from[whole] & ((1 << partial) - 1);
             }
-            for fork in ends.as_array() {
-                codec.write_fork(key, auto, fork.index(), &self.forks[fork.index()]);
+            for (f, holder, nr) in [left, right] {
+                codec.write_fork(key, frame, f, holder, nr);
             }
-            codec.write_code(key, auto, p, code);
+            codec.write_code(key, frame, p, code);
             if tail {
-                codec.write_tail(key, auto, &self.forks);
+                codec.write_tail(key, frame, |f| lists(&self.forks[f]));
             }
         }
         words
@@ -400,8 +400,9 @@ fn branch_on_draws<P: Program>(
     }
 }
 
-/// The exact, bit-packed encoding of the [`EngineState`]s of one system:
-/// one topology (`n` philosophers, `k` forks) and one program.
+/// The exact, bit-packed encoding of the [`EngineState`]s of one system —
+/// one topology (`n` philosophers, `k` forks) and one program — under each
+/// automorphism of one set.
 ///
 /// An encoding is a run of `u64` words filled from the least significant
 /// bit up, with fields at fixed widths:
@@ -422,6 +423,13 @@ fn branch_on_draws<P: Program>(
 /// has a fixed length: a ring-5 GDP1 state takes 5 × (3 + 3) + 5 × 4 = 50
 /// bits, one word.  The step counter is not encoded.
 ///
+/// The encoding of a state under an automorphism is that of the state it
+/// relabels to.  The codec lays each automorphism out once, as a *frame*:
+/// the bit offset each fork's and each philosopher's field moves to, the
+/// relabelled holder values and the order of the tail's fork records.
+/// Every encoding it writes goes through one frame per automorphism, in
+/// the set's order.
+///
 /// The encoding is exact: [`EngineState::decode_from`] inverts it, so two
 /// states share an encoding exactly when their forks and private states
 /// are equal.  A value that does not fit its field panics; it is never
@@ -435,34 +443,157 @@ pub struct StateCodec<P: Program> {
     ends: Vec<ForkEnds>,
     /// The program's private states; a state's code is its index.
     table: Vec<P::State>,
+    /// One frame per automorphism, in the set's order.
+    frames: Vec<Frame>,
+}
+
+/// Where the fields of a state land in its encoding under one
+/// automorphism.
+struct Frame {
+    /// Per fork: the bit offset of its image's holder-and-`nr` field.
+    fork_at: Box<[usize]>,
+    /// Per philosopher: the bit offset of its image's code field.
+    code_at: Box<[usize]>,
+    /// Per holder value (`0` free, `p + 1` held by `p`): its image's value.
+    holders: Box<[u64]>,
+    /// Per tail record, in the encoding's order: the fork the record is
+    /// of, the one the automorphism maps to that position.
+    tail_forks: Box<[usize]>,
+}
+
+impl Frame {
+    /// The image of philosopher `p`.
+    fn philosopher(&self, p: u64) -> u64 {
+        self.holders[p as usize + 1] - 1
+    }
 }
 
 impl<P: Program> StateCodec<P> {
-    /// The codec of `program`'s states on `topology`.
+    /// The codec of `program`'s states on `topology`, under each of
+    /// `automorphisms` in turn.
     ///
     /// # Panics
     ///
-    /// Panics if the program lists no private state.
+    /// Panics if the program lists no private state, if `automorphisms` is
+    /// empty, or if an automorphism's fork or philosopher count differs
+    /// from the topology's.
     #[must_use]
-    pub fn new(topology: &Topology, program: &P) -> Self {
+    pub fn new(topology: &Topology, program: &P, automorphisms: &[Automorphism]) -> Self {
         let table = program.private_states();
         assert!(
             !table.is_empty(),
             "program {} lists no private state",
             program.name()
         );
+        assert!(
+            !automorphisms.is_empty(),
+            "a codec encodes under at least one automorphism"
+        );
         let (n, k) = (topology.num_philosophers(), topology.num_forks());
+        let (holder_bits, nr_bits) = (bits_for(n), bits_for(k));
+        let code_bits = bits_for(table.len() - 1);
+        let fork_bits = (holder_bits + nr_bits) as usize;
+        let frames = automorphisms
+            .iter()
+            .map(|auto| {
+                assert!(
+                    auto.fork_map.len() == k && auto.phil_map.len() == n,
+                    "an automorphism has a different fork or philosopher count than the topology"
+                );
+                let mut tail_forks = vec![0; k];
+                for (f, image) in auto.fork_map.iter().enumerate() {
+                    tail_forks[image.index()] = f;
+                }
+                Frame {
+                    fork_at: auto
+                        .fork_map
+                        .iter()
+                        .map(|g| g.index() * fork_bits)
+                        .collect(),
+                    code_at: auto
+                        .phil_map
+                        .iter()
+                        .map(|q| k * fork_bits + q.index() * code_bits as usize)
+                        .collect(),
+                    holders: std::iter::once(0)
+                        .chain(auto.phil_map.iter().map(|q| q.index() as u64 + 1))
+                        .collect(),
+                    tail_forks: tail_forks.into(),
+                }
+            })
+            .collect();
         StateCodec {
-            holder_bits: bits_for(n),
-            nr_bits: bits_for(k),
-            code_bits: bits_for(table.len() - 1),
+            holder_bits,
+            nr_bits,
+            code_bits,
             num_forks: k,
             ends: topology
                 .philosopher_ids()
                 .map(|p| topology.forks_of(p))
                 .collect(),
             table,
+            frames,
         }
+    }
+
+    /// Appends to `out` the encodings under each of the codec's
+    /// automorphisms of the state whose own encoding is `words` — the
+    /// encodings [`EngineState::encode`] writes for it — and returns the
+    /// words one encoding takes: `words.len()`.
+    ///
+    /// Every field is read from `words` and written through each frame, so
+    /// a state stored encoded is re-keyed without being decoded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not an encoding of this codec.
+    pub fn relabel(&self, words: &[u64], out: &mut Vec<u64>) -> usize {
+        let (hb, nb, cb) = (self.holder_bits, self.nr_bits, self.code_bits);
+        let fork_bits = (hb + nb) as usize;
+        let codes_at = self.num_forks * fork_bits;
+        let len = words.len();
+        let base = out.len();
+        out.resize(base + len * self.frames.len(), 0);
+        let encodings = &mut out[base..];
+        for f in 0..self.num_forks {
+            let field = get(words, f * fork_bits, hb + nb);
+            let (holder, nr) = (field & ((1 << hb) - 1), field >> hb);
+            for (key, frame) in encodings.chunks_exact_mut(len).zip(&self.frames) {
+                self.write_fork(key, frame, f, holder, nr);
+            }
+        }
+        for p in 0..self.ends.len() {
+            let code = get(words, codes_at + p * cb as usize, cb);
+            for (key, frame) in encodings.chunks_exact_mut(len).zip(&self.frames) {
+                self.write_code(key, frame, p, code);
+            }
+        }
+        let fixed = self.fixed_bits();
+        if len * 64 > fixed && get(words, fixed, 1) == 1 {
+            // Fork `f`'s record starts at bit `starts[f]`: its request
+            // count, the requests, its guest-book count, the signers.
+            let mut starts = Vec::with_capacity(self.num_forks);
+            let mut at = fixed + 1;
+            for _ in 0..self.num_forks {
+                starts.push(at);
+                let requests = get(words, at, hb) as usize;
+                at += (1 + requests) * hb as usize;
+                let guests = get(words, at, hb) as usize;
+                at += (1 + guests) * hb as usize;
+            }
+            let list = move |at: usize| {
+                let count = get(words, at, hb) as usize;
+                (0..count).map(move |i| get(words, at + (1 + i) * hb as usize, hb))
+            };
+            for (key, frame) in encodings.chunks_exact_mut(len).zip(&self.frames) {
+                self.write_tail(key, frame, |f| {
+                    let requests = list(starts[f]);
+                    let guests = list(starts[f] + (1 + requests.len()) * hb as usize);
+                    (requests, guests)
+                });
+            }
+        }
+        len
     }
 
     fn check_counts(&self, state: &EngineState<P>) {
@@ -508,35 +639,42 @@ impl<P: Program> StateCodec<P> {
             }) as u64
     }
 
-    /// Writes fork `f`'s holder and `nr` into `key`, the encoding under
-    /// `auto`, over whatever the field held.
-    fn write_fork(&self, key: &mut [u64], auto: &Automorphism, f: usize, cell: &ForkCell) {
-        let (hb, nb) = (self.holder_bits, self.nr_bits);
+    /// Fork `f`'s holder value (`0` free, `p + 1` held by `p`) and `nr`,
+    /// checked against their fields.
+    fn fork_fields(&self, f: usize, cell: &ForkCell) -> (u64, u64) {
         let nr = u64::from(cell.nr);
         assert!(
-            fits(nr, nb),
-            "fork {f}'s nr {nr} does not fit its {nb}-bit field (priority numbers are drawn from [1, {}])",
+            fits(nr, self.nr_bits),
+            "fork {f}'s nr {nr} does not fit its {}-bit field (priority numbers are drawn from [1, {}])",
+            self.nr_bits,
             self.num_forks
         );
-        let holder = cell
-            .holder
-            .map_or(0, |p| auto.phil_map[p.index()].index() as u64 + 1);
+        (cell.holder.map_or(0, |p| p.index() as u64 + 1), nr)
+    }
+
+    /// Writes fork `f`'s `holder` value and `nr` into `key`, the encoding
+    /// under `frame`, over whatever the field held.
+    fn write_fork(&self, key: &mut [u64], frame: &Frame, f: usize, holder: u64, nr: u64) {
+        let hb = self.holder_bits;
         // The holder's field, then `nr`'s, written as one.
-        let at = auto.fork_map[f].index() * (hb + nb) as usize;
-        put(key, at, hb + nb, holder | nr << hb);
+        let value = frame.holders[holder as usize] | nr << hb;
+        put(key, frame.fork_at[f], hb + self.nr_bits, value);
     }
 
     /// Writes philosopher `p`'s private-state `code` into `key`, the
-    /// encoding under `auto`, over whatever the field held.
-    fn write_code(&self, key: &mut [u64], auto: &Automorphism, p: usize, code: u64) {
-        let codes_at = self.num_forks * (self.holder_bits + self.nr_bits) as usize;
-        let at = codes_at + auto.phil_map[p].index() * self.code_bits as usize;
-        put(key, at, self.code_bits, code);
+    /// encoding under `frame`, over whatever the field held.
+    fn write_code(&self, key: &mut [u64], frame: &Frame, p: usize, code: u64) {
+        put(key, frame.code_at[p], self.code_bits, code);
     }
 
-    /// Writes the tail of a state with these forks into `key`, the encoding
-    /// under `auto`, whose bits past the fixed-width part are zero.
-    fn write_tail(&self, key: &mut [u64], auto: &Automorphism, forks: &[ForkCell]) {
+    /// Writes a tail into `key`, the encoding under `frame`, whose bits
+    /// past the fixed-width part are zero.  `lists(f)` gives fork `f`'s
+    /// requests and guest book, as philosopher indices.
+    fn write_tail<R, G>(&self, key: &mut [u64], frame: &Frame, lists: impl Fn(usize) -> (R, G))
+    where
+        R: ExactSizeIterator<Item = u64>,
+        G: ExactSizeIterator<Item = u64>,
+    {
         let hb = self.holder_bits;
         let mut at = self.fixed_bits();
         let mut push = |width: u32, value: u64| {
@@ -544,26 +682,32 @@ impl<P: Program> StateCodec<P> {
             at += width as usize;
         };
         push(1, 1);
-        // Fork records go in image order: the record at position `image` is
-        // that of the fork the automorphism maps there.
-        for image in 0..forks.len() {
-            let f = auto
-                .fork_map
-                .iter()
-                .position(|g| g.index() == image)
-                .expect("an automorphism's fork map is a permutation");
-            let cell = &forks[f];
-            let phil = |p: PhilosopherId| auto.phil_map[p.index()].index() as u64;
-            push(hb, count(cell.requests.len(), hb, f));
-            for &p in &cell.requests {
-                push(hb, phil(p));
+        for &f in &frame.tail_forks {
+            let (requests, guests) = lists(f);
+            push(hb, count(requests.len(), hb, f));
+            for p in requests {
+                push(hb, frame.philosopher(p));
             }
-            push(hb, count(cell.guest_book.len(), hb, f));
-            for &p in &cell.guest_book {
-                push(hb, phil(p));
+            push(hb, count(guests.len(), hb, f));
+            for p in guests {
+                push(hb, frame.philosopher(p));
             }
         }
     }
+}
+
+/// Fork `cell`'s requests and guest book, as philosopher indices.
+fn lists(
+    cell: &ForkCell,
+) -> (
+    impl ExactSizeIterator<Item = u64> + '_,
+    impl ExactSizeIterator<Item = u64> + '_,
+) {
+    let index = |p: &PhilosopherId| p.index() as u64;
+    (
+        cell.requests.iter().map(index),
+        cell.guest_book.iter().map(index),
+    )
 }
 
 /// The bits a field holding the values `0..=max` takes.

@@ -85,11 +85,6 @@ impl Holding {
         self.len += 1;
     }
 
-    /// Empties the set.
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
     /// The held forks as a slice, in acquisition-scan order.
     #[must_use]
     pub fn as_slice(&self) -> &[ForkId] {
@@ -392,19 +387,23 @@ mod tests {
         assert_eq!(h.first(), Some(&ForkId::new(7)));
         let collected: Vec<ForkId> = (&h).into_iter().copied().collect();
         assert_eq!(collected, vec![ForkId::new(7), ForkId::new(2)]);
-        h.clear();
-        assert!(h.is_empty());
     }
 
     #[test]
     fn holding_equality_ignores_stale_slots() {
-        let mut a = Holding::new();
-        a.push(ForkId::new(5));
-        a.clear();
-        let b = Holding::new();
-        // `a` still has 5 in its backing array; equality must compare only
-        // the live prefix.
-        assert_eq!(a, b);
+        // A slot past the length holds no fork, whatever its bits say:
+        // equality compares only the held forks.
+        let stale = Holding {
+            forks: [ForkId::new(5), ForkId::new(0)],
+            len: 0,
+        };
+        assert_eq!(stale, Holding::new());
+        let (mut a, mut b) = (Holding::new(), Holding::new());
+        a.push(ForkId::new(7));
+        b.push(ForkId::new(2));
+        assert_ne!(a, b);
+        b.push(ForkId::new(7));
+        assert_ne!(a, b, "a prefix is another set");
     }
 
     #[test]
