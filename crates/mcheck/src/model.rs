@@ -45,17 +45,28 @@
 //! words into its encodings under every automorphism
 //! ([`StateCodec::relabel`]), and keys each successor from those encodings
 //! ([`EngineState::encode_successor`]): a step rewrites only the stepping
-//! philosopher's private state and its two forks.  The dedup table holds
-//! the canonical keys in one arena plus an index of `u32` slots; the model
-//! keeps the arena and drops the index when the build ends.  Workers only
-//! read the table as it stood when their layer began, each after probing
-//! its own table of new keys, so the merge that follows compares a key
-//! only with the keys the layer added.  A state's rows are one offset into
-//! the successor array plus one byte per choice naming the row's *shape* —
-//! its probabilities in draw order, from the model's few distinct ones.
+//! philosopher's private state and its two forks.  A one-word encoding
+//! (every ring-5 GDP1 state) is keyed in a register: its fields are
+//! replaced by mask and shift, and its least encoding is a `u64` minimum.
+//!
+//! The dedup table holds the canonical keys in one arena plus an index of
+//! `u32` slots; the model keeps the arena and drops the index when the
+//! build ends.  Workers only read the table as it stood when their layer
+//! began.  A worker does not probe it once per edge: it collects the keys
+//! of `BATCH_EDGES` (96) or more edges, across parents, and looks them up
+//! together (`KeyTable::get_batch`), in passes whose loads do not wait on
+//! one another, so their cache misses overlap.  It then resolves the batch
+//! in edge order: a key the layer's table lacks is looked up in the
+//! worker's own table of new keys, and inserted there when missing, so new
+//! states are numbered in discovery order.  The merge that
+//! follows compares a key only with the keys the layer added, loading the
+//! home slots of the next keys ahead of it.  A state's rows are one offset
+//! into the successor array plus one byte per choice naming the row's
+//! *shape* — its probabilities in draw order, from the model's few
+//! distinct ones.
 
 use crate::restricted::{AdversaryClass, Bookkeeping, Crashed, Waits};
-use crate::table::{KeyTable, Packed};
+use crate::table::{KeyTable, Packed, LOOKAHEAD};
 use gdp_sim::{EngineState, Phase, Program, SimConfig, StateCodec};
 use gdp_topology::{symmetry, Automorphism, PhilosopherId, Topology};
 use std::ops::Range;
@@ -313,11 +324,14 @@ impl Mdp {
 }
 
 /// The least of `encodings`' `words`-long runs: the canonical key.
+/// One-word encodings compare as integers.
 fn least(encodings: &[u64], words: usize) -> &[u64] {
-    encodings
-        .chunks_exact(words)
-        .min()
-        .expect("the automorphism set holds the identity")
+    let least = if words == 1 {
+        encodings.iter().min().map(std::slice::from_ref)
+    } else {
+        encodings.chunks_exact(words).min()
+    };
+    least.expect("the automorphism set holds the identity")
 }
 
 pub(crate) fn is_target<P: Program>(
@@ -376,6 +390,30 @@ struct NewState<B> {
     safe: bool,
 }
 
+/// The edges a worker keys before it looks their successors up: it
+/// resolves its batch after the first parent that brings it to this many,
+/// and when its slice ends.
+pub(crate) const BATCH_EDGES: usize = 96;
+
+/// Edges a worker has keyed but not yet looked up, in edge order: each
+/// successor's key, as-reached encoding and bookkeeping.
+struct Batch<B> {
+    keys: Packed,
+    reached: Packed,
+    bookkeeping: Vec<B>,
+    /// Per key, its number in the global table as the layer began, if that
+    /// held it.
+    found: Vec<Option<u32>>,
+}
+
+impl<B> Batch<B> {
+    fn push(&mut self, key: &[u64], reached: &[u64], bookkeeping: B) {
+        self.keys.push(key);
+        self.reached.push(reached);
+        self.bookkeeping.push(bookkeeping);
+    }
+}
+
 /// Expansion of one contiguous frontier slice: rows in parent-major,
 /// choice-minor order, plus the locally new states in discovery order.
 struct SliceExpansion<B> {
@@ -393,38 +431,44 @@ struct SliceExpansion<B> {
     new_states: Vec<NewState<B>>,
 }
 
-impl<B> SliceExpansion<B> {
-    /// Appends the edge to the state keyed `key` — known in the global
-    /// table `frozen` at layer start, or one of this slice's new states —
-    /// and returns whether the key is new here, in which case the caller
-    /// records the state.
-    ///
-    /// The slice's own table is probed first: a key it holds was missing
-    /// from `frozen` when it was inserted.
-    #[inline]
-    fn push_edge(&mut self, frozen: &KeyTable, key: &[u64]) -> bool {
-        let (succ, new) = match self.keys.find(key, 0) {
-            Ok(local) => (self.local_number(frozen, local), false),
-            Err(vacant) => match frozen.get(key) {
-                Some(idx) => (idx, false),
+impl<B: Bookkeeping> SliceExpansion<B> {
+    /// Appends the edges of `batch` in order, and empties it.  The global
+    /// table `frozen` is read-only during a layer, so all the batch's keys
+    /// are looked up in it at once.  A key it lacks is looked up in this
+    /// slice's own table and inserted there when missing, in edge order,
+    /// so the new states are numbered in discovery order.  A new state is
+    /// flagged from its as-reached encoding, decoded into `scratch`.
+    fn resolve<P: Program>(
+        &mut self,
+        shared: &Shared<'_, P, B>,
+        frozen: &KeyTable,
+        batch: &mut Batch<B>,
+        scratch: &mut EngineState<P>,
+    ) {
+        frozen.get_batch(&batch.keys, &mut batch.found);
+        for (i, bookkeeping) in batch.bookkeeping.drain(..).enumerate() {
+            let succ = match batch.found[i] {
+                Some(global) => global,
                 None => {
-                    let local = self.keys.insert_at(vacant, key);
-                    (self.local_number(frozen, local), true)
+                    let key = batch.keys.get(i);
+                    let local = match self.keys.find(key, 0) {
+                        Ok(local) => local,
+                        Err(vacant) => {
+                            let reached = batch.reached.get(i);
+                            scratch.decode_from(shared.codec, reached);
+                            self.new_states.push(shared.new_state(scratch, bookkeeping));
+                            self.reached.push(reached);
+                            self.keys.insert_at(vacant, key)
+                        }
+                    };
+                    u32::try_from(frozen.len() + local as usize)
+                        .expect("state numbers exceed the u32 range")
                 }
-            },
-        };
-        self.succs.push(succ);
-        new
-    }
-
-    /// The number an edge to this slice's new state `local` carries.
-    fn local_number(&self, frozen: &KeyTable, local: u32) -> u32 {
-        u32::try_from(frozen.len() + local as usize).expect("state numbers exceed the u32 range")
-    }
-
-    fn discover(&mut self, reached: &[u64], new_state: NewState<B>) {
-        self.reached.push(reached);
-        self.new_states.push(new_state);
+            };
+            self.succs.push(succ);
+        }
+        batch.keys.clear();
+        batch.reached.clear();
     }
 }
 
@@ -506,6 +550,12 @@ where
         reached: Packed::new(),
         new_states: Vec::new(),
     };
+    let mut batch = Batch {
+        keys: Packed::new(),
+        reached: Packed::new(),
+        bookkeeping: Vec::new(),
+        found: Vec::new(),
+    };
     for i in slice {
         let reached = frontier.reached.get(i);
         parent.decode_from(codec, reached);
@@ -533,10 +583,7 @@ where
                             &mut encodings,
                         );
                         shared.key(&encodings, words, &next, &mut key);
-                        if out.push_edge(frozen, &key) {
-                            let new_state = shared.new_state(post, next.clone());
-                            out.discover(&encodings[..words], new_state);
-                        }
+                        batch.push(&key, &encodings[..words], next.clone());
                     },
                 );
             }
@@ -548,17 +595,18 @@ where
                 if let Some(next) = bookkeeping.crashed(shared.bound, victim, n) {
                     probs.push(1.0);
                     shared.key(&parent_encodings, parent_words, &next, &mut key);
-                    if out.push_edge(frozen, &key) {
-                        // A crash leaves the state as it is, so the successor
-                        // shares the (non-target) parent's encodings and flags.
-                        let new_state = shared.new_state(&parent, next);
-                        out.discover(&parent_encodings[..parent_words], new_state);
-                    }
+                    // A crash leaves the state as it is, so the successor
+                    // shares the parent's encodings.
+                    batch.push(&key, &parent_encodings[..parent_words], next);
                 }
                 out.rows.push(out.shapes.intern(&probs));
             }
         }
+        if batch.keys.len() >= BATCH_EDGES {
+            out.resolve(shared, frozen, &mut batch, &mut post);
+        }
     }
+    out.resolve(shared, frozen, &mut batch, &mut post);
     out
 }
 
@@ -794,6 +842,10 @@ where
         for result in results {
             let mut local_to_global: Vec<u32> = Vec::with_capacity(result.new_states.len());
             for (local, new_state) in result.new_states.into_iter().enumerate() {
+                if local % LOOKAHEAD == 0 {
+                    let ahead = local..result.keys.len().min(local + LOOKAHEAD);
+                    index_of_key.load_homes(ahead.map(|i| result.keys.key(i as u32)));
+                }
                 let key = result.keys.key(local as u32);
                 let global = match index_of_key.find(key, first_new) {
                     Ok(idx) => idx,
@@ -972,29 +1024,47 @@ mod tests {
         assert_eq!(reduced.automorphisms.len(), 3);
     }
 
+    /// Builds at every thread count are the same model, field for field.
+    /// A ring-3 LR1 layer is smaller than one lookup batch; ring-4 GDP1's
+    /// layers span many, so batches cross parents and every slice resolves
+    /// many of them.
     #[test]
     fn models_are_bitwise_identical_across_thread_counts() {
-        let ring = classic_ring(3).unwrap();
-        for class in [
-            AdversaryClass::Fair,
-            AdversaryClass::KBounded { k: 2 },
-            AdversaryClass::CrashStop { max_crashes: 1 },
-        ] {
+        let (ring3, ring4) = (classic_ring(3).unwrap(), classic_ring(4).unwrap());
+        let (fair, kbounded) = (AdversaryClass::Fair, AdversaryClass::KBounded { k: 2 });
+        let crash = AdversaryClass::CrashStop { max_crashes: 1 };
+        let cases = [
+            (&ring3, AlgorithmKind::Lr1, fair, 200_000),
+            (&ring3, AlgorithmKind::Lr1, kbounded, 200_000),
+            (&ring3, AlgorithmKind::Lr1, crash, 200_000),
+            (&ring4, AlgorithmKind::Gdp1, fair, 200_000),
+            (&ring4, AlgorithmKind::Gdp1, crash, 20_000),
+        ];
+        for (topology, kind, class, budget) in cases {
+            let program = kind.program();
             let build = |threads: usize| {
-                let options = options(true).with_class(class).with_threads(threads);
-                build_mdp(&ring, &Lr1::new(), CheckTarget::Progress, &options)
+                let options = options(true)
+                    .with_class(class)
+                    .with_threads(threads)
+                    .with_max_states(budget);
+                build_mdp(topology, &program, CheckTarget::Progress, &options)
             };
             let serial = build(1);
-            for threads in [2usize, 4, 7] {
+            for threads in [2usize, 3, 7] {
                 let parallel = build(threads);
-                assert_eq!(serial.num_states, parallel.num_states);
-                assert_eq!(serial.target, parallel.target);
-                assert_eq!(serial.expanded, parallel.expanded);
+                let context = format!(
+                    "{kind} on {}, {class:?}, {threads} threads",
+                    topology.summary()
+                );
+                assert_eq!(serial.num_states, parallel.num_states, "{context}");
+                assert_eq!(serial.target, parallel.target, "{context}");
+                assert_eq!(serial.expanded, parallel.expanded, "{context}");
+                assert_eq!(serial.truncated, parallel.truncated, "{context}");
+                assert_eq!(serial.safety_violations, parallel.safety_violations);
                 assert_eq!(serial.fairness_requirement, parallel.fairness_requirement);
-                assert_eq!(serial.keys, parallel.keys);
-                assert_eq!(serial.state_offsets, parallel.state_offsets);
-                assert_eq!(serial.succs, parallel.succs);
-                let context = format!("{class:?}, {threads} threads");
+                assert_eq!(serial.keys, parallel.keys, "{context}");
+                assert_eq!(serial.state_offsets, parallel.state_offsets, "{context}");
+                assert_eq!(serial.succs, parallel.succs, "{context}");
                 assert_eq!(serial.row_shapes, parallel.row_shapes, "{context}");
                 assert_eq!(serial.shapes, parallel.shapes, "{context}");
             }
@@ -1150,7 +1220,8 @@ mod tests {
     /// The exact encoding over every state of small builds: request lists
     /// and guest books (GDP2/LR2 lockout; a ring-3 key fits one word, a
     /// ring-4 tail crosses into a second), product keys (k-bounded,
-    /// crash-stop) and keys of more than one word (ring-7).  Every
+    /// crash-stop), keys of more than one word (ring-7) and the one-word,
+    /// tail-free keys of the ring-5 GDP1 check.  Every
     /// successor's encodings built from its parent's
     /// (`encode_successor`, the build's keys), and every state's encodings
     /// relabelled from its own (`relabel`, the build's parents), equal
@@ -1158,7 +1229,7 @@ mod tests {
     #[test]
     fn state_encoding_is_exact_over_every_state_of_small_builds() {
         let (ring3, ring4) = (classic_ring(3).unwrap(), classic_ring(4).unwrap());
-        let ring7 = classic_ring(7).unwrap();
+        let (ring5, ring7) = (classic_ring(5).unwrap(), classic_ring(7).unwrap());
         let lockout = CheckTarget::PhilosopherEats(PhilosopherId::new(0));
         let progress = CheckTarget::Progress;
         let fair = AdversaryClass::Fair;
@@ -1189,6 +1260,8 @@ mod tests {
                 false,
             ),
             (&ring7, AlgorithmKind::Gdp1, progress, fair, 5_000, 0, true),
+            // 5 × (3 + 3) + 5 × 4 = 50 bits.
+            (&ring5, AlgorithmKind::Gdp1, progress, fair, 2_000, 0, false),
         ];
         for (topology, kind, target, class, budget, bookkeeping, multiword) in cases {
             let program = kind.program();
@@ -1306,11 +1379,5 @@ mod tests {
                 topology.summary()
             );
         }
-
-        // A ring-5 GDP1 key is one word: 5 × (3 + 3) + 5 × 4 = 50 bits.
-        let ring5 = classic_ring(5).unwrap();
-        let options = BuildOptions::default().with_max_states(2_000);
-        let mdp = build_mdp(&ring5, &Gdp1::new(), CheckTarget::Progress, &options);
-        assert!((0..mdp.num_states).all(|i| mdp.keys().get(i).len() == 1));
     }
 }

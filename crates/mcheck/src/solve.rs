@@ -22,9 +22,9 @@
 //! deadlock is the degenerate case: a single state where every
 //! philosopher's step self-loops.)  The solver computes the maximal
 //! end-component decomposition of the non-target fragment with the
-//! standard SCC-refinement algorithm, dropping each round the components
-//! that cannot hold a fair end component, keeps the fair ones — the **fair
-//! cores** — and concludes:
+//! standard SCC-refinement algorithm, dropping each round the states that
+//! no fair end component can hold; what survives is the union of the fair
+//! end components — the **fair cores** — and the solver concludes:
 //!
 //! * no fair core (and the model untruncated) certifies `V(initial) = 1`
 //!   **exactly** — no fixed-point iteration, no rounding;
@@ -238,8 +238,8 @@ fn strongly_connected_components(mdp: &Mdp, live: &Bits, enabled: &Bits) -> (Vec
     (index, next_component)
 }
 
-/// The fair-core analysis: maximal end components of the non-target
-/// fragment, kept when they schedule every philosopher.
+/// The fair-core analysis: the states of the non-target fragment that a
+/// fair end component holds.
 struct FairCores {
     /// States of *genuine* fair end components, proved inside the expanded
     /// fragment — refutations built on these are valid even when the model
@@ -285,20 +285,17 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
 
     // Standard MEC refinement: SCCs of the enabled sub-graph; disable
     // choices that leave their component; drop states with no enabled
-    // choice; repeat until stable.  The last round changed nothing, so its
-    // components are the end components.
+    // choice; repeat until stable.
     //
-    // Each round also drops every component that cannot hold a fair end
-    // component: one whose enabled choices miss a choice that every one of
-    // its states requires.  Any end component lies inside one component of
-    // the round, keeps its rows enabled, and is fair only if it enables
-    // every choice its own states require.  The choices *every* state of
-    // the component requires are among those, whichever states the end
-    // component holds; the choices *some* state requires need not be, as
-    // that state may lie outside it.  So the prune uses the intersection
-    // of the states' requirements, not their union, and drops no fair end
-    // component: the fair cores come out as without it, in fewer rounds.
-    let (component, coverage) = loop {
+    // Each round also drops every state whose own requirement its component
+    // does not cover.  A fair end component that holds state `s` enables
+    // every choice `s` requires, and it lies inside `s`'s component of the
+    // round with its rows enabled; so if that component misses a choice `s`
+    // requires, no fair end component holds `s`.  Once a round changes
+    // nothing, each component is an end component that enables every
+    // choice each of its states requires: the surviving states are the
+    // fair cores.
+    loop {
         let (component, num_components) = strongly_connected_components(mdp, &live, &enabled);
         let mut coverage = Coverage::new(num_components as usize, n_choices, masks.is_some());
         let mut changed = false;
@@ -306,7 +303,6 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
             if !live.get(s) {
                 continue;
             }
-            let own = component[s] as usize;
             let mut any_enabled = false;
             for (c, (succs, _)) in mdp.rows(s as u32).enumerate() {
                 let row = s * n_choices + c;
@@ -321,24 +317,23 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
                     changed = true;
                 } else {
                     any_enabled = true;
-                    coverage.enable(own, c);
+                    coverage.enable(component[s] as usize, c);
                 }
             }
             if !any_enabled {
                 live.clear(s);
                 changed = true;
-            } else if let Some(masks) = masks {
-                coverage.require(own, masks[s]);
             }
         }
         for (s, &own) in component.iter().enumerate() {
-            if live.get(s) && !coverage.may_hold_fair(own as usize) {
+            let required = masks.map_or(coverage.every.as_slice(), |masks| &masks[s..=s]);
+            if live.get(s) && !coverage.covers(own as usize, required) {
                 live.clear(s);
                 changed = true;
             }
         }
         if !changed {
-            break (component, coverage);
+            break;
         }
         // A state that died invalidates choices pointing at it.
         for s in 0..n_states {
@@ -352,19 +347,13 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
                 }
             }
         }
-    };
+    }
 
-    // Fairness filter: an end component is a fair core iff every choice
-    // the fairness requirement names for its member states is enabled
-    // somewhere in the component (all outcomes inside).  For unrestricted
-    // models the requirement is "every philosopher"; restricted models
-    // ([`Mdp::fairness_requirement`]) narrow it — e.g. under crash-stop
-    // faults only the surviving philosophers must keep being scheduled.
     let mut genuine = vec![false; n_states];
     let mut conservative = vec![false; n_states];
     let mut genuine_states = 0usize;
     for s in 0..n_states {
-        if live.get(s) && coverage.is_fair(component[s] as usize) {
+        if live.get(s) {
             genuine[s] = true;
             conservative[s] = true;
             genuine_states += 1;
@@ -381,13 +370,12 @@ fn fair_cores(mdp: &Mdp) -> FairCores {
     }
 }
 
-/// What the components of one refinement round enable, and what their
-/// states require: every choice in an unrestricted model, the states'
-/// fairness masks ([`Mdp::fairness_requirement`]) in a restricted one.
+/// The choices the components of one refinement round enable.
 ///
 /// Choice sets are `words` 64-bit words wide, so any number of
-/// philosophers fits; a restricted model's masks are one word (its product
-/// build caps the philosopher count).
+/// philosophers fits; a restricted model's fairness masks
+/// ([`Mdp::fairness_requirement`]) are one word (its product build caps the
+/// philosopher count).
 struct Coverage {
     words: usize,
     /// Per component, `words` words: the choices enabled in it.
@@ -395,29 +383,18 @@ struct Coverage {
     /// Every choice, `words` words: what each state of an unrestricted
     /// model requires.
     every: Vec<u64>,
-    /// Per component of a restricted model (empty in an unrestricted one):
-    /// the intersection of its states' masks, the choices every one of
-    /// them requires.
-    shared: Vec<u64>,
-    /// Per component of a restricted model (empty in an unrestricted one):
-    /// the union of its states' masks, the choices some state of it
-    /// requires.
-    union: Vec<u64>,
 }
 
 impl Coverage {
     fn new(components: usize, n_choices: usize, masked: bool) -> Self {
         let words = n_choices.div_ceil(64);
         assert!(!masked || words == 1, "fairness masks are one word");
-        let masks = if masked { components } else { 0 };
         Coverage {
             words,
             covered: vec![0; components * words],
             every: (0..words)
                 .map(|w| u64::MAX >> (64 - (n_choices - 64 * w).min(64)))
                 .collect(),
-            shared: vec![u64::MAX; masks],
-            union: vec![0; masks],
         }
     }
 
@@ -426,36 +403,10 @@ impl Coverage {
         self.covered[component * self.words + c / 64] |= 1 << (c % 64);
     }
 
-    /// Records a state of `component` whose fairness mask is `mask`.
-    fn require(&mut self, component: usize, mask: u64) {
-        self.shared[component] &= mask;
-        self.union[component] |= mask;
-    }
-
     /// Whether `component` enables every choice in `required`.
     fn covers(&self, component: usize, required: &[u64]) -> bool {
         let covered = &self.covered[component * self.words..][..self.words];
         covered.iter().zip(required).all(|(c, r)| c & r == *r)
-    }
-
-    /// Whether `component` may hold a fair end component: it enables every
-    /// choice that all its states require.
-    fn may_hold_fair(&self, component: usize) -> bool {
-        if self.shared.is_empty() {
-            self.covers(component, &self.every)
-        } else {
-            self.covers(component, &self.shared[component..=component])
-        }
-    }
-
-    /// Whether `component`, an end component, is fair: it enables every
-    /// choice some state of it requires.
-    fn is_fair(&self, component: usize) -> bool {
-        if self.union.is_empty() {
-            self.covers(component, &self.every)
-        } else {
-            self.covers(component, &self.union[component..=component])
-        }
     }
 }
 
@@ -662,7 +613,10 @@ mod tests {
     }
 
     /// The refinement loop without the prune: SCC rounds until nothing
-    /// changes, then the fairness filter over the end components.
+    /// changes, then the fairness filter over the maximal end components.
+    /// It judges each of them whole, so it is exact only while every state
+    /// of one requires the same choices, as in the three adversary
+    /// classes.
     fn reference_fair_cores(mdp: &Mdp) -> FairCores {
         let n_states = mdp.num_states;
         let n_choices = mdp.num_choices;
@@ -805,8 +759,9 @@ mod tests {
         }
     }
 
-    /// The prune drops only components that hold no fair end component, so
-    /// the fair cores come out as the plain refinement finds them.  The
+    /// The prune drops only states that no fair end component holds, so on
+    /// models whose requirements are constant inside each component the
+    /// fair cores come out as the plain refinement finds them.  The
     /// models: rings of 3 and 4 under five algorithms, both targets and
     /// every adversary class, and theta graphs of 4 and 5 philosophers and
     /// a shared ring under all fair schedulers.  Each is built at budgets
@@ -869,11 +824,11 @@ mod tests {
         assert_eq!(with_cores, 49, "models with fair cores");
     }
 
-    /// The prune keeps a component while it enables every choice that
-    /// *every* state of it requires.  Here state 1 shares a component with
-    /// state 0 and requires choice 1, which the component never keeps
-    /// inside, yet state 0 alone is a fair end component: a prune by what
-    /// *some* state requires would drop it.
+    /// The prune drops states, not whole components.  Here state 1 shares
+    /// a component with state 0 and requires choice 1, which the component
+    /// never keeps inside, yet state 0 alone is a fair end component:
+    /// dropping the component by what *some* state of it requires would
+    /// lose it.
     #[test]
     fn the_prune_keeps_fair_end_components_of_mixed_components() {
         // State 0: choice 0 loops, choice 1 goes to states 1 and 2 with
@@ -891,6 +846,27 @@ mod tests {
         assert_eq!(plain.genuine, [true, false, false]);
         assert_eq!(pruned.genuine, plain.genuine);
         assert_eq!(pruned.conservative, plain.conservative);
+    }
+
+    /// Requirements that vary inside a maximal end component.  State 1
+    /// requires choice 2, which is never enabled, so no fair end component
+    /// holds it; state 0 requires only choice 0, and with its loop alone it
+    /// is a fair end component.  The reference judges {0, 1} whole by what
+    /// some state of it requires, and finds no fair core.
+    #[test]
+    fn fair_cores_are_exact_when_requirements_vary_inside_a_component() {
+        // State 0: choice 0 loops, choice 1 goes to state 1, choice 2 is
+        // disallowed.  State 1: choice 0 returns to state 0, choices 1 and
+        // 2 are disallowed.
+        let mdp = Mdp::from_rows(
+            &[&[&[(0, 1.0)], &[(1, 1.0)], &[]], &[&[(0, 1.0)], &[], &[]]],
+            Some(vec![0b001, 0b100]),
+        );
+        let cores = fair_cores(&mdp);
+        assert_eq!(cores.genuine, [true, false]);
+        assert_eq!(cores.genuine_states, 1);
+        assert_eq!(cores.conservative, cores.genuine);
+        assert_eq!(reference_fair_cores(&mdp).genuine, [false, false]);
     }
 
     #[test]

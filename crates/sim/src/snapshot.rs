@@ -271,8 +271,10 @@ impl<P: Program> EngineState<P> {
     ///
     /// A step changes only the stepping philosopher's private state and its
     /// two forks, so each encoding is its parent's fixed-width part with
-    /// those three fields rewritten, followed by the tail.  The result equals
-    /// `encode`'s word for word; for any other pair of states it is
+    /// those three fields rewritten, followed by the tail.  An encoding of
+    /// one word with no tail (every ring-5 GDP1 state) is built in a
+    /// register, its three fields replaced by mask and shift.  The result
+    /// equals `encode`'s word for word; for any other pair of states it is
     /// meaningless.
     ///
     /// # Panics
@@ -294,7 +296,6 @@ impl<P: Program> EngineState<P> {
         );
         let (words, tail) = codec.words(&self.forks);
         let fixed = codec.fixed_bits();
-        let (whole, partial) = (fixed / 64, fixed % 64);
         let p = philosopher.index();
         let [left, right] = codec.ends[p].as_array().map(|fork| {
             let f = fork.index();
@@ -302,6 +303,23 @@ impl<P: Program> EngineState<P> {
             (f, holder, nr)
         });
         let code = codec.code_of(&self.states[p]);
+        if words == 1 && !tail {
+            let hb = codec.holder_bits;
+            let fixed_mask = low_bits(fixed as u32);
+            let fork_mask = low_bits(hb + codec.nr_bits);
+            let code_mask = low_bits(codec.code_bits);
+            let frames = codec.frames.iter().zip(parent.chunks_exact(parent_words));
+            out.extend(frames.map(|(frame, from)| {
+                let mut word = from[0] & fixed_mask;
+                for (f, holder, nr) in [left, right] {
+                    let value = frame.holders[holder as usize] | nr << hb;
+                    word = replace(word, frame.fork_at[f], fork_mask, value);
+                }
+                replace(word, frame.code_at[p], code_mask, code)
+            }));
+            return 1;
+        }
+        let (whole, partial) = (fixed / 64, fixed % 64);
         let base = out.len();
         out.resize(base + words * codec.frames.len(), 0);
         let encodings = out[base..].chunks_exact_mut(words);
@@ -729,6 +747,23 @@ fn count(len: usize, width: u32, fork: usize) -> u64 {
     len
 }
 
+/// A mask of the low `width` bits.
+fn low_bits(width: u32) -> u64 {
+    if width == 0 {
+        0
+    } else {
+        u64::MAX >> (64 - width)
+    }
+}
+
+/// `word` with the field `mask` covers, shifted to bit offset `at`,
+/// replaced by `value`: [`put`] on a one-word encoding.  (A field of width
+/// 0 may sit at bit 64; its mask and value are 0, so the shift may wrap.)
+fn replace(word: u64, at: usize, mask: u64, value: u64) -> u64 {
+    let at = at as u32;
+    word & !mask.wrapping_shl(at) | value.wrapping_shl(at)
+}
+
 /// Writes the `width`-bit `value` into `words` at bit offset `at`, over
 /// whatever the field held.
 fn put(words: &mut [u64], at: usize, width: u32, value: u64) {
@@ -736,7 +771,7 @@ fn put(words: &mut [u64], at: usize, width: u32, value: u64) {
     if width == 0 {
         return;
     }
-    let mask = u64::MAX >> (64 - width);
+    let mask = low_bits(width);
     let (word, bit) = (at / 64, (at % 64) as u32);
     words[word] = words[word] & !(mask << bit) | value << bit;
     if bit + width > 64 {
@@ -755,9 +790,5 @@ fn get(words: &[u64], at: usize, width: u32) -> u64 {
     if bit + width > 64 {
         value |= words[word + 1] << (64 - bit);
     }
-    if width < 64 {
-        value & ((1 << width) - 1)
-    } else {
-        value
-    }
+    value & low_bits(width)
 }
