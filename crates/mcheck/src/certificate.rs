@@ -15,14 +15,6 @@ use gdp_sim::SimConfig;
 use gdp_topology::Topology;
 use std::fmt::Write as _;
 
-/// The `hunger` value of every certificate: a scheduled thinking philosopher
-/// becomes hungry.
-const HUNGER: &str = "always";
-
-/// The `left_bias` value of every certificate: the bits of the fair coin's
-/// 0.5.
-const LEFT_BIAS_BITS: &str = "3fe0000000000000";
-
 /// The overall verdict of a check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
@@ -165,177 +157,6 @@ impl Certificate {
         }
     }
 
-    /// Encodes the certificate as its stable **storage codec**: one
-    /// `field value` line per field, in a fixed order, with every `f64`
-    /// persisted as its 16-hex-digit bit pattern (so decoding restores the
-    /// exact bits, never a rounded re-parse).  This is the payload format
-    /// of certificate records in the scenario cell store; like
-    /// [`render`](Self::render) it is byte-reproducible, but unlike the
-    /// human rendering it is lossless and strictly machine-parseable.
-    ///
-    /// The `hunger` and `left_bias` lines are constants (`always` and the
-    /// bits of 0.5): the model is fixed, and the lines keep the record
-    /// format of stores written while it was configurable.
-    ///
-    /// [`decode`](Self::decode) is the exact inverse:
-    /// `decode(&encode(c)) == Ok(c)` for every certificate, and
-    /// re-encoding a decoded certificate is a fixed point.
-    #[must_use]
-    pub fn encode(&self) -> String {
-        fn opt(value: Option<&str>) -> String {
-            match value {
-                Some(text) => format!("some {text}"),
-                None => "none".to_string(),
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "system {}", self.system);
-        let _ = writeln!(out, "algorithm {}", self.algorithm);
-        let _ = writeln!(out, "target {}", self.target);
-        let _ = writeln!(
-            out,
-            "adversary_class {}",
-            opt(self.adversary_class.as_deref())
-        );
-        let _ = writeln!(out, "hunger {HUNGER}");
-        let _ = writeln!(out, "left_bias {LEFT_BIAS_BITS}");
-        let _ = writeln!(out, "nr_range {}", self.nr_range);
-        let _ = writeln!(out, "symmetry_group {}", self.symmetry_group);
-        let _ = writeln!(out, "states {}", self.states);
-        let _ = writeln!(out, "transitions {}", self.transitions);
-        let _ = writeln!(out, "truncated {}", self.truncated);
-        let _ = writeln!(out, "safety_violations {}", self.safety_violations);
-        let _ = writeln!(out, "deadlock_states {}", self.deadlock_states);
-        let _ = writeln!(out, "fair_core_states {}", self.fair_core_states);
-        let _ = writeln!(out, "probability {:016x}", self.probability.to_bits());
-        let _ = writeln!(out, "certified_probability {}", self.certified_probability);
-        let _ = writeln!(out, "iterations {}", self.iterations);
-        let _ = writeln!(
-            out,
-            "expected_steps {}",
-            match self.expected_steps {
-                Some(steps) => format!("{:016x}", steps.to_bits()),
-                None => "none".to_string(),
-            }
-        );
-        let _ = writeln!(
-            out,
-            "counterexample {}",
-            opt(self.counterexample.as_deref())
-        );
-        out
-    }
-
-    /// The number of lines [`encode`](Self::encode) always produces: the
-    /// codec is fixed-shape, so decoders of certificate *lists* can consume
-    /// exactly this many lines per certificate.
-    pub const ENCODED_LINES: usize = 19;
-
-    /// Parses the storage codec of [`encode`](Self::encode) back into a
-    /// certificate.  Parsing is strict — fixed field order, no missing or
-    /// extra lines, 16-hex-digit `f64` bit patterns — so a torn or
-    /// hand-edited payload is rejected rather than guessed at.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first offending field, including a
-    /// `hunger` or `left_bias` line other than the fixed model's.
-    pub fn decode(encoded: &str) -> Result<Certificate, String> {
-        let mut lines = encoded.lines();
-        let mut field = |name: &str| -> Result<String, String> {
-            let line = lines
-                .next()
-                .ok_or_else(|| format!("certificate truncated before field {name:?}"))?;
-            let (key, value) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("malformed certificate line {line:?}"))?;
-            if key != name {
-                return Err(format!(
-                    "expected certificate field {name:?}, found {key:?}"
-                ));
-            }
-            Ok(value.to_string())
-        };
-        fn int<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
-            value
-                .parse()
-                .map_err(|_| format!("certificate field {name:?} has invalid value {value:?}"))
-        }
-        fn bits(name: &str, value: &str) -> Result<f64, String> {
-            let raw = u64::from_str_radix(value, 16).map_err(|_| {
-                format!("certificate field {name:?} has invalid f64 bits {value:?}")
-            })?;
-            if value.len() != 16 {
-                return Err(format!(
-                    "certificate field {name:?} has invalid f64 bits {value:?}"
-                ));
-            }
-            Ok(f64::from_bits(raw))
-        }
-        fn opt(name: &str, value: &str) -> Result<Option<String>, String> {
-            match value {
-                "none" => Ok(None),
-                other => other
-                    .strip_prefix("some ")
-                    .map(|text| Some(text.to_string()))
-                    .ok_or_else(|| {
-                        format!("certificate field {name:?} has invalid optional {value:?}")
-                    }),
-            }
-        }
-
-        let system = field("system")?;
-        let algorithm = field("algorithm")?;
-        let target = field("target")?;
-        let adversary_class = opt("adversary_class", &field("adversary_class")?)?;
-        for (name, fixed) in [("hunger", HUNGER), ("left_bias", LEFT_BIAS_BITS)] {
-            let value = field(name)?;
-            if value != fixed {
-                return Err(format!(
-                    "certificate field {name:?} has {value:?}, not the model's {fixed:?}"
-                ));
-            }
-        }
-        let nr_range = int("nr_range", &field("nr_range")?)?;
-        let symmetry_group = int("symmetry_group", &field("symmetry_group")?)?;
-        let states = int("states", &field("states")?)?;
-        let transitions = int("transitions", &field("transitions")?)?;
-        let truncated = int("truncated", &field("truncated")?)?;
-        let safety_violations = int("safety_violations", &field("safety_violations")?)?;
-        let deadlock_states = int("deadlock_states", &field("deadlock_states")?)?;
-        let fair_core_states = int("fair_core_states", &field("fair_core_states")?)?;
-        let probability = bits("probability", &field("probability")?)?;
-        let certified_probability = int("certified_probability", &field("certified_probability")?)?;
-        let iterations = int("iterations", &field("iterations")?)?;
-        let expected_steps = match field("expected_steps")?.as_str() {
-            "none" => None,
-            value => Some(bits("expected_steps", value)?),
-        };
-        let counterexample = opt("counterexample", &field("counterexample")?)?;
-        if lines.next().is_some() {
-            return Err("certificate has trailing lines".to_string());
-        }
-        Ok(Certificate {
-            system,
-            algorithm,
-            target,
-            adversary_class,
-            nr_range,
-            symmetry_group,
-            states,
-            transitions,
-            truncated,
-            safety_violations,
-            deadlock_states,
-            fair_core_states,
-            probability,
-            certified_probability,
-            iterations,
-            expected_steps,
-            counterexample,
-        })
-    }
-
     /// Renders the certificate as its stable multi-line text form.
     #[must_use]
     pub fn render(&self) -> String {
@@ -349,7 +170,7 @@ impl Certificate {
         }
         let _ = writeln!(
             out,
-            "model:             hunger={HUNGER} left-bias=0.5 nr-range={}",
+            "model:             hunger=always left-bias=0.5 nr-range={}",
             self.nr_range
         );
         let _ = writeln!(
@@ -441,55 +262,5 @@ mod tests {
         let a = gdp1_ring3_certificate().render();
         let b = gdp1_ring3_certificate().render();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn the_storage_codec_round_trips_and_is_a_fixed_point() {
-        let mut certificate = gdp1_ring3_certificate();
-        certificate.adversary_class = Some("fair schedulers with up to 1 crash-stop".to_string());
-        certificate.expected_steps = Some(7.25);
-        certificate.counterexample = Some("12 steps against \"ring\" (seed 3, lasso)".to_string());
-        let encoded = certificate.encode();
-        assert_eq!(encoded.lines().count(), Certificate::ENCODED_LINES);
-        let decoded = Certificate::decode(&encoded).unwrap();
-        assert_eq!(decoded, certificate);
-        assert_eq!(decoded.encode(), encoded);
-        assert_eq!(decoded.render(), certificate.render());
-    }
-
-    #[test]
-    fn the_storage_codec_preserves_exact_f64_bits() {
-        let mut certificate = gdp1_ring3_certificate();
-        certificate.probability = 0.1 + 0.2; // not representable as a short decimal
-        certificate.certified_probability = false;
-        let decoded = Certificate::decode(&certificate.encode()).unwrap();
-        assert_eq!(
-            decoded.probability.to_bits(),
-            certificate.probability.to_bits()
-        );
-    }
-
-    #[test]
-    fn the_storage_codec_rejects_torn_and_tampered_payloads() {
-        let encoded = gdp1_ring3_certificate().encode();
-        // Truncation after any line prefix is rejected.
-        let torn: String = encoded.lines().take(7).collect::<Vec<_>>().join("\n");
-        assert!(Certificate::decode(&torn).is_err());
-        // Reordered fields are rejected.
-        let mut lines: Vec<&str> = encoded.lines().collect();
-        lines.swap(0, 1);
-        assert!(Certificate::decode(&lines.join("\n")).is_err());
-        // Trailing junk is rejected.
-        assert!(Certificate::decode(&format!("{encoded}extra line\n")).is_err());
-        // A corrupted f64 bit pattern is rejected, not guessed at.
-        let tampered = encoded.replace("probability ", "probability zz");
-        assert!(Certificate::decode(&tampered).is_err());
-        // The model lines hold the one model: any other hunger or coin is
-        // rejected.
-        assert!(encoded.contains("\nhunger always\nleft_bias 3fe0000000000000\n"));
-        let hungry = encoded.replace("hunger always", "hunger bernoulli(0.5)");
-        assert!(Certificate::decode(&hungry).is_err());
-        let biased = encoded.replace("left_bias 3fe0000000000000", "left_bias 3fd0000000000000");
-        assert!(Certificate::decode(&biased).is_err());
     }
 }

@@ -16,7 +16,7 @@
 use crate::table::DiningTable;
 use gdp_algorithms::{AlgorithmKind, AnyProgram, AnyState};
 use gdp_observe::{Event, SharedSink};
-use gdp_sim::{Action, Phase, Program, ProgramObservation, StepCtx};
+use gdp_sim::{record_step_events, Action, Phase, Program, ProgramObservation, StepCtx};
 use gdp_topology::{ForkEnds, ForkId, PhilosopherId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -86,13 +86,13 @@ impl Seat {
 
     /// Attaches (or detaches, with `None`) a structured-event sink.
     ///
-    /// Each subsequent [`step_once`](Seat::step_once) emits one
-    /// [`Event::Schedule`] plus at most one protocol event (acquire,
-    /// release, meal start/finish), all stamped with this seat's private
-    /// **sequence number** — the runtime's logical clock.  Real threads have
-    /// no global step order, so clocks are only comparable *per actor*;
-    /// merged traces are therefore sorted by `(actor, clock)` and are not
-    /// byte-reproducible across runs (unlike the simulator's).
+    /// Each subsequent [`step_once`](Seat::step_once) records the step's
+    /// events through [`record_step_events`], the simulator's own mapping,
+    /// stamped with this seat's private **sequence number** — the runtime's
+    /// logical clock.  Real threads have no global step order, so clocks are
+    /// only comparable *per actor*; merged traces are therefore sorted by
+    /// `(actor, clock)` and are not byte-reproducible across runs (unlike
+    /// the simulator's).
     pub fn set_event_sink(&mut self, sink: Option<SharedSink>) {
         self.sink = sink;
     }
@@ -229,10 +229,11 @@ impl Seat {
 
         // Phase-transition accounting, mirroring the engine's bookkeeping.
         let phase_after = self.observation().phase;
+        let started_meal = phase_before != Phase::Eating && phase_after == Phase::Eating;
         if phase_before != Phase::Hungry && phase_after == Phase::Hungry {
             self.hungry_since = Some(Instant::now());
         }
-        if phase_before != Phase::Eating && phase_after == Phase::Eating {
+        if started_meal {
             if let Some(since) = self.hungry_since.take() {
                 let nanos = since.elapsed().as_nanos() as u64;
                 self.table.counters(self.me).record_wait_nanos(nanos);
@@ -243,42 +244,10 @@ impl Seat {
             self.table.counters(self.me).record_meal();
         }
 
-        // Structured events, mirroring the simulator's vocabulary: one
-        // schedule event per step plus the action's protocol event, all at
-        // this seat's next sequence number.  Releases folded into
-        // `FinishEating` are not synthesized, exactly as in the simulator.
+        // Structured events at this seat's next sequence number.
         if let Some(sink) = &self.sink {
             self.seq += 1;
-            let clock = self.seq;
-            let actor = self.me.raw();
-            sink.record(&Event::Schedule { clock, actor });
-            match action {
-                Action::TakeFirst {
-                    fork,
-                    success: true,
-                }
-                | Action::TakeSecond {
-                    fork,
-                    success: true,
-                } => sink.record(&Event::Acquire {
-                    clock,
-                    actor,
-                    fork: fork.raw(),
-                }),
-                Action::Release { fork } => sink.record(&Event::Release {
-                    clock,
-                    actor,
-                    fork: fork.raw(),
-                }),
-                Action::FinishEating => sink.record(&Event::MealFinish { clock, actor }),
-                _ => {}
-            }
-            // Eating starts implicitly when the second fork lands (no
-            // algorithm emits a dedicated action), so the meal-start event
-            // comes from the phase transition, as in the simulator.
-            if phase_before != Phase::Eating && phase_after == Phase::Eating {
-                sink.record(&Event::MealStart { clock, actor });
-            }
+            record_step_events(&**sink, self.seq, self.me, action, started_meal);
         }
         action
     }
@@ -465,6 +434,56 @@ mod tests {
         assert_eq!(seat.phase(), Phase::Thinking);
         assert_eq!(seat.meals(), 1);
         assert_eq!(seat.observation().label, "GDP2.1");
+    }
+
+    #[test]
+    fn a_seat_and_the_engine_record_the_same_events() {
+        use gdp_observe::jsonl::encode_event;
+        use gdp_observe::MemorySink;
+        use gdp_sim::{Engine, SimConfig};
+        // Philosopher 0 alone on the 2-ring through one GDP2 meal, the seven
+        // steps above, on each substrate with its own sink.
+        let p0 = PhilosopherId::new(0);
+        let engine_sink = Arc::new(MemorySink::new());
+        let mut engine = Engine::new(
+            classic_ring(2).unwrap(),
+            AlgorithmKind::Gdp2.program(),
+            SimConfig::default(),
+        );
+        engine.set_event_sink(Some(engine_sink.clone()));
+        let seat_sink = Arc::new(MemorySink::new());
+        let table = DiningTable::for_topology(classic_ring(2).unwrap());
+        let mut seat = table.seat(p0);
+        seat.set_event_sink(Some(seat_sink.clone()));
+        for _ in 0..7 {
+            engine.step_philosopher(p0);
+            seat.step_once();
+        }
+        assert_eq!((engine.meals_of(p0), seat.meals()), (1, 1));
+        // Clocks aside (step indices from 0 against sequence numbers from
+        // 1), the two traces are the same events in the same order.
+        let unclocked = |sink: &MemorySink| -> Vec<String> {
+            sink.take()
+                .iter()
+                .map(|event| {
+                    let line = encode_event(event);
+                    let (_clock, rest) = line.split_once(',').expect("a clock field");
+                    rest.to_string()
+                })
+                .collect()
+        };
+        let engine_events = unclocked(&engine_sink);
+        assert_eq!(engine_events, unclocked(&seat_sink));
+        for kind in ["acquire", "meal_start", "meal_finish"] {
+            assert_eq!(
+                engine_events
+                    .iter()
+                    .filter(|event| event.contains(&format!("\"type\":\"{kind}\"")))
+                    .count(),
+                if kind == "acquire" { 2 } else { 1 },
+                "{kind}"
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::family::TopologyFamily;
 use crate::report::{f64_bits, parse_bits, parse_int, payload_field};
+use crate::spec::cell_key;
 use crate::store::{newer_format, stable_digest64, CellStore, Lookup, StoreStats};
 use gdp_algorithms::AlgorithmKind;
 pub use gdp_mcheck::certificate::Verdict as CheckVerdict;
@@ -163,12 +164,7 @@ impl CheckSpec {
     /// shape sweep cells use.
     #[must_use]
     pub fn cell_key(&self) -> String {
-        format!(
-            "{}/n{}/{}",
-            self.family.name(),
-            self.size,
-            self.algorithm.name()
-        )
+        cell_key(self.family, self.size, self.algorithm)
     }
 
     /// The certificate-record **store context**: every option that changes
@@ -418,12 +414,23 @@ pub struct StoredCheck {
     pub certificates: Vec<Certificate>,
 }
 
-/// Serializes one check's certificates as a certificate-record payload:
-/// six derived header fields, then `certificates` fixed-shape blocks of
-/// [`Certificate::ENCODED_LINES`] lines each.  The derived columns are
+/// The two model lines of every certificate in a record, required
+/// verbatim: the model is fixed (a scheduled thinking philosopher becomes
+/// hungry, and the coin is fair, `left_bias` holding the bits of 0.5), and
+/// the lines keep the record format of stores written while it was
+/// configurable.
+const MODEL_LINES: [(&str, &str); 2] = [("hunger", "always"), ("left_bias", "3fe0000000000000")];
+
+/// Serializes one check's certificates as a certificate-record payload: six
+/// derived header fields, then 19 `field value` lines per certificate, in a
+/// fixed order, with every `f64` stored as its [`f64_bits`] and every
+/// optional field as `some <text>` or `none`.  The derived columns are
 /// computed here, from the certificates themselves — the caller cannot
 /// inject a verdict that disagrees with the bytes below it.
 fn encode_check_payload(key: &str, cell: &str, certificates: &[Certificate]) -> String {
+    fn optional(value: Option<&str>) -> String {
+        value.map_or_else(|| "none".to_string(), |text| format!("some {text}"))
+    }
     let mut out = String::new();
     let _ = writeln!(out, "key {key}");
     let _ = writeln!(out, "cell {cell}");
@@ -439,16 +446,48 @@ fn encode_check_payload(key: &str, cell: &str, certificates: &[Certificate]) -> 
         certificates.first().map_or(0, |c| c.states)
     );
     let _ = writeln!(out, "certificates {}", certificates.len());
-    for certificate in certificates {
-        out.push_str(&certificate.encode());
+    for c in certificates {
+        let _ = writeln!(out, "system {}", c.system);
+        let _ = writeln!(out, "algorithm {}", c.algorithm);
+        let _ = writeln!(out, "target {}", c.target);
+        let _ = writeln!(
+            out,
+            "adversary_class {}",
+            optional(c.adversary_class.as_deref())
+        );
+        for (name, value) in MODEL_LINES {
+            let _ = writeln!(out, "{name} {value}");
+        }
+        let _ = writeln!(out, "nr_range {}", c.nr_range);
+        let _ = writeln!(out, "symmetry_group {}", c.symmetry_group);
+        let _ = writeln!(out, "states {}", c.states);
+        let _ = writeln!(out, "transitions {}", c.transitions);
+        let _ = writeln!(out, "truncated {}", c.truncated);
+        let _ = writeln!(out, "safety_violations {}", c.safety_violations);
+        let _ = writeln!(out, "deadlock_states {}", c.deadlock_states);
+        let _ = writeln!(out, "fair_core_states {}", c.fair_core_states);
+        let _ = writeln!(out, "probability {}", f64_bits(c.probability));
+        let _ = writeln!(out, "certified_probability {}", c.certified_probability);
+        let _ = writeln!(out, "iterations {}", c.iterations);
+        let _ = writeln!(
+            out,
+            "expected_steps {}",
+            c.expected_steps
+                .map_or_else(|| "none".to_string(), f64_bits)
+        );
+        let _ = writeln!(
+            out,
+            "counterexample {}",
+            optional(c.counterexample.as_deref())
+        );
     }
     out
 }
 
-/// Parses a certificate-record payload, strictly: fixed field order, a
-/// certificate count matching the trailing blocks exactly, at least one
-/// certificate, and derived columns that agree with the decoded
-/// certificates.
+/// Parses a certificate-record payload, strictly: fixed field order, the
+/// [`MODEL_LINES`] verbatim, exactly `certificates` certificates and no
+/// line after them, at least one certificate, and derived columns that
+/// agree with the decoded certificates.
 pub(crate) fn decode_check_payload(payload: &str) -> Result<StoredCheck, String> {
     let mut lines = payload.lines();
     let mut field = |name: &str| payload_field(&mut lines, name);
@@ -461,18 +500,13 @@ pub(crate) fn decode_check_payload(payload: &str) -> Result<StoredCheck, String>
     if count == 0 {
         return Err("certificate record holds no certificates".to_string());
     }
-    let body: Vec<&str> = lines.collect();
-    if body.len() != count * Certificate::ENCODED_LINES {
-        return Err(format!(
-            "expected {} certificate lines, found {}",
-            count * Certificate::ENCODED_LINES,
-            body.len()
-        ));
+    let mut certificates = Vec::new();
+    for _ in 0..count {
+        certificates.push(decode_certificate(&mut lines)?);
     }
-    let certificates: Vec<Certificate> = body
-        .chunks(Certificate::ENCODED_LINES)
-        .map(|chunk| Certificate::decode(&chunk.join("\n")))
-        .collect::<Result<_, _>>()?;
+    if lines.next().is_some() {
+        return Err("certificate record has trailing lines".to_string());
+    }
     // The derived columns must agree with the certificates they claim to
     // summarize — a tampered verdict can never outvote its own evidence.
     if verdict != overall_verdict(&certificates).name() {
@@ -493,6 +527,69 @@ pub(crate) fn decode_check_payload(payload: &str) -> Result<StoredCheck, String>
         progress_probability,
         states,
         certificates,
+    })
+}
+
+/// Reads the next certificate's 19 lines of an [`encode_check_payload`]
+/// payload.
+fn decode_certificate(lines: &mut std::str::Lines<'_>) -> Result<Certificate, String> {
+    fn optional(name: &str, value: &str) -> Result<Option<String>, String> {
+        match value {
+            "none" => Ok(None),
+            other => other
+                .strip_prefix("some ")
+                .map(|text| Some(text.to_string()))
+                .ok_or_else(|| format!("field {name:?} has invalid optional {value:?}")),
+        }
+    }
+    let mut field = |name: &str| payload_field(lines, name);
+    let system = field("system")?.to_string();
+    let algorithm = field("algorithm")?.to_string();
+    let target = field("target")?.to_string();
+    let adversary_class = optional("adversary_class", field("adversary_class")?)?;
+    for (name, fixed) in MODEL_LINES {
+        let value = field(name)?;
+        if value != fixed {
+            return Err(format!(
+                "field {name:?} has {value:?}, not the model's {fixed:?}"
+            ));
+        }
+    }
+    let nr_range = parse_int("nr_range", field("nr_range")?)?;
+    let symmetry_group = parse_int("symmetry_group", field("symmetry_group")?)?;
+    let states = parse_int("states", field("states")?)?;
+    let transitions = parse_int("transitions", field("transitions")?)?;
+    let truncated = parse_int("truncated", field("truncated")?)?;
+    let safety_violations = parse_int("safety_violations", field("safety_violations")?)?;
+    let deadlock_states = parse_int("deadlock_states", field("deadlock_states")?)?;
+    let fair_core_states = parse_int("fair_core_states", field("fair_core_states")?)?;
+    let probability = parse_bits("probability", field("probability")?)?;
+    let certified_probability =
+        parse_int("certified_probability", field("certified_probability")?)?;
+    let iterations = parse_int("iterations", field("iterations")?)?;
+    let expected_steps = match field("expected_steps")? {
+        "none" => None,
+        value => Some(parse_bits("expected_steps", value)?),
+    };
+    let counterexample = optional("counterexample", field("counterexample")?)?;
+    Ok(Certificate {
+        system,
+        algorithm,
+        target,
+        adversary_class,
+        nr_range,
+        symmetry_group,
+        states,
+        transitions,
+        truncated,
+        safety_violations,
+        deadlock_states,
+        fair_core_states,
+        probability,
+        certified_probability,
+        iterations,
+        expected_steps,
+        counterexample,
     })
 }
 
@@ -892,24 +989,80 @@ mod tests {
     #[test]
     fn the_check_payload_codec_round_trips_and_cross_checks_its_columns() {
         let spec = CheckSpec::new(TopologyFamily::Ring, 4, AlgorithmKind::Gdp1);
-        let report = run_check(&spec).unwrap();
-        let payload =
-            encode_check_payload(&spec.cert_key(), &spec.cell_key(), &report.certificates);
-        let stored = decode_check_payload(&payload).unwrap();
-        assert_eq!(stored.key, spec.cert_key());
-        assert_eq!(stored.cell, spec.cell_key());
-        assert_eq!(stored.verdict, "certified");
-        assert_eq!(stored.certificates, report.certificates);
-        // Tampering with a derived column is caught even when the
-        // certificate blocks themselves still decode.
-        let tampered = payload.replacen("verdict certified", "verdict violated", 1);
-        assert!(decode_check_payload(&tampered).is_err());
-        let truncated = payload
-            .lines()
-            .take(6 + Certificate::ENCODED_LINES - 1)
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(decode_check_payload(&truncated).is_err());
+        let (key, cell) = (spec.cert_key(), spec.cell_key());
+        let certified = run_check(&spec).unwrap().certificates;
+        // A certificate with every optional field set, which the ring-4 GDP1
+        // report leaves empty, and a probability with no short decimal form.
+        let mut full = certified[0].clone();
+        full.adversary_class = Some("fair schedulers with up to 1 crash-stop".to_string());
+        full.probability = 0.1 + 0.2;
+        full.certified_probability = false;
+        full.expected_steps = Some(7.25);
+        full.counterexample = Some("12 steps against \"ring\" (seed 3, lasso)".to_string());
+        for certificates in [certified.clone(), vec![certified[0].clone(), full]] {
+            let payload = encode_check_payload(&key, &cell, &certificates);
+            assert_eq!(payload.lines().count(), 6 + 19 * certificates.len());
+            let stored = decode_check_payload(&payload).unwrap();
+            assert_eq!((stored.key.as_str(), stored.cell.as_str()), (&*key, &*cell));
+            assert_eq!(stored.verdict, overall_verdict(&certificates).name());
+            assert_eq!(stored.certificates, certificates);
+            for (decoded, original) in stored.certificates.iter().zip(&certificates) {
+                assert_eq!(
+                    decoded.probability.to_bits(),
+                    original.probability.to_bits()
+                );
+                assert_eq!(
+                    decoded.expected_steps.map(f64::to_bits),
+                    original.expected_steps.map(f64::to_bits)
+                );
+                assert_eq!(decoded.render(), original.render());
+            }
+            assert_eq!(
+                encode_check_payload(&stored.key, &stored.cell, &stored.certificates),
+                payload,
+                "re-encoding is a fixed point"
+            );
+            // Every torn prefix is rejected, whatever line it ends on.
+            let lines: Vec<&str> = payload.lines().collect();
+            for keep in 0..lines.len() {
+                let torn = lines[..keep].join("\n");
+                assert!(decode_check_payload(&torn).is_err(), "kept {keep} lines");
+            }
+        }
+
+        let payload = encode_check_payload(&key, &cell, &certified);
+        // The model lines hold the one model, verbatim.
+        assert!(payload.contains("\nhunger always\nleft_bias 3fe0000000000000\n"));
+        let mut reordered: Vec<&str> = payload.lines().collect();
+        reordered.swap(6, 7);
+        let rejected = [
+            // Reordered certificate fields.
+            reordered.join("\n"),
+            // A trailing line.
+            format!("{payload}extra line\n"),
+            // A certificate count that disagrees with the lines below it.
+            payload.replacen("certificates 1", "certificates 2", 1),
+            payload.replacen("certificates 1", "certificates 0", 1),
+            // Corrupted f64 bit patterns are rejected, not guessed at.
+            payload.replacen("\nprobability ", "\nprobability zz", 1),
+            payload.replacen("\nprobability 3ff0000000000000", "\nprobability 3ff", 1),
+            // A malformed optional.
+            payload.replacen("counterexample none", "counterexample maybe", 1),
+            // Any other hunger or coin.
+            payload.replacen("hunger always", "hunger bernoulli(0.5)", 1),
+            payload.replacen(
+                "left_bias 3fe0000000000000",
+                "left_bias 3fd0000000000000",
+                1,
+            ),
+            // A derived column tampered with, even though the certificate
+            // lines themselves still decode.
+            payload.replacen("verdict certified", "verdict violated", 1),
+        ];
+        for tampered in &rejected {
+            assert_ne!(tampered, &payload);
+            assert!(decode_check_payload(tampered).is_err(), "{tampered}");
+        }
     }
 
     #[test]

@@ -229,7 +229,7 @@ impl ScenarioSpec {
         for &family in &self.families {
             for &size in &self.sizes {
                 for &algorithm in &self.algorithms {
-                    let key = format!("{}/n{}/{}", family.name(), size, algorithm.name());
+                    let key = cell_key(family, size, algorithm);
                     let seed = self.seed_policy.cell_seed(&key);
                     cells.push(ScenarioCell {
                         key,
@@ -288,6 +288,12 @@ impl ScenarioSpec {
             self.seed_policy.name(),
         )
     }
+}
+
+/// The cell key, `"<family>/n<size>/<ALGORITHM>"`: the one formatter of
+/// the key that names sweep cells, certificate records and stress runs.
+pub(crate) fn cell_key(family: TopologyFamily, size: usize, algorithm: AlgorithmKind) -> String {
+    format!("{}/n{}/{}", family.name(), size, algorithm.name())
 }
 
 /// One cell of the expanded grid: everything needed to run it, with the

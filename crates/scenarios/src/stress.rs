@@ -24,6 +24,7 @@
 
 use crate::family::TopologyFamily;
 use crate::report::num;
+use crate::spec::cell_key;
 use gdp_algorithms::AlgorithmKind;
 use gdp_observe::LOG2_BUCKETS;
 use gdp_runtime::{run, RunOptions, StressLoad};
@@ -91,7 +92,7 @@ impl StressSpec {
     /// The cell key, e.g. `"ring/n5/GDP2"` (matching sweep cell keys).
     #[must_use]
     pub fn cell(&self) -> String {
-        format!("{}/n{}/{}", self.family.name(), self.size, self.algorithm)
+        cell_key(self.family, self.size, self.algorithm)
     }
 }
 

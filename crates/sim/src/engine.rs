@@ -8,7 +8,7 @@ use crate::outcome::{RunOutcome, StopCondition, StopReason};
 use crate::program::{Action, Phase, Program, StepRandomness};
 use crate::snapshot::EngineState;
 use crate::view::{Holding, PhilosopherView, SystemView};
-use gdp_observe::{Event, Log2Histogram, SharedSink};
+use gdp_observe::{Event, EventSink, Log2Histogram, SharedSink};
 use gdp_topology::{ForkId, PhilosopherId, Topology};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -25,6 +25,53 @@ pub struct StepRecord {
     pub action: Action,
     /// Its phase after the step.
     pub phase_after: Phase,
+}
+
+/// Records one atomic step's trace events into `sink`, all at `clock`: the
+/// one mapping from a step to the `gdp-observe` vocabulary, shared by the
+/// simulator (clock = step index) and the threaded runtime (clock = the
+/// seat's sequence number).
+///
+/// In order: a `Schedule` for `actor`; an `Acquire` for a successful
+/// [`Action::TakeFirst`] or [`Action::TakeSecond`], a `Release` for
+/// [`Action::Release`] or a `MealFinish` for [`Action::FinishEating`]; then a
+/// `MealStart` when the step started a meal.  A meal has no action of its
+/// own, so `started_meal` comes from the step's phase transition into
+/// [`Phase::Eating`]; fork releases folded into `FinishEating` by an
+/// algorithm's action vocabulary are not synthesized.
+pub fn record_step_events(
+    sink: &dyn EventSink,
+    clock: u64,
+    actor: PhilosopherId,
+    action: Action,
+    started_meal: bool,
+) {
+    let actor = actor.raw();
+    sink.record(&Event::Schedule { clock, actor });
+    match action {
+        Action::TakeFirst {
+            fork,
+            success: true,
+        }
+        | Action::TakeSecond {
+            fork,
+            success: true,
+        } => sink.record(&Event::Acquire {
+            clock,
+            actor,
+            fork: fork.raw(),
+        }),
+        Action::Release { fork } => sink.record(&Event::Release {
+            clock,
+            actor,
+            fork: fork.raw(),
+        }),
+        Action::FinishEating => sink.record(&Event::MealFinish { clock, actor }),
+        _ => {}
+    }
+    if started_meal {
+        sink.record(&Event::MealStart { clock, actor });
+    }
 }
 
 /// A deterministic, seedable simulator of one generalized dining
@@ -163,13 +210,10 @@ impl<P: Program> Engine<P> {
 
     /// Attaches (or with `None`, detaches) a structured-event sink.
     ///
-    /// While attached, every atomic step emits `gdp-observe` events keyed by
-    /// the step index as the logical clock: a `Schedule` for the stepped
-    /// philosopher plus `Acquire`/`Release`/`MealStart`/`MealFinish` derived
-    /// from the step's [`Action`] (fork releases folded into `FinishEating`
-    /// by an algorithm's action vocabulary are not synthesized).  Detached —
-    /// the default — the cost is a single branch per step (perfbench's
-    /// `sim.steps_per_s` times this path).
+    /// While attached, every atomic step records its events through
+    /// [`record_step_events`], keyed by the step index as the logical clock.
+    /// Detached — the default — the cost is a single branch per step
+    /// (perfbench's `sim.steps_per_s` times this path).
     ///
     /// The sink is engine configuration, not semantic state: the
     /// [`state`](Self::state) never holds it.  Exploration
@@ -298,36 +342,7 @@ impl<P: Program> Engine<P> {
         // clock is the step index, so the event stream is as deterministic
         // as the run.
         if let Some(sink) = &self.sink {
-            let clock = step;
-            let actor = philosopher.raw();
-            sink.record(&Event::Schedule { clock, actor });
-            match action {
-                Action::TakeFirst {
-                    fork,
-                    success: true,
-                }
-                | Action::TakeSecond {
-                    fork,
-                    success: true,
-                } => sink.record(&Event::Acquire {
-                    clock,
-                    actor,
-                    fork: fork.raw(),
-                }),
-                Action::Release { fork } => sink.record(&Event::Release {
-                    clock,
-                    actor,
-                    fork: fork.raw(),
-                }),
-                Action::FinishEating => sink.record(&Event::MealFinish { clock, actor }),
-                _ => {}
-            }
-            // Eating starts when the second fork lands: the meal-start event
-            // comes from the phase transition, exactly like the accounting
-            // above.
-            if starts_eating {
-                sink.record(&Event::MealStart { clock, actor });
-            }
+            record_step_events(&**sink, step, philosopher, action, starts_eating);
         }
 
         StepRecord {
@@ -865,6 +880,95 @@ mod tests {
         // Clocks are non-decreasing step indices.
         let clocks: Vec<u64> = events.iter().map(Event::clock).collect();
         assert!(clocks.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn record_step_events_maps_every_action() {
+        use gdp_observe::MemorySink;
+        let (f0, f1) = (ForkId::new(0), ForkId::new(1));
+        let events_of = |action: Action, started_meal: bool| {
+            let sink = MemorySink::new();
+            record_step_events(&sink, 9, PhilosopherId::new(2), action, started_meal);
+            let events = sink.take();
+            assert!(events.iter().all(|ev| ev.clock() == 9), "{action:?}");
+            events
+        };
+        let schedule = Event::Schedule { clock: 9, actor: 2 };
+        let acquire = |fork: ForkId| Event::Acquire {
+            clock: 9,
+            actor: 2,
+            fork: fork.raw(),
+        };
+        // Steps that touch no fork for good, failed takes included, record
+        // only the schedule.
+        for action in [
+            Action::BecomeHungry,
+            Action::RegisterRequests,
+            Action::Commit {
+                fork: f0,
+                random: true,
+            },
+            Action::TakeFirst {
+                fork: f0,
+                success: false,
+            },
+            Action::TakeSecond {
+                fork: f1,
+                success: false,
+            },
+            Action::RelabelFork { fork: f0, nr: 2 },
+            Action::TestAndSet { fork: f1 },
+            Action::Wait,
+            Action::Custom("toy"),
+        ] {
+            assert_eq!(
+                events_of(action, false),
+                std::slice::from_ref(&schedule),
+                "{action:?}"
+            );
+        }
+        let take_first = Action::TakeFirst {
+            fork: f0,
+            success: true,
+        };
+        assert_eq!(
+            events_of(take_first, false),
+            [schedule.clone(), acquire(f0)]
+        );
+        let take_second = Action::TakeSecond {
+            fork: f1,
+            success: true,
+        };
+        assert_eq!(
+            events_of(take_second, true),
+            [
+                schedule.clone(),
+                acquire(f1),
+                Event::MealStart { clock: 9, actor: 2 }
+            ]
+        );
+        assert_eq!(
+            events_of(Action::Release { fork: f1 }, false),
+            [
+                schedule.clone(),
+                Event::Release {
+                    clock: 9,
+                    actor: 2,
+                    fork: 1
+                }
+            ]
+        );
+        // A finished meal records no release of the forks it gave back.
+        assert_eq!(
+            events_of(Action::FinishEating, false),
+            [schedule.clone(), Event::MealFinish { clock: 9, actor: 2 }]
+        );
+        // A meal started by a step with no take of its own (the toy takes
+        // both forks in one custom step).
+        assert_eq!(
+            events_of(Action::Custom("take-both"), true),
+            [schedule, Event::MealStart { clock: 9, actor: 2 }]
+        );
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //!   [`StepRecord`]), counts meals, schedulings and hunger in the
 //!   [`PhilosopherView`]s the adversary reads, which [`RunOutcome`]
 //!   collects, and evaluates [`StopCondition`]s.  An attached `gdp-observe`
-//!   event sink receives the step-by-step record of the run.
+//!   event sink receives the step-by-step record of the run, written by
+//!   [`record_step_events`], which the threaded runtime shares.
 //!   [`jain_index`] scores a meal distribution, simulated or real-thread.
 //! * [`EngineState`] — the semantic state (forks, private program states,
 //!   step counter), the one an engine steps ([`Engine::state`]).  It steps
@@ -130,7 +131,7 @@ mod view;
 pub use adversary::{Adversary, RoundRobinAdversary, UniformRandomAdversary};
 pub use config::SimConfig;
 pub use draws::{DrawOutcome, DrawRequest, DrawTape};
-pub use engine::{Engine, StepRecord};
+pub use engine::{record_step_events, Engine, StepRecord};
 pub use fork::ForkCell;
 pub use hash::fingerprint64;
 pub use outcome::{jain_index, RunOutcome, StopCondition, StopReason};

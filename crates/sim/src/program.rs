@@ -27,25 +27,6 @@ pub(crate) enum StepRandomness<'a> {
     Scripted(&'a mut DrawTape),
 }
 
-/// How a [`StepCtx`] reaches the shared fork cells.
-///
-/// The engine owns every fork in one contiguous slice; a real-concurrency
-/// runtime (`gdp-runtime`) instead holds two mutex guards — one per adjacent
-/// fork — for the duration of a single atomic step.  Both shapes expose the
-/// same two cells to the program, so the *identical* algorithm code runs in
-/// the simulator and on real threads.
-enum ForkAccess<'a> {
-    /// All fork cells, indexed by [`ForkId::index`] (the engine).
-    Slice(&'a mut [ForkCell]),
-    /// Exactly the stepping philosopher's two cells (the threaded runtime).
-    Pair {
-        /// The cell of the philosopher's left fork.
-        left: &'a mut ForkCell,
-        /// The cell of the philosopher's right fork.
-        right: &'a mut ForkCell,
-    },
-}
-
 /// The coarse phase of a philosopher, used for progress / lockout analysis.
 ///
 /// These are the `T` (trying) and `E` (eating) state sets of the paper's
@@ -223,10 +204,12 @@ pub trait Program {
 
 /// The restricted, per-step view a philosopher has of the system.
 ///
-/// A `StepCtx` only exposes the philosopher's own two forks and its private
-/// randomness.  Any attempt to operate on a fork that is not adjacent to the
-/// philosopher panics: that would violate the problem's full-distribution
-/// requirement and indicates a bug in an algorithm implementation.
+/// A `StepCtx` holds exactly the stepping philosopher's two fork cells and
+/// its private randomness, whether the cells come from the engine state's
+/// fork slice or from the threaded runtime's two mutex guards.  Any attempt
+/// to operate on a fork that is not adjacent to the philosopher panics: that
+/// would violate the problem's full-distribution requirement and indicates a
+/// bug in an algorithm implementation.
 ///
 /// The context is also the one place that fixes the paper's model:
 /// [`random_side`](Self::random_side) flips a fair coin and
@@ -238,26 +221,33 @@ pub trait Program {
 pub struct StepCtx<'a> {
     me: PhilosopherId,
     ends: ForkEnds,
-    forks: ForkAccess<'a>,
+    /// The cell of `ends.left`.
+    left: &'a mut ForkCell,
+    /// The cell of `ends.right`.
+    right: &'a mut ForkCell,
     randomness: StepRandomness<'a>,
     num_forks: u32,
 }
 
 impl<'a> StepCtx<'a> {
-    /// Creates a step context over every fork cell of the system.  Only the
-    /// engine does this.
+    /// Creates a step context over the cells of `ends.left` and `ends.right`
+    /// in a system of `num_forks` forks.  The engine state's step and
+    /// [`for_fork_pair`](Self::for_fork_pair) call it.
     pub(crate) fn new(
         me: PhilosopherId,
         ends: ForkEnds,
-        forks: &'a mut [ForkCell],
+        left: &'a mut ForkCell,
+        right: &'a mut ForkCell,
+        num_forks: usize,
         randomness: StepRandomness<'a>,
     ) -> Self {
         StepCtx {
             me,
             ends,
-            num_forks: forks.len() as u32,
-            forks: ForkAccess::Slice(forks),
+            left,
+            right,
             randomness,
+            num_forks: num_forks as u32,
         }
     }
 
@@ -296,13 +286,14 @@ impl<'a> StepCtx<'a> {
             "philosopher {me} must contend for two distinct forks, got {} twice",
             ends.left
         );
-        StepCtx {
+        StepCtx::new(
             me,
             ends,
-            forks: ForkAccess::Pair { left, right },
-            randomness: StepRandomness::Sampled(rng),
-            num_forks: num_forks as u32,
-        }
+            left,
+            right,
+            num_forks,
+            StepRandomness::Sampled(rng),
+        )
     }
 
     /// The identity of the philosopher executing this step.
@@ -360,29 +351,19 @@ impl<'a> StepCtx<'a> {
 
     fn cell(&mut self, fork: ForkId) -> &mut ForkCell {
         self.check_adjacent(fork);
-        match &mut self.forks {
-            ForkAccess::Slice(cells) => &mut cells[fork.index()],
-            ForkAccess::Pair { left, right } => {
-                if fork == self.ends.left {
-                    left
-                } else {
-                    right
-                }
-            }
+        if fork == self.ends.left {
+            self.left
+        } else {
+            self.right
         }
     }
 
     fn cell_ref(&self, fork: ForkId) -> &ForkCell {
         self.check_adjacent(fork);
-        match &self.forks {
-            ForkAccess::Slice(cells) => &cells[fork.index()],
-            ForkAccess::Pair { left, right } => {
-                if fork == self.ends.left {
-                    left
-                } else {
-                    right
-                }
-            }
+        if fork == self.ends.left {
+            self.left
+        } else {
+            self.right
         }
     }
 
@@ -502,11 +483,18 @@ mod tests {
         )
     }
 
+    /// Philosopher 0's context on forks 0 and 1 of the three in `forks`.
     fn make_ctx<'a>(forks: &'a mut [ForkCell], rng: &'a mut ChaCha8Rng) -> StepCtx<'a> {
+        let num_forks = forks.len();
+        let [left, right, ..] = forks else {
+            panic!("the context needs two cells")
+        };
         StepCtx::new(
             PhilosopherId::new(0),
             ForkEnds::new(ForkId::new(0), ForkId::new(1)),
-            forks,
+            left,
+            right,
+            num_forks,
             StepRandomness::Sampled(rng),
         )
     }
@@ -561,9 +549,9 @@ mod tests {
     }
 
     #[test]
-    fn fork_pair_backend_matches_slice_backend() {
-        // The runtime-facing two-cell constructor must expose the same
-        // operations, routed to the correct cell.
+    fn fork_pair_routes_each_fork_to_its_cell() {
+        // The runtime-facing constructor routes every operation to the cell
+        // of the fork it names, and draws numbers from the table's `k`.
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut left = ForkCell::new();
         let mut right = ForkCell::new();

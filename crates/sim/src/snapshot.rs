@@ -175,7 +175,12 @@ impl<P: Program> EngineState<P> {
     ) -> Action {
         self.step_count += 1;
         let ends = topology.forks_of(philosopher);
-        let mut ctx = StepCtx::new(philosopher, ends, &mut self.forks, randomness);
+        let num_forks = self.forks.len();
+        let [left, right] = self
+            .forks
+            .get_disjoint_mut([ends.left.index(), ends.right.index()])
+            .expect("a philosopher's two forks are distinct cells of the state");
+        let mut ctx = StepCtx::new(philosopher, ends, left, right, num_forks, randomness);
         program.step(&mut self.states[philosopher.index()], &mut ctx)
     }
 

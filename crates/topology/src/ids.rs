@@ -9,8 +9,8 @@ use std::fmt;
 
 /// Identifier of a fork (a node of the conflict multigraph).
 ///
-/// Fork identifiers are dense indices `0..k` assigned by the
-/// [`TopologyBuilder`](crate::TopologyBuilder) in creation order.
+/// Fork identifiers are dense indices `0..k`, as
+/// [`Topology::from_arcs`](crate::Topology::from_arcs) numbers them.
 ///
 /// ```
 /// use gdp_topology::ForkId;
@@ -73,8 +73,8 @@ impl From<ForkId> for usize {
 
 /// Identifier of a philosopher (an arc of the conflict multigraph).
 ///
-/// Philosopher identifiers are dense indices `0..n` assigned by the
-/// [`TopologyBuilder`](crate::TopologyBuilder) in creation order.
+/// Philosopher identifiers are dense indices `0..n`, assigned by
+/// [`Topology::from_arcs`](crate::Topology::from_arcs) in arc order.
 ///
 /// Identifiers exist for the benefit of the *observer* (the simulator, the
 /// adversary, the metrics collector).  The philosophers themselves remain

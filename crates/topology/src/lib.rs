@@ -21,10 +21,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`Topology`] — the validated multigraph, with adjacency queries in both
-//!   directions (fork → incident philosophers, philosopher → adjacent forks
-//!   and neighbouring philosophers);
-//! * [`TopologyBuilder`] — incremental construction with validation;
+//! * [`Topology`] — the validated multigraph, built by
+//!   [`Topology::from_arcs`], with adjacency queries in both directions
+//!   (fork → incident philosophers, philosopher → adjacent forks and
+//!   neighbouring philosophers);
 //! * [`builders`] — the classic ring, the Figure 1 gallery of the paper, the
 //!   ring-with-chord family used by Theorem 1, the theta graphs used by
 //!   Theorem 2, and random multigraph generators;
@@ -62,7 +62,7 @@ mod topology;
 pub use error::TopologyError;
 pub use ids::{ForkId, PhilosopherId};
 pub use symmetry::{automorphisms, Automorphism};
-pub use topology::{ForkEnds, Side, Topology, TopologyBuilder};
+pub use topology::{ForkEnds, Side, Topology};
 
 /// Convenience result alias used throughout this crate.
 pub type Result<T, E = TopologyError> = std::result::Result<T, E>;

@@ -126,8 +126,8 @@ impl ForkEnds {
 /// the arc list together with a fork-indexed incidence list, so adjacency
 /// queries in both directions are `O(1)` / `O(degree)`.
 ///
-/// Construct one with [`Topology::builder`], [`Topology::from_arcs`], or one
-/// of the generators in [`crate::builders`].
+/// Construct one with [`Topology::from_arcs`], the one constructor, or one of
+/// the generators in [`crate::builders`], which call it.
 ///
 /// ```
 /// use gdp_topology::{Topology, ForkId};
@@ -148,30 +148,54 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Starts building a topology incrementally.
-    #[must_use]
-    pub fn builder() -> TopologyBuilder {
-        TopologyBuilder::new()
-    }
-
     /// Builds a topology from a fork count and an iterator of `(left, right)`
-    /// fork indices, one pair per philosopher.
+    /// fork indices, one pair per philosopher: fork `i` gets [`ForkId`] `i`,
+    /// and the `j`-th pair becomes [`PhilosopherId`] `j`.
     ///
     /// # Errors
     ///
-    /// Returns an error if fewer than two forks are declared, no philosopher
-    /// is declared, an endpoint index is out of range, or a philosopher's two
-    /// endpoints coincide.
+    /// * [`TopologyError::TooFewForks`] if fewer than two forks are declared;
+    /// * [`TopologyError::NoPhilosophers`] if no philosopher is declared;
+    /// * [`TopologyError::UnknownFork`] if a philosopher references a fork
+    ///   index out of range;
+    /// * [`TopologyError::DegenerateArc`] if a philosopher's two forks
+    ///   coincide.
     pub fn from_arcs<I>(num_forks: usize, arcs: I) -> Result<Self>
     where
         I: IntoIterator<Item = (u32, u32)>,
     {
-        let mut builder = TopologyBuilder::new();
-        builder.add_forks(num_forks);
-        for (left, right) in arcs {
-            builder.add_philosopher(ForkId::new(left), ForkId::new(right));
+        let arcs: Vec<ForkEnds> = arcs
+            .into_iter()
+            .map(|(left, right)| ForkEnds::new(ForkId::new(left), ForkId::new(right)))
+            .collect();
+        if num_forks < 2 {
+            return Err(TopologyError::TooFewForks { found: num_forks });
         }
-        builder.build()
+        if arcs.is_empty() {
+            return Err(TopologyError::NoPhilosophers);
+        }
+        let mut incidence = vec![Vec::new(); num_forks];
+        for (i, ends) in arcs.iter().enumerate() {
+            let philosopher = PhilosopherId::new(i as u32);
+            for fork in ends.as_array() {
+                if fork.index() >= num_forks {
+                    return Err(TopologyError::UnknownFork { philosopher, fork });
+                }
+            }
+            if ends.left == ends.right {
+                return Err(TopologyError::DegenerateArc {
+                    philosopher,
+                    fork: ends.left,
+                });
+            }
+            incidence[ends.left.index()].push(philosopher);
+            incidence[ends.right.index()].push(philosopher);
+        }
+        Ok(Topology {
+            num_forks,
+            arcs,
+            incidence,
+        })
     }
 
     /// Number of forks `k` in the system.
@@ -362,116 +386,6 @@ impl fmt::Display for Topology {
     }
 }
 
-/// Incremental builder for [`Topology`].
-///
-/// ```
-/// use gdp_topology::{Topology, TopologyBuilder};
-///
-/// let mut b = Topology::builder();
-/// let f0 = b.add_fork();
-/// let f1 = b.add_fork();
-/// let f2 = b.add_fork();
-/// b.add_philosopher(f0, f1);
-/// b.add_philosopher(f1, f2);
-/// b.add_philosopher(f2, f0);
-/// let triangle = b.build()?;
-/// assert_eq!(triangle.num_philosophers(), 3);
-/// # Ok::<(), gdp_topology::TopologyError>(())
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct TopologyBuilder {
-    num_forks: usize,
-    arcs: Vec<ForkEnds>,
-}
-
-impl TopologyBuilder {
-    /// Creates an empty builder.
-    #[must_use]
-    pub fn new() -> Self {
-        TopologyBuilder::default()
-    }
-
-    /// Declares one new fork and returns its identifier.
-    pub fn add_fork(&mut self) -> ForkId {
-        let id = ForkId::new(self.num_forks as u32);
-        self.num_forks += 1;
-        id
-    }
-
-    /// Declares `count` new forks and returns their identifiers in order.
-    pub fn add_forks(&mut self, count: usize) -> Vec<ForkId> {
-        (0..count).map(|_| self.add_fork()).collect()
-    }
-
-    /// Declares a philosopher adjacent to forks `left` and `right` and
-    /// returns its identifier.
-    ///
-    /// Validation (distinctness, range) is deferred to [`build`](Self::build)
-    /// so that builders can be composed freely.
-    pub fn add_philosopher(&mut self, left: ForkId, right: ForkId) -> PhilosopherId {
-        let id = PhilosopherId::new(self.arcs.len() as u32);
-        self.arcs.push(ForkEnds::new(left, right));
-        id
-    }
-
-    /// Number of forks declared so far.
-    #[must_use]
-    pub fn num_forks(&self) -> usize {
-        self.num_forks
-    }
-
-    /// Number of philosophers declared so far.
-    #[must_use]
-    pub fn num_philosophers(&self) -> usize {
-        self.arcs.len()
-    }
-
-    /// Validates the declared system and produces an immutable [`Topology`].
-    ///
-    /// # Errors
-    ///
-    /// * [`TopologyError::TooFewForks`] if fewer than two forks were declared;
-    /// * [`TopologyError::NoPhilosophers`] if no philosopher was declared;
-    /// * [`TopologyError::UnknownFork`] if a philosopher references an
-    ///   undeclared fork;
-    /// * [`TopologyError::DegenerateArc`] if a philosopher's two forks coincide.
-    pub fn build(self) -> Result<Topology> {
-        if self.num_forks < 2 {
-            return Err(TopologyError::TooFewForks {
-                found: self.num_forks,
-            });
-        }
-        if self.arcs.is_empty() {
-            return Err(TopologyError::NoPhilosophers);
-        }
-        for (i, ends) in self.arcs.iter().enumerate() {
-            let philosopher = PhilosopherId::new(i as u32);
-            for fork in ends.as_array() {
-                if fork.index() >= self.num_forks {
-                    return Err(TopologyError::UnknownFork { philosopher, fork });
-                }
-            }
-            if ends.left == ends.right {
-                return Err(TopologyError::DegenerateArc {
-                    philosopher,
-                    fork: ends.left,
-                });
-            }
-        }
-        let mut incidence = vec![Vec::new(); self.num_forks];
-        for (i, ends) in self.arcs.iter().enumerate() {
-            let p = PhilosopherId::new(i as u32);
-            incidence[ends.left.index()].push(p);
-            incidence[ends.right.index()].push(p);
-        }
-        Ok(Topology {
-            num_forks: self.num_forks,
-            arcs: self.arcs,
-            incidence,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,34 +398,37 @@ mod tests {
 
     #[test]
     fn builder_assigns_dense_ids() {
-        let mut b = Topology::builder();
-        let forks = b.add_forks(4);
+        let t = Topology::from_arcs(4, [(0, 1), (1, 2)]).unwrap();
+        let forks: Vec<ForkId> = t.fork_ids().collect();
         assert_eq!(forks, (0..4).map(ForkId::new).collect::<Vec<_>>());
-        let p0 = b.add_philosopher(forks[0], forks[1]);
-        let p1 = b.add_philosopher(forks[1], forks[2]);
-        assert_eq!(p0, PhilosopherId::new(0));
-        assert_eq!(p1, PhilosopherId::new(1));
-        let t = b.build().unwrap();
+        let philosophers: Vec<PhilosopherId> = t.philosopher_ids().collect();
+        assert_eq!(philosophers, [PhilosopherId::new(0), PhilosopherId::new(1)]);
+        assert_eq!(
+            t.forks_of(philosophers[0]),
+            ForkEnds::new(forks[0], forks[1])
+        );
+        assert_eq!(
+            t.forks_of(philosophers[1]),
+            ForkEnds::new(forks[1], forks[2])
+        );
         assert_eq!(t.num_forks(), 4);
         assert_eq!(t.num_philosophers(), 2);
     }
 
     #[test]
     fn rejects_too_few_forks() {
-        let mut b = Topology::builder();
-        b.add_fork();
-        b.add_philosopher(ForkId::new(0), ForkId::new(0));
         assert!(matches!(
-            b.build(),
+            Topology::from_arcs(1, [(0, 0)]),
             Err(TopologyError::TooFewForks { found: 1 })
         ));
     }
 
     #[test]
     fn rejects_no_philosophers() {
-        let mut b = Topology::builder();
-        b.add_forks(3);
-        assert!(matches!(b.build(), Err(TopologyError::NoPhilosophers)));
+        assert!(matches!(
+            Topology::from_arcs(3, []),
+            Err(TopologyError::NoPhilosophers)
+        ));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use gdp_serve as serve;
 pub mod prelude {
     pub use gdp_topology::{
         analysis as topology_analysis, builders, dot, ForkEnds, ForkId, PhilosopherId, Side,
-        Topology, TopologyBuilder, TopologyError,
+        Topology, TopologyError,
     };
 
     pub use gdp_sim::{
