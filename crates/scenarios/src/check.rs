@@ -14,6 +14,7 @@
 //! including the unoptimised CLI binary in dev builds — runs the optimised
 //! instantiation.
 
+use crate::certificate::{decode_certificate, encode_certificate};
 use crate::family::TopologyFamily;
 use crate::report::{f64_bits, parse_bits, parse_int, payload_field};
 use crate::spec::cell_key;
@@ -414,23 +415,12 @@ pub struct StoredCheck {
     pub certificates: Vec<Certificate>,
 }
 
-/// The two model lines of every certificate in a record, required
-/// verbatim: the model is fixed (a scheduled thinking philosopher becomes
-/// hungry, and the coin is fair, `left_bias` holding the bits of 0.5), and
-/// the lines keep the record format of stores written while it was
-/// configurable.
-const MODEL_LINES: [(&str, &str); 2] = [("hunger", "always"), ("left_bias", "3fe0000000000000")];
-
 /// Serializes one check's certificates as a certificate-record payload: six
-/// derived header fields, then 19 `field value` lines per certificate, in a
-/// fixed order, with every `f64` stored as its [`f64_bits`] and every
-/// optional field as `some <text>` or `none`.  The derived columns are
-/// computed here, from the certificates themselves — the caller cannot
-/// inject a verdict that disagrees with the bytes below it.
+/// derived header fields, then each certificate's 19 lines
+/// ([`encode_certificate`]).  The derived columns are computed here, from
+/// the certificates themselves — the caller cannot inject a verdict that
+/// disagrees with the bytes below it.
 fn encode_check_payload(key: &str, cell: &str, certificates: &[Certificate]) -> String {
-    fn optional(value: Option<&str>) -> String {
-        value.map_or_else(|| "none".to_string(), |text| format!("some {text}"))
-    }
     let mut out = String::new();
     let _ = writeln!(out, "key {key}");
     let _ = writeln!(out, "cell {cell}");
@@ -447,45 +437,13 @@ fn encode_check_payload(key: &str, cell: &str, certificates: &[Certificate]) -> 
     );
     let _ = writeln!(out, "certificates {}", certificates.len());
     for c in certificates {
-        let _ = writeln!(out, "system {}", c.system);
-        let _ = writeln!(out, "algorithm {}", c.algorithm);
-        let _ = writeln!(out, "target {}", c.target);
-        let _ = writeln!(
-            out,
-            "adversary_class {}",
-            optional(c.adversary_class.as_deref())
-        );
-        for (name, value) in MODEL_LINES {
-            let _ = writeln!(out, "{name} {value}");
-        }
-        let _ = writeln!(out, "nr_range {}", c.nr_range);
-        let _ = writeln!(out, "symmetry_group {}", c.symmetry_group);
-        let _ = writeln!(out, "states {}", c.states);
-        let _ = writeln!(out, "transitions {}", c.transitions);
-        let _ = writeln!(out, "truncated {}", c.truncated);
-        let _ = writeln!(out, "safety_violations {}", c.safety_violations);
-        let _ = writeln!(out, "deadlock_states {}", c.deadlock_states);
-        let _ = writeln!(out, "fair_core_states {}", c.fair_core_states);
-        let _ = writeln!(out, "probability {}", f64_bits(c.probability));
-        let _ = writeln!(out, "certified_probability {}", c.certified_probability);
-        let _ = writeln!(out, "iterations {}", c.iterations);
-        let _ = writeln!(
-            out,
-            "expected_steps {}",
-            c.expected_steps
-                .map_or_else(|| "none".to_string(), f64_bits)
-        );
-        let _ = writeln!(
-            out,
-            "counterexample {}",
-            optional(c.counterexample.as_deref())
-        );
+        encode_certificate(&mut out, c);
     }
     out
 }
 
-/// Parses a certificate-record payload, strictly: fixed field order, the
-/// [`MODEL_LINES`] verbatim, exactly `certificates` certificates and no
+/// Parses a certificate-record payload, strictly: fixed header order,
+/// exactly `certificates` certificates ([`decode_certificate`]) and no
 /// line after them, at least one certificate, and derived columns that
 /// agree with the decoded certificates.
 pub(crate) fn decode_check_payload(payload: &str) -> Result<StoredCheck, String> {
@@ -527,69 +485,6 @@ pub(crate) fn decode_check_payload(payload: &str) -> Result<StoredCheck, String>
         progress_probability,
         states,
         certificates,
-    })
-}
-
-/// Reads the next certificate's 19 lines of an [`encode_check_payload`]
-/// payload.
-fn decode_certificate(lines: &mut std::str::Lines<'_>) -> Result<Certificate, String> {
-    fn optional(name: &str, value: &str) -> Result<Option<String>, String> {
-        match value {
-            "none" => Ok(None),
-            other => other
-                .strip_prefix("some ")
-                .map(|text| Some(text.to_string()))
-                .ok_or_else(|| format!("field {name:?} has invalid optional {value:?}")),
-        }
-    }
-    let mut field = |name: &str| payload_field(lines, name);
-    let system = field("system")?.to_string();
-    let algorithm = field("algorithm")?.to_string();
-    let target = field("target")?.to_string();
-    let adversary_class = optional("adversary_class", field("adversary_class")?)?;
-    for (name, fixed) in MODEL_LINES {
-        let value = field(name)?;
-        if value != fixed {
-            return Err(format!(
-                "field {name:?} has {value:?}, not the model's {fixed:?}"
-            ));
-        }
-    }
-    let nr_range = parse_int("nr_range", field("nr_range")?)?;
-    let symmetry_group = parse_int("symmetry_group", field("symmetry_group")?)?;
-    let states = parse_int("states", field("states")?)?;
-    let transitions = parse_int("transitions", field("transitions")?)?;
-    let truncated = parse_int("truncated", field("truncated")?)?;
-    let safety_violations = parse_int("safety_violations", field("safety_violations")?)?;
-    let deadlock_states = parse_int("deadlock_states", field("deadlock_states")?)?;
-    let fair_core_states = parse_int("fair_core_states", field("fair_core_states")?)?;
-    let probability = parse_bits("probability", field("probability")?)?;
-    let certified_probability =
-        parse_int("certified_probability", field("certified_probability")?)?;
-    let iterations = parse_int("iterations", field("iterations")?)?;
-    let expected_steps = match field("expected_steps")? {
-        "none" => None,
-        value => Some(parse_bits("expected_steps", value)?),
-    };
-    let counterexample = optional("counterexample", field("counterexample")?)?;
-    Ok(Certificate {
-        system,
-        algorithm,
-        target,
-        adversary_class,
-        nr_range,
-        symmetry_group,
-        states,
-        transitions,
-        truncated,
-        safety_violations,
-        deadlock_states,
-        fair_core_states,
-        probability,
-        certified_probability,
-        iterations,
-        expected_steps,
-        counterexample,
     })
 }
 

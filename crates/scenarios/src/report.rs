@@ -244,7 +244,7 @@ pub fn cell_json(c: &CellResult) -> String {
 // ---------------------------------------------------------------------------
 
 /// Renders the exact bit pattern of an `f64` as 16 hex digits (shared with
-/// the certificate-record codec in `crate::check`).
+/// the certificate-record codec in `crate::check` and `crate::certificate`).
 pub(crate) fn f64_bits(value: f64) -> String {
     format!("{:016x}", value.to_bits())
 }
@@ -292,7 +292,8 @@ pub(crate) fn encode_cell_payload(c: &CellResult) -> String {
 
 /// Reads the next payload line, which must be the field `name`, and
 /// returns its value: the strict field reader both record payload decoders
-/// (cells here, certificates in `crate::check`) share.
+/// (cells here, certificates in `crate::check` and `crate::certificate`)
+/// share.
 pub(crate) fn payload_field<'a>(
     lines: &mut std::str::Lines<'a>,
     name: &str,
